@@ -11,16 +11,21 @@
 
 open Cmdliner
 
-let reader_of_channel ic () = In_channel.input_line ic
-
-let writer_of_channel oc line =
-  Out_channel.output_string oc line;
-  Out_channel.output_char oc '\n';
-  Out_channel.flush oc
+(* Reply lines collect in [oc]'s buffer, and the reader flushes it
+   before it blocks for the next line: each reply leaves in one write,
+   and never waits behind the compile of a request pipelined after it. *)
+let serve_channels server ic oc =
+  Snslp_service.Server.serve server
+    ~reader:(fun () ->
+      Out_channel.flush oc;
+      In_channel.input_line ic)
+    ~writer:(fun line ->
+      Out_channel.output_string oc line;
+      Out_channel.output_char oc '\n')
 
 let serve_stdio server =
-  Snslp_service.Server.serve server ~reader:(reader_of_channel In_channel.stdin)
-    ~writer:(writer_of_channel Out_channel.stdout)
+  serve_channels server In_channel.stdin Out_channel.stdout;
+  Out_channel.flush Out_channel.stdout
 
 let serve_socket server path =
   (* A dead client mid-response must not kill the daemon. *)
@@ -37,13 +42,13 @@ let serve_socket server path =
   at_exit cleanup;
   let rec accept_loop () =
     let client, _ = Unix.accept sock in
-    let ic = Unix.in_channel_of_descr client in
     let oc = Unix.out_channel_of_descr client in
-    (try
-       Snslp_service.Server.serve server ~reader:(reader_of_channel ic)
-         ~writer:(writer_of_channel oc)
+    (try serve_channels server (Unix.in_channel_of_descr client) oc
      with Sys_error _ | Unix.Unix_error _ -> ());
-    (try Unix.close client with Unix.Unix_error _ -> ());
+    (* Closes [client] too.  A hung-up client's unflushed bytes are
+       dropped here; left in the channel, they would be flushed at exit
+       into whatever descriptor reused the number. *)
+    close_out_noerr oc;
     accept_loop ()
   in
   accept_loop ()

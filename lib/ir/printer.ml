@@ -7,29 +7,31 @@
        ...
        ret
      }
-*)
+
+   Everything renders into one [Buffer]; the [Fmt] printers print the
+   finished string.  The printing sits on every cache key and every
+   service reply, so it stays off [Format]'s per-token machinery. *)
 
 open Defs
 
-let pp_arg ppf (a : arg) = Fmt.pf ppf "%s %%%s" (Ty.to_string a.arg_ty) a.arg_name
+let arg_to_string (a : arg) = Ty.to_string a.arg_ty ^ " %" ^ a.arg_name
 
-let pp_terminator ppf = function
-  | Ret -> Fmt.string ppf "ret"
-  | Br b -> Fmt.pf ppf "br %%%s" b.bname
-  | Cond_br (c, b1, b2) ->
-      Fmt.pf ppf "br %s, %%%s, %%%s" (Value.name c) b1.bname b2.bname
-  | Unterminated -> Fmt.string ppf "<unterminated>"
+let terminator_to_string = function
+  | Ret -> "ret"
+  | Br b -> "br %" ^ b.bname
+  | Cond_br (c, b1, b2) -> Printf.sprintf "br %s, %%%s, %%%s" (Value.name c) b1.bname b2.bname
+  | Unterminated -> "<unterminated>"
 
-let pp_block_in ?pred_name ppf (b : block) =
-  Fmt.pf ppf "%s:@." b.bname;
-  List.iter (fun i -> Fmt.pf ppf "  %s@." (Instr.to_string ?pred_name i)) b.instrs;
-  Fmt.pf ppf "  %a@." pp_terminator b.term
-
-(* A standalone block cannot resolve its phis' predecessor names (they
-   live elsewhere in the function), so it prints the "b<id>" fallback;
-   {!pp_func} supplies the real names, which is what makes the printed
-   function round-trippable through {!Ir_parser}. *)
-let pp_block ppf (b : block) = pp_block_in ppf b
+let add_block ?pred_name buf (b : block) =
+  Buffer.add_string buf b.bname;
+  Buffer.add_string buf ":\n";
+  let add_indented s =
+    Buffer.add_string buf "  ";
+    Buffer.add_string buf s;
+    Buffer.add_char buf '\n'
+  in
+  List.iter (fun i -> add_indented (Instr.to_string ?pred_name i)) b.instrs;
+  add_indented (terminator_to_string b.term)
 
 let pred_name_of (f : func) =
   let names = Hashtbl.create 7 in
@@ -39,13 +41,24 @@ let pred_name_of (f : func) =
     | Some n -> n
     | None -> Instr.fallback_pred_name bid
 
-let pp_func ppf (f : func) =
-  let pred_name = pred_name_of f in
-  Fmt.pf ppf "func @%s(%a) {@." f.fname
-    Fmt.(array ~sep:(any ", ") pp_arg)
-    f.fargs;
-  List.iter (pp_block_in ~pred_name ppf) f.blocks;
-  Fmt.pf ppf "}@."
+let func_to_string (f : func) =
+  let buf = Buffer.create 4096 in
+  let args = String.concat ", " (Array.to_list (Array.map arg_to_string f.fargs)) in
+  Buffer.add_string buf (Printf.sprintf "func @%s(%s) {\n" f.fname args);
+  List.iter (add_block ~pred_name:(pred_name_of f) buf) f.blocks;
+  Buffer.add_string buf "}\n";
+  Buffer.contents buf
 
-let func_to_string f = Fmt.str "%a" pp_func f
-let block_to_string b = Fmt.str "%a" pp_block b
+(* A standalone block cannot resolve its phis' predecessor names (they
+   live elsewhere in the function), so it prints the "b<id>" fallback;
+   {!func_to_string} supplies the real names, which is what makes the
+   printed function round-trippable through {!Ir_parser}. *)
+let block_to_string (b : block) =
+  let buf = Buffer.create 1024 in
+  add_block buf b;
+  Buffer.contents buf
+
+let pp_arg ppf a = Fmt.string ppf (arg_to_string a)
+let pp_terminator ppf t = Fmt.string ppf (terminator_to_string t)
+let pp_block ppf b = Fmt.string ppf (block_to_string b)
+let pp_func ppf f = Fmt.string ppf (func_to_string f)

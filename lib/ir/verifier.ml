@@ -16,13 +16,15 @@ let pp_error ppf e = Fmt.pf ppf "%s: %s" e.where e.what
    form, not just its name — the IR being verified is by definition
    suspect, and "%7 = fadd f32 %3, %5" pinpoints the bug where "%7"
    only names it.  Printing a malformed instruction can itself trap
-   (e.g. a store with no operands), hence the fallback. *)
+   (e.g. a store with no operands), hence the fallback.  Well-formed
+   IR reports nothing, so the printing happens only inside [fail]. *)
 let instr_where (i : instr) =
   try Instr.to_string i with _ -> Printf.sprintf "%%%s" i.iname
 
 let check_instr (errors : error list ref) (i : instr) =
-  let where = instr_where i in
-  let fail fmt = Printf.ksprintf (fun what -> errors := { where; what } :: !errors) fmt in
+  let fail fmt =
+    Printf.ksprintf (fun what -> errors := { where = instr_where i; what } :: !errors) fmt
+  in
   let op_ty n = Value.ty i.ops.(n) in
   let expect_nops n =
     if Array.length i.ops <> n then fail "expected %d operands, got %d" n (Array.length i.ops)

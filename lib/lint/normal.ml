@@ -56,7 +56,14 @@ and view =
 
 let round_f32 (f : float) = Int32.float_of_bits (Int32.bits_of_float f)
 
+(* Index constants and integer coefficients are almost always small
+   and non-negative; their keys come from a table rather than being
+   formatted again for every key that contains them. *)
+let small_int_keys = Array.init 1024 string_of_int
+
 let c_key = function
+  | C_int n when Int64.compare n 0L >= 0 && Int64.compare n 1024L < 0 ->
+      small_int_keys.(Int64.to_int n)
   | C_int n -> Int64.to_string n
   | C_float f -> Printf.sprintf "f%Lx" (Int64.bits_of_float f)
 

@@ -34,10 +34,7 @@ let signature (f : Defs.func) : string =
    `kernel f` and `kernel g` with the same body share a key.  [fname]
    is immutable and blocks are shared, so the rename is free. *)
 let structural_digest (f : Defs.func) : string =
-  let printed =
-    Format.asprintf "%a" Printer.pp_func { f with Defs.fname = "f" }
-  in
-  Digest.to_hex (Digest.string printed)
+  Digest.to_hex (Digest.string (Printer.func_to_string { f with Defs.fname = "f" }))
 
 let of_func (f : Defs.func) : key =
   match Validate.snapshot_digest (Validate.capture f) with

@@ -90,10 +90,14 @@ type state = {
   cut : (int * int, unit) Hashtbl.t; (* back edges (latch bid, header bid) *)
   mutable tainted : Int_set.t; (* arg bases written by a symbolic loop *)
   mutable summaries : string list; (* canonical per-loop summary keys *)
+  args : nv option array; (* argument values, built on first use *)
 }
 
+let loc_prefix = Array.init 16 (fun base -> string_of_int base ^ "|")
+
 let loc_key base (index : Normal.t) =
-  string_of_int base ^ "|" ^ Normal.skey index
+  let prefix = if base < 16 then loc_prefix.(base) else string_of_int base ^ "|" in
+  prefix ^ Normal.skey index
 
 let loc_to_string (e : entry) =
   Printf.sprintf "arg%d[%s]" e.base (Normal.to_string e.index)
@@ -117,10 +121,19 @@ let nv_of (st : state) (v : Defs.value) : nv =
         Vec (Array.init (Ty.lanes ty) (fun _ -> Normal.undef (Ty.elem ty)))
       else Scalar (Normal.undef (Ty.elem ty))
   | Defs.Arg a -> (
-      match a.Defs.arg_ty with
-      | Ty.Ptr _ -> Ptr_to (a.Defs.arg_pos, Normal.zero Ty.I64)
-      | Ty.Scalar s -> Scalar (Normal.of_atom s (Normal.Arg a.Defs.arg_pos))
-      | Ty.Vector _ -> give_up "vector argument")
+      (* Every address recomputes from its base pointer and index
+         arguments, so build each argument's value once. *)
+      match st.args.(a.Defs.arg_pos) with
+      | Some v -> v
+      | None ->
+          let v =
+            match a.Defs.arg_ty with
+            | Ty.Ptr _ -> Ptr_to (a.Defs.arg_pos, Normal.zero Ty.I64)
+            | Ty.Scalar s -> Scalar (Normal.of_atom s (Normal.Arg a.Defs.arg_pos))
+            | Ty.Vector _ -> give_up "vector argument"
+          in
+          st.args.(a.Defs.arg_pos) <- Some v;
+          v)
   | Defs.Instr i -> (
       match Hashtbl.find_opt st.env i.Defs.iid with
       | Some v -> v
@@ -499,7 +512,7 @@ type effects = {
 let exec (f : Defs.func) : effects =
   let st =
     {
-      env = Hashtbl.create 64;
+      env = Hashtbl.create (Func.num_instrs f);
       mem = Hashtbl.create 32;
       cells = Hashtbl.create 32;
       budget = max_blocks;
@@ -507,6 +520,7 @@ let exec (f : Defs.func) : effects =
       cut = Hashtbl.create 4;
       tainted = Int_set.empty;
       summaries = [];
+      args = Array.make (Array.length f.Defs.fargs) None;
     }
   in
   (match f.Defs.blocks with

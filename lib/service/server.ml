@@ -56,7 +56,10 @@ type t = {
       (* both indexes reset when they outgrow this — entries go stale
          as the cache evicts, and {!Cache.mem} probes already guard
          correctness, so a reset only costs refills *)
-  mutable latencies_s : float list; (* newest first *)
+  window : float array;
+      (* the latest [window_size] request latencies, a ring: request
+         number [k] (from 0) lands in slot [k mod window_size] *)
+  mutable latency_sum_s : float; (* over every request served *)
   mutable served : int;
   mutable vstats : Stats.t;
       (* vectorizer counters accumulated over every miss compiled by
@@ -85,6 +88,10 @@ let add_loop_stats (a : Pipeline.loop_stats) (b : Pipeline.loop_stats) :
     blocks_merged = a.Pipeline.blocks_merged + b.Pipeline.blocks_merged;
   }
 
+(* Enough samples for a stable p99 (about 40 beyond it), while [stats]
+   sorts a fixed 32 KiB however long the daemon has run. *)
+let window_size = 4096
+
 let create ?capacity () =
   let cache = Cache.create ?capacity () in
   {
@@ -92,7 +99,8 @@ let create ?capacity () =
     request_index = Hashtbl.create 64;
     structural_index = Hashtbl.create 64;
     index_bound = 8 * (Cache.counters cache).Cache.capacity;
-    latencies_s = [];
+    window = Array.make window_size 0.0;
+    latency_sum_s = 0.0;
     served = 0;
     vstats = Stats.create ();
     lstats = zero_loop_stats;
@@ -210,7 +218,7 @@ let chomp s =
   while !n > 0 && (s.[!n - 1] = '\n' || s.[!n - 1] = '\r') do decr n done;
   String.sub s 0 !n
 
-let print_func f = chomp (Format.asprintf "%a" Printer.pp_func f)
+let print_func f = chomp (Printer.func_to_string f)
 
 let remember t index key v =
   if Hashtbl.length index >= t.index_bound then Hashtbl.reset index;
@@ -401,25 +409,20 @@ let handle_batch t (requests : (string * string, string) result list) :
 
 (* --- Stats ---------------------------------------------------------------- *)
 
-let percentile p xs =
-  match xs with
-  | [] -> 0.0
-  | _ ->
-      let a = Array.of_list xs in
-      Array.sort compare a;
-      let n = Array.length a in
-      let i = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
-      a.(max 0 (min (n - 1) i))
+(* Nearest-rank percentile of an ascending array. *)
+let percentile p sorted =
+  let n = Array.length sorted in
+  if n = 0 then 0.0
+  else
+    let i = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
+    sorted.(max 0 (min (n - 1) i))
 
 let stats_reply t : Protocol.response =
   let c = Cache.counters t.cache in
   let ms x = Printf.sprintf "%.3f" (x *. 1e3) in
-  let lat = t.latencies_s in
-  let mean =
-    match lat with
-    | [] -> 0.0
-    | _ -> List.fold_left ( +. ) 0.0 lat /. float_of_int (List.length lat)
-  in
+  let lat = Array.sub t.window 0 (min t.served window_size) in
+  Array.sort Float.compare lat;
+  let mean = if t.served = 0 then 0.0 else t.latency_sum_s /. float_of_int t.served in
   Protocol.Stats_reply
     [
       ("served", string_of_int t.served);
@@ -455,12 +458,14 @@ let stats_reply t : Protocol.response =
     ]
 
 let record t dt n =
-  t.served <- t.served + n;
   for _ = 1 to n do
-    t.latencies_s <- dt :: t.latencies_s
+    t.window.(t.served mod window_size) <- dt;
+    t.latency_sum_s <- t.latency_sum_s +. dt;
+    t.served <- t.served + 1
   done
 
-let latencies_s t = t.latencies_s
+let latencies_s t =
+  List.init (min t.served window_size) (fun k -> t.window.((t.served - 1 - k) mod window_size))
 
 (* --- The conversation loop ------------------------------------------------ *)
 

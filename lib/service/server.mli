@@ -37,7 +37,8 @@ val handle_batch :
 
 val stats_reply : t -> Protocol.response
 (** The counters snapshot [serve] answers [stats] with: cache
-    counters, hit rate, latency mean/p50/p99, the global
+    counters, hit rate, latency mean (over every request served) and
+    p50/p99 (over the latest 4096, see {!latencies_s}), the global
     pack-selection search counters (pack_candidates / pack_expansions
     / pack_pruned / pack_plans), and the loop-subsystem counters
     (loops_found / loops_counted / loops_unrolled_full /
@@ -45,9 +46,10 @@ val stats_reply : t -> Protocol.response
     every miss the server compiled. *)
 
 val latencies_s : t -> float list
-(** Recorded per-request wall latencies, newest first.  Requests in a
-    batch all record the batch's wall time — what a synchronous
-    client observes. *)
+(** The latest 4096 per-request wall latencies, newest first: a
+    fixed window, so a long-running daemon's memory and [stats] cost
+    stay bounded.  Requests in a batch all record the batch's wall
+    time — what a synchronous client observes. *)
 
 val serve : t -> reader:(unit -> string option) -> writer:(string -> unit) -> unit
 (** Run the conversation until [quit] or end of stream.  [reader]

@@ -298,13 +298,16 @@ let test_protocol_response_roundtrip () =
 
 (* --- The server ----------------------------------------------------------- *)
 
-let converse server lines =
+(* The lines [server] writes for [lines]. *)
+let served_lines server lines =
   let out = ref [] in
   Server.serve server ~reader:(feed lines) ~writer:(fun l -> out := l :: !out);
-  let q = Queue.create () in
-  List.iter (fun l -> Queue.add l q) (List.rev !out);
+  List.rev !out
+
+let converse server lines =
+  let next = feed (served_lines server lines) in
   let rec go acc =
-    match Protocol.read_response (fun () -> Queue.take_opt q) with
+    match Protocol.read_response next with
     | None -> List.rev acc
     | Some (Ok r) -> go (r :: acc)
     | Some (Error e) -> Alcotest.fail ("malformed response: " ^ e)
@@ -565,6 +568,217 @@ let test_server_eviction_end_to_end () =
   | [ _; _; third ] -> check_str "evicted entry recompiles" "miss" (statuses_of third)
   | _ -> Alcotest.fail "expected 3 responses"
 
+(* --- Latency window ---------------------------------------------------------- *)
+
+(* The stats percentiles cover a fixed window of the latest requests,
+   so a long-running daemon neither grows nor re-sorts an unbounded
+   history; the mean still covers everything served.  A batch records
+   its whole wall time once per frame, so 5904 frames in one batch,
+   then 4096 lone frames, leave a window of only the fast lone ones. *)
+let test_server_latency_window () =
+  let server = Server.create () in
+  let bad n = List.concat (List.init n (fun _ -> [ "compile nosuchmode 1"; "x" ])) in
+  let rs = converse server ([ "batch 5904" ] @ bad 5904 @ bad 4096 @ [ "stats"; "quit" ]) in
+  let kvs =
+    match List.rev rs with
+    | Protocol.Stats_reply kvs :: _ -> kvs
+    | _ -> Alcotest.fail "expected a stats reply last"
+  in
+  let ms k = float_of_string (List.assoc k kvs) in
+  check_str "every request counted" "10000" (List.assoc "served" kvs);
+  let window = List.sort Float.compare (Server.latencies_s server) in
+  check_int "window holds the latest 4096" 4096 (List.length window);
+  check_str "p50 is the window's median"
+    (Printf.sprintf "%.3f" (List.nth window 2047 *. 1e3))
+    (List.assoc "p50_ms" kvs);
+  check "the mean still counts the batch" true (ms "mean_ms" > ms "p99_ms")
+
+(* --- The daemon over pipes and a socket -------------------------------------- *)
+
+(* These drive the built snslpd executable rather than [Server.serve]:
+   they pin the daemon's own I/O.  A reply must leave without waiting
+   for end of input or for the next request, frames pipelined in one
+   write must be answered in order, and quit must exit cleanly. *)
+
+let snslpd = Filename.concat (Filename.dirname Sys.executable_name) "../bin/snslpd.exe"
+
+let send fd lines =
+  let s = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+  ignore (Unix.write_substring fd s 0 (String.length s))
+
+(* Lines off [fd]; a line that has not arrived by [!deadline] fails the
+   test instead of hanging it. *)
+let line_reader fd deadline =
+  let pending = Buffer.create 4096 and chunk = Bytes.create 4096 in
+  let rec next () =
+    let s = Buffer.contents pending in
+    match String.index_opt s '\n' with
+    | Some k ->
+        Buffer.clear pending;
+        Buffer.add_string pending (String.sub s (k + 1) (String.length s - k - 1));
+        Some (String.sub s 0 k)
+    | None -> (
+        let left = !deadline -. Unix.gettimeofday () in
+        match if left > 0. then Unix.select [ fd ] [] [] left else ([], [], []) with
+        | [], _, _ -> Alcotest.fail "no reply from snslpd within 5 s"
+        | _ -> (
+            match Unix.read fd chunk 0 (Bytes.length chunk) with
+            | 0 -> None
+            | n ->
+                Buffer.add_subbytes pending chunk 0 n;
+                next ()))
+  in
+  next
+
+(* The raw lines of the next [n] replies, each given 5 s. *)
+let rec read_replies read deadline n =
+  if n = 0 then []
+  else begin
+    deadline := Unix.gettimeofday () +. 5.0;
+    let lines = ref [] in
+    let reader () =
+      let l = read () in
+      Option.iter (fun l -> lines := l :: !lines) l;
+      l
+    in
+    match Protocol.read_response reader with
+    | Some (Ok _) ->
+        let reply = List.rev !lines in
+        reply @ read_replies read deadline (n - 1)
+    | Some (Error e) -> Alcotest.fail ("malformed reply: " ^ e)
+    | None -> Alcotest.fail "snslpd closed its output"
+  end
+
+(* Run [f wait_exit] against a spawned snslpd with its stderr
+   discarded; the daemon is killed afterwards unless [wait_exit]
+   reaped it. *)
+let with_daemon args ~stdin ~stdout f =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY; Unix.O_CLOEXEC ] 0 in
+  let pid = Unix.create_process snslpd (Array.of_list (snslpd :: args)) stdin stdout null in
+  Unix.close null;
+  let reaped = ref false in
+  let rec wait_exit deadline =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+        Unix.sleepf 0.01;
+        wait_exit deadline
+    | 0, _ -> Alcotest.fail "snslpd did not exit within 5 s"
+    | _, status ->
+        reaped := true;
+        status
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      if not !reaped then begin
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid)
+      end)
+    (fun () -> f (fun () -> wait_exit (Unix.gettimeofday () +. 5.0)))
+
+let test_daemon_stdio () =
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  with_daemon [] ~stdin:in_r ~stdout:out_w (fun wait_exit ->
+      Unix.close in_r;
+      Unix.close out_w;
+      let deadline = ref 0. in
+      let read = line_reader out_r deadline in
+      let first = compile_frame "sn-slp" reassoc_a in
+      let pipelined =
+        compile_frame "sn-slp" reassoc_a @ compile_frame "sn-slp" reassoc_b
+        @ compile_frame "o3" reassoc_b
+      in
+      (* Input stays open, so only the daemon's own flush can deliver
+         this reply. *)
+      send in_w first;
+      let replies = read_replies read deadline 1 in
+      send in_w pipelined;
+      let replies = replies @ read_replies read deadline 3 in
+      Alcotest.(check (list string))
+        "replies byte for byte as Server.serve"
+        (served_lines (Server.create ()) (first @ pipelined))
+        replies;
+      send in_w [ "quit" ];
+      check "quit exits 0" true (wait_exit () = Unix.WEXITED 0);
+      Unix.close in_w;
+      Unix.close out_r)
+
+let test_daemon_socket () =
+  let path = Printf.sprintf "snslpd-test-%d.sock" (Unix.getpid ()) in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close null;
+      try Unix.unlink path with Unix.Unix_error _ -> ())
+    (fun () ->
+      with_daemon [ "--socket"; path ] ~stdin:null ~stdout:null (fun _ ->
+          let deadline = ref (Unix.gettimeofday () +. 5.0) in
+          let rec connect () =
+            let sock = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            try
+              Unix.connect sock (Unix.ADDR_UNIX path);
+              sock
+            with Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+              when Unix.gettimeofday () < !deadline ->
+              Unix.close sock;
+              Unix.sleepf 0.01;
+              connect ()
+          in
+          (* A client that hangs up before its reply must not take the
+             daemon down, nor leave bytes for the next client. *)
+          let other = "kernel h(long A[], long B[], long i) { A[i] = B[i] + 7; }" in
+          let gone = connect () in
+          send gone (compile_frame "sn-slp" other);
+          Unix.close gone;
+          let sock = connect () in
+          let frame = compile_frame "sn-slp" reassoc_a in
+          send sock frame;
+          Alcotest.(check (list string))
+            "reply byte for byte as Server.serve"
+            (served_lines (Server.create ()) frame)
+            (read_replies (line_reader sock deadline) deadline 1);
+          send sock [ "quit" ];
+          Unix.close sock))
+
+(* --- Golden IR bytes --------------------------------------------------------- *)
+
+(* One MD5 over the printed frontend output of every registry kernel,
+   its structural digest, and its compiles under the benchmark's modes.
+   Any change to a printed byte or to a structural cache key fails
+   here; the value was captured before the printer moved to a single
+   buffer. *)
+let golden_ir_md5 = "36859061c79c7b2df389f9a1d685b023"
+
+let test_golden_ir_bytes () =
+  let open Snslp_vectorizer in
+  let global =
+    { Config.snslp with
+      Config.packing =
+        Config.Global { beam = Config.default_beam; node_budget = Config.default_node_budget } }
+  in
+  let avx512_revec =
+    { Config.snslp with
+      Config.target = Snslp_costmodel.Target.avx512;
+      model = Snslp_costmodel.Model.for_target Snslp_costmodel.Target.avx512;
+      revec = true }
+  in
+  let settings = [ None; Some Config.snslp; Some global; Some avx512_revec ] in
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun (k : Snslp_kernels.Registry.t) ->
+      let f = compile_one k.Snslp_kernels.Registry.source in
+      Buffer.add_string buf (Printer.func_to_string f);
+      Buffer.add_string buf (Semhash.structural_digest f);
+      List.iter
+        (fun setting ->
+          let r = Snslp_passes.Pipeline.run ~setting (Func.clone f) in
+          Buffer.add_string buf (Printer.func_to_string r.Snslp_passes.Pipeline.func))
+        settings)
+    Snslp_kernels.Registry.all;
+  check_str "printed IR and structural digests" golden_ir_md5
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suite =
   [
     ( "service",
@@ -603,5 +817,9 @@ let suite =
         Alcotest.test_case "server bad unroll mode" `Quick test_server_bad_unroll_mode;
         Alcotest.test_case "server bad requests" `Quick test_server_bad_requests;
         Alcotest.test_case "server eviction end to end" `Quick test_server_eviction_end_to_end;
+        Alcotest.test_case "server latency window" `Quick test_server_latency_window;
+        Alcotest.test_case "daemon over pipes" `Quick test_daemon_stdio;
+        Alcotest.test_case "daemon over a socket" `Quick test_daemon_socket;
+        Alcotest.test_case "golden IR bytes" `Quick test_golden_ir_bytes;
       ] );
   ]
