@@ -297,62 +297,60 @@ let fig11 () =
   pr "  here than in the paper because our scalar pipeline is a 5-pass mini-O3,@.";
   pr "  not a full LLVM -O3 (see EXPERIMENTS.md).@."
 
-(* --- Compile time: memoization speedup and BENCH_compile_time.json --------- *)
-
-(* Memoized vs legacy SN-SLP compile time at a given look-ahead depth.
-   [Config.memoize = false] reproduces the pre-memoization compile
-   path (per-query look-ahead recursion, per-seed dependence analysis,
-   uncached reachability windows); the vectorized output is
-   bit-identical either way.  Rounds interleave the two configurations
-   so GC pressure and cache warm-up drift cancel instead of biasing
-   whichever side runs last. *)
-let memo_vs_legacy ~depth ~rounds (func : Snslp_ir.Defs.func) =
-  let mk memoize =
-    Some { Config.snslp with Config.lookahead_depth = depth; Config.memoize }
-  in
-  ignore (Pipeline.run ~setting:(mk Config.On) func);
-  ignore (Pipeline.run ~setting:(mk Config.Off) func);
-  let memo_s = ref 0.0 and legacy_s = ref 0.0 in
-  let stats = ref (Stats.create ()) in
-  for _ = 1 to rounds do
-    let m = Pipeline.run ~setting:(mk Config.On) func in
-    memo_s := !memo_s +. m.Pipeline.total_seconds;
-    (match m.Pipeline.vect_report with
-    | Some rep -> stats := rep.Vectorize.stats
-    | None -> ());
-    let l = Pipeline.run ~setting:(mk Config.Off) func in
-    legacy_s := !legacy_s +. l.Pipeline.total_seconds
-  done;
-  let n = float_of_int rounds in
-  (!memo_s /. n, !legacy_s /. n, !stats)
-
-(* The memoized and legacy paths must produce bit-identical output;
-   checked here (cheaply, on final printed IR) so the bench smoke run
-   under `dune runtest` guards the equivalence, not just the
-   dedicated test suite. *)
-let memo_identity ~depth (kernels : Registry.t list) =
-  List.iter
-    (fun (k : Registry.t) ->
-      let func = Snslp_frontend.Frontend.compile_one k.Registry.source in
-      let ir memoize =
-        let setting =
-          Some { Config.snslp with Config.lookahead_depth = depth; Config.memoize }
-        in
-        Snslp_ir.Printer.func_to_string (Pipeline.run ~setting func).Pipeline.func
-      in
-      if not (String.equal (ir Config.On) (ir Config.Off) && String.equal (ir Config.On) (ir Config.Auto)) then (
-        pr "  !! %s: memoized and legacy outputs differ at depth %d@." k.Registry.name
-          depth;
-        exit 1))
-    kernels
+(* --- Compile time: shared per-block state and BENCH_compile_time.json ------- *)
 
 let headline_depth = 3
+
+(* SN-SLP compile time at the headline look-ahead depth, with the
+   counters of the last round.  Deterministic counters, so any round's
+   stats do. *)
+let snslp_at_depth ~rounds (func : Snslp_ir.Defs.func) =
+  let setting = Some { Config.snslp with Config.lookahead_depth = headline_depth } in
+  let stats = ref (Stats.create ()) in
+  let samples =
+    Stat.sample ~runs:rounds ~warmup:1 (fun () ->
+        let r = Pipeline.run ~setting func in
+        Option.iter (fun rep -> stats := rep.Vectorize.stats) r.Pipeline.vect_report;
+        r.Pipeline.total_seconds)
+  in
+  (Stat.mean samples, !stats)
+
+(* The shared-state counters the headline checks: look-ahead
+   hits/misses, reachability-window hits/misses, dependence
+   builds/refreshes. *)
+let shared_state_counts (s : Stats.t) =
+  [
+    ("lookahead_hits", s.Stats.lookahead_hits);
+    ("lookahead_misses", s.Stats.lookahead_misses);
+    ("reach_hits", s.Stats.reach_hits);
+    ("reach_misses", s.Stats.reach_misses);
+    ("deps_builds", s.Stats.deps_builds);
+    ("deps_refreshes", s.Stats.deps_refreshes);
+  ]
+
+(* The counts the largest registry kernel records at the headline
+   depth with the memo tables, reachability windows and the one
+   dependence analysis per block all engaged (this harness lends no
+   scratch memo, so every graph build allocates its own look-ahead
+   memo).  A driver that stops sharing per-block state, or a cache
+   that stops serving, moves them. *)
+let expected_shared_state =
+  [
+    ( "milc_mat_vec",
+      [
+        ("lookahead_hits", 1536);
+        ("lookahead_misses", 7488);
+        ("reach_hits", 56);
+        ("reach_misses", 352);
+        ("deps_builds", 2);
+        ("deps_refreshes", 24);
+      ] );
+  ]
 
 let compile_time_report ~rounds ~(kernels : Registry.t list) () =
   pr "%s"
     (Table.section
-       (Printf.sprintf
-          "Compile time: SN-SLP memoization speedup (depth %d, %d interleaved rounds)"
+       (Printf.sprintf "Compile time: per setting, and SN-SLP at depth %d (%d rounds)"
           headline_depth rounds));
   let entries =
     List.map
@@ -374,13 +372,13 @@ let compile_time_report ~rounds ~(kernels : Registry.t list) () =
               (sname, Stat.mean samples, Stat.stddev samples))
             settings
         in
-        let memo, legacy, stats = memo_vs_legacy ~depth:headline_depth ~rounds func in
-        (k, Snslp_ir.Func.num_instrs func, per_setting, memo, legacy, stats))
+        let d3, stats = snslp_at_depth ~rounds func in
+        (k, Snslp_ir.Func.num_instrs func, per_setting, d3, stats))
       entries
   in
   let rows =
     List.map
-      (fun ((k : Registry.t), instrs, per_setting, memo, legacy, stats) ->
+      (fun ((k : Registry.t), instrs, per_setting, d3, stats) ->
         let setting_cell name =
           let _, mean, _ = List.find (fun (n, _, _) -> String.equal n name) per_setting in
           Printf.sprintf "%.1f" (us mean)
@@ -392,9 +390,7 @@ let compile_time_report ~rounds ~(kernels : Registry.t list) () =
           setting_cell "slp";
           setting_cell "lslp";
           setting_cell "sn-slp";
-          Printf.sprintf "%.1f" (us memo);
-          Printf.sprintf "%.1f" (us legacy);
-          Printf.sprintf "%.2fx" (legacy /. memo);
+          Printf.sprintf "%.1f" (us d3);
           Printf.sprintf "%.0f%%"
             (100.0
             *. Stats.hit_rate ~hits:stats.Stats.lookahead_hits
@@ -404,25 +400,28 @@ let compile_time_report ~rounds ~(kernels : Registry.t list) () =
   in
   emit ~name:"compile-time"
     ~headers:
-      [
-        "kernel"; "instrs"; "o3 us"; "slp us"; "lslp us"; "sn-slp us";
-        "memo us (d3)"; "legacy us (d3)"; "speedup"; "la-hit";
-      ]
+      [ "kernel"; "instrs"; "o3 us"; "slp us"; "lslp us"; "sn-slp us"; "d3 us"; "la-hit" ]
     rows;
-  (* The headline criterion: on the largest registry kernel, the
-     memoized hot path must be at least 3x faster than the legacy
-     path at look-ahead depth >= 3. *)
-  let ((hk : Registry.t), hinstrs, _, hmemo, hlegacy, hstats) =
+  (* The headline criterion: on the largest registry kernel at the
+     headline depth, the shared-state counters equal the recorded
+     ones. *)
+  let ((hk : Registry.t), hinstrs, _, hd3, hstats) =
     List.fold_left
-      (fun acc ((_, instrs, _, _, _, _) as entry) ->
-        let _, best, _, _, _, _ = acc in
+      (fun acc ((_, instrs, _, _, _) as entry) ->
+        let _, best, _, _, _ = acc in
         if instrs > best then entry else acc)
       (List.hd measured) (List.tl measured)
   in
-  let speedup = hlegacy /. hmemo in
-  pr "  largest kernel %s (%d instrs): memoized %.0f us, legacy %.0f us — %.2fx %s@."
-    hk.Registry.name hinstrs (us hmemo) (us hlegacy) speedup
-    (if speedup >= 3.0 then "(criterion >= 3x: PASS)" else "(criterion >= 3x: FAIL)");
+  let counts = shared_state_counts hstats in
+  let expected = List.assoc_opt hk.Registry.name expected_shared_state in
+  let pass = expected = Some counts in
+  let show cs = String.concat " " (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) cs) in
+  pr "  largest kernel %s (%d instrs), depth %d: %.0f us, %s %s@." hk.Registry.name
+    hinstrs headline_depth (us hd3) (show counts)
+    (if pass then "(criterion counts as recorded: PASS)"
+     else
+       Printf.sprintf "(criterion counts as recorded: FAIL, expected %s)"
+         (match expected with Some e -> show e | None -> "no record for this kernel"));
   let stat_obj ~hits ~misses =
     Json.Obj
       [
@@ -431,7 +430,7 @@ let compile_time_report ~rounds ~(kernels : Registry.t list) () =
         ("hit_rate", Json.Float (Stats.hit_rate ~hits ~misses));
       ]
   in
-  let kernel_json ((k : Registry.t), instrs, per_setting, memo, legacy, stats) =
+  let kernel_json ((k : Registry.t), instrs, per_setting, d3, stats) =
     Json.Obj
       [
         ("name", Json.String k.Registry.name);
@@ -451,9 +450,7 @@ let compile_time_report ~rounds ~(kernels : Registry.t list) () =
           Json.Obj
             [
               ("lookahead_depth", Json.Int headline_depth);
-              ("memoized_us", Json.Float (us memo));
-              ("legacy_us", Json.Float (us legacy));
-              ("speedup", Json.Float (legacy /. memo));
+              ("memoized_us", Json.Float (us d3));
               ( "lookahead",
                 stat_obj ~hits:stats.Stats.lookahead_hits
                   ~misses:stats.Stats.lookahead_misses );
@@ -472,7 +469,7 @@ let compile_time_report ~rounds ~(kernels : Registry.t list) () =
   Json.write "BENCH_compile_time.json"
     (Json.Obj
        [
-         ("schema", Json.String "snslp-compile-time/1");
+         ("schema", Json.String "snslp-compile-time/2");
          ("rounds", Json.Int rounds);
          ("kernels", Json.List (List.map kernel_json measured));
          ( "headline",
@@ -481,19 +478,17 @@ let compile_time_report ~rounds ~(kernels : Registry.t list) () =
                ("kernel", Json.String hk.Registry.name);
                ("instrs", Json.Int hinstrs);
                ("lookahead_depth", Json.Int headline_depth);
-               ("speedup", Json.Float speedup);
-               ( "lookahead_hit_rate",
-                 Json.Float
-                   (Stats.hit_rate ~hits:hstats.Stats.lookahead_hits
-                      ~misses:hstats.Stats.lookahead_misses) );
+               ("counts", Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) counts));
                ( "criterion",
                  Json.String
-                   "memoized SN-SLP >= 3x faster than legacy on the largest registry \
-                    kernel at lookahead_depth >= 3" );
-               ("pass", Json.Bool (speedup >= 3.0));
+                   "on the largest registry kernel at lookahead_depth 3, look-ahead \
+                    hits/misses, reachability hits/misses, deps builds and refreshes \
+                    equal the recorded counts of the shared per-block state" );
+               ("pass", Json.Bool pass);
              ] );
        ]);
-  pr "  wrote BENCH_compile_time.json@."
+  pr "  wrote BENCH_compile_time.json@.";
+  if not pass then exit 1
 
 let compile_time () = compile_time_report ~rounds:10 ~kernels:Registry.all ()
 
@@ -668,9 +663,9 @@ let packing () =
 let wall_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 (* One sweep data point: compile [rounds] copies of every kernel
-   through the SN-SLP pipeline (memoize on) with [jobs] worker
-   domains, returning elapsed seconds and the run's outputs for the
-   determinism cross-check.  Inputs are compiled to IR up front so the
+   through the SN-SLP pipeline with [jobs] worker domains, returning
+   elapsed seconds and the run's outputs for the determinism
+   cross-check.  Inputs are compiled to IR up front so the
    sweep times exactly the optimization pipeline, not the frontend. *)
 let parallel_run ~jobs (funcs : Snslp_ir.Defs.func list) =
   let setting = Some { Config.snslp with Config.jobs = jobs } in
@@ -841,9 +836,9 @@ let parallel () =
 (* --- Fuzzing: differential campaign throughput and cleanliness --------------- *)
 
 (* A fixed-seed differential fuzzing campaign over every pipeline
-   configuration (o3, slp/lslp/sn-slp, memoize on/off) plus the
-   parallel-driver determinism axis, reported as throughput and
-   findings and written to BENCH_fuzz.json.  The acceptance campaign
+   configuration (o3, slp/lslp/sn-slp, global packing, every target)
+   plus the parallel-driver determinism axis, reported as throughput
+   and findings and written to BENCH_fuzz.json.  The acceptance campaign
    (10k cases) runs through the snslp-fuzz CLI; this experiment keeps
    a smaller campaign under the bench harness so regressions in
    oracle cleanliness or fuzzing throughput show up in CI artifacts. *)
@@ -1411,7 +1406,7 @@ let interp () =
   interp_report ~kernels:Registry.all ~iters:64 ~oracle_iters:256 ~oracle_reps:3
     ~rounds:3 ~campaign_cases:300 ()
 
-(* --- Compile service: semantic cache, daemon throughput, adaptive memo ------
+(* --- Compile service: semantic cache and daemon throughput --------------------
 
    The snslpd service benchmark (BENCH_service.json):
 
@@ -1420,10 +1415,7 @@ let interp () =
    2. semantic equivalence: structurally distinct but equivalent
       sources answered from one cache entry (>= 1 hit-semantic);
    3. sustained single-request throughput and latency percentiles on
-      a fresh server (first round cold, the rest warm);
-   4. Config.memoize = Auto vs the legacy path on every registry
-      kernel — Auto must never lose (>= 1.0x within noise), because
-      below the threshold it *is* the legacy path. *)
+      a fresh server (first round cold, the rest warm). *)
 
 module Service = Snslp_service.Server
 module Scache = Snslp_service.Cache
@@ -1612,74 +1604,11 @@ let service_report ~kernels ~replay_rounds ~rounds () =
         Printf.sprintf "%.3f" (p99 *. 1e3);
       ];
     ];
-  (* Part 4: adaptive memoization.  Auto resolves per function from
-     the instruction count; below the threshold it takes the legacy
-     path, so it can only tie (within timer noise) or win. *)
-  let memo_rows =
-    List.map
-      (fun (k : Registry.t) ->
-        let func = Snslp_frontend.Frontend.compile_one k.Registry.source in
-        let instrs = Snslp_ir.Func.num_instrs func in
-        (* Interleave the two arms round by round: measuring one arm's
-           rounds back to back lets GC state drift bias sub-millisecond
-           timings by 10-20%. *)
-        let run memoize () =
-          ignore (Pipeline.run ~setting:(Some { Config.snslp with Config.memoize }) func)
-        in
-        let auto = run Config.Auto and legacy = run Config.Off in
-        auto ();
-        legacy ();
-        let auto_s = ref infinity and legacy_s = ref infinity in
-        for _ = 1 to max 5 rounds do
-          let t0 = wall_s () in
-          auto ();
-          let d = wall_s () -. t0 in
-          if d < !auto_s then auto_s := d;
-          let t0 = wall_s () in
-          legacy ();
-          let d = wall_s () -. t0 in
-          if d < !legacy_s then legacy_s := d
-        done;
-        let auto_s = !auto_s and legacy_s = !legacy_s in
-        let resolved =
-          (Config.resolve_memo ~num_instrs:instrs
-             { Config.snslp with Config.memoize = Config.Auto })
-            .Config.memoize
-        in
-        (k.Registry.name, instrs, resolved, auto_s, legacy_s, legacy_s /. auto_s))
-      kernels
-  in
-  emit ~name:"service-memo-auto"
-    ~headers:[ "kernel"; "instrs"; "auto resolves"; "auto ms"; "legacy ms"; "ratio" ]
-    (List.map
-       (fun (name, instrs, resolved, auto_s, legacy_s, ratio) ->
-         [
-           name;
-           string_of_int instrs;
-           Config.memo_to_string resolved;
-           Printf.sprintf "%.2f" (auto_s *. 1e3);
-           Printf.sprintf "%.2f" (legacy_s *. 1e3);
-           Printf.sprintf "%.2fx" ratio;
-         ])
-       memo_rows);
-  let auto_worst =
-    List.fold_left (fun acc (_, _, _, _, _, r) -> min acc r) infinity memo_rows
-  in
-  (* 10% timer-noise tolerance on the tie: below the threshold both
-     arms run the same code, and the small kernels compile in well
-     under a millisecond. *)
-  let auto_ok = auto_worst >= 0.9 in
-  let pass =
-    warm_speedup >= 5.0 && semantic_hits >= 1 && bit_identical && warm_all_hits
-    && auto_ok
-  in
+  let pass = warm_speedup >= 5.0 && semantic_hits >= 1 && bit_identical && warm_all_hits in
   pr "  warm replay speedup %.2fx %s@." warm_speedup
     (if warm_speedup >= 5.0 then "(criterion >= 5x: PASS)" else "(criterion >= 5x: FAIL)");
   pr "  semantic cache hits: %d/%d pairs %s@." semantic_hits (List.length sem_rows)
     (if semantic_hits >= 1 then "(criterion >= 1: PASS)" else "(criterion >= 1: FAIL)");
-  pr "  memoize=Auto worst ratio vs legacy: %.2fx %s@." auto_worst
-    (if auto_ok then "(criterion >= 1.0x within 10% noise: PASS)"
-     else "(criterion >= 1.0x within 10% noise: FAIL)");
   Json.write "BENCH_service.json"
     (Json.Obj
        [
@@ -1718,32 +1647,16 @@ let service_report ~kernels ~replay_rounds ~rounds () =
                ("hits_textual", Json.Int c.Scache.hits_textual);
                ("misses", Json.Int c.Scache.misses);
              ] );
-         ( "memoize_auto",
-           Json.List
-             (List.map
-                (fun (name, instrs, resolved, auto_s, legacy_s, ratio) ->
-                  Json.Obj
-                    [
-                      ("kernel", Json.String name);
-                      ("instrs", Json.Int instrs);
-                      ("auto_resolves", Json.String (Config.memo_to_string resolved));
-                      ("auto_s", Json.Float auto_s);
-                      ("legacy_s", Json.Float legacy_s);
-                      ("ratio_vs_legacy", Json.Float ratio);
-                    ])
-                memo_rows) );
          ( "headline",
            Json.Obj
              [
                ("warm_speedup", Json.Float warm_speedup);
                ("semantic_hits", Json.Int semantic_hits);
-               ("auto_worst_ratio", Json.Float auto_worst);
                ( "criterion",
                  Json.String
                    "warm registry replay >= 5x cold through the service loop; >= 1 \
-                    semantic (not just textual) cache hit; memoize=Auto >= 1.0x the \
-                    legacy path (within 10% timer noise) on every registry kernel; \
-                    cached answers byte-identical to fresh compiles" );
+                    semantic (not just textual) cache hit; cached answers \
+                    byte-identical to fresh compiles" );
                ("pass", Json.Bool pass);
              ] );
        ]);
@@ -1752,10 +1665,6 @@ let service_report ~kernels ~replay_rounds ~rounds () =
 
 let service () = service_report ~kernels:Registry.all ~replay_rounds:20 ~rounds:5 ()
 
-(* Reduced-iteration smoke variant wired into `dune runtest` (see
-   bench/dune): exercises the full reporting path, including the JSON
-   emission and the memoized/legacy output-identity guard, in a few
-   seconds. *)
 (* --- Loop subsystem: BENCH_loops.json ---------------------------------------- *)
 
 (* The loop-form registry kernels against their straight-line twins
@@ -2183,12 +2092,14 @@ let targets_report ~(kernels : Registry.t list) ~min_wins ~speedup_threshold () 
 let targets () =
   targets_report ~kernels:Registry.all ~min_wins:3 ~speedup_threshold:1.5 ()
 
+(* Reduced-iteration smoke variant wired into `dune runtest` (see
+   bench/dune): exercises the full reporting path, including the JSON
+   emission and the shared-state count criterion, in a few seconds. *)
 let smoke () =
   let kernels =
     List.filter_map Registry.find [ "milc_su3"; "sphinx_gau_f32"; "milc_mat_vec" ]
   in
   compile_time_report ~rounds:2 ~kernels ();
-  memo_identity ~depth:headline_depth kernels;
   (* Tiny jobs=2 sweep: exercises the pool's spawn/join/steal path and
      the cross-jobs determinism guard on every test run. *)
   parallel_report ~samples:1 ~rounds:2 ~jobs_list:[ 1; 2 ]
@@ -2229,8 +2140,8 @@ let smoke () =
      criterion exercised on every test run. *)
   lint_report ~seeds:150 ~rounds:2 ();
   (* Service smoke: in-process daemon, a cold/warm registry-subset
-     replay through the protocol loop, the semantic-hit pairs, and the
-     memoize=Auto tie guard; writes BENCH_service.json. *)
+     replay through the protocol loop and the semantic-hit pairs;
+     writes BENCH_service.json. *)
   service_report
     ~kernels:
       (List.filter_map Registry.find [ "motiv_leaf"; "milc_su3"; "milc_mat_vec" ])
@@ -2284,9 +2195,8 @@ let bechamel () =
     results;
   let rows = List.sort compare !rows in
   emit ~name:"bechamel" ~headers:[ "benchmark"; "time/run"; "r2" ] rows;
-  (* The memoization headline under the same statistical machinery:
-     SN-SLP at depth 3 with and without [Config.memoize] on the
-     largest registry kernel. *)
+  (* The compile-time headline's workload under the same statistical
+     machinery: SN-SLP at depth 3 on the largest registry kernel. *)
   let largest =
     List.fold_left
       (fun best (k : Registry.t) ->
@@ -2298,40 +2208,22 @@ let bechamel () =
   in
   let (largest : Registry.t), largest_instrs = Option.get largest in
   let lfunc = Snslp_frontend.Frontend.compile_one largest.Registry.source in
-  let memo_test memoize =
-    let setting = Some { Config.snslp with Config.lookahead_depth = 3; Config.memoize } in
-    Test.make
-      ~name:(if memoize = Config.On then "memoized" else "legacy")
+  let setting = Some { Config.snslp with Config.lookahead_depth = headline_depth } in
+  let test =
+    Test.make ~name:("sn-slp-d3/" ^ largest.Registry.name)
       (Staged.stage (fun () -> ignore (Pipeline.run ~setting lfunc)))
   in
-  let memo_tests =
-    Test.make_grouped ~name:("memo/" ^ largest.Registry.name) ~fmt:"%s %s"
-      [ memo_test Config.On; memo_test Config.Off ]
-  in
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 1.5) ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] memo_tests in
+  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] test in
   let results = Analyze.all ols Instance.monotonic_clock raw in
-  let memoized_ns = ref nan and legacy_ns = ref nan in
   Hashtbl.iter
-    (fun name ols_result ->
+    (fun _ ols_result ->
       match Analyze.OLS.estimates ols_result with
       | Some (e :: _) ->
-          let ends_with suffix =
-            String.length name >= String.length suffix
-            && String.equal suffix
-                 (String.sub name
-                    (String.length name - String.length suffix)
-                    (String.length suffix))
-          in
-          if ends_with "memoized" then memoized_ns := e
-          else if ends_with "legacy" then legacy_ns := e
+          pr "  %s (%d instrs), SN-SLP depth %d: %.0f us@." largest.Registry.name
+            largest_instrs headline_depth (e /. 1e3)
       | _ -> ())
-    results;
-  let speedup = !legacy_ns /. !memoized_ns in
-  pr "  %s (%d instrs), SN-SLP depth 3: memoized %.0f us, legacy %.0f us@."
-    largest.Registry.name largest_instrs (!memoized_ns /. 1e3) (!legacy_ns /. 1e3);
-  pr "  memoization speedup %.2fx %s@." speedup
-    (if speedup >= 3.0 then "(criterion >= 3x: PASS)" else "(criterion >= 3x: FAIL)")
+    results
 
 (* --- Ablations ----------------------------------------------------------------
    Design-choice sweeps beyond the paper's figures (DESIGN.md §4):

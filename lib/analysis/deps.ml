@@ -52,7 +52,6 @@ type t = {
   mutable instrs : Defs.instr array; (* block order *)
   index : (int, int) Hashtbl.t; (* iid -> position *)
   mutable memlocs : memloc option array;
-  caching : bool;
   mutable reach_cache : ((int * int) * Bytes.t array) list;
       (* recently built reachability windows, newest first *)
   mutable reach_hits : int;
@@ -71,7 +70,7 @@ let assert_owner (t : t) =
   if t.owner <> self_id () then
     invalid_arg "Deps: instance refreshed from a domain other than its owner"
 
-let of_block ?(caching = true) (b : Defs.block) : t =
+let of_block (b : Defs.block) : t =
   let instrs = Array.of_list (Block.instrs b) in
   let index = Hashtbl.create (2 * Array.length instrs) in
   Array.iteri (fun pos i -> Hashtbl.replace index i.Defs.iid pos) instrs;
@@ -79,7 +78,6 @@ let of_block ?(caching = true) (b : Defs.block) : t =
     instrs;
     index;
     memlocs = Array.map memloc_of_instr instrs;
-    caching;
     reach_cache = [];
     reach_hits = 0;
     reach_misses = 0;
@@ -186,21 +184,19 @@ let compute_reachability (t : t) ~lo ~hi =
 let max_cached_windows = 8
 
 let window_reach (t : t) ~lo ~hi =
-  if not t.caching then (0, compute_reachability t ~lo ~hi)
-  else
-    match List.find_opt (fun ((l, h), _) -> l <= lo && h >= hi) t.reach_cache with
-    | Some ((l, _), mat) ->
-        t.reach_hits <- t.reach_hits + 1;
-        (lo - l, mat)
-    | None ->
-        t.reach_misses <- t.reach_misses + 1;
-        let mat = compute_reachability t ~lo ~hi in
-        let rec take n = function
-          | [] -> []
-          | e :: rest -> if n = 0 then [] else e :: take (n - 1) rest
-        in
-        t.reach_cache <- ((lo, hi), mat) :: take (max_cached_windows - 1) t.reach_cache;
-        (0, mat)
+  match List.find_opt (fun ((l, h), _) -> l <= lo && h >= hi) t.reach_cache with
+  | Some ((l, _), mat) ->
+      t.reach_hits <- t.reach_hits + 1;
+      (lo - l, mat)
+  | None ->
+      t.reach_misses <- t.reach_misses + 1;
+      let mat = compute_reachability t ~lo ~hi in
+      let rec take n = function
+        | [] -> []
+        | e :: rest -> if n = 0 then [] else e :: take (n - 1) rest
+      in
+      t.reach_cache <- ((lo, hi), mat) :: take (max_cached_windows - 1) t.reach_cache;
+      (0, mat)
 
 let reaches ((base, mat) : int * Bytes.t array) ~src ~dst =
   Bytes.get mat.(dst + base) (src + base) = '\001'

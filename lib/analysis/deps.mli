@@ -18,7 +18,6 @@ type t = {
   mutable instrs : Defs.instr array; (** block order *)
   index : (int, int) Hashtbl.t;
   mutable memlocs : memloc option array;
-  caching : bool;  (** serve reachability queries from recent windows *)
   mutable reach_cache : ((int * int) * Bytes.t array) list;
   mutable reach_hits : int;
   mutable reach_misses : int;
@@ -30,10 +29,9 @@ type t = {
           caller is that domain. *)
 }
 
-val of_block : ?caching:bool -> Defs.block -> t
-(** [caching] (default true) keeps recently built reachability
-    windows and serves any sub-window from them; disable to reproduce
-    the uncached per-query cost. *)
+val of_block : Defs.block -> t
+(** Analyses the block; reachability queries are served from the
+    most recently built windows, any sub-window included. *)
 
 val refresh : t -> Defs.block -> unit
 (** Re-analyse in place after instructions were inserted/erased within

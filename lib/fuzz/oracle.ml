@@ -82,19 +82,13 @@ let ns_per_instr (s : exec_stats) =
 
 let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
-(* The evaluated configurations: the paper's three modes, each with
-   the memoized and the legacy compile path, plus the no-vectorizer
-   baseline (which exercises the scalar passes alone).  Every config
-   runs with [verify_each] so a pass that breaks the IR is named in
-   the finding rather than discovered at the end of the pipeline. *)
+(* The evaluated configurations: the paper's three modes plus the
+   no-vectorizer baseline (which exercises the scalar passes alone).
+   Every config runs with [verify_each] so a pass that breaks the IR
+   is named in the finding rather than discovered at the end of the
+   pipeline. *)
 let default_configs : (string * Pipeline.setting) list =
-  let both name (c : Config.t) =
-    let c = { c with Config.verify_each = true } in
-    [
-      (name, Some { c with Config.memoize = Config.On });
-      (name ^ "-nomemo", Some { c with Config.memoize = Config.Off });
-    ]
-  in
+  let mode name (c : Config.t) = (name, Some { c with Config.verify_each = true }) in
   (* The packing axis rides on sn-slp (the mode with the largest
      candidate space): global pack selection at the default beam and
      at beam 2 with a tight node budget — the budget-exhaustion path
@@ -124,16 +118,18 @@ let default_configs : (string * Pipeline.setting) list =
           revec;
         } )
   in
-  (("o3", None) :: both "slp" Config.vanilla)
-  @ both "lslp" Config.lslp @ both "snslp" Config.snslp
-  @ [
-      global "snslp-global" Config.default_beam Config.default_node_budget;
-      global "snslp-global-b2" 2 64;
-      on_target "snslp-avx2" Target.avx2 false;
-      on_target "snslp-avx512" Target.avx512 false;
-      on_target "snslp-avx512-revec" Target.avx512 true;
-      on_target "snslp-neon" Target.neon false;
-    ]
+  [
+    ("o3", None);
+    mode "slp" Config.vanilla;
+    mode "lslp" Config.lslp;
+    mode "snslp" Config.snslp;
+    global "snslp-global" Config.default_beam Config.default_node_budget;
+    global "snslp-global-b2" 2 64;
+    on_target "snslp-avx2" Target.avx2 false;
+    on_target "snslp-avx512" Target.avx512 false;
+    on_target "snslp-avx512-revec" Target.avx512 true;
+    on_target "snslp-neon" Target.neon false;
+  ]
 
 (* --- Execution harness ---------------------------------------------------- *)
 

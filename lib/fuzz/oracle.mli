@@ -39,7 +39,8 @@ val create_exec_stats : unit -> exec_stats
 val ns_per_instr : exec_stats -> float
 
 val default_configs : (string * Pipeline.setting) list
-(** O3 plus slp/lslp/snslp, each with memoization on and off. *)
+(** O3, slp, lslp and snslp, plus snslp under global packing and on
+    every other target. *)
 
 val buffer_size : int
 val index_value : int64

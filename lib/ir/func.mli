@@ -32,8 +32,9 @@ val uses_of : t -> Defs.value -> (Defs.instr * int) list
 
 val scan_uses_of : t -> Defs.value -> (Defs.instr * int) list
 (** The reference implementation: a full scan over the function, in
-    block order.  Kept for the unmemoized legacy path and for
-    checking the maintained lists against ground truth. *)
+    block order.  The ground truth the maintained use lists are
+    checked against, and the only way to answer for constants and
+    arguments. *)
 
 val has_uses : t -> Defs.value -> bool
 

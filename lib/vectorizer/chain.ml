@@ -29,8 +29,8 @@ let size (t : t) = List.length t.trunk
 (* Whether [v] can be a trunk member under [c]: a single-use binop of
    the right family (restricted to the direct operator for LSLP) with
    the same scalar type, residing in the same block as the root. *)
-let trunk_eligible ~(mode : Config.mode) ~(memoize : bool) ~(fam : Family.t)
-    ~(elem : Ty.scalar) ~(block : Defs.block) ~(func : Defs.func) (v : Defs.value) =
+let trunk_eligible ~(mode : Config.mode) ~(fam : Family.t) ~(elem : Ty.scalar)
+    ~(block : Defs.block) ~(func : Defs.func) (v : Defs.value) =
   match v with
   | Defs.Instr i -> (
       match i.Defs.op with
@@ -43,11 +43,8 @@ let trunk_eligible ~(mode : Config.mode) ~(memoize : bool) ~(fam : Family.t)
           && Ty.equal i.Defs.ty (Ty.Scalar elem)
           && (match i.Defs.iblock with Some bl -> Block.equal bl block | None -> false)
           (* the single-use test dominates discovery time: O(uses)
-             from the use lists, O(function) on the legacy scan *)
-          && List.length
-               (if memoize then Func.uses_of func (Defs.Instr i)
-                else Func.scan_uses_of func (Defs.Instr i))
-             = 1
+             from the use lists *)
+          && List.length (Func.uses_of func (Defs.Instr i)) = 1
       | _ -> false)
   | Defs.Const _ | Defs.Undef _ | Defs.Arg _ -> false
 
@@ -76,8 +73,7 @@ let discover (config : Config.t) (func : Defs.func) (root : Defs.instr) : t opti
           let eligible =
             is_root
             || (!budget > 0
-               && trunk_eligible ~mode:config.Config.mode ~memoize:(Config.memo_on config)
-                    ~fam ~elem ~block ~func v)
+               && trunk_eligible ~mode:config.Config.mode ~fam ~elem ~block ~func v)
           in
           match v with
           | Defs.Instr i when eligible -> (

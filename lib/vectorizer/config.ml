@@ -21,23 +21,6 @@ let mode_of_string = function
   | "sn-slp" | "snslp" -> Some Snslp
   | _ -> None
 
-(* Memoization policy.  [On]/[Off] are the explicit overrides; [Auto]
-   picks per function: the memoized machinery (persistent use lists,
-   incremental dependence refresh, look-ahead memo) pays a fixed setup
-   cost per block that BENCH_compile_time.json shows *losing* on small
-   kernels (0.69x on the 56-instruction milc_su3 at 13% hit rate)
-   while winning 4x on the 3024-instruction milc_mat_vec.  The
-   vectorized output is bit-identical under every policy. *)
-type memo = On | Off | Auto
-
-let memo_to_string = function On -> "on" | Off -> "off" | Auto -> "auto"
-
-let memo_of_string = function
-  | "on" | "true" -> Some On
-  | "off" | "false" -> Some Off
-  | "auto" -> Some Auto
-  | _ -> None
-
 (* Statement-packing strategy.  [Greedy] is the paper's root-first
    builder, untouched (bit-identical legacy path).  [Global] runs the
    greedy path as the incumbent and then a goSLP-style global search
@@ -101,14 +84,6 @@ let unroll_of_string = function
       | Some n when n >= 2 -> Some (Unroll_by n)
       | _ -> None)
 
-(* The Auto crossover, calibrated from BENCH_compile_time.json: every
-   registry kernel at or below 104 instructions sits inside the noise
-   band (0.69x–1.27x, the one clear loss being milc_su3), while the
-   smallest kernel that wins decisively is the 3024-instruction
-   milc_mat_vec at 4.0x.  128 keeps every observed loser on the legacy
-   path and every decisive winner on the memoized one. *)
-let auto_memo_threshold = 128
-
 type t = {
   mode : mode;
   target : Target.t;
@@ -130,13 +105,6 @@ type t = {
          registers when [target] has spare lanes.  Changes the emitted
          IR, so it is part of {!fingerprint}.  Default off — legacy
          outputs stay bit-identical. *)
-  memoize : memo;
-      (* look-ahead memoization, incremental dependence refresh,
-         use-list-backed queries.  [Off] reproduces the legacy
-         compile path (unmemoized recursion, full rebuilds, function
-         scans); [Auto] resolves per function by instruction count
-         (see {!resolve_memo}).  The vectorization output is
-         identical under every policy. *)
   jobs : int;
       (* worker domains for the parallel driver (Snslp_driver): whole
          functions fan out across domains, caches stay domain-local,
@@ -160,7 +128,6 @@ let default =
     unroll = Unroll_auto;
     packing = Greedy;
     revec = false;
-    memoize = Auto;
     jobs = 1;
     verify_each = false;
   }
@@ -171,20 +138,6 @@ let snslp = { default with mode = Snslp }
 
 let with_mode mode t = { t with mode }
 
-(* [resolve_memo ~num_instrs t] collapses [Auto] to the concrete
-   policy for a function of [num_instrs] instructions.  The vectorizer
-   calls this once on entry, so the per-instruction sites only ever
-   see [On] or [Off]. *)
-let resolve_memo ~num_instrs (t : t) =
-  match t.memoize with
-  | On | Off -> t
-  | Auto -> { t with memoize = (if num_instrs >= auto_memo_threshold then On else Off) }
-
-(* [memo_on t] — whether the memoized machinery is active.  An
-   unresolved [Auto] reads as the (default-on) memoized path; callers
-   inside the vectorizer always see a resolved config. *)
-let memo_on (t : t) = match t.memoize with On | Auto -> true | Off -> false
-
 (* The output-relevant fingerprint, for content-addressed compile
    caching: two configs with equal fingerprints produce bit-identical
    optimized IR for the same input.  Audited against every field of
@@ -193,11 +146,11 @@ let memo_on (t : t) = match t.memoize with On | Auto -> true | Off -> false
    two targets may ever share a cache entry), [model] (likewise),
    [lookahead_depth], [max_chain], [threshold] (hex-exact),
    [reductions], [packing], [unroll] and [revec] all steer what the
-   pipeline emits and are all included.  [memoize], [jobs] and
-   [verify_each] are deliberately excluded — they change how fast the
-   pipeline runs, never what it emits — so cache entries are shared
-   across memoization policies and parallelism settings.
-   (test_packing.ml holds the qcheck property backing this: equal
+   pipeline emits and are all included.  [jobs] and [verify_each] are
+   deliberately excluded — they change how fast the pipeline runs and
+   how much it checks, never what it emits — so cache entries are
+   shared across parallelism and verification settings.
+   (test_properties.ml holds the qcheck property backing this: equal
    fingerprints imply identical optimized IR on a fuzz corpus.) *)
 let fingerprint (t : t) =
   Printf.sprintf "%s/tg%s/%s/la%d/ch%d/th%h/red%b/pk%s/ur%s/rv%b"

@@ -11,22 +11,6 @@ type mode = Vanilla | Lslp | Snslp
 val mode_to_string : mode -> string
 val mode_of_string : string -> mode option
 
-type memo = On | Off | Auto
-(** Memoization policy: explicit on/off, or per-function adaptive
-    ([Auto] memoizes only at or above {!auto_memo_threshold}
-    instructions, where BENCH_compile_time.json shows the memoized
-    machinery's fixed setup cost amortising).  Output is bit-identical
-    under every policy. *)
-
-val memo_to_string : memo -> string
-val memo_of_string : string -> memo option
-
-val auto_memo_threshold : int
-(** Instruction count at which [Auto] switches from the legacy to the
-    memoized compile path (calibrated from BENCH_compile_time.json:
-    the observed small-kernel losses all sit below it, the decisive
-    wins above). *)
-
 type packing = Greedy | Global of { beam : int; node_budget : int }
 (** Statement-packing strategy.  [Greedy] is the paper's root-first
     builder (the bit-identical legacy path).  [Global] adds a
@@ -80,12 +64,6 @@ type t = {
           bundles into wider registers when the target has spare
           lanes; output-affecting, so part of {!fingerprint}.
           Default off. *)
-  memoize : memo;
-      (** look-ahead memoization, incremental dependence refresh and
-          use-list-backed queries; [Off] reproduces the legacy
-          compile path for benchmarking, [Auto] resolves per function
-          by instruction count.  Output is identical under every
-          policy. *)
   jobs : int;
       (** worker domains for the parallel driver ({!Snslp_driver}
           fans whole functions across domains); output is
@@ -104,15 +82,6 @@ val lslp : t
 val snslp : t
 val with_mode : mode -> t -> t
 
-val resolve_memo : num_instrs:int -> t -> t
-(** Collapse [Auto] to [On]/[Off] for a function of [num_instrs]
-    instructions; [On] and [Off] pass through unchanged.  The
-    vectorizer resolves once on entry. *)
-
-val memo_on : t -> bool
-(** Whether the memoized machinery is active ([Auto] reads as on;
-    inside the vectorizer the config is always resolved first). *)
-
 val fingerprint : t -> string
 (** Output-relevant configuration fingerprint for content-addressed
     compile caching: equal fingerprints guarantee bit-identical
@@ -120,7 +89,7 @@ val fingerprint : t -> string
     field — mode, target (the [/tg] component, so the compile cache
     never shares entries across targets), model, look-ahead depth,
     chain cap, threshold, reductions, packing, unroll and revec;
-    excludes [memoize], [jobs] and [verify_each], which affect
-    compile speed only. *)
+    excludes [jobs] and [verify_each], which never change the
+    emitted IR. *)
 
 val pp : t Fmt.t

@@ -63,15 +63,11 @@ let extract_cost (config : Config.t) (g : Graph.t) : float =
           (fun v ->
             match v with
             | Defs.Instr i when not (Instr.is_store i) ->
-                let uses =
-                  if Config.memo_on config then Func.uses_of func (Defs.Instr i)
-                  else Func.scan_uses_of func (Defs.Instr i)
-                in
                 let external_uses =
                   List.filter
                     (fun ((user : Defs.instr), _) ->
                       not (Hashtbl.mem claimed user.Defs.iid))
-                    uses
+                    (Func.uses_of func (Defs.Instr i))
                 in
                 if external_uses <> [] then cost := !cost +. model.Model.extract
             | _ -> ())

@@ -51,7 +51,7 @@ type t = {
   block : Defs.block;
   reorder : reorder;
   stats : Stats.t option; (* phase-timing sink, when the caller profiles *)
-  mutable deps : Deps.t;
+  deps : Deps.t; (* the caller's block-wide analysis, refreshed in place *)
   mutable nodes : node list; (* creation order, root first *)
   mutable root : node option;
   mutable next_id : int;
@@ -59,8 +59,7 @@ type t = {
   by_key : (string, node) Hashtbl.t;
   no_remassage : (int, unit) Hashtbl.t; (* trunk iids of built Super-Nodes *)
   mutable supernode_sizes : int list; (* pending stats, committed on acceptance *)
-  lookahead_cache : Lookahead.cache option; (* one memo per graph build *)
-  mutable deps_rebuilds : int; (* full Deps constructions, initial included *)
+  lookahead_cache : Lookahead.cache; (* lent by the caller, or one per graph *)
 }
 
 let nodes (t : t) = List.rev t.nodes
@@ -135,7 +134,7 @@ let reorder_operands (t : t) (instrs : Defs.instr array) :
       | Config.Vanilla -> 0 (* shallow matching only *)
       | Config.Lslp | Config.Snslp -> t.config.Config.lookahead_depth
     in
-    let score = Lookahead.score ?cache:t.lookahead_cache ~depth in
+    let score = Lookahead.score ~cache:t.lookahead_cache ~depth in
     for k = 1 to lanes - 1 do
       let i = instrs.(k) in
       let a = i.Defs.ops.(0) and b = i.Defs.ops.(1) in
@@ -380,7 +379,7 @@ and build_binop_group (t : t) (vals : Defs.value array) (instrs : Defs.instr arr
       else
         match
           Stats.time ?stats:t.stats "massage" (fun () ->
-              Supernode.massage ?cache:t.lookahead_cache t.config t.func instrs)
+              Supernode.massage ~cache:t.lookahead_cache t.config t.func instrs)
         with
         | None -> (instrs, kinds)
         | Some r ->
@@ -391,17 +390,8 @@ and build_binop_group (t : t) (vals : Defs.value array) (instrs : Defs.instr arr
                  summaries of surviving instructions — and drop the
                  look-ahead memo, whose entries describe the
                  pre-massage operand DAG. *)
-              (match t.lookahead_cache with
-              | Some c -> Lookahead.cache_clear c
-              | None -> ());
-              if Config.memo_on t.config then
-                Stats.time ?stats:t.stats "deps" (fun () -> Deps.refresh t.deps t.block)
-              else begin
-                t.deps <-
-                  Stats.time ?stats:t.stats "deps" (fun () ->
-                      Deps.of_block ~caching:false t.block);
-                t.deps_rebuilds <- t.deps_rebuilds + 1
-              end
+              Lookahead.cache_clear t.lookahead_cache;
+              Stats.time ?stats:t.stats "deps" (fun () -> Deps.refresh t.deps t.block)
             end;
             Array.iter
               (fun (root : Defs.instr) ->
@@ -412,12 +402,8 @@ and build_binop_group (t : t) (vals : Defs.value array) (instrs : Defs.instr arr
                     ->
                       (* Only the freshly generated left-leaning spine
                          is protected; stop at leaves. *)
-                      let uses =
-                        if Config.memo_on t.config then Func.uses_of t.func (Defs.Instr j)
-                        else Func.scan_uses_of t.func (Defs.Instr j)
-                      in
                       if
-                        List.length uses = 1
+                        List.length (Func.uses_of t.func (Defs.Instr j)) = 1
                         && (match j.Defs.op with
                            | Defs.Binop b -> Family.of_binop b = fam
                            | _ -> false)
@@ -454,10 +440,10 @@ and build_binop_group (t : t) (vals : Defs.value array) (instrs : Defs.instr arr
    seed group of adjacent stores.  Returns [None] when the seed cannot
    even be bundled.
 
-   [?deps] lets the caller share one block-wide dependence analysis
-   across consecutive seeds of the same block (refreshed between seeds
-   only when the IR actually changed); without it the graph constructs
-   its own, as the unmemoized vectorizer always does.
+   [~deps] is the caller's block-wide dependence analysis, shared
+   across consecutive seeds of the same block: massage rewrites inside
+   the build refresh it in place, and the caller refreshes it between
+   seeds when a rewrite outside the build (codegen) changed the IR.
 
    [?cache] similarly lets the caller lend its look-ahead memo — in
    the parallel driver, the owning domain's scratch cache, reused
@@ -466,17 +452,9 @@ and build_binop_group (t : t) (vals : Defs.value array) (instrs : Defs.instr arr
    this graph build (massage rewrites inside the build already clear
    it); entries are keyed by per-function instruction ids, so it must
    also be cleared between functions.  Without it, a fresh per-graph
-   memo, as before. *)
-let build ?stats ?deps ?cache ?(reorder = R_chain) (config : Config.t) (func : Defs.func)
+   memo. *)
+let build ?stats ~deps ?cache ?(reorder = R_chain) (config : Config.t) (func : Defs.func)
     (block : Defs.block) (seed : Defs.instr list) : t option =
-  let deps, deps_rebuilds =
-    match deps with
-    | Some d -> (d, 0)
-    | None ->
-        ( Stats.time ?stats "deps" (fun () ->
-              Deps.of_block ~caching:(Config.memo_on config) block),
-          1 )
-  in
   let t =
     {
       config;
@@ -493,9 +471,7 @@ let build ?stats ?deps ?cache ?(reorder = R_chain) (config : Config.t) (func : D
       no_remassage = Hashtbl.create 16;
       supernode_sizes = [];
       lookahead_cache =
-        (if not (Config.memo_on config) then None
-         else match cache with Some c -> Some c | None -> Some (Lookahead.cache_create ()));
-      deps_rebuilds;
+        (match cache with Some c -> c | None -> Lookahead.cache_create ());
     }
   in
   let instrs = Array.of_list seed in

@@ -42,7 +42,7 @@ type t = {
   block : Defs.block;
   reorder : reorder;
   stats : Stats.t option;  (** phase-timing sink, when the caller profiles *)
-  mutable deps : Deps.t;
+  deps : Deps.t;  (** the caller's block-wide analysis, refreshed in place *)
   mutable nodes : node list;
   mutable root : node option;
   mutable next_id : int;
@@ -50,13 +50,9 @@ type t = {
   by_key : (string, node) Hashtbl.t;
   no_remassage : (int, unit) Hashtbl.t;
   mutable supernode_sizes : int list; (** pending stats *)
-  lookahead_cache : Lookahead.cache option;
-      (** one look-ahead memo per graph build; cleared whenever a
-          massage rewrites the IR *)
-  mutable deps_rebuilds : int;
-      (** full [Deps.of_block] constructions (the initial one
-          included); in-place refreshes are counted by the [Deps.t]
-          itself *)
+  lookahead_cache : Lookahead.cache;
+      (** the caller's lent look-ahead memo, or one per graph build;
+          cleared whenever a massage rewrites the IR *)
 }
 
 val nodes : t -> node list
@@ -71,7 +67,7 @@ val is_vectorizable_kind : kind -> bool
 
 val build :
   ?stats:Stats.t ->
-  ?deps:Deps.t ->
+  deps:Deps.t ->
   ?cache:Lookahead.cache ->
   ?reorder:reorder ->
   Config.t ->
@@ -81,12 +77,13 @@ val build :
   t option
 (** [build config func block seed] builds the graph rooted at the
     store seed; [None] when the seed cannot even be bundled.  May
-    rewrite the IR (Super-Node massaging).  [?deps] shares a caller
-    -owned block-wide dependence analysis (the caller must refresh it
-    between seeds if the IR changed); [?cache] lends the caller's
-    look-ahead memo (domain-local scratch in the parallel driver; the
-    caller clears it on IR rewrites outside the build and between
-    functions); [?reorder] selects the commutative operand-reorder
+    rewrite the IR (Super-Node massaging).  [~deps] is the caller's
+    block-wide dependence analysis, refreshed in place after a massage
+    (the caller must refresh it between seeds if the IR changed);
+    [?cache] lends the caller's look-ahead memo (domain-local scratch
+    in the parallel driver; the caller clears it on IR rewrites
+    outside the build and between functions), else the graph
+    allocates its own; [?reorder] selects the commutative operand-reorder
     strategy (default [R_chain], the legacy greedy chain); [?stats]
     charges phase timings ("deps", "massage", "reorder") to the given
     sink. *)

@@ -141,6 +141,6 @@ let check_node acc (deps : Deps.t) (n : Graph.node) =
    builder's incrementally refreshed state. *)
 let check (g : Graph.t) : string list =
   let acc = ref [] in
-  let deps = Deps.of_block ~caching:false g.Graph.block in
+  let deps = Deps.of_block g.Graph.block in
   List.iter (check_node acc deps) (Graph.nodes g);
   List.rev !acc

@@ -76,7 +76,6 @@ let pp_candidate ppf (c : candidate) =
    is evaluated separately and is never lost. *)
 let enumerate ?stats ?on_graph ~node_budget (config : Config.t) (func : Defs.func) :
     candidate list =
-  let config = Config.resolve_memo ~num_instrs:(Func.num_instrs func) config in
   let clone = Func.clone func in
   let lanes_for = Target.lanes_for config.Config.target in
   let next_cid = ref 0 in
@@ -88,18 +87,14 @@ let enumerate ?stats ?on_graph ~node_budget (config : Config.t) (func : Defs.fun
       let runs = Seeds.runs block in
       if runs <> [] then begin
         (* One dependence analysis and one look-ahead memo per block,
-           exactly as the memoized greedy driver shares them; massage
+           exactly as the vectorizer driver shares them; massage
            rewrites inside a build refresh/clear them in place. *)
-        let deps =
-          if Config.memo_on config then
-            Some (Stats.time ?stats "deps" (fun () -> Deps.of_block block))
-          else None
-        in
-        let cache = if Config.memo_on config then Some (Lookahead.cache_create ()) else None in
+        let deps = Stats.time ?stats "deps" (fun () -> Deps.of_block block) in
+        let cache = Lookahead.cache_create () in
         let try_candidate ~width ~reorder seed =
           match
             Stats.time ?stats "graph" (fun () ->
-                Graph.build ?stats ?deps ?cache ~reorder config clone block seed)
+                Graph.build ?stats ~deps ~cache ~reorder config clone block seed)
           with
           | None -> None
           | Some g ->

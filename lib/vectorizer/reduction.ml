@@ -284,29 +284,11 @@ let attempt (config : Config.t) (func : Defs.func) (block : Defs.block)
                        [Supernode.regenerate_lane], the trunk is in
                        pre-order with single-use interior nodes, so
                        one root-first pass suffices. *)
-                    if Config.memo_on config then
-                      List.iter
-                        (fun i ->
-                          if not (Func.has_uses func (Defs.Instr i)) then
-                            Func.erase_instr func i)
-                        chain.Chain.trunk
-                    else begin
-                      let dead = ref chain.Chain.trunk in
-                      let progress = ref true in
-                      while !dead <> [] && !progress do
-                        progress := false;
-                        dead :=
-                          List.filter
-                            (fun i ->
-                              if Func.scan_uses_of func (Defs.Instr i) <> [] then true
-                              else begin
-                                Func.erase_instr func i;
-                                progress := true;
-                                false
-                              end)
-                            !dead
-                      done
-                    end;
+                    List.iter
+                      (fun i ->
+                        if not (Func.has_uses func (Defs.Instr i)) then
+                          Func.erase_instr func i)
+                      chain.Chain.trunk;
                     Verifier.verify_exn func;
                     Some { vector_loads = n_groups; width }
                 | _ -> None
@@ -314,11 +296,9 @@ let attempt (config : Config.t) (func : Defs.func) (block : Defs.block)
   | _ -> None
 
 (* [run config stats func] applies reduction vectorization to every
-   block; returns how many reductions were rewritten.  Under
-   memoization one dependence analysis serves every store of a block,
-   refreshed in place only after a successful rewrite; the legacy path
-   rebuilds it from scratch per store, as the original implementation
-   did. *)
+   block; returns how many reductions were rewritten.  One dependence
+   analysis serves every store of a block, refreshed in place only
+   after a successful rewrite. *)
 let run (config : Config.t) (stats : Stats.t) (func : Defs.func) : int =
   let count = ref 0 in
   List.iter
@@ -327,30 +307,16 @@ let run (config : Config.t) (stats : Stats.t) (func : Defs.func) : int =
       match stores with
       | [] -> ()
       | _ ->
-          let shared =
-            if Config.memo_on config then begin
-              stats.Stats.deps_builds <- stats.Stats.deps_builds + 1;
-              Some (Stats.time ~stats "deps" (fun () -> Deps.of_block block))
-            end
-            else None
-          in
+          stats.Stats.deps_builds <- stats.Stats.deps_builds + 1;
+          let deps = Stats.time ~stats "deps" (fun () -> Deps.of_block block) in
           let dirty = ref false in
           List.iter
             (fun store ->
               if Block.mem block store then begin
-                let deps =
-                  match shared with
-                  | Some d ->
-                      if !dirty then begin
-                        Stats.time ~stats "deps" (fun () -> Deps.refresh d block);
-                        dirty := false
-                      end;
-                      d
-                  | None ->
-                      stats.Stats.deps_builds <- stats.Stats.deps_builds + 1;
-                      Stats.time ~stats "deps" (fun () ->
-                          Deps.of_block ~caching:false block)
-                in
+                if !dirty then begin
+                  Stats.time ~stats "deps" (fun () -> Deps.refresh deps block);
+                  dirty := false
+                end;
                 match attempt config func block deps store with
                 | Some _ ->
                     incr count;
@@ -358,13 +324,6 @@ let run (config : Config.t) (stats : Stats.t) (func : Defs.func) : int =
                 | None -> ()
               end)
             stores;
-          (match shared with
-          | Some d ->
-              let h, m = Deps.reach_stats d in
-              stats.Stats.reach_hits <- stats.Stats.reach_hits + h;
-              stats.Stats.reach_misses <- stats.Stats.reach_misses + m;
-              stats.Stats.deps_refreshes <-
-                stats.Stats.deps_refreshes + Deps.refresh_count d
-          | None -> ()))
+          Stats.add_deps stats deps)
     (Func.blocks func);
   !count

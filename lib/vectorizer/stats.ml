@@ -65,6 +65,14 @@ let create () =
     phases = Hashtbl.create 8;
   }
 
+(* Charge a block-wide dependence analysis's reachability-window and
+   refresh counters; called once, when the block is done with it. *)
+let add_deps (t : t) (d : Snslp_analysis.Deps.t) =
+  let h, m = Snslp_analysis.Deps.reach_stats d in
+  t.reach_hits <- t.reach_hits + h;
+  t.reach_misses <- t.reach_misses + m;
+  t.deps_refreshes <- t.deps_refreshes + Snslp_analysis.Deps.refresh_count d
+
 let add_phase (t : t) name seconds =
   match Hashtbl.find_opt t.phases name with
   | Some s -> Hashtbl.replace t.phases name (s +. seconds)

@@ -41,6 +41,10 @@ type t = {
 val create : unit -> t
 val record_supernode : t -> size:int -> unit
 
+val add_deps : t -> Snslp_analysis.Deps.t -> unit
+(** Adds a dependence analysis's reachability-window hits/misses and
+    refresh count; call once per analysis, when its block is done. *)
+
 val add_phase : t -> string -> float -> unit
 (** O(1) accumulation into the phase table. *)
 

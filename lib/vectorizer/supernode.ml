@@ -237,8 +237,7 @@ let assignment_is_identity (states : lane_state array) =
 
 (* Rebuild one lane as a left-leaning chain realising the chosen leaf
    order; returns the new root. *)
-let regenerate_lane (config : Config.t) (func : Defs.func) (st : lane_state) :
-    Defs.instr =
+let regenerate_lane (func : Defs.func) (st : lane_state) : Defs.instr =
   let chain = st.chain in
   let root = chain.Chain.root in
   let block =
@@ -265,32 +264,10 @@ let regenerate_lane (config : Config.t) (func : Defs.func) (st : lane_state) :
      root first, every other trunk node below its single user — so one
      root-first pass erases the whole thing in O(trunk): by the time a
      node is visited, its user is already gone. *)
-  if Config.memo_on config then begin
-    List.iter
-      (fun i -> if not (Func.has_uses func (Defs.Instr i)) then Func.erase_instr func i)
-      chain.Chain.trunk;
-    assert (List.for_all (fun (i : Defs.instr) -> i.Defs.iblock = None) chain.Chain.trunk)
-  end
-  else begin
-    (* Legacy path for benchmarking: fixpoint over the trunk with a
-       whole-function use scan per candidate, O(trunk² × func). *)
-    let dead = ref chain.Chain.trunk in
-    let progress = ref true in
-    while !dead <> [] && !progress do
-      progress := false;
-      dead :=
-        List.filter
-          (fun i ->
-            if Func.scan_uses_of func (Defs.Instr i) <> [] then true
-            else begin
-              Func.erase_instr func i;
-              progress := true;
-              false
-            end)
-          !dead
-    done;
-    assert (!dead = [])
-  end;
+  List.iter
+    (fun i -> if not (Func.has_uses func (Defs.Instr i)) then Func.erase_instr func i)
+    chain.Chain.trunk;
+  assert (List.for_all (fun (i : Defs.instr) -> i.Defs.iblock = None) chain.Chain.trunk);
   new_root
 
 type result = {
@@ -314,5 +291,5 @@ let massage ?cache (config : Config.t) (func : Defs.func) (roots : Defs.instr ar
       if assignment_is_identity states && Array.for_all Chain.is_canonical sn.lanes then
         Some { new_roots = roots; size; reordered = false }
       else
-        let new_roots = Array.map (regenerate_lane config func) states in
+        let new_roots = Array.map (regenerate_lane func) states in
         Some { new_roots; size; reordered = true }

@@ -49,40 +49,28 @@ let count_kind (g : Graph.t) kindp =
   List.length (List.filter (fun (n : Graph.node) -> kindp n.Graph.kind) (Graph.nodes g))
 
 (* Attempt one seed group; returns true if it was vectorized.
-   [shared_deps]/[dirty] implement the per-block incremental
-   dependence analysis: one [Deps.t] serves every seed of the block,
-   refreshed in place only after a rewrite actually changed the IR, so
-   reachability windows survive across rejected and retried seeds. *)
-let try_seed ?(reorder = Graph.R_chain) (config : Config.t) (stats : Stats.t) trees func
-    block ~(scratch : scratch option) ~(shared_deps : Deps.t option) ~(dirty : bool ref)
+   [deps]/[dirty] implement the per-block incremental dependence
+   analysis: one [Deps.t] serves every seed of the block, refreshed in
+   place only after a rewrite actually changed the IR, so reachability
+   windows survive across rejected and retried seeds. *)
+let try_seed ~reorder (config : Config.t) (stats : Stats.t) trees func block
+    ~(scratch : scratch option) ~(deps : Deps.t) ~(dirty : bool ref)
     ~(on_graph : (Graph.t -> unit) option) (seed : Defs.instr list) : bool =
   (* Earlier trees may have consumed these stores. *)
   if not (List.for_all (Block.mem block) seed) then false
   else begin
-    let deps =
-      match shared_deps with
-      | Some d ->
-          if !dirty then begin
-            Stats.time ~stats "deps" (fun () -> Deps.refresh d block);
-            dirty := false
-          end;
-          Some d
-      | None -> None
-    in
+    if !dirty then begin
+      Stats.time ~stats "deps" (fun () -> Deps.refresh deps block);
+      dirty := false
+    end;
     (* Lend the domain's look-ahead memo to the graph build; its
        hit/miss counters are cumulative across everything this scratch
        ever served, so harvest the per-graph contribution as a delta. *)
-    let cache =
-      if Config.memo_on config then
-        Option.map (fun s -> s.lookahead) scratch
-      else None
-    in
-    let la_before =
-      match cache with Some c -> Lookahead.cache_stats c | None -> (0, 0)
-    in
+    let cache = Option.map (fun s -> s.lookahead) scratch in
+    let h0, m0 = match cache with Some c -> Lookahead.cache_stats c | None -> (0, 0) in
     match
       Stats.time ~stats "graph" (fun () ->
-          Graph.build ~stats ?deps ?cache ~reorder config func block seed)
+          Graph.build ~stats ~deps ?cache ~reorder config func block seed)
     with
     | None -> false
     | Some g ->
@@ -113,151 +101,114 @@ let try_seed ?(reorder = Graph.R_chain) (config : Config.t) (stats : Stats.t) tr
             stats.Stats.scalars_erased + rep.Codegen.scalars_erased;
           List.iter (fun size -> Stats.record_supernode stats ~size) g.Graph.supernode_sizes
         end;
-        (* Harvest the per-graph memoization counters.  The shared
-           dependence analysis is harvested once per block by [run];
-           a graph-owned one reports its full builds here.  For a lent
-           (scratch) memo the counters are lifetime totals, so only
-           the delta since this build started is charged. *)
-        (match g.Graph.lookahead_cache with
-        | Some c ->
-            let h0, m0 = la_before in
-            let h, m = Lookahead.cache_stats c in
-            stats.Stats.lookahead_hits <- stats.Stats.lookahead_hits + h - h0;
-            stats.Stats.lookahead_misses <- stats.Stats.lookahead_misses + m - m0
-        | None -> ());
-        stats.Stats.deps_builds <- stats.Stats.deps_builds + g.Graph.deps_rebuilds;
+        (* Harvest the look-ahead counters; the shared dependence
+           analysis is harvested once per block by [drive]. *)
+        let h, m = Lookahead.cache_stats g.Graph.lookahead_cache in
+        stats.Stats.lookahead_hits <- stats.Stats.lookahead_hits + h - h0;
+        stats.Stats.lookahead_misses <- stats.Stats.lookahead_misses + m - m0;
         trees :=
           { seed = describe_seed seed; cost; vectorized; graph_dump = Fmt.str "%a" Graph.pp g }
           :: !trees;
         vectorized
   end
 
-(* [run_greedy ?scratch config func] vectorizes [func] in place and
-   returns the detailed report — the paper's greedy root-first driver,
-   byte-for-byte the legacy path ([Config.Greedy] dispatches here
-   unconditionally).
+(* Where a driver run takes its seed groups from. *)
+type source =
+  | Store_runs
+      (* the paper's greedy root-first driver: runs of adjacent stores
+         at every width *)
+  | Plan of Packing.candidate list
+      (* a global-packing solver plan to replay (Config.Global) *)
 
-   Each run of adjacent stores is first attempted at the target's full
-   vector width; stores of rejected groups (and the short tail of the
-   run) are retried at the next narrower power-of-two width, as LLVM's
-   SLP does.  The function is verified after every rewrite. *)
-let run_greedy ?scratch ?on_graph (config : Config.t) (func : Defs.func) : report =
-  (* Collapse [Auto] memoization here, once per function: everything
-     below (graph build, chains, cost, reduction seeding) then sees a
-     concrete [On]/[Off] policy sized to this function. *)
-  let config = Config.resolve_memo ~num_instrs:(Func.num_instrs func) config in
-  (* A scratch's memo may hold entries for the previous function this
-     domain processed; instruction ids are only unique per function. *)
+(* The greedy seeds of one block.  Each run of adjacent stores is
+   first attempted at the target's full vector width; stores of
+   rejected groups (and the short tail of the run) are retried at the
+   next narrower power-of-two width, as LLVM's SLP does. *)
+let store_run_seeds ~lanes_for runs attempt =
+  List.iter
+    (fun run ->
+      let max_width = lanes_for (Seeds.elem_of_run run) in
+      let leftover = ref run in
+      List.iter
+        (fun width ->
+          (* Stores not covered at wider widths may no longer be
+             contiguous: re-split before chunking. *)
+          let next = ref [] in
+          List.iter
+            (fun sub_run ->
+              if List.length sub_run >= width then begin
+                let groups, rest = Seeds.chunk ~width sub_run in
+                let failed =
+                  List.concat_map
+                    (fun seed -> if attempt Graph.R_chain seed then [] else seed)
+                    groups
+                in
+                next := !next @ failed @ rest
+              end
+              else next := !next @ sub_run)
+            (Seeds.recut !leftover);
+          leftover := !next)
+        (Seeds.widths ~max_width))
+    runs
+
+(* The plan's candidates of one block, in plan (= greedy preference)
+   order: each tree is rebuilt on the live IR with the candidate's
+   operand-reorder strategy, and the usual profitability test decides
+   the commit.  Estimates were measured on a scratch clone whose
+   massage state can differ slightly, so a replayed tree may
+   legitimately be rejected here; claim-disjointness of the plan
+   guarantees the chosen seeds never consume each other.  Seed iids
+   resolve once per block: they name original stores, which a commit
+   only ever erases (and [try_seed] skips seeds no longer in the
+   block). *)
+let plan_seeds (block : Defs.block) cands attempt =
+  let by_iid = Hashtbl.create 16 in
+  Block.iter (fun i -> Hashtbl.replace by_iid i.Defs.iid i) block;
+  List.iter
+    (fun (c : Packing.candidate) ->
+      let seed = List.filter_map (Hashtbl.find_opt by_iid) c.Packing.seed_iids in
+      if List.length seed = List.length c.Packing.seed_iids then
+        ignore (attempt c.Packing.reorder seed))
+    cands
+
+(* [drive ?scratch config source func] vectorizes [func] in place from
+   the given seed source and returns the detailed report.  The shared
+   per-function work happens here once for both sources: the lent
+   look-ahead memo is cleared on entry (its entries are keyed by
+   per-function instruction ids), every block with seeds gets one
+   dependence analysis serving all of them, its counters are
+   harvested, and reductions and verification run last. *)
+let drive ?scratch ?on_graph (config : Config.t) (source : source) (func : Defs.func) :
+    report =
   (match scratch with Some s -> Lookahead.cache_clear s.lookahead | None -> ());
   let stats = Stats.create () in
   let trees = ref [] in
   let lanes_for = Target.lanes_for config.Config.target in
   List.iter
-    (fun block ->
-      let runs = Seeds.runs block in
-      (* One dependence analysis per block under memoization; the
-         unmemoized vectorizer lets every graph build its own. *)
-      let shared_deps =
-        if Config.memo_on config && runs <> [] then begin
-          stats.Stats.deps_builds <- stats.Stats.deps_builds + 1;
-          Some (Stats.time ~stats "deps" (fun () -> Deps.of_block block))
-        end
-        else None
-      in
-      let dirty = ref false in
-      List.iter
-        (fun run ->
-          let max_width = lanes_for (Seeds.elem_of_run run) in
-          let leftover = ref run in
-          List.iter
-            (fun width ->
-              (* Stores not covered at wider widths may no longer be
-                 contiguous: re-split before chunking. *)
-              let next = ref [] in
-              List.iter
-                (fun sub_run ->
-                  if List.length sub_run >= width then begin
-                    let groups, rest = Seeds.chunk ~width sub_run in
-                    let failed =
-                      List.concat_map
-                        (fun seed ->
-                          if
-                            try_seed config stats trees func block ~scratch
-                              ~shared_deps ~dirty ~on_graph seed
-                          then []
-                          else seed)
-                        groups
-                    in
-                    next := !next @ failed @ rest
-                  end
-                  else next := !next @ sub_run)
-                (Seeds.recut !leftover);
-              leftover := !next)
-            (Seeds.widths ~max_width))
-        runs;
-      match shared_deps with
-      | Some d ->
-          let h, m = Deps.reach_stats d in
-          stats.Stats.reach_hits <- stats.Stats.reach_hits + h;
-          stats.Stats.reach_misses <- stats.Stats.reach_misses + m;
-          stats.Stats.deps_refreshes <- stats.Stats.deps_refreshes + Deps.refresh_count d
-      | None -> ())
-    (Func.blocks func);
-  if config.Config.reductions then
-    stats.Stats.reductions <-
-      stats.Stats.reductions
-      + Stats.time ~stats "reduction" (fun () -> Reduction.run config stats func);
-  Verifier.verify_exn func;
-  { config; stats; trees = List.rev !trees }
-
-(* --- Global pack selection (Config.Global) ----------------------------- *)
-
-(* [replay_plan config plan func] commits a solver plan: for each
-   chosen candidate, in plan (= greedy preference) order, rebuild its
-   tree on the live IR — with the candidate's operand-reorder strategy
-   — and let the usual profitability test decide the commit, exactly
-   as [try_seed] does for greedy.  Estimates were measured on a
-   scratch clone whose massage state can differ slightly, so a
-   replayed tree may legitimately be rejected here; claim-disjointness
-   of the plan guarantees the chosen seeds never consume each other.
-   Reductions and verification run as in the greedy driver. *)
-let replay_plan ?scratch ?on_graph (config : Config.t) (plan : Packing.candidate list)
-    (func : Defs.func) : report =
-  let config = Config.resolve_memo ~num_instrs:(Func.num_instrs func) config in
-  let stats = Stats.create () in
-  let trees = ref [] in
-  List.iter
     (fun (block : Defs.block) ->
-      let cands =
-        List.filter (fun (c : Packing.candidate) -> c.Packing.bid = block.Defs.bid) plan
+      let seeds =
+        match source with
+        | Store_runs -> (
+            match Seeds.runs block with
+            | [] -> None
+            | runs -> Some (store_run_seeds ~lanes_for runs))
+        | Plan plan -> (
+            match
+              List.filter (fun (c : Packing.candidate) -> c.Packing.bid = block.Defs.bid) plan
+            with
+            | [] -> None
+            | cands -> Some (plan_seeds block cands))
       in
-      if cands <> [] then begin
-        let shared_deps =
-          if Config.memo_on config then begin
-            stats.Stats.deps_builds <- stats.Stats.deps_builds + 1;
-            Some (Stats.time ~stats "deps" (fun () -> Deps.of_block block))
-          end
-          else None
-        in
-        let dirty = ref false in
-        List.iter
-          (fun (c : Packing.candidate) ->
-            let by_iid = Hashtbl.create 16 in
-            Block.iter (fun i -> Hashtbl.replace by_iid i.Defs.iid i) block;
-            let seed = List.filter_map (Hashtbl.find_opt by_iid) c.Packing.seed_iids in
-            if List.length seed = List.length c.Packing.seed_iids then
-              ignore
-                (try_seed ~reorder:c.Packing.reorder config stats trees func block
-                   ~scratch ~shared_deps ~dirty ~on_graph seed))
-          cands;
-        match shared_deps with
-        | Some d ->
-            let h, m = Deps.reach_stats d in
-            stats.Stats.reach_hits <- stats.Stats.reach_hits + h;
-            stats.Stats.reach_misses <- stats.Stats.reach_misses + m;
-            stats.Stats.deps_refreshes <- stats.Stats.deps_refreshes + Deps.refresh_count d
-        | None -> ()
-      end)
+      match seeds with
+      | None -> ()
+      | Some seeds ->
+          stats.Stats.deps_builds <- stats.Stats.deps_builds + 1;
+          let deps = Stats.time ~stats "deps" (fun () -> Deps.of_block block) in
+          let dirty = ref false in
+          seeds (fun reorder seed ->
+              try_seed ~reorder config stats trees func block ~scratch ~deps ~dirty
+                ~on_graph seed);
+          Stats.add_deps stats deps)
     (Func.blocks func);
   if config.Config.reductions then
     stats.Stats.reductions <-
@@ -277,11 +228,8 @@ let replay_plan ?scratch ?on_graph (config : Config.t) (plan : Packing.candidate
    incumbent) reproduces Greedy bit-identically. *)
 let run_global ?scratch ?on_graph ~beam ~node_budget (config : Config.t)
     (func : Defs.func) : report =
-  let clear_scratch () =
-    match scratch with Some s -> Lookahead.cache_clear s.lookahead | None -> ()
-  in
   let greedy_func = Func.clone func in
-  let greedy_rep = run_greedy ?scratch ?on_graph config greedy_func in
+  let greedy_rep = drive ?scratch ?on_graph config Store_runs greedy_func in
   let pack_stats = Stats.create () in
   let plans =
     if beam <= 1 then []
@@ -299,9 +247,7 @@ let run_global ?scratch ?on_graph ~beam ~node_budget (config : Config.t)
       List.map
         (fun plan ->
           let f = Func.clone func in
-          clear_scratch ();
-          let rep = replay_plan ?scratch ?on_graph config plan f in
-          (f, rep))
+          (f, drive ?scratch ?on_graph config (Plan plan) f))
         (plans @ [ [] ])
   in
   pack_stats.Stats.pack_plans <- List.length replays;
@@ -319,14 +265,12 @@ let run_global ?scratch ?on_graph ~beam ~node_budget (config : Config.t)
   func.Defs.blocks <- winner.Defs.blocks;
   func.Defs.next_iid <- winner.Defs.next_iid;
   func.Defs.next_bid <- winner.Defs.next_bid;
-  (* The scratch memo holds entries for losing clones' instructions. *)
-  clear_scratch ();
   Verifier.verify_exn func;
   { winner_rep with stats = Stats.merge winner_rep.stats pack_stats }
 
 (* [run ?scratch config func] — the packing-strategy dispatcher. *)
 let run ?scratch ?on_graph (config : Config.t) (func : Defs.func) : report =
   match config.Config.packing with
-  | Config.Greedy -> run_greedy ?scratch ?on_graph config func
+  | Config.Greedy -> drive ?scratch ?on_graph config Store_runs func
   | Config.Global { beam; node_budget } ->
       run_global ?scratch ?on_graph ~beam ~node_budget config func

@@ -500,7 +500,9 @@ let cost_breakdown_sums =
       let lanes_for = Snslp_costmodel.Target.lanes_for Snslp_costmodel.Target.sse in
       match Snslp_vectorizer.Seeds.collect (Func.entry f) ~lanes_for with
       | [ seed_group ] -> (
-          match Snslp_vectorizer.Graph.build config f (Func.entry f) seed_group with
+          let block = Func.entry f in
+          let deps = Snslp_analysis.Deps.of_block block in
+          match Snslp_vectorizer.Graph.build ~deps config f block seed_group with
           | Some g ->
               let b = Snslp_vectorizer.Cost.of_graph config g in
               let node_sum =
@@ -642,9 +644,9 @@ let use_lists_stay_consistent =
 (* [Config.fingerprint] keys the compile-service cache, so two configs
    with equal fingerprints MUST produce byte-identical optimized IR on
    every function.  The pool pairs fingerprint-equal configs differing
-   only in excluded knobs (memoize, verify_each — compile-strategy,
-   not semantics) with fingerprint-distinct ones differing in packing
-   and mode; the property quantifies over fuzz-generated functions.
+   only in an excluded knob (verify_each — checking, not semantics)
+   with fingerprint-distinct ones differing in packing and mode; the
+   property quantifies over fuzz-generated functions.
    By construction the pool contains both equal- and distinct-
    fingerprint pairs, so the implication is never vacuous. *)
 let fingerprint_keys_output =
@@ -656,12 +658,9 @@ let fingerprint_keys_output =
       in
       let pool =
         [
-          { Config.snslp with Config.memoize = Config.On };
-          { Config.snslp with Config.memoize = Config.Off };
+          Config.snslp;
           { Config.snslp with Config.verify_each = true };
           global Config.default_beam Config.default_node_budget Config.snslp;
-          global Config.default_beam Config.default_node_budget
-            { Config.snslp with Config.memoize = Config.Off };
           global 2 64 Config.snslp;
           Config.lslp;
         ]

@@ -305,7 +305,7 @@ let graph_of setting src =
   let seeds = Seeds.collect block ~lanes_for in
   match seeds with
   | [ seed ] -> (
-      match Graph.build setting f block seed with
+      match Graph.build ~deps:(Snslp_analysis.Deps.of_block block) setting f block seed with
       | Some g -> g
       | None -> Alcotest.fail "graph not built")
   | _ -> Alcotest.fail "expected one seed"
@@ -447,38 +447,84 @@ let test_rejected_graph_keeps_scalar_code () =
   in
   check_int "no vector instructions" 0 vec_instrs
 
-(* --- memoize = Auto ------------------------------------------------------ *)
+(* --- One compile path: shared per-block state ---------------------------- *)
 
-let test_resolve_memo_threshold () =
-  let resolve n = (Config.resolve_memo ~num_instrs:n { Config.snslp with Config.memoize = Config.Auto }).Config.memoize in
-  Alcotest.(check bool) "below threshold resolves Off" true
-    (resolve (Config.auto_memo_threshold - 1) = Config.Off);
-  Alcotest.(check bool) "at threshold resolves On" true
-    (resolve Config.auto_memo_threshold = Config.On);
-  (* Concrete settings pass through untouched, whatever the size. *)
-  List.iter
-    (fun m ->
-      Alcotest.(check bool) "concrete settings unchanged" true
-        ((Config.resolve_memo ~num_instrs:0 { Config.snslp with Config.memoize = m }).Config.memoize = m))
-    [ Config.On; Config.Off ]
+let kernel_source name =
+  (Option.get (Snslp_kernels.Registry.find name)).Snslp_kernels.Registry.source
 
-let test_memo_on () =
-  let on m = Config.memo_on { Config.snslp with Config.memoize = m } in
-  Alcotest.(check bool) "On is on" true (on Config.On);
-  Alcotest.(check bool) "unresolved Auto defaults on" true (on Config.Auto);
-  Alcotest.(check bool) "Off is off" false (on Config.Off)
+let global_packing =
+  Config.Global { beam = Config.default_beam; node_budget = Config.default_node_budget }
 
-let test_memoize_output_identity () =
-  (* The memoize knob trades compile time, never output: all three
-     settings print the same optimized IR. *)
-  let f = compile motiv_leaf_src in
-  let ir m =
+(* Compile a registry kernel the way snslpc does (a lent scratch memo)
+   and return the vectorizer report. *)
+let vect_report config name =
+  let f = compile (kernel_source name) in
+  let scratch = Vectorize.scratch_create () in
+  match (Pipeline.run ~scratch ~setting:(Some config) f).Pipeline.vect_report with
+  | Some rep -> rep
+  | None -> Alcotest.fail "no vectorizer report"
+
+(* Look-ahead hits/misses, reach-window hits/misses, dependence
+   builds/refreshes. *)
+let counters (s : Stats.t) =
+  [
+    s.Stats.lookahead_hits; s.Stats.lookahead_misses; s.Stats.reach_hits;
+    s.Stats.reach_misses; s.Stats.deps_builds; s.Stats.deps_refreshes;
+  ]
+
+let test_greedy_source_counters () =
+  (* milc_su3 is a 56-instruction kernel: one block, one store seed.
+     The greedy driver and the reduction pass each share one
+     dependence analysis across the block (2 builds), the massage
+     refreshes it once in place, and the look-ahead memo serves 8 of
+     63 queries. *)
+  let rep = vect_report Config.snslp "milc_su3" in
+  Alcotest.(check (list int)) "la 8/55, reach 3/4, deps 2+1r" [ 8; 55; 3; 4; 2; 1 ]
+    (counters rep.Vectorize.stats)
+
+let test_replay_source_counters () =
+  (* calculix_blend under global packing: the solver's plan beats the
+     greedy incumbent, so the report is the replay driver's, with the
+     packing search counters merged in. *)
+  let global = { Config.snslp with Config.packing = global_packing } in
+  let rep = vect_report global "calculix_blend" in
+  let s = rep.Vectorize.stats in
+  Alcotest.(check (list int)) "pack 5c/3e/1p/2r" [ 5; 3; 1; 2 ]
+    [ s.Stats.pack_candidates; s.Stats.pack_expansions; s.Stats.pack_pruned; s.Stats.pack_plans ];
+  Alcotest.(check (list int)) "la 24/10, reach 0/4, deps 2+0r" [ 24; 10; 0; 4; 2; 0 ]
+    (counters s);
+  let ir config =
     Printer.func_to_string
-      (Pipeline.run ~setting:(Some { Config.snslp with Config.memoize = m }) f).Pipeline.func
+      (Pipeline.run ~setting:(Some config) (compile (kernel_source "calculix_blend")))
+        .Pipeline.func
   in
-  let reference = ir Config.On in
-  Alcotest.(check string) "Off matches On" reference (ir Config.Off);
-  Alcotest.(check string) "Auto matches On" reference (ir Config.Auto)
+  check "a replayed plan won" false (String.equal (ir Config.snslp) (ir global))
+
+let test_deps_builds_per_block () =
+  (* One shared dependence analysis per block for the seed driver and
+     one for reductions, whatever the seed source or unroll policy. *)
+  List.iter
+    (fun (k : Snslp_kernels.Registry.t) ->
+      List.iter
+        (fun packing ->
+          List.iter
+            (fun unroll ->
+              let config = { Config.snslp with Config.packing; unroll } in
+              let r =
+                Pipeline.run ~setting:(Some config) (compile k.Snslp_kernels.Registry.source)
+              in
+              let blocks = List.length (Func.blocks r.Pipeline.func) in
+              match r.Pipeline.vect_report with
+              | Some rep ->
+                  let builds = rep.Vectorize.stats.Stats.deps_builds in
+                  if builds > 2 * blocks then
+                    Alcotest.failf "%s (%s, unroll %s): %d deps builds for %d blocks"
+                      k.Snslp_kernels.Registry.name (Config.packing_to_string packing)
+                      (Config.unroll_to_string unroll) builds blocks
+              | None -> Alcotest.fail "no vectorizer report")
+            [ Config.Unroll_auto; Config.No_unroll ])
+        [ Config.Greedy; global_packing ])
+    Snslp_kernels.Registry.all
 
 let test_fingerprint_excludes_speed_knobs () =
   let base = Config.snslp in
@@ -487,11 +533,7 @@ let test_fingerprint_excludes_speed_knobs () =
     (fun variant ->
       Alcotest.(check string) "speed knobs don't reach the fingerprint"
         (fp base) (fp variant))
-    [
-      { base with Config.memoize = Config.Off };
-      { base with Config.memoize = Config.Auto };
-      { base with Config.jobs = 17 };
-    ];
+    [ { base with Config.jobs = 17 }; { base with Config.verify_each = true } ];
   Alcotest.(check bool) "modes do" false
     (String.equal (fp Config.snslp) (fp Config.vanilla))
 
@@ -541,10 +583,9 @@ let suite =
       ] );
     ( "memoize",
       [
-        Alcotest.test_case "Auto resolves by size" `Quick test_resolve_memo_threshold;
-        Alcotest.test_case "memo_on" `Quick test_memo_on;
-        Alcotest.test_case "output identity across settings" `Quick
-          test_memoize_output_identity;
+        Alcotest.test_case "greedy source counters" `Quick test_greedy_source_counters;
+        Alcotest.test_case "replay source counters" `Quick test_replay_source_counters;
+        Alcotest.test_case "deps builds per block" `Quick test_deps_builds_per_block;
         Alcotest.test_case "fingerprint excludes speed knobs" `Quick
           test_fingerprint_excludes_speed_knobs;
       ] );
