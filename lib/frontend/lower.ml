@@ -197,7 +197,9 @@ let lower_kernel (k : A.kernel) : Defs.func =
   in
   let f = Func.create ~name:k.A.kname ~args in
   let entry = Func.add_block f "entry" in
-  let b = Builder.create f ~at:entry in
+  (* Lowering only ever enters blocks it has just created, so the
+     builder fills each in O(1) per instruction. *)
+  let b = Builder.create_filling f ~at:entry in
   let env =
     { values = Hashtbl.create 16; kinds = Hashtbl.create 16; arrays = Hashtbl.create 16 }
   in
@@ -220,5 +222,6 @@ let lower_kernel (k : A.kernel) : Defs.func =
   in
   lower_stmts env b ~fresh_block k.A.kbody;
   Builder.ret b;
+  Builder.finish b;
   Verifier.verify_exn f;
   f

@@ -4,20 +4,48 @@
 
 open Defs
 
-type t = { func : func; mutable at : block }
+type t = {
+  func : func;
+  mutable at : block;
+  filling : bool;
+  mutable filled : instr list; (* [at]'s instructions, newest first, while filling *)
+}
 
-let create func ~at = { func; at }
-let position (b : t) block = b.at <- block
+let require cond msg = if not cond then invalid_arg ("Builder." ^ msg)
+
+let create func ~at = { func; at; filling = false; filled = [] }
+
+(* A filling builder only enters empty blocks, so it attaches each
+   instruction by consing it onto [filled] and assigns the block's
+   list once, on leaving the block; attaching through [Block.append]
+   would cost O(block length) per instruction. *)
+let create_filling func ~at =
+  require (at.instrs = []) "create_filling: block not empty";
+  { func; at; filling = true; filled = [] }
+
+let flush (b : t) =
+  if b.filling then begin
+    b.at.instrs <- List.rev b.filled;
+    b.filled <- []
+  end
+
+let position (b : t) block =
+  flush b;
+  if b.filling then require (block.instrs = []) "position: a filling builder needs an empty block";
+  b.at <- block
+
+let finish = flush
 let block (b : t) = b.at
 let func (b : t) = b.func
 
 let insert (b : t) ?name op ty ops =
   let i = Func.fresh_instr b.func ?name op ty ops in
-  Block.append b.at i;
+  if b.filling then begin
+    i.iblock <- Some b.at;
+    b.filled <- i :: b.filled
+  end
+  else Block.append b.at i;
   i
-
-
-let require cond msg = if not cond then invalid_arg ("Builder." ^ msg)
 
 let binop (b : t) ?name kind x y =
   let tx = Value.ty x and ty_ = Value.ty y in
@@ -137,7 +165,9 @@ let phi (b : t) ?name ~(preds : block array) ops =
   require (Array.length preds = Array.length ops) "phi: operand/predecessor count mismatch";
   let ty0 = Value.ty ops.(0) in
   Array.iter (fun v -> require (Ty.equal (Value.ty v) ty0) "phi: operand types differ") ops;
-  require (List.for_all Instr.is_phi b.at.instrs) "phi: must precede every non-phi in its block";
+  require
+    (List.for_all Instr.is_phi (if b.filling then b.filled else b.at.instrs))
+    "phi: must precede every non-phi in its block";
   insert b ?name (Phi (Array.map (fun (blk : block) -> blk.bid) preds)) ty0 ops
 
 let ret (b : t) = Block.set_terminator b.at Ret

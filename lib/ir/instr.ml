@@ -62,32 +62,70 @@ let same_opcode (a : t) (b : t) =
    round-trip relies on block names never containing '.'. *)
 let fallback_pred_name bid = "b" ^ string_of_int bid
 
-let opcode_mnemonic ?(pred_name = fallback_pred_name) (i : t) =
+(* The instruction syntax, written straight into a buffer: the
+   printer (and so the structural cache key) and every diagnostic
+   render through here. *)
+let bprint_mnemonic ?(pred_name = fallback_pred_name) buf (i : t) =
+  let add = Buffer.add_string buf in
+  let dotted f a =
+    Array.iteri
+      (fun n x ->
+        if n > 0 then Buffer.add_char buf '.';
+        add (f x))
+      a
+  in
   match i.op with
-  | Binop b -> (if Ty.is_float i.ty || (Ty.is_vector i.ty && Ty.scalar_is_float (Ty.elem i.ty)) then "f" else "") ^ binop_to_string b
+  | Binop b ->
+      if Ty.is_float i.ty || (Ty.is_vector i.ty && Ty.scalar_is_float (Ty.elem i.ty)) then
+        Buffer.add_char buf 'f';
+      add (binop_to_string b)
   | Alt_binop ops ->
-      "alt." ^ String.concat "." (Array.to_list (Array.map binop_to_string ops))
-  | Load -> if Ty.is_vector i.ty then "vload" else "load"
-  | Store ->
-      if Ty.is_vector (Value.ty i.ops.(0)) then "vstore" else "store"
-  | Gep -> "gep"
-  | Insert -> "insert"
-  | Extract -> "extract"
+      add "alt.";
+      dotted binop_to_string ops
+  | Load -> add (if Ty.is_vector i.ty then "vload" else "load")
+  | Store -> add (if Ty.is_vector (Value.ty i.ops.(0)) then "vstore" else "store")
+  | Gep -> add "gep"
+  | Insert -> add "insert"
+  | Extract -> add "extract"
   | Shuffle mask ->
-      "shuffle." ^ String.concat "." (Array.to_list (Array.map string_of_int mask))
-  | Icmp c -> "icmp." ^ cmp_to_string c
-  | Fcmp c -> "fcmp." ^ cmp_to_string c
-  | Select -> "select"
+      add "shuffle.";
+      dotted string_of_int mask
+  | Icmp c ->
+      add "icmp.";
+      add (cmp_to_string c)
+  | Fcmp c ->
+      add "fcmp.";
+      add (cmp_to_string c)
+  | Select -> add "select"
   | Phi preds ->
-      "phi." ^ String.concat "." (Array.to_list (Array.map pred_name preds))
+      add "phi.";
+      dotted pred_name preds
 
-(* Structural description used by tests and debugging output, e.g.
-   "%5 = fadd %1, %2". *)
-let to_string ?pred_name (i : t) =
-  let ops = i.ops |> Array.to_list |> List.map Value.name |> String.concat ", " in
-  if has_result i then
-    Printf.sprintf "%%%s = %s %s %s" i.iname (opcode_mnemonic ?pred_name i)
-      (Ty.to_string i.ty) ops
-  else Printf.sprintf "%s %s" (opcode_mnemonic ?pred_name i) ops
+(* "%5 = fadd f64 %1, %2", or "store %3, %4" for a store. *)
+let bprint ?pred_name buf (i : t) =
+  if has_result i then begin
+    Buffer.add_char buf '%';
+    Buffer.add_string buf i.iname;
+    Buffer.add_string buf " = ";
+    bprint_mnemonic ?pred_name buf i;
+    Buffer.add_char buf ' ';
+    Ty.bprint buf i.ty
+  end
+  else bprint_mnemonic ?pred_name buf i;
+  Buffer.add_char buf ' ';
+  for n = 0 to Array.length i.ops - 1 do
+    if n > 0 then Buffer.add_string buf ", ";
+    Value.bprint_name buf i.ops.(n)
+  done
+
+let render print =
+  let buf = Buffer.create 64 in
+  print buf;
+  Buffer.contents buf
+
+let opcode_mnemonic ?pred_name i = render (fun buf -> bprint_mnemonic ?pred_name buf i)
+
+(* Structural description used by tests and debugging output. *)
+let to_string ?pred_name i = render (fun buf -> bprint ?pred_name buf i)
 
 let pp ppf i = Fmt.string ppf (to_string i)

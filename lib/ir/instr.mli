@@ -44,9 +44,19 @@ val fallback_pred_name : int -> string
 (** Context-free rendering of a phi predecessor block id ("b3"), used
     when no block-name map is available. *)
 
-val opcode_mnemonic : ?pred_name:(int -> string) -> t -> string
-(** [pred_name] maps a phi predecessor block id to the block's name;
+val bprint_mnemonic : ?pred_name:(int -> string) -> Buffer.t -> t -> unit
+(** Appends the mnemonic ("fadd", "shuffle.0.2", "phi.entry.latch").
+    [pred_name] maps a phi predecessor block id to the block's name;
     defaults to {!fallback_pred_name}. *)
 
+val bprint : ?pred_name:(int -> string) -> Buffer.t -> t -> unit
+(** Appends the instruction's one-line syntax, ["%5 = fadd f64 %1, %2"]
+    or ["store %3, %4"]: the only place it is written. *)
+
+val opcode_mnemonic : ?pred_name:(int -> string) -> t -> string
+(** {!bprint_mnemonic} as a string. *)
+
 val to_string : ?pred_name:(int -> string) -> t -> string
+(** {!bprint} as a string. *)
+
 val pp : t Fmt.t

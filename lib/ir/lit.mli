@@ -18,7 +18,12 @@ val matches_ty : t -> Ty.t -> bool
 val to_string : t -> string
 (** Lossless rendering ([%h] for floats); used in structural keys. *)
 
+val float_to_string : float -> string
+(** The shortest [%.{p}g] rendering (p = 6..17) that reads back to
+    the same bits: [%g] whenever [%g] is exact, and never lossy. *)
+
 val to_human : t -> string
-(** Readable rendering, used by the printer. *)
+(** Readable and exact rendering, used by the printer: integers in
+    decimal, floats by {!float_to_string}. *)
 
 val pp : t Fmt.t

@@ -8,30 +8,47 @@
        ret
      }
 
-   Everything renders into one [Buffer]; the [Fmt] printers print the
-   finished string.  The printing sits on every cache key and every
-   service reply, so it stays off [Format]'s per-token machinery. *)
+   Everything renders into one [Buffer], instructions included
+   ({!Instr.bprint}), with no intermediate string per line; the [Fmt]
+   printers print the finished string.  The printing sits on every
+   cache key and every service reply, so it stays off [Format]'s
+   per-token machinery. *)
 
 open Defs
 
-let arg_to_string (a : arg) = Ty.to_string a.arg_ty ^ " %" ^ a.arg_name
+let bprint_arg buf (a : arg) =
+  Ty.bprint buf a.arg_ty;
+  Buffer.add_string buf " %";
+  Buffer.add_string buf a.arg_name
 
-let terminator_to_string = function
-  | Ret -> "ret"
-  | Br b -> "br %" ^ b.bname
-  | Cond_br (c, b1, b2) -> Printf.sprintf "br %s, %%%s, %%%s" (Value.name c) b1.bname b2.bname
-  | Unterminated -> "<unterminated>"
+let bprint_terminator buf term =
+  let add = Buffer.add_string buf in
+  match term with
+  | Ret -> add "ret"
+  | Br b ->
+      add "br %";
+      add b.bname
+  | Cond_br (c, b1, b2) ->
+      add "br ";
+      Value.bprint_name buf c;
+      add ", %";
+      add b1.bname;
+      add ", %";
+      add b2.bname
+  | Unterminated -> add "<unterminated>"
 
 let add_block ?pred_name buf (b : block) =
   Buffer.add_string buf b.bname;
   Buffer.add_string buf ":\n";
-  let add_indented s =
-    Buffer.add_string buf "  ";
-    Buffer.add_string buf s;
-    Buffer.add_char buf '\n'
-  in
-  List.iter (fun i -> add_indented (Instr.to_string ?pred_name i)) b.instrs;
-  add_indented (terminator_to_string b.term)
+  List.iter
+    (fun i ->
+      Buffer.add_string buf "  ";
+      Instr.bprint ?pred_name buf i;
+      Buffer.add_char buf '\n')
+    b.instrs;
+  Buffer.add_string buf "  ";
+  bprint_terminator buf b.term;
+  Buffer.add_char buf '\n'
 
 let pred_name_of (f : func) =
   let names = Hashtbl.create 7 in
@@ -41,24 +58,32 @@ let pred_name_of (f : func) =
     | Some n -> n
     | None -> Instr.fallback_pred_name bid
 
-let func_to_string (f : func) =
-  let buf = Buffer.create 4096 in
-  let args = String.concat ", " (Array.to_list (Array.map arg_to_string f.fargs)) in
-  Buffer.add_string buf (Printf.sprintf "func @%s(%s) {\n" f.fname args);
-  List.iter (add_block ~pred_name:(pred_name_of f) buf) f.blocks;
-  Buffer.add_string buf "}\n";
+let render size print =
+  let buf = Buffer.create size in
+  print buf;
   Buffer.contents buf
+
+let func_to_string (f : func) =
+  render 4096 (fun buf ->
+      Buffer.add_string buf "func @";
+      Buffer.add_string buf f.fname;
+      Buffer.add_char buf '(';
+      Array.iteri
+        (fun n a ->
+          if n > 0 then Buffer.add_string buf ", ";
+          bprint_arg buf a)
+        f.fargs;
+      Buffer.add_string buf ") {\n";
+      List.iter (add_block ~pred_name:(pred_name_of f) buf) f.blocks;
+      Buffer.add_string buf "}\n")
 
 (* A standalone block cannot resolve its phis' predecessor names (they
    live elsewhere in the function), so it prints the "b<id>" fallback;
    {!func_to_string} supplies the real names, which is what makes the
    printed function round-trippable through {!Ir_parser}. *)
-let block_to_string (b : block) =
-  let buf = Buffer.create 1024 in
-  add_block buf b;
-  Buffer.contents buf
+let block_to_string (b : block) = render 1024 (fun buf -> add_block buf b)
 
-let pp_arg ppf a = Fmt.string ppf (arg_to_string a)
-let pp_terminator ppf t = Fmt.string ppf (terminator_to_string t)
+let pp_arg ppf a = Fmt.string ppf (render 16 (fun buf -> bprint_arg buf a))
+let pp_terminator ppf t = Fmt.string ppf (render 16 (fun buf -> bprint_terminator buf t))
 let pp_block ppf b = Fmt.string ppf (block_to_string b)
 let pp_func ppf f = Fmt.string ppf (func_to_string f)

@@ -59,10 +59,24 @@ let scalar_to_string = function
   | F32 -> "f32"
   | F64 -> "f64"
 
+let bprint buf = function
+  | Scalar s -> Buffer.add_string buf (scalar_to_string s)
+  | Vector { lanes; elem } ->
+      Buffer.add_char buf '<';
+      Buffer.add_string buf (string_of_int lanes);
+      Buffer.add_string buf " x ";
+      Buffer.add_string buf (scalar_to_string elem);
+      Buffer.add_char buf '>'
+  | Ptr s ->
+      Buffer.add_string buf (scalar_to_string s);
+      Buffer.add_char buf '*'
+
 let to_string = function
   | Scalar s -> scalar_to_string s
-  | Vector { lanes; elem } -> Printf.sprintf "<%d x %s>" lanes (scalar_to_string elem)
-  | Ptr s -> scalar_to_string s ^ "*"
+  | (Vector _ | Ptr _) as t ->
+      let buf = Buffer.create 16 in
+      bprint buf t;
+      Buffer.contents buf
 
 let pp ppf t = Fmt.string ppf (to_string t)
 let pp_scalar ppf s = Fmt.string ppf (scalar_to_string s)

@@ -43,6 +43,9 @@ val elem : t -> scalar
 val lanes : t -> int
 (** Number of lanes; 1 for scalars and pointers. *)
 
+val bprint : Buffer.t -> t -> unit
+(** Appends the rendering ([f64], [<4 x f32>], [i64*]) to the buffer. *)
+
 val to_string : t -> string
 val scalar_to_string : scalar -> string
 val pp : t Fmt.t

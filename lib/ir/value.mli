@@ -32,6 +32,10 @@ val key : t -> string
     {!equal} (within one function).  Suitable as a hashtable key. *)
 
 val name : t -> string
-(** Printable name: ["%3"], ["%A"], ["42"], ["undef"]. *)
+(** Printable name: ["%3"], ["%A"], ["42"], ["0.5"], ["undef"].
+    Constants print exactly ({!Lit.to_human}). *)
+
+val bprint_name : Buffer.t -> t -> unit
+(** Appends {!name} to the buffer. *)
 
 val pp : t Fmt.t

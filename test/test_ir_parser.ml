@@ -9,10 +9,25 @@ open Snslp_vectorizer
 let check = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
 
+(* Every operand in block order: instructions by name (the parser
+   renumbers ids), everything else by its exact [Value.key]. *)
+let operand_keys (f : Defs.func) =
+  Func.fold_instrs
+    (fun acc (i : Defs.instr) ->
+      Array.fold_left
+        (fun acc v ->
+          (match v with Defs.Instr d -> "%" ^ d.Defs.iname | _ -> Value.key v) :: acc)
+        acc i.Defs.ops)
+    [] f
+  |> List.rev
+
 let roundtrip (f : Defs.func) =
   let text = Printer.func_to_string f in
   let f' = Ir_parser.parse text in
-  check_str "print/parse/print fixpoint" text (Printer.func_to_string f')
+  check_str "print/parse/print fixpoint" text (Printer.func_to_string f');
+  (* A lossy literal prints the same on both sides, so the text alone
+     cannot see it; the constants' bits must survive too. *)
+  Alcotest.(check (list string)) "operands survive exactly" (operand_keys f) (operand_keys f')
 
 let test_scalar_roundtrip () =
   roundtrip
@@ -88,6 +103,18 @@ let test_generated_functions_roundtrip () =
     roundtrip result.Pipeline.func
   done
 
+(* Fuzz seed 281 folds a constant to 0.6521739130434783, which six
+   significant digits would print as 0.652174. *)
+let test_folded_constant_roundtrip () =
+  let f = (Pipeline.run ~setting:None (Snslp_fuzzer.Gen.generate ~seed:281 ())).Pipeline.func in
+  let folded = function
+    | Defs.Const { lit = Lit.Float x; _ } -> x = 0.6521739130434783
+    | _ -> false
+  in
+  check "the seed still folds that constant" true
+    (Func.fold_instrs (fun acc (i : Defs.instr) -> acc || Array.exists folded i.Defs.ops) false f);
+  roundtrip f
+
 let test_parse_errors () =
   let bad src =
     try
@@ -139,6 +166,7 @@ let suite =
         Alcotest.test_case "parsed IR executes" `Quick test_parsed_ir_executes;
         Alcotest.test_case "generated functions roundtrip" `Quick
           test_generated_functions_roundtrip;
+        Alcotest.test_case "folded constant roundtrip" `Quick test_folded_constant_roundtrip;
         Alcotest.test_case "parse errors" `Quick test_parse_errors;
         Alcotest.test_case "branch forms" `Quick test_parse_branch_forms;
       ] );

@@ -88,6 +88,42 @@ kernel f(double A[], double B[], double C[], long i) {
   in
   check_int "a+b meets b+a" 1 adds
 
+let test_cse_distinct_float_constants () =
+  (* The constants agree to six significant digits: keyed by that
+     printing, CSE stored the first product twice. *)
+  let source =
+    {|
+kernel f(double a[], double b[], long i) {
+  b[i] = a[i] * 1.000001;
+  b[i+1] = a[i] * 1.000002;
+}
+|}
+  in
+  let wl =
+    Snslp_kernels.Workload.prepare
+      {
+        Snslp_kernels.Registry.name = "cse_constants";
+        provenance = "test";
+        description = "";
+        source;
+        istride = 2;
+        extent = 2;
+        default_iters = 4;
+      }
+  in
+  let f = wl.Snslp_kernels.Workload.func in
+  let out = (Pipeline.run ~setting:None f).Pipeline.func in
+  let fmuls =
+    Func.fold_instrs
+      (fun n j -> if Instr.binop_kind j = Some Defs.Mul && Ty.is_float j.Defs.ty then n + 1 else n)
+      0 out
+  in
+  check_int "both products survive" 2 fmuls;
+  check "bit-identical to the unoptimised function" true
+    (Snslp_interp.Memory.equal
+       (Snslp_kernels.Workload.run_interp wl f)
+       (Snslp_kernels.Workload.run_interp wl out))
+
 let test_cse_store_kills_load () =
   let f =
     compile
@@ -177,6 +213,8 @@ let suite =
         Alcotest.test_case "simplify identities" `Quick test_simplify_identities;
         Alcotest.test_case "cse loads and geps" `Quick test_cse_loads_and_geps;
         Alcotest.test_case "cse commutative" `Quick test_cse_commutative_normalisation;
+        Alcotest.test_case "cse distinct float constants" `Quick
+          test_cse_distinct_float_constants;
         Alcotest.test_case "cse store kills load" `Quick test_cse_store_kills_load;
         Alcotest.test_case "dce removes dead code" `Quick test_dce_removes_dead_code;
         Alcotest.test_case "dce keeps branch condition" `Quick

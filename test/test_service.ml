@@ -383,6 +383,24 @@ let test_server_loop_semantic_hit () =
   | Some (1, Cache.Hit_semantic) -> ()
   | _ -> Alcotest.fail "loop twin should hit the loop form's entry semantically"
 
+let test_server_distinct_float_constants () =
+  (* Six significant digits print both constants as 1, which let the
+     second kernel hit the first one's structural entry. *)
+  let kernel c =
+    Printf.sprintf "kernel f(double a[], double b[], long i) {\n  b[i] = a[i] * %s;\n}" c
+  in
+  let server = Server.create () in
+  let lines =
+    compile_frame "o3" (kernel "1.0000001") @ compile_frame "o3" (kernel "1.0000002") @ [ "quit" ]
+  in
+  match converse server lines with
+  | [ first; second ] ->
+      check_str "first misses" "miss" (statuses_of first);
+      check_str "second misses" "miss" (statuses_of second);
+      check "first reply carries 1.0000001" true (contains (ir_of first) "1.0000001");
+      check "second reply carries 1.0000002" true (contains (ir_of second) "1.0000002")
+  | rs -> Alcotest.fail (Printf.sprintf "expected 2 responses, got %d" (List.length rs))
+
 let test_server_modes_do_not_share () =
   (* The config fingerprint is part of the key: sn-slp's entry must
      not answer an slp request. *)
@@ -805,6 +823,8 @@ let suite =
         Alcotest.test_case "server cold/warm bit-identical" `Quick test_server_cold_then_warm;
         Alcotest.test_case "server semantic hit renames" `Quick test_server_semantic_hit_renames;
         Alcotest.test_case "server loop semantic hit" `Quick test_server_loop_semantic_hit;
+        Alcotest.test_case "server distinct float constants" `Quick
+          test_server_distinct_float_constants;
         Alcotest.test_case "server modes do not share" `Quick test_server_modes_do_not_share;
         Alcotest.test_case "server batch + dedup + stats" `Quick test_server_batch_and_stats;
         Alcotest.test_case "server packing modes and counters" `Quick
