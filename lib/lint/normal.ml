@@ -67,20 +67,31 @@ let c_key = function
   | C_int n -> Int64.to_string n
   | C_float f -> Printf.sprintf "f%Lx" (Int64.bits_of_float f)
 
+(* Integer coefficients are computed unboxed, and the small ones
+   (lane offsets, counts) are shared: each fresh [C_int] costs a block
+   plus a boxed [int64]. *)
+let small_c_ints = Array.init 1024 (fun n -> C_int (Int64.of_int n))
+
+let c_int n =
+  if Int64.compare n 0L >= 0 && Int64.compare n 1024L < 0 then small_c_ints.(Int64.to_int n)
+  else C_int n
+
 let c_zero k = if Ty.scalar_is_int k then C_int 0L else C_float 0.0
 let c_one k = if Ty.scalar_is_int k then C_int 1L else C_float 1.0
 let c_is_zero = function C_int n -> Int64.equal n 0L | C_float f -> f = 0.0
 
-let c_lift2 k fi ff a b =
+let c_float2 k ff a b =
   match (a, b) with
-  | C_int x, C_int y -> C_int (fi x y)
   | C_float x, C_float y ->
       let r = ff x y in
       C_float (if Ty.scalar_equal k Ty.F32 then round_f32 r else r)
   | _ -> invalid_arg "Normal: mixed coefficient kinds"
 
-let c_add k = c_lift2 k Int64.add ( +. )
-let c_mul k = c_lift2 k Int64.mul ( *. )
+let c_add k a b =
+  match (a, b) with C_int x, C_int y -> c_int (Int64.add x y) | _ -> c_float2 k ( +. ) a b
+
+let c_mul k a b =
+  match (a, b) with C_int x, C_int y -> c_int (Int64.mul x y) | _ -> c_float2 k ( *. ) a b
 
 let c_div k a b =
   match (a, b) with
@@ -89,7 +100,7 @@ let c_div k a b =
       C_float (if Ty.scalar_equal k Ty.F32 then round_f32 r else r)
   | _ -> raise Too_big (* integer division is not in the IR *)
 
-let c_neg = function C_int n -> C_int (Int64.neg n) | C_float f -> C_float (-.f)
+let c_neg = function C_int n -> c_int (Int64.neg n) | C_float f -> C_float (-.f)
 
 (* Bitwise identity first (NaN-safe), then relative closeness for
    finite floats — absorbs grouping differences of symbolic versus
@@ -166,7 +177,7 @@ let zero knd = mk knd (c_zero knd) []
 let of_coeff knd c = mk knd c []
 
 let of_lit knd (l : Lit.t) =
-  match l with Lit.Int n -> mk knd (C_int n) [] | Lit.Float f -> mk knd (C_float f) []
+  match l with Lit.Int n -> mk knd (c_int n) [] | Lit.Float f -> mk knd (C_float f) []
 
 let of_atom knd view =
   let a = atom view in
