@@ -52,7 +52,7 @@ type t = {
   mutable instrs : Defs.instr array; (* block order *)
   index : (int, int) Hashtbl.t; (* iid -> position *)
   mutable memlocs : memloc option array;
-  mutable reach_cache : ((int * int) * Bytes.t array) list;
+  mutable reach_cache : ((int * int) * int array) list;
       (* recently built reachability windows, newest first *)
   mutable reach_hits : int;
   mutable reach_misses : int;
@@ -135,20 +135,29 @@ let conflict (t : t) a b =
       && may_overlap la lb
   | _ -> false
 
-(* Reachability over the window [lo, hi]: [reach.(k)] is the set of
-   window positions (as offsets from [lo]) that position [lo + k]
-   transitively depends on.  O(w²) bits of state, built in one forward
-   sweep — windows are the span of one SLP tree, not the block. *)
+(* Reachability over the window [lo, hi], as bit rows: row [k] is the
+   set of window positions (as offsets from [lo]) that position
+   [lo + k] transitively depends on, [row_words w] ints of
+   {!word_bits} bits each, rows laid out one after another in one
+   array.  O(w²) bits of state, built in one forward sweep — windows
+   are the span of one SLP tree, not the block. *)
+let word_bits = 62
+
+let row_words w = (w + word_bits - 1) / word_bits
+
 let compute_reachability (t : t) ~lo ~hi =
   let w = hi - lo + 1 in
-  let reach = Array.init w (fun _ -> Bytes.make w '\000') in
+  let nw = row_words w in
+  let reach = Array.make (w * nw) 0 in
   let add_edge src dst =
-    (* dst depends on src; src < dst within the window *)
-    Bytes.set reach.(dst) src '\001';
-    let rsrc = reach.(src) in
-    let rdst = reach.(dst) in
-    for k = 0 to w - 1 do
-      if Bytes.get rsrc k = '\001' then Bytes.set rdst k '\001'
+    (* dst depends on src; src < dst within the window.  Row [src]
+       holds only positions before [src], so its words past
+       [src / word_bits] are zero. *)
+    let s = src * nw and d = dst * nw in
+    let last = src / word_bits in
+    reach.(d + last) <- reach.(d + last) lor (1 lsl (src mod word_bits));
+    for k = 0 to last do
+      reach.(d + k) <- reach.(d + k) lor reach.(s + k)
     done
   in
   for dst = 0 to w - 1 do
@@ -178,16 +187,18 @@ let compute_reachability (t : t) ~lo ~hi =
    sub-window.  Soundness of sub-window reuse: every dependence edge
    points backward in program order, so a path between two positions
    of [lo, hi] never leaves [lo, hi] — the restriction of a wider
-   window's reachability equals the narrow window's own.  The view is
-   [(base, matrix)]: offsets relative to the queried [lo] are
-   re-based by [base] into the possibly wider cached matrix. *)
+   window's reachability equals the narrow window's own.  A view
+   re-bases offsets relative to the queried [lo] into the possibly
+   wider cached matrix. *)
+type view = { base : int; words : int; (* per row *) mat : int array }
+
 let max_cached_windows = 8
 
 let window_reach (t : t) ~lo ~hi =
   match List.find_opt (fun ((l, h), _) -> l <= lo && h >= hi) t.reach_cache with
-  | Some ((l, _), mat) ->
+  | Some ((l, h), mat) ->
       t.reach_hits <- t.reach_hits + 1;
-      (lo - l, mat)
+      { base = lo - l; words = row_words (h - l + 1); mat }
   | None ->
       t.reach_misses <- t.reach_misses + 1;
       let mat = compute_reachability t ~lo ~hi in
@@ -196,10 +207,12 @@ let window_reach (t : t) ~lo ~hi =
         | e :: rest -> if n = 0 then [] else e :: take (n - 1) rest
       in
       t.reach_cache <- ((lo, hi), mat) :: take (max_cached_windows - 1) t.reach_cache;
-      (0, mat)
+      { base = 0; words = row_words (hi - lo + 1); mat }
 
-let reaches ((base, mat) : int * Bytes.t array) ~src ~dst =
-  Bytes.get mat.(dst + base) (src + base) = '\001'
+let reaches (v : view) ~src ~dst =
+  let src = src + v.base in
+  let word = v.mat.(((dst + v.base) * v.words) + (src / word_bits)) in
+  (word lsr (src mod word_bits)) land 1 = 1
 
 let group_window (t : t) (group : Defs.instr list) =
   let positions = List.map (position t) group in

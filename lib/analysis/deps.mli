@@ -5,7 +5,9 @@
     same-base accesses alias unless their affine ranges provably do
     not overlap).  All edges point backward in program order, so any
     dependence path between two instructions stays inside their
-    position window — construction is O(block), queries O(window²). *)
+    position window — construction is O(block), queries O(window²)
+    bits: a window's reachability matrix is one bit row per position,
+    packed 62 bits to an [int]. *)
 
 open Snslp_ir
 
@@ -18,7 +20,9 @@ type t = {
   mutable instrs : Defs.instr array; (** block order *)
   index : (int, int) Hashtbl.t;
   mutable memlocs : memloc option array;
-  mutable reach_cache : ((int * int) * Bytes.t array) list;
+  mutable reach_cache : ((int * int) * int array) list;
+      (** recent reachability windows [(lo, hi)], newest first: one
+          bit row per position, 62 bits per [int] word *)
   mutable reach_hits : int;
   mutable reach_misses : int;
   mutable refreshes : int;
