@@ -19,7 +19,9 @@ let score_same_opcode = 2
 let score_alt_opcodes = 1
 let score_fail = 0
 
-let shallow (a : Defs.value) (b : Defs.value) : int =
+(* [addr] computes a load's address: {!Address.of_instr}, or the
+   memoized scorer's cached copy of it. *)
+let shallow_with ~addr (a : Defs.value) (b : Defs.value) : int =
   if Value.equal a b then score_splat
   else
     match (a, b) with
@@ -27,7 +29,7 @@ let shallow (a : Defs.value) (b : Defs.value) : int =
     | Defs.Instr ia, Defs.Instr ib -> (
         match (ia.Defs.op, ib.Defs.op) with
         | Defs.Load, Defs.Load -> (
-            match (Address.of_instr ia, Address.of_instr ib) with
+            match (addr ia, addr ib) with
             | Some aa, Some ab -> (
                 match Address.delta aa ab with
                 | Some 1 -> score_consecutive_loads
@@ -45,13 +47,15 @@ let shallow (a : Defs.value) (b : Defs.value) : int =
         | _ -> if Instr.same_opcode ia ib then score_same_opcode else score_fail)
     | _ -> score_fail
 
+let shallow = shallow_with ~addr:Address.of_instr
+
 (* One recursion step of the look-ahead: shallow score plus the best
    pairing of operands, with sub-scores obtained through [self] so the
    memoized and reference implementations share one body.  For
    commutative operations both operand orders are tried; the better
    one is kept. *)
-let step ~self ~depth (a : Defs.value) (b : Defs.value) : int =
-  let s = shallow a b in
+let step ~self ~addr ~depth (a : Defs.value) (b : Defs.value) : int =
+  let s = shallow_with ~addr a b in
   if depth <= 0 || s = score_fail then s
   else
     match (a, b) with
@@ -80,18 +84,33 @@ let step ~self ~depth (a : Defs.value) (b : Defs.value) : int =
    one way and {!score_reversed_loads} the other), so [(a, b)] and
    [(b, a)] are distinct entries.  The cache is only valid while the
    operand DAG under the scored values is unchanged — the graph
-   builder clears it whenever Super-Node massaging rewrites the IR. *)
+   builder clears it whenever Super-Node massaging rewrites the IR.
+   A miss on a pair of loads needs both addresses, an affine walk
+   each; the cache keeps every load's address under the same
+   validity rule. *)
 type cache = {
   tbl : (int, int) Hashtbl.t; (* packed (iid, iid, depth) -> score *)
+  addrs : (int, Address.t option) Hashtbl.t; (* load iid -> address *)
   mutable hits : int;
   mutable misses : int;
 }
 
-let cache_create () = { tbl = Hashtbl.create 512; hits = 0; misses = 0 }
+let cache_create () =
+  { tbl = Hashtbl.create 512; addrs = Hashtbl.create 64; hits = 0; misses = 0 }
 
 (* Invalidate the entries, keep the hit/miss counters (they feed the
    per-run statistics). *)
-let cache_clear (c : cache) = Hashtbl.reset c.tbl
+let cache_clear (c : cache) =
+  Hashtbl.reset c.tbl;
+  Hashtbl.reset c.addrs
+
+let cached_addr (c : cache) (i : Defs.instr) =
+  match Hashtbl.find_opt c.addrs i.Defs.iid with
+  | Some a -> a
+  | None ->
+      let a = Address.of_instr i in
+      Hashtbl.add c.addrs i.Defs.iid a;
+      a
 
 let cache_stats (c : cache) = (c.hits, c.misses)
 
@@ -105,9 +124,8 @@ let pack ia ib depth = (((ia lsl 27) lor ib) lsl 8) lor depth
 
 let rec score ?cache ~depth (a : Defs.value) (b : Defs.value) : int =
   match cache with
-  | None -> step ~self:(fun ~depth a b -> score ~depth a b) ~depth a b
+  | None -> step ~self:(fun ~depth a b -> score ~depth a b) ~addr:Address.of_instr ~depth a b
   | Some c -> (
-      let self ~depth a b = score ~cache:c ~depth a b in
       match (a, b) with
       | Defs.Instr ia, Defs.Instr ib
         when ia.Defs.iid < max_packed_iid
@@ -121,10 +139,13 @@ let rec score ?cache ~depth (a : Defs.value) (b : Defs.value) : int =
               s
           | None ->
               c.misses <- c.misses + 1;
-              let s = step ~self ~depth a b in
+              let s = step_cached c ~depth a b in
               Hashtbl.add c.tbl k s;
               s)
-      | _ -> step ~self ~depth a b)
+      | _ -> step_cached c ~depth a b)
+
+and step_cached c ~depth a b =
+  step ~self:(fun ~depth a b -> score ~cache:c ~depth a b) ~addr:(cached_addr c) ~depth a b
 
 (* Sum of pairwise scores of consecutive lanes — the group score used
    to compare candidate operand groups (Listing 2, line 14). *)
