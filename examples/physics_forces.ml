@@ -39,7 +39,7 @@ let () =
   | Some rep ->
       List.iter
         (fun (t : Vectorize.tree_report) ->
-          Fmt.pr "@.--- SLP graph ---@.%s" t.Vectorize.graph_dump;
+          Fmt.pr "@.--- SLP graph ---@.%s" (Lazy.force t.Vectorize.graph_dump);
           Fmt.pr "cost %g -> %s@." t.Vectorize.cost.Cost.total
             (if t.Vectorize.vectorized then "VECTORIZED" else "rejected"))
         rep.Vectorize.trees;

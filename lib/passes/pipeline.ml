@@ -74,9 +74,10 @@ let timed name f =
    the structural invariants of every SLP graph the vectorizer builds,
    and records a whole-pipeline verdict; [tolerance] is the relative
    float tolerance the validator accepts (reassociated float constant
-   folding shifts rounding). *)
+   folding shifts rounding).  [on_graph] observes every SLP graph the
+   vectorizer builds (see {!Vectorize.run}). *)
 let run ?scratch ?(setting : setting = Some Config.snslp) ?verify_each
-    ?(validate = false) ?tolerance (func : Defs.func) : result =
+    ?(validate = false) ?tolerance ?on_graph (func : Defs.func) : result =
   let verify_each =
     match verify_each with
     | Some v -> v
@@ -135,8 +136,11 @@ let run ?scratch ?(setting : setting = Some Config.snslp) ?verify_each
   in
   let on_graph =
     if validate then
-      Some (fun g -> graph_findings := !graph_findings @ Invariants.check g)
-    else None
+      Some
+        (fun g ->
+          graph_findings := !graph_findings @ Invariants.check g;
+          Option.iter (fun hook -> hook g) on_graph)
+    else on_graph
   in
   let t0 = now_s () in
   let t, n = timed "fold" (fun () -> Fold.run f) in

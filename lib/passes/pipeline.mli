@@ -50,6 +50,7 @@ val run :
   ?verify_each:bool ->
   ?validate:bool ->
   ?tolerance:float ->
+  ?on_graph:(Graph.t -> unit) ->
   Defs.func ->
   result
 (** Optimises a clone; the input function is not modified.  Defaults
@@ -62,4 +63,5 @@ val run :
     after every rewriting pass, checks the invariants of every built
     SLP graph, and records a whole-pipeline verdict in
     [result.validation]; [tolerance] is the validator's relative float
-    tolerance (default 1e-6). *)
+    tolerance (default 1e-6).  [on_graph] observes every SLP graph the
+    vectorizer builds, as {!Vectorize.run}'s hook does. *)

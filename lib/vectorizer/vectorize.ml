@@ -14,7 +14,7 @@ type tree_report = {
   seed : string; (* printable description of the seed group *)
   cost : Cost.breakdown;
   vectorized : bool;
-  graph_dump : string; (* human-readable node listing *)
+  graph_dump : string Lazy.t; (* human-readable node listing, rendered when read *)
 }
 
 type report = {
@@ -106,8 +106,19 @@ let try_seed ~reorder (config : Config.t) (stats : Stats.t) trees func block
         let h, m = Lookahead.cache_stats g.Graph.lookahead_cache in
         stats.Stats.lookahead_hits <- stats.Stats.lookahead_hits + h - h0;
         stats.Stats.lookahead_misses <- stats.Stats.lookahead_misses + m - m0;
+        (* The dump prints node kinds, scalar names and child ids,
+           which nothing changes once the graph is built (codegen
+           names only the instructions it creates), so it can wait
+           until it is read.  The seed line prints the stores'
+           operands, which later trees rewrite, so it is taken now. *)
+        let nodes = Graph.nodes g in
         trees :=
-          { seed = describe_seed seed; cost; vectorized; graph_dump = Fmt.str "%a" Graph.pp g }
+          {
+            seed = describe_seed seed;
+            cost;
+            vectorized;
+            graph_dump = lazy (Fmt.str "%a" Graph.pp_nodes nodes);
+          }
           :: !trees;
         vectorized
   end

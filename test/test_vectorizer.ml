@@ -537,6 +537,60 @@ let test_fingerprint_excludes_speed_knobs () =
   Alcotest.(check bool) "modes do" false
     (String.equal (fp Config.snslp) (fp Config.vanilla))
 
+(* Graph dumps are rendered when read, after every later tree and pass
+   has run; they must equal the text the graph printed when it was
+   built.  Greedy runs report every graph they build, in order; a
+   global run reports the graphs of its winning plan, one contiguous
+   stretch of everything it built. *)
+let test_graph_dumps_on_demand () =
+  let module T = Snslp_costmodel.Target in
+  let avx512_revec =
+    {
+      Config.snslp with
+      Config.target = T.avx512;
+      model = Snslp_costmodel.Model.for_target T.avx512;
+      revec = true;
+    }
+  in
+  let rec is_prefix xs ys =
+    match (xs, ys) with
+    | [], _ -> true
+    | x :: xs', y :: ys' -> String.equal x y && is_prefix xs' ys'
+    | _ :: _, [] -> false
+  in
+  let rec is_stretch xs ys =
+    is_prefix xs ys || match ys with [] -> false | _ :: ys' -> is_stretch xs ys'
+  in
+  let trees = ref 0 in
+  List.iter
+    (fun (mode, config, exact) ->
+      List.iter
+        (fun (k : Snslp_kernels.Registry.t) ->
+          let built = ref [] in
+          let result =
+            Pipeline.run ~setting:(Some config)
+              ~on_graph:(fun g -> built := Fmt.str "%a" Graph.pp g :: !built)
+              (compile k.Snslp_kernels.Registry.source)
+          in
+          let built = List.rev !built in
+          let read =
+            match result.Pipeline.vect_report with
+            | Some rep -> List.map (fun t -> Lazy.force t.Vectorize.graph_dump) rep.Vectorize.trees
+            | None -> []
+          in
+          trees := !trees + List.length read;
+          let ok = if exact then read = built else is_stretch read built in
+          if not ok then
+            Alcotest.failf "%s under %s: a graph dump changed between build and read"
+              k.Snslp_kernels.Registry.name mode)
+        Snslp_kernels.Registry.all)
+    [
+      ("sn-slp", Config.snslp, true);
+      ("sn-slp+global", { Config.snslp with Config.packing = global_packing }, false);
+      ("sn-slp@avx512+revec", avx512_revec, true);
+    ];
+  check "graphs were dumped" true (!trees > 0)
+
 let suite =
   [
     ( "seeds",
@@ -580,6 +634,7 @@ let suite =
         Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
         Alcotest.test_case "rejected graphs stay scalar" `Quick
           test_rejected_graph_keeps_scalar_code;
+        Alcotest.test_case "graph dumps on demand" `Quick test_graph_dumps_on_demand;
       ] );
     ( "memoize",
       [
