@@ -11,15 +11,26 @@ include struct
     | Arg a -> a.arg_ty
     | Instr i -> i.ty
 
-  (* Identity: instructions compare by their unique id, constants and
-     undefs structurally, arguments by position and name. *)
+  (* Value identity within one function, the rule every value-keyed
+     table follows (CSE, the SLP graph memo, revec's pair memo):
+     instructions by id, arguments by position, undefs by type,
+     constants by type and bits — so 0.0 and -0.0 never merge. *)
   let equal a b =
     match (a, b) with
     | Instr a, Instr b -> a.iid = b.iid
     | Const a, Const b -> Ty.equal a.ty b.ty && Lit.equal a.lit b.lit
     | Undef a, Undef b -> Ty.equal a b
-    | Arg a, Arg b -> a.arg_pos = b.arg_pos && String.equal a.arg_name b.arg_name
+    | Arg a, Arg b -> a.arg_pos = b.arg_pos
     | (Instr _ | Const _ | Undef _ | Arg _), _ -> false
+
+  (* Equal values hash alike: an instruction by its id, an argument
+     by its position (a negative int, apart from every id), and a
+     constant or undef structurally — the polymorphic hash folds -0.0
+     into 0.0 and every NaN into one, which only coarsens it. *)
+  let hash = function
+    | Instr i -> Hashtbl.hash i.iid
+    | Arg a -> Hashtbl.hash (-1 - a.arg_pos)
+    | (Const _ | Undef _) as v -> Hashtbl.hash v
 
   let is_instr = function Instr _ -> true | Const _ | Undef _ | Arg _ -> false
   let is_const = function Const _ -> true | Instr _ | Undef _ | Arg _ -> false
@@ -42,9 +53,8 @@ include struct
     | Const { lit = Lit.Int i; _ } -> Some (Int64.to_int i)
     | Const _ | Undef _ | Arg _ | Instr _ -> None
 
-  (* A compact identity key: two values with the same key are [equal]
-     (within one function — instructions are keyed by id).  Used as a
-     hashtable key by graph building and look-ahead memoization. *)
+  (* [equal]'s rule as text, for tables keyed by strings (the lint's
+     available expressions); NaN constants all print alike. *)
   let key = function
     | Instr i -> Printf.sprintf "i%d" i.iid
     | Const { ty; lit } -> Printf.sprintf "c%s:%s" (Ty.to_string ty) (Lit.to_string lit)

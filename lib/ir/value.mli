@@ -6,8 +6,13 @@ type t = Defs.value
 val ty : t -> Ty.t
 
 val equal : t -> t -> bool
-(** Instructions compare by id, constants and undefs structurally,
-    arguments by position and name. *)
+(** Value identity within one function: instructions by id, arguments
+    by position, undefs by type, constants by type and bits (so [0.0]
+    and [-0.0] differ).  The one rule every value-keyed table
+    follows. *)
+
+val hash : t -> int
+(** A hash consistent with {!equal}, for [Hashtbl.Make]. *)
 
 val is_instr : t -> bool
 val is_const : t -> bool
@@ -28,8 +33,9 @@ val as_const_int : t -> int option
 (** The value of an integer constant, if that is what [t] is. *)
 
 val key : t -> string
-(** A compact identity key: two values have the same key iff they are
-    {!equal} (within one function).  Suitable as a hashtable key. *)
+(** {!equal}'s rule as text, for string-keyed tables: within one
+    function, two values have the same key iff they are equal (NaN
+    constants aside, which all print alike). *)
 
 val name : t -> string
 (** Printable name: ["%3"], ["%A"], ["42"], ["0.5"], ["undef"].

@@ -124,6 +124,58 @@ kernel f(double a[], double b[], long i) {
        (Snslp_kernels.Workload.run_interp wl f)
        (Snslp_kernels.Workload.run_interp wl out))
 
+let count_fmuls f =
+  Func.fold_instrs
+    (fun n j -> if Instr.binop_kind j = Some Defs.Mul && Ty.is_float j.Defs.ty then n + 1 else n)
+    0 f
+
+(* Constants are told apart by their bits: [x * 0.0] and [x * -0.0]
+   differ in the sign of a zero result. *)
+let test_cse_signed_zeros () =
+  let f =
+    Ir_parser.parse
+      {|func @f(f64* %a, f64* %b, i64 %i) {
+entry:
+  %p = gep f64* %a, %i
+  %x = load f64 %p
+  %m = fmul f64 %x, 0
+  %n = fmul f64 %x, -0
+  %q = gep f64* %b, %i
+  store %m, %q
+  store %n, %q
+  ret
+}
+|}
+  in
+  ignore (Cse.run f);
+  check_int "a[i]*0.0 and a[i]*-0.0 stay two fmuls" 2 (count_fmuls f);
+  Verifier.verify_exn f
+
+(* Operands are told apart by identity, not by their printed names:
+   two loads that share a name still feed two products. *)
+let test_cse_ignores_names () =
+  let f =
+    Ir_parser.parse
+      {|func @f(f64* %a, f64* %b, i64 %i) {
+entry:
+  %p = gep f64* %a, %i
+  %x = load f64 %p
+  %j = add i64 %i, 1
+  %r = gep f64* %a, %j
+  %y = load f64 %r
+  %m = fmul f64 %x, 2
+  %n = fmul f64 %y, 2
+  %q = gep f64* %b, %i
+  store %m, %q
+  store %n, %q
+  ret
+}
+|}
+  in
+  Func.iter_instrs (fun i -> if Instr.is_load i then Instr.set_name i "x") f;
+  ignore (Cse.run f);
+  check_int "both products survive" 2 (count_fmuls f)
+
 let test_cse_store_kills_load () =
   let f =
     compile
@@ -215,6 +267,8 @@ let suite =
         Alcotest.test_case "cse commutative" `Quick test_cse_commutative_normalisation;
         Alcotest.test_case "cse distinct float constants" `Quick
           test_cse_distinct_float_constants;
+        Alcotest.test_case "cse signed zeros" `Quick test_cse_signed_zeros;
+        Alcotest.test_case "cse ignores names" `Quick test_cse_ignores_names;
         Alcotest.test_case "cse store kills load" `Quick test_cse_store_kills_load;
         Alcotest.test_case "dce removes dead code" `Quick test_dce_removes_dead_code;
         Alcotest.test_case "dce keeps branch condition" `Quick
