@@ -60,11 +60,19 @@ type shape =
 
 and node = { nid : int; lanes : int; (* result (wide) lanes *) elem : Ty.scalar; shape : shape }
 
+(* Value pairs under {!Value.equal}. *)
+module Pairs = Hashtbl.Make (struct
+  type t = Defs.value * Defs.value
+
+  let equal (a0, a1) (b0, b1) = Value.equal a0 b0 && Value.equal a1 b1
+  let hash (v0, v1) = (31 * Value.hash v0) + Value.hash v1
+end)
+
 type ctx = {
   block : Defs.block;
   deps : Deps.t;
   mutable next_nid : int;
-  memo : (string, node) Hashtbl.t; (* (key v0, key v1) -> plan node *)
+  memo : node Pairs.t; (* (v0, v1) -> plan node *)
   mutable created : node list; (* reverse creation order *)
   claimed : (int, Defs.instr) Hashtbl.t;
 }
@@ -95,12 +103,11 @@ let kinds_of (i : Defs.instr) lanes =
    high lanes [v1].  Memoized on the value pair so shared narrow
    subtrees plan (and later emit) one wide node. *)
 let rec pair ctx (v0 : Defs.value) (v1 : Defs.value) : node =
-  let key = Value.key v0 ^ "|" ^ Value.key v1 in
-  match Hashtbl.find_opt ctx.memo key with
+  match Pairs.find_opt ctx.memo (v0, v1) with
   | Some n -> n
   | None ->
       let n = pair_fresh ctx v0 v1 in
-      Hashtbl.add ctx.memo key n;
+      Pairs.add ctx.memo (v0, v1) n;
       n
 
 and pair_fresh ctx v0 v1 =
@@ -347,7 +354,7 @@ let try_pair func block deps model target (s_left, s_right, _lanes) =
           block;
           deps;
           next_nid = 0;
-          memo = Hashtbl.create 32;
+          memo = Pairs.create 32;
           created = [];
           claimed = Hashtbl.create 32;
         }
