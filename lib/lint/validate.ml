@@ -79,7 +79,7 @@ type entry = {
 }
 
 type state = {
-  env : (int, nv) Hashtbl.t; (* iid -> symbolic value *)
+  env : nv option array; (* iid -> symbolic value; [next_iid] slots *)
   mutable mem : (string, entry) Hashtbl.t;
   mutable cells : (string, Normal.t) Hashtbl.t;
       (* initial-content atoms already materialised, by location key:
@@ -135,7 +135,7 @@ let nv_of (st : state) (v : Defs.value) : nv =
           st.args.(a.Defs.arg_pos) <- Some v;
           v)
   | Defs.Instr i -> (
-      match Hashtbl.find_opt st.env i.Defs.iid with
+      match if i.Defs.iid < Array.length st.env then st.env.(i.Defs.iid) else None with
       | Some v -> v
       | None -> give_up "use of %%%s before its definition" i.Defs.iname)
 
@@ -190,7 +190,7 @@ let write (st : state) (i : Defs.instr) base index value =
 (* --- Instructions --------------------------------------------------------- *)
 
 let exec_instr (st : state) (i : Defs.instr) : unit =
-  let set v = Hashtbl.replace st.env i.Defs.iid v in
+  let set v = st.env.(i.Defs.iid) <- Some v in
   let knd = Ty.elem i.Defs.ty in
   let lanes = Ty.lanes i.Defs.ty in
   match i.Defs.op with
@@ -407,7 +407,7 @@ and exec_loop (st : state) (c : Loops.counted) ~(strict : bool)
   let knd = Ty.elem c.Loops.iv.Defs.ty in
   let init_n = scalar_of st c.Loops.init in
   let bound_n = scalar_of st c.Loops.bound in
-  let set_iv n = Hashtbl.replace st.env c.Loops.iv.Defs.iid (Scalar n) in
+  let set_iv n = st.env.(c.Loops.iv.Defs.iid) <- Some (Scalar n) in
   (match (Normal.as_const init_n, Normal.as_const bound_n) with
   | Some (Normal.C_int i0), Some (Normal.C_int bnd) ->
       let rec trips iv n =
@@ -500,8 +500,7 @@ and summarize (st : state) (c : Loops.counted) ~knd ~init_n ~bound_n : unit =
   st.summaries <- summary :: st.summaries
 
 and set_iv_atom st (c : Loops.counted) knd =
-  Hashtbl.replace st.env c.Loops.iv.Defs.iid
-    (Scalar (Normal.opaque knd "$iv" []))
+  st.env.(c.Loops.iv.Defs.iid) <- Some (Scalar (Normal.opaque knd "$iv" []))
 
 type effects = {
   emem : (string, entry) Hashtbl.t;
@@ -512,7 +511,7 @@ type effects = {
 let exec (f : Defs.func) : effects =
   let st =
     {
-      env = Hashtbl.create (Func.num_instrs f);
+      env = Array.make f.Defs.next_iid None;
       mem = Hashtbl.create 32;
       cells = Hashtbl.create 32;
       budget = max_blocks;
