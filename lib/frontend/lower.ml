@@ -28,7 +28,23 @@ type env = {
   values : (string, Defs.value) Hashtbl.t; (* scalars and locals *)
   kinds : (string, Typecheck.ty) Hashtbl.t; (* their KernelC types *)
   arrays : (string, Defs.value * Ty.scalar) Hashtbl.t; (* base pointer, elem *)
+  names : (string, unit) Hashtbl.t;
+      (* argument and phi names the function uses, shared by every
+         scope; every other instruction is named by its numeric id,
+         which no identifier equals *)
 }
+
+(* The name of a loop's phi: the loop variable, unless an argument or
+   an earlier phi has it (sequential loops may reuse a variable); then
+   the variable with the first free suffix [_1], [_2], ... *)
+let phi_name (env : env) x =
+  let rec free k =
+    let n = if k = 0 then x else Printf.sprintf "%s_%d" x k in
+    if Hashtbl.mem env.names n then free (k + 1) else n
+  in
+  let n = free 0 in
+  Hashtbl.replace env.names n ();
+  n
 
 let ir_cmp = function
   | A.Ceq -> Defs.Eq
@@ -166,7 +182,7 @@ and lower_stmt (env : env) (b : Builder.t) ~fresh_block (s : A.stmt) =
       Builder.br b header;
       Builder.position b header;
       let iv =
-        Builder.phi b ~name:fl.A.fvar ~preds:[| preheader; latch |]
+        Builder.phi b ~name:(phi_name env fl.A.fvar) ~preds:[| preheader; latch |]
           [| init_v; Defs.Undef (Ty.Scalar Ty.I64) |]
       in
       let cond = Builder.icmp b (ir_cmp fl.A.fcmp) (Instr.value iv) bound_v in
@@ -201,8 +217,14 @@ let lower_kernel (k : A.kernel) : Defs.func =
      builder fills each in O(1) per instruction. *)
   let b = Builder.create_filling f ~at:entry in
   let env =
-    { values = Hashtbl.create 16; kinds = Hashtbl.create 16; arrays = Hashtbl.create 16 }
+    {
+      values = Hashtbl.create 16;
+      kinds = Hashtbl.create 16;
+      arrays = Hashtbl.create 16;
+      names = Hashtbl.create 16;
+    }
   in
+  List.iter (fun (name, _) -> Hashtbl.replace env.names name ()) args;
   List.iter
     (fun (p : A.param) ->
       let arg =

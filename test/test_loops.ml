@@ -141,6 +141,34 @@ let test_for_lowering_shape () =
   check "step 1" true (Int64.equal c.Loops.step 1L);
   check "monotone" true (Loops.monotone c)
 
+(* Sequential loops may reuse a loop variable; each later phi takes
+   a fresh name, so the printed IR defines every name once and parses
+   back, also with the loops kept (o3). *)
+let test_reused_loop_variable () =
+  let f =
+    compile
+      {|
+kernel twice(double a[], double k_1[], long i) {
+  for (long k = 0; k < 4; k = k + 1) { a[i + k] = a[i + k] * 2.0; }
+  for (long k = 0; k < 4; k = k + 1) { a[i + k] = a[i + k] + 1.0; }
+  for (long k = 0; k < 4; k = k + 1) { k_1[i + k] = a[i + k]; }
+}
+|}
+  in
+  let phis =
+    Func.fold_instrs
+      (fun acc i -> match i.Defs.op with Defs.Phi _ -> i.Defs.iname :: acc | _ -> acc)
+      [] f
+  in
+  Alcotest.(check (list string)) "phi names" [ "k"; "k_2"; "k_3" ] (List.rev phis);
+  let out = (Pipeline.run ~setting:None f).Pipeline.func in
+  check_int "loops kept" 3 (count_phis out);
+  let text = Printer.func_to_string out in
+  match Ir_parser.parse text with
+  | g -> Alcotest.(check string) "print/parse/print" text (Printer.func_to_string g)
+  | exception Ir_parser.Parse_error { line; message } ->
+      Alcotest.failf "IR parse error at line %d: %s" line message
+
 let test_negative_step () =
   let f = compile down_src in
   let c = the_counted f in
@@ -655,6 +683,7 @@ let suite =
     ( "loops",
       [
         Alcotest.test_case "for lowering shape" `Quick test_for_lowering_shape;
+        Alcotest.test_case "reused loop variable" `Quick test_reused_loop_variable;
         Alcotest.test_case "negative step" `Quick test_negative_step;
         Alcotest.test_case "zero trip count" `Quick test_zero_trip_count;
         Alcotest.test_case "symbolic bound" `Quick test_symbolic_bound;
