@@ -694,6 +694,38 @@ let with_daemon args ~stdin ~stdout f =
       end)
     (fun () -> f (fun () -> wait_exit (Unix.gettimeofday () +. 5.0)))
 
+(* snslpc is driven as a built executable too: a KernelC error is the
+   user's, reported with its position and exit status 1, as a bad .ir
+   input is, not as an internal error. *)
+let snslpc = Filename.concat (Filename.dirname Sys.executable_name) "../bin/snslpc.exe"
+
+(* Exit status and stderr of snslpc on a file holding [source]. *)
+let run_snslpc ~ext source =
+  let file = Filename.temp_file "snslpc" ext and err_file = Filename.temp_file "snslpc" ".err" in
+  Out_channel.with_open_text file (fun oc -> output_string oc source);
+  let null_in = Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+  let null_out = Unix.openfile "/dev/null" [ Unix.O_WRONLY; Unix.O_CLOEXEC ] 0 in
+  let err = Unix.openfile err_file [ Unix.O_WRONLY; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0o600 in
+  let pid = Unix.create_process snslpc [| snslpc; file |] null_in null_out err in
+  List.iter Unix.close [ null_in; null_out; err ];
+  let _, status = Unix.waitpid [] pid in
+  let message = In_channel.with_open_text err_file In_channel.input_all in
+  Sys.remove file;
+  Sys.remove err_file;
+  (status, message)
+
+let test_snslpc_user_errors () =
+  let expect what ~ext source ~prefix =
+    match run_snslpc ~ext source with
+    | Unix.WEXITED 1, message when String.starts_with ~prefix message -> ()
+    | Unix.WEXITED n, message -> Alcotest.failf "%s: exit %d, stderr %S" what n message
+    | (Unix.WSIGNALED _ | Unix.WSTOPPED _), _ -> Alcotest.failf "%s: snslpc was killed" what
+  in
+  expect "KernelC type error" ~ext:".kc" ~prefix:"type error at"
+    "kernel f(double a[], long i) {\n  long k = i;\n  long k = i;\n  a[k] = 1.0;\n}\n";
+  expect "KernelC parse error" ~ext:".kc" ~prefix:"parse error at" "kernel f(\n";
+  expect "IR parse error" ~ext:".ir" ~prefix:"IR parse error at line" "func @f() {\nentry:\n  %0 = bogus\n}\n"
+
 let test_daemon_stdio () =
   let in_r, in_w = Unix.pipe ~cloexec:true () in
   let out_r, out_w = Unix.pipe ~cloexec:true () in
@@ -839,6 +871,7 @@ let suite =
         Alcotest.test_case "server eviction end to end" `Quick test_server_eviction_end_to_end;
         Alcotest.test_case "server latency window" `Quick test_server_latency_window;
         Alcotest.test_case "daemon over pipes" `Quick test_daemon_stdio;
+        Alcotest.test_case "snslpc reports user errors" `Quick test_snslpc_user_errors;
         Alcotest.test_case "daemon over a socket" `Quick test_daemon_socket;
         Alcotest.test_case "golden IR bytes" `Quick test_golden_ir_bytes;
       ] );
