@@ -334,36 +334,42 @@ let fold_agrees_with_interp =
 
 (* --- Windowed dependence analysis matches brute force ----------------------- *)
 
+(* A random straight-line program over two arrays with mixed loads
+   and stores.  Each statement lowers to 7 instructions; one case in
+   four has 10–39 statements, so dependence rows span one to five
+   62-bit words. *)
+let deps_program seed =
+  let rand = Random.State.make [| seed |] in
+  let count =
+    if Random.State.int rand 4 = 0 then 10 + Random.State.int rand 30
+    else 3 + Random.State.int rand 5
+  in
+  let stmts =
+    List.init count (fun _ ->
+        let dst = [| "A"; "B" |].(Random.State.int rand 2) in
+        let src1 = [| "A"; "B" |].(Random.State.int rand 2) in
+        Printf.sprintf "  %s[i+%d] = %s[i+%d] + 1.0;" dst (Random.State.int rand 3) src1
+          (Random.State.int rand 3))
+  in
+  Snslp_frontend.Frontend.compile_one
+    (Printf.sprintf "kernel d(double A[], double B[], long i) {\n%s\n}"
+       (String.concat "\n" stmts))
+
 let deps_match_brute_force =
   QCheck.Test.make ~count:200 ~name:"windowed deps match brute-force closure"
     QCheck.(make Gen.(int_range 1 100_000))
     (fun seed ->
-      let rand = Random.State.make [| seed |] in
-      (* Random straight-line program over two arrays with mixed loads
-         and stores, then compare Deps.depends for all pairs against a
-         naive fixpoint closure. *)
-      let stmts =
-        List.init
-          (3 + Random.State.int rand 5)
-          (fun _ ->
-            let dst = [| "A"; "B" |].(Random.State.int rand 2) in
-            let src1 = [| "A"; "B" |].(Random.State.int rand 2) in
-            Printf.sprintf "  %s[i+%d] = %s[i+%d] + 1.0;" dst (Random.State.int rand 3)
-              src1 (Random.State.int rand 3))
-      in
-      let src =
-        Printf.sprintf "kernel d(double A[], double B[], long i) {\n%s\n}"
-          (String.concat "\n" stmts)
-      in
-      let f = Snslp_frontend.Frontend.compile_one src in
-      let blk = Func.entry f in
+      (* Compare Deps.depends for all pairs against the closure of the
+         direct edges, one depth-first search per source. *)
+      let blk = Func.entry (deps_program seed) in
       let deps = Snslp_analysis.Deps.of_block blk in
       let instrs = Array.of_list (Block.instrs blk) in
       let n = Array.length instrs in
-      (* Brute force: direct edges then Floyd-Warshall-ish closure. *)
-      let direct = Array.make_matrix n n false in
       let index = Hashtbl.create 32 in
       Array.iteri (fun k i -> Hashtbl.replace index i.Defs.iid k) instrs;
+      let memlocs = Array.map Snslp_analysis.Deps.memloc_of_instr instrs in
+      (* users.(j): the positions that depend directly on position j. *)
+      let users = Array.make n [] in
       Array.iteri
         (fun k i ->
           Array.iter
@@ -371,38 +377,50 @@ let deps_match_brute_force =
               match o with
               | Defs.Instr d -> (
                   match Hashtbl.find_opt index d.Defs.iid with
-                  | Some dk when dk < k -> direct.(dk).(k) <- true
+                  | Some dk when dk < k -> users.(dk) <- k :: users.(dk)
                   | _ -> ())
               | _ -> ())
             i.Defs.ops;
-          match Snslp_analysis.Deps.memloc_of_instr i with
+          match memlocs.(k) with
           | None -> ()
           | Some li ->
               for j = 0 to k - 1 do
-                match Snslp_analysis.Deps.memloc_of_instr instrs.(j) with
+                match memlocs.(j) with
                 | Some lj
                   when (Instr.writes_memory i || Instr.writes_memory instrs.(j))
                        && Snslp_analysis.Deps.may_overlap li lj ->
-                    direct.(j).(k) <- true
+                    users.(j) <- k :: users.(j)
                 | _ -> ()
               done)
         instrs;
-      let closure = Array.map Array.copy direct in
-      for m = 0 to n - 1 do
-        for a = 0 to n - 1 do
-          for b = 0 to n - 1 do
-            if closure.(a).(m) && closure.(m).(b) then closure.(a).(b) <- true
-          done
-        done
-      done;
       let ok = ref true in
       for a = 0 to n - 1 do
+        let reached = Array.make n false in
+        let rec visit j =
+          List.iter
+            (fun k ->
+              if not reached.(k) then begin
+                reached.(k) <- true;
+                visit k
+              end)
+            users.(j)
+        in
+        visit a;
         for b = 0 to n - 1 do
           let got = Snslp_analysis.Deps.depends deps ~on:instrs.(a) instrs.(b) in
-          if got <> closure.(a).(b) then ok := false
+          if got <> reached.(b) then ok := false
         done
       done;
       !ok)
+
+(* The generator reaches rows of two and of three or more words. *)
+let deps_programs_span_words () =
+  let lengths =
+    List.init 40 (fun seed -> Func.num_instrs (deps_program (seed + 1)))
+  in
+  Alcotest.(check bool) "a block of 63–124 positions" true
+    (List.exists (fun n -> n > 62 && n <= 124) lengths);
+  Alcotest.(check bool) "a block over 124 positions" true (List.exists (fun n -> n > 124) lengths)
 
 (* --- Seed chunking invariants ---------------------------------------------- *)
 
@@ -699,5 +717,6 @@ let suite =
           cost_breakdown_sums;
           use_lists_stay_consistent;
           fingerprint_keys_output;
-        ] );
+        ]
+      @ [ Alcotest.test_case "deps programs span words" `Quick deps_programs_span_words ] );
   ]
