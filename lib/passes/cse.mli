@@ -1,5 +1,6 @@
 (** Block-local common subexpression elimination: pure instructions
-    with canonicalised operands (commutative operands sorted), plus
-    load unification across non-aliasing stores. *)
+    with the same opcode, type and operands (by {!Snslp_ir.Value.equal};
+    a commutative binop's operands in either order), plus load
+    unification across non-aliasing stores. *)
 
 val run : Snslp_ir.Defs.func -> int
