@@ -330,16 +330,16 @@ let shared_state_counts (s : Stats.t) =
 
 (* The counts the largest registry kernel records at the headline
    depth with the memo tables, reachability windows and the one
-   dependence analysis per block all engaged (this harness lends no
-   scratch memo, so every graph build allocates its own look-ahead
-   memo).  A driver that stops sharing per-block state, or a cache
-   that stops serving, moves them. *)
+   dependence analysis per block all engaged (one look-ahead memo per
+   vectorizer run, as on every other compile path).  A driver that
+   stops sharing per-block or per-run state, or a cache that stops
+   serving, moves them. *)
 let expected_shared_state =
   [
     ( "milc_mat_vec",
       [
-        ("lookahead_hits", 1536);
-        ("lookahead_misses", 7488);
+        ("lookahead_hits", 1664);
+        ("lookahead_misses", 7360);
         ("reach_hits", 56);
         ("reach_misses", 352);
         ("deps_builds", 2);
@@ -663,17 +663,20 @@ let packing () =
 let wall_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 (* One sweep data point: compile [rounds] copies of every kernel
-   through the SN-SLP pipeline with [jobs] worker domains, returning
-   elapsed seconds and the run's outputs for the determinism
+   through the SN-SLP pipeline with [jobs] requested worker domains,
+   returning elapsed seconds and the run's outputs for the determinism
    cross-check.  Inputs are compiled to IR up front so the
    sweep times exactly the optimization pipeline, not the frontend. *)
 let parallel_run ~jobs (funcs : Snslp_ir.Defs.func list) =
-  let setting = Some { Config.snslp with Config.jobs = jobs } in
+  let module Driver = Snslp_driver.Driver in
   let t0 = wall_s () in
-  (* The adaptive driver clamps [jobs] to the cores and the work on
+  (* The adaptive clamp sizes the fan-out to the cores and the work on
      the table — on a 1-core container every point runs inline, which
      is exactly the regression fix the sweep guards. *)
-  let results = Snslp_driver.Driver.run_all_adaptive ~setting funcs in
+  let results =
+    Driver.run_all ~jobs:(Driver.adaptive_jobs ~requested:jobs funcs)
+      ~setting:(Some Config.snslp) funcs
+  in
   let dt = wall_s () -. t0 in
   (dt, results)
 
@@ -687,10 +690,14 @@ let parallel_fingerprint (results : Pipeline.result list) =
   (ir, Snslp_driver.Driver.merged_stats results)
 
 (* The jobs sweep.  Every [jobs] value must produce bit-identical IR
-   and merged counters — the protocol checks that first, then reports
-   speedup over [jobs = 1].  [samples] timed runs per point after one
-   warm-up; the minimum is the headline (least-noise) estimate. *)
-let parallel_report ~samples ~rounds ~jobs_list ~(kernels : Registry.t list) () =
+   and merged counters — the protocol checks that first (the check run
+   doubles as each point's warm-up), then reports speedup over
+   [jobs = 1].  Five timed runs per point interleave across the jobs
+   values, so drift on a shared machine lands on every point alike;
+   each point's minimum is the headline (least-noise) estimate.
+   Exits 1 whenever a printed verdict is FAIL. *)
+let parallel_report ~rounds ~jobs_list ~(kernels : Registry.t list) () =
+  let samples = 5 in
   let cores = Snslp_parallel.Pool.recommended_jobs () in
   pr "%s"
     (Table.section
@@ -707,32 +714,32 @@ let parallel_report ~samples ~rounds ~jobs_list ~(kernels : Registry.t list) () 
   let n_items = List.length funcs in
   let reference = ref None in
   let determinism_ok = ref true in
+  List.iter
+    (fun jobs ->
+      let fp_ir, fp_stats = parallel_fingerprint (snd (parallel_run ~jobs funcs)) in
+      match !reference with
+      | None -> reference := Some (fp_ir, fp_stats)
+      | Some (ir1, stats1) ->
+          if not (String.equal ir1 fp_ir) then begin
+            determinism_ok := false;
+            pr "  !! jobs=%d produced different IR than jobs=1@." jobs
+          end;
+          if not (Stats.equal_counters stats1 fp_stats) then begin
+            determinism_ok := false;
+            pr "  !! jobs=%d produced different merged counters than jobs=1@." jobs
+          end)
+    jobs_list;
+  let times = Hashtbl.create 8 in
+  for _ = 1 to samples do
+    List.iter (fun jobs -> Hashtbl.add times jobs (fst (parallel_run ~jobs funcs))) jobs_list
+  done;
   let measured =
     List.map
       (fun jobs ->
-        let fp_ir, fp_stats = parallel_fingerprint (snd (parallel_run ~jobs funcs)) in
-        (match !reference with
-        | None -> reference := Some (fp_ir, fp_stats)
-        | Some (ir1, stats1) ->
-            if not (String.equal ir1 fp_ir) then begin
-              determinism_ok := false;
-              pr "  !! jobs=%d produced different IR than jobs=1@." jobs
-            end;
-            if not (Stats.equal_counters stats1 fp_stats) then begin
-              determinism_ok := false;
-              pr "  !! jobs=%d produced different merged counters than jobs=1@." jobs
-            end);
-        let times =
-          List.init samples (fun _ -> fst (parallel_run ~jobs funcs))
-        in
-        let mean = Stat.mean times in
+        let times = Hashtbl.find_all times jobs in
         let best = List.fold_left min (List.hd times) times in
-        let eff =
-          Snslp_driver.Driver.adaptive_jobs
-            (Some { Config.snslp with Config.jobs = jobs })
-            funcs
-        in
-        (jobs, eff, mean, best))
+        let eff = Snslp_driver.Driver.adaptive_jobs ~requested:jobs funcs in
+        (jobs, eff, Stat.mean times, best))
       jobs_list
   in
   let _, _, _, base_best = List.hd measured in
@@ -758,8 +765,10 @@ let parallel_report ~samples ~rounds ~jobs_list ~(kernels : Registry.t list) () 
       (fun acc (jobs, _, _, best) -> if jobs = j then Some (base_best /. best) else acc)
       None measured
   in
-  let j4 = match speedup_at 4 with Some s -> s | None -> 1.0 in
-  let applicable = cores >= 4 in
+  let j4 = Option.value (speedup_at 4) ~default:1.0 in
+  (* The speedup criterion needs the cores and a jobs=4 point; a
+     sweep without one (the smoke) is judged by the low-core guard. *)
+  let applicable = cores >= 4 && speedup_at 4 <> None in
   (* The low-core guard: with the adaptive clamp, oversubscribed jobs
      values run inline, so every sweep point must stay within noise of
      jobs=1 when the machine cannot scale. *)
@@ -768,15 +777,17 @@ let parallel_report ~samples ~rounds ~jobs_list ~(kernels : Registry.t list) () 
       measured
   in
   let low_core_ok = worst >= 0.8 in
+  let pass = !determinism_ok && if applicable then j4 >= 1.8 else low_core_ok in
   pr "  determinism across jobs values: %s@."
     (if !determinism_ok then "identical IR and counters (PASS)" else "MISMATCH (FAIL)");
   if applicable then
     pr "  speedup at jobs=4: %.2fx %s@." j4
       (if j4 >= 1.8 then "(criterion >= 1.8x: PASS)" else "(criterion >= 1.8x: FAIL)")
   else begin
-    pr "  speedup at jobs=4: %.2fx — criterion >= 1.8x needs >= 4 cores, this machine \
-        has %d; recorded, not judged@."
-      j4 cores;
+    if speedup_at 4 <> None then
+      pr "  speedup at jobs=4: %.2fx — criterion >= 1.8x needs >= 4 cores, this machine \
+          has %d; recorded, not judged@."
+        j4 cores;
     pr "  worst sweep point %.2fx of jobs=1 %s@." worst
       (if low_core_ok then "(low-core criterion >= 0.8x: PASS)"
        else "(low-core criterion >= 0.8x: FAIL)")
@@ -822,16 +833,14 @@ let parallel_report ~samples ~rounds ~jobs_list ~(kernels : Registry.t list) () 
                     the adaptive clamp must keep every jobs value within noise \
                     (>= 0.8x) of jobs=1" );
                ("criterion_applicable", Json.Bool applicable);
-               ( "pass",
-                 Json.Bool
-                   (if applicable then j4 >= 1.8 else !determinism_ok && low_core_ok) );
+               ("pass", Json.Bool pass);
              ] );
        ]);
   pr "  wrote BENCH_parallel.json@.";
-  if not !determinism_ok then exit 1
+  if not pass then exit 1
 
 let parallel () =
-  parallel_report ~samples:3 ~rounds:6 ~jobs_list:[ 1; 2; 4; 8 ] ~kernels:Registry.all ()
+  parallel_report ~rounds:6 ~jobs_list:[ 1; 2; 4; 8 ] ~kernels:Registry.all ()
 
 (* --- Fuzzing: differential campaign throughput and cleanliness --------------- *)
 
@@ -2100,9 +2109,11 @@ let smoke () =
     List.filter_map Registry.find [ "milc_su3"; "sphinx_gau_f32"; "milc_mat_vec" ]
   in
   compile_time_report ~rounds:2 ~kernels ();
-  (* Tiny jobs=2 sweep: exercises the pool's spawn/join/steal path and
-     the cross-jobs determinism guard on every test run. *)
-  parallel_report ~samples:1 ~rounds:2 ~jobs_list:[ 1; 2 ]
+  (* Tiny jobs=2 sweep: too little work to amortise a domain, so the
+     adaptive clamp runs it inline; it keeps the cross-jobs
+     determinism guard and the low-core verdict exercised on every
+     test run (test_parallel.ml drives the pool itself). *)
+  parallel_report ~rounds:2 ~jobs_list:[ 1; 2 ]
     ~kernels:(List.filter_map Registry.find [ "motiv_leaf"; "milc_su3" ])
     ();
   (* Packing smoke: a three-kernel sweep (one engineered strict win

@@ -97,8 +97,6 @@ let run verbose file kernel mode model target revec packing unroll dump_before
                 packing;
                 unroll;
                 lookahead_depth = lookahead;
-                jobs;
-                verify_each;
               }
         | None ->
             Fmt.epr "unknown mode %S (o3, slp, lslp, sn-slp)@." mode;
@@ -116,11 +114,6 @@ let run verbose file kernel mode model target revec packing unroll dump_before
         Fmt.epr "%s@." message;
         exit 1
   in
-  (* Functions fan out across [jobs] worker domains; results come
-     back in input order, so the printed output is independent of the
-     schedule (and bit-identical to -j 1). *)
-  (* [verify_each] is also passed explicitly so it covers --mode o3
-     (whose setting carries no config record). *)
   let failed = ref false in
   (* --lint analyses the *input* IR: findings there are the
      programmer's (or frontend's), not the optimizer's. *)
@@ -133,20 +126,16 @@ let run verbose file kernel mode model target revec packing unroll dump_before
             Fmt.pr "%a@." Snslp_lint.Finding.pp x)
           (Snslp_lint.Lint.run func))
       funcs;
-  (* -j is a cap, not a mandate: the fan-out is clamped to what the
-     machine can run in parallel and what the batch can amortise, so
-     `-j 8` on a 1-core container costs nothing over `-j 1`. *)
-  let jobs =
-    Snslp_parallel.Pool.effective_jobs ~requested:jobs ~items:(List.length funcs)
-      ~total_cost:
-        (List.fold_left (fun acc f -> acc + Snslp_ir.Func.num_instrs f) 0 funcs)
-      ()
-  in
+  (* Functions fan out across worker domains; results come back in
+     input order, so the printed output is independent of the
+     schedule (and bit-identical to -j 1).  -j is a cap, not a
+     mandate: the fan-out is clamped to what the machine can run in
+     parallel and what the batch can amortise, so `-j 8` on a 1-core
+     container costs nothing over `-j 1`. *)
   let results =
-    Snslp_driver.Driver.run_all ~jobs
-      ?verify_each:(if verify_each then Some true else None)
-      ?validate:(if validate then Some true else None)
-      ~setting funcs
+    Snslp_driver.Driver.run_all
+      ~jobs:(Snslp_driver.Driver.adaptive_jobs ~requested:jobs funcs)
+      ~verify_each ~validate ~setting funcs
   in
   List.iter2
     (fun func result ->

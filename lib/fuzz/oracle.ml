@@ -83,24 +83,14 @@ let ns_per_instr (s : exec_stats) =
 let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 (* The evaluated configurations: the paper's three modes plus the
-   no-vectorizer baseline (which exercises the scalar passes alone).
-   Every config runs with [verify_each] so a pass that breaks the IR
-   is named in the finding rather than discovered at the end of the
-   pipeline. *)
+   no-vectorizer baseline (which exercises the scalar passes alone). *)
 let default_configs : (string * Pipeline.setting) list =
-  let mode name (c : Config.t) = (name, Some { c with Config.verify_each = true }) in
   (* The packing axis rides on sn-slp (the mode with the largest
      candidate space): global pack selection at the default beam and
      at beam 2 with a tight node budget — the budget-exhaustion path
      is a correctness path too. *)
   let global name beam node_budget =
-    ( name,
-      Some
-        {
-          Config.snslp with
-          Config.verify_each = true;
-          packing = Config.Global { beam; node_budget };
-        } )
+    (name, Some { Config.snslp with Config.packing = Config.Global { beam; node_budget } })
   in
   (* The target axis rides on sn-slp too: one config per backend
      flavour (its own register width, addsub availability and machine
@@ -110,19 +100,13 @@ let default_configs : (string * Pipeline.setting) list =
   let on_target name (tgt : Target.t) revec =
     ( name,
       Some
-        {
-          Config.snslp with
-          Config.verify_each = true;
-          target = tgt;
-          model = Model.for_target tgt;
-          revec;
-        } )
+        { Config.snslp with Config.target = tgt; model = Model.for_target tgt; revec } )
   in
   [
     ("o3", None);
-    mode "slp" Config.vanilla;
-    mode "lslp" Config.lslp;
-    mode "snslp" Config.snslp;
+    ("slp", Some Config.vanilla);
+    ("lslp", Some Config.lslp);
+    ("snslp", Some Config.snslp);
     global "snslp-global" Config.default_beam Config.default_node_budget;
     global "snslp-global-b2" 2 64;
     on_target "snslp-avx2" Target.avx2 false;
@@ -196,7 +180,10 @@ let inject_bug : (Defs.func -> unit) option ref = ref None
 (* --- The oracle ----------------------------------------------------------- *)
 
 (* [run_case func] pushes [func] through every configuration and
-   returns all findings (empty list = clean).
+   returns all findings (empty list = clean).  Every configuration,
+   o3 included, runs with [verify_each], so a pass that breaks the IR
+   is named in the finding rather than discovered at the end of the
+   pipeline.
 
    The deterministic input memory is built once per case and every run
    works on a snapshot of that template: the reference keeps its copy
@@ -225,7 +212,7 @@ let run_case ?(engine = Compiled) ?stats ?(configs = default_configs) ?tolerance
       List.concat_map
         (fun (name, setting) ->
           let kinds =
-            match Pipeline.run ~setting func with
+            match Pipeline.run ~setting ~verify_each:true func with
             | exception e -> [ Crash (Printexc.to_string e) ]
             | result -> (
                 let optimized = result.Pipeline.func in

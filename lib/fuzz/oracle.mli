@@ -66,7 +66,9 @@ val run_case :
   Defs.func ->
   finding list
 (** All findings for one function; the empty list means every
-    configuration agreed with the reference.  [tolerance] defaults to
+    configuration agreed with the reference.  Every configuration,
+    o3 included, runs with the verifier after each pass, so a pass
+    that breaks the IR is named in its [Crash].  [tolerance] defaults to
     {!Gen.tolerance_for}.  The input memory template is built once and
     snapshot-restored per configuration; [stats] accumulates engine
     throughput when given.  [validate] (default true) additionally

@@ -4,64 +4,30 @@
    pipeline — the same granularity goSLP uses for whole-program SLP
    throughput.  Determinism does not depend on the schedule: results
    land in input order, each item's compilation touches only its own
-   clone, and the only cross-item state is the per-domain scratch,
-   which [Vectorize.run] re-initialises on entry. *)
+   clone, and no state crosses items ([Vectorize.run] owns its
+   look-ahead memo). *)
 
 open Snslp_ir
 open Snslp_vectorizer
 open Snslp_passes
 module Pool = Snslp_parallel.Pool
 
-let jobs_of_setting (setting : Pipeline.setting) =
-  match setting with Some c -> max 1 c.Config.jobs | None -> 1
-
-let run_with_pool ?verify_each ?validate pool (setting : Pipeline.setting)
-    (funcs : Defs.func list) =
-  (* One scratch per worker, indexed by the pool's worker id; a
-     scratch therefore never crosses domains. *)
-  let scratches = Array.init (Pool.size pool) (fun _ -> Vectorize.scratch_create ()) in
-  Pool.map_list pool
-    (fun ~worker func ->
-      Pipeline.run ~scratch:scratches.(worker) ~setting ?verify_each ?validate func)
-    funcs
-
-let run_all ?pool ?jobs ?verify_each ?validate ~(setting : Pipeline.setting)
+(* A one-worker pool spawns no domain and maps inline. *)
+let run_all ?(jobs = 1) ?verify_each ?validate ~(setting : Pipeline.setting)
     (funcs : Defs.func list) : Pipeline.result list =
-  match pool with
-  | Some p -> run_with_pool ?verify_each ?validate p setting funcs
-  | None ->
-      let jobs = match jobs with Some j -> max 1 j | None -> jobs_of_setting setting in
-      if jobs = 1 then
-        (* No pool machinery at all on the sequential path. *)
-        let scratch = Vectorize.scratch_create () in
-        List.map
-          (fun func -> Pipeline.run ~scratch ~setting ?verify_each ?validate func)
-          funcs
-      else
-        Pool.with_pool ~jobs (fun p ->
-            run_with_pool ?verify_each ?validate p setting funcs)
+  Pool.with_pool ~jobs (fun p ->
+      Pool.map_list p (fun func -> Pipeline.run ~setting ?verify_each ?validate func) funcs)
 
 (* Adaptive fan-out: size the pool from what the machine can run and
-   what the work can amortise, instead of trusting [Config.jobs]
-   verbatim.  The per-request cost estimate is the instruction count —
-   compile time is near-linear in it across the registry
+   what the work can amortise, instead of trusting the requested
+   count verbatim.  The per-request cost estimate is the instruction
+   count — compile time is near-linear in it across the registry
    (BENCH_compile_time.json) — and the clamp is {!Pool.effective_jobs},
    so a single request, a 1-core container, or a batch of tiny kernels
-   all run inline with zero pool machinery.  An explicit [run_all
-   ~jobs] keeps its exact, unclamped meaning for tests and benchmarks
-   that want to force the fan-out. *)
-let adaptive_jobs (setting : Pipeline.setting) (funcs : Defs.func list) =
-  let requested = jobs_of_setting setting in
-  if requested = 1 then 1
-  else
-    let total_cost =
-      List.fold_left (fun acc f -> acc + Func.num_instrs f) 0 funcs
-    in
-    Pool.effective_jobs ~requested ~items:(List.length funcs) ~total_cost ()
-
-let run_all_adaptive ?verify_each ?validate ~(setting : Pipeline.setting)
-    (funcs : Defs.func list) : Pipeline.result list =
-  run_all ~jobs:(adaptive_jobs setting funcs) ?verify_each ?validate ~setting funcs
+   all run inline with zero pool machinery. *)
+let adaptive_jobs ~requested (funcs : Defs.func list) =
+  let total_cost = List.fold_left (fun acc f -> acc + Func.num_instrs f) 0 funcs in
+  Pool.effective_jobs ~requested ~items:(List.length funcs) ~total_cost ()
 
 let merged_stats (results : Pipeline.result list) : Stats.t =
   List.fold_left

@@ -2,22 +2,18 @@
     a domain pool, one {!Snslp_passes.Pipeline.run} per work item.
 
     Functions are independent vectorization units — the per-function
-    IR is disjoint (instruction ids are function-local) and the
-    vectorizer's mutable state is either per-run ([Deps], per-graph
-    memos) or per-domain scratch lent by this driver — so the fan-out
-    needs no synchronization beyond the pool's queue, and the result
-    list, ordered by work-item index, is bit-identical to the
-    sequential path for every [jobs] value. *)
+    IR is disjoint (instruction ids are function-local) and every
+    piece of the vectorizer's mutable state ([Deps], the look-ahead
+    memo) belongs to one run — so the fan-out needs no
+    synchronization beyond the pool's queue, and the result list,
+    ordered by work-item index, is bit-identical to the sequential
+    path for every [jobs] value. *)
 
 open Snslp_ir
 open Snslp_vectorizer
 open Snslp_passes
 
-val jobs_of_setting : Pipeline.setting -> int
-(** [Config.jobs] of the configured vectorizer; 1 under plain -O3. *)
-
 val run_all :
-  ?pool:Snslp_parallel.Pool.t ->
   ?jobs:int ->
   ?verify_each:bool ->
   ?validate:bool ->
@@ -26,29 +22,18 @@ val run_all :
   Pipeline.result list
 (** [run_all ~setting funcs] optimises every function (each via
     {!Pipeline.run}, which clones — inputs are not modified) and
-    returns the results in input order.  Work distributes over
-    [?pool] if given; otherwise a fresh pool of [?jobs] workers
-    (default: {!jobs_of_setting}) is created and shut down around the
-    call.  Each worker domain owns one {!Vectorize.scratch}, created
-    here and never shared.  [verify_each] and [validate] (the
-    translation validator) pass through to {!Pipeline.run}. *)
+    returns the results in input order.  [jobs] (default 1) is exact:
+    a fresh pool of that many workers is created and shut down around
+    the call (1 spawns no domain and runs inline).  [verify_each] and
+    [validate] (the translation validator) pass through to
+    {!Pipeline.run}. *)
 
-val adaptive_jobs : Pipeline.setting -> Defs.func list -> int
-(** The fan-out {!run_all_adaptive} will use: the setting's
-    [Config.jobs] clamped by {!Snslp_parallel.Pool.effective_jobs}
-    (available cores, item count, and summed instruction count as the
-    per-request cost estimate). *)
-
-val run_all_adaptive :
-  ?verify_each:bool ->
-  ?validate:bool ->
-  setting:Pipeline.setting ->
-  Defs.func list ->
-  Pipeline.result list
-(** {!run_all} with the fan-out adapted to the machine and the work
-    ({!adaptive_jobs}) instead of trusting [Config.jobs] verbatim —
-    a single request, a 1-core host, or a batch of tiny functions runs
-    inline.  Output is bit-identical to every other jobs value. *)
+val adaptive_jobs : requested:int -> Defs.func list -> int
+(** The fan-out worth using for [funcs]: [requested] clamped by
+    {!Snslp_parallel.Pool.effective_jobs} (available cores, item
+    count, and summed instruction count as the per-request cost
+    estimate), so a single function, a 1-core host or a batch of tiny
+    functions runs inline.  Clamping changes only wall-clock. *)
 
 val merged_stats : Pipeline.result list -> Stats.t
 (** Fold of the per-item vectorizer stats with {!Stats.merge}, in

@@ -15,7 +15,7 @@ type deque = { mutable lo : int; mutable hi : int }
 
 type job = {
   seq : int; (* generation; wakes only workers that have not joined *)
-  exec : worker:int -> int -> unit;
+  exec : int -> unit; (* compute item [i] into its result slot *)
   deques : deque array; (* one per worker *)
   chunk : int;
   mutable active : int; (* workers that have not yet checked in idle *)
@@ -32,8 +32,6 @@ type t = {
   mutable stop : bool;
   mutable domains : unit Domain.t list;
 }
-
-let size t = t.size
 
 let recommended_jobs () = Domain.recommended_domain_count ()
 
@@ -104,7 +102,7 @@ let participate t (j : job) w =
         let err =
           try
             for i = lo to hi - 1 do
-              j.exec ~worker:w i
+              j.exec i
             done;
             None
           with e -> Some e
@@ -171,14 +169,14 @@ let with_pool ~jobs f =
   let t = create ~jobs in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-let mapi ?chunk t f (arr : 'a array) : 'b array =
+let map ?chunk t f (arr : 'a array) : 'b array =
   let n = Array.length arr in
   let workers = if t.stop then 1 else t.size in
   if n = 0 then [||]
-  else if workers = 1 || n = 1 then Array.mapi (fun i x -> f ~worker:0 i x) arr
+  else if workers = 1 || n = 1 then Array.map f arr
   else begin
     let out = Array.make n None in
-    let exec ~worker i = out.(i) <- Some (f ~worker i arr.(i)) in
+    let exec i = out.(i) <- Some (f arr.(i)) in
     let chunk =
       match chunk with Some c -> max 1 c | None -> max 1 (n / (8 * workers))
     in
@@ -204,7 +202,4 @@ let mapi ?chunk t f (arr : 'a array) : 'b array =
     Array.map Option.get out
   end
 
-let map ?chunk t f arr = mapi ?chunk t (fun ~worker:_ _ x -> f x) arr
-
-let map_list ?chunk t f l =
-  Array.to_list (mapi ?chunk t (fun ~worker _ x -> f ~worker x) (Array.of_list l))
+let map_list ?chunk t f l = Array.to_list (map ?chunk t f (Array.of_list l))

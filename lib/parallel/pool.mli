@@ -3,7 +3,7 @@
 
     The pool owns [jobs - 1] long-lived worker domains; the submitting
     domain participates as worker 0, so [jobs = 1] never spawns a
-    domain and runs entirely inline.  A {!mapi} call splits the index
+    domain and runs entirely inline.  A {!map} call splits the index
     range into one contiguous deque per worker; owners take chunks
     from the front of their own deque and idle workers steal chunks
     from the back of the fullest one.  Results land in a slot indexed
@@ -16,9 +16,6 @@ type t
 val create : jobs:int -> t
 (** [create ~jobs] spawns [max 0 (jobs - 1)] worker domains.  [jobs]
     is clamped to at least 1. *)
-
-val size : t -> int
-(** Number of workers, the submitting domain included. *)
 
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — what the machine can
@@ -39,22 +36,18 @@ val effective_jobs :
     1 means run inline without spawning.  Clamping never changes
     output, only wall-clock. *)
 
-val mapi : ?chunk:int -> t -> (worker:int -> int -> 'a -> 'b) -> 'a array -> 'b array
-(** [mapi pool f arr] computes [f ~worker i arr.(i)] for every index,
+val map : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
+(** [map pool f arr] computes [f arr.(i)] for every index,
     distributing chunks over the pool's workers, and returns the
-    results in input order.  [worker] is the index (0 .. size-1) of
-    the worker domain executing the item — the hook for per-domain
-    scratch state that must never cross domains.  [chunk] (default:
-    items / (8 × workers), at least 1) is the steal granularity.
+    results in input order.  [chunk] (default: items / (8 × workers),
+    at least 1) is the steal granularity.
 
     The first exception raised by any item aborts the remaining work
     (already-started chunks finish) and is re-raised in the submitting
     domain.  Calls are serialized: a pool runs one map at a time. *)
 
-val map : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
-
-val map_list : ?chunk:int -> t -> (worker:int -> 'a -> 'b) -> 'a list -> 'b list
-(** {!mapi} over a list, preserving list order. *)
+val map_list : ?chunk:int -> t -> ('a -> 'b) -> 'a list -> 'b list
+(** {!map} over a list, preserving list order. *)
 
 val shutdown : t -> unit
 (** Join the worker domains.  Idempotent; the pool afterwards runs

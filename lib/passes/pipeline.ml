@@ -62,13 +62,11 @@ let timed name f =
   let r = f () in
   ({ pass = name; seconds = now_s () -. t0 }, r)
 
-(* [run ?scratch ?setting ?verify_each ?validate func] optimises a
-   copy of [func] and returns it; the input function is not modified.
-   [scratch] is the calling domain's vectorizer scratch state (see
-   {!Vectorize.scratch}) — it must belong to the domain making this
-   call.  [verify_each] (default: the setting's [Config.verify_each],
-   false under -O3) re-verifies the IR after every recorded pass and
-   raises {!Verifier.Invalid_ir} naming the pass that broke it.
+(* [run ?setting ?verify_each ?validate func] optimises a copy of
+   [func] and returns it; the input function is not modified.
+   [verify_each] (default false) re-verifies the IR after every
+   recorded pass and raises {!Verifier.Invalid_ir} naming the pass
+   that broke it.
    [validate] additionally runs the translation validator after every
    rewriting pass (comparing against the IR the pass received), checks
    the structural invariants of every SLP graph the vectorizer builds,
@@ -76,14 +74,8 @@ let timed name f =
    float tolerance the validator accepts (reassociated float constant
    folding shifts rounding).  [on_graph] observes every SLP graph the
    vectorizer builds (see {!Vectorize.run}). *)
-let run ?scratch ?(setting : setting = Some Config.snslp) ?verify_each
+let run ?(setting : setting = Some Config.snslp) ?(verify_each = false)
     ?(validate = false) ?tolerance ?on_graph (func : Defs.func) : result =
-  let verify_each =
-    match verify_each with
-    | Some v -> v
-    | None -> (
-        match setting with Some c -> c.Config.verify_each | None -> false)
-  in
   let f = Func.clone func in
   let timings = ref [] in
   let pass_verdicts = ref [] in
@@ -155,22 +147,13 @@ let run ?scratch ?(setting : setting = Some Config.snslp) ?verify_each
      side as SLP seed windows.  The unroll policy comes from the
      setting; -O3 keeps its loops (the differential oracle's scalar
      reference executes them as written). *)
-  let unroll_policy =
-    match setting with
-    | None -> Unroll.Off
-    | Some c -> (
-        match c.Config.unroll with
-        | Config.No_unroll -> Unroll.Off
-        | Config.Unroll_by n -> Unroll.Factor n
-        | Config.Unroll_auto -> Unroll.Auto)
-  in
   let unroll_report =
-    if unroll_policy = Unroll.Off then None
-    else begin
-      let t, r = timed "unroll" (fun () -> Unroll.run ~policy:unroll_policy f) in
-      record ~changed:(r.Unroll.full + r.Unroll.partial > 0) t;
-      Some r
-    end
+    match setting with
+    | None | Some { Config.unroll = Config.No_unroll; _ } -> None
+    | Some c ->
+        let t, r = timed "unroll" (fun () -> Unroll.run ~policy:c.Config.unroll f) in
+        record ~changed:(r.Unroll.full + r.Unroll.partial > 0) t;
+        Some r
   in
   let t, converted = timed "ifconv" (fun () -> Ifconv.run f) in
   record ~changed:(converted > 0) t;
@@ -210,7 +193,7 @@ let run ?scratch ?(setting : setting = Some Config.snslp) ?verify_each
     | None -> None
     | Some config ->
         let t, rep =
-          timed "slp" (fun () -> Vectorize.run ?scratch ?on_graph config f)
+          timed "slp" (fun () -> Vectorize.run ?on_graph config f)
         in
         (* The vectorizer only rewrites when it commits a profitable
            tree; an all-rejected run leaves the IR untouched. *)

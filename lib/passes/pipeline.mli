@@ -45,7 +45,6 @@ type setting = Config.t option
 val setting_name : setting -> string
 
 val run :
-  ?scratch:Vectorize.scratch ->
   ?setting:setting ->
   ?verify_each:bool ->
   ?validate:bool ->
@@ -54,14 +53,12 @@ val run :
   Defs.func ->
   result
 (** Optimises a clone; the input function is not modified.  Defaults
-    to SN-SLP.  [scratch] is per-domain vectorizer scratch state; it
-    must be owned by the calling domain (never shared across
-    domains).  [verify_each] (default: the setting's
-    [Config.verify_each]) re-verifies the IR after every pass and
-    raises {!Snslp_ir.Verifier.Invalid_ir} naming the pass that broke
-    it.  [validate] (default false) runs the translation validator
-    after every rewriting pass, checks the invariants of every built
-    SLP graph, and records a whole-pipeline verdict in
-    [result.validation]; [tolerance] is the validator's relative float
-    tolerance (default 1e-6).  [on_graph] observes every SLP graph the
-    vectorizer builds, as {!Vectorize.run}'s hook does. *)
+    to SN-SLP.  [verify_each] (default false) re-verifies the IR after
+    every pass and raises {!Snslp_ir.Verifier.Invalid_ir} naming the
+    pass that broke it.  [validate] (default false) runs the
+    translation validator after every rewriting pass, checks the
+    invariants of every built SLP graph, and records a whole-pipeline
+    verdict in [result.validation]; [tolerance] is the validator's
+    relative float tolerance (default 1e-6).  [on_graph] observes every
+    SLP graph the vectorizer builds, as {!Vectorize.run}'s hook
+    does. *)

@@ -27,21 +27,7 @@
 
 open Snslp_ir
 open Snslp_loops
-
-type policy = Off | Auto | Factor of int
-
-let policy_to_string = function
-  | Off -> "none"
-  | Auto -> "auto"
-  | Factor n -> string_of_int n
-
-let policy_of_string = function
-  | "none" | "off" | "0" | "1" -> Some Off
-  | "auto" -> Some Auto
-  | s -> (
-      match int_of_string_opt s with
-      | Some n when n >= 2 -> Some (Factor n)
-      | _ -> None)
+module Config = Snslp_vectorizer.Config
 
 type report = {
   loops : int; (* natural loops in the function *)
@@ -235,7 +221,7 @@ let unroll_partial (f : Defs.func) (c : Loops.counted) (factor : int) adjusted =
 (* --- Driver. ------------------------------------------------------- *)
 
 (* What to do with one recognized loop under the policy. *)
-let decide ~full_budget (policy : policy) (c : Loops.counted) =
+let decide ~full_budget (policy : Config.unroll) (c : Loops.counted) =
   let size = Loops.num_instrs c.Loops.loop in
   let trip = Loops.trip_count c in
   let partial factor =
@@ -246,8 +232,8 @@ let decide ~full_budget (policy : policy) (c : Loops.counted) =
     else `Skip
   in
   match policy with
-  | Off -> `Skip
-  | Auto -> (
+  | Config.No_unroll -> `Skip
+  | Config.Unroll_auto -> (
       match trip with
       | Some n when n * size <= full_budget -> `Full n
       | _ ->
@@ -255,13 +241,13 @@ let decide ~full_budget (policy : policy) (c : Loops.counted) =
           if size * default_partial_factor <= full_budget then
             partial default_partial_factor
           else `Skip)
-  | Factor k -> (
+  | Config.Unroll_by k -> (
       match trip with
       | Some n when n <= k && n * size <= full_budget -> `Full n
       | _ -> partial k)
 
-let run ?(policy = Auto) ?(full_budget = default_full_budget) (f : Defs.func) : report =
-  if policy = Off then empty_report
+let run ~(policy : Config.unroll) ?(full_budget = default_full_budget) (f : Defs.func) : report =
+  if policy = Config.No_unroll then empty_report
   else begin
     let forest = Loops.analyze f in
     let counted =

@@ -7,20 +7,6 @@
 
 open Snslp_ir
 
-type policy =
-  | Off
-  | Auto  (** full when the trip count is known and fits the budget,
-              else partial by {!default_partial_factor} *)
-  | Factor of int
-      (** full when the trip count is known and at most the factor
-          (still budget-capped), else partial by the factor *)
-
-val policy_to_string : policy -> string
-
-val policy_of_string : string -> policy option
-(** ["none"]/["off"]/["0"]/["1"] are {!Off}, ["auto"] is {!Auto},
-    [n >= 2] is [Factor n]. *)
-
 type report = {
   loops : int;  (** natural loops in the function *)
   counted : int;  (** of which recognized as counted *)
@@ -32,8 +18,14 @@ val empty_report : report
 val default_full_budget : int
 val default_partial_factor : int
 
-val run : ?policy:policy -> ?full_budget:int -> Defs.func -> report
+val run :
+  policy:Snslp_vectorizer.Config.unroll -> ?full_budget:int -> Defs.func -> report
 (** Analyze and unroll every counted loop of [f] in place per
-    [policy].  [full_budget] caps the instruction count a full unroll
-    may expand to (and the code growth of speculative partial
-    unrolling under [Auto]). *)
+    [policy].  [Unroll_auto] unrolls fully when the trip count is
+    known and fits the budget, else partially by
+    {!default_partial_factor}; [Unroll_by k] unrolls fully when the
+    trip count is known and at most [k] (still budget-capped), else
+    partially by [k]; [No_unroll] leaves [f] alone.  [full_budget]
+    caps the instruction count a full unroll may expand to (and the
+    code growth of speculative partial unrolling under
+    [Unroll_auto]). *)

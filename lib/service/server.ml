@@ -14,11 +14,11 @@
       canonical form of what the function stores.  A reassociated or
       algebraically simplified variant lands on the same entry here.
 
-   Only the misses that survive all three compile, fanned out across
-   the adaptive domain pool ({!Snslp_driver.Driver.run_all_adaptive});
-   within a batch, identical misses are deduplicated by cache key, so
-   the second requester waits for the first compile instead of
-   repeating it.
+   Only the misses that survive all three compile, one
+   {!Pipeline.run} each, grouped by mode in first-seen order; within a
+   batch, identical misses are deduplicated by cache key, so the
+   second requester waits for the first compile instead of repeating
+   it.
 
    The cached value is the optimised function plus its rendering under
    the origin's name.  A hit under the same name replays the rendering
@@ -35,7 +35,6 @@ open Snslp_ir
 open Snslp_passes
 open Snslp_vectorizer
 module Semhash = Snslp_lint.Semhash
-module Driver = Snslp_driver.Driver
 
 type cached = {
   cfunc : Defs.func; (* the optimised function, under its origin name *)
@@ -252,8 +251,8 @@ let request_digest ~mode ~source =
 
 let handle_batch t (requests : (string * string, string) result list) :
     Protocol.response list =
-  (* Misses group by mode: one adaptive fan-out per distinct setting,
-     in first-appearance order for determinism. *)
+  (* Misses group by mode: distinct settings compile in
+     first-appearance order, for determinism. *)
   let groups :
       (string, Pipeline.setting * (Defs.func * string * string * cached option ref) list ref) Hashtbl.t =
     Hashtbl.create 4
@@ -345,16 +344,13 @@ let handle_batch t (requests : (string * string, string) result list) :
                     | funcs -> Items (rdigest, List.map (lookup_func t setting) funcs)))))
       requests
   in
-  (* Compile every miss, one pool fan-out per setting. *)
+  (* Compile every miss, grouped by setting. *)
   List.iter
     (fun mode ->
       let setting, pending = Hashtbl.find groups mode in
-      let pending = List.rev !pending in
-      let results =
-        Driver.run_all_adaptive ~setting (List.map (fun (f, _, _, _) -> f) pending)
-      in
-      List.iter2
-        (fun ((f : Defs.func), key, structural, cell) (r : Pipeline.result) ->
+      List.iter
+        (fun ((f : Defs.func), key, structural, cell) ->
+          let r = Pipeline.run ~setting f in
           (match r.Pipeline.vect_report with
           | Some rep -> t.vstats <- Stats.merge t.vstats rep.Vectorize.stats
           | None -> ());
@@ -370,7 +366,7 @@ let handle_batch t (requests : (string * string, string) result list) :
           in
           cell := Some c;
           Cache.add t.cache ~key ~structural c)
-        pending results)
+        (List.rev !pending))
     (List.rev !group_order);
   (* Remember each slow-path request for level 1: every kernel of the
      request is now cached under its key. *)

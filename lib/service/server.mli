@@ -1,7 +1,7 @@
 (** The snslpd compile service: one compile cache plus the
     {!Protocol} conversation loop around it.
 
-    Misses fan out across the adaptive domain pool; hits are answered
+    Misses compile in the calling domain; hits are answered
     by renaming the cached optimised function to the requester's name
     and printing it, which keeps cache answers byte-identical to fresh
     compiles of the same source. *)
@@ -31,8 +31,8 @@ val handle_batch :
     choices are part of the config fingerprint, so cache entries
     never cross packing modes or unroll policies.  Cache
     lookups happen per function; the misses of the whole batch compile
-    together (one adaptive pool fan-out per distinct mode, identical
-    misses deduplicated by cache key).  Exposed for in-process use;
+    together, grouped by mode in first-seen order, identical misses
+    deduplicated by cache key.  Exposed for in-process use;
     {!serve} frames the same calls. *)
 
 val stats_reply : t -> Protocol.response

@@ -60,9 +60,9 @@ let packing_of_string s =
       | _ -> None)
   | _ -> None
 
-(* Loop-unroll policy, consumed by the pipeline's unroll pass (the
-   pass itself lives in Snslp_passes, which depends on this module, so
-   the policy is declared here and translated there).  [Unroll_auto]
+(* Loop-unroll policy, consumed as is by the pipeline's unroll pass
+   (the pass itself lives in Snslp_passes, which depends on this
+   module, so the policy is declared here).  [Unroll_auto]
    fully unrolls counted loops with known trip counts under the size
    budget and partially unrolls the rest; it is the default because it
    is a no-op on loop-free functions, keeping every legacy output
@@ -105,15 +105,6 @@ type t = {
          registers when [target] has spare lanes.  Changes the emitted
          IR, so it is part of {!fingerprint}.  Default off — legacy
          outputs stay bit-identical. *)
-  jobs : int;
-      (* worker domains for the parallel driver (Snslp_driver): whole
-         functions fan out across domains, caches stay domain-local,
-         and the output is bit-identical for every value.  1 = fully
-         sequential, no domain is ever spawned. *)
-  verify_each : bool;
-      (* run the IR verifier after every pipeline pass, not just at
-         the end — pinpoints which pass broke the IR.  Slower; meant
-         for debugging and fuzzing, not production compiles. *)
 }
 
 let default =
@@ -128,8 +119,6 @@ let default =
     unroll = Unroll_auto;
     packing = Greedy;
     revec = false;
-    jobs = 1;
-    verify_each = false;
   }
 
 let vanilla = { default with mode = Vanilla }
@@ -146,10 +135,10 @@ let with_mode mode t = { t with mode }
    two targets may ever share a cache entry), [model] (likewise),
    [lookahead_depth], [max_chain], [threshold] (hex-exact),
    [reductions], [packing], [unroll] and [revec] all steer what the
-   pipeline emits and are all included.  [jobs] and [verify_each] are
-   deliberately excluded — they change how fast the pipeline runs and
-   how much it checks, never what it emits — so cache entries are
-   shared across parallelism and verification settings.
+   pipeline emits and are all included.  Knobs that change only how
+   fast the pipeline runs or how much it checks (the driver's fan-out,
+   per-pass verification) are run arguments, not fields, so cache
+   entries are shared across them.
    (test_properties.ml holds the qcheck property backing this: equal
    fingerprints imply identical optimized IR on a fuzz corpus.) *)
 let fingerprint (t : t) =

@@ -64,14 +64,6 @@ type t = {
           bundles into wider registers when the target has spare
           lanes; output-affecting, so part of {!fingerprint}.
           Default off. *)
-  jobs : int;
-      (** worker domains for the parallel driver ({!Snslp_driver}
-          fans whole functions across domains); output is
-          bit-identical for every value.  1 = fully sequential. *)
-  verify_each : bool;
-      (** verify the IR after every pipeline pass (not just at the
-          end), so a verifier failure names the offending pass.  For
-          debugging and fuzzing. *)
 }
 
 val default : t
@@ -88,8 +80,9 @@ val fingerprint : t -> string
     optimized IR for equal inputs.  Covers every output-affecting
     field — mode, target (the [/tg] component, so the compile cache
     never shares entries across targets), model, look-ahead depth,
-    chain cap, threshold, reductions, packing, unroll and revec;
-    excludes [jobs] and [verify_each], which never change the
-    emitted IR. *)
+    chain cap, threshold, reductions, packing, unroll and revec —
+    every field.  The driver's fan-out and per-pass verification,
+    which never change the emitted IR, are arguments of
+    {!Snslp_passes.Pipeline.run} and the driver instead. *)
 
 val pp : t Fmt.t

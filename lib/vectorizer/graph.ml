@@ -69,7 +69,7 @@ type t = {
   by_group : node Group.t; (* scalars -> the node built for them *)
   no_remassage : (int, unit) Hashtbl.t; (* trunk iids of built Super-Nodes *)
   mutable supernode_sizes : int list; (* pending stats, committed on acceptance *)
-  lookahead_cache : Lookahead.cache; (* lent by the caller, or one per graph *)
+  lookahead_cache : Lookahead.cache; (* the caller's memo *)
 }
 
 let nodes (t : t) = List.rev t.nodes
@@ -451,15 +451,12 @@ and build_binop_group (t : t) (vals : Defs.value array) (instrs : Defs.instr arr
    the build refresh it in place, and the caller refreshes it between
    seeds when a rewrite outside the build (codegen) changed the IR.
 
-   [?cache] similarly lets the caller lend its look-ahead memo — in
-   the parallel driver, the owning domain's scratch cache, reused
-   across every seed and function that domain processes.  The caller
-   is responsible for clearing it whenever the IR is rewritten outside
-   this graph build (massage rewrites inside the build already clear
-   it); entries are keyed by per-function instruction ids, so it must
-   also be cleared between functions.  Without it, a fresh per-graph
-   memo. *)
-let build ?stats ~deps ?cache ?(reorder = R_chain) (config : Config.t) (func : Defs.func)
+   [~cache] is the caller's look-ahead memo — in the vectorizer
+   driver, one per run, shared by every seed of the function.  The
+   caller is responsible for clearing it whenever the IR is rewritten
+   outside this graph build (massage rewrites inside the build already
+   clear it); entries are keyed by per-function instruction ids. *)
+let build ?stats ~deps ~cache ?(reorder = R_chain) (config : Config.t) (func : Defs.func)
     (block : Defs.block) (seed : Defs.instr list) : t option =
   let t =
     {
@@ -476,8 +473,7 @@ let build ?stats ~deps ?cache ?(reorder = R_chain) (config : Config.t) (func : D
       by_group = Group.create 64;
       no_remassage = Hashtbl.create 16;
       supernode_sizes = [];
-      lookahead_cache =
-        (match cache with Some c -> c | None -> Lookahead.cache_create ());
+      lookahead_cache = cache;
     }
   in
   let instrs = Array.of_list seed in

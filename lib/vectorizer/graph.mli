@@ -55,8 +55,8 @@ type t = {
   no_remassage : (int, unit) Hashtbl.t;
   mutable supernode_sizes : int list; (** pending stats *)
   lookahead_cache : Lookahead.cache;
-      (** the caller's lent look-ahead memo, or one per graph build;
-          cleared whenever a massage rewrites the IR *)
+      (** the caller's look-ahead memo; cleared whenever a massage
+          rewrites the IR *)
 }
 
 val nodes : t -> node list
@@ -72,7 +72,7 @@ val is_vectorizable_kind : kind -> bool
 val build :
   ?stats:Stats.t ->
   deps:Deps.t ->
-  ?cache:Lookahead.cache ->
+  cache:Lookahead.cache ->
   ?reorder:reorder ->
   Config.t ->
   Defs.func ->
@@ -84,10 +84,9 @@ val build :
     rewrite the IR (Super-Node massaging).  [~deps] is the caller's
     block-wide dependence analysis, refreshed in place after a massage
     (the caller must refresh it between seeds if the IR changed);
-    [?cache] lends the caller's look-ahead memo (domain-local scratch
-    in the parallel driver; the caller clears it on IR rewrites
-    outside the build and between functions), else the graph
-    allocates its own; [?reorder] selects the commutative operand-reorder
+    [~cache] is the caller's look-ahead memo (the vectorizer driver
+    keeps one per run; the caller clears it on IR rewrites outside the
+    build); [?reorder] selects the commutative operand-reorder
     strategy (default [R_chain], the legacy greedy chain); [?stats]
     charges phase timings ("deps", "massage", "reorder") to the given
     sink. *)

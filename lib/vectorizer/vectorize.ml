@@ -27,21 +27,6 @@ let log_src = Logs.Src.create "snslp.vectorize" ~doc:"SLP vectorizer"
 
 module Log = (val Logs.src_log log_src)
 
-(* Per-domain scratch state.  The parallel driver allocates one per
-   worker domain and passes it to every [run] that domain executes;
-   the ownership rule is that a scratch value never crosses domains.
-   The look-ahead memo inside is keyed by per-function instruction
-   ids, so [run] clears it on entry (a new function) and again after
-   every IR rewrite (codegen here, massaging inside the graph
-   builder), exactly the validity rule the cache always had — lending
-   it across seeds and functions only widens reuse between rewrites,
-   it never serves a stale entry.  Scores served from the cache equal
-   the uncached recursion, so the vectorized output is bit-identical
-   with or without a scratch, and for any [Config.jobs] value. *)
-type scratch = { lookahead : Lookahead.cache }
-
-let scratch_create () = { lookahead = Lookahead.cache_create () }
-
 let describe_seed (seed : Defs.instr list) =
   String.concat "; " (List.map Instr.to_string seed)
 
@@ -52,9 +37,10 @@ let count_kind (g : Graph.t) kindp =
    [deps]/[dirty] implement the per-block incremental dependence
    analysis: one [Deps.t] serves every seed of the block, refreshed in
    place only after a rewrite actually changed the IR, so reachability
-   windows survive across rejected and retried seeds. *)
+   windows survive across rejected and retried seeds.  [cache] is the
+   run's look-ahead memo. *)
 let try_seed ~reorder (config : Config.t) (stats : Stats.t) trees func block
-    ~(scratch : scratch option) ~(deps : Deps.t) ~(dirty : bool ref)
+    ~(cache : Lookahead.cache) ~(deps : Deps.t) ~(dirty : bool ref)
     ~(on_graph : (Graph.t -> unit) option) (seed : Defs.instr list) : bool =
   (* Earlier trees may have consumed these stores. *)
   if not (List.for_all (Block.mem block) seed) then false
@@ -63,14 +49,9 @@ let try_seed ~reorder (config : Config.t) (stats : Stats.t) trees func block
       Stats.time ~stats "deps" (fun () -> Deps.refresh deps block);
       dirty := false
     end;
-    (* Lend the domain's look-ahead memo to the graph build; its
-       hit/miss counters are cumulative across everything this scratch
-       ever served, so harvest the per-graph contribution as a delta. *)
-    let cache = Option.map (fun s -> s.lookahead) scratch in
-    let h0, m0 = match cache with Some c -> Lookahead.cache_stats c | None -> (0, 0) in
     match
       Stats.time ~stats "graph" (fun () ->
-          Graph.build ~stats ~deps ?cache ~reorder config func block seed)
+          Graph.build ~stats ~deps ~cache ~reorder config func block seed)
     with
     | None -> false
     | Some g ->
@@ -90,10 +71,9 @@ let try_seed ~reorder (config : Config.t) (stats : Stats.t) trees func block
         if vectorized then begin
           let rep = Stats.time ~stats "codegen" (fun () -> Codegen.run g) in
           dirty := true;
-          (* Codegen rewrote the block: a lent memo's entries now
-             describe dead IR.  (A graph-owned memo dies with the
-             graph; the counters survive the clear either way.) *)
-          (match cache with Some c -> Lookahead.cache_clear c | None -> ());
+          (* Codegen rewrote the block: the memo's entries now
+             describe dead IR.  Its counters survive the clear. *)
+          Lookahead.cache_clear cache;
           stats.Stats.graphs_vectorized <- stats.Stats.graphs_vectorized + 1;
           stats.Stats.vector_instrs_emitted <-
             stats.Stats.vector_instrs_emitted + rep.Codegen.vector_instrs;
@@ -101,11 +81,6 @@ let try_seed ~reorder (config : Config.t) (stats : Stats.t) trees func block
             stats.Stats.scalars_erased + rep.Codegen.scalars_erased;
           List.iter (fun size -> Stats.record_supernode stats ~size) g.Graph.supernode_sizes
         end;
-        (* Harvest the look-ahead counters; the shared dependence
-           analysis is harvested once per block by [drive]. *)
-        let h, m = Lookahead.cache_stats g.Graph.lookahead_cache in
-        stats.Stats.lookahead_hits <- stats.Stats.lookahead_hits + h - h0;
-        stats.Stats.lookahead_misses <- stats.Stats.lookahead_misses + m - m0;
         (* The dump prints node kinds, scalar names and child ids,
            which nothing changes once the graph is built (codegen
            names only the instructions it creates), so it can wait
@@ -182,16 +157,18 @@ let plan_seeds (block : Defs.block) cands attempt =
         ignore (attempt c.Packing.reorder seed))
     cands
 
-(* [drive ?scratch config source func] vectorizes [func] in place from
-   the given seed source and returns the detailed report.  The shared
-   per-function work happens here once for both sources: the lent
-   look-ahead memo is cleared on entry (its entries are keyed by
-   per-function instruction ids), every block with seeds gets one
-   dependence analysis serving all of them, its counters are
-   harvested, and reductions and verification run last. *)
-let drive ?scratch ?on_graph (config : Config.t) (source : source) (func : Defs.func) :
-    report =
-  (match scratch with Some s -> Lookahead.cache_clear s.lookahead | None -> ());
+(* [drive config source func] vectorizes [func] in place from the
+   given seed source and returns the detailed report.  The shared
+   per-function work happens here once for both sources.  One
+   look-ahead memo serves every seed of the run: its entries are keyed
+   by per-function instruction ids, and it is cleared after every IR
+   rewrite (codegen here, massaging inside the graph builder), so a
+   served score always equals the uncached recursion.  Every block
+   with seeds gets one dependence analysis serving all of them, whose
+   counters are harvested per block; the memo's are read once at the
+   end, and reductions and verification run last. *)
+let drive ?on_graph (config : Config.t) (source : source) (func : Defs.func) : report =
+  let cache = Lookahead.cache_create () in
   let stats = Stats.create () in
   let trees = ref [] in
   let lanes_for = Target.lanes_for config.Config.target in
@@ -217,10 +194,13 @@ let drive ?scratch ?on_graph (config : Config.t) (source : source) (func : Defs.
           let deps = Stats.time ~stats "deps" (fun () -> Deps.of_block block) in
           let dirty = ref false in
           seeds (fun reorder seed ->
-              try_seed ~reorder config stats trees func block ~scratch ~deps ~dirty
+              try_seed ~reorder config stats trees func block ~cache ~deps ~dirty
                 ~on_graph seed);
           Stats.add_deps stats deps)
     (Func.blocks func);
+  let hits, misses = Lookahead.cache_stats cache in
+  stats.Stats.lookahead_hits <- hits;
+  stats.Stats.lookahead_misses <- misses;
   if config.Config.reductions then
     stats.Stats.reductions <-
       stats.Stats.reductions
@@ -237,10 +217,10 @@ let drive ?scratch ?on_graph (config : Config.t) (source : source) (func : Defs.
    require a strict improvement, so Global is never worse than Greedy
    under the metric, and [beam <= 1] (a single search hypothesis: the
    incumbent) reproduces Greedy bit-identically. *)
-let run_global ?scratch ?on_graph ~beam ~node_budget (config : Config.t)
+let run_global ?on_graph ~beam ~node_budget (config : Config.t)
     (func : Defs.func) : report =
   let greedy_func = Func.clone func in
-  let greedy_rep = drive ?scratch ?on_graph config Store_runs greedy_func in
+  let greedy_rep = drive ?on_graph config Store_runs greedy_func in
   let pack_stats = Stats.create () in
   let plans =
     if beam <= 1 then []
@@ -258,7 +238,7 @@ let run_global ?scratch ?on_graph ~beam ~node_budget (config : Config.t)
       List.map
         (fun plan ->
           let f = Func.clone func in
-          (f, drive ?scratch ?on_graph config (Plan plan) f))
+          (f, drive ?on_graph config (Plan plan) f))
         (plans @ [ [] ])
   in
   pack_stats.Stats.pack_plans <- List.length replays;
@@ -279,9 +259,9 @@ let run_global ?scratch ?on_graph ~beam ~node_budget (config : Config.t)
   Verifier.verify_exn func;
   { winner_rep with stats = Stats.merge winner_rep.stats pack_stats }
 
-(* [run ?scratch config func] — the packing-strategy dispatcher. *)
-let run ?scratch ?on_graph (config : Config.t) (func : Defs.func) : report =
+(* [run config func] — the packing-strategy dispatcher. *)
+let run ?on_graph (config : Config.t) (func : Defs.func) : report =
   match config.Config.packing with
-  | Config.Greedy -> drive ?scratch ?on_graph config Store_runs func
+  | Config.Greedy -> drive ?on_graph config Store_runs func
   | Config.Global { beam; node_budget } ->
-      run_global ?scratch ?on_graph ~beam ~node_budget config func
+      run_global ?on_graph ~beam ~node_budget config func

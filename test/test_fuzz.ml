@@ -15,6 +15,11 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  m = 0 || go 0
+
 (* Every generated function must verify — the generator's contract,
    asserted here over a spread of seeds (100% validity). *)
 let test_generator_validity () =
@@ -82,19 +87,18 @@ let test_campaign_smoke () =
    than the all-configs smoke, deeper case count: this is the
    dedicated soak for the global packing path. *)
 let packing_configs : (string * Pipeline.setting) list =
-  let snslp = { Config.snslp with Config.verify_each = true } in
   [
-    ("snslp-greedy", Some snslp);
+    ("snslp-greedy", Some Config.snslp);
     ( "snslp-global",
       Some
         {
-          snslp with
+          Config.snslp with
           Config.packing =
             Config.Global
               { beam = Config.default_beam; node_budget = Config.default_node_budget };
         } );
     ( "snslp-global-b2",
-      Some { snslp with Config.packing = Config.Global { beam = 2; node_budget = 64 } }
+      Some { Config.snslp with Config.packing = Config.Global { beam = 2; node_budget = 64 } }
     );
   ]
 
@@ -124,13 +128,7 @@ let target_configs : (string * Pipeline.setting) list =
   let on_target name (tgt : Target.t) revec =
     ( name,
       Some
-        {
-          Config.snslp with
-          Config.verify_each = true;
-          target = tgt;
-          model = Model.for_target tgt;
-          revec;
-        } )
+        { Config.snslp with Config.target = tgt; model = Model.for_target tgt; revec } )
   in
   [
     on_target "snslp-sse" Target.sse false;
@@ -307,6 +305,31 @@ let test_reduce_requires_failure () =
 
 (* The per-case seed schedule must be reproducible from the campaign
    seed, so a failing case regenerates in isolation. *)
+(* Every configuration verifies after each pass, o3 included.  An
+   integer division (outside the IR) sits in a block control never
+   reaches, so the reference runs clean, and the first pass leaves it
+   alone: the crash must name that pass, not the final verify. *)
+let test_o3_verifies_each_pass () =
+  let f = Func.create ~name:"stray_div" ~args:[ ("A", Ty.ptr Ty.I64); ("i", Ty.i64) ] in
+  let entry = Func.add_block f "entry" in
+  let dead = Func.add_block f "dead" in
+  let b = Builder.create f ~at:entry in
+  let a = Defs.Arg (Func.arg f 0) and i = Defs.Arg (Func.arg f 1) in
+  ignore (Builder.store b i (Instr.value (Builder.gep b a i)));
+  Builder.ret b;
+  Builder.position b dead;
+  let q = Builder.add b i i in
+  q.Defs.op <- Defs.Binop Defs.Div;
+  ignore (Builder.store b (Instr.value q) (Instr.value (Builder.gep b a i)));
+  Builder.ret b;
+  match Oracle.run_case ~configs:[ ("o3", None) ] f with
+  | [ { Oracle.config = "o3"; kind = Oracle.Crash msg } ] ->
+      if not (contains msg "after pass fold") then
+        Alcotest.failf "the crash does not name the first pass: %s" msg
+  | findings ->
+      Alcotest.failf "expected one o3 crash, got: %s"
+        (String.concat "; " (List.map Oracle.finding_to_string findings))
+
 let test_case_seed_schedule () =
   let seed = 42 in
   let direct = Gen.generate ~seed:(Campaign.case_seed ~seed 17) () in
@@ -337,5 +360,6 @@ let suite =
         Alcotest.test_case "regression: reduction drops inverse-paired leaf" `Quick
           test_regression_reduction_inverse_pair;
         Alcotest.test_case "case seeds regenerate" `Quick test_case_seed_schedule;
+        Alcotest.test_case "o3 verifies after each pass" `Quick test_o3_verifies_each_pass;
       ] );
   ]

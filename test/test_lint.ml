@@ -581,7 +581,7 @@ kernel j(double a[], double c[], long i) {
 |}
   in
   let g = Func.clone f in
-  ignore (Snslp_passes.Unroll.run ~policy:(Snslp_passes.Unroll.Factor 2) g);
+  ignore (Snslp_passes.Unroll.run ~policy:(Config.Unroll_by 2) g);
   let merged = Snslp_passes.Unroll_and_jam.run g in
   check "jam merged blocks" true (merged > 0);
   expect_valid "jammed partial unroll" f g

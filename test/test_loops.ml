@@ -263,7 +263,7 @@ kernel bad(double c[], long i) {
 let test_full_unroll_direct () =
   let f = compile saxpy8_src in
   let g = Func.clone f in
-  let r = Unroll.run ~policy:Unroll.Auto g in
+  let r = Unroll.run ~policy:Config.Unroll_auto g in
   check_int "one loop" 1 r.Unroll.loops;
   check_int "one counted" 1 r.Unroll.counted;
   check_int "fully unrolled" 1 r.Unroll.full;
@@ -283,7 +283,7 @@ let test_partial_unroll_direct () =
   List.iter
     (fun factor ->
       let g = Func.clone f in
-      let r = Unroll.run ~policy:(Unroll.Factor factor) g in
+      let r = Unroll.run ~policy:(Config.Unroll_by factor) g in
       check_int "partially unrolled" 1 r.Unroll.partial;
       Verifier.verify_exn g;
       (* n below / at / above / off the factor, and zero-trip. *)
@@ -300,7 +300,7 @@ let test_partial_unroll_direct () =
 let test_zero_trip_unroll () =
   let f = compile zero_trip_src in
   let g = Func.clone f in
-  let r = Unroll.run ~policy:Unroll.Auto g in
+  let r = Unroll.run ~policy:Config.Unroll_auto g in
   check_int "zero-trip loop fully unrolled away" 1 r.Unroll.full;
   Verifier.verify_exn g;
   check "surrounding stores survive" true
@@ -311,7 +311,7 @@ let test_zero_trip_unroll () =
 let test_jam_collapses_unrolled_loop () =
   let f = compile saxpy8_src in
   let g = Func.clone f in
-  ignore (Unroll.run ~policy:Unroll.Auto g);
+  ignore (Unroll.run ~policy:Config.Unroll_auto g);
   let merged = Unroll_and_jam.run g in
   check "merged several blocks" true (merged > 0);
   check_int "single straight-line block" 1 (List.length (Func.blocks g));
@@ -326,7 +326,7 @@ let test_jam_keeps_phi_cfg_valid () =
      the phi's predecessor payload to the merged block. *)
   let f = compile saxpy_n_src in
   let g = Func.clone f in
-  ignore (Unroll.run ~policy:(Unroll.Factor 4) g);
+  ignore (Unroll.run ~policy:(Config.Unroll_by 4) g);
   let merged = Unroll_and_jam.run g in
   check "merged the unrolled chain" true (merged > 0);
   Verifier.verify_exn g;
@@ -577,7 +577,7 @@ let prop_unroll_preserves_semantics =
       in
       let g = Func.clone f in
       let policy =
-        if seed mod 2 = 0 then Unroll.Auto else Unroll.Factor (2 + (seed mod 5))
+        if seed mod 2 = 0 then Config.Unroll_auto else Config.Unroll_by (2 + (seed mod 5))
       in
       ignore (Unroll.run ~policy g);
       ignore (Unroll_and_jam.run g);

@@ -64,20 +64,10 @@ let pool_shutdown_inline () =
   let out = Pool.map pool (fun x -> x * 2) [| 1; 2; 3 |] in
   Alcotest.(check (array int)) "maps run inline after shutdown" [| 2; 4; 6 |] out
 
-let pool_map_list_workers () =
+let pool_map_list_order () =
   Pool.with_pool ~jobs:3 (fun pool ->
-      let seen = Array.make (Pool.size pool) false in
-      let out =
-        Pool.map_list ~chunk:1 pool
-          (fun ~worker x ->
-            seen.(worker) <- true;
-            x - 1)
-          [ 10; 20; 30; 40 ]
-      in
-      Alcotest.(check (list int)) "map_list preserves order" [ 9; 19; 29; 39 ] out;
-      (* Worker ids must stay within the pool size — that is what the
-         driver indexes its scratch array by. *)
-      Alcotest.(check bool) "worker 0 participates" true seen.(0))
+      let out = Pool.map_list ~chunk:1 pool (fun x -> x - 1) [ 10; 20; 30; 40 ] in
+      Alcotest.(check (list int)) "map_list preserves order" [ 9; 19; 29; 39 ] out)
 
 (* --- Cross-jobs determinism on the registry ----------------------------- *)
 
@@ -93,9 +83,9 @@ let fingerprint results =
 
 let check_kernel_mode (k : Snslp_kernels.Registry.t) (mode : Config.mode) () =
   let funcs = compile_kernel k in
-  let setting jobs = Some { (Config.with_mode mode Config.default) with Config.jobs = jobs } in
-  let ir1, st1 = fingerprint (Driver.run_all ~setting:(setting 1) funcs) in
-  let ir4, st4 = fingerprint (Driver.run_all ~setting:(setting 4) funcs) in
+  let setting = Some (Config.with_mode mode Config.default) in
+  let ir1, st1 = fingerprint (Driver.run_all ~jobs:1 ~setting funcs) in
+  let ir4, st4 = fingerprint (Driver.run_all ~jobs:4 ~setting funcs) in
   Alcotest.(check string) "printed IR identical at jobs=1 and jobs=4" ir1 ir4;
   Alcotest.(check bool) "merged counters identical at jobs=1 and jobs=4" true
     (Stats.equal_counters st1 st4)
@@ -118,11 +108,11 @@ let determinism_tests =
    actually exercised. *)
 let batch_determinism () =
   let funcs = List.concat_map compile_kernel Snslp_kernels.Registry.all in
-  let setting jobs = Some { Config.snslp with Config.jobs = jobs } in
-  let base = fingerprint (Driver.run_all ~setting:(setting 1) funcs) in
+  let setting = Some Config.snslp in
+  let base = fingerprint (Driver.run_all ~setting funcs) in
   List.iter
     (fun jobs ->
-      let ir, st = fingerprint (Driver.run_all ~setting:(setting jobs) funcs) in
+      let ir, st = fingerprint (Driver.run_all ~jobs ~setting funcs) in
       Alcotest.(check string)
         (Printf.sprintf "batch IR identical at jobs=%d" jobs)
         (fst base) ir;
@@ -163,17 +153,19 @@ let adaptive_driver_jobs () =
     Snslp_frontend.Frontend.compile_one
       "kernel f(long A[], long B[], long i) { A[i] = B[i]; }"
   in
-  let setting jobs = Some { Config.snslp with Config.jobs = jobs } in
   Alcotest.(check int) "one tiny function runs inline" 1
-    (Driver.adaptive_jobs (setting 8) [ func ]);
+    (Driver.adaptive_jobs ~requested:8 [ func ]);
   Alcotest.(check int) "never exceeds the requested jobs" 1
-    (Driver.adaptive_jobs (setting 1) (List.init 16 (fun _ -> func)))
+    (Driver.adaptive_jobs ~requested:1 (List.init 16 (fun _ -> func)))
 
 let adaptive_output_identity () =
   let funcs = List.concat_map compile_kernel Snslp_kernels.Registry.all in
-  let setting jobs = Some { Config.snslp with Config.jobs = jobs } in
-  let exact = fingerprint (Driver.run_all ~setting:(setting 1) funcs) in
-  let adaptive = fingerprint (Driver.run_all_adaptive ~setting:(setting 8) funcs) in
+  let setting = Some Config.snslp in
+  let exact = fingerprint (Driver.run_all ~setting funcs) in
+  let adaptive =
+    fingerprint
+      (Driver.run_all ~jobs:(Driver.adaptive_jobs ~requested:8 funcs) ~setting funcs)
+  in
   Alcotest.(check string) "adaptive fan-out changes nothing but wall-clock"
     (fst exact) (fst adaptive);
   Alcotest.(check bool) "merged counters identical" true
@@ -232,7 +224,7 @@ let suite =
         Alcotest.test_case "uneven work is stolen" `Quick pool_uneven_work;
         Alcotest.test_case "exception propagates" `Quick pool_exception_propagates;
         Alcotest.test_case "shutdown falls back inline" `Quick pool_shutdown_inline;
-        Alcotest.test_case "map_list order and worker ids" `Quick pool_map_list_workers;
+        Alcotest.test_case "map_list order" `Quick pool_map_list_order;
       ] );
     ( "parallel-determinism",
       determinism_tests
@@ -242,7 +234,7 @@ let suite =
       [
         Alcotest.test_case "effective_jobs clamps" `Quick adaptive_clamps;
         Alcotest.test_case "adaptive_jobs on real functions" `Quick adaptive_driver_jobs;
-        Alcotest.test_case "run_all_adaptive output identity" `Slow adaptive_output_identity;
+        Alcotest.test_case "adaptive_jobs output identity" `Slow adaptive_output_identity;
       ] );
     ( "parallel-stats",
       [ to_alcotest merge_associative; to_alcotest merge_identity ] );

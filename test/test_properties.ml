@@ -520,7 +520,8 @@ let cost_breakdown_sums =
       | [ seed_group ] -> (
           let block = Func.entry f in
           let deps = Snslp_analysis.Deps.of_block block in
-          match Snslp_vectorizer.Graph.build ~deps config f block seed_group with
+          let cache = Snslp_vectorizer.Lookahead.cache_create () in
+          match Snslp_vectorizer.Graph.build ~deps ~cache config f block seed_group with
           | Some g ->
               let b = Snslp_vectorizer.Cost.of_graph config g in
               let node_sum =
@@ -661,10 +662,10 @@ let use_lists_stay_consistent =
 
 (* [Config.fingerprint] keys the compile-service cache, so two configs
    with equal fingerprints MUST produce byte-identical optimized IR on
-   every function.  The pool pairs fingerprint-equal configs differing
-   only in an excluded knob (verify_each — checking, not semantics)
-   with fingerprint-distinct ones differing in packing and mode; the
-   property quantifies over fuzz-generated functions.
+   every function.  The pool pairs fingerprint-equal runs differing
+   only in a run argument outside the config (verify_each — checking,
+   not semantics) with fingerprint-distinct ones differing in packing
+   and mode; the property quantifies over fuzz-generated functions.
    By construction the pool contains both equal- and distinct-
    fingerprint pairs, so the implication is never vacuous. *)
 let fingerprint_keys_output =
@@ -676,18 +677,18 @@ let fingerprint_keys_output =
       in
       let pool =
         [
-          Config.snslp;
-          { Config.snslp with Config.verify_each = true };
-          global Config.default_beam Config.default_node_budget Config.snslp;
-          global 2 64 Config.snslp;
-          Config.lslp;
+          (Config.snslp, false);
+          (Config.snslp, true);
+          (global Config.default_beam Config.default_node_budget Config.snslp, false);
+          (global 2 64 Config.snslp, false);
+          (Config.lslp, false);
         ]
       in
       let outputs =
         List.map
-          (fun c ->
+          (fun (c, verify_each) ->
             let f = Snslp_fuzzer.Gen.generate ~seed () in
-            let r = Snslp_passes.Pipeline.run ~setting:(Some c) f in
+            let r = Snslp_passes.Pipeline.run ~setting:(Some c) ~verify_each f in
             (Config.fingerprint c, Printer.func_to_string r.Snslp_passes.Pipeline.func))
           pool
       in

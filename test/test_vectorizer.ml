@@ -305,7 +305,10 @@ let graph_of setting src =
   let seeds = Seeds.collect block ~lanes_for in
   match seeds with
   | [ seed ] -> (
-      match Graph.build ~deps:(Snslp_analysis.Deps.of_block block) setting f block seed with
+      match
+        Graph.build ~deps:(Snslp_analysis.Deps.of_block block)
+          ~cache:(Lookahead.cache_create ()) setting f block seed
+      with
       | Some g -> g
       | None -> Alcotest.fail "graph not built")
   | _ -> Alcotest.fail "expected one seed"
@@ -455,12 +458,10 @@ let kernel_source name =
 let global_packing =
   Config.Global { beam = Config.default_beam; node_budget = Config.default_node_budget }
 
-(* Compile a registry kernel the way snslpc does (a lent scratch memo)
-   and return the vectorizer report. *)
+(* Compile a registry kernel and return the vectorizer report. *)
 let vect_report config name =
   let f = compile (kernel_source name) in
-  let scratch = Vectorize.scratch_create () in
-  match (Pipeline.run ~scratch ~setting:(Some config) f).Pipeline.vect_report with
+  match (Pipeline.run ~setting:(Some config) f).Pipeline.vect_report with
   | Some rep -> rep
   | None -> Alcotest.fail "no vectorizer report"
 
@@ -526,16 +527,44 @@ let test_deps_builds_per_block () =
         [ Config.Greedy; global_packing ])
     Snslp_kernels.Registry.all
 
-let test_fingerprint_excludes_speed_knobs () =
-  let base = Config.snslp in
-  let fp c = Config.fingerprint c in
+(* Every entry point runs one look-ahead memo policy: one memo per
+   vectorizer run.  On the largest registry kernel at depth 3, a direct
+   pipeline run and the driver at one and two workers report identical
+   counters, look-ahead included.  Two copies of the kernel, so both
+   workers compile at jobs=2. *)
+let test_one_memo_policy () =
+  let module Driver = Snslp_driver.Driver in
+  let setting = Some { Config.snslp with Config.lookahead_depth = 3 } in
+  let f = compile (kernel_source "milc_mat_vec") in
+  let funcs = [ f; f ] in
+  let direct = Driver.merged_stats (List.map (fun f -> Pipeline.run ~setting f) funcs) in
   List.iter
-    (fun variant ->
-      Alcotest.(check string) "speed knobs don't reach the fingerprint"
-        (fp base) (fp variant))
-    [ { base with Config.jobs = 17 }; { base with Config.verify_each = true } ];
-  Alcotest.(check bool) "modes do" false
-    (String.equal (fp Config.snslp) (fp Config.vanilla))
+    (fun jobs ->
+      let s = Driver.merged_stats (Driver.run_all ~jobs ~setting funcs) in
+      Alcotest.(check (list int))
+        (Printf.sprintf "shared-state counters at jobs=%d" jobs)
+        (counters direct) (counters s);
+      check (Printf.sprintf "every counter at jobs=%d" jobs) true
+        (Stats.equal_counters direct s))
+    [ 1; 2 ]
+
+(* Knobs that only check or speed up a compile are run arguments, not
+   config fields, so the fingerprint cannot see them; per-pass
+   verification must then leave the output alone. *)
+let test_fingerprint_excludes_speed_knobs () =
+  List.iter
+    (fun name ->
+      let f = compile (kernel_source name) in
+      let ir ~verify_each =
+        Printer.func_to_string
+          (Pipeline.run ~setting:(Some Config.snslp) ~verify_each f).Pipeline.func
+      in
+      Alcotest.(check string)
+        (name ^ ": verify_each leaves the output alone")
+        (ir ~verify_each:false) (ir ~verify_each:true))
+    [ "motiv_leaf"; "milc_su3"; "calculix_blend" ];
+  Alcotest.(check bool) "modes reach the fingerprint" false
+    (String.equal (Config.fingerprint Config.snslp) (Config.fingerprint Config.vanilla))
 
 (* Graph dumps are rendered when read, after every later tree and pass
    has run; they must equal the text the graph printed when it was
@@ -643,5 +672,6 @@ let suite =
         Alcotest.test_case "deps builds per block" `Quick test_deps_builds_per_block;
         Alcotest.test_case "fingerprint excludes speed knobs" `Quick
           test_fingerprint_excludes_speed_knobs;
+        Alcotest.test_case "one memo policy on every path" `Quick test_one_memo_policy;
       ] );
   ]
