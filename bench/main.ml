@@ -659,9 +659,6 @@ let packing () =
 
 (* --- Parallel scaling: the domain-pool vectorization driver ------------------ *)
 
-(* Wall-clock monotonic seconds. *)
-let wall_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
-
 (* One sweep data point: compile [rounds] copies of every kernel
    through the SN-SLP pipeline with [jobs] requested worker domains,
    returning elapsed seconds and the run's outputs for the determinism
@@ -669,7 +666,7 @@ let wall_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
    sweep times exactly the optimization pipeline, not the frontend. *)
 let parallel_run ~jobs (funcs : Snslp_ir.Defs.func list) =
   let module Driver = Snslp_driver.Driver in
-  let t0 = wall_s () in
+  let t0 = Stats.now_s () in
   (* The adaptive clamp sizes the fan-out to the cores and the work on
      the table — on a 1-core container every point runs inline, which
      is exactly the regression fix the sweep guards. *)
@@ -677,7 +674,7 @@ let parallel_run ~jobs (funcs : Snslp_ir.Defs.func list) =
     Driver.run_all ~jobs:(Driver.adaptive_jobs ~requested:jobs funcs)
       ~setting:(Some Config.snslp) funcs
   in
-  let dt = wall_s () -. t0 in
+  let dt = Stats.now_s () -. t0 in
   (dt, results)
 
 let parallel_fingerprint (results : Pipeline.result list) =
@@ -1190,9 +1187,9 @@ let best_of ~rounds run =
   run ();
   let best = ref infinity in
   for _ = 1 to rounds do
-    let t0 = wall_s () in
+    let t0 = Stats.now_s () in
     run ();
-    let dt = wall_s () -. t0 in
+    let dt = Stats.now_s () -. t0 in
     if dt < !best then best := dt
   done;
   !best
@@ -1301,11 +1298,11 @@ let interp_report ~kernels ~iters ~oracle_iters ~oracle_reps ~rounds ~campaign_c
   in
   let time_passes ~compiled =
     oracle_pass ~compiled ();
-    let t0 = wall_s () in
+    let t0 = Stats.now_s () in
     for _ = 1 to oracle_reps do
       oracle_pass ~compiled ()
     done;
-    wall_s () -. t0
+    Stats.now_s () -. t0
   in
   let tree_oracle_s = time_passes ~compiled:false in
   let comp_oracle_s = time_passes ~compiled:true in
@@ -1523,9 +1520,9 @@ let service_report ~kernels ~replay_rounds ~rounds () =
     @ [ "quit" ]
   in
   let time_conv lines =
-    let t0 = wall_s () in
+    let t0 = Stats.now_s () in
     let out = converse server lines in
-    (wall_s () -. t0, out)
+    (Stats.now_s () -. t0, out)
   in
   let cold_s, cold_out = time_conv batch_lines in
   let warm_s = ref infinity and warm_out = ref [] in
@@ -1594,9 +1591,9 @@ let service_report ~kernels ~replay_rounds ~rounds () =
              kernels))
     @ [ "quit" ]
   in
-  let t0 = wall_s () in
+  let t0 = Stats.now_s () in
   let _ = converse tserver stream in
-  let elapsed = wall_s () -. t0 in
+  let elapsed = Stats.now_s () -. t0 in
   let nreq = replay_rounds * List.length kernels in
   let kps = float_of_int nreq /. Float.max elapsed 1e-9 in
   let lat = Service.latencies_s tserver in
@@ -1706,8 +1703,8 @@ let loops_report ~(pairs : (Registry.t * Registry.t) list) ~iters ~min_wins () =
         let twin_cyc, _ = simulate wt snslp in
         let lr = Pipeline.run ~setting:snslp wl.Workload.func in
         let unrolled_full =
-          match lr.Pipeline.loop_stats with
-          | Some s -> s.Pipeline.unrolled_full
+          match lr.Pipeline.vect_report with
+          | Some rep -> rep.Vectorize.stats.Stats.loops_unrolled_full
           | None -> 0
         in
         let parity =

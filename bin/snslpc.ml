@@ -155,17 +155,16 @@ let run verbose file kernel mode model target revec packing unroll dump_before
               cfg.Config.target.Target.name cfg.Config.target.Target.vector_bits
               (if cfg.Config.target.Target.has_addsub then ", addsub" else "")
               cfg.Config.model.Model.name cfg.Config.revec;
-            Fmt.pr "; stats: %a@." Stats.pp rep.Vectorize.stats
+            let s = rep.Vectorize.stats in
+            Fmt.pr "; stats: %a@." Stats.pp s;
+            if cfg.Config.unroll <> Config.No_unroll then
+              Fmt.pr
+                "; loops: %d found, %d counted, %d fully unrolled, %d partially \
+                 unrolled, %d blocks jammed@."
+                s.Stats.loops_found s.Stats.loops_counted s.Stats.loops_unrolled_full
+                s.Stats.loops_unrolled_partial s.Stats.loop_blocks_jammed
           end
       | None -> ());
-      (match result.Pipeline.loop_stats with
-      | Some ls when stats ->
-          Fmt.pr
-            "; loops: %d found, %d counted, %d fully unrolled, %d partially \
-             unrolled, %d blocks jammed@."
-            ls.Pipeline.loops ls.Pipeline.counted ls.Pipeline.unrolled_full
-            ls.Pipeline.unrolled_partial ls.Pipeline.blocks_merged
-      | _ -> ());
       (match result.Pipeline.validation with
       | None -> ()
       | Some v ->

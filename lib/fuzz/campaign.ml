@@ -32,8 +32,6 @@ type result = {
 
 let case_seed ~seed k = (seed * 1_000_003) + k
 
-let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
-
 (* Minimize a failing case under "the same configurations still
    lose".  Ordinary findings replay through the oracle; parallel
    determinism findings replay through the driver comparison. *)
@@ -59,7 +57,7 @@ let reduce_case ~engine ~configs ~jobs (func : Defs.func)
 let run ?profile ?(engine = Oracle.Compiled) ?(configs = Oracle.default_configs)
     ?(jobs = 1) ?(batch = 32) ?(reduce = true)
     ?(on_progress = fun ~done_:_ ~failing:_ -> ()) ~seed ~cases () : result =
-  let t0 = now_s () in
+  let t0 = Snslp_vectorizer.Stats.now_s () in
   let stats = Oracle.create_exec_stats () in
   let total_instrs = ref 0 in
   let reports = ref [] in
@@ -98,7 +96,7 @@ let run ?profile ?(engine = Oracle.Compiled) ?(configs = Oracle.default_configs)
   {
     cases;
     total_instrs = !total_instrs;
-    elapsed_seconds = now_s () -. t0;
+    elapsed_seconds = Snslp_vectorizer.Stats.now_s () -. t0;
     reports = List.rev !reports;
     engine = Oracle.engine_name engine;
     exec_runs = stats.Oracle.exec_runs;

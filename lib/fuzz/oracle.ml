@@ -80,8 +80,6 @@ let create_exec_stats () = { exec_runs = 0; exec_instrs = 0; exec_seconds = 0.0 
 let ns_per_instr (s : exec_stats) =
   if s.exec_instrs = 0 then 0.0 else s.exec_seconds *. 1e9 /. float_of_int s.exec_instrs
 
-let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
-
 (* The evaluated configurations: the paper's three modes plus the
    no-vectorizer baseline (which exercises the scalar passes alone). *)
 let default_configs : (string * Pipeline.setting) list =
@@ -160,9 +158,9 @@ let timed_exec ?stats ~(engine : Interp.engine) (func : Defs.func)
   match stats with
   | None -> ignore (Interp.exec ~engine func ~args ~memory)
   | Some s ->
-      let t0 = now_s () in
+      let t0 = Stats.now_s () in
       let n = Interp.exec ~engine func ~args ~memory in
-      s.exec_seconds <- s.exec_seconds +. (now_s () -. t0);
+      s.exec_seconds <- s.exec_seconds +. (Stats.now_s () -. t0);
       s.exec_runs <- s.exec_runs + 1;
       s.exec_instrs <- s.exec_instrs + n
 

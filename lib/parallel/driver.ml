@@ -30,9 +30,9 @@ let adaptive_jobs ~requested (funcs : Defs.func list) =
   Pool.effective_jobs ~requested ~items:(List.length funcs) ~total_cost ()
 
 let merged_stats (results : Pipeline.result list) : Stats.t =
-  List.fold_left
-    (fun acc (r : Pipeline.result) ->
-      match r.Pipeline.vect_report with
-      | Some rep -> Stats.merge acc rep.Vectorize.stats
-      | None -> acc)
-    (Stats.create ()) results
+  let acc = Stats.create () in
+  List.iter
+    (fun (r : Pipeline.result) ->
+      Option.iter (fun rep -> Stats.add ~into:acc rep.Vectorize.stats) r.Pipeline.vect_report)
+    results;
+  acc

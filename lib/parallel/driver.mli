@@ -36,7 +36,7 @@ val adaptive_jobs : requested:int -> Defs.func list -> int
     functions runs inline.  Clamping changes only wall-clock. *)
 
 val merged_stats : Pipeline.result list -> Stats.t
-(** Fold of the per-item vectorizer stats with {!Stats.merge}, in
-    work-item index order — deterministic for every [jobs] value and
-    steal schedule.  Items without a vectorization report (-O3)
-    contribute nothing. *)
+(** A fresh record with every item's vectorizer stats added into it
+    by {!Stats.add}, in work-item index order — deterministic for
+    every [jobs] value and steal schedule.  Items without a
+    vectorization report (-O3) contribute nothing. *)

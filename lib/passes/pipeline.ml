@@ -24,20 +24,9 @@ type validation = {
   validate_seconds : float;
 }
 
-(* Loop-pass counters of one pipeline run, surfaced by the CLIs'
-   --stats views and aggregated by the compile service. *)
-type loop_stats = {
-  loops : int; (* natural loops in the input *)
-  counted : int; (* of which the recognizer accepted *)
-  unrolled_full : int; (* fully unrolled: loop gone, no phi left *)
-  unrolled_partial : int; (* partially unrolled: epilogue loop remains *)
-  blocks_merged : int; (* straight-line blocks fused by the jam pass *)
-}
-
 type result = {
   func : Defs.func;
   vect_report : Vectorize.report option; (* None under -O3 (no vectorizer) *)
-  loop_stats : loop_stats option; (* None when the unroll policy is off *)
   timings : timing list;
   total_seconds : float;
   validation : validation option; (* Some iff [~validate:true] *)
@@ -52,15 +41,12 @@ let setting_name = function
   | None -> "o3"
   | Some c -> Config.mode_to_string c.Config.mode
 
-(* Pass timings read the OS monotonic clock ([CLOCK_MONOTONIC] via
-   the bechamel stub): wall-clock time can step backwards under NTP,
-   and these seconds feed the compile-time experiments. *)
-let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
-
+(* Pass timings read the compile's one clock, {!Stats.now_s}: these
+   seconds feed the compile-time experiments. *)
 let timed name f =
-  let t0 = now_s () in
+  let t0 = Stats.now_s () in
   let r = f () in
-  ({ pass = name; seconds = now_s () -. t0 }, r)
+  ({ pass = name; seconds = Stats.now_s () -. t0 }, r)
 
 (* [run ?setting ?verify_each ?validate func] optimises a copy of
    [func] and returns it; the input function is not modified.
@@ -92,9 +78,9 @@ let run ?(setting : setting = Some Config.snslp) ?(verify_each = false)
   let prev_snap =
     ref
       (if validate then begin
-         let t0 = now_s () in
+         let t0 = Stats.now_s () in
          let s = Snslp_lint.Validate.capture f in
-         validate_seconds := !validate_seconds +. (now_s () -. t0);
+         validate_seconds := !validate_seconds +. (Stats.now_s () -. t0);
          first_snap := Some s;
          Some s
        end
@@ -107,10 +93,10 @@ let run ?(setting : setting = Some Config.snslp) ?(verify_each = false)
     | None -> ()
     | Some pre when name <> "verify" ->
         if changed then begin
-          let t0 = now_s () in
+          let t0 = Stats.now_s () in
           let cur = Snslp_lint.Validate.capture f in
           let v = Snslp_lint.Validate.compare_snapshots ?tolerance pre cur in
-          validate_seconds := !validate_seconds +. (now_s () -. t0);
+          validate_seconds := !validate_seconds +. (Stats.now_s () -. t0);
           pass_verdicts := (name, v) :: !pass_verdicts;
           prev_snap := Some cur
         end
@@ -134,7 +120,7 @@ let run ?(setting : setting = Some Config.snslp) ?(verify_each = false)
           Option.iter (fun hook -> hook g) on_graph)
     else on_graph
   in
-  let t0 = now_s () in
+  let t0 = Stats.now_s () in
   let t, n = timed "fold" (fun () -> Fold.run f) in
   record ~changed:(n > 0) t;
   let t, n = timed "simplify" (fun () -> Simplify.run f) in
@@ -211,16 +197,27 @@ let run ?(setting : setting = Some Config.snslp) ?(verify_each = false)
                 Revec.run ~model:config.Config.model ~target:config.Config.target f)
           in
           record ~changed:(rr.Revec.pairs > 0) t;
-          rep.Vectorize.stats.Snslp_vectorizer.Stats.revec_pairs <- rr.Revec.pairs;
-          rep.Vectorize.stats.Snslp_vectorizer.Stats.revec_widened <- rr.Revec.widened
+          rep.Vectorize.stats.Stats.revec_pairs <- rr.Revec.pairs;
+          rep.Vectorize.stats.Stats.revec_widened <- rr.Revec.widened
         end;
+        (* The loop passes ran before the vectorizer; their counters
+           join the record it returned. *)
+        Option.iter
+          (fun (r : Unroll.report) ->
+            let s = rep.Vectorize.stats in
+            s.Stats.loops_found <- r.Unroll.loops;
+            s.Stats.loops_counted <- r.Unroll.counted;
+            s.Stats.loops_unrolled_full <- r.Unroll.full;
+            s.Stats.loops_unrolled_partial <- r.Unroll.partial;
+            s.Stats.loop_blocks_jammed <- merged)
+          unroll_report;
         Some rep
   in
   let t, n = timed "dce" (fun () -> Dce.run f) in
   record ~changed:(n > 0) t;
   let t, () = timed "verify" (fun () -> Verifier.verify_exn f) in
   record t;
-  let total_seconds = now_s () -. t0 in
+  let total_seconds = Stats.now_s () -. t0 in
   let validation =
     if not validate then None
     else begin
@@ -229,12 +226,12 @@ let run ?(setting : setting = Some Config.snslp) ?(verify_each = false)
          verdicts decompose.  Both snapshots are already captured: the
          input's, and the last recorded pass's (the "verify" pass that
          follows never rewrites). *)
-      let tv0 = now_s () in
+      let tv0 = Stats.now_s () in
       let end_verdict =
         Snslp_lint.Validate.compare_snapshots ?tolerance
           (Option.get !first_snap) (Option.get !prev_snap)
       in
-      validate_seconds := !validate_seconds +. (now_s () -. tv0);
+      validate_seconds := !validate_seconds +. (Stats.now_s () -. tv0);
       Some
         {
           pass_verdicts = List.rev !pass_verdicts;
@@ -244,22 +241,9 @@ let run ?(setting : setting = Some Config.snslp) ?(verify_each = false)
         }
     end
   in
-  let loop_stats =
-    Option.map
-      (fun (r : Unroll.report) ->
-        {
-          loops = r.Unroll.loops;
-          counted = r.Unroll.counted;
-          unrolled_full = r.Unroll.full;
-          unrolled_partial = r.Unroll.partial;
-          blocks_merged = merged;
-        })
-      unroll_report
-  in
   {
     func = f;
     vect_report;
-    loop_stats;
     timings = List.rev !timings;
     total_seconds;
     validation;

@@ -19,20 +19,13 @@ type validation = {
           timings) *)
 }
 
-type loop_stats = {
-  loops : int;  (** natural loops in the input *)
-  counted : int;  (** of which the recognizer accepted *)
-  unrolled_full : int;  (** fully unrolled: loop gone, no phi left *)
-  unrolled_partial : int;  (** partially unrolled: epilogue remains *)
-  blocks_merged : int;  (** straight-line blocks fused by the jam pass *)
-}
-
 type result = {
   func : Defs.func;
-  vect_report : Vectorize.report option; (** [None] under plain -O3 *)
-  loop_stats : loop_stats option;
-      (** [None] when the unroll policy is [No_unroll] (including
-          every -O3 run) *)
+  vect_report : Vectorize.report option;
+      (** [None] under plain -O3.  Its stats are the compile's one
+          counters record: the vectorizer's, plus the revec and loop
+          counters the pipeline adds (all zero when those passes are
+          off). *)
   timings : timing list;
   total_seconds : float;
   validation : validation option; (** [Some] iff run with [~validate:true] *)

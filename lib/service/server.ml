@@ -28,8 +28,11 @@
    cheap).
 
    Latency accounting is what a synchronous client observes: every
-   request in a batch records the whole batch's wall time, a lone
-   compile records its own. *)
+   request in a batch records the whole batch's elapsed time, a lone
+   compile records its own, both read on the compile's monotonic
+   clock ({!Stats.now_s}).  Counters and latencies both stay fixed in
+   size however long the server runs: the misses' counters are added
+   into one record, the latencies fill a ring. *)
 
 open Snslp_ir
 open Snslp_passes
@@ -60,32 +63,11 @@ type t = {
          number [k] (from 0) lands in slot [k mod window_size] *)
   mutable latency_sum_s : float; (* over every request served *)
   mutable served : int;
-  mutable vstats : Stats.t;
-      (* vectorizer counters accumulated over every miss compiled by
-         this server — hits replay renderings and add nothing, so
-         these measure the work the cache did NOT absorb.  The pack_*
-         counters expose the global pack selector's search effort
-         (candidates / expansions / pruned / replayed plans). *)
-  mutable lstats : Pipeline.loop_stats;
-      (* loop-subsystem counters, accumulated the same way: natural
-         loops seen in compiled misses, how many the counted-loop
-         recognizer accepted, full/partial unrolls, blocks the jam
-         pass fused *)
+  stats : Stats.t;
+      (* every miss's counters record added into one, kept for the
+         server's lifetime — hits replay renderings and add nothing,
+         so these measure the work the cache did NOT absorb *)
 }
-
-let zero_loop_stats : Pipeline.loop_stats =
-  { Pipeline.loops = 0; counted = 0; unrolled_full = 0; unrolled_partial = 0;
-    blocks_merged = 0 }
-
-let add_loop_stats (a : Pipeline.loop_stats) (b : Pipeline.loop_stats) :
-    Pipeline.loop_stats =
-  {
-    Pipeline.loops = a.Pipeline.loops + b.Pipeline.loops;
-    counted = a.Pipeline.counted + b.Pipeline.counted;
-    unrolled_full = a.Pipeline.unrolled_full + b.Pipeline.unrolled_full;
-    unrolled_partial = a.Pipeline.unrolled_partial + b.Pipeline.unrolled_partial;
-    blocks_merged = a.Pipeline.blocks_merged + b.Pipeline.blocks_merged;
-  }
 
 (* Enough samples for a stable p99 (about 40 beyond it), while [stats]
    sorts a fixed 32 KiB however long the daemon has run. *)
@@ -101,13 +83,10 @@ let create ?capacity () =
     window = Array.make window_size 0.0;
     latency_sum_s = 0.0;
     served = 0;
-    vstats = Stats.create ();
-    lstats = zero_loop_stats;
+    stats = Stats.create ();
   }
 
 let cache t = t.cache
-
-let now_s () = Unix.gettimeofday ()
 
 (* A mode string is the vectorizer mode, optionally followed by
    "+PACKING" and/or "/urPOLICY" and/or "@TARGET[+revec]" — e.g.
@@ -351,12 +330,9 @@ let handle_batch t (requests : (string * string, string) result list) :
       List.iter
         (fun ((f : Defs.func), key, structural, cell) ->
           let r = Pipeline.run ~setting f in
-          (match r.Pipeline.vect_report with
-          | Some rep -> t.vstats <- Stats.merge t.vstats rep.Vectorize.stats
-          | None -> ());
-          (match r.Pipeline.loop_stats with
-          | Some ls -> t.lstats <- add_loop_stats t.lstats ls
-          | None -> ());
+          Option.iter
+            (fun rep -> Stats.add ~into:t.stats rep.Vectorize.stats)
+            r.Pipeline.vect_report;
           let c =
             {
               cfunc = r.Pipeline.func;
@@ -434,23 +410,23 @@ let stats_reply t : Protocol.response =
       ("p99_ms", ms (percentile 99.0 lat));
       (* Global pack-selection search effort, summed over every miss
          this server compiled (greedy-packing compiles leave them 0). *)
-      ("pack_candidates", string_of_int t.vstats.Stats.pack_candidates);
-      ("pack_expansions", string_of_int t.vstats.Stats.pack_expansions);
-      ("pack_pruned", string_of_int t.vstats.Stats.pack_pruned);
-      ("pack_plans", string_of_int t.vstats.Stats.pack_plans);
+      ("pack_candidates", string_of_int t.stats.Stats.pack_candidates);
+      ("pack_expansions", string_of_int t.stats.Stats.pack_expansions);
+      ("pack_pruned", string_of_int t.stats.Stats.pack_pruned);
+      ("pack_plans", string_of_int t.stats.Stats.pack_plans);
       (* Revec re-widening on the same misses: adjacent bundle pairs
          re-packed into wider registers, and the wide instructions
          that replaced them (@TARGET+revec modes only; 0 otherwise). *)
-      ("revec_pairs", string_of_int t.vstats.Stats.revec_pairs);
-      ("revec_widened", string_of_int t.vstats.Stats.revec_widened);
+      ("revec_pairs", string_of_int t.stats.Stats.revec_pairs);
+      ("revec_widened", string_of_int t.stats.Stats.revec_widened);
       (* Loop-subsystem work on the same misses: loops seen, accepted
          by the counted-loop recognizer, unrolled fully/partially, and
          straight-line blocks the jam pass fused. *)
-      ("loops_found", string_of_int t.lstats.Pipeline.loops);
-      ("loops_counted", string_of_int t.lstats.Pipeline.counted);
-      ("loops_unrolled_full", string_of_int t.lstats.Pipeline.unrolled_full);
-      ("loops_unrolled_partial", string_of_int t.lstats.Pipeline.unrolled_partial);
-      ("loop_blocks_jammed", string_of_int t.lstats.Pipeline.blocks_merged);
+      ("loops_found", string_of_int t.stats.Stats.loops_found);
+      ("loops_counted", string_of_int t.stats.Stats.loops_counted);
+      ("loops_unrolled_full", string_of_int t.stats.Stats.loops_unrolled_full);
+      ("loops_unrolled_partial", string_of_int t.stats.Stats.loops_unrolled_partial);
+      ("loop_blocks_jammed", string_of_int t.stats.Stats.loop_blocks_jammed);
     ]
 
 let record t dt n =
@@ -478,9 +454,9 @@ let serve t ~(reader : unit -> string option) ~(writer : string -> unit) : unit 
         respond (stats_reply t);
         loop ()
     | Some (Ok (Protocol.Compile { mode; source })) ->
-        let t0 = now_s () in
+        let t0 = Stats.now_s () in
         let rs = handle_batch t [ Ok (mode, source) ] in
-        record t (now_s () -. t0) 1;
+        record t (Stats.now_s () -. t0) 1;
         List.iter respond rs;
         loop ()
     | Some (Ok (Protocol.Batch n)) ->
@@ -499,9 +475,9 @@ let serve t ~(reader : unit -> string option) ~(writer : string -> unit) : unit 
                   (Error "only compile frames may appear in a batch" :: acc)
         in
         let frames = collect n [] in
-        let t0 = now_s () in
+        let t0 = Stats.now_s () in
         let rs = handle_batch t frames in
-        record t (now_s () -. t0) n;
+        record t (Stats.now_s () -. t0) n;
         List.iter respond rs;
         loop ()
   in

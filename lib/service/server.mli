@@ -38,18 +38,23 @@ val handle_batch :
 val stats_reply : t -> Protocol.response
 (** The counters snapshot [serve] answers [stats] with: cache
     counters, hit rate, latency mean (over every request served) and
-    p50/p99 (over the latest 4096, see {!latencies_s}), the global
-    pack-selection search counters (pack_candidates / pack_expansions
-    / pack_pruned / pack_plans), and the loop-subsystem counters
+    p50/p99 (over the latest 4096, see {!latencies_s}), then the
+    global pack-selection search counters (pack_candidates /
+    pack_expansions / pack_pruned / pack_plans), the revec counters
+    (revec_pairs / revec_widened) and the loop-subsystem counters
     (loops_found / loops_counted / loops_unrolled_full /
-    loops_unrolled_partial / loop_blocks_jammed), all accumulated over
-    every miss the server compiled. *)
+    loops_unrolled_partial / loop_blocks_jammed).  Those last eleven
+    are fields of one {!Snslp_vectorizer.Stats.t} that every compiled
+    miss's record is added into with
+    {!Snslp_vectorizer.Stats.add}: a fixed-size record, however long
+    the server runs. *)
 
 val latencies_s : t -> float list
-(** The latest 4096 per-request wall latencies, newest first: a
-    fixed window, so a long-running daemon's memory and [stats] cost
-    stay bounded.  Requests in a batch all record the batch's wall
-    time — what a synchronous client observes. *)
+(** The latest 4096 per-request latencies, newest first, read on the
+    monotonic clock ({!Snslp_vectorizer.Stats.now_s}): a fixed
+    window, so a long-running daemon's memory and [stats] cost stay
+    bounded.  Requests in a batch all record the batch's elapsed time
+    — what a synchronous client observes. *)
 
 val serve : t -> reader:(unit -> string option) -> writer:(string -> unit) -> unit
 (** Run the conversation until [quit] or end of stream.  [reader]

@@ -73,10 +73,16 @@ let pp_candidate ppf (c : candidate) =
    [node_budget] caps the total SLP-graph nodes formed across trial
    builds (<= 0 = unlimited); enumeration stops when it is exhausted,
    which degrades the search space gracefully — the greedy incumbent
-   is evaluated separately and is never lost. *)
+   is evaluated separately and is never lost.
+
+   One look-ahead memo serves the whole enumeration, as one serves
+   every vectorizer run: its entries are keyed by per-function
+   instruction ids, and massage rewrites inside a build clear it, so
+   a served score always equals the uncached recursion. *)
 let enumerate ?stats ?on_graph ~node_budget (config : Config.t) (func : Defs.func) :
     candidate list =
   let clone = Func.clone func in
+  let cache = Lookahead.cache_create () in
   let lanes_for = Target.lanes_for config.Config.target in
   let next_cid = ref 0 in
   let nodes_built = ref 0 in
@@ -86,11 +92,10 @@ let enumerate ?stats ?on_graph ~node_budget (config : Config.t) (func : Defs.fun
     (fun (block : Defs.block) ->
       let runs = Seeds.runs block in
       if runs <> [] then begin
-        (* One dependence analysis and one look-ahead memo per block,
-           exactly as the vectorizer driver shares them; massage
-           rewrites inside a build refresh/clear them in place. *)
+        (* One dependence analysis per block, exactly as the
+           vectorizer driver shares it; massage rewrites inside a
+           build refresh it in place. *)
         let deps = Stats.time ?stats "deps" (fun () -> Deps.of_block block) in
-        let cache = Lookahead.cache_create () in
         let try_candidate ~width ~reorder seed =
           match
             Stats.time ?stats "graph" (fun () ->

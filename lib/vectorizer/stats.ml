@@ -1,17 +1,19 @@
-(* Vectorization statistics.
+(* The counters record of one compile.
 
-   These back the paper's Figures 6, 7, 9 and 10: the number and size
-   of Multi/Super-Nodes formed in *successfully vectorized* code.  A
-   node's size is the depth of its trunk — the number of chained
-   arithmetic instructions per lane (minimum 2 by construction). *)
+   Its Multi/Super-Node counters back the paper's Figures 6, 7, 9 and
+   10: the number and total size of the nodes formed in *successfully
+   vectorized* code.  A node's size is the depth of its trunk — the
+   number of chained arithmetic instructions per lane (minimum 2 by
+   construction).  Sums over many compiles add records in place
+   ([add]), so a long-lived sum never grows. *)
 
 type t = {
   mutable graphs_built : int;
   mutable graphs_vectorized : int;
   mutable nodes_formed : int; (* SLP-graph nodes, all kinds *)
   mutable gathers : int;
-  mutable supernode_sizes : int list;
-      (* trunk depth of every Multi/Super-Node in vectorized graphs *)
+  mutable supernodes : int; (* Multi/Super-Nodes in vectorized graphs *)
+  mutable supernode_size_total : int; (* their summed trunk depths *)
   mutable vector_instrs_emitted : int;
   mutable scalars_erased : int;
   mutable reductions : int; (* horizontal reductions rewritten *)
@@ -37,7 +39,17 @@ type t = {
      the wide instructions they produced. *)
   mutable revec_pairs : int; (* adjacent bundle pairs re-packed wider *)
   mutable revec_widened : int; (* wide instructions emitted by revec *)
-  phases : (string, float) Hashtbl.t; (* cumulative seconds per phase *)
+  (* Loop passes (Config.unroll): natural loops in the input, how many
+     the counted-loop recognizer accepted, full and partial unrolls,
+     and straight-line blocks the jam pass fused. *)
+  mutable loops_found : int;
+  mutable loops_counted : int;
+  mutable loops_unrolled_full : int;
+  mutable loops_unrolled_partial : int;
+  mutable loop_blocks_jammed : int;
+  phases : (string, float) Hashtbl.t; (* cumulative self seconds per phase *)
+  mutable nested_s : float;
+      (* seconds the phases nested in the running one have taken *)
 }
 
 let create () =
@@ -46,7 +58,8 @@ let create () =
     graphs_vectorized = 0;
     nodes_formed = 0;
     gathers = 0;
-    supernode_sizes = [];
+    supernodes = 0;
+    supernode_size_total = 0;
     vector_instrs_emitted = 0;
     scalars_erased = 0;
     reductions = 0;
@@ -62,7 +75,13 @@ let create () =
     pack_plans = 0;
     revec_pairs = 0;
     revec_widened = 0;
+    loops_found = 0;
+    loops_counted = 0;
+    loops_unrolled_full = 0;
+    loops_unrolled_partial = 0;
+    loop_blocks_jammed = 0;
     phases = Hashtbl.create 8;
+    nested_s = 0.0;
   }
 
 (* Charge a block-wide dependence analysis's reachability-window and
@@ -78,110 +97,96 @@ let add_phase (t : t) name seconds =
   | Some s -> Hashtbl.replace t.phases name (s +. seconds)
   | None -> Hashtbl.add t.phases name seconds
 
-let phase_seconds (t : t) name =
-  match Hashtbl.find_opt t.phases name with Some s -> s | None -> 0.0
-
 (* Phase timings in a canonical (name-sorted) order, so anything that
-   prints or merges them is independent of hash-table layout. *)
+   prints them is independent of hash-table layout. *)
 let phases_sorted (t : t) =
   Hashtbl.fold (fun n s acc -> (n, s) :: acc) t.phases []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-(* [time ?stats name f] runs [f] and charges its elapsed time to phase
-   [name]; with no stats sink it is just [f ()].  The clock is the
-   OS's monotonic one (CLOCK_MONOTONIC via the bechamel stub):
-   [Unix.gettimeofday] is wall-clock time, which NTP can step
-   backwards, and a phase accumulator must never ingest a negative
-   sample. *)
-let now_ns () = Monotonic_clock.now ()
+(* The one clock of a compile: the OS's monotonic one (CLOCK_MONOTONIC
+   via the bechamel stub), in seconds.  [Unix.gettimeofday] is
+   wall-clock time, which NTP can step backwards, and an accumulator
+   must never ingest a negative sample. *)
+let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
+(* [time ?stats name f] runs [f] and charges its self time to phase
+   [name]: its elapsed time minus that of the phases nested in it,
+   which charge themselves.  The phases of one record thus partition
+   the time they cover.  With no stats sink it is just [f ()]. *)
 let time ?stats name f =
   match stats with
   | None -> f ()
   | Some t ->
-      let t0 = now_ns () in
+      let outer = t.nested_s in
+      t.nested_s <- 0.0;
+      let t0 = now_s () in
       let r = f () in
-      add_phase t name (Int64.to_float (Int64.sub (now_ns ()) t0) *. 1e-9);
+      let dt = now_s () -. t0 in
+      add_phase t name (dt -. t.nested_s);
+      t.nested_s <- outer +. dt;
       r
 
 let hit_rate ~hits ~misses =
   let total = hits + misses in
   if total = 0 then 0.0 else float_of_int hits /. float_of_int total
 
-let record_supernode (t : t) ~size = t.supernode_sizes <- size :: t.supernode_sizes
+let record_supernode (t : t) ~size =
+  t.supernodes <- t.supernodes + 1;
+  t.supernode_size_total <- t.supernode_size_total + size
 
 (* Total aggregate node size — the quantity of Figures 6 and 9. *)
-let aggregate_supernode_size (t : t) = List.fold_left ( + ) 0 t.supernode_sizes
+let aggregate_supernode_size (t : t) = t.supernode_size_total
 
-let num_supernodes (t : t) = List.length t.supernode_sizes
+let num_supernodes (t : t) = t.supernodes
 
 (* Average node size — Figures 7 and 10. *)
 let average_supernode_size (t : t) =
-  match t.supernode_sizes with
-  | [] -> 0.0
-  | l -> float_of_int (List.fold_left ( + ) 0 l) /. float_of_int (List.length l)
+  if t.supernodes = 0 then 0.0
+  else float_of_int t.supernode_size_total /. float_of_int t.supernodes
 
-(* [merge a b] is deterministic in its arguments only — counters add,
-   [a]'s supernode sizes precede [b]'s, phases accumulate by name —
-   so a fold over per-work-item stats in work-item index order yields
-   the same value no matter which domain computed which item, or in
-   what order they completed. *)
-let merge (a : t) (b : t) =
-  let phases = Hashtbl.create 8 in
-  let add (n, s) =
-    match Hashtbl.find_opt phases n with
-    | Some s' -> Hashtbl.replace phases n (s' +. s)
-    | None -> Hashtbl.add phases n s
-  in
-  List.iter add (phases_sorted a);
-  List.iter add (phases_sorted b);
-  {
-    graphs_built = a.graphs_built + b.graphs_built;
-    graphs_vectorized = a.graphs_vectorized + b.graphs_vectorized;
-    nodes_formed = a.nodes_formed + b.nodes_formed;
-    gathers = a.gathers + b.gathers;
-    supernode_sizes = a.supernode_sizes @ b.supernode_sizes;
-    vector_instrs_emitted = a.vector_instrs_emitted + b.vector_instrs_emitted;
-    scalars_erased = a.scalars_erased + b.scalars_erased;
-    reductions = a.reductions + b.reductions;
-    lookahead_hits = a.lookahead_hits + b.lookahead_hits;
-    lookahead_misses = a.lookahead_misses + b.lookahead_misses;
-    reach_hits = a.reach_hits + b.reach_hits;
-    reach_misses = a.reach_misses + b.reach_misses;
-    deps_builds = a.deps_builds + b.deps_builds;
-    deps_refreshes = a.deps_refreshes + b.deps_refreshes;
-    pack_candidates = a.pack_candidates + b.pack_candidates;
-    pack_expansions = a.pack_expansions + b.pack_expansions;
-    pack_pruned = a.pack_pruned + b.pack_pruned;
-    pack_plans = a.pack_plans + b.pack_plans;
-    revec_pairs = a.revec_pairs + b.revec_pairs;
-    revec_widened = a.revec_widened + b.revec_widened;
-    phases;
-  }
+(* [add ~into s] adds every counter and phase of [s] into [into] in
+   place, allocating nothing that grows: the record stays as large as
+   its phase names.  Integer sums are exact, so adding the items of a
+   work list in index order gives the same counters whatever computed
+   them, and in whatever order they completed. *)
+let add ~(into : t) (s : t) =
+  into.graphs_built <- into.graphs_built + s.graphs_built;
+  into.graphs_vectorized <- into.graphs_vectorized + s.graphs_vectorized;
+  into.nodes_formed <- into.nodes_formed + s.nodes_formed;
+  into.gathers <- into.gathers + s.gathers;
+  into.supernodes <- into.supernodes + s.supernodes;
+  into.supernode_size_total <- into.supernode_size_total + s.supernode_size_total;
+  into.vector_instrs_emitted <- into.vector_instrs_emitted + s.vector_instrs_emitted;
+  into.scalars_erased <- into.scalars_erased + s.scalars_erased;
+  into.reductions <- into.reductions + s.reductions;
+  into.lookahead_hits <- into.lookahead_hits + s.lookahead_hits;
+  into.lookahead_misses <- into.lookahead_misses + s.lookahead_misses;
+  into.reach_hits <- into.reach_hits + s.reach_hits;
+  into.reach_misses <- into.reach_misses + s.reach_misses;
+  into.deps_builds <- into.deps_builds + s.deps_builds;
+  into.deps_refreshes <- into.deps_refreshes + s.deps_refreshes;
+  into.pack_candidates <- into.pack_candidates + s.pack_candidates;
+  into.pack_expansions <- into.pack_expansions + s.pack_expansions;
+  into.pack_pruned <- into.pack_pruned + s.pack_pruned;
+  into.pack_plans <- into.pack_plans + s.pack_plans;
+  into.revec_pairs <- into.revec_pairs + s.revec_pairs;
+  into.revec_widened <- into.revec_widened + s.revec_widened;
+  into.loops_found <- into.loops_found + s.loops_found;
+  into.loops_counted <- into.loops_counted + s.loops_counted;
+  into.loops_unrolled_full <- into.loops_unrolled_full + s.loops_unrolled_full;
+  into.loops_unrolled_partial <- into.loops_unrolled_partial + s.loops_unrolled_partial;
+  into.loop_blocks_jammed <- into.loop_blocks_jammed + s.loop_blocks_jammed;
+  Hashtbl.iter (add_phase into) s.phases
 
 (* Everything except the phase timings, which are wall-clock and so
-   never reproducible run to run. *)
+   never reproducible run to run: both records compare with one empty
+   phase table and no pending nesting in place of their own, so a new
+   counter field is compared without being listed here. *)
+let no_phases = Hashtbl.create 1
+
 let equal_counters (a : t) (b : t) =
-  a.graphs_built = b.graphs_built
-  && a.graphs_vectorized = b.graphs_vectorized
-  && a.nodes_formed = b.nodes_formed
-  && a.gathers = b.gathers
-  && a.supernode_sizes = b.supernode_sizes
-  && a.vector_instrs_emitted = b.vector_instrs_emitted
-  && a.scalars_erased = b.scalars_erased
-  && a.reductions = b.reductions
-  && a.lookahead_hits = b.lookahead_hits
-  && a.lookahead_misses = b.lookahead_misses
-  && a.reach_hits = b.reach_hits
-  && a.reach_misses = b.reach_misses
-  && a.deps_builds = b.deps_builds
-  && a.deps_refreshes = b.deps_refreshes
-  && a.pack_candidates = b.pack_candidates
-  && a.pack_expansions = b.pack_expansions
-  && a.pack_pruned = b.pack_pruned
-  && a.pack_plans = b.pack_plans
-  && a.revec_pairs = b.revec_pairs
-  && a.revec_widened = b.revec_widened
+  let counters t = { t with phases = no_phases; nested_s = 0.0 } in
+  counters a = counters b
 
 let pp ppf (t : t) =
   Fmt.pf ppf
@@ -196,8 +201,3 @@ let pp ppf (t : t) =
     (t.reach_hits + t.reach_misses)
     t.deps_builds t.deps_refreshes t.pack_candidates t.pack_expansions t.pack_pruned
     t.pack_plans t.revec_pairs t.revec_widened
-
-let pp_phases ppf (t : t) =
-  Fmt.pf ppf "%a"
-    (Fmt.list ~sep:(Fmt.any " ") (fun ppf (n, s) -> Fmt.pf ppf "%s=%.1fus" n (s *. 1e6)))
-    (phases_sorted t)

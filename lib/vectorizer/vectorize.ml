@@ -257,7 +257,8 @@ let run_global ?on_graph ~beam ~node_budget (config : Config.t)
   func.Defs.next_iid <- winner.Defs.next_iid;
   func.Defs.next_bid <- winner.Defs.next_bid;
   Verifier.verify_exn func;
-  { winner_rep with stats = Stats.merge winner_rep.stats pack_stats }
+  Stats.add ~into:winner_rep.stats pack_stats;
+  winner_rep
 
 (* [run config func] — the packing-strategy dispatcher. *)
 let run ?on_graph (config : Config.t) (func : Defs.func) : report =

@@ -12,6 +12,7 @@ module Interp = Snslp_interp.Interp
 module Memory = Snslp_interp.Memory
 module Rvalue = Snslp_interp.Rvalue
 module Config = Snslp_vectorizer.Config
+module Stats = Snslp_vectorizer.Stats
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -339,6 +340,13 @@ let test_jam_keeps_phi_cfg_valid () =
 
 (* --- Pipeline + validator follow-through --------------------------------- *)
 
+(* The compile's counters record, where the pipeline puts the loop
+   counters. *)
+let stats_of (r : Pipeline.result) =
+  match r.Pipeline.vect_report with
+  | Some rep -> rep.Snslp_vectorizer.Vectorize.stats
+  | None -> Alcotest.fail "no vectorizer report"
+
 let pass_verdict validation pass =
   match List.assoc_opt pass validation.Pipeline.pass_verdicts with
   | Some v -> v
@@ -347,13 +355,11 @@ let pass_verdict validation pass =
 let test_pipeline_full_unroll_validates () =
   let f = compile saxpy8_src in
   let r = Pipeline.run ~validate:true f in
-  (match r.Pipeline.loop_stats with
-  | Some ls ->
-      check_int "loop found" 1 ls.Pipeline.loops;
-      check_int "loop counted" 1 ls.Pipeline.counted;
-      check_int "fully unrolled" 1 ls.Pipeline.unrolled_full;
-      check "blocks jammed" true (ls.Pipeline.blocks_merged > 0)
-  | None -> Alcotest.fail "no loop stats");
+  let s = stats_of r in
+  check_int "loop found" 1 s.Stats.loops_found;
+  check_int "loop counted" 1 s.Stats.loops_counted;
+  check_int "fully unrolled" 1 s.Stats.loops_unrolled_full;
+  check "blocks jammed" true (s.Stats.loop_blocks_jammed > 0);
   check_int "no phi in output" 0 (count_phis r.Pipeline.func);
   (* Satellite: after a full unroll no loop-carried phi remains, so
      the validator must return real verdicts downstream — [Valid], not
@@ -377,9 +383,7 @@ let test_pipeline_full_unroll_validates () =
 let test_pipeline_partial_unroll_unknown_fallback () =
   let f = compile saxpy_n_src in
   let r = Pipeline.run ~validate:true f in
-  (match r.Pipeline.loop_stats with
-  | Some ls -> check_int "partially unrolled" 1 ls.Pipeline.unrolled_partial
-  | None -> Alcotest.fail "no loop stats");
+  check_int "partially unrolled" 1 (stats_of r).Stats.loops_unrolled_partial;
   check "epilogue phi survives" true (count_phis r.Pipeline.func >= 1);
   (* A symbolic-trip loop survives the partial unroll only in the
      relaxed (non-inductive) form — values escape the main loop into
@@ -434,7 +438,13 @@ let test_pipeline_off_policy_keeps_loop () =
   let f = compile saxpy8_src in
   let setting = Some { Config.default with Config.unroll = Config.No_unroll } in
   let r = Pipeline.run ~setting f in
-  check "no loop stats when off" true (r.Pipeline.loop_stats = None);
+  let s = stats_of r in
+  Alcotest.(check (list int))
+    "loop counters all zero when off" [ 0; 0; 0; 0; 0 ]
+    [
+      s.Stats.loops_found; s.Stats.loops_counted; s.Stats.loops_unrolled_full;
+      s.Stats.loops_unrolled_partial; s.Stats.loop_blocks_jammed;
+    ];
   check_int "phi survives" 1 (count_phis r.Pipeline.func)
 
 (* --- Differential oracle on loopy kernels -------------------------------- *)
@@ -654,10 +664,8 @@ let test_registry_loop_twins () =
     (fun ((lk : Registry.t), (tw : Registry.t)) ->
       let lr = Pipeline.run (compile lk.Registry.source) in
       let tr = Pipeline.run (compile tw.Registry.source) in
-      (match lr.Pipeline.loop_stats with
-      | Some s ->
-          check_int (lk.Registry.name ^ " fully unrolled") 1 s.Pipeline.unrolled_full
-      | None -> Alcotest.failf "%s: no loop stats" lk.Registry.name);
+      check_int (lk.Registry.name ^ " fully unrolled") 1
+        (stats_of lr).Stats.loops_unrolled_full;
       check (lk.Registry.name ^ " no residual phi") true
         (count_phis lr.Pipeline.func = 0);
       check

@@ -7,9 +7,11 @@
    - end-to-end determinism: every registry kernel under every
      vectorizer mode compiles to the same printed IR and the same
      merged counters at jobs=1 and jobs=4;
-   - qcheck properties for [Stats.merge]: associativity and the
-     [Stats.create ()] identity, which together make the driver's
-     index-ordered fold schedule-independent. *)
+   - qcheck properties for [Stats.add]: any grouping of the adds
+     gives the same sums, [Stats.create ()] adds nothing and the added
+     record is left alone, which together make the driver's
+     index-ordered sum schedule-independent; and an accumulator that
+     stays one size however many records it takes. *)
 
 open Snslp_ir
 open Snslp_vectorizer
@@ -171,50 +173,100 @@ let adaptive_output_identity () =
   Alcotest.(check bool) "merged counters identical" true
     (Stats.equal_counters (snd exact) (snd adaptive))
 
-(* --- Stats.merge properties --------------------------------------------- *)
+(* --- Stats.add properties ------------------------------------------------ *)
 
 (* Phase times are generated as small multiples of 0.25: dyadic
-   rationals add exactly in binary floating point, so associativity of
-   the merged phase sums holds with (=), not approximately. *)
-let gen_stats =
+   rationals add exactly in binary floating point, so sums of phases
+   compare with (=), not approximately.  A record is generated as
+   plain data and built by [stats_of_spec], so a test can rebuild the
+   original to compare against. *)
+let gen_spec =
   let open QCheck.Gen in
   let dyadic = map (fun n -> float_of_int n *. 0.25) (int_bound 16) in
   let phase_names = [ "slp"; "massage"; "codegen"; "deps" ] in
   let phases = list_size (int_bound 4) (pair (oneofl phase_names) dyadic) in
   let counter = int_bound 50 in
-  let sizes = list_size (int_bound 5) (int_range 2 6) in
-  map2
-    (fun (a, b, c, d, sizes) (e, f, g, h, ph) ->
-      let s = Stats.create () in
-      s.Stats.graphs_built <- a;
-      s.Stats.graphs_vectorized <- b;
-      s.Stats.nodes_formed <- c;
-      s.Stats.gathers <- d;
-      s.Stats.supernode_sizes <- sizes;
-      s.Stats.vector_instrs_emitted <- e;
-      s.Stats.scalars_erased <- f;
-      s.Stats.lookahead_hits <- g;
-      s.Stats.reach_hits <- h;
-      List.iter (fun (name, t) -> Stats.add_phase s name t) ph;
-      s)
-    (tup5 counter counter counter counter sizes)
-    (tup5 counter counter counter counter phases)
+  let counters = tup5 counter counter counter counter counter in
+  quad counters counters (list_size (int_bound 5) (int_range 2 6)) phases
+
+let stats_of_spec ((a, b, c, d, e), (f, g, h, i, j), sizes, phases) =
+  let s = Stats.create () in
+  s.Stats.graphs_built <- a;
+  s.Stats.graphs_vectorized <- b;
+  s.Stats.nodes_formed <- c;
+  s.Stats.gathers <- d;
+  s.Stats.vector_instrs_emitted <- e;
+  s.Stats.scalars_erased <- f;
+  s.Stats.lookahead_hits <- g;
+  s.Stats.reach_hits <- h;
+  s.Stats.pack_expansions <- i;
+  s.Stats.loops_found <- j;
+  List.iter (fun size -> Stats.record_supernode s ~size) sizes;
+  List.iter (fun (name, t) -> Stats.add_phase s name t) phases;
+  s
 
 let stats_equal a b =
   Stats.equal_counters a b && Stats.phases_sorted a = Stats.phases_sorted b
 
-let merge_associative =
-  QCheck.Test.make ~count:200 ~name:"Stats.merge is associative"
-    (QCheck.make (QCheck.Gen.triple gen_stats gen_stats gen_stats))
-    (fun (a, b, c) ->
-      stats_equal (Stats.merge (Stats.merge a b) c) (Stats.merge a (Stats.merge b c)))
+(* Records added one by one into a fresh accumulator. *)
+let sum records =
+  let acc = Stats.create () in
+  List.iter (Stats.add ~into:acc) records;
+  acc
 
-let merge_identity =
-  QCheck.Test.make ~count:200 ~name:"Stats.create is a merge identity"
-    (QCheck.make gen_stats)
-    (fun s ->
-      stats_equal (Stats.merge (Stats.create ()) s) s
-      && stats_equal (Stats.merge s (Stats.create ())) s)
+(* [xs] cut into consecutive groups of the given sizes (each >= 1); the
+   last group takes what is left. *)
+let rec regroup cuts xs =
+  match (cuts, xs) with
+  | _, [] -> []
+  | [], _ -> [ xs ]
+  | n :: cuts, _ ->
+      List.filteri (fun k _ -> k < n) xs :: regroup cuts (List.filteri (fun k _ -> k >= n) xs)
+
+let add_any_grouping =
+  QCheck.Test.make ~count:200 ~name:"Stats.add sums are independent of grouping"
+    (QCheck.make
+       QCheck.Gen.(
+         pair (list_size (int_bound 6) (map stats_of_spec gen_spec))
+           (list_size (int_bound 4) (int_range 1 3))))
+    (fun (records, cuts) ->
+      stats_equal (sum records) (sum (List.map sum (regroup cuts records))))
+
+let add_identity =
+  QCheck.Test.make ~count:200 ~name:"Stats.add of a fresh record changes nothing"
+    (QCheck.make gen_spec)
+    (fun spec ->
+      let s = stats_of_spec spec in
+      Stats.add ~into:s (Stats.create ());
+      stats_equal s (stats_of_spec spec) && stats_equal (sum [ s ]) s)
+
+let add_leaves_source =
+  QCheck.Test.make ~count:200 ~name:"Stats.add leaves the added record alone"
+    (QCheck.make (QCheck.Gen.pair gen_spec gen_spec))
+    (fun (spec, into_spec) ->
+      let s = stats_of_spec spec in
+      Stats.add ~into:(stats_of_spec into_spec) s;
+      stats_equal s (stats_of_spec spec))
+
+(* A long-lived accumulator (the compile service keeps one for its
+   lifetime) must not grow with the records added into it. *)
+let add_fixed_size () =
+  let one_node () =
+    let s = Stats.create () in
+    s.Stats.nodes_formed <- 1;
+    Stats.record_supernode s ~size:2;
+    Stats.add_phase s "graph" 1e-6;
+    s
+  in
+  let acc = Stats.create () in
+  Stats.add ~into:acc (one_node ());
+  let words = Obj.reachable_words (Obj.repr acc) in
+  for _ = 2 to 10_000 do
+    Stats.add ~into:acc (one_node ())
+  done;
+  Alcotest.(check int) "10,000 records summed" 10_000 (Stats.num_supernodes acc);
+  Alcotest.(check int) "reachable words after the last add" words
+    (Obj.reachable_words (Obj.repr acc))
 
 let suite =
   [
@@ -237,5 +289,10 @@ let suite =
         Alcotest.test_case "adaptive_jobs output identity" `Slow adaptive_output_identity;
       ] );
     ( "parallel-stats",
-      [ to_alcotest merge_associative; to_alcotest merge_identity ] );
+      [
+        to_alcotest add_any_grouping;
+        to_alcotest add_identity;
+        to_alcotest add_leaves_source;
+        Alcotest.test_case "Stats.add keeps the accumulator one size" `Quick add_fixed_size;
+      ] );
   ]

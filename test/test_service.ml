@@ -537,6 +537,77 @@ let test_server_targets_do_not_share () =
         && int_of_string (List.assoc "revec_widened" kvs) >= 0)
   | rs -> Alcotest.fail (Printf.sprintf "expected 6 responses, got %d" (List.length rs))
 
+(* The stats reply reads one counters record that every miss's own
+   record is added into: each pack_*, revec_* and loops_* value is the
+   sum of that field over the misses' [Pipeline.run] records.  The
+   batch mixes global packing, a revec target, a partially unrolled
+   loop and a global revec compile, so every group of counters moves. *)
+let test_server_counters_sum_misses () =
+  let open Snslp_vectorizer in
+  let module Target = Snslp_costmodel.Target in
+  let global =
+    Config.Global { beam = Config.default_beam; node_budget = Config.default_node_budget }
+  in
+  let avx512_revec (c : Config.t) =
+    { c with
+      Config.target = Target.avx512;
+      model = Snslp_costmodel.Model.for_target Target.avx512;
+      revec = true }
+  in
+  let requests =
+    [
+      ("sn-slp+global", { Config.snslp with Config.packing = global }, "lbm_stream");
+      ("sn-slp@avx512+revec", avx512_revec Config.snslp, "motiv_leaf_x4");
+      ( "sn-slp/ur2",
+        { Config.snslp with Config.unroll = Config.Unroll_by 2 },
+        "motiv_leaf_loop" );
+      ( "sn-slp+global@avx512+revec",
+        avx512_revec { Config.snslp with Config.packing = global },
+        "leslie_flux" );
+    ]
+  in
+  let source name =
+    (Option.get (Snslp_kernels.Registry.find name)).Snslp_kernels.Registry.source
+  in
+  let lines =
+    [ Printf.sprintf "batch %d" (List.length requests) ]
+    @ List.concat_map (fun (mode, _, name) -> compile_frame mode (source name)) requests
+    @ [ "stats"; "quit" ]
+  in
+  match List.rev (converse (Server.create ()) lines) with
+  | Protocol.Stats_reply kvs :: replies ->
+      List.iter (fun r -> check_str "every request misses" "miss" (statuses_of r)) replies;
+      let sum = Stats.create () in
+      List.iter
+        (fun (_, config, name) ->
+          match
+            (Snslp_passes.Pipeline.run ~setting:(Some config) (compile_one (source name)))
+              .Snslp_passes.Pipeline.vect_report
+          with
+          | Some rep -> Stats.add ~into:sum rep.Vectorize.stats
+          | None -> Alcotest.fail "no vectorizer report")
+        requests;
+      List.iter
+        (fun (field, expected) ->
+          check_int field expected (int_of_string (List.assoc field kvs)))
+        [
+          ("pack_candidates", sum.Stats.pack_candidates);
+          ("pack_expansions", sum.Stats.pack_expansions);
+          ("pack_pruned", sum.Stats.pack_pruned);
+          ("pack_plans", sum.Stats.pack_plans);
+          ("revec_pairs", sum.Stats.revec_pairs);
+          ("revec_widened", sum.Stats.revec_widened);
+          ("loops_found", sum.Stats.loops_found);
+          ("loops_counted", sum.Stats.loops_counted);
+          ("loops_unrolled_full", sum.Stats.loops_unrolled_full);
+          ("loops_unrolled_partial", sum.Stats.loops_unrolled_partial);
+          ("loop_blocks_jammed", sum.Stats.loop_blocks_jammed);
+        ];
+      check "every group of counters moved" true
+        (sum.Stats.pack_candidates > 0 && sum.Stats.revec_pairs > 0
+        && sum.Stats.loops_unrolled_partial > 0)
+  | _ -> Alcotest.fail "expected a stats reply last"
+
 let test_server_bad_target_mode () =
   let server = Server.create () in
   let lines =
@@ -865,6 +936,8 @@ let suite =
           test_server_unroll_modes_do_not_share;
         Alcotest.test_case "server targets do not share" `Quick
           test_server_targets_do_not_share;
+        Alcotest.test_case "server counters sum the misses' records" `Quick
+          test_server_counters_sum_misses;
         Alcotest.test_case "server bad target mode" `Quick test_server_bad_target_mode;
         Alcotest.test_case "server bad unroll mode" `Quick test_server_bad_unroll_mode;
         Alcotest.test_case "server bad requests" `Quick test_server_bad_requests;

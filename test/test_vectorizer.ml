@@ -486,7 +486,7 @@ let test_greedy_source_counters () =
 let test_replay_source_counters () =
   (* calculix_blend under global packing: the solver's plan beats the
      greedy incumbent, so the report is the replay driver's, with the
-     packing search counters merged in. *)
+     packing search counters added in. *)
   let global = { Config.snslp with Config.packing = global_packing } in
   let rep = vect_report global "calculix_blend" in
   let s = rep.Vectorize.stats in
@@ -547,6 +547,38 @@ let test_one_memo_policy () =
       check (Printf.sprintf "every counter at jobs=%d" jobs) true
         (Stats.equal_counters direct s))
     [ 1; 2 ]
+
+(* Phases charge self time: [graph] excludes the [massage] and [deps]
+   work nested in it, [codegen] its emit/rewire/erase/sched/cg-verify
+   steps, [pack] the enumeration's phases and [reduction] its [deps].
+   The phases then partition the time they cover, so on the largest
+   registry kernel they sum to no more than the [slp] pass that ran
+   them — global packing included, whose discarded candidates' phases
+   are simply never added. *)
+let test_phases_self_time () =
+  List.iter
+    (fun (mode, config) ->
+      let r =
+        Pipeline.run ~setting:(Some config) (compile (kernel_source "milc_mat_vec"))
+      in
+      let slp =
+        (List.find (fun t -> String.equal t.Pipeline.pass "slp") r.Pipeline.timings)
+          .Pipeline.seconds
+      in
+      let phases =
+        match r.Pipeline.vect_report with
+        | Some rep ->
+            List.fold_left (fun acc (_, s) -> acc +. s) 0.0
+              (Stats.phases_sorted rep.Vectorize.stats)
+        | None -> Alcotest.fail "no vectorizer report"
+      in
+      if phases > slp +. 1e-6 then
+        Alcotest.failf "%s: phases sum to %.1f us inside a %.1f us slp pass" mode
+          (phases *. 1e6) (slp *. 1e6))
+    [
+      ("sn-slp", Config.snslp);
+      ("sn-slp+global", { Config.snslp with Config.packing = global_packing });
+    ]
 
 (* Knobs that only check or speed up a compile are run arguments, not
    config fields, so the fingerprint cannot see them; per-pass
@@ -673,5 +705,6 @@ let suite =
         Alcotest.test_case "fingerprint excludes speed knobs" `Quick
           test_fingerprint_excludes_speed_knobs;
         Alcotest.test_case "one memo policy on every path" `Quick test_one_memo_policy;
+        Alcotest.test_case "phases report self time" `Quick test_phases_self_time;
       ] );
   ]
