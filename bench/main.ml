@@ -657,7 +657,7 @@ let packing () =
   packing_report ~kernels:Registry.all ~fuzz_seeds:1000 ~beam:Config.default_beam
     ~rounds:10 ~min_wins:3 ()
 
-(* --- Parallel scaling: the domain-pool vectorization driver ------------------ *)
+(* --- Parallel scaling: the fan-out vectorization driver ---------------------- *)
 
 (* One sweep data point: compile [rounds] copies of every kernel
    through the SN-SLP pipeline with [jobs] requested worker domains,
@@ -695,11 +695,11 @@ let parallel_fingerprint (results : Pipeline.result list) =
    Exits 1 whenever a printed verdict is FAIL. *)
 let parallel_report ~rounds ~jobs_list ~(kernels : Registry.t list) () =
   let samples = 5 in
-  let cores = Snslp_parallel.Pool.recommended_jobs () in
+  let cores = Domain.recommended_domain_count () in
   pr "%s"
     (Table.section
        (Printf.sprintf
-          "Parallel scaling: domain-pool driver, %d kernels x %d rounds (%d cores \
+          "Parallel scaling: fan-out driver, %d kernels x %d rounds (%d cores \
            available)"
           (List.length kernels) rounds cores));
   let funcs_once =
@@ -2109,7 +2109,7 @@ let smoke () =
   (* Tiny jobs=2 sweep: too little work to amortise a domain, so the
      adaptive clamp runs it inline; it keeps the cross-jobs
      determinism guard and the low-core verdict exercised on every
-     test run (test_parallel.ml drives the pool itself). *)
+     test run (test_parallel.ml drives [Driver.map] itself). *)
   parallel_report ~rounds:2 ~jobs_list:[ 1; 2 ]
     ~kernels:(List.filter_map Registry.find [ "motiv_leaf"; "milc_su3" ])
     ();

@@ -89,7 +89,6 @@ let run verbose file kernel mode model target revec packing unroll dump_before
             in
             Some
               {
-                Config.default with
                 Config.mode;
                 model;
                 target = target_of_string target;

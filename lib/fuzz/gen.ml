@@ -313,7 +313,7 @@ let gen_store_group ?(in_loop = false) st =
   done
 
 (* A horizontal reduction: one store of a balanced add tree over
-   contiguous loads — the shape [Config.reductions] seeds from. *)
+   contiguous loads — the shape the reduction pass seeds from. *)
 let gen_reduction st =
   let fam = if st.profile.allow_int && chance st 0.3 then I64 else st.fl.fam in
   let side = side_of st fam in

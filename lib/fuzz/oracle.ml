@@ -77,9 +77,6 @@ type exec_stats = {
 
 let create_exec_stats () = { exec_runs = 0; exec_instrs = 0; exec_seconds = 0.0 }
 
-let ns_per_instr (s : exec_stats) =
-  if s.exec_instrs = 0 then 0.0 else s.exec_seconds *. 1e9 /. float_of_int s.exec_instrs
-
 (* The evaluated configurations: the paper's three modes plus the
    no-vectorizer baseline (which exercises the scalar passes alone). *)
 let default_configs : (string * Pipeline.setting) list =

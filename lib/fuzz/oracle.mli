@@ -36,7 +36,6 @@ type exec_stats = {
     (seconds include compile staging for the compiled engine). *)
 
 val create_exec_stats : unit -> exec_stats
-val ns_per_instr : exec_stats -> float
 
 val default_configs : (string * Pipeline.setting) list
 (** O3, slp, lslp and snslp, plus snslp under global packing and on

@@ -296,8 +296,6 @@ type cblock = {
 
 type plan = { pfunc : Defs.func; st : exec_state; cblocks : cblock array }
 
-let plan_func (p : plan) = p.pfunc
-
 let compile (func : Defs.func) : plan =
   let max_iid = Func.fold_instrs (fun m i -> max m i.Defs.iid) (-1) func in
   let nslots = max_iid + 1 in
@@ -808,13 +806,3 @@ let exec ?(engine = Compiled) ?on_exec ?max_steps (func : Defs.func)
   match engine with
   | Tree -> run_counted ?on_exec ?max_steps func ~args ~memory
   | Compiled -> execute ?on_exec ?max_steps (compile func) ~args ~memory
-
-(* Convenience: pointer argument values for a function's array
-   parameters. *)
-let ptr_args (func : Defs.func) : Rvalue.t array =
-  Array.map
-    (fun (a : Defs.arg) ->
-      match a.Defs.arg_ty with
-      | Ty.Ptr _ -> Rvalue.R_ptr { base = a.Defs.arg_pos; offset = 0 }
-      | Ty.Scalar _ | Ty.Vector _ -> Rvalue.R_undef)
-    (Func.args func)

@@ -46,8 +46,6 @@ val compile : Defs.func -> plan
 (** Stage [func] once.  The plan captures the function's current
     instructions; recompile after mutating passes. *)
 
-val plan_func : plan -> Defs.func
-
 val execute :
   ?on_exec:(Defs.instr -> unit) ->
   ?max_steps:int ->
@@ -79,7 +77,3 @@ val exec :
 (** One call on the chosen engine (default [Compiled]); returns the
     executed-instruction count.  Single-shot convenience — repeated
     executions should {!compile} once and {!execute} the plan. *)
-
-val ptr_args : Defs.func -> Rvalue.t array
-(** Pointer argument values for a function's array parameters (scalar
-    slots are [R_undef] placeholders to overwrite). *)

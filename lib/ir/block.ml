@@ -35,16 +35,6 @@ let insert_before (b : t) ~anchor (i : instr) =
   i.iblock <- Some b;
   b.instrs <- go b.instrs
 
-let insert_after (b : t) ~anchor (i : instr) =
-  assert (i.iblock = None);
-  let rec go = function
-    | [] -> invalid_arg "Block.insert_after: anchor not in block"
-    | x :: rest when Instr.equal x anchor -> x :: i :: rest
-    | x :: rest -> x :: go rest
-  in
-  i.iblock <- Some b;
-  b.instrs <- go b.instrs
-
 let remove (b : t) (i : instr) =
   if not (mem b i) then invalid_arg "Block.remove: instruction not in block";
   b.instrs <- List.filter (fun x -> not (Instr.equal x i)) b.instrs;

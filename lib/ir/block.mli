@@ -20,7 +20,6 @@ val append : t -> Defs.instr -> unit
 (** Appends a detached instruction (asserts it is in no block). *)
 
 val insert_before : t -> anchor:Defs.instr -> Defs.instr -> unit
-val insert_after : t -> anchor:Defs.instr -> Defs.instr -> unit
 
 val remove : t -> Defs.instr -> unit
 (** Detaches the instruction; raises [Invalid_argument] if it is not a

@@ -37,13 +37,13 @@ let bprint_terminator buf term =
       add b2.bname
   | Unterminated -> add "<unterminated>"
 
-let add_block ?pred_name buf (b : block) =
+let add_block ~pred_name buf (b : block) =
   Buffer.add_string buf b.bname;
   Buffer.add_string buf ":\n";
   List.iter
     (fun i ->
       Buffer.add_string buf "  ";
-      Instr.bprint ?pred_name buf i;
+      Instr.bprint ~pred_name buf i;
       Buffer.add_char buf '\n')
     b.instrs;
   Buffer.add_string buf "  ";
@@ -77,13 +77,5 @@ let func_to_string (f : func) =
       List.iter (add_block ~pred_name:(pred_name_of f) buf) f.blocks;
       Buffer.add_string buf "}\n")
 
-(* A standalone block cannot resolve its phis' predecessor names (they
-   live elsewhere in the function), so it prints the "b<id>" fallback;
-   {!func_to_string} supplies the real names, which is what makes the
-   printed function round-trippable through {!Ir_parser}. *)
-let block_to_string (b : block) = render 1024 (fun buf -> add_block buf b)
-
-let pp_arg ppf a = Fmt.string ppf (render 16 (fun buf -> bprint_arg buf a))
 let pp_terminator ppf t = Fmt.string ppf (render 16 (fun buf -> bprint_terminator buf t))
-let pp_block ppf b = Fmt.string ppf (block_to_string b)
 let pp_func ppf f = Fmt.string ppf (func_to_string f)

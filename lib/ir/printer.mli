@@ -1,8 +1,5 @@
 (** Textual rendering of IR, in an LLVM-flavoured syntax. *)
 
-val pp_arg : Defs.arg Fmt.t
 val pp_terminator : Defs.terminator Fmt.t
-val pp_block : Defs.block Fmt.t
 val pp_func : Defs.func Fmt.t
 val func_to_string : Defs.func -> string
-val block_to_string : Defs.block -> string

@@ -79,4 +79,3 @@ let to_string = function
       Buffer.contents buf
 
 let pp ppf t = Fmt.string ppf (to_string t)
-let pp_scalar ppf s = Fmt.string ppf (scalar_to_string s)

@@ -49,4 +49,3 @@ val bprint : Buffer.t -> t -> unit
 val to_string : t -> string
 val scalar_to_string : scalar -> string
 val pp : t Fmt.t
-val pp_scalar : scalar Fmt.t

@@ -26,10 +26,6 @@ module L = struct
     match (a, b) with
     | Top, x | x, Top -> x
     | Avail x, Avail y -> Avail (SS.inter x y)
-
-  let pp ppf = function
-    | Top -> Fmt.string ppf "⊤"
-    | Avail s -> Fmt.pf ppf "{%a}" Fmt.(list ~sep:comma string) (SS.elements s)
 end
 
 module D = Dataflow.Make (L)
@@ -62,14 +58,7 @@ let transfer (i : Defs.instr) (st : L.t) : L.t =
         match expr_key i with None -> st | Some k -> L.Avail (SS.add k s))
 
 let compute (f : Defs.func) : solution =
-  D.solve ~direction:Dataflow.Forward ~boundary:(L.Avail SS.empty) ~bottom:L.Top
-    ~transfer f
-
-let avail_in (s : solution) b =
-  match D.block_entry s b with L.Top -> SS.empty | L.Avail x -> x
-
-let avail_out (s : solution) b =
-  match D.block_exit s b with L.Top -> SS.empty | L.Avail x -> x
+  D.solve ~boundary:(L.Avail SS.empty) ~bottom:L.Top ~transfer f
 
 (* [redundant s f] lists instructions whose expression is already
    available at their program point — CSE opportunities. *)

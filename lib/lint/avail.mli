@@ -12,8 +12,6 @@ val expr_key : Defs.instr -> string option
     stores. *)
 
 val compute : Defs.func -> solution
-val avail_in : solution -> Defs.block -> SS.t
-val avail_out : solution -> Defs.block -> SS.t
 
 val redundant : solution -> Defs.func -> Defs.instr list
 (** Instructions whose expression is already available at their

@@ -1,15 +1,14 @@
 (* A generic worklist dataflow engine.
 
    The engine is a functor over a join-semilattice; an analysis
-   supplies a direction, a boundary state (function entry for forward
-   analyses, function exits for backward ones), and a per-instruction
-   transfer function.  Blocks are iterated to a fixpoint; the CFG is
-   the straight-line and ifconv-diamond shapes the frontend produces,
-   but the solver is a plain Kildall loop and handles arbitrary
-   (including cyclic) graphs.
+   supplies a boundary state (at the function entry) and a
+   per-instruction transfer function, and states flow forward.  Blocks
+   are iterated to a fixpoint; the CFG is the straight-line and
+   ifconv-diamond shapes the frontend produces, but the solver is a
+   plain Kildall loop and handles arbitrary (including cyclic) graphs.
 
    Per-instruction states inside a block are recomputed on demand from
-   the block-boundary solution ([instr_states]) rather than stored, so
+   the block-entry solution ([instr_states]) rather than stored, so
    the fixpoint only keeps two states per block. *)
 
 open Snslp_ir
@@ -19,38 +18,17 @@ module type LATTICE = sig
 
   val equal : t -> t -> bool
   val join : t -> t -> t
-  val pp : t Fmt.t
 end
-
-type direction = Forward | Backward
 
 module Make (L : LATTICE) = struct
   type transfer = Defs.instr -> L.t -> L.t
 
   type solution = {
-    direction : direction;
     transfer : transfer;
-    term_transfer : Defs.terminator -> L.t -> L.t;
     entry_of : (int, L.t) Hashtbl.t; (* bid -> state at block entry *)
-    exit_of : (int, L.t) Hashtbl.t; (* bid -> state at block exit *)
   }
 
-  (* Push one state through a whole block, in analysis order: forward
-     analyses see the instructions then the terminator, backward ones
-     the terminator then the instructions reversed. *)
-  let through ~direction ~(transfer : transfer) ~term_transfer (b : Defs.block) state =
-    match direction with
-    | Forward ->
-        term_transfer b.Defs.term
-          (List.fold_left (fun st i -> transfer i st) state b.Defs.instrs)
-    | Backward ->
-        List.fold_left
-          (fun st i -> transfer i st)
-          (term_transfer b.Defs.term state)
-          (List.rev b.Defs.instrs)
-
-  let solve ?(term_transfer = fun _ st -> st) ~direction ~boundary ~bottom ~transfer
-      (f : Defs.func) : solution =
+  let solve ~boundary ~bottom ~transfer (f : Defs.func) : solution =
     let blocks = f.Defs.blocks in
     let preds : (int, Defs.block list) Hashtbl.t = Hashtbl.create 8 in
     List.iter
@@ -67,77 +45,47 @@ module Make (L : LATTICE) = struct
         Hashtbl.replace exit_of b.Defs.bid bottom)
       blocks;
     let entry_block = match blocks with b :: _ -> Some b | [] -> None in
-    (* [input b] joins the states flowing into [b] in analysis
-       direction; boundary blocks (the entry forward, the exits
-       backward) also join the boundary state. *)
+    (* [input b] joins the states flowing into [b] from its
+       predecessors; the entry block also joins the boundary state. *)
     let input (b : Defs.block) =
-      match direction with
-      | Forward ->
-          let from_preds =
-            List.fold_left
-              (fun st p -> L.join st (Hashtbl.find exit_of p.Defs.bid))
-              bottom
-              (Option.value ~default:[] (Hashtbl.find_opt preds b.Defs.bid))
-          in
-          if match entry_block with Some e -> Block.equal e b | None -> false then
-            L.join boundary from_preds
-          else from_preds
-      | Backward -> (
-          match Block.successors b with
-          | [] -> boundary
-          | succs ->
-              List.fold_left
-                (fun st s -> L.join st (Hashtbl.find entry_of s.Defs.bid))
-                bottom succs)
+      let from_preds =
+        List.fold_left
+          (fun st p -> L.join st (Hashtbl.find exit_of p.Defs.bid))
+          bottom
+          (Option.value ~default:[] (Hashtbl.find_opt preds b.Defs.bid))
+      in
+      if match entry_block with Some e -> Block.equal e b | None -> false then
+        L.join boundary from_preds
+      else from_preds
     in
-    let order = match direction with Forward -> blocks | Backward -> List.rev blocks in
     let changed = ref true in
     while !changed do
       changed := false;
       List.iter
         (fun b ->
           let inp = input b in
-          let out = through ~direction ~transfer ~term_transfer b inp in
-          let in_tbl, out_tbl =
-            match direction with
-            | Forward -> (entry_of, exit_of)
-            | Backward -> (exit_of, entry_of)
-          in
-          if not (L.equal inp (Hashtbl.find in_tbl b.Defs.bid)) then begin
-            Hashtbl.replace in_tbl b.Defs.bid inp;
+          let out = List.fold_left (fun st i -> transfer i st) inp b.Defs.instrs in
+          if not (L.equal inp (Hashtbl.find entry_of b.Defs.bid)) then begin
+            Hashtbl.replace entry_of b.Defs.bid inp;
             changed := true
           end;
-          if not (L.equal out (Hashtbl.find out_tbl b.Defs.bid)) then begin
-            Hashtbl.replace out_tbl b.Defs.bid out;
+          if not (L.equal out (Hashtbl.find exit_of b.Defs.bid)) then begin
+            Hashtbl.replace exit_of b.Defs.bid out;
             changed := true
           end)
-        order
+        blocks
     done;
-    { direction; transfer; term_transfer; entry_of; exit_of }
-
-  let block_entry (s : solution) (b : Defs.block) = Hashtbl.find s.entry_of b.Defs.bid
-  let block_exit (s : solution) (b : Defs.block) = Hashtbl.find s.exit_of b.Defs.bid
+    { transfer; entry_of }
 
   (* [instr_states s b] replays the transfer across [b] and returns,
-     per instruction in analysis order, the state entering and the
-     state leaving its transfer.  For a backward analysis the entering
-     state is the one *below* the instruction (its live-out, say). *)
+     per instruction, the state entering and the state leaving its
+     transfer. *)
   let instr_states (s : solution) (b : Defs.block) : (Defs.instr * L.t * L.t) list =
-    match s.direction with
-    | Forward ->
-        let st = ref (block_entry s b) in
-        List.map
-          (fun i ->
-            let before = !st in
-            st := s.transfer i before;
-            (i, before, !st))
-          b.Defs.instrs
-    | Backward ->
-        let st = ref (s.term_transfer b.Defs.term (block_exit s b)) in
-        List.map
-          (fun i ->
-            let below = !st in
-            st := s.transfer i below;
-            (i, below, !st))
-          (List.rev b.Defs.instrs)
+    let st = ref (Hashtbl.find s.entry_of b.Defs.bid) in
+    List.map
+      (fun i ->
+        let before = !st in
+        st := s.transfer i before;
+        (i, before, !st))
+      b.Defs.instrs
 end

@@ -1,6 +1,6 @@
 (** A generic worklist dataflow engine: a functor over a
-    join-semilattice, running forward or backward to a fixpoint over
-    the function's CFG. *)
+    join-semilattice, running forward to a fixpoint over the
+    function's CFG. *)
 
 open Snslp_ir
 
@@ -9,39 +9,19 @@ module type LATTICE = sig
 
   val equal : t -> t -> bool
   val join : t -> t -> t
-  val pp : t Fmt.t
 end
-
-type direction = Forward | Backward
 
 module Make (L : LATTICE) : sig
   type transfer = Defs.instr -> L.t -> L.t
 
   type solution
 
-  val solve :
-    ?term_transfer:(Defs.terminator -> L.t -> L.t) ->
-    direction:direction ->
-    boundary:L.t ->
-    bottom:L.t ->
-    transfer:transfer ->
-    Defs.func ->
-    solution
-  (** [solve ~direction ~boundary ~bottom ~transfer f] iterates to a
-      fixpoint.  [boundary] is the state at the function entry
-      (forward) or at every exit block (backward); [bottom] is the
-      optimistic initial state of interior blocks; [term_transfer]
-      (default identity) lets backward analyses account for terminator
-      operands. *)
-
-  val block_entry : solution -> Defs.block -> L.t
-  (** The state at the block's entry (live-in for a backward
-      analysis, reaching-in for a forward one). *)
-
-  val block_exit : solution -> Defs.block -> L.t
+  val solve : boundary:L.t -> bottom:L.t -> transfer:transfer -> Defs.func -> solution
+  (** [solve ~boundary ~bottom ~transfer f] iterates to a fixpoint.
+      [boundary] is the state at the function entry; [bottom] is the
+      optimistic initial state of interior blocks. *)
 
   val instr_states : solution -> Defs.block -> (Defs.instr * L.t * L.t) list
-  (** Per instruction in analysis order, the state entering and the
-      state leaving its transfer; for a backward analysis the entering
-      state is the one below the instruction. *)
+  (** Per instruction in block order, the state entering and the state
+      leaving its transfer. *)
 end

@@ -174,7 +174,6 @@ let mk knd const terms =
   { knd; const; terms; skey_memo = None }
 
 let zero knd = mk knd (c_zero knd) []
-let of_coeff knd c = mk knd c []
 
 let of_lit knd (l : Lit.t) =
   match l with Lit.Int n -> mk knd (c_int n) [] | Lit.Float f -> mk knd (C_float f) []

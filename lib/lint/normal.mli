@@ -37,7 +37,6 @@ val zero : Ty.scalar -> t
 val of_lit : Ty.scalar -> Lit.t -> t
 val of_atom : Ty.scalar -> view -> t
 val undef : Ty.scalar -> t
-val of_coeff : Ty.scalar -> coeff -> t
 
 val as_const : t -> coeff option
 (** The coefficient when the sum has no symbolic terms. *)

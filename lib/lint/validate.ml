@@ -57,8 +57,6 @@ let verdict_to_string = function
   | Unknown reason -> "unknown: " ^ reason
   | Mismatch { where; detail } -> Printf.sprintf "mismatch at %s: %s" where detail
 
-let pp_verdict ppf v = Fmt.string ppf (verdict_to_string v)
-
 exception Give_up of string
 
 let give_up fmt = Printf.ksprintf (fun s -> raise (Give_up s)) fmt

@@ -28,7 +28,6 @@ type verdict =
       (** [where] is the pretty-printed store whose value differs *)
 
 val verdict_to_string : verdict -> string
-val pp_verdict : verdict Fmt.t
 
 type snapshot
 (** One captured side of a comparison: the symbolic memory the

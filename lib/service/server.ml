@@ -15,10 +15,9 @@
       algebraically simplified variant lands on the same entry here.
 
    Only the misses that survive all three compile, one
-   {!Pipeline.run} each, grouped by mode in first-seen order; within a
-   batch, identical misses are deduplicated by cache key, so the
-   second requester waits for the first compile instead of repeating
-   it.
+   {!Pipeline.run} each, in first-seen order; within a batch,
+   identical misses are deduplicated by cache key, so the second
+   requester waits for the first compile instead of repeating it.
 
    The cached value is the optimised function plus its rendering under
    the origin's name.  A hit under the same name replays the rendering
@@ -216,7 +215,7 @@ type item = {
   key : string; (* the semantic cache key this kernel resolved to *)
   status : string;
   body : [ `Text of string | `Cell of cached option ref ];
-      (* [`Cell] for misses: filled by the grouped compile *)
+      (* [`Cell] for misses: filled by the batch's compile *)
 }
 
 type slot =
@@ -230,13 +229,9 @@ let request_digest ~mode ~source =
 
 let handle_batch t (requests : (string * string, string) result list) :
     Protocol.response list =
-  (* Misses group by mode: distinct settings compile in
-     first-appearance order, for determinism. *)
-  let groups :
-      (string, Pipeline.setting * (Defs.func * string * string * cached option ref) list ref) Hashtbl.t =
-    Hashtbl.create 4
-  in
-  let group_order = ref [] in
+  (* The batch's distinct misses, newest first; they compile in
+     first-seen order. *)
+  let pending = ref [] in
   let dedup : (string, cached option ref) Hashtbl.t = Hashtbl.create 16 in
   let lookup_func t setting (f : Defs.func) : item =
     let fingerprint = fingerprint_of_setting setting in
@@ -264,17 +259,7 @@ let handle_batch t (requests : (string * string, string) result list) :
           | None ->
               let cell = ref None in
               Hashtbl.add dedup key cell;
-              let mode = fingerprint (* one group per fingerprint *) in
-              let pending =
-                match Hashtbl.find_opt groups mode with
-                | Some (_, pending) -> pending
-                | None ->
-                    let pending = ref [] in
-                    Hashtbl.add groups mode (setting, pending);
-                    group_order := mode :: !group_order;
-                    pending
-              in
-              pending := (f, key, structural, cell) :: !pending;
+              pending := (setting, f, key, structural, cell) :: !pending;
               cell
         in
         {
@@ -323,27 +308,19 @@ let handle_batch t (requests : (string * string, string) result list) :
                     | funcs -> Items (rdigest, List.map (lookup_func t setting) funcs)))))
       requests
   in
-  (* Compile every miss, grouped by setting. *)
+  (* Compile every miss. *)
   List.iter
-    (fun mode ->
-      let setting, pending = Hashtbl.find groups mode in
-      List.iter
-        (fun ((f : Defs.func), key, structural, cell) ->
-          let r = Pipeline.run ~setting f in
-          Option.iter
-            (fun rep -> Stats.add ~into:t.stats rep.Vectorize.stats)
-            r.Pipeline.vect_report;
-          let c =
-            {
-              cfunc = r.Pipeline.func;
-              corig = f.Defs.fname;
-              cprint = print_func r.Pipeline.func;
-            }
-          in
-          cell := Some c;
-          Cache.add t.cache ~key ~structural c)
-        (List.rev !pending))
-    (List.rev !group_order);
+    (fun (setting, (f : Defs.func), key, structural, cell) ->
+      let r = Pipeline.run ~setting f in
+      Option.iter
+        (fun rep -> Stats.add ~into:t.stats rep.Vectorize.stats)
+        r.Pipeline.vect_report;
+      let c =
+        { cfunc = r.Pipeline.func; corig = f.Defs.fname; cprint = print_func r.Pipeline.func }
+      in
+      cell := Some c;
+      Cache.add t.cache ~key ~structural c)
+    (List.rev !pending);
   (* Remember each slow-path request for level 1: every kernel of the
      request is now cached under its key. *)
   List.iter

@@ -30,9 +30,9 @@ val handle_batch :
     "auto", or a factor >= 2) to pick the loop-unroll policy; both
     choices are part of the config fingerprint, so cache entries
     never cross packing modes or unroll policies.  Cache
-    lookups happen per function; the misses of the whole batch compile
-    together, grouped by mode in first-seen order, identical misses
-    deduplicated by cache key.  Exposed for in-process use;
+    lookups happen per function; the misses of the whole batch then
+    compile in first-seen order, whatever their modes, identical
+    misses deduplicated by cache key.  Exposed for in-process use;
     {!serve} frames the same calls. *)
 
 val stats_reply : t -> Protocol.response

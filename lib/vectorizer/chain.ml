@@ -26,6 +26,9 @@ type t = {
 
 let size (t : t) = List.length t.trunk
 
+(* Cap on trunk length; bounds compile time. *)
+let max_trunk = 16
+
 (* Whether [v] can be a trunk member under [c]: a single-use binop of
    the right family (restricted to the direct operator for LSLP) with
    the same scalar type, residing in the same block as the root. *)
@@ -66,7 +69,7 @@ let discover (config : Config.t) (func : Defs.func) (root : Defs.instr) : t opti
       else begin
         let trunk = ref [] in
         let leaves = ref [] in
-        let budget = ref config.Config.max_chain in
+        let budget = ref max_trunk in
         (* In-order walk: left subtree, then right subtree.  [apo] is
            the accumulated path operation of the subtree's value. *)
         let rec walk (v : Defs.value) (apo : Apo.t) ~(is_root : bool) =

@@ -21,6 +21,11 @@ type t = {
 val size : t -> int
 (** Trunk instruction count — the node-size statistic. *)
 
+val max_trunk : int
+(** The most trunk instructions {!discover} collects (16): a longer
+    tree is cut there, and its remaining binops become leaves.  Bounds
+    compile time. *)
+
 val discover : Config.t -> Defs.func -> Defs.instr -> t option
 (** Grows the chain from a root binop.  Interior nodes must be
     single-use, same-type, same-block binops of the family — only the

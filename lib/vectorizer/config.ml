@@ -89,9 +89,6 @@ type t = {
   target : Target.t;
   model : Model.t;
   lookahead_depth : int; (* recursion depth of the look-ahead score *)
-  max_chain : int; (* cap on trunk length, bounds compile time *)
-  threshold : float; (* vectorize when cost < threshold *)
-  reductions : bool; (* seed from reduction trees (-slp-vectorize-hor) *)
   unroll : unroll;
       (* loop-unroll policy run ahead of vectorization; changes the
          emitted IR, so it is part of {!fingerprint}. *)
@@ -113,9 +110,6 @@ let default =
     target = Target.sse;
     model = Model.paper;
     lookahead_depth = 2;
-    max_chain = 16;
-    threshold = 0.0;
-    reductions = true;
     unroll = Unroll_auto;
     packing = Greedy;
     revec = false;
@@ -133,18 +127,16 @@ let with_mode mode t = { t with mode }
    [t]: [mode], [target] (the [/tg] component — names are unique in
    [Target], and bundle widths derive from [Target.lanes_for], so no
    two targets may ever share a cache entry), [model] (likewise),
-   [lookahead_depth], [max_chain], [threshold] (hex-exact),
-   [reductions], [packing], [unroll] and [revec] all steer what the
-   pipeline emits and are all included.  Knobs that change only how
-   fast the pipeline runs or how much it checks (the driver's fan-out,
-   per-pass verification) are run arguments, not fields, so cache
-   entries are shared across them.
+   [lookahead_depth], [packing], [unroll] and [revec] all steer what
+   the pipeline emits and are all included.  Knobs that change only
+   how fast the pipeline runs or how much it checks (the driver's
+   fan-out, per-pass verification) are run arguments, not fields, so
+   cache entries are shared across them.
    (test_properties.ml holds the qcheck property backing this: equal
    fingerprints imply identical optimized IR on a fuzz corpus.) *)
 let fingerprint (t : t) =
-  Printf.sprintf "%s/tg%s/%s/la%d/ch%d/th%h/red%b/pk%s/ur%s/rv%b"
-    (mode_to_string t.mode) t.target.Target.name t.model.Model.name
-    t.lookahead_depth t.max_chain t.threshold t.reductions
+  Printf.sprintf "%s/tg%s/%s/la%d/pk%s/ur%s/rv%b" (mode_to_string t.mode)
+    t.target.Target.name t.model.Model.name t.lookahead_depth
     (packing_to_string t.packing) (unroll_to_string t.unroll) t.revec
 
 let pp ppf (t : t) =

@@ -49,9 +49,6 @@ type t = {
   target : Target.t;
   model : Model.t;
   lookahead_depth : int; (** recursion depth of the look-ahead score *)
-  max_chain : int; (** cap on trunk length, bounds compile time *)
-  threshold : float; (** vectorize when cost < threshold *)
-  reductions : bool; (** seed from reduction trees (-slp-vectorize-hor) *)
   unroll : unroll;
       (** loop-unroll policy run ahead of vectorization;
           output-affecting, so part of {!fingerprint} *)
@@ -77,11 +74,12 @@ val with_mode : mode -> t -> t
 val fingerprint : t -> string
 (** Output-relevant configuration fingerprint for content-addressed
     compile caching: equal fingerprints guarantee bit-identical
-    optimized IR for equal inputs.  Covers every output-affecting
-    field — mode, target (the [/tg] component, so the compile cache
-    never shares entries across targets), model, look-ahead depth,
-    chain cap, threshold, reductions, packing, unroll and revec —
-    every field.  The driver's fan-out and per-pass verification,
+    optimized IR for equal inputs.  Covers every field — mode, target
+    (the [/tg] component, so the compile cache never shares entries
+    across targets), model, look-ahead depth, packing, unroll and
+    revec.  The trunk cap ({!Chain.max_trunk}), the profitability
+    threshold and the reduction pass are constants, so they need no
+    component.  The driver's fan-out and per-pass verification,
     which never change the emitted IR, are arguments of
     {!Snslp_passes.Pipeline.run} and the driver instead. *)
 

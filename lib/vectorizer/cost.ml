@@ -83,7 +83,7 @@ let of_graph (config : Config.t) (g : Graph.t) : breakdown =
   let total = List.fold_left (fun acc (_, c) -> acc +. c) extracts per_node in
   { per_node; extracts; total }
 
-let profitable (config : Config.t) (b : breakdown) = b.total < config.Config.threshold
+let profitable (b : breakdown) = b.total < 0.0
 
 let pp ppf (b : breakdown) =
   Fmt.pf ppf "cost=%g (extracts=%g; nodes: %a)" b.total b.extracts

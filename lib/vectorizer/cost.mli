@@ -12,7 +12,7 @@ val node_cost : Config.t -> Graph.node -> float
 val extract_cost : Config.t -> Graph.t -> float
 val of_graph : Config.t -> Graph.t -> breakdown
 
-val profitable : Config.t -> breakdown -> bool
-(** [total < threshold] (0 in the paper). *)
+val profitable : breakdown -> bool
+(** [total < 0], the paper's threshold. *)
 
 val pp : breakdown Fmt.t

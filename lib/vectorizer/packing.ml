@@ -50,14 +50,7 @@ type candidate = {
 
 module IntSet = Set.Make (Int)
 
-let est_profitable (config : Config.t) (c : candidate) =
-  c.est_cost < config.Config.threshold
-
-let pp_candidate ppf (c : candidate) =
-  Fmt.pf ppf "c%d(b%d w%d %s [%a] cost=%g)" c.cid c.bid c.width
-    (match c.reorder with Graph.R_chain -> "chain" | Graph.R_exhaustive -> "exh")
-    (Fmt.list ~sep:(Fmt.any " ") Fmt.int)
-    c.seed_iids c.est_cost
+let est_profitable (c : candidate) = c.est_cost < 0.0
 
 (* --- Candidate enumeration --------------------------------------------- *)
 

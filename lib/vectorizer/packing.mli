@@ -22,11 +22,9 @@ type candidate = {
   claims : int list;  (** sorted iids the tree would claim *)
 }
 
-val est_profitable : Config.t -> candidate -> bool
-(** Whether the trial graph's modeled cost clears the config's
+val est_profitable : candidate -> bool
+(** Whether the trial graph's modeled cost is below 0, the paper's
     vectorization threshold (same test as the greedy driver's). *)
-
-val pp_candidate : candidate Fmt.t
 
 val enumerate :
   ?stats:Stats.t ->

@@ -64,7 +64,7 @@ let try_seed ~reorder (config : Config.t) (stats : Stats.t) trees func block
               | Graph.K_gather | Graph.K_splat -> true
               | Graph.K_vec | Graph.K_alt _ | Graph.K_perm _ -> false);
         let cost = Stats.time ~stats "cost" (fun () -> Cost.of_graph config g) in
-        let vectorized = Cost.profitable config cost in
+        let vectorized = Cost.profitable cost in
         Log.debug (fun m ->
             m "seed [%s]: %a -> %s" (describe_seed seed) Cost.pp cost
               (if vectorized then "vectorize" else "reject"));
@@ -201,10 +201,9 @@ let drive ?on_graph (config : Config.t) (source : source) (func : Defs.func) : r
   let hits, misses = Lookahead.cache_stats cache in
   stats.Stats.lookahead_hits <- hits;
   stats.Stats.lookahead_misses <- misses;
-  if config.Config.reductions then
-    stats.Stats.reductions <-
-      stats.Stats.reductions
-      + Stats.time ~stats "reduction" (fun () -> Reduction.run config stats func);
+  stats.Stats.reductions <-
+    stats.Stats.reductions
+    + Stats.time ~stats "reduction" (fun () -> Reduction.run config stats func);
   Verifier.verify_exn func;
   { config; stats; trees = List.rev !trees }
 
@@ -229,7 +228,7 @@ let run_global ?on_graph ~beam ~node_budget (config : Config.t)
           let cands =
             Packing.enumerate ~stats:pack_stats ?on_graph ~node_budget config func
           in
-          let profitable = List.filter (Packing.est_profitable config) cands in
+          let profitable = List.filter Packing.est_profitable cands in
           Packing.solve ~stats:pack_stats ~beam ~max_plans:3 profitable)
   in
   let replays =

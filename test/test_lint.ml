@@ -1,4 +1,4 @@
-(* Tests for lib/lint: the dataflow engine instances, the checker
+(* Tests for lib/lint: the available-expressions analysis, the checker
    suite, the translation validator, the vectorizer graph invariants,
    and the lint/validation sweep over every evaluation asset. *)
 
@@ -18,98 +18,6 @@ let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
-
-(* --- Dataflow: liveness ---------------------------------------------------- *)
-
-(* entry:  %g = gep A, 0
-           %x = load %g
-           %y = fadd %x, %x      (stored: live)
-           %z = fadd %x, %x      (unused: dead)
-           store %y, %g          *)
-let test_liveness_straightline () =
-  let f = Func.create ~name:"lv" ~args:[ ("A", Ty.ptr Ty.F64) ] in
-  let entry = Func.add_block f "entry" in
-  let b = Builder.create f ~at:entry in
-  let a = Defs.Arg (Func.arg f 0) in
-  let g = Builder.gep b a (Value.const_int 0) in
-  let x = Builder.load b (Instr.value g) in
-  let y = Builder.add b (Instr.value x) (Instr.value x) in
-  let z = Builder.add b (Instr.value x) (Instr.value x) in
-  ignore (Builder.store b (Instr.value y) (Instr.value g));
-  Builder.ret b;
-  let sol = Liveness.compute f in
-  (* Nothing is live out of the function... *)
-  check_int "live-out empty" 0 (Liveness.S.cardinal (Liveness.live_out sol entry));
-  (* ...and on entry only the argument is. *)
-  check "arg live on entry" true
-    (Liveness.S.mem (Liveness.arg_key (Func.arg f 0)) (Liveness.live_in sol entry));
-  check "x not live on entry" false
-    (Liveness.S.mem (Liveness.instr_key x) (Liveness.live_in sol entry));
-  (* Below the definition of %y, %y and %g are live (the store reads
-     both), %z is not. *)
-  let states = Liveness.instr_states sol entry in
-  let _, live_below_y, _ =
-    List.find (fun (i, _, _) -> i == y) states
-  in
-  check "y live below its def" true (Liveness.S.mem (Liveness.instr_key y) live_below_y);
-  check "g live below y" true (Liveness.S.mem (Liveness.instr_key g) live_below_y);
-  check "z dead below y" false (Liveness.S.mem (Liveness.instr_key z) live_below_y);
-  (* The dead-instruction view agrees with DCE's verdict. *)
-  (match Liveness.dead sol f with
-  | [ d ] -> check "only z is dead" true (d == z)
-  | l -> Alcotest.failf "expected exactly %%z dead, got %d instrs" (List.length l))
-
-(* Liveness across a diamond: a value defined in the entry block and
-   used in only one arm must be live into that arm and not the other. *)
-let test_liveness_diamond () =
-  let f =
-    compile
-      {|
-kernel d(double A[], double B[], long i) {
-  if (i < 4) { A[i] = B[i] * 2.0; } else { A[0] = 1.0; }
-}
-|}
-  in
-  let sol = Liveness.compute f in
-  let block name = List.find (fun (b : Defs.block) -> b.Defs.bname = name) f.Defs.blocks in
-  let uses_b blk =
-    Liveness.S.exists
-      (fun k -> k = Liveness.arg_key (Func.arg f 1))
-      (Liveness.live_in sol blk)
-  in
-  let arms =
-    List.filter
-      (fun (b : Defs.block) -> b != Func.entry f && Block.successors b <> [])
-      f.Defs.blocks
-  in
-  (match arms with
-  | [ _; _ ] -> ()
-  | _ -> Alcotest.fail "expected a two-arm diamond");
-  check "B live into exactly one arm" true
-    (List.length (List.filter uses_b arms) = 1);
-  ignore block
-
-(* --- Dataflow: reaching stores --------------------------------------------- *)
-
-let test_reaching_stores () =
-  let f = Func.create ~name:"rs" ~args:[ ("A", Ty.ptr Ty.F64) ] in
-  let entry = Func.add_block f "entry" in
-  let b = Builder.create f ~at:entry in
-  let a = Defs.Arg (Func.arg f 0) in
-  let g0 = Builder.gep b a (Value.const_int 0) in
-  let g1 = Builder.gep b a (Value.const_int 1) in
-  let x = Builder.load b (Instr.value g0) in
-  let s1 = Builder.store b (Instr.value x) (Instr.value g0) in
-  let s2 = Builder.store b (Instr.value x) (Instr.value g0) in
-  let s3 = Builder.store b (Instr.value x) (Instr.value g1) in
-  Builder.ret b;
-  let sol = Reaching.compute f in
-  let out = Reaching.reaching_out sol entry in
-  check "overwritten store killed" false (Reaching.S.mem s1.Defs.iid out);
-  check "covering store reaches" true (Reaching.S.mem s2.Defs.iid out);
-  check "disjoint store reaches" true (Reaching.S.mem s3.Defs.iid out);
-  check "iids resolve back to stores" true
-    (match Reaching.store_of sol s2.Defs.iid with Some i -> i == s2 | None -> false)
 
 (* --- Dataflow: available expressions --------------------------------------- *)
 
@@ -966,9 +874,6 @@ let suite =
   [
     ( "lint",
       [
-        Alcotest.test_case "liveness: straight line" `Quick test_liveness_straightline;
-        Alcotest.test_case "liveness: diamond" `Quick test_liveness_diamond;
-        Alcotest.test_case "reaching stores" `Quick test_reaching_stores;
         Alcotest.test_case "available exprs killed by store" `Quick
           test_avail_load_killed_by_store;
         Alcotest.test_case "check: use of undef" `Quick test_check_undef;

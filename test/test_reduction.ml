@@ -39,10 +39,6 @@ let test_mixed_needs_supernode () =
   check_int "lslp cannot" 0 (reductions_done Config.lslp mixed_src);
   check_int "sn-slp reduces" 1 (reductions_done Config.snslp mixed_src)
 
-let test_reductions_can_be_disabled () =
-  let config = { Config.snslp with Config.reductions = false } in
-  check_int "disabled" 0 (reductions_done config pure_add_src)
-
 let test_too_short_chain_skipped () =
   (* Below 2*width leaves a reduction cannot pay for the horizontal
      sum. *)
@@ -142,7 +138,6 @@ let suite =
         Alcotest.test_case "pure add, all modes" `Quick test_pure_add_all_modes;
         Alcotest.test_case "mixed signs need the Super-Node" `Quick
           test_mixed_needs_supernode;
-        Alcotest.test_case "can be disabled" `Quick test_reductions_can_be_disabled;
         Alcotest.test_case "short chains skipped" `Quick test_too_short_chain_skipped;
         Alcotest.test_case "non-consecutive loads skipped" `Quick
           test_non_consecutive_loads_skipped;

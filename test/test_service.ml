@@ -657,6 +657,30 @@ let test_server_eviction_end_to_end () =
   | [ _; _; third ] -> check_str "evicted entry recompiles" "miss" (statuses_of third)
   | _ -> Alcotest.fail "expected 3 responses"
 
+(* A mixed-mode batch adds its misses to the cache in request order,
+   whatever their modes: at capacity 3, two later misses evict the
+   batch's first two entries and leave its last one, lbm_stream. *)
+let test_server_mixed_batch_eviction_order () =
+  let server = Server.create ~capacity:3 () in
+  let frame mode name =
+    compile_frame mode
+      (Option.get (Snslp_kernels.Registry.find name)).Snslp_kernels.Registry.source
+  in
+  let lines =
+    [ "batch 3" ]
+    @ frame "sn-slp" "motiv_leaf"
+    @ frame "o3" "milc_su3"
+    @ frame "sn-slp" "lbm_stream"
+    @ frame "sn-slp" "sphinx_dist"
+    @ frame "sn-slp" "hmmer_path"
+    @ frame "sn-slp" "lbm_stream"
+    @ [ "quit" ]
+  in
+  match List.map statuses_of (converse server lines) with
+  | [ "miss"; "miss"; "miss"; "miss"; "miss"; last ] ->
+      check_str "the batch's last entry outlives its first two" "hit-textual" last
+  | rs -> Alcotest.fail ("unexpected statuses: " ^ String.concat "; " rs)
+
 (* --- Latency window ---------------------------------------------------------- *)
 
 (* The stats percentiles cover a fixed window of the latest requests,
@@ -942,6 +966,8 @@ let suite =
         Alcotest.test_case "server bad unroll mode" `Quick test_server_bad_unroll_mode;
         Alcotest.test_case "server bad requests" `Quick test_server_bad_requests;
         Alcotest.test_case "server eviction end to end" `Quick test_server_eviction_end_to_end;
+        Alcotest.test_case "server mixed batch evicts in request order" `Quick
+          test_server_mixed_batch_eviction_order;
         Alcotest.test_case "server latency window" `Quick test_server_latency_window;
         Alcotest.test_case "daemon over pipes" `Quick test_daemon_stdio;
         Alcotest.test_case "snslpc reports user errors" `Quick test_snslpc_user_errors;

@@ -264,10 +264,9 @@ let test_max_chain_cap () =
              (List.exists (fun (u, _) -> Instr.is_binop u) (Func.uses_of f (Instr.value j))))
       (Block.instrs (entry_of f))
   in
-  let config = { Config.snslp with Config.max_chain = 4 } in
-  match Chain.discover config f root with
+  match Chain.discover Config.snslp f root with
   | None -> Alcotest.fail "capped chain should still form"
-  | Some chain -> check "cap respected" true (Chain.size chain <= 4)
+  | Some chain -> Alcotest.(check int) "cap reached" Chain.max_trunk (Chain.size chain)
 
 (* --- Paper cost numbers ---------------------------------------------------- *)
 
