@@ -503,8 +503,9 @@ let compile_time () = compile_time_report ~rounds:10 ~kernels:Registry.all ()
      scored, winner by strict improvement only) guarantees this; the
      sweep measures that the guarantee survives the whole pipeline;
    - at least [min_wins] registry kernels are strict cycle wins;
-   - the geometric-mean compile-time ratio across the sweep stays
-     within 3x of greedy at the chosen beam — the search is bounded,
+   - the geometric-mean compile-time ratio across the sweep (best of
+     [rounds] interleaved samples per point) stays within 3x of greedy
+     at the chosen beam — the search is bounded,
      not free, and the bound must hold in aggregate (individual
      wide-candidate-space kernels may exceed it; the table shows
      them). *)
@@ -531,13 +532,18 @@ let packing_report ~(kernels : Registry.t list) ~fuzz_seeds ~beam ~rounds ~min_w
         let wl = Workload.prepare k in
         let greedy_cyc, _ = simulate wl greedy_setting in
         let global_cyc, _ = simulate wl global_setting in
-        let compile_s setting =
-          Stat.mean
-            (Stat.sample ~runs:rounds ~warmup:1 (fun () ->
-                 (Pipeline.run ~setting wl.Workload.func).Pipeline.total_seconds))
-        in
-        let greedy_s = compile_s greedy_setting in
-        let global_s = compile_s global_setting in
+        (* Greedy and global samples interleave, and each point takes
+           the best of [rounds]: one stalled compile cannot move the
+           ratio. *)
+        let compile_s setting = (Pipeline.run ~setting wl.Workload.func).Pipeline.total_seconds in
+        ignore (compile_s greedy_setting);
+        ignore (compile_s global_setting);
+        let greedy_s = ref infinity and global_s = ref infinity in
+        for _ = 1 to rounds do
+          greedy_s := Float.min !greedy_s (compile_s greedy_setting);
+          global_s := Float.min !global_s (compile_s global_setting)
+        done;
+        let greedy_s = !greedy_s and global_s = !global_s in
         let stats = stats_of global_setting wl.Workload.func in
         (k, greedy_cyc, global_cyc, greedy_s, global_s, stats))
       kernels
@@ -2101,6 +2107,221 @@ let targets () =
 (* Reduced-iteration smoke variant wired into `dune runtest` (see
    bench/dune): exercises the full reporting path, including the JSON
    emission and the shared-state count criterion, in a few seconds. *)
+(* --- Scale: per-layer growth with kernel size: BENCH_scale.json ------------ *)
+
+(* Generated kernels of four shapes (ROADMAP item 1), each at n, 2n
+   and 4n units, from about 16k to 64k instructions: one statement
+   summing loads over 7 addresses (CSE discards most of them), many
+   vectorizable statements, nested ifs, and counted loops.  Every
+   point is compiled under sn-slp and timed layer by layer: the
+   frontend, every pipeline pass and every vectorizer phase (self
+   times), best of 3 runs interleaved across all points.
+
+   Criterion: per doubling, every layer whose work per instruction is
+   meant to be constant grows at most 2.5x wherever the larger point
+   takes at least 10 ms.  Those layers are the frontend, the scalar
+   passes other than ifconv, and the codegen and massage phases.  The
+   rest ([slp] as a whole, [deps], [ifconv], graph building) is
+   reported without a bound: [Deps.refresh] still re-reads the block
+   per committed tree.  A second check pins the 1,000-statement
+   kernel: [slp] at most 2 s, and [emit], [erase], [sched] and
+   [cg-verify] together at most 0.5 s. *)
+let scale_kernel name params n body =
+  let b = Buffer.create (80 * n) in
+  Printf.bprintf b "kernel %s(%s) {\n" name params;
+  for k = 0 to n - 1 do
+    body b k
+  done;
+  Buffer.add_string b "}\n";
+  Buffer.contents b
+
+let scale_shapes =
+  [
+    ( "sum",
+      4000,
+      fun n ->
+        let b = Buffer.create (12 * n) in
+        Buffer.add_string b "kernel scale_sum(double a[], double b[], long i) {\n  a[i] = b[i+0]";
+        for k = 1 to n - 1 do
+          Printf.bprintf b " + b[i+%d]" (k mod 7)
+        done;
+        Buffer.add_string b ";\n}\n";
+        Buffer.contents b );
+    ( "stmts",
+      1000,
+      fun n ->
+        scale_kernel "scale_stmts" "double a[], double b[], double c[], long i" n (fun b k ->
+            Printf.bprintf b "  a[i+%d] = b[i+%d]*c[i+%d] - b[i+%d]/c[i+%d];\n" k k k k k) );
+    ( "nested",
+      1000,
+      fun n ->
+        scale_kernel "scale_nested" "double a[], double b[], double c[], long i" n (fun b k ->
+            Printf.bprintf b
+              "  if (b[i+%d] > 0.0) { if (c[i+%d] > 0.0) { a[i+%d] = b[i+%d] * c[i+%d]; } }\n" k
+              k k k k) );
+    ( "loops",
+      450,
+      fun n ->
+        scale_kernel "scale_loops" "double a[], double b[], double c[], long i" n (fun b k ->
+            Printf.bprintf b
+              "  for (long j = 0; j < 4; j = j + 1) { a[i+%d+j] = b[i+%d+j] * c[i+%d+j]; }\n"
+              (4 * k) (4 * k) (4 * k)) );
+  ]
+
+let scale_linear_layers =
+  [
+    "frontend.parse"; "frontend.lower"; "pass.fold"; "pass.simplify"; "pass.cse"; "pass.unroll";
+    "pass.jam"; "pass.fold2"; "pass.simplify2"; "pass.cse2"; "pass.dce"; "pass.verify";
+    "phase.emit"; "phase.rewire"; "phase.erase"; "phase.sched"; "phase.cg-verify";
+    "phase.massage";
+  ]
+
+(* One compile of [src], as (layer, seconds) pairs and the instruction
+   counts in and out of the pipeline. *)
+let scale_point src =
+  (* Every point starts from a compacted heap, so one point's garbage
+     is not charged to the next. *)
+  Gc.compact ();
+  let t0 = Stats.now_s () in
+  let asts = Snslp_frontend.Frontend.parse src in
+  let t1 = Stats.now_s () in
+  let f = List.hd (List.map Snslp_frontend.Lower.lower_kernel asts) in
+  let t2 = Stats.now_s () in
+  let r = Pipeline.run ~setting:(Some Config.snslp) f in
+  let phases =
+    match r.Pipeline.vect_report with
+    | Some rep -> Stats.phases_sorted rep.Vectorize.stats
+    | None -> []
+  in
+  ( [ ("frontend.parse", t1 -. t0); ("frontend.lower", t2 -. t1) ]
+    @ List.map (fun (t : Pipeline.timing) -> ("pass." ^ t.Pipeline.pass, t.Pipeline.seconds))
+        r.Pipeline.timings
+    @ List.map (fun (name, s) -> ("phase." ^ name, s)) phases,
+    Snslp_ir.Func.num_instrs f,
+    Snslp_ir.Func.num_instrs r.Pipeline.func )
+
+let scale_report ~rounds () =
+  pr "%s" (Table.section "Scale: per-layer time at n, 2n and 4n (sn-slp, best of 3)");
+  let points =
+    List.concat_map
+      (fun (shape, n, gen) -> List.map (fun m -> (shape, m * n, gen (m * n))) [ 1; 2; 4 ])
+      scale_shapes
+  in
+  let best = Hashtbl.create 64 and sizes = Hashtbl.create 16 in
+  for _ = 1 to rounds do
+    List.iter
+      (fun (shape, n, src) ->
+        let layers, i_in, i_out = scale_point src in
+        Hashtbl.replace sizes (shape, n) (i_in, i_out);
+        List.iter
+          (fun (layer, s) ->
+            let k = (shape, n, layer) in
+            match Hashtbl.find_opt best k with
+            | Some b when b <= s -> ()
+            | _ -> Hashtbl.replace best k s)
+          layers)
+      points
+  done;
+  let layer_names =
+    Hashtbl.fold (fun (_, _, l) _ acc -> if List.mem l acc then acc else l :: acc) best []
+    |> List.sort compare
+  in
+  let ms shape n layer = Option.map (fun s -> s *. 1e3) (Hashtbl.find_opt best (shape, n, layer)) in
+  let failures = ref [] in
+  let shape_json (shape, n, _) =
+    let units = [ n; 2 * n; 4 * n ] in
+    let rows =
+      List.filter_map
+        (fun layer ->
+          let t = List.map (fun m -> ms shape m layer) units in
+          if List.for_all Option.is_none t then None
+          else
+            let cell = function Some v -> Printf.sprintf "%.2f" v | None -> "-" in
+            let ratio a b =
+              match (a, b) with Some a, Some b when a > 0. -> Some (b /. a) | _ -> None
+            in
+            let r1 = ratio (List.nth t 0) (List.nth t 1) and r2 = ratio (List.nth t 1) (List.nth t 2) in
+            let bounded = List.mem layer scale_linear_layers in
+            let check r big =
+              match (r, big) with
+              | Some r, Some big when bounded && big >= 10. && r > 2.5 ->
+                  failures := Printf.sprintf "%s %s %.2fx" shape layer r :: !failures;
+                  false
+              | _ -> true
+            in
+            let ok = check r1 (List.nth t 1) && check r2 (List.nth t 2) in
+            Some
+              ( [
+                  layer; cell (List.nth t 0); cell (List.nth t 1); cell (List.nth t 2);
+                  (match r1 with Some r -> Printf.sprintf "%.2fx" r | None -> "-");
+                  (match r2 with Some r -> Printf.sprintf "%.2fx" r | None -> "-");
+                  (if not bounded then "unbounded" else if ok then "ok" else "FAIL");
+                ],
+                Json.Obj
+                  [
+                    ("layer", Json.String layer);
+                    ( "ms",
+                      Json.List
+                        (List.map (function Some v -> Json.Float v | None -> Json.Null) t) );
+                    ("bounded", Json.Bool bounded);
+                  ] ))
+        layer_names
+    in
+    let counts = List.map (fun m -> Hashtbl.find sizes (shape, m)) units in
+    pr "@.%s: %s instructions in, %s out@." shape
+      (String.concat " / " (List.map (fun (i, _) -> string_of_int i) counts))
+      (String.concat " / " (List.map (fun (_, o) -> string_of_int o) counts));
+    emit ~name:("scale-" ^ shape)
+      ~headers:[ "layer"; "n ms"; "2n ms"; "4n ms"; "2n/n"; "4n/2n"; "bound" ]
+      (List.map fst rows);
+    Json.Obj
+      [
+        ("shape", Json.String shape);
+        ("units", Json.List (List.map (fun u -> Json.Int u) units));
+        ("instrs_in", Json.List (List.map (fun (i, _) -> Json.Int i) counts));
+        ("instrs_out", Json.List (List.map (fun (_, o) -> Json.Int o) counts));
+        ("layers", Json.List (List.map snd rows));
+      ]
+  in
+  let shapes = List.map shape_json scale_shapes in
+  let stmt_ms layer = Option.value ~default:0. (ms "stmts" 1000 layer) in
+  let slp_1000 = stmt_ms "pass.slp" in
+  let codegen_1000 =
+    List.fold_left (fun acc l -> acc +. stmt_ms ("phase." ^ l)) 0. [ "emit"; "erase"; "sched"; "cg-verify" ]
+  in
+  let abs_ok = slp_1000 <= 2000. && codegen_1000 <= 500. in
+  let growth_ok = !failures = [] in
+  pr "@.  growth: %s@."
+    (if growth_ok then "every bounded layer <= 2.5x per doubling (PASS)"
+     else "FAIL: " ^ String.concat ", " (List.rev !failures));
+  pr "  1000 statements: slp %.0f ms (<= 2000), emit+erase+sched+cg-verify %.0f ms (<= 500): %s@."
+    slp_1000 codegen_1000 (if abs_ok then "PASS" else "FAIL");
+  let pass = growth_ok && abs_ok in
+  pr "  criteria: %s@." (if pass then "PASS" else "FAIL");
+  Json.write "BENCH_scale.json"
+    (Json.Obj
+       [
+         ("schema", Json.String "snslp-scale/1");
+         ("rounds", Json.Int rounds);
+         ("shapes", Json.List shapes);
+         ( "headline",
+           Json.Obj
+             [
+               ("slp_1000_ms", Json.Float slp_1000);
+               ("codegen_1000_ms", Json.Float codegen_1000);
+               ("growth_failures", Json.List (List.map (fun f -> Json.String f) (List.rev !failures)));
+               ( "criterion",
+                 Json.String
+                   "bounded layers <= 2.5x per doubling where >= 10 ms; 1000 statements: slp <= \
+                    2 s, emit+erase+sched+cg-verify <= 0.5 s" );
+               ("pass", Json.Bool pass);
+             ] );
+       ]);
+  pr "  wrote BENCH_scale.json@.";
+  if not pass then exit 1
+
+let scale () = scale_report ~rounds:3 ()
+
 let smoke () =
   let kernels =
     List.filter_map Registry.find [ "milc_su3"; "sphinx_gau_f32"; "milc_mat_vec" ]
@@ -2118,7 +2339,7 @@ let smoke () =
      and the never-worse criterion exercised on every test run. *)
   packing_report
     ~kernels:(List.filter_map Registry.find [ "calculix_blend"; "milc_su3"; "motiv_leaf" ])
-    ~fuzz_seeds:150 ~beam:2 ~rounds:2 ~min_wins:1 ();
+    ~fuzz_seeds:150 ~beam:2 ~rounds:5 ~min_wins:1 ();
   (* Loop smoke: every loop/twin pair at reduced iteration counts
      keeps the BENCH_loops.json plumbing, the full-unroll guarantee,
      and the twin-parity criterion exercised on every test run (the
@@ -2346,6 +2567,7 @@ let experiments =
     ("lint", lint);
     ("interp", interp);
     ("service", service);
+    ("scale", scale);
     ("smoke", smoke);
     ("bechamel", bechamel);
   ]

@@ -71,7 +71,7 @@ let assert_owner (t : t) =
     invalid_arg "Deps: instance refreshed from a domain other than its owner"
 
 let of_block (b : Defs.block) : t =
-  let instrs = Array.of_list (Block.instrs b) in
+  let instrs = Block.to_array b in
   let index = Hashtbl.create (2 * Array.length instrs) in
   Array.iteri (fun pos i -> Hashtbl.replace index i.Defs.iid pos) instrs;
   {
@@ -94,7 +94,7 @@ let of_block (b : Defs.block) : t =
    reachability cache is position-based and must be dropped. *)
 let refresh (t : t) (b : Defs.block) =
   assert_owner t;
-  let instrs = Array.of_list (Block.instrs b) in
+  let instrs = Block.to_array b in
   let memlocs =
     Array.map
       (fun (i : Defs.instr) ->

@@ -32,6 +32,8 @@ type env = {
       (* argument and phi names the function uses, shared by every
          scope; every other instruction is named by its numeric id,
          which no identifier equals *)
+  suffixes : (string, int) Hashtbl.t;
+      (* loop variable -> the first suffix not yet known to be taken *)
 }
 
 (* The name of a loop's phi: the loop variable, unless an argument or
@@ -40,9 +42,12 @@ type env = {
 let phi_name (env : env) x =
   let rec free k =
     let n = if k = 0 then x else Printf.sprintf "%s_%d" x k in
-    if Hashtbl.mem env.names n then free (k + 1) else n
+    if Hashtbl.mem env.names n then free (k + 1) else (n, k)
   in
-  let n = free 0 in
+  (* Names are only ever added, so every suffix below the one found
+     last time is still taken: resume there. *)
+  let n, k = free (Option.value ~default:0 (Hashtbl.find_opt env.suffixes x)) in
+  Hashtbl.replace env.suffixes x (k + 1);
   Hashtbl.replace env.names n ();
   n
 
@@ -213,15 +218,14 @@ let lower_kernel (k : A.kernel) : Defs.func =
   in
   let f = Func.create ~name:k.A.kname ~args in
   let entry = Func.add_block f "entry" in
-  (* Lowering only ever enters blocks it has just created, so the
-     builder fills each in O(1) per instruction. *)
-  let b = Builder.create_filling f ~at:entry in
+  let b = Builder.create f ~at:entry in
   let env =
     {
       values = Hashtbl.create 16;
       kinds = Hashtbl.create 16;
       arrays = Hashtbl.create 16;
       names = Hashtbl.create 16;
+      suffixes = Hashtbl.create 4;
     }
   in
   List.iter (fun (name, _) -> Hashtbl.replace env.names name ()) args;
@@ -238,12 +242,15 @@ let lower_kernel (k : A.kernel) : Defs.func =
           Hashtbl.replace env.arrays p.A.pname (Defs.Arg arg, scalar_of_base t))
     k.A.kparams;
   let counter = ref 0 in
+  let created = ref [] in
   let fresh_block prefix =
     incr counter;
-    Func.add_block f (Printf.sprintf "%s%d" prefix !counter)
+    let blk = Func.fresh_block f (Printf.sprintf "%s%d" prefix !counter) in
+    created := blk :: !created;
+    blk
   in
   lower_stmts env b ~fresh_block k.A.kbody;
+  f.Defs.blocks <- f.Defs.blocks @ List.rev !created;
   Builder.ret b;
-  Builder.finish b;
   Verifier.verify_exn f;
   f

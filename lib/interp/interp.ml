@@ -218,7 +218,7 @@ let run_counted ?(on_exec = fun _ -> ()) ?(max_steps = 10_000_000) (func : Defs.
     }
   in
   let rec exec_block (b : Defs.block) : unit =
-    List.iter (exec_instr env) (Block.instrs b);
+    Block.iter (exec_instr env) b;
     env.cur_pred <- b.Defs.bid;
     match Block.terminator b with
     | Defs.Ret -> ()
@@ -723,7 +723,7 @@ let compile (func : Defs.func) : plan =
   let cblocks =
     Array.map
       (fun (b : Defs.block) ->
-        let instrs = Array.of_list (Block.instrs b) in
+        let instrs = Block.to_array b in
         {
           body = Array.map compile_instr instrs;
           src = instrs;

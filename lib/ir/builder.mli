@@ -5,21 +5,11 @@
 type t
 
 val create : Defs.func -> at:Defs.block -> t
-(** Attaches every instruction to its block as it is built, so the
-    block can be edited right away (moved, removed, inserted around). *)
-
-val create_filling : Defs.func -> at:Defs.block -> t
-(** For filling fresh blocks front to back, in O(1) per instruction:
-    every block the builder is positioned at must be empty, and it
-    receives its instruction list only when the builder moves to
-    another block or {!finish} is called.  Until then the block's
-    [instrs] stay empty (the instructions' [iblock] is already set). *)
+(** Appends every instruction to its block as it is built, in O(1),
+    so the block can be edited right away (moved, removed, inserted
+    around). *)
 
 val position : t -> Defs.block -> unit
-
-val finish : t -> unit
-(** Hands a filling builder's current block its instructions; a no-op
-    for {!create}d builders. *)
 
 val block : t -> Defs.block
 val func : t -> Defs.func

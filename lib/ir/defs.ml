@@ -7,7 +7,9 @@
 
    The IR is a mutable graph in the LLVM style: instructions reference
    their operands directly as [value]s (the use-def chain), blocks own
-   an ordered instruction list, and functions own blocks.  The only
+   an intrusive doubly-linked instruction list with order keys (as
+   LLVM's instruction lists and order numbers), and functions own
+   blocks.  The only
    join-point mechanism is [Phi], introduced for loop headers: its
    payload is the array of predecessor block ids, positionally aligned
    with the operand array (operand [k] is the incoming value when
@@ -60,19 +62,46 @@ and instr = {
   mutable ops : value array;
   mutable iname : string;
   mutable iblock : block option;
-  mutable iuses : (instr * int) list;
-      (* persistent def-use chain: every (user, operand index) slot
-         currently holding this instruction's result, newest first.
-         Maintained by [Use] through the creation/mutation chokepoints
-         ([Func.fresh_instr], [Func.clone], [Instr.set_operand],
-         [Block.discard_if], [Func.erase_instr]); may include users
-         detached from any block — queries filter on [iblock]. *)
+  mutable iuses : use;
+      (* head of the persistent def-use chain ([Use.unused] when
+         empty): one [use] per (user, operand index) slot currently
+         holding this instruction's result, newest first, doubly
+         linked so a slot unlinks in O(1).  Maintained by [Use] through the creation/mutation
+         chokepoints ([Func.fresh_instr], [Func.clone],
+         [Instr.set_operand], [Block.discard_if], [Func.erase_instr]);
+         may include users detached from any block — queries filter
+         on [iblock]. *)
+  mutable islots : use array;
+      (* [islots.(n)] is the use record of operand slot [n]; it sits
+         on the chain of [ops.(n)] whenever that is an instruction
+         (a slot that never held one shares a placeholder) *)
+  mutable iprev : instr option; (* neighbours in [iblock]'s list *)
+  mutable inext : instr option;
+  mutable iorder : int;
+      (* order key: strictly increasing along the block, gapped so an
+         insertion rarely renumbers (see [Block]); meaningless while
+         detached *)
 }
 
+(* Chains end in the placeholder [Use.unused] rather than an option,
+   so linking a use allocates nothing. *)
+and use = {
+  uuser : instr;
+  uslot : int;
+  mutable uprev : use; (* newer entry of the same chain *)
+  mutable unext : use; (* older entry *)
+}
+
+(* A block's instructions form an intrusive doubly-linked list through
+   [iprev]/[inext], from [bhead] to [btail], in execution order. *)
 and block = {
   bid : int;
   bname : string;
-  mutable instrs : instr list; (* in execution order *)
+  mutable bhead : instr option;
+  mutable btail : instr option;
+  mutable blen : int;
+  mutable bsome : block option;
+      (* [Some] this block, shared by every [iblock] pointing here *)
   mutable term : terminator;
 }
 

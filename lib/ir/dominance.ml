@@ -1,18 +1,23 @@
 (* Dominator computation over the block CFG.
 
-   Standard iterative data-flow formulation (Cooper-Harvey-Kennedy
-   would be overkill at our CFG sizes): dom(entry) = {entry},
-   dom(b) = {b} ∪ ⋂ dom(preds).  Used by the verifier to check that
-   every definition dominates its uses. *)
+   When every block is reachable from the entry, the dominator tree
+   comes from Cooper-Harvey-Kennedy and queries are O(1) interval
+   tests, so large CFGs (deep nesting, many loops) stay near-linear.
+   Otherwise the standard iterative data-flow formulation runs:
+   dom(entry) = {entry}, dom(b) = {b} ∪ ⋂ dom(preds).  Used by the
+   verifier to check that every definition dominates its uses. *)
 
 open Defs
 
 module Int_set = Set.Make (Int)
 
-type t = {
-  doms : (int, Int_set.t) Hashtbl.t; (* block id -> dominator block ids *)
-  order : (int, int) Hashtbl.t; (* block id -> RPO index *)
-}
+(* Either dominator-tree intervals (every block reachable: the common
+   case, answered in O(1)), or the dominator sets of the iterative
+   formulation, whose treatment of unreachable blocks (and of reachable
+   blocks with unreachable predecessors) the checks rely on. *)
+type t =
+  | Tree of { pre : int array; post : int array } (* by block id; -1: not in the function *)
+  | Sets of (int, Int_set.t) Hashtbl.t (* block id -> dominator block ids *)
 
 let predecessors (f : func) =
   let preds : (int, block list) Hashtbl.t = Hashtbl.create 7 in
@@ -27,8 +32,7 @@ let predecessors (f : func) =
     f.blocks;
   preds
 
-let compute (f : func) : t =
-  let preds = predecessors f in
+let sets (f : func) preds =
   let all = List.fold_left (fun s b -> Int_set.add b.bid s) Int_set.empty f.blocks in
   let doms = Hashtbl.create 7 in
   let entry = Func.entry f in
@@ -59,23 +63,87 @@ let compute (f : func) : t =
         end)
       f.blocks
   done;
-  let order = Hashtbl.create 7 in
-  List.iteri (fun n b -> Hashtbl.replace order b.bid n) f.blocks;
-  { doms; order }
+  Sets doms
+
+(* Cooper, Harvey and Kennedy, "A Simple, Fast Dominance Algorithm"
+   (2001): immediate dominators by intersecting along reverse
+   postorder, then a depth-first numbering of the dominator tree, so
+   "a dominates b" is an interval test. *)
+let tree (f : func) preds (rpo : block array) =
+  let n = Array.length rpo in
+  let index = Hashtbl.create n in
+  Array.iteri (fun k b -> Hashtbl.replace index b.bid k) rpo;
+  let idom = Array.make n (-1) in
+  idom.(0) <- 0;
+  let rec intersect a b =
+    if a = b then a else if a > b then intersect idom.(a) b else intersect a idom.(b)
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for k = 1 to n - 1 do
+      let ps = Hashtbl.find preds rpo.(k).bid in
+      let d =
+        List.fold_left
+          (fun d (p : block) ->
+            let q = Hashtbl.find index p.bid in
+            if idom.(q) < 0 then d else if d < 0 then q else intersect q d)
+          (-1) ps
+      in
+      if d <> idom.(k) then begin
+        idom.(k) <- d;
+        changed := true
+      end
+    done
+  done;
+  let children = Array.make n [] in
+  for k = n - 1 downto 1 do
+    children.(idom.(k)) <- k :: children.(idom.(k))
+  done;
+  let pre = Array.make f.next_bid (-1) and post = Array.make f.next_bid (-1) in
+  let clock = ref 0 in
+  let rec number k =
+    pre.(rpo.(k).bid) <- !clock;
+    incr clock;
+    List.iter number children.(k);
+    post.(rpo.(k).bid) <- !clock;
+    incr clock
+  in
+  number 0;
+  Tree { pre; post }
+
+let compute (f : func) : t =
+  let preds = predecessors f in
+  let entry = Func.entry f in
+  (* Reverse postorder of the blocks reachable from the entry. *)
+  let seen = Hashtbl.create 16 in
+  let order = ref [] in
+  let rec visit (b : block) =
+    if not (Hashtbl.mem seen b.bid) then begin
+      Hashtbl.replace seen b.bid ();
+      List.iter visit (Block.successors b);
+      order := b :: !order
+    end
+  in
+  visit entry;
+  (* The tree needs every block reachable, and nothing reachable that
+     is not one of the function's blocks. *)
+  let members = Hashtbl.create 16 in
+  List.iter (fun b -> Hashtbl.replace members b.bid b) f.blocks;
+  let order = Array.of_list !order in
+  let is_member (b : block) =
+    b.bid >= 0 && b.bid < f.next_bid
+    && match Hashtbl.find_opt members b.bid with Some m -> m == b | None -> false
+  in
+  if Array.length order = List.length f.blocks && Array.for_all is_member order then
+    tree f preds order
+  else sets f preds
 
 (* [dominates t a b] holds when block [a] dominates block [b]. *)
 let dominates (t : t) (a : block) (b : block) =
-  match Hashtbl.find_opt t.doms b.bid with
-  | Some s -> Int_set.mem a.bid s
-  | None -> false
-
-(* Whether the definition of [def] dominates instruction [user]: either
-   strictly earlier in the same block, or in a dominating block. *)
-let def_dominates_use (t : t) ~(def : instr) ~(user : instr) =
-  match (def.iblock, user.iblock) with
-  | Some db, Some ub when Block.equal db ub -> (
-      match (Block.index_of db def, Block.index_of ub user) with
-      | Some di, Some ui -> di < ui
-      | _ -> false)
-  | Some db, Some ub -> dominates t db ub
-  | _ -> false
+  match t with
+  | Sets doms -> (
+      match Hashtbl.find_opt doms b.bid with Some s -> Int_set.mem a.bid s | None -> false)
+  | Tree { pre; post } ->
+      let ok (x : block) = x.bid >= 0 && x.bid < Array.length pre && pre.(x.bid) >= 0 in
+      ok a && ok b && pre.(a.bid) <= pre.(b.bid) && post.(b.bid) <= post.(a.bid)

@@ -12,6 +12,3 @@ val compute : Defs.func -> t
 val dominates : t -> Defs.block -> Defs.block -> bool
 (** [dominates t a b]: every path from entry to [b] passes through
     [a].  Reflexive. *)
-
-val def_dominates_use : t -> def:Defs.instr -> user:Defs.instr -> bool
-(** Strictly earlier in the same block, or in a dominating block. *)

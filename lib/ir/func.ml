@@ -24,17 +24,41 @@ let entry (f : t) =
   | [] -> invalid_arg "Func.entry: function has no blocks"
   | b :: _ -> b
 
-let add_block (f : t) bname =
-  let b = { bid = f.next_bid; bname; instrs = []; term = Unterminated } in
+let new_block bid bname =
+  let b = { bid; bname; bhead = None; btail = None; blen = 0; bsome = None; term = Unterminated } in
+  b.bsome <- Some b;
+  b
+
+let fresh_block (f : t) bname =
+  let b = new_block f.next_bid bname in
   f.next_bid <- f.next_bid + 1;
+  b
+
+let add_block (f : t) bname =
+  let b = fresh_block f bname in
   f.blocks <- f.blocks @ [ b ];
   b
+
+let shell ~iid ~iname op ty ops =
+  {
+    iid;
+    op;
+    ty;
+    ops;
+    iname;
+    iblock = None;
+    iuses = Use.unused;
+    islots = [||];
+    iprev = None;
+    inext = None;
+    iorder = 0;
+  }
 
 let fresh_instr (f : t) ?name op ty ops =
   let iid = f.next_iid in
   f.next_iid <- f.next_iid + 1;
   let iname = match name with Some n -> n | None -> string_of_int iid in
-  let i = { iid; op; ty; ops; iname; iblock = None; iuses = [] } in
+  let i = shell ~iid ~iname op ty ops in
   Use.register_all i;
   i
 
@@ -43,7 +67,7 @@ let iter_instrs f (fn : t) = List.iter (fun b -> Block.iter f b) fn.blocks
 let fold_instrs f acc (fn : t) =
   List.fold_left (fun acc b -> Block.fold f acc b) acc fn.blocks
 
-let num_instrs (fn : t) = fold_instrs (fun n _ -> n + 1) 0 fn
+let num_instrs (fn : t) = List.fold_left (fun n b -> n + Block.length b) 0 fn.blocks
 
 (* All uses of [v] among instruction operands, as (user, operand index)
    pairs, found by scanning the whole function in block order.  Kept
@@ -65,12 +89,13 @@ let attached ((u : instr), _) = u.iblock <> None
 
 let uses_of (fn : t) (v : value) =
   match v with
-  | Instr d -> List.filter attached d.iuses
+  | Instr d ->
+      List.rev (Use.fold (fun acc u n -> if attached (u, n) then (u, n) :: acc else acc) [] d)
   | Const _ | Undef _ | Arg _ -> scan_uses_of fn v
 
 let has_uses (fn : t) (v : value) =
   match v with
-  | Instr d -> List.exists attached d.iuses
+  | Instr d -> Use.exists (fun u n -> attached (u, n)) d
   | Const _ | Undef _ | Arg _ -> scan_uses_of fn v <> []
 
 (* Replace all uses of [old_v] by [new_v] across the function
@@ -80,11 +105,10 @@ let has_uses (fn : t) (v : value) =
 let replace_all_uses (fn : t) ~old_v ~new_v =
   (match old_v with
   | Instr d ->
-      (* Snapshot: [Instr.set_operand] rewrites [d.iuses] as we go.
-         Detached users are left alone, as a scan would. *)
-      List.iter
-        (fun ((u : instr), n) -> if u.iblock <> None then Instr.set_operand u n new_v)
-        d.iuses
+      (* [Instr.set_operand] moves each entry to [new_v]'s chain as
+         we go; [Use.iter] has read the next entry already.  Detached
+         users are left alone, as a scan would. *)
+      Use.iter (fun (u : instr) n -> if u.iblock <> None then Instr.set_operand u n new_v) d
   | Const _ | Undef _ | Arg _ ->
       iter_instrs
         (fun i ->
@@ -121,23 +145,21 @@ let check_use_lists (fn : t) =
         (fun n o ->
           match o with
           | Instr d ->
-              let entries =
-                List.length (List.filter (fun (u, m) -> u == i && m = n) d.iuses)
-              in
+              let entries = Use.fold (fun c u m -> if u == i && m = n then c + 1 else c) 0 d in
               if entries <> 1 then
                 fail "%%%s operand %d: %d use entries on %%%s (want 1)" i.iname n
                   entries d.iname
           | Const _ | Undef _ | Arg _ -> ())
         i.ops;
-      List.iter
-        (fun ((u : instr), n) ->
+      Use.iter
+        (fun (u : instr) n ->
           if n < 0 || n >= Array.length u.ops then
             fail "use list of %%%s: slot %d out of range on %%%s" i.iname n u.iname
           else
             match u.ops.(n) with
             | Instr d when d == i -> ()
             | _ -> fail "use list of %%%s: %%%s.ops.(%d) holds another value" i.iname u.iname n)
-        i.iuses)
+        i)
     fn;
   match !err with None -> Ok () | Some m -> Error m
 
@@ -159,7 +181,7 @@ let clone (fn : t) : t =
   let instr_map : (int, instr) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun b ->
-      let b' = { bid = b.bid; bname = b.bname; instrs = []; term = Unterminated } in
+      let b' = new_block b.bid b.bname in
       Hashtbl.add block_map b.bid b')
     fn.blocks;
   (* Pass 1: clone every instruction shell with its operands left
@@ -169,23 +191,12 @@ let clone (fn : t) : t =
   List.iter
     (fun b ->
       let b' = Hashtbl.find block_map b.bid in
-      b'.instrs <-
-        List.map
-          (fun i ->
-            let i' =
-              {
-                iid = i.iid;
-                op = i.op;
-                ty = i.ty;
-                ops = [||];
-                iname = i.iname;
-                iblock = Some b';
-                iuses = [];
-              }
-            in
-            Hashtbl.add instr_map i.iid i';
-            i')
-          b.instrs)
+      Block.iter
+        (fun i ->
+          let i' = shell ~iid:i.iid ~iname:i.iname i.op i.ty [||] in
+          Hashtbl.add instr_map i.iid i';
+          Block.append b' i')
+        b)
     fn.blocks;
   let map_value v =
     match v with
@@ -196,11 +207,12 @@ let clone (fn : t) : t =
   List.iter
     (fun b ->
       let b' = Hashtbl.find block_map b.bid in
-      List.iter2
-        (fun (i : instr) (i' : instr) ->
+      Block.iter
+        (fun (i : instr) ->
+          let i' = Hashtbl.find instr_map i.iid in
           i'.ops <- Array.map map_value i.ops;
           Use.register_all i')
-        b.instrs b'.instrs;
+        b;
       b'.term <-
         (match b.term with
         | Ret -> Ret

@@ -14,6 +14,12 @@ val entry : t -> Defs.block
 (** Raises [Invalid_argument] on a function with no blocks. *)
 
 val add_block : t -> string -> Defs.block
+(** A fresh empty block appended to the function's block list, in
+    O(blocks). *)
+
+val fresh_block : t -> string -> Defs.block
+(** A fresh empty block with a function-unique id, not yet in the
+    block list: a caller creating many blocks assigns [blocks] once. *)
 
 val fresh_instr :
   t -> ?name:string -> Defs.opcode -> Ty.t -> Defs.value array -> Defs.instr

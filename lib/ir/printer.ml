@@ -40,12 +40,12 @@ let bprint_terminator buf term =
 let add_block ~pred_name buf (b : block) =
   Buffer.add_string buf b.bname;
   Buffer.add_string buf ":\n";
-  List.iter
+  Block.iter
     (fun i ->
       Buffer.add_string buf "  ";
       Instr.bprint ~pred_name buf i;
       Buffer.add_char buf '\n')
-    b.instrs;
+    b;
   Buffer.add_string buf "  ";
   bprint_terminator buf b.term;
   Buffer.add_char buf '\n'

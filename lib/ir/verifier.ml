@@ -155,12 +155,76 @@ let term_where (b : block) =
   try Fmt.str "%s: %a" b.bname Printer.pp_terminator b.term
   with _ -> b.bname
 
+(* Lookups shared by the whole-function and the local check: blocks
+   by id, membership of a block in [f], and "does [def] dominate
+   [user]" from order keys within a block and dominators across
+   blocks. *)
+type scope = { by_bid : (int, block) Hashtbl.t; dom : Dominance.t Lazy.t }
+
+(* O(blocks of [f]), not O([next_bid]): a pass that deleted many
+   blocks leaves [next_bid] far above the live count. *)
+let scope (f : func) =
+  let by_bid = Hashtbl.create 16 in
+  List.iter (fun b -> Hashtbl.replace by_bid b.bid b) f.blocks;
+  { by_bid; dom = lazy (Dominance.compute f) }
+
+let block_of_bid sc bid = Hashtbl.find_opt sc.by_bid bid
+
+let in_func sc (b : block) =
+  match block_of_bid sc b.bid with Some b' -> b' == b | None -> false
+
+(* The block [i] is attached to, when that block belongs to [f]. *)
+let home sc (i : instr) =
+  match i.iblock with Some b when in_func sc b -> Some b | _ -> None
+
+let def_dominates_use sc ~(def : instr) ~(user : instr) =
+  match (home sc def, home sc user) with
+  | Some db, Some ub ->
+      if db == ub then Block.precedes def user else Dominance.dominates (Lazy.force sc.dom) db ub
+  | _ -> false
+
+(* A phi's operand [k] is used on the incoming edge, so its definition
+   must dominate the *end of the predecessor block*, not the phi
+   itself (the back-edge value is defined after the header). *)
+let check_incoming sc add (user : instr) payload k (def : instr) =
+  if k < Array.length payload then
+    match (block_of_bid sc payload.(k), home sc def) with
+    | Some pb, Some db ->
+        if not (db == pb || Dominance.dominates (Lazy.force sc.dom) db pb) then
+          add (instr_where user)
+            (Printf.sprintf "incoming %%%s does not dominate the end of predecessor %%%s"
+               def.iname pb.bname)
+    | _, None ->
+        (* A dangling incoming value: its definition was deleted
+           without rewriting this phi. *)
+        add (instr_where user) (Printf.sprintf "incoming %%%s is not in the function" def.iname)
+    | None, Some _ -> () (* bad payload: reported structurally *)
+
+(* Every operand of [user] dominates it. *)
+let not_dominating add (def : instr) (user : instr) =
+  add (instr_where user) (Printf.sprintf "operand %%%s does not dominate this use" def.iname)
+
+let check_operands sc add (user : instr) =
+  match user.op with
+  | Phi payload ->
+      Array.iteri
+        (fun k o -> match o with Instr def -> check_incoming sc add user payload k def | _ -> ())
+        user.ops
+  | _ ->
+      Array.iter
+        (fun o ->
+          match o with
+          | Instr def -> if not (def_dominates_use sc ~def ~user) then not_dominating add def user
+          | Const _ | Undef _ | Arg _ -> ())
+        user.ops
+
 let verify (f : func) : error list =
   let errors = ref [] in
   let fail where fmt =
     Printf.ksprintf (fun what -> errors := { where; what } :: !errors) fmt
   in
   if f.blocks = [] then fail f.fname "function has no blocks";
+  let sc = scope f in
   (* Blocks reachable from the entry: an [Unterminated] block is only
      an error when control can actually fall off its end; transforms
      may leave disconnected blocks behind before cleanup, and those
@@ -176,33 +240,48 @@ let verify (f : func) : error list =
         end
       in
       visit entry);
-  (* Unique instruction ids and consistent block back-pointers. *)
-  let seen = Hashtbl.create 64 in
+  (* Unique instruction ids (a bitmap over [next_iid]), consistent
+     block back-pointers and links, and order keys increasing along
+     each block. *)
+  let seen = Bytes.make (max f.next_iid 0) '\000' in
   List.iter
     (fun b ->
-      List.iter
+      let count = ref 0 in
+      let prev = ref None in
+      Block.iter
         (fun i ->
-          if Hashtbl.mem seen i.iid then fail (instr_where i) "duplicate instruction id";
-          Hashtbl.replace seen i.iid ();
+          incr count;
+          if i.iid < 0 || i.iid >= f.next_iid then
+            fail (instr_where i) "instruction id %d out of range" i.iid
+          else if Bytes.get seen i.iid <> '\000' then fail (instr_where i) "duplicate instruction id"
+          else Bytes.set seen i.iid '\001';
           (match i.iblock with
           | Some b' when Block.equal b b' -> ()
           | _ -> fail (instr_where i) "instruction block back-pointer is stale");
+          (match (!prev, i.iprev) with
+          | None, None -> ()
+          | Some p, Some p' when p == p' ->
+              if p.iorder >= i.iorder then fail (instr_where i) "order key does not increase"
+          | _ -> fail (instr_where i) "instruction list link is broken");
+          prev := Some i;
           check_instr errors i)
-        b.instrs;
+        b;
+      if !count <> Block.length b then
+        fail b.bname "block holds %d instructions but counts %d" !count (Block.length b);
       (match b.term with
       | Unterminated ->
           if Hashtbl.mem reachable b.bid then
             fail (term_where b) "block is reachable from entry but unterminated"
       | Ret -> ()
       | Br t ->
-          if not (List.exists (Block.equal t) f.blocks) then
+          if not (in_func sc t) then
             fail (term_where b) "branch target %%%s not in function" t.bname
       | Cond_br (c, t1, t2) ->
           if not (Ty.is_int (Value.ty c)) then
             fail (term_where b) "branch condition is not an integer";
           List.iter
             (fun (t : block) ->
-              if not (List.exists (Block.equal t) f.blocks) then
+              if not (in_func sc t) then
                 fail (term_where b) "branch target %%%s not in function" t.bname)
             [ t1; t2 ]))
     f.blocks;
@@ -222,7 +301,7 @@ let verify (f : func) : error list =
         in
         let entry = Block.equal b (Func.entry f) in
         let non_phi_seen = ref false in
-        List.iter
+        Block.iter
           (fun (i : instr) ->
             match i.op with
             | Phi payload ->
@@ -249,85 +328,85 @@ let verify (f : func) : error list =
                     | _ -> ())
                   i.ops
             | _ -> non_phi_seen := true)
-          b.instrs)
+          b)
       f.blocks
   end;
-  (* Defs dominate uses.  Positions are precomputed so the check is
-     O(uses), not O(uses × block length). *)
-  if f.blocks <> [] then begin
-    let dom = Dominance.compute f in
-    let positions : (int, Defs.block * int) Hashtbl.t = Hashtbl.create 256 in
-    List.iter
-      (fun b ->
-        List.iteri (fun k i -> Hashtbl.replace positions i.iid (b, k)) b.instrs)
-      f.blocks;
-    let def_dominates_use ~def ~user =
-      match (Hashtbl.find_opt positions def.iid, Hashtbl.find_opt positions user.iid) with
-      | Some (db, dk), Some (ub, uk) ->
-          if Block.equal db ub then dk < uk else Dominance.dominates dom db ub
-      | _ -> false
-    in
-    let blocks_by_id = Hashtbl.create 7 in
-    List.iter (fun b -> Hashtbl.replace blocks_by_id b.bid b) f.blocks;
-    Func.iter_instrs
-      (fun user ->
-        match user.op with
-        | Phi payload ->
-            (* A phi's operand is used on the incoming edge, so its
-               definition must dominate the *end of the predecessor
-               block*, not the phi itself (the back-edge value is
-               defined after the header). *)
-            Array.iteri
-              (fun k o ->
-                match o with
-                | Instr def when k < Array.length payload -> (
-                    match
-                      (Hashtbl.find_opt blocks_by_id payload.(k),
-                       Hashtbl.find_opt positions def.iid)
-                    with
-                    | Some pb, Some (db, _) ->
-                        if not (Block.equal db pb || Dominance.dominates dom db pb) then
-                          fail (instr_where user)
-                            "incoming %%%s does not dominate the end of predecessor \
-                             %%%s"
-                            def.iname pb.bname
-                    | _, None ->
-                        (* A dangling incoming value: its definition was
-                           deleted without rewriting this phi. *)
-                        fail (instr_where user) "incoming %%%s is not in the function"
-                          def.iname
-                    | None, Some _ -> () (* bad payload: reported structurally *))
-                | _ -> ())
-              user.ops
-        | _ ->
-            Array.iter
-              (fun o ->
-                match o with
-                | Instr def ->
-                    if not (def_dominates_use ~def ~user) then
-                      fail (instr_where user) "operand %%%s does not dominate this use"
-                        def.iname
-                | Const _ | Undef _ | Arg _ -> ())
-              user.ops)
-      f
-  end;
+  (* Defs dominate uses: O(1) per use, from order keys within a block. *)
+  let add where what = errors := { where; what } :: !errors in
+  if f.blocks <> [] then Func.iter_instrs (check_operands sc add) f;
   List.rev !errors
 
+(* [verify_local f ~touched ~erased] repeats the checks of {!verify}
+   that a local rewrite can break, for the instructions it emitted or
+   moved ([touched]) and those it erased, in O(their operands and
+   uses): each touched instruction is well formed, sits between keys
+   that increase, keeps phis at the block head, and dominates every
+   user as every operand dominates it; an erased instruction is
+   detached and used by nothing attached.  Errors name the offending
+   instruction as {!verify} does. *)
+let verify_local (f : func) ~(touched : instr list) ~(erased : instr list) : error list =
+  let errors = ref [] in
+  let fail where fmt =
+    Printf.ksprintf (fun what -> errors := { where; what } :: !errors) fmt
+  in
+  let add where what = errors := { where; what } :: !errors in
+  let sc = scope f in
+  let check_user (def : instr) (user : instr) k =
+    if user.iblock <> None then
+      match user.op with
+      | Phi payload -> check_incoming sc add user payload k def
+      | _ -> if not (def_dominates_use sc ~def ~user) then not_dominating add def user
+  in
+  List.iter
+    (fun (i : instr) ->
+      match home sc i with
+      | None -> fail (instr_where i) "instruction block back-pointer is stale"
+      | Some _ ->
+          check_instr errors i;
+          (match i.iprev with
+          | Some p when p.iorder >= i.iorder -> fail (instr_where i) "order key does not increase"
+          | Some p when Instr.is_phi i && not (Instr.is_phi p) ->
+              fail (instr_where i) "phi is not at the head of its block"
+          | _ -> ());
+          (match i.inext with
+          | Some n when Instr.is_phi n && not (Instr.is_phi i) ->
+              fail (instr_where n) "phi is not at the head of its block"
+          | _ -> ());
+          check_operands sc add i;
+          Use.iter (check_user i) i)
+    touched;
+  List.iter
+    (fun (i : instr) ->
+      if i.iblock <> None then fail (instr_where i) "erased instruction is still in a block";
+      Use.iter (check_user i) i)
+    erased;
+  (* A def and its user can both be touched: report each problem once. *)
+  let seen = Hashtbl.create 8 in
+  List.filter
+    (fun e ->
+      let dup = Hashtbl.mem seen e in
+      Hashtbl.replace seen e ();
+      not dup)
+    (List.rev !errors)
+
 exception Invalid_ir of string
+
+let report (f : func) errors =
+  let lines = errors |> List.map (Fmt.str "%a" pp_error) |> String.concat "; " in
+  Printf.sprintf "in @%s: %s" f.fname lines
 
 (* [check f] is {!verify} folded into a result: [Ok ()] when
    well-formed, [Error report] otherwise.  The fuzzing oracle and
    generator assert on this form. *)
 let check (f : func) : (unit, string) result =
-  match verify f with
-  | [] -> Ok ()
-  | errors ->
-      let report =
-        errors |> List.map (Fmt.str "%a" pp_error) |> String.concat "; "
-      in
-      Error (Printf.sprintf "in @%s: %s" f.fname report)
+  match verify f with [] -> Ok () | errors -> Error (report f errors)
 
 (* [verify_exn f] raises {!Invalid_ir} with a readable report if [f]
    is malformed. *)
 let verify_exn (f : func) =
   match check f with Ok () -> () | Error report -> raise (Invalid_ir report)
+
+let verify_local_exn (f : func) ~touched ~erased =
+  match verify_local f ~touched ~erased with
+  | [] -> ()
+  | errors -> raise (Invalid_ir (report f errors))

@@ -1,6 +1,7 @@
 (** IR well-formedness checks: per-opcode typing, unique ids,
-    consistent block back-pointers, terminated blocks with in-function
-    targets, and definitions dominating uses. *)
+    consistent block back-pointers, links and order keys, terminated
+    blocks with in-function targets, and definitions dominating uses
+    (order keys within a block, dominators across blocks). *)
 
 type error = { where : string; what : string }
 
@@ -17,3 +18,12 @@ exception Invalid_ir of string
 
 val verify_exn : Defs.func -> unit
 (** Raises {!Invalid_ir} with a readable report when malformed. *)
+
+val verify_local_exn : Defs.func -> touched:Defs.instr list -> erased:Defs.instr list -> unit
+(** The checks of {!verify} that a local rewrite can break, limited to
+    the instructions it emitted or moved ([touched]) and those it
+    erased, in O(their operands and uses); raises {!Invalid_ir} like
+    {!verify_exn}.  A touched instruction must be attached, well
+    formed, between increasing keys, keep phis at the block head, and
+    dominate its users as its operands dominate it; an erased one must
+    be detached and used by nothing attached. *)

@@ -119,7 +119,7 @@ let dead_stores (f : Defs.func) : Finding.t list =
             scan rest)
         | _ :: rest -> scan rest
       in
-      scan b.Defs.instrs)
+      scan (Block.instrs b))
     f.Defs.blocks;
   List.rev !acc
 
@@ -284,7 +284,7 @@ let loop_bounds ?bound (f : Defs.func) : Finding.t list =
                           | _ -> ())
                       end
                   | _ -> ())
-              b.Defs.instrs)
+              (Block.instrs b))
           l.Loops.blocks)
       (counted_with_range t);
     List.rev !acc
@@ -306,7 +306,7 @@ let loop_dead_stores (f : Defs.func) : Finding.t list =
           let l = info.Loopdep.loop in
           let loop_loads =
             List.concat_map
-              (fun (b : Defs.block) -> List.filter Instr.is_load b.Defs.instrs)
+              (fun (b : Defs.block) -> List.filter Instr.is_load (Block.instrs b))
               l.Loops.blocks
           in
           let iv_var = Affine.Var.Instr_var c.Loops.iv.Defs.iid in
@@ -339,7 +339,7 @@ let loop_dead_stores (f : Defs.func) : Finding.t list =
                                    (n - 1) n)
                               :: !acc
                       | _ -> ())
-                  b.Defs.instrs)
+                  (Block.instrs b))
             l.Loops.blocks
         end)
       (counted_with_range t);

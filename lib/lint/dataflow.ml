@@ -64,7 +64,7 @@ module Make (L : LATTICE) = struct
       List.iter
         (fun b ->
           let inp = input b in
-          let out = List.fold_left (fun st i -> transfer i st) inp b.Defs.instrs in
+          let out = Block.fold (fun st i -> transfer i st) inp b in
           if not (L.equal inp (Hashtbl.find entry_of b.Defs.bid)) then begin
             Hashtbl.replace entry_of b.Defs.bid inp;
             changed := true
@@ -87,5 +87,5 @@ module Make (L : LATTICE) = struct
         let before = !st in
         st := s.transfer i before;
         (i, before, !st))
-      b.Defs.instrs
+      (Block.instrs b)
 end

@@ -123,7 +123,7 @@ let dep_kind (earlier : Defs.instr) (later : Defs.instr) : kind option =
 let deps_of (_f : Defs.func) (l : Loops.loop) (c : Loops.counted) : dep list * bool =
   let accesses =
     List.concat_map
-      (fun (b : Defs.block) -> List.filter Instr.is_memory b.Defs.instrs)
+      (fun (b : Defs.block) -> List.filter Instr.is_memory (Block.instrs b))
       l.Loops.blocks
   in
   let classified = List.map (classify c.Loops.iv) accesses in

@@ -19,6 +19,9 @@ type t = private {
   terms : term list;
   mutable skey_memo : string option;
       (** canonical-key memo; read it through {!skey} *)
+  uid : int;
+      (** distinct for every sum built, so a memo can key a pure
+          operation by the identity of its operands *)
 }
 
 and term = { tc : coeff; tp : prod }
@@ -70,6 +73,10 @@ val skey : t -> string
 
 val equal : t -> t -> bool
 (** Exact: canonical keys match. *)
+
+val same : t -> t -> bool
+(** Structural identity, checked without building keys: [same a b]
+    implies [equal a b]. *)
 
 val close : tol:float -> t -> t -> bool
 (** Structural equality with relative tolerance on coefficients, to

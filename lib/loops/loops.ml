@@ -31,6 +31,7 @@ type loop = {
   latches : Defs.block list; (* sources of back edges to [header] *)
   blocks : Defs.block list; (* the natural loop, in function block order *)
   block_ids : Int_set.t;
+  hpreds : Defs.block list; (* the header's predecessors, found with the loop *)
   mutable parent : loop option;
   mutable children : loop list;
   mutable depth : int; (* 1 = top-level *)
@@ -46,7 +47,7 @@ let mem (l : loop) (b : Defs.block) = Int_set.mem b.Defs.bid l.block_ids
 let num_blocks (l : loop) = List.length l.blocks
 
 let num_instrs (l : loop) =
-  List.fold_left (fun n b -> n + List.length b.Defs.instrs) 0 l.blocks
+  List.fold_left (fun n b -> n + Block.length b) 0 l.blocks
 
 (* --- Detection. ---------------------------------------------------- *)
 
@@ -80,24 +81,51 @@ let analyze (f : Defs.func) : forest =
     List.iter pull latches;
     !ids
   in
+  (* A loop's blocks in function block order, from the positions of
+     its own blocks rather than a filter over the whole function. *)
+  let position = Hashtbl.create 64 in
+  List.iteri (fun k (b : Defs.block) -> Hashtbl.replace position b.Defs.bid (k, b)) f.Defs.blocks;
+  let in_order ids =
+    Int_set.fold
+      (fun bid acc -> match Hashtbl.find_opt position bid with Some kb -> kb :: acc | None -> acc)
+      ids []
+    |> List.sort (fun (i, _) (j, _) -> Int.compare i j)
+    |> List.map snd
+  in
   let loops =
     List.rev_map
       (fun (header : Defs.block) ->
         let latches = Hashtbl.find latches_of header.Defs.bid in
         let block_ids = body_of header latches in
-        let blocks =
-          List.filter (fun b -> Int_set.mem b.Defs.bid block_ids) f.Defs.blocks
-        in
-        { header; latches; blocks; block_ids; parent = None; children = []; depth = 1 })
+        let blocks = in_order block_ids in
+        let hpreds = try Hashtbl.find preds header.Defs.bid with Not_found -> [] in
+        { header; latches; blocks; block_ids; hpreds; parent = None; children = []; depth = 1 })
       !headers
   in
   (* Nesting: the parent of [l] is the smallest other loop containing
      l's header.  Natural loops either nest or are disjoint, so block
-     count orders candidates correctly. *)
+     count orders candidates correctly.  Candidates are found from the
+     loops' own blocks, in [loops] order. *)
+  let by_header = Hashtbl.create 16 in
+  List.iter (fun l -> Hashtbl.replace by_header l.header.Defs.bid l) loops;
+  let containing = Hashtbl.create 16 in
+  List.iteri
+    (fun k o ->
+      Int_set.iter
+        (fun bid ->
+          match Hashtbl.find_opt by_header bid with
+          | Some l when l != o ->
+              Hashtbl.replace containing bid
+                ((k, o) :: Option.value ~default:[] (Hashtbl.find_opt containing bid))
+          | Some _ | None -> ())
+        o.block_ids)
+    loops;
   List.iter
     (fun l ->
       let candidates =
-        List.filter (fun o -> o != l && mem o l.header) loops
+        Option.value ~default:[] (Hashtbl.find_opt containing l.header.Defs.bid)
+        |> List.sort (fun (i, _) (j, _) -> Int.compare i j)
+        |> List.map snd
         |> List.sort (fun a b -> compare (num_blocks a) (num_blocks b))
       in
       match candidates with
@@ -144,24 +172,25 @@ let value_invariant (l : loop) (v : Defs.value) =
 let no_outside_uses (l : loop) =
   List.for_all
     (fun (b : Defs.block) ->
-      List.for_all
-        (fun (i : Defs.instr) ->
-          List.for_all
-            (fun ((user : Defs.instr), _) ->
-              match user.Defs.iblock with Some ub -> mem l ub | None -> true)
-            i.Defs.iuses)
-        b.Defs.instrs)
+      Block.fold
+        (fun ok (i : Defs.instr) ->
+          ok
+          && not
+               (Use.exists
+                  (fun (user : Defs.instr) _ ->
+                    match user.Defs.iblock with Some ub -> not (mem l ub) | None -> false)
+                  i))
+        true b)
     l.blocks
 
-let as_counted (f : Defs.func) (l : loop) : counted option =
+let as_counted (_ : Defs.func) (l : loop) : counted option =
   let ( let* ) o k = match o with Some v -> k v | None -> None in
   let* () = if l.children = [] then Some () else None in
   let* latch = match l.latches with [ x ] -> Some x | _ -> None in
   let* () = if Block.equal l.header latch then None else Some () in
   (* Header predecessors: exactly the preheader (outside) and the
      latch. *)
-  let preds = Dominance.predecessors f in
-  let hpreds = try Hashtbl.find preds l.header.Defs.bid with Not_found -> [] in
+  let hpreds = l.hpreds in
   let* preheader =
     match List.filter (fun b -> not (mem l b)) hpreds with
     | [ p ] when List.length hpreds = 2 -> Some p
@@ -179,7 +208,7 @@ let as_counted (f : Defs.func) (l : loop) : counted option =
      the header would execute once more than the body — unrolling
      would drop that execution. *)
   let* iv, cond =
-    match l.header.Defs.instrs with
+    match Block.instrs l.header with
     | [ p; c ] when Instr.is_phi p -> Some (p, c)
     | _ -> None
   in
@@ -195,7 +224,7 @@ let as_counted (f : Defs.func) (l : loop) : counted option =
   let* () = if value_invariant l bound then Some () else None in
   (* The icmp feeds the branch and nothing else. *)
   let* () =
-    if List.for_all (fun ((u : Defs.instr), _) -> u.Defs.iblock = None) cond.Defs.iuses
+    if not (Use.exists (fun (u : Defs.instr) _ -> u.Defs.iblock <> None) cond)
     then Some ()
     else None
   in
@@ -214,7 +243,7 @@ let as_counted (f : Defs.func) (l : loop) : counted option =
         (fun (b : Defs.block) ->
           List.for_all
             (fun (i : Defs.instr) -> Instr.equal i iv || not (Instr.is_phi i))
-            b.Defs.instrs
+            (Block.instrs b)
           && (Block.equal b l.header || List.for_all (mem l) (Block.successors b)))
         l.blocks
     in
@@ -246,7 +275,7 @@ let as_counted (f : Defs.func) (l : loop) : counted option =
   (* No phis in the exit block (none exist outside loop headers in this
      IR, but a later pass could be running on hand-written input). *)
   let* () =
-    if List.exists Instr.is_phi exit.Defs.instrs then None else Some ()
+    if List.exists Instr.is_phi (Block.instrs exit) then None else Some ()
   in
   let* () = if no_outside_uses l then Some () else None in
   Some { loop = l; preheader; latch; body_entry; exit; iv; init; next; step; cmp; cond; bound }
@@ -273,8 +302,7 @@ let recognize (f : Defs.func) (l : loop) : (counted * bool, string) result =
       let* () =
         if Block.equal l.header latch then Error "self-loop header" else Ok ()
       in
-      let preds = Dominance.predecessors f in
-      let hpreds = try Hashtbl.find preds l.header.Defs.bid with Not_found -> [] in
+      let hpreds = l.hpreds in
       let* preheader =
         match List.filter (fun b -> not (mem l b)) hpreds with
         | [ p ] when List.length hpreds = 2 -> Ok p
@@ -282,7 +310,7 @@ let recognize (f : Defs.func) (l : loop) : (counted * bool, string) result =
         | _ -> Error "no unique preheader"
       in
       let* iv, cond =
-        match l.header.Defs.instrs with
+        match Block.instrs l.header with
         | [ p; c ] when Instr.is_phi p -> Ok (p, c)
         | p :: _ when not (Instr.is_phi p) ->
             Error "header does not start with an induction phi"
@@ -414,24 +442,26 @@ let monotone (c : counted) =
    Returns the (old bid -> clone) block map and the (old iid -> clone)
    instruction map. *)
 let clone_region (f : Defs.func) (blocks : Defs.block list) ~(suffix : string)
-    ?(map_value : Defs.value -> Defs.value = fun v -> v) () :
+    ?(map_value : Defs.value -> Defs.value = fun v -> v) ?into () :
     (int, Defs.block) Hashtbl.t * (int, Defs.instr) Hashtbl.t =
   let bmap : (int, Defs.block) Hashtbl.t = Hashtbl.create 8 in
   let imap : (int, Defs.instr) Hashtbl.t = Hashtbl.create 32 in
+  let created = ref [] in
   (* Pass 1: block and instruction shells (operands come in pass 2,
      once every clone exists). *)
   List.iter
     (fun (b : Defs.block) ->
-      let b' = Func.add_block f (b.Defs.bname ^ suffix) in
+      let b' = Func.fresh_block f (b.Defs.bname ^ suffix) in
+      created := b' :: !created;
       Hashtbl.replace bmap b.Defs.bid b';
-      List.iter
+      Block.iter
         (fun (i : Defs.instr) ->
           let i' =
             Func.fresh_instr f ~name:(i.Defs.iname ^ suffix) i.Defs.op i.Defs.ty [||]
           in
           Hashtbl.replace imap i.Defs.iid i';
           Block.append b' i')
-        b.Defs.instrs)
+        b)
     blocks;
   let map_block (b : Defs.block) =
     match Hashtbl.find_opt bmap b.Defs.bid with Some b' -> b' | None -> b
@@ -448,7 +478,7 @@ let clone_region (f : Defs.func) (blocks : Defs.block list) ~(suffix : string)
   List.iter
     (fun (b : Defs.block) ->
       let b' = Hashtbl.find bmap b.Defs.bid in
-      List.iter
+      Block.iter
         (fun (i : Defs.instr) ->
           let i' = Hashtbl.find imap i.Defs.iid in
           (match i.Defs.op with
@@ -464,7 +494,7 @@ let clone_region (f : Defs.func) (blocks : Defs.block list) ~(suffix : string)
           | _ -> ());
           i'.Defs.ops <- Array.map map_op i.Defs.ops;
           Use.register_all i')
-        b.Defs.instrs;
+        b;
       b'.Defs.term <-
         (match b.Defs.term with
         | Defs.Ret -> Defs.Ret
@@ -472,4 +502,7 @@ let clone_region (f : Defs.func) (blocks : Defs.block list) ~(suffix : string)
         | Defs.Br t -> Defs.Br (map_block t)
         | Defs.Cond_br (c, t, e) -> Defs.Cond_br (map_op c, map_block t, map_block e)))
     blocks;
+  (match into with
+  | Some pending -> pending := !created @ !pending
+  | None -> f.Defs.blocks <- f.Defs.blocks @ List.rev !created);
   (bmap, imap)

@@ -11,6 +11,9 @@ type loop = {
   latches : Defs.block list;  (** sources of back edges to [header] *)
   blocks : Defs.block list;  (** the natural loop, in function block order *)
   block_ids : Int_set.t;
+  hpreds : Defs.block list;
+      (** the header's CFG predecessors, as {!Dominance.predecessors}
+          lists them when the loop is found *)
   mutable parent : loop option;
   mutable children : loop list;
   mutable depth : int;  (** 1 = top-level *)
@@ -86,11 +89,13 @@ val clone_region :
   Defs.block list ->
   suffix:string ->
   ?map_value:(Defs.value -> Defs.value) ->
+  ?into:Defs.block list ref ->
   unit ->
   (int, Defs.block) Hashtbl.t * (int, Defs.instr) Hashtbl.t
 (** Clone an ordered subset of the function's blocks into fresh blocks
     appended to it ([suffix] is appended to block and instruction
-    names).  Operands resolving to region instructions map to their
+    names); with [into], the clones are pushed onto that list, newest
+    first, for the caller to append in one go.  Operands resolving to region instructions map to their
     clones; all other operands go through [map_value] (default:
     identity).  Branch targets and phi-payload predecessors inside the
     region are redirected to the clones, outside targets are kept.

@@ -3,8 +3,8 @@
    Two pure instructions with the same opcode, type and operands
    compute the same value; the later one is replaced by the earlier.
    Loads are also unified when no may-aliasing store intervenes.  One
-   forward sweep per block through the shared {!Rewrite} machinery
-   keeps the pass linear. *)
+   forward sweep per block through the shared {!Rewrite} machinery,
+   with available loads indexed by address, keeps the pass linear. *)
 
 open Snslp_ir
 open Snslp_analysis
@@ -51,24 +51,123 @@ let pure (i : Defs.instr) =
      ordering and block position; never CSE them. *)
   | Defs.Phi _ -> false
 
+(* The loads still available in the current block, indexed by where
+   they read, so a store examines only the loads it may overwrite.
+   Most bases are arguments, which never alias each other: a store to
+   an argument examines the loads of its own argument, element type
+   and symbolic index whose offsets come within reach, every load of
+   that argument under another symbolic index, and every load from a
+   base that is not an argument.  Whether a candidate dies is still
+   decided by [Deps.may_overlap], so the loads killed are exactly
+   those a scan of every available load would kill. *)
+type entry = { load : Defs.instr; loc : Deps.memloc }
+
+type index = {
+  groups : (string, (int, entry list) Hashtbl.t) Hashtbl.t;
+      (* argument base, element type and symbolic index -> offset -> loads *)
+  regions : (string, string list) Hashtbl.t; (* argument base -> its group keys *)
+  mutable elsewhere : entry list; (* loads whose base is not an argument *)
+  mutable widest : int; (* the widest load indexed *)
+}
+
+let arg_region (loc : Deps.memloc) =
+  match loc.Deps.addr.Address.base with
+  | Defs.Arg a -> Some (string_of_int a.Defs.arg_pos ^ ":" ^ Ty.scalar_to_string loc.Deps.addr.Address.elem)
+  | Defs.Instr _ | Defs.Const _ | Defs.Undef _ -> None
+
+let group_key region (loc : Deps.memloc) =
+  region ^ ":" ^ Affine.to_string { loc.Deps.addr.Address.index with Affine.const = 0 }
+
+let offset (loc : Deps.memloc) = loc.Deps.addr.Address.index.Affine.const
+
 let run (func : Defs.func) : int =
   (* Per-block value tables, reset on block entry (block-local CSE). *)
   let seen : Defs.value Computation.t = Computation.create 64 in
   let avail_loads : (Defs.instr * Deps.memloc) Computation.t = Computation.create 16 in
-  let current_block = ref (-1) in
+  let ix =
+    { groups = Hashtbl.create 16; regions = Hashtbl.create 8; elsewhere = []; widest = 1 }
+  in
+  let reset_loads () =
+    Computation.reset avail_loads;
+    Hashtbl.reset ix.groups;
+    Hashtbl.reset ix.regions;
+    ix.elsewhere <- [];
+    ix.widest <- 1
+  in
+  let add_load (load : Defs.instr) (loc : Deps.memloc) =
+    Computation.replace avail_loads load (load, loc);
+    let e = { load; loc } in
+    ix.widest <- max ix.widest loc.Deps.width;
+    match arg_region loc with
+    | None -> ix.elsewhere <- e :: ix.elsewhere
+    | Some region ->
+        let key = group_key region loc in
+        let group =
+          match Hashtbl.find_opt ix.groups key with
+          | Some g -> g
+          | None ->
+              let g = Hashtbl.create 8 in
+              Hashtbl.replace ix.groups key g;
+              let keys = Option.value ~default:[] (Hashtbl.find_opt ix.regions region) in
+              Hashtbl.replace ix.regions region (key :: keys);
+              g
+        in
+        let at = offset loc in
+        Hashtbl.replace group at (e :: Option.value ~default:[] (Hashtbl.find_opt group at))
+  in
+  (* Drop the loads of [es] the store at [stl] may overwrite; the
+     survivors. *)
+  let kill stl es =
+    List.filter
+      (fun e ->
+        if Deps.may_overlap stl e.loc then begin
+          Computation.remove avail_loads e.load;
+          false
+        end
+        else true)
+      es
+  in
   let kill_loads (st : Defs.instr) =
     match Deps.memloc_of_instr st with
-    | None -> Computation.reset avail_loads
-    | Some stl ->
-        Computation.filter_map_inplace
-          (fun _ ((_, ldl) as e) -> if Deps.may_overlap stl ldl then None else Some e)
-          avail_loads
+    | None -> reset_loads ()
+    | Some stl -> (
+        match arg_region stl with
+        | None ->
+            Computation.filter_map_inplace
+              (fun _ ((_, ldl) as e) -> if Deps.may_overlap stl ldl then None else Some e)
+              avail_loads;
+            let live = Computation.fold (fun _ (load, loc) acc -> (load, loc) :: acc) avail_loads [] in
+            reset_loads ();
+            List.iter (fun (load, loc) -> add_load load loc) live
+        | Some region ->
+            ix.elsewhere <- kill stl ix.elsewhere;
+            let mine = group_key region stl in
+            List.iter
+              (fun key ->
+                let group = Hashtbl.find ix.groups key in
+                if String.equal key mine then begin
+                  let c = offset stl in
+                  for at = c - ix.widest + 1 to c + stl.Deps.width - 1 do
+                    match Hashtbl.find_opt group at with
+                    | Some es -> (
+                        match kill stl es with
+                        | [] -> Hashtbl.remove group at
+                        | rest -> Hashtbl.replace group at rest)
+                    | None -> ()
+                  done
+                end
+                else
+                  Hashtbl.filter_map_inplace
+                    (fun _ es -> match kill stl es with [] -> None | rest -> Some rest)
+                    group)
+              (Option.value ~default:[] (Hashtbl.find_opt ix.regions region)))
   in
+  let current_block = ref (-1) in
   Rewrite.run func (fun _ctx block i ->
       if block.Defs.bid <> !current_block then begin
         current_block := block.Defs.bid;
         Computation.reset seen;
-        Computation.reset avail_loads
+        reset_loads ()
       end;
       match i.Defs.op with
       | Defs.Store ->
@@ -80,9 +179,7 @@ let run (func : Defs.func) : int =
           match Computation.find_opt avail_loads i with
           | Some (earlier, _) -> Some (Defs.Instr earlier)
           | None ->
-              (match Deps.memloc_of_instr i with
-              | Some loc -> Computation.replace avail_loads i (i, loc)
-              | None -> ());
+              (match Deps.memloc_of_instr i with Some loc -> add_load i loc | None -> ());
               None)
       | _ when pure i -> (
           match Computation.find_opt seen i with

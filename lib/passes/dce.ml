@@ -16,7 +16,7 @@ let run (func : Defs.func) : int =
   let roots = Hashtbl.create 8 in
   List.iter
     (fun (b : Defs.block) ->
-      List.iter (fun (i : Defs.instr) -> Array.iter (fun o -> bump o 1) i.Defs.ops) b.Defs.instrs;
+      Block.iter (fun (i : Defs.instr) -> Array.iter (fun o -> bump o 1) i.Defs.ops) b;
       match Block.terminator b with
       | Defs.Cond_br (c, _, _) -> (
           match c with Defs.Instr i -> Hashtbl.replace roots i.Defs.iid () | _ -> ())

@@ -75,11 +75,12 @@ let run ?(setting : setting = Some Config.snslp) ?(verify_each = false)
      free.  The final "verify" pass never rewrites, so it gets no
      verdict. *)
   let first_snap = ref None in
+  let cache = Snslp_lint.Validate.cache () in
   let prev_snap =
     ref
       (if validate then begin
          let t0 = Stats.now_s () in
-         let s = Snslp_lint.Validate.capture f in
+         let s = Snslp_lint.Validate.capture ~cache f in
          validate_seconds := !validate_seconds +. (Stats.now_s () -. t0);
          first_snap := Some s;
          Some s
@@ -94,7 +95,7 @@ let run ?(setting : setting = Some Config.snslp) ?(verify_each = false)
     | Some pre when name <> "verify" ->
         if changed then begin
           let t0 = Stats.now_s () in
-          let cur = Snslp_lint.Validate.capture f in
+          let cur = Snslp_lint.Validate.capture ~cache f in
           let v = Snslp_lint.Validate.compare_snapshots ?tolerance pre cur in
           validate_seconds := !validate_seconds +. (Stats.now_s () -. t0);
           pass_verdicts := (name, v) :: !pass_verdicts;

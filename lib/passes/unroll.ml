@@ -64,9 +64,9 @@ let const_iv (c : Loops.counted) (v : int64) =
 
 (* Insert a detached instruction at the head of a block. *)
 let insert_at_head (b : Defs.block) (i : Defs.instr) =
-  match b.Defs.instrs with
-  | [] -> Block.append b i
-  | first :: _ -> Block.insert_before b ~anchor:first i
+  match Block.first b with
+  | None -> Block.append b i
+  | Some first -> Block.insert_before b ~anchor:first i
 
 (* Retarget one payload slot of a phi: fresh payload array (shared
    arrays are never mutated in place) plus the matching operand. *)
@@ -87,7 +87,7 @@ let retarget_phi (phi : Defs.instr) ~(from_bid : int) ~(to_bid : int)
 
 (* --- Full unroll. -------------------------------------------------- *)
 
-let unroll_full (f : Defs.func) (c : Loops.counted) (n : int) =
+let unroll_full (f : Defs.func) ~into (c : Loops.counted) (n : int) =
   let region =
     List.filter (fun b -> not (Block.equal b c.Loops.loop.Loops.header)) c.Loops.loop.Loops.blocks
   in
@@ -106,7 +106,9 @@ let unroll_full (f : Defs.func) (c : Loops.counted) (n : int) =
           | Defs.Instr i when Instr.equal i c.Loops.iv -> iv_k
           | v -> v
         in
-        let bmap, _ = Loops.clone_region f region ~suffix:(Printf.sprintf "_u%d" k) ~map_value () in
+        let bmap, _ =
+          Loops.clone_region f region ~suffix:(Printf.sprintf "_u%d" k) ~map_value ~into ()
+        in
         ( Hashtbl.find bmap c.Loops.body_entry.Defs.bid,
           Hashtbl.find bmap c.Loops.latch.Defs.bid ))
   in
@@ -125,10 +127,9 @@ let unroll_full (f : Defs.func) (c : Loops.counted) (n : int) =
     | [] -> Defs.Br c.Loops.exit);
   (* Delete the original loop.  Every use of a loop-defined value is
      inside the loop (checked by the recognizer), so discarding the
-     blocks wholesale leaves no dangling use entries. *)
-  List.iter (fun b -> Block.discard_if b (fun _ -> true)) c.Loops.loop.Loops.blocks;
-  f.Defs.blocks <-
-    List.filter (fun b -> not (Loops.mem c.Loops.loop b)) f.Defs.blocks
+     blocks wholesale leaves no dangling use entries; [run] drops them
+     from the block list. *)
+  List.iter (fun b -> Block.discard_if b (fun _ -> true)) c.Loops.loop.Loops.blocks
 
 (* --- Partial unroll with an epilogue. ------------------------------ *)
 
@@ -146,7 +147,7 @@ let adjusted_bound_ok (c : Loops.counted) (factor : int) =
           | None -> None)
       | _ -> Some (`Symbolic delta))
 
-let unroll_partial (f : Defs.func) (c : Loops.counted) (factor : int) adjusted =
+let unroll_partial (f : Defs.func) ~into (c : Loops.counted) (factor : int) adjusted =
   let header = c.Loops.loop.Loops.header in
   let region =
     List.filter (fun b -> not (Block.equal b header)) c.Loops.loop.Loops.blocks
@@ -156,7 +157,7 @@ let unroll_partial (f : Defs.func) (c : Loops.counted) (factor : int) adjusted =
      from the main loop's current iv.  Cloned first, before the guard
      bound and the exit edge are touched. *)
   let ebmap, eimap =
-    Loops.clone_region f c.Loops.loop.Loops.blocks ~suffix:"_epi" ()
+    Loops.clone_region f c.Loops.loop.Loops.blocks ~suffix:"_epi" ~into ()
   in
   let epi_header = Hashtbl.find ebmap header.Defs.bid in
   let epi_phi = Hashtbl.find eimap c.Loops.iv.Defs.iid in
@@ -195,7 +196,7 @@ let unroll_partial (f : Defs.func) (c : Loops.counted) (factor : int) adjusted =
           | v -> v
         in
         let bmap, imap =
-          Loops.clone_region f region ~suffix:(Printf.sprintf "_p%d" j) ~map_value ()
+          Loops.clone_region f region ~suffix:(Printf.sprintf "_p%d" j) ~map_value ~into ()
         in
         let entry_j = Hashtbl.find bmap c.Loops.body_entry.Defs.bid in
         insert_at_head entry_j iv_j;
@@ -256,18 +257,28 @@ let run ~(policy : Config.unroll) ?(full_budget = default_full_budget) (f : Defs
     let full = ref 0 and partial = ref 0 in
     (* Counted loops are innermost and pairwise disjoint, and each
        transform only rewrites the loop's own blocks, its preheader
-       terminator and fresh clones — one analysis serves them all. *)
+       terminator and fresh clones — one analysis serves them all.
+       The block list is rewritten once at the end: fully unrolled
+       loops leave it, and every clone joins it in creation order. *)
+    let into = ref [] and removed = Hashtbl.create 16 in
     List.iter
       (fun c ->
         match decide ~full_budget policy c with
         | `Full n ->
-            unroll_full f c n;
+            unroll_full f ~into c n;
+            List.iter
+              (fun (b : Defs.block) -> Hashtbl.replace removed b.Defs.bid ())
+              c.Loops.loop.Loops.blocks;
             incr full
         | `Partial (factor, adj) ->
-            unroll_partial f c factor adj;
+            unroll_partial f ~into c factor adj;
             incr partial
         | `Skip -> ())
       counted;
+    if !into <> [] || Hashtbl.length removed > 0 then
+      f.Defs.blocks <-
+        List.filter (fun (b : Defs.block) -> not (Hashtbl.mem removed b.Defs.bid)) f.Defs.blocks
+        @ List.rev !into;
     {
       loops = List.length forest.Loops.loops;
       counted = List.length counted;

@@ -12,61 +12,64 @@
    A pair (b, s) merges when b ends in [br s], s is not b, s is not
    the entry block, b is s's only predecessor and s has no phis; b
    absorbs s's instructions and terminator, phi payloads in s's
-   successors are retargeted from s to b, and s is deleted.  Repeated
-   to fixpoint, a fully unrolled loop collapses into its preheader's
+   successors are retargeted from s to b, and s is deleted.  At the
+   fixpoint a fully unrolled loop has collapsed into its preheader's
    block. *)
 
 open Snslp_ir
 
-let merge_one (f : Defs.func) : bool =
+(* One pass over the blocks in order: each block absorbs its chain of
+   mergeable successors.  A merge only renames a predecessor, so a
+   pair that cannot merge never becomes mergeable later, and merges
+   commute: the single pass reaches the fixpoint that repeating the
+   first available merge would, in O(blocks + instructions moved). *)
+let run (f : Defs.func) : int =
   let preds = Dominance.predecessors f in
   let entry = Func.entry f in
-  let candidate (b : Defs.block) =
+  let removed = Hashtbl.create 16 in
+  let merged = ref 0 in
+  let rec absorb (b : Defs.block) =
     match b.Defs.term with
     | Defs.Br s
       when (not (Block.equal s b))
            && (not (Block.equal s entry))
-           && (not (List.exists Instr.is_phi s.Defs.instrs))
+           && (not (Block.fold (fun phi i -> phi || Instr.is_phi i) false s))
            && (match Hashtbl.find_opt preds s.Defs.bid with
               | Some [ p ] -> Block.equal p b
-              | _ -> false) -> Some s
-    | _ -> None
+              | _ -> false) ->
+        Block.iter
+          (fun (i : Defs.instr) ->
+            Block.remove s i;
+            Block.append b i)
+          s;
+        b.Defs.term <- s.Defs.term;
+        (* Successors that distinguished the edge from s now see it
+           from b: retarget their phi payloads (fresh arrays —
+           payloads are never mutated in place) and their
+           predecessor lists. *)
+        List.iter
+          (fun (t : Defs.block) ->
+            Block.iter
+              (fun (i : Defs.instr) ->
+                match i.Defs.op with
+                | Defs.Phi payload when Array.exists (Int.equal s.Defs.bid) payload ->
+                    i.Defs.op <-
+                      Defs.Phi
+                        (Array.map
+                           (fun bid -> if bid = s.Defs.bid then b.Defs.bid else bid)
+                           payload)
+                | _ -> ())
+              t;
+            match Hashtbl.find_opt preds t.Defs.bid with
+            | Some ps -> Hashtbl.replace preds t.Defs.bid (List.map (fun p -> if Block.equal p s then b else p) ps)
+            | None -> ())
+          (Block.successors b);
+        Hashtbl.replace removed s.Defs.bid ();
+        incr merged;
+        absorb b
+    | _ -> ()
   in
-  let rec find = function
-    | [] -> None
-    | b :: rest -> (
-        match candidate b with Some s -> Some (b, s) | None -> find rest)
-  in
-  match find f.Defs.blocks with
-  | None -> false
-  | Some (b, s) ->
-      List.iter (fun (i : Defs.instr) -> i.Defs.iblock <- Some b) s.Defs.instrs;
-      b.Defs.instrs <- b.Defs.instrs @ s.Defs.instrs;
-      b.Defs.term <- s.Defs.term;
-      s.Defs.instrs <- [];
-      (* Successors that distinguished the edge from s now see it from
-         b: retarget their phi payloads (fresh arrays — payloads are
-         never mutated in place). *)
-      List.iter
-        (fun (t : Defs.block) ->
-          List.iter
-            (fun (i : Defs.instr) ->
-              match i.Defs.op with
-              | Defs.Phi payload when Array.exists (Int.equal s.Defs.bid) payload ->
-                  i.Defs.op <-
-                    Defs.Phi
-                      (Array.map
-                         (fun bid -> if bid = s.Defs.bid then b.Defs.bid else bid)
-                         payload)
-              | _ -> ())
-            t.Defs.instrs)
-        (Block.successors b);
-      f.Defs.blocks <- List.filter (fun x -> not (Block.equal x s)) f.Defs.blocks;
-      true
-
-let run (f : Defs.func) : int =
-  let n = ref 0 in
-  while merge_one f do
-    incr n
-  done;
-  !n
+  List.iter (fun b -> if not (Hashtbl.mem removed b.Defs.bid) then absorb b) f.Defs.blocks;
+  if !merged > 0 then
+    f.Defs.blocks <- List.filter (fun b -> not (Hashtbl.mem removed b.Defs.bid)) f.Defs.blocks;
+  !merged

@@ -282,7 +282,7 @@ let static_cost ?(model = Model.x86) (config : Config.t) (func : Defs.func) : fl
   in
   List.iter
     (fun (b : Defs.block) ->
-      List.iter (fun (i : Defs.instr) -> if Instr.is_store i then mark (Defs.Instr i)) b.Defs.instrs;
+      Block.iter (fun (i : Defs.instr) -> if Instr.is_store i then mark (Defs.Instr i)) b;
       match b.Defs.term with
       | Defs.Cond_br (c, _, _) -> mark c
       | Defs.Ret | Defs.Br _ | Defs.Unterminated -> ())

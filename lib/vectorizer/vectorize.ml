@@ -167,7 +167,14 @@ let plan_seeds (block : Defs.block) cands attempt =
    with seeds gets one dependence analysis serving all of them, whose
    counters are harvested per block; the memo's are read once at the
    end, and reductions and verification run last. *)
-let drive ?on_graph (config : Config.t) (source : source) (func : Defs.func) : report =
+(* The seed attempts of one drive, block by block: every block the
+   drive analysed, with each (reorder, seed store iids) it tried, in
+   order.  A drive is a deterministic function of its input and this
+   sequence. *)
+type attempts = (int * (Graph.reorder * int list) list) list
+
+let drive ?on_graph ?(record : attempts ref option) (config : Config.t) (source : source)
+    (func : Defs.func) : report =
   let cache = Lookahead.cache_create () in
   let stats = Stats.create () in
   let trees = ref [] in
@@ -193,9 +200,12 @@ let drive ?on_graph (config : Config.t) (source : source) (func : Defs.func) : r
           stats.Stats.deps_builds <- stats.Stats.deps_builds + 1;
           let deps = Stats.time ~stats "deps" (fun () -> Deps.of_block block) in
           let dirty = ref false in
+          let tried = ref [] in
           seeds (fun reorder seed ->
+              tried := (reorder, List.map Instr.id seed) :: !tried;
               try_seed ~reorder config stats trees func block ~cache ~deps ~dirty
                 ~on_graph seed);
+          Option.iter (fun r -> r := (block.Defs.bid, List.rev !tried) :: !r) record;
           Stats.add_deps stats deps)
     (Func.blocks func);
   let hits, misses = Lookahead.cache_stats cache in
@@ -205,7 +215,32 @@ let drive ?on_graph (config : Config.t) (source : source) (func : Defs.func) : r
     stats.Stats.reductions
     + Stats.time ~stats "reduction" (fun () -> Reduction.run config stats func);
   Verifier.verify_exn func;
+  Option.iter (fun r -> r := List.rev !r) record;
   { config; stats; trees = List.rev !trees }
+
+(* The attempts a drive of [plan] on [func] makes, predicted without
+   running it: per block with candidates, in block order, the
+   candidates whose stores all resolve, in plan order.  Only the
+   current block changes while a drive runs, so each block still holds
+   its original stores when the drive reaches it. *)
+let plan_attempts (func : Defs.func) (plan : Packing.candidate list) : attempts =
+  List.filter_map
+    (fun (block : Defs.block) ->
+      match List.filter (fun (c : Packing.candidate) -> c.Packing.bid = block.Defs.bid) plan with
+      | [] -> None
+      | cands ->
+          let iids = Hashtbl.create 16 in
+          Block.iter (fun i -> Hashtbl.replace iids (Instr.id i) ()) block;
+          let here = Hashtbl.mem iids in
+          Some
+            ( block.Defs.bid,
+              List.filter_map
+                (fun (c : Packing.candidate) ->
+                  if List.for_all here c.Packing.seed_iids then
+                    Some (c.Packing.reorder, c.Packing.seed_iids)
+                  else None)
+                cands ))
+    (Func.blocks func)
 
 (* The global path is a portfolio: run the untouched greedy driver on
    one clone, enumerate + solve + replay the best plans (and the
@@ -215,11 +250,15 @@ let drive ?on_graph (config : Config.t) (source : source) (func : Defs.func) : r
    transplant the winner into [func].  Greedy is scored first and ties
    require a strict improvement, so Global is never worse than Greedy
    under the metric, and [beam <= 1] (a single search hypothesis: the
-   incumbent) reproduces Greedy bit-identically. *)
+   incumbent) reproduces Greedy bit-identically.  A plan whose
+   predicted attempts are exactly the greedy run's would compile to
+   the greedy result, so it is scored as that result instead of being
+   replayed. *)
 let run_global ?on_graph ~beam ~node_budget (config : Config.t)
     (func : Defs.func) : report =
   let greedy_func = Func.clone func in
-  let greedy_rep = drive ?on_graph config Store_runs greedy_func in
+  let greedy_attempts = ref [] in
+  let greedy_rep = drive ?on_graph ~record:greedy_attempts config Store_runs greedy_func in
   let pack_stats = Stats.create () in
   let plans =
     if beam <= 1 then []
@@ -236,15 +275,21 @@ let run_global ?on_graph ~beam ~node_budget (config : Config.t)
     else
       List.map
         (fun plan ->
-          let f = Func.clone func in
-          (f, drive ?on_graph config (Plan plan) f))
+          if plan_attempts func plan = !greedy_attempts then None
+          else
+            let f = Func.clone func in
+            Some (f, drive ?on_graph config (Plan plan) f))
         (plans @ [ [] ])
   in
   pack_stats.Stats.pack_plans <- List.length replays;
+  let greedy_cost = Packing.static_cost config greedy_func in
   let scored =
-    List.map
-      (fun (f, rep) -> (Packing.static_cost config f, f, rep))
-      ((greedy_func, greedy_rep) :: replays)
+    (greedy_cost, greedy_func, greedy_rep)
+    :: List.map
+         (function
+           | Some (f, rep) -> (Packing.static_cost config f, f, rep)
+           | None -> (greedy_cost, greedy_func, greedy_rep))
+         replays
   in
   let best =
     List.fold_left

@@ -149,6 +149,42 @@ let test_engineered_kernels_win () =
           name glob greedy)
     [ "lbm_stream"; "leslie_flux"; "calculix_blend" ]
 
+(* --- A plan that repeats greedy is not replayed ---------------------------- *)
+
+(* On motiv_leaf_x4 the best plan makes exactly the greedy run's seed
+   attempts, so the portfolio scores it as the greedy result instead
+   of compiling it again: the graphs offered to [on_graph] are the
+   greedy run's plus the enumerator's, and no replay's.  The output
+   and the plan count are those of a run that replayed it. *)
+let test_greedy_plan_not_replayed () =
+  let f = compile_kernel (Option.get (Registry.find "motiv_leaf_x4")) in
+  let count run =
+    let n = ref 0 in
+    let r = run ~on_graph:(fun _ -> incr n) in
+    (!n, r)
+  in
+  let greedy_graphs, greedy_rep =
+    let g = Func.clone f in
+    count (fun ~on_graph -> Vectorize.run ~on_graph Config.snslp g)
+  in
+  let enum_graphs, _ =
+    count (fun ~on_graph -> Packing.enumerate ~on_graph ~node_budget:0 (global ()) (Func.clone f))
+  in
+  let global_graphs, global_rep =
+    let g = Func.clone f in
+    count (fun ~on_graph -> Vectorize.run ~on_graph (global ()) g)
+  in
+  check "greedy built graphs" true (greedy_graphs > 0);
+  Alcotest.(check int) "graphs: greedy + enumerator only" (greedy_graphs + enum_graphs) global_graphs;
+  Alcotest.(check int) "plans still counted" 2 global_rep.Vectorize.stats.Stats.pack_plans;
+  check "same decisions as greedy" true
+    (List.map (fun (t : Vectorize.tree_report) -> (t.Vectorize.seed, t.Vectorize.vectorized))
+       global_rep.Vectorize.trees
+    = List.map (fun (t : Vectorize.tree_report) -> (t.Vectorize.seed, t.Vectorize.vectorized))
+        greedy_rep.Vectorize.trees);
+  check_str "output equals greedy's" (run_packing Config.Greedy f)
+    (run_packing (Config.Global { beam = Config.default_beam; node_budget = Config.default_node_budget }) f)
+
 let suite =
   [
     ( "packing",
@@ -156,6 +192,8 @@ let suite =
         Alcotest.test_case "enumerated trial graphs satisfy invariants" `Quick
           test_enumerator_invariants;
         Alcotest.test_case "beam 1 is bit-identical to greedy" `Quick test_beam1_is_greedy;
+        Alcotest.test_case "a plan repeating greedy is not replayed" `Quick
+          test_greedy_plan_not_replayed;
         Alcotest.test_case "solver beats the greedy-order pick" `Quick
           test_solver_beats_greedy_order;
         Alcotest.test_case "solver plans always beat the empty plan" `Quick
