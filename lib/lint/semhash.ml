@@ -37,7 +37,7 @@ let structural_digest (f : Defs.func) : string =
   Digest.to_hex (Digest.string (Printer.func_to_string { f with Defs.fname = "f" }))
 
 let of_func (f : Defs.func) : key =
-  match Validate.snapshot_digest (Validate.capture f) with
+  match Validate.snapshot_digest (Validate.capture ~cache:(Validate.cache ()) f) with
   | Some d -> Semantic d
   | None -> Structural (structural_digest f)
 

@@ -529,13 +529,13 @@ kernel h(double A[], double B[], double C[], double D[], long n) {
      equivalent pair, distinct for the different one, and defined
      (Some) for all three — symbolic loops are inside the fragment
      now. *)
-  let digest src = Validate.snapshot_digest (Validate.capture (compile src)) in
+  let digest src = Validate.snapshot_digest (Validate.capture ~cache:(Validate.cache ()) (compile src)) in
   (match (digest loop_reassoc_a, digest loop_reassoc_b) with
   | Some d1, Some d2 -> check "equivalent loops share a digest" true (String.equal d1 d2)
   | _ -> Alcotest.fail "symbolic-trip loop fell out of the fragment");
   match
     ( digest loop_reassoc_a,
-      Validate.snapshot_digest (Validate.capture different) )
+      Validate.snapshot_digest (Validate.capture ~cache:(Validate.cache ()) different) )
   with
   | Some d1, Some d3 -> check "different loops do not share" false (String.equal d1 d3)
   | _ -> Alcotest.fail "symbolic-trip loop fell out of the fragment"
