@@ -166,7 +166,8 @@ let check_use_lists (fn : t) =
 (* Deep copy.  Instruction and block identities are preserved (same
    ids, fresh records), so analyses keyed by id can be replayed on the
    clone; this is what lets the vectorizer try a transformation and
-   throw it away if the cost model rejects it. *)
+   throw it away if the cost model rejects it.  Instructions map
+   through an array indexed by id, sized from [next_iid]. *)
 let clone (fn : t) : t =
   let fn' =
     {
@@ -178,7 +179,8 @@ let clone (fn : t) : t =
     }
   in
   let block_map = Hashtbl.create 7 in
-  let instr_map : (int, instr) Hashtbl.t = Hashtbl.create 64 in
+  let absent = shell ~iid:(-1) ~iname:"" Load Ty.i32 [||] in
+  let instr_map = Array.make fn.next_iid absent in
   List.iter
     (fun b ->
       let b' = new_block b.bid b.bname in
@@ -194,13 +196,17 @@ let clone (fn : t) : t =
       Block.iter
         (fun i ->
           let i' = shell ~iid:i.iid ~iname:i.iname i.op i.ty [||] in
-          Hashtbl.add instr_map i.iid i';
+          instr_map.(i.iid) <- i';
           Block.append b' i')
         b)
     fn.blocks;
   let map_value v =
     match v with
-    | Instr i -> Instr (Hashtbl.find instr_map i.iid)
+    | Instr i ->
+        let i' = instr_map.(i.iid) in
+        if i' == absent then
+          invalid_arg (Printf.sprintf "Func.clone: operand %%%s is in no block" i.iname);
+        Instr i'
     | Const _ | Undef _ | Arg _ -> v
   in
   (* Pass 2: fill operands and terminators through the maps. *)
@@ -209,7 +215,7 @@ let clone (fn : t) : t =
       let b' = Hashtbl.find block_map b.bid in
       Block.iter
         (fun (i : instr) ->
-          let i' = Hashtbl.find instr_map i.iid in
+          let i' = instr_map.(i.iid) in
           i'.ops <- Array.map map_value i.ops;
           Use.register_all i')
         b;

@@ -62,22 +62,44 @@ let pure (i : Defs.instr) =
    those a scan of every available load would kill. *)
 type entry = { load : Defs.instr; loc : Deps.memloc }
 
+(* The available loads of one argument region under one symbolic
+   index, by constant offset. *)
+type group = (int, entry list) Hashtbl.t
+
+(* Groups keyed by region and symbolic index terms, compared as maps
+   (two equal maps may differ in tree shape, so never structurally). *)
+module Groups = Hashtbl.Make (struct
+  type t = int * int Affine.Var_map.t
+
+  let equal ((r, a) : t) ((r', b) : t) = r = r' && Affine.Var_map.equal Int.equal a b
+
+  let hash ((r, terms) : t) =
+    Affine.Var_map.fold (fun v c h -> (31 * ((31 * h) + Hashtbl.hash v)) + c) terms r
+end)
+
 type index = {
-  groups : (string, (int, entry list) Hashtbl.t) Hashtbl.t;
-      (* argument base, element type and symbolic index -> offset -> loads *)
-  regions : (string, string list) Hashtbl.t; (* argument base -> its group keys *)
+  groups : group Groups.t;
+  regions : (int, group list) Hashtbl.t; (* argument region -> its groups *)
   mutable elsewhere : entry list; (* loads whose base is not an argument *)
   mutable widest : int; (* the widest load indexed *)
 }
 
+(* An argument region, argument position and element type, as one
+   int. *)
 let arg_region (loc : Deps.memloc) =
   match loc.Deps.addr.Address.base with
-  | Defs.Arg a -> Some (string_of_int a.Defs.arg_pos ^ ":" ^ Ty.scalar_to_string loc.Deps.addr.Address.elem)
+  | Defs.Arg a ->
+      let elem =
+        match loc.Deps.addr.Address.elem with
+        | Ty.I32 -> 0
+        | Ty.I64 -> 1
+        | Ty.F32 -> 2
+        | Ty.F64 -> 3
+      in
+      Some ((a.Defs.arg_pos lsl 2) lor elem)
   | Defs.Instr _ | Defs.Const _ | Defs.Undef _ -> None
 
-let group_key region (loc : Deps.memloc) =
-  region ^ ":" ^ Affine.to_string { loc.Deps.addr.Address.index with Affine.const = 0 }
-
+let symbolic (loc : Deps.memloc) = loc.Deps.addr.Address.index.Affine.terms
 let offset (loc : Deps.memloc) = loc.Deps.addr.Address.index.Affine.const
 
 let run (func : Defs.func) : int =
@@ -85,11 +107,11 @@ let run (func : Defs.func) : int =
   let seen : Defs.value Computation.t = Computation.create 64 in
   let avail_loads : (Defs.instr * Deps.memloc) Computation.t = Computation.create 16 in
   let ix =
-    { groups = Hashtbl.create 16; regions = Hashtbl.create 8; elsewhere = []; widest = 1 }
+    { groups = Groups.create 16; regions = Hashtbl.create 8; elsewhere = []; widest = 1 }
   in
   let reset_loads () =
     Computation.reset avail_loads;
-    Hashtbl.reset ix.groups;
+    Groups.reset ix.groups;
     Hashtbl.reset ix.regions;
     ix.elsewhere <- [];
     ix.widest <- 1
@@ -101,15 +123,15 @@ let run (func : Defs.func) : int =
     match arg_region loc with
     | None -> ix.elsewhere <- e :: ix.elsewhere
     | Some region ->
-        let key = group_key region loc in
+        let key = (region, symbolic loc) in
         let group =
-          match Hashtbl.find_opt ix.groups key with
+          match Groups.find_opt ix.groups key with
           | Some g -> g
           | None ->
               let g = Hashtbl.create 8 in
-              Hashtbl.replace ix.groups key g;
-              let keys = Option.value ~default:[] (Hashtbl.find_opt ix.regions region) in
-              Hashtbl.replace ix.regions region (key :: keys);
+              Groups.replace ix.groups key g;
+              let gs = Option.value ~default:[] (Hashtbl.find_opt ix.regions region) in
+              Hashtbl.replace ix.regions region (g :: gs);
               g
         in
         let at = offset loc in
@@ -141,11 +163,10 @@ let run (func : Defs.func) : int =
             List.iter (fun (load, loc) -> add_load load loc) live
         | Some region ->
             ix.elsewhere <- kill stl ix.elsewhere;
-            let mine = group_key region stl in
+            let mine = Groups.find_opt ix.groups (region, symbolic stl) in
             List.iter
-              (fun key ->
-                let group = Hashtbl.find ix.groups key in
-                if String.equal key mine then begin
+              (fun (group : group) ->
+                if Option.fold ~none:false ~some:(fun g -> g == group) mine then begin
                   let c = offset stl in
                   for at = c - ix.widest + 1 to c + stl.Deps.width - 1 do
                     match Hashtbl.find_opt group at with
@@ -163,7 +184,7 @@ let run (func : Defs.func) : int =
               (Option.value ~default:[] (Hashtbl.find_opt ix.regions region)))
   in
   let current_block = ref (-1) in
-  Rewrite.run func (fun _ctx block i ->
+  Rewrite.run func (fun block i ->
       if block.Defs.bid <> !current_block then begin
         current_block := block.Defs.bid;
         Computation.reset seen;

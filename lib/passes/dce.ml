@@ -1,51 +1,42 @@
 (* Dead code elimination: erase pure instructions with no uses, by
-   worklist over a use-count table (linear).  Stores and branch
-   conditions are roots. *)
+   worklist over the IR's own use lists (linear).  Stores and branch
+   conditions are roots.  Liveness is {!Func.has_uses}: only users
+   attached to a block count, so an instruction whose last user was
+   detached is dead. *)
 
 open Snslp_ir
 
 let run (func : Defs.func) : int =
-  let use_count : (int, int) Hashtbl.t = Hashtbl.create 128 in
-  let bump v d =
-    match v with
-    | Defs.Instr i ->
-        let c = try Hashtbl.find use_count i.Defs.iid with Not_found -> 0 in
-        Hashtbl.replace use_count i.Defs.iid (c + d)
-    | Defs.Const _ | Defs.Undef _ | Defs.Arg _ -> ()
-  in
-  let roots = Hashtbl.create 8 in
+  (* Branch conditions, marked by instruction id. *)
+  let cond = Bytes.make func.Defs.next_iid '\000' in
   List.iter
     (fun (b : Defs.block) ->
-      Block.iter (fun (i : Defs.instr) -> Array.iter (fun o -> bump o 1) i.Defs.ops) b;
       match Block.terminator b with
-      | Defs.Cond_br (c, _, _) -> (
-          match c with Defs.Instr i -> Hashtbl.replace roots i.Defs.iid () | _ -> ())
+      | Defs.Cond_br (Defs.Instr i, _, _) -> Bytes.set cond i.Defs.iid '\001'
       | _ -> ())
     (Func.blocks func);
-  let uses i =
-    match Hashtbl.find_opt use_count i.Defs.iid with Some c -> c | None -> 0
-  in
   let dead (i : Defs.instr) =
-    Instr.has_result i && (not (Hashtbl.mem roots i.Defs.iid)) && uses i = 0
+    Instr.has_result i
+    && Bytes.get cond i.Defs.iid = '\000'
+    && not (Func.has_uses func (Defs.Instr i))
   in
-  let erased = Hashtbl.create 64 in
   let worklist = Queue.create () in
   Func.iter_instrs (fun i -> if dead i then Queue.add i worklist) func;
+  let erased = ref 0 in
   while not (Queue.is_empty worklist) do
     let i = Queue.pop worklist in
-    if not (Hashtbl.mem erased i.Defs.iid) then begin
-      Hashtbl.replace erased i.Defs.iid ();
+    (* An instruction may be queued twice (it can fill two slots of
+       one erased user); the pop that finds it still attached erases
+       it, and a dead instruction never gains a use. *)
+    if i.Defs.iblock <> None then begin
+      Func.erase_instr func i;
+      incr erased;
       Array.iter
         (fun o ->
-          bump o (-1);
           match o with
-          | Defs.Instr d -> if dead d then Queue.add d worklist
-          | Defs.Const _ | Defs.Undef _ | Defs.Arg _ -> ())
+          | Defs.Instr d when d.Defs.iblock <> None && dead d -> Queue.add d worklist
+          | Defs.Instr _ | Defs.Const _ | Defs.Undef _ | Defs.Arg _ -> ())
         i.Defs.ops
     end
   done;
-  List.iter
-    (fun (b : Defs.block) ->
-      Block.discard_if b (fun (i : Defs.instr) -> Hashtbl.mem erased i.Defs.iid))
-    (Func.blocks func);
-  Hashtbl.length erased
+  !erased

@@ -1,4 +1,5 @@
-(** Dead code elimination by use-count worklist; stores and branch
-    conditions are roots. *)
+(** Dead code elimination by worklist over the IR's use lists; stores
+    and branch conditions are roots.  Returns the number of
+    instructions erased. *)
 
 val run : Snslp_ir.Defs.func -> int

@@ -78,4 +78,4 @@ let fold_instr (i : Defs.instr) : Defs.value option =
    reaches the fixpoint because operands are rewritten before their
    users are examined.  Returns the number of folded instructions. *)
 let run (func : Defs.func) : int =
-  Rewrite.run func (fun _ctx _block i -> fold_instr i)
+  Rewrite.run func (fun _block i -> fold_instr i)

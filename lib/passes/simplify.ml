@@ -39,4 +39,4 @@ let simplify_instr (i : Defs.instr) : Defs.value option =
   | _ -> None
 
 let run (func : Defs.func) : int =
-  Rewrite.run func (fun _ctx _block i -> simplify_instr i)
+  Rewrite.run func (fun _block i -> simplify_instr i)

@@ -437,13 +437,16 @@ let serve t ~(reader : unit -> string option) ~(writer : string -> unit) : unit 
         List.iter respond rs;
         loop ()
     | Some (Ok (Protocol.Batch n)) ->
-        (* Collect the batch's frames; EOF or a non-compile frame
-           inside a batch turns into an error slot, never a hang. *)
+        (* Collect the batch's frames; a non-compile frame inside a
+           batch turns into an error slot.  EOF ends the batch where
+           it stands: the frames that arrived are answered, then one
+           [err] names how many never came, so a truncated batch costs
+           what was sent, not what its header announced. *)
         let rec collect k acc =
-          if k = 0 then List.rev acc
+          if k = 0 then (List.rev acc, 0)
           else
             match Protocol.read_request reader with
-            | None -> collect (k - 1) (Error "eof inside batch" :: acc)
+            | None -> (List.rev acc, k)
             | Some (Error msg) -> collect (k - 1) (Error msg :: acc)
             | Some (Ok (Protocol.Compile { mode; source })) ->
                 collect (k - 1) (Ok (mode, source) :: acc)
@@ -451,11 +454,14 @@ let serve t ~(reader : unit -> string option) ~(writer : string -> unit) : unit 
                 collect (k - 1)
                   (Error "only compile frames may appear in a batch" :: acc)
         in
-        let frames = collect n [] in
+        let frames, missing = collect n [] in
         let t0 = Stats.now_s () in
         let rs = handle_batch t frames in
-        record t (Stats.now_s () -. t0) n;
+        record t (Stats.now_s () -. t0) (n - missing);
         List.iter respond rs;
-        loop ()
+        if missing = 0 then loop ()
+        else
+          respond
+            (Protocol.Err (Printf.sprintf "eof inside batch: %d of %d frames missing" missing n))
   in
   loop ()

@@ -229,6 +229,197 @@ kernel f(double A[], long i) {
   check_int "condition survives" 1 cmps;
   Verifier.verify_exn f
 
+(* --- Edge cases of the iid-indexed tables ------------------------------- *)
+
+let named f name =
+  match Func.fold_instrs (fun acc j -> if j.Defs.iname = name then Some j else acc) None f with
+  | Some j -> j
+  | None -> Alcotest.failf "no instruction %%%s" name
+
+let check_ir f =
+  Verifier.verify_exn f;
+  match Func.check_use_lists f with Ok () -> () | Error e -> Alcotest.fail e
+
+let first_store f = List.find Instr.is_store (Block.instrs (Func.entry f))
+
+(* A fresh instruction, so the one with the highest id, inserted
+   before the entry block's first store, which then stores it. *)
+let feed_store f op ty ops =
+  let i = Func.fresh_instr f op ty ops in
+  Block.insert_before (Func.entry f) ~anchor:(first_store f) i;
+  Instr.set_operand (first_store f) 0 (Defs.Instr i);
+  i
+
+let fconst = Value.const_float
+
+(* The instruction with the highest id, [next_iid - 1], is the last
+   slot of the replacement array; CSE and fold must reach it. *)
+let test_rewrite_replaces_last_iid () =
+  let src =
+    {|func @f(f64* %a, f64* %b, i64 %i) {
+entry:
+  %p = gep f64* %a, %i
+  %x = load f64 %p
+  %q = gep f64* %b, %i
+  store %x, %q
+  ret
+}
+|}
+  in
+  let f = Ir_parser.parse src in
+  let dup = feed_store f Defs.Load Ty.f64 [| Defs.Instr (named f "p") |] in
+  check_int "the duplicate load has the highest id" (f.Defs.next_iid - 1) dup.Defs.iid;
+  check_int "cse replaces it" 1 (Cse.run f);
+  check "the store reads the first load" true
+    (Value.equal (Instr.operand (first_store f) 0) (Defs.Instr (named f "x")));
+  check "the duplicate is gone" false (Block.mem (Func.entry f) dup);
+  check_ir f;
+  let g = Ir_parser.parse src in
+  let sum = feed_store g (Defs.Binop Defs.Add) Ty.f64 [| fconst 2.0; fconst 3.0 |] in
+  check_int "the sum has the highest id" (g.Defs.next_iid - 1) sum.Defs.iid;
+  check_int "fold replaces it" 1 (Fold.run g);
+  check "the store stores 5" true (Value.equal (Instr.operand (first_store g) 0) (fconst 5.0));
+  check_ir g;
+  (* An id at [next_iid] is past the map: a stale [next_iid] fails
+     loudly instead of writing out of bounds. *)
+  let h = Ir_parser.parse src in
+  ignore (feed_store h (Defs.Binop Defs.Add) Ty.f64 [| fconst 2.0; fconst 3.0 |]);
+  h.Defs.next_iid <- h.Defs.next_iid - 1;
+  match Fold.run h with
+  | _ -> Alcotest.fail "an id past next_iid was accepted"
+  | exception Invalid_argument _ -> ()
+
+(* A clone keeps its original's [next_iid] however few instructions it
+   holds: the passes size their tables from it, not from the count. *)
+let test_passes_on_sparse_clone () =
+  let f =
+    compile
+      {|
+kernel f(double A[], double B[], long i) {
+  double dead = B[i] * 3.0;
+  A[i+0] = B[i] * 1.0 + 2.0 * 3.0;
+  A[i+1] = B[i] + 0.0;
+}
+|}
+  in
+  f.Defs.next_iid <- f.Defs.next_iid + 100_000;
+  ignore (feed_store f (Defs.Binop Defs.Mul) Ty.f64 [| fconst 2.0; fconst 4.0 |]);
+  let before = count_instrs f in
+  let g = Func.clone f in
+  check_int "the clone keeps next_iid" f.Defs.next_iid g.Defs.next_iid;
+  check "far above its instruction count" true (g.Defs.next_iid > 1000 * count_instrs g);
+  check "fold" true (Fold.run g >= 2);
+  check "simplify" true (Simplify.run g >= 2);
+  check "cse" true (Cse.run g >= 1);
+  let n = count_instrs g in
+  let erased = Dce.run g in
+  check "dce erased the dead multiply" true (erased >= 2);
+  check_int "dce's count is what it erased" (n - erased) (count_instrs g);
+  check "the late constant product folded into the store" true
+    (Value.equal (Instr.operand (first_store g) 0) (fconst 8.0));
+  check_ir g;
+  check_int "the original is untouched" before (count_instrs f)
+
+(* Liveness counts attached users only: a user detached with
+   [Block.remove] (its operand uses still registered) keeps nothing
+   alive. *)
+let test_dce_detached_user () =
+  let f =
+    Ir_parser.parse
+      {|func @f(f64* %a, f64* %b, i64 %i) {
+entry:
+  %p = gep f64* %a, %i
+  %x = load f64 %p
+  %m = fmul f64 %x, 2
+  %q = gep f64* %b, %i
+  %y = load f64 %q
+  store %y, %p
+  ret
+}
+|}
+  in
+  let x = named f "x" and m = named f "m" in
+  Block.remove (Func.entry f) m;
+  check "x's use list still holds the detached user" true (Use.exists (fun u _ -> u == m) x);
+  let before = count_instrs f in
+  check_int "dce erases x alone" 1 (Dce.run f);
+  check "x is gone" false (Block.mem (Func.entry f) x);
+  check_int "one instruction fewer" (before - 1) (count_instrs f);
+  check_ir f
+
+(* A branch condition is a root even when the branch is its only use
+   and it sits in another block. *)
+let test_dce_condition_only_use () =
+  let f =
+    Ir_parser.parse
+      {|func @f(f64* %a, i64 %i) {
+entry:
+  %c = icmp.lt i32 %i, 4
+  %d = add i64 %i, 1
+  br %test
+test:
+  br %c, %then, %join
+then:
+  %p = gep f64* %a, %i
+  store 1, %p
+  br %join
+join:
+  ret
+}
+|}
+  in
+  check_int "only the unused add goes" 1 (Dce.run f);
+  ignore (named f "c");
+  check_ir f
+
+(* DCE's count is exactly the instructions it erased, cascades
+   included. *)
+let test_dce_count () =
+  let f =
+    compile
+      {|
+kernel f(double A[], double B[], long i) {
+  double t = B[i] * 3.0 + B[i+1] / 2.0;
+  double u = t - B[i+2];
+  A[i] = B[i+3];
+}
+|}
+  in
+  let before = count_instrs f in
+  let erased = Dce.run f in
+  check "a cascade" true (erased >= 8);
+  check_int "count = instructions erased" (before - erased) (count_instrs f);
+  check_ir f
+
+(* A store to a[i+1] may overwrite a[j+1] (same argument, another
+   symbolic index) but never b[i+1] (another argument). *)
+let test_cse_store_kills_by_region () =
+  let f =
+    compile
+      {|
+kernel f(double a[], double b[], double c[], long i, long j) {
+  double x = a[j+1];
+  double y = b[i+1];
+  a[i+1] = 1.0;
+  c[i] = a[j+1] + b[i+1];
+  c[i+1] = x + y;
+}
+|}
+  in
+  ignore (Cse.run f);
+  let loads_of name =
+    Func.fold_instrs
+      (fun n j ->
+        match Snslp_analysis.Address.of_instr j with
+        | Some { Snslp_analysis.Address.base = Defs.Arg a; _ }
+          when Instr.is_load j && a.Defs.arg_name = name -> n + 1
+        | _ -> n)
+      0 f
+  in
+  check_int "a[j+1] is loaded again after the store" 2 (loads_of "a");
+  check_int "b[i+1] is reused" 1 (loads_of "b");
+  check_ir f
+
 let test_pipeline_end_to_end () =
   let f =
     compile
@@ -273,6 +464,12 @@ let suite =
         Alcotest.test_case "dce removes dead code" `Quick test_dce_removes_dead_code;
         Alcotest.test_case "dce keeps branch condition" `Quick
           test_dce_keeps_branch_condition;
+        Alcotest.test_case "rewrite replaces the last iid" `Quick test_rewrite_replaces_last_iid;
+        Alcotest.test_case "passes on a sparse clone" `Quick test_passes_on_sparse_clone;
+        Alcotest.test_case "dce detached user" `Quick test_dce_detached_user;
+        Alcotest.test_case "dce condition's only use" `Quick test_dce_condition_only_use;
+        Alcotest.test_case "dce count" `Quick test_dce_count;
+        Alcotest.test_case "cse store kills by region" `Quick test_cse_store_kills_by_region;
         Alcotest.test_case "pipeline end to end" `Quick test_pipeline_end_to_end;
         Alcotest.test_case "o3 has no vectorizer report" `Quick
           test_pipeline_o3_has_no_vect_report;

@@ -706,6 +706,24 @@ let test_server_latency_window () =
     (List.assoc "p50_ms" kvs);
   check "the mean still counts the batch" true (ms "mean_ms" > ms "p99_ms")
 
+(* EOF inside a batch answers the frames that arrived, then one err
+   naming how many never came; the header's count allocates nothing.
+   When every missing frame became its own error slot, a 16-byte
+   [batch 100000000] followed by EOF took the daemon past a gigabyte
+   with no reply. *)
+let test_server_truncated_batch () =
+  let server = Server.create () in
+  let src = "kernel f(long A[], long B[], long i) { A[i] = B[i] + 1; }" in
+  let rs = converse server ("batch 100000000" :: compile_frame "sn-slp" src) in
+  check_int "the frame that arrived, then one err" 2 (List.length rs);
+  check_str "the frame is compiled" "miss" (statuses_of (List.hd rs));
+  (match List.nth rs 1 with
+  | Protocol.Err e ->
+      check "the err names the missing count" true (contains e "99999999 of 100000000")
+  | r -> Alcotest.fail ("expected an err, got " ^ statuses_of r));
+  check_int "latency recorded for the answered frame only" 1
+    (List.length (Server.latencies_s server))
+
 (* --- The daemon over pipes and a socket -------------------------------------- *)
 
 (* These drive the built snslpd executable rather than [Server.serve]:
@@ -895,20 +913,24 @@ let test_daemon_socket () =
    buffer. *)
 let golden_ir_md5 = "36859061c79c7b2df389f9a1d685b023"
 
+let with_global (c : Snslp_vectorizer.Config.t) =
+  let open Snslp_vectorizer in
+  { c with
+    Config.packing =
+      Config.Global { beam = Config.default_beam; node_budget = Config.default_node_budget } }
+
+let avx512_revec =
+  let open Snslp_vectorizer in
+  { Config.snslp with
+    Config.target = Snslp_costmodel.Target.avx512;
+    model = Snslp_costmodel.Model.for_target Snslp_costmodel.Target.avx512;
+    revec = true }
+
 let test_golden_ir_bytes () =
   let open Snslp_vectorizer in
-  let global =
-    { Config.snslp with
-      Config.packing =
-        Config.Global { beam = Config.default_beam; node_budget = Config.default_node_budget } }
+  let settings =
+    [ None; Some Config.snslp; Some (with_global Config.snslp); Some avx512_revec ]
   in
-  let avx512_revec =
-    { Config.snslp with
-      Config.target = Snslp_costmodel.Target.avx512;
-      model = Snslp_costmodel.Model.for_target Snslp_costmodel.Target.avx512;
-      revec = true }
-  in
-  let settings = [ None; Some Config.snslp; Some global; Some avx512_revec ] in
   let buf = Buffer.create (1 lsl 20) in
   List.iter
     (fun (k : Snslp_kernels.Registry.t) ->
@@ -922,6 +944,39 @@ let test_golden_ir_bytes () =
         settings)
     Snslp_kernels.Registry.all;
   check_str "printed IR and structural digests" golden_ir_md5
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* Wider than the test above: the registry and the whole-program
+   Fullbench units under seven settings, each compile's printed IR
+   followed by its counters line ([Stats.pp]), so a change that keeps
+   the IR but moves a counter shows here too. *)
+let golden_wide_md5 = "4a9f139fb11b46d35050ed50158369e5"
+
+let test_golden_wide () =
+  let open Snslp_vectorizer in
+  let settings =
+    [ None; Some Config.vanilla; Some Config.lslp; Some Config.snslp;
+      Some (with_global Config.snslp); Some avx512_revec; Some (with_global avx512_revec) ]
+  in
+  let sources =
+    List.map (fun (k : Snslp_kernels.Registry.t) -> k.Snslp_kernels.Registry.source)
+      Snslp_kernels.Registry.all
+    @ List.map Snslp_kernels.Fullbench.source Snslp_kernels.Fullbench.all
+  in
+  let buf = Buffer.create (1 lsl 22) in
+  List.iter
+    (fun src ->
+      let f = compile_one src in
+      List.iter
+        (fun setting ->
+          let r = Snslp_passes.Pipeline.run ~setting (Func.clone f) in
+          Buffer.add_string buf (Printer.func_to_string r.Snslp_passes.Pipeline.func);
+          match r.Snslp_passes.Pipeline.vect_report with
+          | Some rep -> Buffer.add_string buf (Fmt.str "; stats: %a\n" Stats.pp rep.Vectorize.stats)
+          | None -> ())
+        settings)
+    sources;
+  check_str "printed IR and counters, registry + Fullbench x 7 settings" golden_wide_md5
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let suite =
@@ -969,9 +1024,11 @@ let suite =
         Alcotest.test_case "server mixed batch evicts in request order" `Quick
           test_server_mixed_batch_eviction_order;
         Alcotest.test_case "server latency window" `Quick test_server_latency_window;
+        Alcotest.test_case "server truncated batch" `Quick test_server_truncated_batch;
         Alcotest.test_case "daemon over pipes" `Quick test_daemon_stdio;
         Alcotest.test_case "snslpc reports user errors" `Quick test_snslpc_user_errors;
         Alcotest.test_case "daemon over a socket" `Quick test_daemon_socket;
         Alcotest.test_case "golden IR bytes" `Quick test_golden_ir_bytes;
+        Alcotest.test_case "golden IR and counters, wide" `Quick test_golden_wide;
       ] );
   ]
