@@ -4,18 +4,22 @@
 
      dune exec bench/main.exe            # all experiments
      dune exec bench/main.exe -- fig5    # a single one
-     dune exec bench/main.exe -- bechamel # Bechamel compile-time suite
+     dune exec bench/main.exe -- smoke   # reduced runs, as in dune runtest
 
-   Simulated-performance experiments follow the paper's protocol (10
-   runs after one warm-up, mean and standard deviation) even though
-   the simulator is deterministic; wall-clock compile-time experiments
-   genuinely need it. *)
+   Each experiment returns one {!Report.t}; {!Report.finish} prints it
+   and writes BENCH_<experiment>.json (BENCH_<experiment>.smoke.json
+   for the smoke), and the run exits 1 when any criterion failed.
+   The simulator is deterministic, so simulated cycles are measured
+   once; wall-clock compile-time experiments follow the paper's
+   protocol (10 runs after one warm-up, mean and standard deviation)
+   or take the best of interleaved rounds. *)
 
 open Snslp_passes
 open Snslp_vectorizer
 open Snslp_kernels
 open Snslp_costmodel
 open Snslp_report
+open Report
 
 let settings : (string * Pipeline.setting) list =
   [
@@ -34,81 +38,84 @@ let stats_of setting func =
   | Some rep -> rep.Vectorize.stats
   | None -> Stats.create ()
 
-(* Simulated cycles of a workload under a pipeline setting, measured
-   with the paper's 10-runs-plus-warm-up protocol. *)
+(* Simulated cycles of a workload under a pipeline setting. *)
 let simulate (wl : Workload.t) setting =
-  let func = compile setting wl.Workload.func in
-  let samples =
-    Stat.sample ~runs:10 ~warmup:1 (fun () ->
-        (Workload.measure wl func).Snslp_simperf.Simperf.cycles)
-  in
-  (Stat.mean samples, Stat.stddev samples)
+  (Workload.measure wl (compile setting wl.Workload.func)).Snslp_simperf.Simperf.cycles
 
-let pr fmt = Format.printf fmt
+let report ?(config = []) ?(values = []) ?(criteria = []) ?(notes = []) experiment title
+    tables =
+  { experiment; title; config; tables; values; criteria; notes }
 
-(* With --csv DIR on the command line, every rendered table is also
-   written as DIR/<experiment>.csv for replotting. *)
-let csv_dir : string option ref = ref None
-
-let emit ~name ~headers rows =
-  pr "%s" (Table.render ~headers rows);
-  match !csv_dir with
-  | Some dir -> Csv.write (Filename.concat dir (name ^ ".csv")) ~headers rows
-  | None -> ()
+let table caption columns rows = { caption; columns; rows }
+let names_of (ks : Registry.t list) =
+  String.concat " " (List.map (fun k -> k.Registry.name) ks)
 
 (* --- Table I ------------------------------------------------------------- *)
 
 let table1 () =
-  pr "%s" (Table.section "Table I: kernels extracted from SPEC CPU2006 (reconstruction)");
-  let rows =
-    List.map
-      (fun (k : Registry.t) ->
-        [ k.Registry.name; k.Registry.provenance; k.Registry.description ])
-      Registry.all
-  in
-  emit ~name:"table1" ~headers:[ "kernel"; "provenance"; "description" ] rows
+  report "table1" "Table I: kernels extracted from SPEC CPU2006 (reconstruction)"
+    [
+      table "kernels" [ "kernel"; "provenance"; "description" ]
+        (List.map
+           (fun (k : Registry.t) ->
+             [ Text k.Registry.name; Text k.Registry.provenance; Text k.Registry.description ])
+           Registry.all);
+    ]
 
 (* --- Figures 2 and 3 (motivating examples, exact costs) ------------------- *)
 
 let fig_motivating ~fig ~kernel ~expect =
-  pr "%s"
-    (Table.section
-       (Printf.sprintf "Figure %d: motivating example %s (SLP-graph costs)" fig kernel));
   let k = Option.get (Registry.find kernel) in
-  let rows =
+  let trees =
     List.filter_map
       (fun (name, setting) ->
-        match setting with
-        | None -> None
-        | Some _ -> (
+        Option.map
+          (fun _ ->
             let func = Snslp_frontend.Frontend.compile_one k.Registry.source in
-            let result = Pipeline.run ~setting func in
-            match result.Pipeline.vect_report with
-            | Some { Vectorize.trees = [ t ]; _ } ->
-                Some
-                  [
-                    name;
-                    Printf.sprintf "%g" t.Vectorize.cost.Cost.total;
-                    (if t.Vectorize.vectorized then "vectorized" else "rejected");
-                  ]
-            | _ -> Some [ name; "?"; "?" ]))
+            match (Pipeline.run ~setting func).Pipeline.vect_report with
+            | Some { Vectorize.trees = [ t ]; _ } -> (name, Some t)
+            | _ -> (name, None))
+          setting)
       settings
   in
-  emit ~name:(Printf.sprintf "fig%d" fig)
-    ~headers:[ "config"; "total cost"; "decision" ] rows;
-  List.iter
-    (fun (name, want) ->
-      let func = Snslp_frontend.Frontend.compile_one k.Registry.source in
-      let result = Pipeline.run ~setting:(setting_named name) func in
-      match result.Pipeline.vect_report with
-      | Some { Vectorize.trees = [ t ]; _ } ->
-          if abs_float (t.Vectorize.cost.Cost.total -. want) > 1e-9 then
-            pr "  !! %s expected cost %g, measured %g@." name want
-              t.Vectorize.cost.Cost.total
-      | _ -> pr "  !! %s: unexpected tree count@." name)
-    expect;
-  pr "  paper: SLP %g (rejected), SN-SLP %g (vectorized) — reproduced exactly@."
-    (List.assoc "slp" expect) (List.assoc "sn-slp" expect)
+  let cost = function
+    | Some t -> Num (t.Vectorize.cost.Cost.total, General)
+    | None -> Missing
+  in
+  report (Printf.sprintf "fig%d" fig)
+    (Printf.sprintf "Figure %d: motivating example %s (SLP-graph costs)" fig kernel)
+    [
+      table "costs" [ "config"; "total cost"; "decision" ]
+        (List.map
+           (fun (name, t) ->
+             [
+               Text name;
+               cost t;
+               (match t with
+               | Some t -> Text (if t.Vectorize.vectorized then "vectorized" else "rejected")
+               | None -> Missing);
+             ])
+           trees);
+    ]
+    ~criteria:
+      (List.map
+         (fun (name, want) ->
+           let t = List.assoc name trees in
+           {
+             name = name ^ " total cost";
+             value = cost t;
+             limit = Printf.sprintf "= %g" want;
+             pass =
+               (match t with
+               | Some t -> abs_float (t.Vectorize.cost.Cost.total -. want) <= 1e-9
+               | None -> false);
+           })
+         expect)
+    ~notes:
+      [
+        Printf.sprintf "paper: SLP %g (rejected), SN-SLP %g (vectorized)"
+          (List.assoc "slp" expect) (List.assoc "sn-slp" expect);
+      ]
 
 let fig2 () = fig_motivating ~fig:2 ~kernel:"motiv_leaf" ~expect:[ ("slp", 0.0); ("lslp", 0.0); ("sn-slp", -6.0) ]
 let fig3 () = fig_motivating ~fig:3 ~kernel:"motiv_trunk" ~expect:[ ("slp", 4.0); ("lslp", 4.0); ("sn-slp", -6.0) ]
@@ -116,31 +123,31 @@ let fig3 () = fig_motivating ~fig:3 ~kernel:"motiv_trunk" ~expect:[ ("slp", 4.0)
 (* --- Figure 5: kernel speedups over O3 ------------------------------------ *)
 
 let fig5 () =
-  pr "%s" (Table.section "Figure 5: kernel speedup over O3 (simulated cycles)");
-  let rows =
-    List.map
-      (fun (k : Registry.t) ->
-        let wl = Workload.prepare k in
-        let o3, _ = simulate wl None in
-        let cell setting =
-          let c, sd = simulate wl setting in
-          Printf.sprintf "%.3f ±%.3f" (o3 /. c) (sd /. c)
-        in
-        [
-          k.Registry.name;
-          cell (setting_named "slp");
-          cell (setting_named "lslp");
-          cell (setting_named "sn-slp");
-          (let c, _ = simulate wl (setting_named "sn-slp") in
-           Table.bar ~max_value:2.5 (o3 /. c));
-        ])
-      Registry.all
-  in
-  emit ~name:"fig5" ~headers:[ "kernel"; "SLP"; "LSLP"; "SN-SLP"; "SN-SLP speedup" ] rows;
-  pr "  paper shape: LSLP ~= O3 on average (a few kernels below 1.0);@.";
-  pr "  SN-SLP above both, largest on the motivating examples.@."
+  report "fig5" "Figure 5: kernel speedup over O3 (simulated cycles)"
+    [
+      table "speedup" [ "kernel"; "SLP"; "LSLP"; "SN-SLP"; "SN-SLP speedup" ]
+        (List.map
+           (fun (k : Registry.t) ->
+             let wl = Workload.prepare k in
+             let o3 = simulate wl None in
+             let speedup name = o3 /. simulate wl (setting_named name) in
+             let sn = speedup "sn-slp" in
+             [
+               Text k.Registry.name;
+               Num (speedup "slp", Fixed 3);
+               Num (speedup "lslp", Fixed 3);
+               Num (sn, Fixed 3);
+               Num (sn, Bar 2.5);
+             ])
+           Registry.all);
+    ]
+    ~notes:
+      [
+        "paper shape: LSLP ~= O3 on average (a few kernels below 1.0);";
+        "SN-SLP above both, largest on the motivating examples.";
+      ]
 
-(* --- Figures 6 and 7: node sizes on kernels -------------------------------- *)
+(* --- Figures 6, 7, 9 and 10: node sizes ------------------------------------ *)
 
 let node_size_rows (entries : (string * Snslp_ir.Defs.func) list) =
   List.map
@@ -160,94 +167,97 @@ let kernel_funcs () =
       (k.Registry.name, Snslp_frontend.Frontend.compile_one k.Registry.source))
     Registry.all
 
-let fig6 () =
-  pr "%s" (Table.section "Figure 6: total aggregate Multi/Super-Node size (kernels)");
-  let rows =
-    node_size_rows (kernel_funcs ())
-    |> List.map (fun (name, la, _, sa, _) ->
-           [ name; string_of_int la; string_of_int sa; Table.bar ~max_value:6.0 (float_of_int sa) ])
-  in
-  emit ~name:"fig6" ~headers:[ "kernel"; "LSLP Multi-Node"; "SN-SLP Super-Node"; "" ] rows;
-  pr "  paper shape: the Super-Node reaches much greater aggregate size.@."
-
-let fig7 () =
-  pr "%s" (Table.section "Figure 7: average Multi/Super-Node size (kernels)");
-  let data = node_size_rows (kernel_funcs ()) in
-  let rows =
-    List.map
-      (fun (name, _, lavg, _, savg) ->
-        [ name; Table.fmt_f ~digits:2 lavg; Table.fmt_f ~digits:2 savg ])
-      data
-  in
-  emit ~name:"fig7" ~headers:[ "kernel"; "LSLP avg"; "SN-SLP avg" ] rows;
-  let sn_avgs = List.filter_map (fun (_, _, _, a, avg) -> if a > 0 then Some avg else None) data in
-  pr "  overall SN-SLP average node size: %.2f (paper: ~2.2)@." (Stat.mean sn_avgs)
-
-(* --- Figure 8: whole-benchmark speedups ------------------------------------ *)
-
-let fullbench_workloads () =
-  List.map (fun (b : Fullbench.t) -> (b, Workload.prepare (Fullbench.to_registry b))) Fullbench.all
-
-let fig8 () =
-  pr "%s" (Table.section "Figure 8: full C/C++ SPEC-like benchmarks, speedup over O3");
-  let rows =
-    List.map
-      (fun ((b : Fullbench.t), wl) ->
-        let o3, _ = simulate wl None in
-        let l, _ = simulate wl (setting_named "lslp") in
-        let s, _ = simulate wl (setting_named "sn-slp") in
-        [
-          b.Fullbench.name;
-          b.Fullbench.lang;
-          (if b.Fullbench.activates then "yes" else "-");
-          Printf.sprintf "%.4f" (o3 /. l);
-          Printf.sprintf "%.4f" (o3 /. s);
-          Printf.sprintf "%+.2f%%" (100.0 *. ((l /. s) -. 1.0));
-        ])
-      (fullbench_workloads ())
-  in
-  emit ~name:"fig8"
-    ~headers:[ "benchmark"; "lang"; "SN activates"; "LSLP"; "SN-SLP"; "SN vs LSLP" ]
-    rows;
-  pr "  paper shape: 433.milc ~2%% over LSLP; the rest without significant change.@."
-
-(* --- Figures 9 and 10: node sizes on full benchmarks ------------------------ *)
-
 let fullbench_funcs () =
   List.map
     (fun (b : Fullbench.t) ->
-      ( b.Fullbench.name,
-        Snslp_frontend.Frontend.compile_one (Fullbench.source b) ))
+      (b.Fullbench.name, Snslp_frontend.Frontend.compile_one (Fullbench.source b)))
     Fullbench.all
 
-let fig9 () =
-  pr "%s" (Table.section "Figure 9: total aggregate Multi/Super-Node size (full benchmarks)");
-  let rows =
-    node_size_rows (fullbench_funcs ())
-    |> List.map (fun (name, la, _, sa, _) ->
-           [ name; string_of_int la; string_of_int sa ])
+let aggregate_sizes ~experiment ~title ~what ~bar ~notes entries =
+  report experiment title ~notes
+    [
+      table "sizes"
+        ([ what; "LSLP Multi-Node"; "SN-SLP Super-Node" ]
+        @ if bar then [ "SN-SLP bar" ] else [])
+        (List.map
+           (fun (name, la, _, sa, _) ->
+             [ Text name; Int la; Int sa ]
+             @ if bar then [ Num (float_of_int sa, Bar 6.0) ] else [])
+           (node_size_rows entries));
+    ]
+
+let average_sizes ~experiment ~title ~what ~notes entries =
+  let data = node_size_rows entries in
+  let sn_avgs =
+    List.filter_map (fun (_, _, _, a, avg) -> if a > 0 then Some avg else None) data
   in
-  emit ~name:"fig9" ~headers:[ "benchmark"; "LSLP Multi-Node"; "SN-SLP Super-Node" ] rows;
-  pr "  paper shape: SN-SLP creates more nodes in every activating benchmark.@."
+  report experiment title
+    [
+      table "averages" [ what; "LSLP avg"; "SN-SLP avg" ]
+        (List.map
+           (fun (name, _, lavg, _, savg) ->
+             [ Text name; Num (lavg, Fixed 2); Num (savg, Fixed 2) ])
+           data);
+    ]
+    ~values:[ ("sn_slp_average_node_size", Num (Stat.mean sn_avgs, Fixed 2)) ]
+    ~notes
+
+let fig6 () =
+  aggregate_sizes ~experiment:"fig6" ~what:"kernel" ~bar:true (kernel_funcs ())
+    ~title:"Figure 6: total aggregate Multi/Super-Node size (kernels)"
+    ~notes:[ "paper shape: the Super-Node reaches much greater aggregate size." ]
+
+let fig7 () =
+  average_sizes ~experiment:"fig7" ~what:"kernel" (kernel_funcs ())
+    ~title:"Figure 7: average Multi/Super-Node size (kernels)"
+    ~notes:[ "paper: overall SN-SLP average node size ~2.2" ]
+
+let fig9 () =
+  aggregate_sizes ~experiment:"fig9" ~what:"benchmark" ~bar:false (fullbench_funcs ())
+    ~title:"Figure 9: total aggregate Multi/Super-Node size (full benchmarks)"
+    ~notes:[ "paper shape: SN-SLP creates more nodes in every activating benchmark." ]
 
 let fig10 () =
-  pr "%s" (Table.section "Figure 10: average Multi/Super-Node size (full benchmarks)");
-  let data = node_size_rows (fullbench_funcs ()) in
-  let rows =
-    List.map
-      (fun (name, _, lavg, _, savg) ->
-        [ name; Table.fmt_f ~digits:2 lavg; Table.fmt_f ~digits:2 savg ])
-      data
-  in
-  emit ~name:"fig10" ~headers:[ "benchmark"; "LSLP avg"; "SN-SLP avg" ] rows;
-  let sn_avgs = List.filter_map (fun (_, _, _, a, avg) -> if a > 0 then Some avg else None) data in
-  pr "  overall SN-SLP average node size: %.2f (paper: ~2.5, frequent activations pull@." (Stat.mean sn_avgs);
-  pr "  the average towards the minimum legal size of 2)@."
+  average_sizes ~experiment:"fig10" ~what:"benchmark" (fullbench_funcs ())
+    ~title:"Figure 10: average Multi/Super-Node size (full benchmarks)"
+    ~notes:
+      [
+        "paper: ~2.5; frequent activations pull the average towards the minimum legal";
+        "size of 2";
+      ]
+
+(* --- Figure 8: whole-benchmark speedups ------------------------------------ *)
+
+let fig8 () =
+  report "fig8" "Figure 8: full C/C++ SPEC-like benchmarks, speedup over O3"
+    [
+      table "speedup"
+        [ "benchmark"; "lang"; "SN activates"; "LSLP"; "SN-SLP"; "SN vs LSLP" ]
+        (List.map
+           (fun (b : Fullbench.t) ->
+             let wl = Workload.prepare (Fullbench.to_registry b) in
+             let o3 = simulate wl None in
+             let l = simulate wl (setting_named "lslp") in
+             let s = simulate wl (setting_named "sn-slp") in
+             [
+               Text b.Fullbench.name;
+               Text b.Fullbench.lang;
+               Text (if b.Fullbench.activates then "yes" else "-");
+               Num (o3 /. l, Fixed 4);
+               Num (o3 /. s, Fixed 4);
+               Num ((l /. s) -. 1.0, Signed_percent 2);
+             ])
+           Fullbench.all);
+    ]
+    ~notes:[ "paper shape: 433.milc ~2% over LSLP; the rest without significant change." ]
 
 (* --- Figure 11: compilation time -------------------------------------------- *)
 
 let fig11 () =
-  pr "%s" (Table.section "Figure 11: compilation time normalized to O3 (10 runs + warm-up)");
+  let columns what =
+    what :: "O3 us"
+    :: List.concat_map (fun s -> [ s ^ "/O3"; s ^ " sd" ]) [ "SLP"; "LSLP"; "SN-SLP" ]
+  in
   let timing_rows entries ~runs =
     List.map
       (fun (name, func) ->
@@ -256,28 +266,14 @@ let fig11 () =
               (Pipeline.run ~setting func).Pipeline.total_seconds)
         in
         let o3 = Stat.mean (time None) in
-        let cell sname =
+        let cells sname =
           let s = time (setting_named sname) in
-          Printf.sprintf "%.2f ±%.2f" (Stat.mean s /. o3) (Stat.stddev s /. o3)
+          [ Num (Stat.mean s /. o3, Fixed 2); Num (Stat.stddev s /. o3, Plus_minus 2) ]
         in
-        [
-          name;
-          Printf.sprintf "%.1f us" (o3 *. 1e6);
-          cell "slp";
-          cell "lslp";
-          cell "sn-slp";
-        ])
+        Text name :: Num (o3 *. 1e6, Fixed 1)
+        :: List.concat_map cells [ "slp"; "lslp"; "sn-slp" ])
       entries
   in
-  let kernel_entries =
-    List.map
-      (fun (k : Registry.t) ->
-        (k.Registry.name, Snslp_frontend.Frontend.compile_one k.Registry.source))
-      Registry.all
-  in
-  emit ~name:"fig11-kernels"
-    ~headers:[ "kernel"; "O3 time"; "SLP/O3"; "LSLP/O3"; "SN-SLP/O3" ]
-    (timing_rows kernel_entries ~runs:10);
   (* Whole translation units: the ratio that corresponds to the
      paper's setting, where SLP is a small share of a full -O3
      pipeline. *)
@@ -289,15 +285,22 @@ let fig11 () =
           (Fullbench.find name))
       [ "433.milc"; "447.dealII"; "403.gcc" ]
   in
-  emit ~name:"fig11-translation-units"
-    ~headers:[ "translation unit"; "O3 time"; "SLP/O3"; "LSLP/O3"; "SN-SLP/O3" ]
-    (timing_rows tu_entries ~runs:5);
-  pr "  paper shape: SN-SLP within noise of (L)SLP — the Super-Node adds no@.";
-  pr "  significant compile-time component.  The absolute ratio to O3 is larger@.";
-  pr "  here than in the paper because our scalar pipeline is a 5-pass mini-O3,@.";
-  pr "  not a full LLVM -O3 (see EXPERIMENTS.md).@."
+  let kernel_rows = timing_rows (kernel_funcs ()) ~runs:10 in
+  let tu_rows = timing_rows tu_entries ~runs:5 in
+  report "fig11" "Figure 11: compilation time normalized to O3 (10 runs + warm-up)"
+    [
+      table "kernels" (columns "kernel") kernel_rows;
+      table "translation units" (columns "translation unit") tu_rows;
+    ]
+    ~notes:
+      [
+        "paper shape: SN-SLP within noise of (L)SLP — the Super-Node adds no";
+        "significant compile-time component.  The absolute ratio to O3 is larger";
+        "here than in the paper because our scalar pipeline is a 5-pass mini-O3,";
+        "not a full LLVM -O3 (see EXPERIMENTS.md).";
+      ]
 
-(* --- Compile time: shared per-block state and BENCH_compile_time.json ------- *)
+(* --- Compile time: shared per-block state ------------------------------------ *)
 
 let headline_depth = 3
 
@@ -348,151 +351,90 @@ let expected_shared_state =
   ]
 
 let compile_time_report ~rounds ~(kernels : Registry.t list) () =
-  pr "%s"
-    (Table.section
-       (Printf.sprintf "Compile time: per setting, and SN-SLP at depth %d (%d rounds)"
-          headline_depth rounds));
-  let entries =
-    List.map
-      (fun (k : Registry.t) ->
-        (k, Snslp_frontend.Frontend.compile_one k.Registry.source))
-      kernels
-  in
   let us s = s *. 1e6 in
   let measured =
     List.map
-      (fun ((k : Registry.t), func) ->
+      (fun (k : Registry.t) ->
+        let func = Snslp_frontend.Frontend.compile_one k.Registry.source in
         let per_setting =
           List.map
-            (fun (sname, setting) ->
+            (fun (_, setting) ->
               let samples =
                 Stat.sample ~runs:rounds ~warmup:1 (fun () ->
                     (Pipeline.run ~setting func).Pipeline.total_seconds)
               in
-              (sname, Stat.mean samples, Stat.stddev samples))
+              (Stat.mean samples, Stat.stddev samples))
             settings
         in
         let d3, stats = snslp_at_depth ~rounds func in
         (k, Snslp_ir.Func.num_instrs func, per_setting, d3, stats))
-      entries
+      kernels
   in
-  let rows =
-    List.map
-      (fun ((k : Registry.t), instrs, per_setting, d3, stats) ->
-        let setting_cell name =
-          let _, mean, _ = List.find (fun (n, _, _) -> String.equal n name) per_setting in
-          Printf.sprintf "%.1f" (us mean)
-        in
-        [
-          k.Registry.name;
-          string_of_int instrs;
-          setting_cell "o3";
-          setting_cell "slp";
-          setting_cell "lslp";
-          setting_cell "sn-slp";
-          Printf.sprintf "%.1f" (us d3);
-          Printf.sprintf "%.0f%%"
-            (100.0
-            *. Stats.hit_rate ~hits:stats.Stats.lookahead_hits
-                 ~misses:stats.Stats.lookahead_misses);
-        ])
-      measured
-  in
-  emit ~name:"compile-time"
-    ~headers:
-      [ "kernel"; "instrs"; "o3 us"; "slp us"; "lslp us"; "sn-slp us"; "d3 us"; "la-hit" ]
-    rows;
   (* The headline criterion: on the largest registry kernel at the
      headline depth, the shared-state counters equal the recorded
      ones. *)
-  let ((hk : Registry.t), hinstrs, _, hd3, hstats) =
+  let (hk : Registry.t), hinstrs, _, hd3, hstats =
     List.fold_left
       (fun acc ((_, instrs, _, _, _) as entry) ->
         let _, best, _, _, _ = acc in
         if instrs > best then entry else acc)
       (List.hd measured) (List.tl measured)
   in
-  let counts = shared_state_counts hstats in
-  let expected = List.assoc_opt hk.Registry.name expected_shared_state in
-  let pass = expected = Some counts in
-  let show cs = String.concat " " (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) cs) in
-  pr "  largest kernel %s (%d instrs), depth %d: %.0f us, %s %s@." hk.Registry.name
-    hinstrs headline_depth (us hd3) (show counts)
-    (if pass then "(criterion counts as recorded: PASS)"
-     else
-       Printf.sprintf "(criterion counts as recorded: FAIL, expected %s)"
-         (match expected with Some e -> show e | None -> "no record for this kernel"));
-  let stat_obj ~hits ~misses =
-    Json.Obj
-      [
-        ("hits", Json.Int hits);
-        ("misses", Json.Int misses);
-        ("hit_rate", Json.Float (Stats.hit_rate ~hits ~misses));
-      ]
-  in
-  let kernel_json ((k : Registry.t), instrs, per_setting, d3, stats) =
-    Json.Obj
-      [
-        ("name", Json.String k.Registry.name);
-        ("instrs", Json.Int instrs);
-        ( "settings",
-          Json.Obj
-            (List.map
-               (fun (sname, mean, sd) ->
-                 ( sname,
-                   Json.Obj
-                     [
-                       ("mean_us", Json.Float (us mean));
-                       ("stddev_us", Json.Float (us sd));
-                     ] ))
-               per_setting) );
-        ( "snslp_memoization",
-          Json.Obj
-            [
-              ("lookahead_depth", Json.Int headline_depth);
-              ("memoized_us", Json.Float (us d3));
-              ( "lookahead",
-                stat_obj ~hits:stats.Stats.lookahead_hits
-                  ~misses:stats.Stats.lookahead_misses );
-              ( "reachability",
-                stat_obj ~hits:stats.Stats.reach_hits ~misses:stats.Stats.reach_misses
-              );
-              ( "deps",
-                Json.Obj
-                  [
-                    ("builds", Json.Int stats.Stats.deps_builds);
-                    ("refreshes", Json.Int stats.Stats.deps_refreshes);
-                  ] );
-            ] );
-      ]
-  in
-  Json.write "BENCH_compile_time.json"
-    (Json.Obj
-       [
-         ("schema", Json.String "snslp-compile-time/2");
-         ("rounds", Json.Int rounds);
-         ("kernels", Json.List (List.map kernel_json measured));
-         ( "headline",
-           Json.Obj
+  let rate ~hits ~misses = Num (Stats.hit_rate ~hits ~misses, Percent 0) in
+  report "compile-time"
+    (Printf.sprintf "Compile time: per setting, and SN-SLP at depth %d (%d rounds)"
+       headline_depth rounds)
+    ~config:[ ("rounds", Int rounds); ("lookahead_depth", Int headline_depth) ]
+    [
+      table "times"
+        ([ "kernel"; "instrs" ]
+        @ List.concat_map (fun (n, _) -> [ n ^ " us"; n ^ " sd" ]) settings
+        @ [ "d3 us" ])
+        (List.map
+           (fun ((k : Registry.t), instrs, per_setting, d3, _) ->
+             [ Text k.Registry.name; Int instrs ]
+             @ List.concat_map
+                 (fun (mean, sd) -> [ Num (us mean, Fixed 1); Num (us sd, Plus_minus 1) ])
+                 per_setting
+             @ [ Num (us d3, Fixed 1) ])
+           measured);
+      table "counters"
+        [
+          "kernel"; "la hits"; "la misses"; "la-hit"; "reach hits"; "reach misses"; "reach-hit";
+          "deps builds"; "deps refreshes";
+        ]
+        (List.map
+           (fun ((k : Registry.t), _, _, _, (s : Stats.t)) ->
              [
-               ("kernel", Json.String hk.Registry.name);
-               ("instrs", Json.Int hinstrs);
-               ("lookahead_depth", Json.Int headline_depth);
-               ("counts", Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) counts));
-               ( "criterion",
-                 Json.String
-                   "on the largest registry kernel at lookahead_depth 3, look-ahead \
-                    hits/misses, reachability hits/misses, deps builds and refreshes \
-                    equal the recorded counts of the shared per-block state" );
-               ("pass", Json.Bool pass);
-             ] );
-       ]);
-  pr "  wrote BENCH_compile_time.json@.";
-  if not pass then exit 1
+               Text k.Registry.name;
+               Int s.Stats.lookahead_hits;
+               Int s.Stats.lookahead_misses;
+               rate ~hits:s.Stats.lookahead_hits ~misses:s.Stats.lookahead_misses;
+               Int s.Stats.reach_hits;
+               Int s.Stats.reach_misses;
+               rate ~hits:s.Stats.reach_hits ~misses:s.Stats.reach_misses;
+               Int s.Stats.deps_builds;
+               Int s.Stats.deps_refreshes;
+             ])
+           measured);
+    ]
+    ~values:
+      [
+        ("headline_kernel", Text hk.Registry.name);
+        ("headline_instrs", Int hinstrs);
+        ("headline_d3_us", Num (us hd3, Fixed 1));
+      ]
+    ~criteria:
+      (match List.assoc_opt hk.Registry.name expected_shared_state with
+      | None -> [ holds ("counts recorded for " ^ hk.Registry.name) false ]
+      | Some expected ->
+          List.map
+            (fun (n, v) -> equals (n ^ " as recorded") v (List.assoc n expected))
+            (shared_state_counts hstats))
 
 let compile_time () = compile_time_report ~rounds:10 ~kernels:Registry.all ()
 
-(* --- Global pack selection: BENCH_packing.json ------------------------------ *)
+(* --- Global pack selection ---------------------------------------------------- *)
 
 (* Greedy vs global statement packing (docs/PACKING.md): simulated
    cycles per registry kernel, compile-time overhead, search-effort
@@ -510,12 +452,6 @@ let compile_time () = compile_time_report ~rounds:10 ~kernels:Registry.all ()
      wide-candidate-space kernels may exceed it; the table shows
      them). *)
 let packing_report ~(kernels : Registry.t list) ~fuzz_seeds ~beam ~rounds ~min_wins () =
-  pr "%s"
-    (Table.section
-       (Printf.sprintf
-          "Global pack selection: beam %d branch-and-bound vs greedy (%d kernels, %d \
-           fuzz seeds)"
-          beam (List.length kernels) fuzz_seeds));
   let greedy_setting = Some Config.snslp in
   let global_setting =
     Some
@@ -530,8 +466,8 @@ let packing_report ~(kernels : Registry.t list) ~fuzz_seeds ~beam ~rounds ~min_w
     List.map
       (fun (k : Registry.t) ->
         let wl = Workload.prepare k in
-        let greedy_cyc, _ = simulate wl greedy_setting in
-        let global_cyc, _ = simulate wl global_setting in
+        let greedy_cyc = simulate wl greedy_setting in
+        let global_cyc = simulate wl global_setting in
         (* Greedy and global samples interleave, and each point takes
            the best of [rounds]: one stalled compile cannot move the
            ratio. *)
@@ -548,31 +484,6 @@ let packing_report ~(kernels : Registry.t list) ~fuzz_seeds ~beam ~rounds ~min_w
         (k, greedy_cyc, global_cyc, greedy_s, global_s, stats))
       kernels
   in
-  let rows =
-    List.map
-      (fun ((k : Registry.t), gc, lc, gs, ls, (stats : Stats.t)) ->
-        [
-          k.Registry.name;
-          Printf.sprintf "%.0f" gc;
-          Printf.sprintf "%.0f" lc;
-          Printf.sprintf "%.3fx" (gc /. lc);
-          Printf.sprintf "%.1f" (us gs);
-          Printf.sprintf "%.1f" (us ls);
-          Printf.sprintf "%.2fx" (ls /. gs);
-          string_of_int stats.Stats.pack_candidates;
-          string_of_int stats.Stats.pack_expansions;
-          string_of_int stats.Stats.pack_pruned;
-          string_of_int stats.Stats.pack_plans;
-        ])
-      measured
-  in
-  emit ~name:"packing"
-    ~headers:
-      [
-        "kernel"; "greedy cyc"; "global cyc"; "speedup"; "greedy us"; "global us";
-        "ratio"; "cands"; "expand"; "pruned"; "plans";
-      ]
-    rows;
   (* Fuzz corpus: the same generator the differential campaigns use;
      compare the machine-model static cost of the two packings'
      outputs.  [worse] must stay 0. *)
@@ -587,9 +498,6 @@ let packing_report ~(kernels : Registry.t list) ~fuzz_seeds ~beam ~rounds ~min_w
     else if l > g +. 1e-6 then incr fuzz_worse
     else incr fuzz_equal
   done;
-  pr "  fuzz corpus: %d better, %d equal, %d worse (static machine-model cost)@."
-    !fuzz_better !fuzz_equal !fuzz_worse;
-  (* Headline criteria. *)
   let never_worse =
     List.for_all (fun (_, gc, lc, _, _, _) -> lc <= gc +. 1e-6) measured
     && !fuzz_worse = 0
@@ -598,66 +506,54 @@ let packing_report ~(kernels : Registry.t list) ~fuzz_seeds ~beam ~rounds ~min_w
     List.length (List.filter (fun (_, gc, lc, _, _, _) -> lc < gc -. 1e-6) measured)
   in
   let ratio_geomean =
-    exp
-      (List.fold_left (fun acc (_, _, _, gs, ls, _) -> acc +. log (ls /. gs)) 0.0 measured
-      /. float_of_int (List.length measured))
+    Stat.geomean (List.map (fun (_, _, _, gs, ls, _) -> ls /. gs) measured)
   in
-  let pass = never_worse && strict_wins >= min_wins && ratio_geomean <= 3.0 in
-  pr "  never worse: %s; strict wins: %d (need >= %d); compile ratio geomean %.2fx \
-      (limit 3x)@."
-    (if never_worse then "yes" else "NO") strict_wins min_wins ratio_geomean;
-  pr "  criteria: %s@." (if pass then "PASS" else "FAIL");
-  let kernel_json ((k : Registry.t), gc, lc, gs, ls, (stats : Stats.t)) =
-    Json.Obj
+  report "packing"
+    (Printf.sprintf
+       "Global pack selection: beam %d branch-and-bound vs greedy (%d kernels, %d fuzz seeds)"
+       beam (List.length kernels) fuzz_seeds)
+    ~config:
       [
-        ("name", Json.String k.Registry.name);
-        ("greedy_cycles", Json.Float gc);
-        ("global_cycles", Json.Float lc);
-        ("speedup", Json.Float (gc /. lc));
-        ("greedy_us", Json.Float (us gs));
-        ("global_us", Json.Float (us ls));
-        ("compile_ratio", Json.Float (ls /. gs));
-        ( "search",
-          Json.Obj
-            [
-              ("candidates", Json.Int stats.Stats.pack_candidates);
-              ("expansions", Json.Int stats.Stats.pack_expansions);
-              ("pruned", Json.Int stats.Stats.pack_pruned);
-              ("plans", Json.Int stats.Stats.pack_plans);
-            ] );
+        ("beam", Int beam);
+        ("rounds", Int rounds);
+        ("fuzz_seeds", Int fuzz_seeds);
+        ("min_wins", Int min_wins);
       ]
-  in
-  Json.write "BENCH_packing.json"
-    (Json.Obj
-       [
-         ("schema", Json.String "snslp-packing/1");
-         ("beam", Json.Int beam);
-         ("rounds", Json.Int rounds);
-         ("kernels", Json.List (List.map kernel_json measured));
-         ( "fuzz",
-           Json.Obj
+    [
+      table "kernels"
+        [
+          "kernel"; "greedy cyc"; "global cyc"; "speedup"; "greedy us"; "global us"; "ratio";
+          "cands"; "expand"; "pruned"; "plans";
+        ]
+        (List.map
+           (fun ((k : Registry.t), gc, lc, gs, ls, (stats : Stats.t)) ->
              [
-               ("seeds", Json.Int fuzz_seeds);
-               ("better", Json.Int !fuzz_better);
-               ("equal", Json.Int !fuzz_equal);
-               ("worse", Json.Int !fuzz_worse);
-             ] );
-         ( "headline",
-           Json.Obj
-             [
-               ("never_worse", Json.Bool never_worse);
-               ("strict_wins", Json.Int strict_wins);
-               ("min_wins", Json.Int min_wins);
-               ("compile_ratio_geomean", Json.Float ratio_geomean);
-               ( "criterion",
-                 Json.String
-                   "global <= greedy everywhere (cycles and fuzz static cost); strict \
-                    wins >= min_wins; geomean compile ratio <= 3x" );
-               ("pass", Json.Bool pass);
-             ] );
-       ]);
-  pr "  wrote BENCH_packing.json@.";
-  if not pass then exit 1
+               Text k.Registry.name;
+               Num (gc, Fixed 0);
+               Num (lc, Fixed 0);
+               Num (gc /. lc, Times 3);
+               Num (us gs, Fixed 1);
+               Num (us ls, Fixed 1);
+               Num (ls /. gs, Times 2);
+               Int stats.Stats.pack_candidates;
+               Int stats.Stats.pack_expansions;
+               Int stats.Stats.pack_pruned;
+               Int stats.Stats.pack_plans;
+             ])
+           measured);
+    ]
+    ~values:
+      [
+        ("fuzz_better", Int !fuzz_better);
+        ("fuzz_equal", Int !fuzz_equal);
+        ("fuzz_worse", Int !fuzz_worse);
+      ]
+    ~criteria:
+      [
+        holds "global never worse than greedy (cycles, fuzz static cost)" never_worse;
+        at_least "strict cycle wins" (Int strict_wins) (float_of_int min_wins);
+        at_most "compile ratio geomean" (Num (ratio_geomean, Times 2)) 3.0;
+      ]
 
 let packing () =
   packing_report ~kernels:Registry.all ~fuzz_seeds:1000 ~beam:Config.default_beam
@@ -697,41 +593,32 @@ let parallel_fingerprint (results : Pipeline.result list) =
    doubles as each point's warm-up), then reports speedup over
    [jobs = 1].  Five timed runs per point interleave across the jobs
    values, so drift on a shared machine lands on every point alike;
-   each point's minimum is the headline (least-noise) estimate.
-   Exits 1 whenever a printed verdict is FAIL. *)
+   each point's minimum is the headline (least-noise) estimate. *)
 let parallel_report ~rounds ~jobs_list ~(kernels : Registry.t list) () =
   let samples = 5 in
   let cores = Domain.recommended_domain_count () in
-  pr "%s"
-    (Table.section
-       (Printf.sprintf
-          "Parallel scaling: fan-out driver, %d kernels x %d rounds (%d cores \
-           available)"
-          (List.length kernels) rounds cores));
   let funcs_once =
     List.map
       (fun (k : Registry.t) -> Snslp_frontend.Frontend.compile_one k.Registry.source)
       kernels
   in
   let funcs = List.concat (List.init rounds (fun _ -> funcs_once)) in
-  let n_items = List.length funcs in
   let reference = ref None in
-  let determinism_ok = ref true in
+  let notes = ref [] in
   List.iter
     (fun jobs ->
       let fp_ir, fp_stats = parallel_fingerprint (snd (parallel_run ~jobs funcs)) in
       match !reference with
       | None -> reference := Some (fp_ir, fp_stats)
       | Some (ir1, stats1) ->
-          if not (String.equal ir1 fp_ir) then begin
-            determinism_ok := false;
-            pr "  !! jobs=%d produced different IR than jobs=1@." jobs
-          end;
-          if not (Stats.equal_counters stats1 fp_stats) then begin
-            determinism_ok := false;
-            pr "  !! jobs=%d produced different merged counters than jobs=1@." jobs
-          end)
+          if not (String.equal ir1 fp_ir) then
+            notes := Printf.sprintf "jobs=%d produced different IR than jobs=1" jobs :: !notes;
+          if not (Stats.equal_counters stats1 fp_stats) then
+            notes :=
+              Printf.sprintf "jobs=%d produced different merged counters than jobs=1" jobs
+              :: !notes)
     jobs_list;
+  let determinism_ok = !notes = [] in
   let times = Hashtbl.create 8 in
   for _ = 1 to samples do
     List.iter (fun jobs -> Hashtbl.add times jobs (fst (parallel_run ~jobs funcs))) jobs_list
@@ -746,29 +633,11 @@ let parallel_report ~rounds ~jobs_list ~(kernels : Registry.t list) () =
       jobs_list
   in
   let _, _, _, base_best = List.hd measured in
-  let rows =
-    List.map
-      (fun (jobs, eff, mean, best) ->
-        let speedup = base_best /. best in
-        [
-          string_of_int jobs;
-          string_of_int eff;
-          Printf.sprintf "%.1f" (mean *. 1e3);
-          Printf.sprintf "%.1f" (best *. 1e3);
-          Printf.sprintf "%.2fx" speedup;
-          Table.bar ~max_value:(float_of_int (List.length jobs_list)) speedup;
-        ])
-      measured
-  in
-  emit ~name:"parallel"
-    ~headers:[ "jobs"; "effective"; "mean ms"; "best ms"; "speedup"; "" ]
-    rows;
   let speedup_at j =
     List.fold_left
       (fun acc (jobs, _, _, best) -> if jobs = j then Some (base_best /. best) else acc)
       None measured
   in
-  let j4 = Option.value (speedup_at 4) ~default:1.0 in
   (* The speedup criterion needs the cores and a jobs=4 point; a
      sweep without one (the smoke) is judged by the low-core guard. *)
   let applicable = cores >= 4 && speedup_at 4 <> None in
@@ -779,68 +648,55 @@ let parallel_report ~rounds ~jobs_list ~(kernels : Registry.t list) () =
     List.fold_left (fun acc (_, _, _, best) -> min acc (base_best /. best)) infinity
       measured
   in
-  let low_core_ok = worst >= 0.8 in
-  let pass = !determinism_ok && if applicable then j4 >= 1.8 else low_core_ok in
-  pr "  determinism across jobs values: %s@."
-    (if !determinism_ok then "identical IR and counters (PASS)" else "MISMATCH (FAIL)");
-  if applicable then
-    pr "  speedup at jobs=4: %.2fx %s@." j4
-      (if j4 >= 1.8 then "(criterion >= 1.8x: PASS)" else "(criterion >= 1.8x: FAIL)")
-  else begin
-    if speedup_at 4 <> None then
-      pr "  speedup at jobs=4: %.2fx — criterion >= 1.8x needs >= 4 cores, this machine \
-          has %d; recorded, not judged@."
-        j4 cores;
-    pr "  worst sweep point %.2fx of jobs=1 %s@." worst
-      (if low_core_ok then "(low-core criterion >= 0.8x: PASS)"
-       else "(low-core criterion >= 0.8x: FAIL)")
-  end;
-  Json.write "BENCH_parallel.json"
-    (Json.Obj
-       [
-         ("schema", Json.String "snslp-parallel/1");
-         ("cores_available", Json.Int cores);
-         ("kernels", Json.List (List.map (fun (k : Registry.t) -> Json.String k.Registry.name) kernels));
-         ("rounds", Json.Int rounds);
-         ("work_items", Json.Int n_items);
-         ("samples_per_point", Json.Int samples);
-         ( "sweep",
-           Json.List
-             (List.map
-                (fun (jobs, eff, mean, best) ->
-                  Json.Obj
-                    [
-                      ("jobs", Json.Int jobs);
-                      ("effective_jobs", Json.Int eff);
-                      ("mean_s", Json.Float mean);
-                      ("best_s", Json.Float best);
-                      ("speedup_vs_jobs1", Json.Float (base_best /. best));
-                    ])
-                measured) );
-         ( "determinism",
-           Json.Obj
+  let j4 = match speedup_at 4 with Some s -> Num (s, Times 2) | None -> Missing in
+  report "parallel"
+    (Printf.sprintf
+       "Parallel scaling: fan-out driver, %d kernels x %d rounds (%d cores available)"
+       (List.length kernels) rounds cores)
+    ~config:
+      [
+        ("cores_available", Int cores);
+        ("kernels", Text (names_of kernels));
+        ("rounds", Int rounds);
+        ("work_items", Int (List.length funcs));
+        ("samples_per_point", Int samples);
+      ]
+    [
+      table "sweep" [ "jobs"; "effective"; "mean ms"; "best ms"; "speedup"; "speedup bar" ]
+        (List.map
+           (fun (jobs, eff, mean, best) ->
              [
-               ( "jobs_values",
-                 Json.List (List.map (fun (j, _, _, _) -> Json.Int j) measured) );
-               ("identical_ir_and_counters", Json.Bool !determinism_ok);
-             ] );
-         ( "headline",
-           Json.Obj
-             [
-               ("jobs4_speedup", Json.Float j4);
-               ("worst_sweep_speedup", Json.Float worst);
-               ( "criterion",
-                 Json.String
-                   ">= 1.8x wall-clock speedup at jobs=4 over jobs=1 on the full \
-                    registry sweep when >= 4 cores are available; on fewer cores \
-                    the adaptive clamp must keep every jobs value within noise \
-                    (>= 0.8x) of jobs=1" );
-               ("criterion_applicable", Json.Bool applicable);
-               ("pass", Json.Bool pass);
-             ] );
-       ]);
-  pr "  wrote BENCH_parallel.json@.";
-  if not pass then exit 1
+               Int jobs;
+               Int eff;
+               Num (mean *. 1e3, Fixed 1);
+               Num (best *. 1e3, Fixed 1);
+               Num (base_best /. best, Times 2);
+               Num (base_best /. best, Bar (float_of_int (List.length jobs_list)));
+             ])
+           measured);
+    ]
+    ~values:
+      [
+        ("jobs4_speedup", j4);
+        ("worst_sweep_speedup", Num (worst, Times 2));
+        ("speedup_criterion_applicable", Bool applicable);
+      ]
+    ~notes:
+      (List.rev !notes
+      @
+      if speedup_at 4 <> None && not applicable then
+        [
+          Printf.sprintf
+            "speedup at jobs=4 needs >= 4 cores to be judged (>= 1.8x); this machine has %d"
+            cores;
+        ]
+      else [])
+    ~criteria:
+      [
+        holds "identical IR and counters across jobs values" determinism_ok;
+        (if applicable then at_least "speedup at jobs=4" j4 1.8
+         else at_least "worst sweep point vs jobs=1" (Num (worst, Times 2)) 0.8);
+      ]
 
 let parallel () =
   parallel_report ~rounds:6 ~jobs_list:[ 1; 2; 4; 8 ] ~kernels:Registry.all ()
@@ -850,109 +706,84 @@ let parallel () =
 (* A fixed-seed differential fuzzing campaign over every pipeline
    configuration (o3, slp/lslp/sn-slp, global packing, every target)
    plus the parallel-driver determinism axis, reported as throughput
-   and findings and written to BENCH_fuzz.json.  The acceptance campaign
-   (10k cases) runs through the snslp-fuzz CLI; this experiment keeps
-   a smaller campaign under the bench harness so regressions in
-   oracle cleanliness or fuzzing throughput show up in CI artifacts. *)
+   and findings.  The acceptance campaign (10k cases) runs through the
+   snslp-fuzz CLI; this experiment keeps a smaller campaign under the
+   bench harness so regressions in oracle cleanliness or fuzzing
+   throughput show up in CI artifacts. *)
 let fuzz_report ~seed ~cases ~jobs () =
-  pr "%s"
-    (Table.section
-       (Printf.sprintf "Fuzzing: differential campaign (seed %d, %d cases, jobs %d)"
-          seed cases jobs));
   let result = Snslp_fuzzer.Campaign.run ~jobs ~reduce:true ~seed ~cases () in
   let failing = List.length result.Snslp_fuzzer.Campaign.reports in
-  let throughput =
-    float_of_int result.Snslp_fuzzer.Campaign.cases
-    /. Float.max result.Snslp_fuzzer.Campaign.elapsed_seconds 1e-9
-  in
-  emit ~name:"fuzz"
-    ~headers:[ "cases"; "instrs generated"; "elapsed s"; "cases/s"; "failing" ]
-    [
+  let elapsed = result.Snslp_fuzzer.Campaign.elapsed_seconds in
+  report "fuzz"
+    (Printf.sprintf "Fuzzing: differential campaign (seed %d, %d cases, jobs %d)" seed cases
+       jobs)
+    ~config:
       [
-        string_of_int result.Snslp_fuzzer.Campaign.cases;
-        string_of_int result.Snslp_fuzzer.Campaign.total_instrs;
-        Printf.sprintf "%.2f" result.Snslp_fuzzer.Campaign.elapsed_seconds;
-        Printf.sprintf "%.0f" throughput;
-        string_of_int failing;
-      ];
-    ];
-  List.iter
-    (fun (r : Snslp_fuzzer.Campaign.case_report) ->
-      pr "  !! failing case seed=%d@." r.Snslp_fuzzer.Campaign.case_seed;
-      List.iter
-        (fun f -> pr "     %s@." (Snslp_fuzzer.Oracle.finding_to_string f))
-        r.Snslp_fuzzer.Campaign.findings)
-    result.Snslp_fuzzer.Campaign.reports;
-  let clean = Snslp_fuzzer.Campaign.clean result in
-  pr "  findings: %d %s@." failing
-    (if clean then "(criterion 0: PASS)" else "(criterion 0: FAIL)");
-  Json.write "BENCH_fuzz.json"
-    (Json.Obj
-       [
-         ("schema", Json.String "snslp-fuzz/1");
-         ("seed", Json.Int seed);
-         ("cases", Json.Int result.Snslp_fuzzer.Campaign.cases);
-         ("jobs", Json.Int jobs);
-         ("total_instrs", Json.Int result.Snslp_fuzzer.Campaign.total_instrs);
-         ("elapsed_s", Json.Float result.Snslp_fuzzer.Campaign.elapsed_seconds);
-         ("cases_per_second", Json.Float throughput);
-         ( "configs",
-           Json.List
-             (List.map
-                (fun (name, _) -> Json.String name)
-                Snslp_fuzzer.Oracle.default_configs) );
-         ("failing_cases", Json.Int failing);
-         ( "findings",
-           Json.List
-             (List.concat_map
-                (fun (r : Snslp_fuzzer.Campaign.case_report) ->
-                  List.map
-                    (fun f ->
-                      Json.Obj
-                        [
-                          ("case_seed", Json.Int r.Snslp_fuzzer.Campaign.case_seed);
-                          ( "finding",
-                            Json.String (Snslp_fuzzer.Oracle.finding_to_string f) );
-                        ])
-                    r.Snslp_fuzzer.Campaign.findings)
-                result.Snslp_fuzzer.Campaign.reports) );
-         ( "headline",
-           Json.Obj
-             [
-               ( "criterion",
-                 Json.String
-                   "zero findings across all configurations (incl. parallel-driver \
-                    determinism) on the fixed-seed campaign" );
-               ("pass", Json.Bool clean);
-             ] );
-       ]);
-  pr "  wrote BENCH_fuzz.json@.";
-  if not clean then exit 1
+        ("seed", Int seed);
+        ("cases", Int cases);
+        ("jobs", Int jobs);
+        ( "configs",
+          Text (String.concat " " (List.map fst Snslp_fuzzer.Oracle.default_configs)) );
+      ]
+    [
+      table "campaign" [ "cases"; "instrs generated"; "elapsed s"; "cases/s"; "failing" ]
+        [
+          [
+            Int result.Snslp_fuzzer.Campaign.cases;
+            Int result.Snslp_fuzzer.Campaign.total_instrs;
+            Num (elapsed, Fixed 2);
+            Num
+              ( float_of_int result.Snslp_fuzzer.Campaign.cases /. Float.max elapsed 1e-9,
+                Fixed 0 );
+            Int failing;
+          ];
+        ];
+      table "findings" [ "case seed"; "finding" ]
+        (List.concat_map
+           (fun (r : Snslp_fuzzer.Campaign.case_report) ->
+             List.map
+               (fun f ->
+                 [
+                   Int r.Snslp_fuzzer.Campaign.case_seed;
+                   Text (Snslp_fuzzer.Oracle.finding_to_string f);
+                 ])
+               r.Snslp_fuzzer.Campaign.findings)
+           result.Snslp_fuzzer.Campaign.reports);
+    ]
+    ~criteria:[ equals "failing cases" failing 0 ]
 
 let fuzz () = fuzz_report ~seed:42 ~cases:2000 ~jobs:2 ()
 
-(* --- Static analysis: validator overhead and validation sweep ----------------
+(* --- Static analysis: validator overhead and validation sweeps ---------------
 
-   Two measurements backing docs/LINT.md, written to BENCH_lint.json:
+   Three measurements backing docs/LINT.md:
 
    1. Overhead.  Every registry kernel runs through the full sn-slp
       pipeline with the translation validator enabled; the Pipeline
-      tracks the validator's own time separately from the pass
-      timings, so the cost of the seven per-pass comparisons (plus
-      the end-to-end one and the graph-invariant checks) is directly
-      observable.  Criterion: aggregate validator time stays within
-      25% of aggregate vectorize ("slp" pass) time.
+      times the validator's captures and comparisons (one per
+      rewriting pass plus the end-to-end one) apart from the pass
+      timings.  The graph-invariant checks are not validator time:
+      they run in the vectorizer's graph hook, inside the "slp" pass
+      timer.  Criterion: aggregate validator time stays within 25% of
+      aggregate "slp" pass time.
 
    2. Sweep.  N generator seeds x every pipeline configuration, each
       run under ~validate:true with the generator's per-case float
       tolerance; per-pass and end-to-end verdicts are tallied along
       with graph-invariant findings.  Criterion: zero Mismatch
-      verdicts and zero invariant violations.  The Unknown rate is
-      reported but not gated: loopy control flow and oversized normal
-      forms fall back to Unknown by design (docs/LINT.md). *)
+      verdicts and zero invariant violations, on the sweep and on the
+      registry kernels of part 1.  The Unknown rate is reported but
+      not gated: loopy control flow and oversized normal forms fall
+      back to Unknown by design (docs/LINT.md).
+
+   3. Loops.  Every loop-form registry kernel under every unroll
+      policy, validated end to end: constant trips execute concretely,
+      so the verdict must be Valid.  Criterion: loop_valid_rate >= 0.9
+      with zero Mismatch.  And inductive capture gives loop kernels
+      semantic cache keys: each loop/straight-line twin pair must
+      share one, so a warm snslpd answers the twin as a semantic
+      hit. *)
 let lint_report ~seeds ~rounds () =
-  pr "%s"
-    (Table.section "Static analysis: translation-validator overhead (registry kernels)");
   let snslp = setting_named "sn-slp" in
   let tot_validate = ref 0.0 and tot_slp = ref 0.0 in
   let kernel_mismatch = ref 0 in
@@ -986,26 +817,15 @@ let lint_report ~seeds ~rounds () =
         tot_validate := !tot_validate +. validate_s;
         tot_slp := !tot_slp +. slp_s;
         [
-          name;
-          Printf.sprintf "%.1f" (validate_s *. 1e6);
-          Printf.sprintf "%.1f" (slp_s *. 1e6);
-          Printf.sprintf "%.2f" (validate_s /. Float.max slp_s 1e-9);
-          Snslp_lint.Validate.verdict_to_string v.Pipeline.end_verdict;
+          Text name;
+          Num (validate_s *. 1e6, Fixed 1);
+          Num (slp_s *. 1e6, Fixed 1);
+          Num (validate_s /. Float.max slp_s 1e-9, Fixed 2);
+          Text (Snslp_lint.Validate.verdict_to_string v.Pipeline.end_verdict);
         ])
       (kernel_funcs ())
   in
-  emit ~name:"lint_overhead"
-    ~headers:[ "kernel"; "validate us"; "slp us"; "ratio"; "end-to-end" ]
-    overhead_rows;
   let ratio = !tot_validate /. Float.max !tot_slp 1e-9 in
-  let overhead_ok = ratio <= 0.25 in
-  pr "  aggregate: validate %.1f us vs slp %.1f us, ratio %.3f %s@."
-    (!tot_validate *. 1e6) (!tot_slp *. 1e6) ratio
-    (if overhead_ok then "(criterion <= 0.25: PASS)" else "(criterion <= 0.25: FAIL)");
-  pr "%s"
-    (Table.section
-       (Printf.sprintf "Static analysis: validation sweep (%d seeds x %d configs)" seeds
-          (List.length settings)));
   let valid = ref 0 and unknown = ref 0 and mismatch = ref 0 in
   let graph_bad = ref 0 in
   let examples = ref [] in
@@ -1024,8 +844,12 @@ let lint_report ~seeds ~rounds () =
               incr mismatch;
               if List.length !examples < 5 then
                 examples :=
-                  Printf.sprintf "seed %d, %s, %s: %s" seed cname pass
-                    (Snslp_lint.Validate.verdict_to_string verdict)
+                  [
+                    Int seed;
+                    Text cname;
+                    Text pass;
+                    Text (Snslp_lint.Validate.verdict_to_string verdict);
+                  ]
                   :: !examples
         in
         List.iter (fun (pass, verdict) -> tally pass verdict) v.Pipeline.pass_verdicts;
@@ -1034,32 +858,6 @@ let lint_report ~seeds ~rounds () =
       settings
   done;
   let total = !valid + !unknown + !mismatch in
-  let unknown_rate = float_of_int !unknown /. float_of_int (max total 1) in
-  emit ~name:"lint_sweep"
-    ~headers:[ "verdicts"; "valid"; "unknown"; "mismatch"; "unknown rate"; "graph findings" ]
-    [
-      [
-        string_of_int total;
-        string_of_int !valid;
-        string_of_int !unknown;
-        string_of_int !mismatch;
-        Printf.sprintf "%.4f" unknown_rate;
-        string_of_int !graph_bad;
-      ];
-    ];
-  List.iter (fun e -> pr "  !! mismatch: %s@." e) (List.rev !examples);
-  let sweep_ok = !mismatch = 0 && !graph_bad = 0 && !kernel_mismatch = 0 in
-  pr "  mismatches: %d, invariant violations: %d %s@." !mismatch !graph_bad
-    (if sweep_ok then "(criterion 0: PASS)" else "(criterion 0: FAIL)");
-  (* 3. Loops.  Every loop-form registry kernel under every unroll
-     policy, validated end to end: constant trips execute concretely,
-     so the verdict must be Valid — the digest fallback that used to
-     answer Unknown on partial unrolls is gone.  Criterion:
-     loop_valid_rate >= 0.9 with zero Mismatch.  And inductive
-     capture gives loop kernels semantic cache keys: each
-     loop/straight-line twin pair must share one, so a warm snslpd
-     answers the twin as a semantic hit. *)
-  pr "%s" (Table.section "Static analysis: loop validation sweep (registry loop kernels)");
   let lvalid = ref 0 and lunknown = ref 0 and lmismatch = ref 0 in
   let policies =
     [
@@ -1073,7 +871,7 @@ let lint_report ~seeds ~rounds () =
     List.map
       (fun ((lk : Registry.t), _) ->
         let func = Snslp_frontend.Frontend.compile_one lk.Registry.source in
-        lk.Registry.name
+        Text lk.Registry.name
         :: List.map
              (fun (_, unroll) ->
                let setting = Some { Config.snslp with Config.unroll } in
@@ -1083,15 +881,11 @@ let lint_report ~seeds ~rounds () =
                | Snslp_lint.Validate.Valid -> incr lvalid
                | Snslp_lint.Validate.Unknown _ -> incr lunknown
                | Snslp_lint.Validate.Mismatch _ -> incr lmismatch);
-               Snslp_lint.Validate.verdict_to_string v.Pipeline.end_verdict)
+               Text (Snslp_lint.Validate.verdict_to_string v.Pipeline.end_verdict))
              policies)
       Registry.loop_pairs
   in
-  emit ~name:"lint_loop_sweep"
-    ~headers:("loop kernel" :: List.map fst policies)
-    loop_rows;
   let loop_total = !lvalid + !lunknown + !lmismatch in
-  let loop_valid_rate = float_of_int !lvalid /. float_of_int (max loop_total 1) in
   let sem_hits, sem_total =
     List.fold_left
       (fun (hits, total) ((lk : Registry.t), (tw : Registry.t)) ->
@@ -1115,54 +909,57 @@ let lint_report ~seeds ~rounds () =
         ((if semantic && shares then hits + 1 else hits), total + 1))
       (0, 0) Registry.loop_pairs
   in
-  let loops_ok = loop_valid_rate >= 0.9 && !lmismatch = 0 && sem_hits = sem_total in
-  pr "  loop verdicts: %d valid / %d unknown / %d mismatch, valid rate %.3f %s@." !lvalid
-    !lunknown !lmismatch loop_valid_rate
-    (if loop_valid_rate >= 0.9 && !lmismatch = 0 then "(criterion >= 0.9: PASS)"
-     else "(criterion >= 0.9: FAIL)");
-  pr "  semantic cache: %d/%d loop/twin pairs share a sem: key %s@." sem_hits sem_total
-    (if sem_hits = sem_total then "(criterion all: PASS)" else "(criterion all: FAIL)");
-  Json.write "BENCH_lint.json"
-    (Json.Obj
-       [
-         ("schema", Json.String "snslp-lint/1");
-         ("seeds", Json.Int seeds);
-         ("configs", Json.List (List.map (fun (n, _) -> Json.String n) settings));
-         ("validate_seconds_total", Json.Float !tot_validate);
-         ("slp_seconds_total", Json.Float !tot_slp);
-         ("overhead_ratio", Json.Float ratio);
-         ("verdicts_total", Json.Int total);
-         ("valid", Json.Int !valid);
-         ("unknown", Json.Int !unknown);
-         ("mismatch", Json.Int !mismatch);
-         ("unknown_rate", Json.Float unknown_rate);
-         ("graph_findings", Json.Int !graph_bad);
-         ( "mismatch_examples",
-           Json.List (List.rev_map (fun e -> Json.String e) !examples) );
-         ("loop_verdicts_total", Json.Int loop_total);
-         ("loop_valid", Json.Int !lvalid);
-         ("loop_unknown", Json.Int !lunknown);
-         ("loop_mismatch", Json.Int !lmismatch);
-         ("loop_valid_rate", Json.Float loop_valid_rate);
-         ("loop_semantic_pairs_shared", Json.Int sem_hits);
-         ("loop_semantic_pairs_total", Json.Int sem_total);
-         ("loop_semantic_shared", Json.Bool (sem_hits = sem_total));
-         ( "headline",
-           Json.Obj
-             [
-               ( "criterion",
-                 Json.String
-                   "zero Mismatch verdicts and zero graph-invariant violations \
-                    across the seed sweep and the registry kernels; aggregate \
-                    validator time <= 25% of vectorize time; loop kernels \
-                    validate Valid under every unroll policy at >= 0.9 rate \
-                    with zero Mismatch; every loop/twin pair shares a \
-                    semantic cache key" );
-               ("pass", Json.Bool (overhead_ok && sweep_ok && loops_ok));
-             ] );
-       ]);
-  pr "  wrote BENCH_lint.json@.";
-  if not (overhead_ok && sweep_ok && loops_ok) then exit 1
+  report "lint"
+    (Printf.sprintf
+       "Static analysis: validator overhead, validation sweep (%d seeds x %d configs), loop \
+        validation"
+       seeds (List.length settings))
+    ~config:
+      [
+        ("seeds", Int seeds);
+        ("rounds", Int rounds);
+        ("configs", Text (String.concat " " (List.map fst settings)));
+      ]
+    [
+      table "overhead"
+        [ "kernel"; "validate us"; "slp us"; "ratio"; "end-to-end" ]
+        overhead_rows;
+      table "sweep"
+        [ "verdicts"; "valid"; "unknown"; "mismatch"; "unknown rate"; "graph findings" ]
+        [
+          [
+            Int total;
+            Int !valid;
+            Int !unknown;
+            Int !mismatch;
+            Num (float_of_int !unknown /. float_of_int (max total 1), Fixed 4);
+            Int !graph_bad;
+          ];
+        ];
+      table "mismatch examples" [ "seed"; "config"; "pass"; "verdict" ] (List.rev !examples);
+      table "loop sweep" ("loop kernel" :: List.map fst policies) loop_rows;
+    ]
+    ~values:
+      [
+        ("validate_seconds_total", Num (!tot_validate, Fixed 6));
+        ("slp_seconds_total", Num (!tot_slp, Fixed 6));
+        ("loop_verdicts_total", Int loop_total);
+        ("loop_valid", Int !lvalid);
+        ("loop_unknown", Int !lunknown);
+        ("loop_semantic_pairs_total", Int sem_total);
+      ]
+    ~criteria:
+      [
+        at_most "validator/slp time ratio" (Num (ratio, Fixed 3)) 0.25;
+        equals "sweep mismatches" !mismatch 0;
+        equals "sweep invariant violations" !graph_bad 0;
+        equals "registry kernel mismatches and violations" !kernel_mismatch 0;
+        at_least "loop valid rate"
+          (Num (float_of_int !lvalid /. float_of_int (max loop_total 1), Fixed 3))
+          0.9;
+        equals "loop mismatches" !lmismatch 0;
+        equals "loop/twin pairs sharing a sem: key" sem_hits sem_total;
+      ]
 
 let lint () = lint_report ~seeds:1000 ~rounds:3 ()
 
@@ -1181,7 +978,8 @@ let lint () = lint_report ~seeds:1000 ~rounds:3 ()
       final-memory diff per configuration) with pipeline compilation
       hoisted out; the compiled engine stages its plans inside the
       case, as the oracle does;
-   3. an informational fuzz-campaign clock per oracle engine.
+   3. a fuzz-campaign clock per oracle engine, whose campaigns must be
+      clean.
 
    Criterion: >= 3x oracle-case throughput, compiled vs tree. *)
 
@@ -1221,9 +1019,9 @@ let run_workload_plan (wl : Workload.t) func plan memory =
   done;
   !instrs
 
-let interp_report ~kernels ~iters ~oracle_iters ~oracle_reps ~rounds ~campaign_cases ()
-    =
-  pr "%s" (Table.section "Interp: tree-walker vs compiled closure engine");
+let interp_report ~kernels ~iters ~oracle_iters ~oracle_reps ~rounds ~campaign_cases () =
+  let notes = ref [] in
+  let note fmt = Printf.ksprintf (fun s -> notes := s :: !notes) fmt in
   (* Part 1: ns/instr per kernel. *)
   let kernel_rows =
     List.map
@@ -1244,27 +1042,20 @@ let interp_report ~kernels ~iters ~oracle_iters ~oracle_reps ~rounds ~campaign_c
               IMemory.restore ~template memory;
               instrs_comp := run_workload_plan wl func plan memory)
         in
-        if !instrs_tree <> !instrs_comp then begin
-          pr "  !! %s: engines executed different instruction counts (%d vs %d)@."
-            k.Registry.name !instrs_tree !instrs_comp;
-          exit 1
-        end;
+        if !instrs_tree <> !instrs_comp then
+          note "%s: engines executed different instruction counts (%d vs %d)" k.Registry.name
+            !instrs_tree !instrs_comp;
         let ns s = s *. 1e9 /. float_of_int (max 1 !instrs_tree) in
-        (k.Registry.name, !instrs_tree, ns tree_s, ns comp_s))
+        [
+          Text k.Registry.name;
+          Int !instrs_tree;
+          Num (ns tree_s, Fixed 1);
+          Num (ns comp_s, Fixed 1);
+          Num (ns tree_s /. ns comp_s, Times 2);
+        ])
       kernels
   in
-  emit ~name:"interp-kernels"
-    ~headers:[ "kernel"; "instrs/run"; "tree ns/instr"; "compiled ns/instr"; "speedup" ]
-    (List.map
-       (fun (name, instrs, tns, cns) ->
-         [
-           name;
-           string_of_int instrs;
-           Printf.sprintf "%.1f" tns;
-           Printf.sprintf "%.1f" cns;
-           Printf.sprintf "%.2fx" (tns /. cns);
-         ])
-       kernel_rows);
+  let counts_agree = !notes = [] in
   (* Part 2: oracle-case throughput.  Pipeline compilation (the
      optimizer) is hoisted out; the per-case engine work — executions,
      memory restores, final-memory diffs — is timed. *)
@@ -1298,7 +1089,7 @@ let interp_report ~kernels ~iters ~oracle_iters ~oracle_reps ~rounds ~campaign_c
             | None -> ()
             | Some d ->
                 incr mismatches;
-                pr "  !! oracle mismatch (%s): %s@." wl.Workload.kernel.Registry.name d)
+                note "oracle mismatch (%s): %s" wl.Workload.kernel.Registry.name d)
           opts)
       cases
   in
@@ -1315,104 +1106,71 @@ let interp_report ~kernels ~iters ~oracle_iters ~oracle_reps ~rounds ~campaign_c
   let ncases = oracle_reps * List.length cases in
   let per_s s = float_of_int ncases /. Float.max s 1e-9 in
   let oracle_speedup = per_s comp_oracle_s /. per_s tree_oracle_s in
-  emit ~name:"interp-oracle"
-    ~headers:[ "oracle cases"; "tree cases/s"; "compiled cases/s"; "speedup" ]
-    [
-      [
-        string_of_int ncases;
-        Printf.sprintf "%.1f" (per_s tree_oracle_s);
-        Printf.sprintf "%.1f" (per_s comp_oracle_s);
-        Printf.sprintf "%.2fx" oracle_speedup;
-      ];
-    ];
-  (* Part 3: the fuzz campaign under each oracle engine
-     (informational; the campaign's own generation and pipeline work
-     dominate, so ratios here are conservative). *)
-  let campaign_rows =
+  (* Part 3: the fuzz campaign under each oracle engine (the
+     campaign's own generation and pipeline work dominate, so ratios
+     here are conservative). *)
+  let campaigns =
     List.map
       (fun engine ->
-        let result =
-          Snslp_fuzzer.Campaign.run ~engine ~reduce:false ~seed:7 ~cases:campaign_cases
-            ()
-        in
-        if not (Snslp_fuzzer.Campaign.clean result) then begin
-          pr "  !! campaign under engine %s found %d failing cases@."
-            result.Snslp_fuzzer.Campaign.engine
-            (List.length result.Snslp_fuzzer.Campaign.reports);
-          exit 1
-        end;
-        let ns =
-          if result.Snslp_fuzzer.Campaign.exec_instrs = 0 then 0.0
-          else
-            result.Snslp_fuzzer.Campaign.exec_seconds *. 1e9
-            /. float_of_int result.Snslp_fuzzer.Campaign.exec_instrs
-        in
-        ( result.Snslp_fuzzer.Campaign.engine,
-          float_of_int campaign_cases
-          /. Float.max result.Snslp_fuzzer.Campaign.elapsed_seconds 1e-9,
-          ns ))
+        Snslp_fuzzer.Campaign.run ~engine ~reduce:false ~seed:7 ~cases:campaign_cases ())
       [ Snslp_fuzzer.Oracle.Tree; Snslp_fuzzer.Oracle.Compiled; Snslp_fuzzer.Oracle.Cross ]
   in
-  emit ~name:"interp-campaign"
-    ~headers:[ "engine"; "campaign cases/s"; "exec ns/instr" ]
-    (List.map
-       (fun (name, cps, ns) ->
-         [ name; Printf.sprintf "%.0f" cps; Printf.sprintf "%.0f" ns ])
-       campaign_rows);
-  let pass = oracle_speedup >= 3.0 && !mismatches = 0 in
-  pr "  oracle-case speedup %.2fx %s@." oracle_speedup
-    (if pass then "(criterion >= 3x: PASS)" else "(criterion >= 3x: FAIL)");
-  Json.write "BENCH_interp.json"
-    (Json.Obj
-       [
-         ("schema", Json.String "snslp-interp/1");
-         ("iters", Json.Int iters);
-         ("oracle_iters", Json.Int oracle_iters);
-         ( "kernels",
-           Json.List
-             (List.map
-                (fun (name, instrs, tns, cns) ->
-                  Json.Obj
-                    [
-                      ("name", Json.String name);
-                      ("instrs_per_run", Json.Int instrs);
-                      ("tree_ns_per_instr", Json.Float tns);
-                      ("compiled_ns_per_instr", Json.Float cns);
-                      ("speedup", Json.Float (tns /. cns));
-                    ])
-                kernel_rows) );
-         ( "oracle",
-           Json.Obj
+  let campaign_failing =
+    List.fold_left
+      (fun acc (r : Snslp_fuzzer.Campaign.result) ->
+        acc + List.length r.Snslp_fuzzer.Campaign.reports)
+      0 campaigns
+  in
+  report "interp" "Interp: tree-walker vs compiled closure engine"
+    ~config:
+      [
+        ("iters", Int iters);
+        ("oracle_iters", Int oracle_iters);
+        ("oracle_reps", Int oracle_reps);
+        ("rounds", Int rounds);
+        ("campaign_cases", Int campaign_cases);
+      ]
+    [
+      table "kernels"
+        [ "kernel"; "instrs/run"; "tree ns/instr"; "compiled ns/instr"; "speedup" ]
+        kernel_rows;
+      table "oracle" [ "oracle cases"; "tree cases/s"; "compiled cases/s"; "speedup" ]
+        [
+          [
+            Int ncases;
+            Num (per_s tree_oracle_s, Fixed 1);
+            Num (per_s comp_oracle_s, Fixed 1);
+            Num (oracle_speedup, Times 2);
+          ];
+        ];
+      table "campaign" [ "engine"; "campaign cases/s"; "exec ns/instr"; "failing" ]
+        (List.map
+           (fun (r : Snslp_fuzzer.Campaign.result) ->
+             let ns =
+               if r.Snslp_fuzzer.Campaign.exec_instrs = 0 then 0.0
+               else
+                 r.Snslp_fuzzer.Campaign.exec_seconds *. 1e9
+                 /. float_of_int r.Snslp_fuzzer.Campaign.exec_instrs
+             in
              [
-               ("cases", Json.Int ncases);
-               ("tree_cases_per_s", Json.Float (per_s tree_oracle_s));
-               ("compiled_cases_per_s", Json.Float (per_s comp_oracle_s));
-               ("speedup", Json.Float oracle_speedup);
-               ("mismatches", Json.Int !mismatches);
-             ] );
-         ( "campaign",
-           Json.List
-             (List.map
-                (fun (name, cps, ns) ->
-                  Json.Obj
-                    [
-                      ("engine", Json.String name);
-                      ("cases_per_second", Json.Float cps);
-                      ("exec_ns_per_instr", Json.Float ns);
-                    ])
-                campaign_rows) );
-         ( "headline",
-           Json.Obj
-             [
-               ( "criterion",
-                 Json.String
-                   ">= 3x oracle-case throughput (compiled vs tree-walker) on the \
-                    registry kernels" );
-               ("pass", Json.Bool pass);
-             ] );
-       ]);
-  pr "  wrote BENCH_interp.json@.";
-  if not pass then exit 1
+               Text r.Snslp_fuzzer.Campaign.engine;
+               Num
+                 ( float_of_int campaign_cases
+                   /. Float.max r.Snslp_fuzzer.Campaign.elapsed_seconds 1e-9,
+                   Fixed 0 );
+               Num (ns, Fixed 0);
+               Int (List.length r.Snslp_fuzzer.Campaign.reports);
+             ])
+           campaigns);
+    ]
+    ~notes:(List.rev !notes)
+    ~criteria:
+      [
+        at_least "oracle-case speedup" (Num (oracle_speedup, Times 2)) 3.0;
+        equals "oracle mismatches" !mismatches 0;
+        holds "engines executed equal instruction counts" counts_agree;
+        equals "campaign failing cases" campaign_failing 0;
+      ]
 
 let interp () =
   interp_report ~kernels:Registry.all ~iters:64 ~oracle_iters:256 ~oracle_reps:3
@@ -1420,7 +1178,7 @@ let interp () =
 
 (* --- Compile service: semantic cache and daemon throughput --------------------
 
-   The snslpd service benchmark (BENCH_service.json):
+   The snslpd service benchmark:
 
    1. registry replay through the protocol loop, cold server vs warm
       cache — the headline, criterion >= 5x;
@@ -1456,7 +1214,7 @@ let responses_of lines =
     | None -> List.rev acc
     | Some (Ok r) -> go (r :: acc)
     | Some (Error e) ->
-        pr "  !! malformed service response: %s@." e;
+        Printf.printf "  !! malformed service response: %s\n%!" e;
         exit 1
   in
   go []
@@ -1513,7 +1271,6 @@ let percentile p xs =
       a.(max 0 (min (n - 1) (int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1)))
 
 let service_report ~kernels ~replay_rounds ~rounds () =
-  pr "%s" (Table.section "Service: snslpd compile cache (cold vs warm registry replay)");
   (* Part 1: the whole registry as one batch through the protocol
      loop.  The first conversation compiles everything; repeats cost
      parsing, hashing and printing only. *)
@@ -1542,7 +1299,6 @@ let service_report ~kernels ~replay_rounds ~rounds () =
   let warm_s = !warm_s in
   (* A cache answer must be byte-identical to the fresh compile. *)
   let bit_identical = compiled_irs cold_out = compiled_irs !warm_out in
-  if not bit_identical then pr "  !! warm replay IR differs from cold (FAIL)@.";
   (* Two registry kernels may legitimately share a semantic entry —
      the warm guard only requires that nothing recompiles. *)
   let warm_all_hits =
@@ -1550,19 +1306,7 @@ let service_report ~kernels ~replay_rounds ~rounds () =
       (fun s -> s = "hit-textual" || s = "hit-semantic")
       (compiled_statuses !warm_out)
   in
-  if not warm_all_hits then pr "  !! warm replay missed the cache (FAIL)@.";
   let warm_speedup = cold_s /. Float.max warm_s 1e-9 in
-  emit ~name:"service-replay"
-    ~headers:[ "phase"; "kernels"; "wall ms"; "speedup" ]
-    [
-      [ "cold"; string_of_int (List.length kernels); Printf.sprintf "%.2f" (cold_s *. 1e3); "1.00x" ];
-      [
-        "warm";
-        string_of_int (List.length kernels);
-        Printf.sprintf "%.2f" (warm_s *. 1e3);
-        Printf.sprintf "%.2fx" warm_speedup;
-      ];
-    ];
   (* Part 2: semantic hits — the variant compiles to an answer the
      cache already holds under a different structure. *)
   let sem_rows =
@@ -1579,9 +1323,6 @@ let service_report ~kernels ~replay_rounds ~rounds () =
         (name, first, second))
       semantic_pairs
   in
-  emit ~name:"service-semantic"
-    ~headers:[ "equivalence pair"; "original"; "variant" ]
-    (List.map (fun (n, a, b) -> [ n; a; b ]) sem_rows);
   let semantic_hits =
     List.length (List.filter (fun (_, _, b) -> b = "hit-semantic") sem_rows)
   in
@@ -1601,83 +1342,54 @@ let service_report ~kernels ~replay_rounds ~rounds () =
   let _ = converse tserver stream in
   let elapsed = Stats.now_s () -. t0 in
   let nreq = replay_rounds * List.length kernels in
-  let kps = float_of_int nreq /. Float.max elapsed 1e-9 in
   let lat = Service.latencies_s tserver in
-  let p50 = percentile 50.0 lat and p99 = percentile 99.0 lat in
   let c = Scache.counters (Service.cache tserver) in
-  emit ~name:"service-throughput"
-    ~headers:[ "requests"; "kernels/s"; "hit rate"; "p50 ms"; "p99 ms" ]
-    [
+  let nk = Int (List.length kernels) in
+  report "service" "Service: snslpd compile cache (cold vs warm registry replay)"
+    ~config:
       [
-        string_of_int nreq;
-        Printf.sprintf "%.0f" kps;
-        Printf.sprintf "%.2f" (Scache.hit_rate c);
-        Printf.sprintf "%.3f" (p50 *. 1e3);
-        Printf.sprintf "%.3f" (p99 *. 1e3);
-      ];
-    ];
-  let pass = warm_speedup >= 5.0 && semantic_hits >= 1 && bit_identical && warm_all_hits in
-  pr "  warm replay speedup %.2fx %s@." warm_speedup
-    (if warm_speedup >= 5.0 then "(criterion >= 5x: PASS)" else "(criterion >= 5x: FAIL)");
-  pr "  semantic cache hits: %d/%d pairs %s@." semantic_hits (List.length sem_rows)
-    (if semantic_hits >= 1 then "(criterion >= 1: PASS)" else "(criterion >= 1: FAIL)");
-  Json.write "BENCH_service.json"
-    (Json.Obj
-       [
-         ("schema", Json.String "snslp-service/1");
-         ( "replay",
-           Json.Obj
-             [
-               ("kernels", Json.Int (List.length kernels));
-               ("cold_s", Json.Float cold_s);
-               ("warm_best_s", Json.Float warm_s);
-               ("warm_speedup", Json.Float warm_speedup);
-               ("warm_all_hits", Json.Bool warm_all_hits);
-               ("bit_identical", Json.Bool bit_identical);
-             ] );
-         ( "semantic",
-           Json.List
-             (List.map
-                (fun (name, first, second) ->
-                  Json.Obj
-                    [
-                      ("pair", Json.String name);
-                      ("original", Json.String first);
-                      ("variant", Json.String second);
-                    ])
-                sem_rows) );
-         ( "throughput",
-           Json.Obj
-             [
-               ("requests", Json.Int nreq);
-               ("elapsed_s", Json.Float elapsed);
-               ("kernels_per_sec", Json.Float kps);
-               ("hit_rate", Json.Float (Scache.hit_rate c));
-               ("p50_ms", Json.Float (p50 *. 1e3));
-               ("p99_ms", Json.Float (p99 *. 1e3));
-               ("hits_semantic", Json.Int c.Scache.hits_semantic);
-               ("hits_textual", Json.Int c.Scache.hits_textual);
-               ("misses", Json.Int c.Scache.misses);
-             ] );
-         ( "headline",
-           Json.Obj
-             [
-               ("warm_speedup", Json.Float warm_speedup);
-               ("semantic_hits", Json.Int semantic_hits);
-               ( "criterion",
-                 Json.String
-                   "warm registry replay >= 5x cold through the service loop; >= 1 \
-                    semantic (not just textual) cache hit; cached answers \
-                    byte-identical to fresh compiles" );
-               ("pass", Json.Bool pass);
-             ] );
-       ]);
-  pr "  wrote BENCH_service.json@.";
-  if not pass then exit 1
+        ("kernels", Text (names_of kernels));
+        ("replay_rounds", Int replay_rounds);
+        ("rounds", Int rounds);
+      ]
+    [
+      table "replay" [ "phase"; "kernels"; "wall ms"; "speedup" ]
+        [
+          [ Text "cold"; nk; Num (cold_s *. 1e3, Fixed 2); Num (1.0, Times 2) ];
+          [ Text "warm"; nk; Num (warm_s *. 1e3, Fixed 2); Num (warm_speedup, Times 2) ];
+        ];
+      table "semantic" [ "equivalence pair"; "original"; "variant" ]
+        (List.map (fun (n, a, b) -> [ Text n; Text a; Text b ]) sem_rows);
+      table "throughput"
+        [
+          "requests"; "elapsed s"; "kernels/s"; "hit rate"; "p50 ms"; "p99 ms"; "hits semantic";
+          "hits textual"; "misses";
+        ]
+        [
+          [
+            Int nreq;
+            Num (elapsed, Fixed 3);
+            Num (float_of_int nreq /. Float.max elapsed 1e-9, Fixed 0);
+            Num (Scache.hit_rate c, Fixed 2);
+            Num (percentile 50.0 lat *. 1e3, Fixed 3);
+            Num (percentile 99.0 lat *. 1e3, Fixed 3);
+            Int c.Scache.hits_semantic;
+            Int c.Scache.hits_textual;
+            Int c.Scache.misses;
+          ];
+        ];
+    ]
+    ~criteria:
+      [
+        at_least "warm replay speedup" (Num (warm_speedup, Times 2)) 5.0;
+        at_least "semantic cache hits" (Int semantic_hits) 1.0;
+        holds "warm replay byte-identical to cold" bit_identical;
+        holds "warm replay answered from the cache" warm_all_hits;
+      ]
 
 let service () = service_report ~kernels:Registry.all ~replay_rounds:20 ~rounds:5 ()
 
-(* --- Loop subsystem: BENCH_loops.json ---------------------------------------- *)
+(* --- Loop subsystem ------------------------------------------------------------ *)
 
 (* The loop-form registry kernels against their straight-line twins
    (docs/LOOPS.md): simulated cycles of the scalar loop (-O3, loops
@@ -1693,20 +1405,15 @@ let service () = service_report ~kernels:Registry.all ~replay_rounds:20 ~rounds:
      arithmetic — milc_mat_vec_loop (cost-model-rejected, like its
      8-site parent) shows how far overhead removal alone gets. *)
 let loops_report ~(pairs : (Registry.t * Registry.t) list) ~iters ~min_wins () =
-  pr "%s"
-    (Table.section
-       (Printf.sprintf
-          "Loop subsystem: scalar loop vs unroll + SN-SLP (%d loop/twin pairs)"
-          (List.length pairs)));
   let snslp = Some Config.snslp in
   let measured =
     List.map
       (fun ((lk : Registry.t), (tw : Registry.t)) ->
         let wl = Workload.prepare ~iters lk in
         let wt = Workload.prepare ~iters tw in
-        let scalar_cyc, _ = simulate wl None in
-        let sn_cyc, _ = simulate wl snslp in
-        let twin_cyc, _ = simulate wt snslp in
+        let scalar_cyc = simulate wl None in
+        let sn_cyc = simulate wl snslp in
+        let twin_cyc = simulate wt snslp in
         let lr = Pipeline.run ~setting:snslp wl.Workload.func in
         let unrolled_full =
           match lr.Pipeline.vect_report with
@@ -1721,80 +1428,45 @@ let loops_report ~(pairs : (Registry.t * Registry.t) list) ~iters ~min_wins () =
         (lk, tw, scalar_cyc, sn_cyc, twin_cyc, unrolled_full, parity))
       pairs
   in
-  let rows =
-    List.map
-      (fun ((lk : Registry.t), (tw : Registry.t), sc, sn, twc, uf, parity) ->
-        [
-          lk.Registry.name;
-          tw.Registry.name;
-          Printf.sprintf "%.0f" sc;
-          Printf.sprintf "%.0f" sn;
-          Printf.sprintf "%.3fx" (sc /. sn);
-          Printf.sprintf "%.0f" twc;
-          string_of_int uf;
-          (if parity then "bit-identical" else "MISMATCH");
-        ])
-      measured
-  in
-  emit ~name:"loops"
-    ~headers:
-      [
-        "loop kernel"; "twin"; "scalar cyc"; "sn-slp cyc"; "speedup"; "twin cyc";
-        "unrolled"; "parity";
-      ]
-    rows;
   let wins =
     List.length (List.filter (fun (_, _, sc, sn, _, _, _) -> sc /. sn >= 2.0) measured)
   in
-  let parity_all = List.for_all (fun (_, _, _, _, _, _, p) -> p) measured in
-  let unrolled_all = List.for_all (fun (_, _, _, _, _, uf, _) -> uf >= 1) measured in
-  let pass = wins >= min_wins && parity_all && unrolled_all in
-  pr "  full unroll everywhere: %s; twin parity everywhere: %s; >= 2x wins: %d \
-      (need >= %d)@."
-    (if unrolled_all then "yes" else "NO")
-    (if parity_all then "yes" else "NO")
-    wins min_wins;
-  pr "  criteria: %s@." (if pass then "PASS" else "FAIL");
-  let kernel_json ((lk : Registry.t), (tw : Registry.t), sc, sn, twc, uf, parity) =
-    Json.Obj
-      [
-        ("name", Json.String lk.Registry.name);
-        ("twin", Json.String tw.Registry.name);
-        ("scalar_cycles", Json.Float sc);
-        ("snslp_cycles", Json.Float sn);
-        ("speedup", Json.Float (sc /. sn));
-        ("twin_cycles", Json.Float twc);
-        ("unrolled_full", Json.Int uf);
-        ("twin_parity", Json.Bool parity);
-      ]
-  in
-  Json.write "BENCH_loops.json"
-    (Json.Obj
-       [
-         ("schema", Json.String "snslp-loops/1");
-         ("iters", Json.Int iters);
-         ("kernels", Json.List (List.map kernel_json measured));
-         ( "headline",
-           Json.Obj
+  report "loops"
+    (Printf.sprintf "Loop subsystem: scalar loop vs unroll + SN-SLP (%d loop/twin pairs)"
+       (List.length pairs))
+    ~config:[ ("iters", Int iters); ("min_wins", Int min_wins) ]
+    [
+      table "loops"
+        [
+          "loop kernel"; "twin"; "scalar cyc"; "sn-slp cyc"; "speedup"; "twin cyc"; "unrolled";
+          "twin parity";
+        ]
+        (List.map
+           (fun ((lk : Registry.t), (tw : Registry.t), sc, sn, twc, uf, parity) ->
              [
-               ("full_unroll_everywhere", Json.Bool unrolled_all);
-               ("twin_parity_everywhere", Json.Bool parity_all);
-               ("wins_2x", Json.Int wins);
-               ("min_wins", Json.Int min_wins);
-               ( "criterion",
-                 Json.String
-                   "every loop form fully unrolls and matches its twin bit for bit; >= \
-                    min_wins loop kernels beat their scalar loop by >= 2x simulated \
-                    cycles" );
-               ("pass", Json.Bool pass);
-             ] );
-       ]);
-  pr "  wrote BENCH_loops.json@.";
-  if not pass then exit 1
+               Text lk.Registry.name;
+               Text tw.Registry.name;
+               Num (sc, Fixed 0);
+               Num (sn, Fixed 0);
+               Num (sc /. sn, Times 3);
+               Num (twc, Fixed 0);
+               Int uf;
+               Bool parity;
+             ])
+           measured);
+    ]
+    ~criteria:
+      [
+        holds "full unroll everywhere"
+          (List.for_all (fun (_, _, _, _, _, uf, _) -> uf >= 1) measured);
+        holds "twin parity everywhere"
+          (List.for_all (fun (_, _, _, _, _, _, p) -> p) measured);
+        at_least ">= 2x wins" (Int wins) (float_of_int min_wins);
+      ]
 
 let loops () = loops_report ~pairs:Registry.loop_pairs ~iters:1024 ~min_wins:3 ()
 
-(* --- Multi-target sweep and revec: BENCH_targets.json ------------------------ *)
+(* --- Multi-target sweep and revec --------------------------------------------- *)
 
 (* Every registry kernel compiled for every backend flavour, with and
    without the revec re-widening pass.  Per variant: machine-model
@@ -1846,10 +1518,6 @@ let max_lanes_of (f : Snslp_ir.Defs.func) =
     1 f
 
 let targets_report ~(kernels : Registry.t list) ~min_wins ~speedup_threshold () =
-  pr "%s"
-    (Table.section
-       (Printf.sprintf "Multi-target sweep + revec (%d kernels x %d targets x 2)"
-          (List.length kernels) (List.length sweep_targets)));
   let eps = 1e-6 in
   let mismatches = ref 0 in
   (* One variant: full pipeline at [tgt] on [func], validated, priced
@@ -1909,27 +1577,6 @@ let targets_report ~(kernels : Registry.t list) ~min_wins ~speedup_threshold () 
       (Target.sse, false, cost_of variants Target.sse false)
       variants
   in
-  let rows =
-    List.map
-      (fun ((k : Registry.t), variants) ->
-        let sse = cost_of variants Target.sse false in
-        let bt, br, bc = best_of variants in
-        [
-          k.Registry.name;
-          Printf.sprintf "%.1f" sse;
-          Printf.sprintf "%.1f" (cost_of variants Target.avx2 false);
-          Printf.sprintf "%.1f" (cost_of variants Target.avx512 false);
-          Printf.sprintf "%.1f" (cost_of variants Target.neon false);
-          Printf.sprintf "%.1f" (cost_of variants Target.avx512 true);
-          Printf.sprintf "%s%s" bt.Target.name (if br then "+revec" else "");
-          Printf.sprintf "%.2fx" (sse /. Float.max bc eps);
-        ])
-      measured
-  in
-  emit ~name:"targets"
-    ~headers:
-      [ "kernel"; "sse"; "avx2"; "avx512"; "neon"; "avx512+rv"; "best"; "vs sse" ]
-    rows;
   (* Rejuvenation: the sse-vectorized IR re-fed through the pipeline
      at avx512 with revec.  Scalar SLP sees vector stores, not seeds;
      only revec can reach the wide registers. *)
@@ -1942,32 +1589,13 @@ let targets_report ~(kernels : Registry.t list) ~min_wins ~speedup_threshold () 
             .Pipeline.func
         in
         let reference = Workload.run_interp wl narrow in
-        let tgt, _, cost_wide, wide, identical, pairs, widened =
+        let _, _, cost_wide, wide, identical, pairs, widened =
           variant ~wl ~reference ~tgt:Target.avx512 ~revec:true narrow
         in
-        ignore tgt;
         let cost_narrow = Packing.static_cost (target_config Target.avx512 true) narrow in
         (k, pairs, widened, cost_narrow, cost_wide, max_lanes_of wide, identical))
       measured
   in
-  let rejuv_rows =
-    List.map
-      (fun ((k : Registry.t), pairs, widened, cn, cw, lanes, identical) ->
-        [
-          k.Registry.name;
-          string_of_int pairs;
-          string_of_int widened;
-          Printf.sprintf "%.1f" cn;
-          Printf.sprintf "%.1f" cw;
-          string_of_int lanes;
-          (if identical then "yes" else "NO");
-        ])
-      rejuvenated
-  in
-  emit ~name:"targets_rejuvenation"
-    ~headers:[ "kernel"; "pairs"; "widened"; "cost before"; "after"; "lanes"; "bit-identical" ]
-    rejuv_rows;
-  (* Headline criteria. *)
   let all_identical =
     List.for_all
       (fun (_, variants) -> List.for_all (fun (_, _, _, _, ok, _, _) -> ok) variants)
@@ -2004,110 +1632,92 @@ let targets_report ~(kernels : Registry.t list) ~min_wins ~speedup_threshold () 
           /. Float.max (cost_of variants Target.avx512 true) eps))
       1.0 wins
   in
-  let rejuv_fires = List.exists (fun (_, pairs, _, _, _, _, _) -> pairs > 0) rejuvenated in
-  let pass =
-    all_identical && !mismatches = 0 && revec_never_worse && best_never_worse
-    && List.length wins >= min_wins
-    && max_speedup >= speedup_threshold && rejuv_fires
-  in
-  pr
-    "  bit-identical: %s; validator mismatches: %d; revec never worse: %s; best \
-     never worse than sse: %s@."
-    (if all_identical then "all" else "NO") !mismatches
-    (if revec_never_worse then "yes" else "NO")
-    (if best_never_worse then "yes" else "NO");
-  pr "  avx512+revec wins vs sse: %d (need >= %d), max speedup %.2fx (need >= %.1fx); \
-      rejuvenation fires: %s@."
-    (List.length wins) min_wins max_speedup speedup_threshold
-    (if rejuv_fires then "yes" else "NO");
-  let variant_json (tgt : Target.t) revec cost opt identical pairs widened =
-    Json.Obj
+  report "targets"
+    (Printf.sprintf "Multi-target sweep + revec (%d kernels x %d targets x 2)"
+       (List.length kernels) (List.length sweep_targets))
+    ~config:
       [
-        ("target", Json.String tgt.Target.name);
-        ("revec", Json.Bool revec);
-        ("cost", Json.Float cost);
-        ("instrs", Json.Int (Snslp_ir.Func.num_instrs opt));
-        ("max_lanes", Json.Int (max_lanes_of opt));
-        ("bit_identical", Json.Bool identical);
-        ("revec_pairs", Json.Int pairs);
-        ("revec_widened", Json.Int widened);
+        ( "targets",
+          Text (String.concat " " (List.map (fun (t : Target.t) -> t.Target.name) sweep_targets))
+        );
+        ("min_wins", Int min_wins);
+        ("speedup_threshold", Num (speedup_threshold, Times 1));
+        ("rejuvenation", Text "sse -> avx512+revec");
       ]
-  in
-  let kernel_json ((k : Registry.t), variants) =
-    let sse = cost_of variants Target.sse false in
-    let bt, br, bc = best_of variants in
-    Json.Obj
-      [
-        ("name", Json.String k.Registry.name);
-        ( "variants",
-          Json.List
-            (List.map
-               (fun (t, r, c, opt, ok, p, w) -> variant_json t r c opt ok p w)
-               variants) );
-        ( "best",
-          Json.Obj
-            [
-              ("target", Json.String bt.Target.name);
-              ("revec", Json.Bool br);
-              ("cost", Json.Float bc);
-              ("speedup_vs_sse", Json.Float (sse /. Float.max bc eps));
-            ] );
-      ]
-  in
-  let rejuv_json ((k : Registry.t), pairs, widened, cn, cw, lanes, identical) =
-    Json.Obj
-      [
-        ("name", Json.String k.Registry.name);
-        ("narrow_target", Json.String "sse");
-        ("wide_target", Json.String "avx512");
-        ("revec_pairs", Json.Int pairs);
-        ("revec_widened", Json.Int widened);
-        ("cost_narrow", Json.Float cn);
-        ("cost_rejuvenated", Json.Float cw);
-        ("max_lanes", Json.Int lanes);
-        ("bit_identical", Json.Bool identical);
-      ]
-  in
-  Json.write "BENCH_targets.json"
-    (Json.Obj
-       [
-         ("schema", Json.String "snslp-targets/1");
-         ( "targets",
-           Json.List
-             (List.map (fun (t : Target.t) -> Json.String t.Target.name) sweep_targets) );
-         ("kernels", Json.List (List.map kernel_json measured));
-         ("rejuvenation", Json.List (List.map rejuv_json rejuvenated));
-         ( "criteria",
-           Json.Obj
+    [
+      table "targets"
+        [ "kernel"; "sse"; "avx2"; "avx512"; "neon"; "avx512+rv"; "best"; "best cost"; "vs sse" ]
+        (List.map
+           (fun ((k : Registry.t), variants) ->
+             let sse = cost_of variants Target.sse false in
+             let bt, br, bc = best_of variants in
+             let cost tgt revec = Num (cost_of variants tgt revec, Fixed 1) in
              [
-               ("all_bit_identical", Json.Bool all_identical);
-               ("validator_mismatches", Json.Int !mismatches);
-               ("revec_never_worse", Json.Bool revec_never_worse);
-               ("best_never_worse_than_sse", Json.Bool best_never_worse);
-               ("avx512_revec_wins", Json.Int (List.length wins));
-               ("min_wins", Json.Int min_wins);
-               ("max_speedup", Json.Float max_speedup);
-               ("speedup_threshold", Json.Float speedup_threshold);
-               ("rejuvenation_fires", Json.Bool rejuv_fires);
-               ( "criterion",
-                 Json.String
-                   "all variants bit-identical to the sse baseline, zero validator \
-                    mismatches, revec and best-of-sweep never worse, avx512+revec \
-                    beats sse on >= min_wins kernels with >= threshold once, \
-                    rejuvenation pairs > 0" );
-               ("pass", Json.Bool pass);
-             ] );
-       ]);
-  pr "  wrote BENCH_targets.json@.";
-  if not pass then exit 1
+               Text k.Registry.name;
+               Num (sse, Fixed 1);
+               cost Target.avx2 false;
+               cost Target.avx512 false;
+               cost Target.neon false;
+               cost Target.avx512 true;
+               Text (bt.Target.name ^ if br then "+revec" else "");
+               Num (bc, Fixed 1);
+               Num (sse /. Float.max bc eps, Times 2);
+             ])
+           measured);
+      table "variants"
+        [
+          "kernel"; "target"; "revec"; "cost"; "instrs"; "max lanes"; "bit-identical";
+          "revec pairs"; "revec widened";
+        ]
+        (List.concat_map
+           (fun ((k : Registry.t), variants) ->
+             List.map
+               (fun ((t : Target.t), revec, cost, opt, identical, pairs, widened) ->
+                 [
+                   Text k.Registry.name;
+                   Text t.Target.name;
+                   Bool revec;
+                   Num (cost, Fixed 2);
+                   Int (Snslp_ir.Func.num_instrs opt);
+                   Int (max_lanes_of opt);
+                   Bool identical;
+                   Int pairs;
+                   Int widened;
+                 ])
+               variants)
+           measured);
+      table "rejuvenation"
+        [ "kernel"; "pairs"; "widened"; "cost before"; "after"; "lanes"; "bit-identical" ]
+        (List.map
+           (fun ((k : Registry.t), pairs, widened, cn, cw, lanes, identical) ->
+             [
+               Text k.Registry.name;
+               Int pairs;
+               Int widened;
+               Num (cn, Fixed 1);
+               Num (cw, Fixed 1);
+               Int lanes;
+               Bool identical;
+             ])
+           rejuvenated);
+    ]
+    ~criteria:
+      [
+        holds "every variant bit-identical to sse" all_identical;
+        equals "validator mismatches" !mismatches 0;
+        holds "revec never worse" revec_never_worse;
+        holds "best never worse than sse" best_never_worse;
+        at_least "avx512+revec wins vs sse" (Int (List.length wins)) (float_of_int min_wins);
+        at_least "max avx512+revec speedup vs sse" (Num (max_speedup, Times 2))
+          speedup_threshold;
+        holds "rejuvenation fires"
+          (List.exists (fun (_, pairs, _, _, _, _, _) -> pairs > 0) rejuvenated);
+      ]
 
 let targets () =
   targets_report ~kernels:Registry.all ~min_wins:3 ~speedup_threshold:1.5 ()
 
-(* Reduced-iteration smoke variant wired into `dune runtest` (see
-   bench/dune): exercises the full reporting path, including the JSON
-   emission and the shared-state count criterion, in a few seconds. *)
-(* --- Scale: per-layer growth with kernel size: BENCH_scale.json ------------ *)
+(* --- Scale: per-layer growth with kernel size -------------------------------- *)
 
 (* Generated kernels of four shapes (ROADMAP item 1), each at n, 2n
    and 4n units, from about 16k to 64k instructions: one statement
@@ -2201,7 +1811,6 @@ let scale_point src =
     Snslp_ir.Func.num_instrs r.Pipeline.func )
 
 let scale_report ~rounds () =
-  pr "%s" (Table.section "Scale: per-layer time at n, 2n and 4n (sn-slp, best of 3)");
   let points =
     List.concat_map
       (fun (shape, n, gen) -> List.map (fun m -> (shape, m * n, gen (m * n))) [ 1; 2; 4 ])
@@ -2228,7 +1837,7 @@ let scale_report ~rounds () =
   in
   let ms shape n layer = Option.map (fun s -> s *. 1e3) (Hashtbl.find_opt best (shape, n, layer)) in
   let failures = ref [] in
-  let shape_json (shape, n, _) =
+  let shape_table (shape, n, _) =
     let units = [ n; 2 * n; 4 * n ] in
     let rows =
       List.filter_map
@@ -2236,7 +1845,6 @@ let scale_report ~rounds () =
           let t = List.map (fun m -> ms shape m layer) units in
           if List.for_all Option.is_none t then None
           else
-            let cell = function Some v -> Printf.sprintf "%.2f" v | None -> "-" in
             let ratio a b =
               match (a, b) with Some a, Some b when a > 0. -> Some (b /. a) | _ -> None
             in
@@ -2250,209 +1858,45 @@ let scale_report ~rounds () =
               | _ -> true
             in
             let ok = check r1 (List.nth t 1) && check r2 (List.nth t 2) in
+            let cell f = function Some v -> Num (v, f) | None -> Missing in
             Some
-              ( [
-                  layer; cell (List.nth t 0); cell (List.nth t 1); cell (List.nth t 2);
-                  (match r1 with Some r -> Printf.sprintf "%.2fx" r | None -> "-");
-                  (match r2 with Some r -> Printf.sprintf "%.2fx" r | None -> "-");
-                  (if not bounded then "unbounded" else if ok then "ok" else "FAIL");
-                ],
-                Json.Obj
-                  [
-                    ("layer", Json.String layer);
-                    ( "ms",
-                      Json.List
-                        (List.map (function Some v -> Json.Float v | None -> Json.Null) t) );
-                    ("bounded", Json.Bool bounded);
-                  ] ))
+              (Text layer
+              :: List.map (cell (Fixed 2)) t
+              @ [
+                  cell (Times 2) r1;
+                  cell (Times 2) r2;
+                  Text (if not bounded then "unbounded" else if ok then "ok" else "FAIL");
+                ]))
         layer_names
     in
-    let counts = List.map (fun m -> Hashtbl.find sizes (shape, m)) units in
-    pr "@.%s: %s instructions in, %s out@." shape
-      (String.concat " / " (List.map (fun (i, _) -> string_of_int i) counts))
-      (String.concat " / " (List.map (fun (_, o) -> string_of_int o) counts));
-    emit ~name:("scale-" ^ shape)
-      ~headers:[ "layer"; "n ms"; "2n ms"; "4n ms"; "2n/n"; "4n/2n"; "bound" ]
-      (List.map fst rows);
-    Json.Obj
-      [
-        ("shape", Json.String shape);
-        ("units", Json.List (List.map (fun u -> Json.Int u) units));
-        ("instrs_in", Json.List (List.map (fun (i, _) -> Json.Int i) counts));
-        ("instrs_out", Json.List (List.map (fun (_, o) -> Json.Int o) counts));
-        ("layers", Json.List (List.map snd rows));
-      ]
+    table shape [ "layer"; "n ms"; "2n ms"; "4n ms"; "2n/n"; "4n/2n"; "bound" ] rows
   in
-  let shapes = List.map shape_json scale_shapes in
+  let shape_tables = List.map shape_table scale_shapes in
   let stmt_ms layer = Option.value ~default:0. (ms "stmts" 1000 layer) in
-  let slp_1000 = stmt_ms "pass.slp" in
   let codegen_1000 =
     List.fold_left (fun acc l -> acc +. stmt_ms ("phase." ^ l)) 0. [ "emit"; "erase"; "sched"; "cg-verify" ]
   in
-  let abs_ok = slp_1000 <= 2000. && codegen_1000 <= 500. in
-  let growth_ok = !failures = [] in
-  pr "@.  growth: %s@."
-    (if growth_ok then "every bounded layer <= 2.5x per doubling (PASS)"
-     else "FAIL: " ^ String.concat ", " (List.rev !failures));
-  pr "  1000 statements: slp %.0f ms (<= 2000), emit+erase+sched+cg-verify %.0f ms (<= 500): %s@."
-    slp_1000 codegen_1000 (if abs_ok then "PASS" else "FAIL");
-  let pass = growth_ok && abs_ok in
-  pr "  criteria: %s@." (if pass then "PASS" else "FAIL");
-  Json.write "BENCH_scale.json"
-    (Json.Obj
-       [
-         ("schema", Json.String "snslp-scale/1");
-         ("rounds", Json.Int rounds);
-         ("shapes", Json.List shapes);
-         ( "headline",
-           Json.Obj
-             [
-               ("slp_1000_ms", Json.Float slp_1000);
-               ("codegen_1000_ms", Json.Float codegen_1000);
-               ("growth_failures", Json.List (List.map (fun f -> Json.String f) (List.rev !failures)));
-               ( "criterion",
-                 Json.String
-                   "bounded layers <= 2.5x per doubling where >= 10 ms; 1000 statements: slp <= \
-                    2 s, emit+erase+sched+cg-verify <= 0.5 s" );
-               ("pass", Json.Bool pass);
-             ] );
-       ]);
-  pr "  wrote BENCH_scale.json@.";
-  if not pass then exit 1
+  report "scale" "Scale: per-layer time at n, 2n and 4n (sn-slp, best of 3)"
+    ~config:[ ("rounds", Int rounds) ]
+    (table "sizes"
+       [ "shape"; "n"; "in n"; "in 2n"; "in 4n"; "out n"; "out 2n"; "out 4n" ]
+       (List.map
+          (fun (shape, n, _) ->
+            let counts = List.map (fun m -> Hashtbl.find sizes (shape, m * n)) [ 1; 2; 4 ] in
+            (Text shape :: Int n :: List.map (fun (i, _) -> Int i) counts)
+            @ List.map (fun (_, o) -> Int o) counts)
+          scale_shapes)
+    :: shape_tables)
+    ~values:[ ("growth_failures", Text (String.concat ", " (List.rev !failures))) ]
+    ~criteria:
+      [
+        equals "bounded layers over 2.5x per doubling" (List.length !failures) 0;
+        at_most "1000 statements: slp ms" (Num (stmt_ms "pass.slp", Fixed 0)) 2000.;
+        at_most "1000 statements: emit+erase+sched+cg-verify ms" (Num (codegen_1000, Fixed 0))
+          500.;
+      ]
 
 let scale () = scale_report ~rounds:3 ()
-
-let smoke () =
-  let kernels =
-    List.filter_map Registry.find [ "milc_su3"; "sphinx_gau_f32"; "milc_mat_vec" ]
-  in
-  compile_time_report ~rounds:2 ~kernels ();
-  (* Tiny jobs=2 sweep: too little work to amortise a domain, so the
-     adaptive clamp runs it inline; it keeps the cross-jobs
-     determinism guard and the low-core verdict exercised on every
-     test run (test_parallel.ml drives [Driver.map] itself). *)
-  parallel_report ~rounds:2 ~jobs_list:[ 1; 2 ]
-    ~kernels:(List.filter_map Registry.find [ "motiv_leaf"; "milc_su3" ])
-    ();
-  (* Packing smoke: a three-kernel sweep (one engineered strict win
-     included) at a small beam keeps the BENCH_packing.json plumbing
-     and the never-worse criterion exercised on every test run. *)
-  packing_report
-    ~kernels:(List.filter_map Registry.find [ "calculix_blend"; "milc_su3"; "motiv_leaf" ])
-    ~fuzz_seeds:150 ~beam:2 ~rounds:5 ~min_wins:1 ();
-  (* Loop smoke: every loop/twin pair at reduced iteration counts
-     keeps the BENCH_loops.json plumbing, the full-unroll guarantee,
-     and the twin-parity criterion exercised on every test run (the
-     simulator is deterministic, so the >= 2x wins survive the
-     reduction). *)
-  loops_report ~pairs:Registry.loop_pairs ~iters:64 ~min_wins:3 ();
-  (* Target smoke: a reduced width/backend sweep (wide-store kernels
-     included so the avx512+revec win and the rejuvenation path stay
-     exercised) keeps the BENCH_targets.json plumbing, the
-     bit-identity and the zero-Mismatch criteria on every test run. *)
-  targets_report
-    ~kernels:
-      (List.filter_map Registry.find [ "motiv_leaf_x4"; "milc_su3"; "sphinx_gau_f32" ])
-    ~min_wins:1 ~speedup_threshold:1.5 ();
-  (* Bounded fuzz smoke: fixed seed, a couple hundred cases, the
-     parallel determinism axis included; writes BENCH_fuzz.json. *)
-  fuzz_report ~seed:42 ~cases:200 ~jobs:2 ();
-  (* Engine smoke: a kernel subset with reduced counts keeps the
-     BENCH_interp.json plumbing (and the >= 3x oracle-throughput
-     criterion) exercised on every test run. *)
-  interp_report
-    ~kernels:
-      (List.filter_map Registry.find [ "milc_su3"; "sphinx_gau_f32"; "milc_mat_vec" ])
-    ~iters:16 ~oracle_iters:128 ~oracle_reps:2 ~rounds:1 ~campaign_cases:40 ();
-  (* Validator smoke: the registry overhead ratio plus a reduced seed
-     sweep keeps the BENCH_lint.json plumbing and the zero-Mismatch
-     criterion exercised on every test run. *)
-  lint_report ~seeds:150 ~rounds:2 ();
-  (* Service smoke: in-process daemon, a cold/warm registry-subset
-     replay through the protocol loop and the semantic-hit pairs;
-     writes BENCH_service.json. *)
-  service_report
-    ~kernels:
-      (List.filter_map Registry.find [ "motiv_leaf"; "milc_su3"; "milc_mat_vec" ])
-    ~replay_rounds:3 ~rounds:2 ();
-  pr "bench-smoke OK@."
-
-(* --- Bechamel: statistically sound compile-time microbenchmarks ------------- *)
-
-let bechamel () =
-  pr "%s" (Table.section "Bechamel: compile-time microbenchmarks (OLS, monotonic clock)");
-  let open Bechamel in
-  let open Toolkit in
-  let test_of_kernel (k : Registry.t) =
-    let func = Snslp_frontend.Frontend.compile_one k.Registry.source in
-    List.map
-      (fun (name, setting) ->
-        Test.make
-          ~name:(Printf.sprintf "%s/%s" k.Registry.name name)
-          (Staged.stage (fun () -> ignore (Pipeline.run ~setting func))))
-      settings
-  in
-  let tests =
-    Test.make_grouped ~name:"compile" ~fmt:"%s %s"
-      (List.concat_map test_of_kernel
-         [
-           Option.get (Registry.find "motiv_leaf");
-           Option.get (Registry.find "milc_su3");
-           Option.get (Registry.find "namd_elec");
-         ])
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let est =
-        match Analyze.OLS.estimates ols_result with
-        | Some (e :: _) -> Printf.sprintf "%.1f ns" e
-        | _ -> "?"
-      in
-      let r2 =
-        match Analyze.OLS.r_square ols_result with
-        | Some r -> Printf.sprintf "%.4f" r
-        | None -> "-"
-      in
-      rows := [ name; est; r2 ] :: !rows)
-    results;
-  let rows = List.sort compare !rows in
-  emit ~name:"bechamel" ~headers:[ "benchmark"; "time/run"; "r2" ] rows;
-  (* The compile-time headline's workload under the same statistical
-     machinery: SN-SLP at depth 3 on the largest registry kernel. *)
-  let largest =
-    List.fold_left
-      (fun best (k : Registry.t) ->
-        let n k = Snslp_ir.Func.num_instrs (Snslp_frontend.Frontend.compile_one k.Registry.source) in
-        match best with
-        | Some (bk, bn) -> let kn = n k in if kn > bn then Some (k, kn) else Some (bk, bn)
-        | None -> Some (k, n k))
-      None Registry.all
-  in
-  let (largest : Registry.t), largest_instrs = Option.get largest in
-  let lfunc = Snslp_frontend.Frontend.compile_one largest.Registry.source in
-  let setting = Some { Config.snslp with Config.lookahead_depth = headline_depth } in
-  let test =
-    Test.make ~name:("sn-slp-d3/" ^ largest.Registry.name)
-      (Staged.stage (fun () -> ignore (Pipeline.run ~setting lfunc)))
-  in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 1.5) ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] test in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun _ ols_result ->
-      match Analyze.OLS.estimates ols_result with
-      | Some (e :: _) ->
-          pr "  %s (%d instrs), SN-SLP depth %d: %.0f us@." largest.Registry.name
-            largest_instrs headline_depth (e /. 1e3)
-      | _ -> ())
-    results
 
 (* --- Ablations ----------------------------------------------------------------
    Design-choice sweeps beyond the paper's figures (DESIGN.md §4):
@@ -2468,78 +1912,72 @@ let sn_speedup ?(config = Config.snslp) (wl : Workload.t) =
   in
   cycles None /. cycles (Some config)
 
+let ablation_speedups ~experiment ~title ~columns ~notes configs =
+  report experiment title
+    [
+      table "speedup" ("kernel" :: columns)
+        (List.map
+           (fun (k : Registry.t) ->
+             let wl = Workload.prepare k in
+             Text k.Registry.name
+             :: List.map (fun config -> Num (sn_speedup ~config wl, Fixed 3)) configs)
+           Registry.all);
+    ]
+    ~notes
+
 let ablation_lookahead () =
-  pr "%s" (Table.section "Ablation: look-ahead depth (SN-SLP speedup over O3)");
   let depths = [ 0; 1; 2; 3 ] in
-  let rows =
-    List.map
-      (fun (k : Registry.t) ->
-        let wl = Workload.prepare k in
-        k.Registry.name
-        :: List.map
-             (fun d ->
-               Printf.sprintf "%.3f"
-                 (sn_speedup ~config:{ Config.snslp with Config.lookahead_depth = d } wl))
-             depths)
-      Registry.all
-  in
-  emit ~name:"ablation-lookahead"
-    ~headers:("kernel" :: List.map (Printf.sprintf "depth %d") depths)
-    rows;
-  pr "  depth 0 keeps only shallow operand matching; the paper's LSLP-style@.";
-  pr "  look-ahead (depth >= 1) is what lets build_group pick the right leaves.@."
+  ablation_speedups ~experiment:"ablation-lookahead"
+    ~title:"Ablation: look-ahead depth (SN-SLP speedup over O3)"
+    ~columns:(List.map (Printf.sprintf "depth %d") depths)
+    (List.map (fun d -> { Config.snslp with Config.lookahead_depth = d }) depths)
+    ~notes:
+      [
+        "depth 0 keeps only shallow operand matching; the paper's LSLP-style";
+        "look-ahead (depth >= 1) is what lets build_group pick the right leaves.";
+      ]
 
 let ablation_target () =
-  pr "%s" (Table.section "Ablation: target machine (SN-SLP speedup over O3)");
   let targets = [ Target.sse; Target.avx2; Target.sse_no_addsub ] in
-  let rows =
-    List.map
-      (fun (k : Registry.t) ->
-        let wl = Workload.prepare k in
-        k.Registry.name
-        :: List.map
-             (fun t ->
-               Printf.sprintf "%.3f"
-                 (sn_speedup ~config:{ Config.snslp with Config.target = t } wl))
-             targets)
-      Registry.all
-  in
-  emit ~name:"ablation-target"
-    ~headers:("kernel" :: List.map (fun (t : Target.t) -> t.Target.name) targets)
-    rows;
-  pr "  the 2-lane kernels fall back to width 2 on AVX2 (narrower-width retry);@.";
-  pr "  sphinx_gau_f32 uses 4 lanes; removing addsub penalises alternating nodes.@."
+  ablation_speedups ~experiment:"ablation-target"
+    ~title:"Ablation: target machine (SN-SLP speedup over O3)"
+    ~columns:(List.map (fun (t : Target.t) -> t.Target.name) targets)
+    (List.map (fun t -> { Config.snslp with Config.target = t }) targets)
+    ~notes:
+      [
+        "the 2-lane kernels fall back to width 2 on AVX2 (narrower-width retry);";
+        "sphinx_gau_f32 uses 4 lanes; removing addsub penalises alternating nodes.";
+      ]
 
 let ablation_model () =
-  pr "%s" (Table.section "Ablation: compile-time cost model (decision per kernel)");
-  let rows =
-    List.map
-      (fun (k : Registry.t) ->
-        let cell model mode =
-          let config = { (Config.with_mode mode Config.default) with Config.model = model } in
-          let func = Snslp_frontend.Frontend.compile_one k.Registry.source in
-          match (Pipeline.run ~setting:(Some config) func).Pipeline.vect_report with
-          | Some rep ->
-              let v = rep.Vectorize.stats.Stats.graphs_vectorized in
-              if v > 0 then "vec" else "-"
-          | None -> "?"
-        in
-        [
-          k.Registry.name;
-          cell Model.paper Config.Lslp;
-          cell Model.x86 Config.Lslp;
-          cell Model.paper Config.Snslp;
-          cell Model.x86 Config.Snslp;
-        ])
-      Registry.all
+  let cell (k : Registry.t) model mode =
+    let config = { (Config.with_mode mode Config.default) with Config.model = model } in
+    let func = Snslp_frontend.Frontend.compile_one k.Registry.source in
+    match (Pipeline.run ~setting:(Some config) func).Pipeline.vect_report with
+    | Some rep -> Text (if rep.Vectorize.stats.Stats.graphs_vectorized > 0 then "vec" else "-")
+    | None -> Text "?"
   in
-  emit ~name:"ablation-model"
-    ~headers:[ "kernel"; "LSLP/paper"; "LSLP/x86"; "SN/paper"; "SN/x86" ]
-    rows;
-  pr "  the x86 model prices gathers/extracts more realistically and rejects the@.";
-  pr "  hmmer_path tree LSLP mispredicts with the didactic model; sphinx_dist's@.";
-  pr "  arithmetic savings still mask its gather cost — cost models are estimates,@.";
-  pr "  which is the paper's point about LSLP occasionally losing to -O3.@."
+  report "ablation-model" "Ablation: compile-time cost model (decision per kernel)"
+    [
+      table "decisions" [ "kernel"; "LSLP/paper"; "LSLP/x86"; "SN/paper"; "SN/x86" ]
+        (List.map
+           (fun (k : Registry.t) ->
+             [
+               Text k.Registry.name;
+               cell k Model.paper Config.Lslp;
+               cell k Model.x86 Config.Lslp;
+               cell k Model.paper Config.Snslp;
+               cell k Model.x86 Config.Snslp;
+             ])
+           Registry.all);
+    ]
+    ~notes:
+      [
+        "the x86 model prices gathers/extracts more realistically and rejects the";
+        "hmmer_path tree LSLP mispredicts with the didactic model; sphinx_dist's";
+        "arithmetic savings still mask its gather cost — cost models are estimates,";
+        "which is the paper's point about LSLP occasionally losing to -O3.";
+      ]
 
 (* --- Driver ------------------------------------------------------------------ *)
 
@@ -2568,32 +2006,87 @@ let experiments =
     ("interp", interp);
     ("service", service);
     ("scale", scale);
-    ("smoke", smoke);
-    ("bechamel", bechamel);
   ]
 
+(* The reduced-iteration variants `dune runtest` runs (see bench/dune):
+   every criterion except scale's, in a few seconds each. *)
+let smoke =
+  let kernels names = List.filter_map Registry.find names in
+  [
+    (fun () ->
+      compile_time_report ~rounds:2
+        ~kernels:(kernels [ "milc_su3"; "sphinx_gau_f32"; "milc_mat_vec" ])
+        ());
+    (* Tiny jobs=2 sweep: too little work to amortise a domain, so the
+       adaptive clamp runs it inline; it keeps the cross-jobs
+       determinism guard and the low-core verdict exercised on every
+       test run (test_parallel.ml drives [Driver.map] itself). *)
+    (fun () ->
+      parallel_report ~rounds:2 ~jobs_list:[ 1; 2 ]
+        ~kernels:(kernels [ "motiv_leaf"; "milc_su3" ])
+        ());
+    (* A three-kernel packing sweep, one engineered strict win
+       included, at a small beam. *)
+    (fun () ->
+      packing_report
+        ~kernels:(kernels [ "calculix_blend"; "milc_su3"; "motiv_leaf" ])
+        ~fuzz_seeds:150 ~beam:2 ~rounds:5 ~min_wins:1 ());
+    (* Every loop/twin pair at reduced iteration counts (the simulator
+       is deterministic, so the >= 2x wins survive the reduction). *)
+    (fun () -> loops_report ~pairs:Registry.loop_pairs ~iters:64 ~min_wins:3 ());
+    (* Wide-store kernels included, so the avx512+revec win and the
+       rejuvenation path stay exercised. *)
+    (fun () ->
+      targets_report
+        ~kernels:(kernels [ "motiv_leaf_x4"; "milc_su3"; "sphinx_gau_f32" ])
+        ~min_wins:1 ~speedup_threshold:1.5 ());
+    (fun () -> fuzz_report ~seed:42 ~cases:200 ~jobs:2 ());
+    (fun () ->
+      interp_report
+        ~kernels:(kernels [ "milc_su3"; "sphinx_gau_f32"; "milc_mat_vec" ])
+        ~iters:16 ~oracle_iters:128 ~oracle_reps:2 ~rounds:1 ~campaign_cases:40 ());
+    (fun () -> lint_report ~seeds:150 ~rounds:2 ());
+    (fun () ->
+      service_report
+        ~kernels:(kernels [ "motiv_leaf"; "milc_su3"; "milc_mat_vec" ])
+        ~replay_rounds:3 ~rounds:2 ());
+  ]
+
+(* Runs [reports] in order, writing each as BENCH_<experiment><suffix>;
+   the exit status is 1 when any criterion failed. *)
+let run_reports ~suffix reports =
+  List.fold_left
+    (fun status run ->
+      let r = run () in
+      let file = String.map (function '-' -> '_' | c -> c) r.experiment in
+      max status (finish ~path:(Printf.sprintf "BENCH_%s%s" file suffix) r))
+    0 reports
+
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let args =
-    match args with
-    | "--csv" :: dir :: rest ->
-        csv_dir := Some dir;
-        rest
-    | _ -> args
+  let names =
+    match List.tl (Array.to_list Sys.argv) with
+    | [] -> List.map fst experiments
+    | names -> names
   in
-  let selected =
-    match args with
-    | [] -> experiments
-    | names ->
-        List.map
-          (fun n ->
-            match List.assoc_opt n experiments with
-            | Some e -> (n, e)
-            | None ->
-                Format.eprintf "unknown experiment %s; available: %s@." n
-                  (String.concat ", " (List.map fst experiments));
-                exit 2)
-          names
+  let known = List.map fst experiments @ [ "smoke" ] in
+  List.iter
+    (fun n ->
+      if not (List.mem n known) then begin
+        Printf.eprintf "unknown experiment %s; available: %s\n" n (String.concat ", " known);
+        exit 2
+      end)
+    names;
+  let status =
+    List.fold_left
+      (fun status n ->
+        if n = "smoke" then begin
+          (* The smoke's reduced runs must not overwrite the recorded
+             full-run files. *)
+          let s = run_reports ~suffix:".smoke.json" smoke in
+          Printf.printf "bench-smoke %s\n%!" (if s = 0 then "OK" else "FAIL");
+          max status s
+        end
+        else max status (run_reports ~suffix:".json" [ List.assoc n experiments ]))
+      0 names
   in
-  List.iter (fun (_, e) -> e ()) selected;
-  Format.printf "@."
+  exit status

@@ -254,5 +254,3 @@ let by_name = function
   | "avx512" -> Some avx512
   | "neon" -> Some neon
   | _ -> None
-
-let pp ppf (t : t) = Fmt.string ppf t.name

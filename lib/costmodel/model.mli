@@ -62,4 +62,3 @@ val for_target : Target.t -> t
     those targets, {!x86} for every x86-shaped one. *)
 
 val by_name : string -> t option
-val pp : t Fmt.t

@@ -37,4 +37,3 @@ let lanes_for (t : t) (elem : Snslp_ir.Ty.scalar) =
   t.vector_bits / Snslp_ir.Ty.scalar_bits elem
 
 let to_string (t : t) = t.name
-let pp ppf t = Fmt.string ppf (to_string t)

@@ -32,4 +32,3 @@ val lanes_for : t -> Snslp_ir.Ty.scalar -> int
 (** Lanes a full vector register of this element type has. *)
 
 val to_string : t -> string
-val pp : t Fmt.t

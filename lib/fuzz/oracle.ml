@@ -52,12 +52,6 @@ type engine = Tree | Compiled | Cross
 
 let engine_name = function Tree -> "tree" | Compiled -> "compiled" | Cross -> "cross"
 
-let engine_of_string = function
-  | "tree" -> Some Tree
-  | "compiled" -> Some Compiled
-  | "cross" -> Some Cross
-  | _ -> None
-
 (* (reference engine, optimized-run engine) *)
 let interp_engines = function
   | Tree -> (Interp.Tree, Interp.Tree)

@@ -25,7 +25,6 @@ type engine = Tree | Compiled | Cross
     engines differentially check each other. *)
 
 val engine_name : engine -> string
-val engine_of_string : string -> engine option
 
 type exec_stats = {
   mutable exec_runs : int;

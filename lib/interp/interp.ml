@@ -791,12 +791,6 @@ let execute ?on_exec ?(max_steps = 10_000_000) (plan : plan)
 
 type engine = Tree | Compiled
 
-let engine_name = function Tree -> "tree" | Compiled -> "compiled"
-let engine_of_string = function
-  | "tree" -> Some Tree
-  | "compiled" -> Some Compiled
-  | _ -> None
-
 (* [exec ?engine func ~args ~memory] runs one call on the chosen
    engine and returns the executed-instruction count.  Single-shot
    convenience: callers that execute a function repeatedly should

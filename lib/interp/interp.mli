@@ -63,9 +63,6 @@ val execute :
 
 type engine = Tree | Compiled
 
-val engine_name : engine -> string
-val engine_of_string : string -> engine option
-
 val exec :
   ?engine:engine ->
   ?on_exec:(Defs.instr -> unit) ->

@@ -689,6 +689,3 @@ let loop_pairs =
   ]
 
 let find name = List.find_opt (fun k -> String.equal k.name name) all
-
-let pp ppf (k : t) =
-  Fmt.pf ppf "%-16s %-60s %s" k.name k.provenance k.description

@@ -34,4 +34,3 @@ val loop_pairs : (t * t) list
     bit-identical interpreter results to its twin. *)
 
 val find : string -> t option
-val pp : t Fmt.t

@@ -81,26 +81,19 @@ let make_args (t : t) (func : Defs.func) (it : int) : Rvalue.t array =
     (Func.args func)
 
 (* [run_interp t func] executes the whole loop and returns the final
-   memory, for semantic comparisons.  Compiled engine by default: the
-   plan is staged once and replayed [iters] times. *)
-let run_interp ?(engine = Interp.Compiled) (t : t) (func : Defs.func) : Memory.t =
+   memory, for semantic comparisons.  The compiled plan is staged once
+   and replayed [iters] times. *)
+let run_interp (t : t) (func : Defs.func) : Memory.t =
   let memory = fresh_memory t func in
-  (match engine with
-  | Interp.Tree ->
-      for it = 0 to t.iters - 1 do
-        Interp.run func ~args:(make_args t func it) ~memory
-      done
-  | Interp.Compiled ->
-      let plan = Interp.compile func in
-      for it = 0 to t.iters - 1 do
-        ignore (Interp.execute plan ~args:(make_args t func it) ~memory)
-      done);
+  let plan = Interp.compile func in
+  for it = 0 to t.iters - 1 do
+    ignore (Interp.execute plan ~args:(make_args t func it) ~memory)
+  done;
   memory
 
 (* [measure t func] simulates the whole loop and returns abstract
    cycles. *)
-let measure ?model ?target ?engine (t : t) (func : Defs.func) :
-    Snslp_simperf.Simperf.result =
+let measure ?model ?target (t : t) (func : Defs.func) : Snslp_simperf.Simperf.result =
   let memory = fresh_memory t func in
-  Snslp_simperf.Simperf.measure ?model ?target ?engine func ~memory
+  Snslp_simperf.Simperf.measure ?model ?target func ~memory
     ~make_args:(make_args t func) ~iters:t.iters

@@ -23,15 +23,14 @@ val prepare : ?iters:int -> Registry.t -> t
 val fresh_memory : t -> Defs.func -> Memory.t
 val make_args : t -> Defs.func -> int -> Rvalue.t array
 
-val run_interp : ?engine:Interp.engine -> t -> Defs.func -> Memory.t
-(** Execute the whole loop; the final memory, for semantic
-    comparisons.  [engine] defaults to [Compiled] (the plan is staged
-    once and replayed per iteration). *)
+val run_interp : t -> Defs.func -> Memory.t
+(** Execute the whole loop on the compiled engine (the plan is staged
+    once and replayed per iteration); the final memory, for semantic
+    comparisons. *)
 
 val measure :
   ?model:Snslp_costmodel.Model.t ->
   ?target:Snslp_costmodel.Target.t ->
-  ?engine:Interp.engine ->
   t ->
   Defs.func ->
   Snslp_simperf.Simperf.result

@@ -1,11 +1,10 @@
-(* Front door of the analyzer: run the checker suite, decide
-   cleanliness, and re-derive super-node graph invariants through the
-   vectorizer's observation hook. *)
+(* Front door of the analyzer: run the checker suite, and re-derive
+   super-node graph invariants through the vectorizer's observation
+   hook. *)
 
 open Snslp_ir
 
 let run ?bound (f : Defs.func) : Finding.t list = Checks.all ?bound f
-let clean (f : Defs.func) : bool = not (List.exists Finding.is_error (run f))
 
 (* Vectorize a clone (the caller's IR is left untouched) and check
    every graph the builder produces — including graphs the cost model
@@ -24,5 +23,3 @@ let vector_invariants (config : Snslp_vectorizer.Config.t) (f : Defs.func) :
   in
   ignore (Snslp_vectorizer.Vectorize.run ~on_graph config copy);
   List.rev !acc
-
-let report ppf findings = List.iter (fun x -> Fmt.pf ppf "%a@." Finding.pp x) findings

@@ -471,4 +471,3 @@ and atom_close ~tol x y =
   | _ -> false
 
 let to_string = skey
-let pp ppf s = Fmt.string ppf (skey s)

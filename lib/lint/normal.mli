@@ -85,4 +85,3 @@ val close : tol:float -> t -> t -> bool
 val c_close : tol:float -> coeff -> coeff -> bool
 
 val to_string : t -> string
-val pp : t Fmt.t

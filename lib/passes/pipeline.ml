@@ -179,15 +179,15 @@ let run ?(setting : setting = Some Config.snslp) ?(verify_each = false)
     match setting with
     | None -> None
     | Some config ->
+        let iid0 = f.Defs.next_iid in
         let t, rep =
           timed "slp" (fun () -> Vectorize.run ?on_graph config f)
         in
-        (* The vectorizer only rewrites when it commits a profitable
-           tree; an all-rejected run leaves the IR untouched. *)
-        record
-          ~changed:
-            (List.exists (fun tr -> tr.Vectorize.vectorized) rep.Vectorize.trees)
-          t;
+        (* Every vectorizer rewrite creates instructions: codegen of a
+           committed tree, a reduction, and a Super-Node massage, which
+           stays in the IR even when its tree is rejected.  A run that
+           left the id counter where it was left the IR untouched. *)
+        record ~changed:(f.Defs.next_iid > iid0) t;
         (* Revec re-widening: re-pack the bundles the vectorizer (or
            an earlier, narrower compile) committed toward the target's
            full register width.  Runs before DCE so the dead narrow

@@ -1,6 +1,6 @@
-(* Minimal JSON emission for machine-readable benchmark reports
-   (BENCH_compile_time.json).  Writing only — the harness never parses
-   JSON back, so no external dependency is warranted. *)
+(* Minimal JSON emission for the bench reports ({!Report}).  Writing
+   only — the harness never parses JSON back, so no external
+   dependency is warranted. *)
 
 type t =
   | Null
@@ -48,6 +48,15 @@ let to_string (json : t) =
         Buffer.add_string buf (if Float.is_finite f then float_repr f else "null")
     | String s -> Buffer.add_string buf (escape_string s)
     | List [] -> Buffer.add_string buf "[]"
+    | List items when List.for_all (function List _ | Obj _ -> false | _ -> true) items ->
+        (* A list of scalars, such as a table row, stays on one line. *)
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun k item ->
+            if k > 0 then Buffer.add_string buf ", ";
+            emit depth item)
+          items;
+        Buffer.add_char buf ']'
     | List items ->
         Buffer.add_string buf "[\n";
         List.iteri

@@ -14,8 +14,8 @@ type t =
 
 val to_string : t -> string
 (** Pretty-printed with two-space indentation, keys in the order
-    given. *)
+    given; a list of scalars stays on one line. *)
 
 val write : string -> t -> unit
 (** [write path json] writes [to_string json] to [path], creating the
-    parent directory if needed (same convention as {!Csv.write}). *)
+    parent directory if needed. *)

@@ -1,13 +1,10 @@
 (** Plain-text tables and bars for the experiment harness. *)
 
-type align = L | R
-
-val render : ?align_first:align -> headers:string list -> string list list -> string
-(** Aligned table: headers, a rule, then rows.  First column is
-    left-aligned by default, the rest right-aligned. *)
+val render : headers:string list -> string list list -> string
+(** Aligned table: headers, a rule, then rows.  The first column is
+    left-aligned, the rest right-aligned. *)
 
 val bar : ?width:int -> max_value:float -> float -> string
 (** A ['#'] bar scaled to [width] columns. *)
 
-val fmt_f : ?digits:int -> float -> string
 val section : string -> string

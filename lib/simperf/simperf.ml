@@ -27,13 +27,11 @@ type result = { cycles : float; instrs_executed : int }
 (* [measure func ~memory ~make_args ~iters] executes [func] [iters]
    times (argument vector built per iteration, so a loop counter can
    be threaded through) and reports total simulated cycles.  Runs on
-   the compiled interpreter engine by default (the plan is staged once
-   for the whole loop); per-instruction costs are memoized by id —
-   [instr_cost] is a pure function of the static instruction — and
-   accumulate in the same dynamic order on either engine, so the
-   float sum is bit-identical across engines. *)
-let measure ?(model = Model.x86) ?(target = Target.sse)
-    ?(engine = Interp.Compiled) (func : Defs.func) ~(memory : Memory.t)
+   the compiled interpreter engine (the plan is staged once for the
+   whole loop); per-instruction costs are memoized by id —
+   [instr_cost] is a pure function of the static instruction. *)
+let measure ?(model = Model.x86) ?(target = Target.sse) (func : Defs.func)
+    ~(memory : Memory.t)
     ~(make_args : int -> Rvalue.t array) ~(iters : int) : result =
   let cycles = ref 0.0 in
   let count = ref 0 in
@@ -53,16 +51,10 @@ let measure ?(model = Model.x86) ?(target = Target.sse)
     cycles := !cycles +. c;
     incr count
   in
-  (match engine with
-  | Interp.Tree ->
-      for it = 0 to iters - 1 do
-        Interp.run ~on_exec func ~args:(make_args it) ~memory
-      done
-  | Interp.Compiled ->
-      let plan = Interp.compile func in
-      for it = 0 to iters - 1 do
-        ignore (Interp.execute ~on_exec plan ~args:(make_args it) ~memory)
-      done);
+  let plan = Interp.compile func in
+  for it = 0 to iters - 1 do
+    ignore (Interp.execute ~on_exec plan ~args:(make_args it) ~memory)
+  done;
   { cycles = !cycles /. float_of_int target.Target.issue_width; instrs_executed = !count }
 
 let speedup ~(baseline : result) ~(candidate : result) =

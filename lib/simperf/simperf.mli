@@ -15,17 +15,14 @@ type result = { cycles : float; instrs_executed : int }
 val measure :
   ?model:Model.t ->
   ?target:Target.t ->
-  ?engine:Interp.engine ->
   Defs.func ->
   memory:Memory.t ->
   make_args:(int -> Rvalue.t array) ->
   iters:int ->
   result
 (** Executes the function [iters] times (arguments rebuilt per
-    iteration so a loop counter can be threaded through).  [engine]
-    defaults to [Compiled] (staged once for the loop); per-instruction
-    costs are memoized by instruction id and summed in the same
-    dynamic order on either engine, so the cycle total is
-    bit-identical across engines. *)
+    iteration so a loop counter can be threaded through) on the
+    compiled engine, staged once for the loop; per-instruction costs
+    are memoized by instruction id. *)
 
 val speedup : baseline:result -> candidate:result -> float

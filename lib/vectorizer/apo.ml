@@ -21,8 +21,6 @@ let to_string fam =
   | Family.Add_sub -> ( function Plus -> "+" | Minus -> "-")
   | Family.Mul_div -> ( function Plus -> "*" | Minus -> "/")
 
-let pp ppf t = Fmt.string ppf (match t with Plus -> "+" | Minus -> "-")
-
 (* APO propagation along one tree edge: going into the left operand of
    any family operator keeps the APO; going into the right operand of
    an inverse operator flips it. *)

@@ -15,8 +15,6 @@ val to_string : Family.t -> t -> string
 (** ["+"]/["-"] for the additive family, ["*"]/["/"] for the
     multiplicative one. *)
 
-val pp : t Fmt.t
-
 val step : t -> Defs.binop -> operand_index:int -> t
 (** APO propagation along one tree edge: flips on the right operand of
     an inverse operator. *)

@@ -138,7 +138,3 @@ let fingerprint (t : t) =
   Printf.sprintf "%s/tg%s/%s/la%d/pk%s/ur%s/rv%b" (mode_to_string t.mode)
     t.target.Target.name t.model.Model.name t.lookahead_depth
     (packing_to_string t.packing) (unroll_to_string t.unroll) t.revec
-
-let pp ppf (t : t) =
-  Fmt.pf ppf "%s(target=%s, model=%s, la=%d)" (mode_to_string t.mode) t.target.Target.name
-    t.model.Model.name t.lookahead_depth

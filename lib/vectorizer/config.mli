@@ -82,5 +82,3 @@ val fingerprint : t -> string
     component.  The driver's fan-out and per-pass verification,
     which never change the emitted IR, are arguments of
     {!Snslp_passes.Pipeline.run} and the driver instead. *)
-
-val pp : t Fmt.t

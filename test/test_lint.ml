@@ -397,6 +397,33 @@ let test_oracle_validates_clean () =
     (fun fd -> Alcotest.failf "unexpected finding: %s" (Oracle.finding_to_string fd))
     (Oracle.run_case func)
 
+(* On milc_mat_vec_site every tree is rejected, but the rejected
+   Super-Node massages stay in the IR.  A float add flipped while the
+   vectorizer runs must reach the [slp] verdict and the end-to-end
+   one, not only a comparison made outside the pipeline. *)
+let test_validate_sees_rejected_massage () =
+  let k = Option.get (Snslp_kernels.Registry.find "milc_mat_vec_site") in
+  let input = compile k.Snslp_kernels.Registry.source in
+  let injected = ref false in
+  let on_graph (g : Snslp_vectorizer.Graph.t) =
+    if not !injected then begin
+      flip_first_float_add g.Snslp_vectorizer.Graph.func;
+      injected := true
+    end
+  in
+  let r = Pipeline.run ~setting:(Some Config.snslp) ~validate:true ~on_graph input in
+  let rep = Option.get r.Pipeline.vect_report in
+  check "every tree rejected" false
+    (List.exists (fun t -> t.Snslp_vectorizer.Vectorize.vectorized)
+       rep.Snslp_vectorizer.Vectorize.trees);
+  let is_mismatch = function Validate.Mismatch _ -> true | _ -> false in
+  check "the flip is in the output" true
+    (is_mismatch (Validate.compare_funcs input r.Pipeline.func));
+  let v = Option.get r.Pipeline.validation in
+  check "slp verdict is a mismatch" true
+    (is_mismatch (List.assoc "slp" v.Pipeline.pass_verdicts));
+  check "end-to-end verdict is a mismatch" true (is_mismatch v.Pipeline.end_verdict)
+
 (* --- Loop-aware validation -------------------------------------------------- *)
 
 let expect_valid what pre post =
@@ -919,6 +946,8 @@ let suite =
         Alcotest.test_case "loopy counted valid rate >= 0.9" `Quick test_loopy_valid_rate;
         Alcotest.test_case "oracle: static mismatch on injected bug" `Quick
           test_static_mismatch_on_injected_bug;
+        Alcotest.test_case "validate: rejected massage is checked" `Quick
+          test_validate_sees_rejected_massage;
         Alcotest.test_case "oracle: clean case stays clean" `Quick
           test_oracle_validates_clean;
       ] );
