@@ -41,51 +41,18 @@ let value (env : env) (v : Defs.value) : Rvalue.t =
 let scalar_binop (elem : Ty.scalar) (b : Defs.binop) (x : Rvalue.t) (y : Rvalue.t) :
     Rvalue.t =
   if Ty.scalar_is_int elem then
-    let x = Rvalue.as_int x and y = Rvalue.as_int y in
-    match b with
-    | Defs.Add -> Rvalue.R_int (Int64.add x y)
-    | Defs.Sub -> Rvalue.R_int (Int64.sub x y)
-    | Defs.Mul -> Rvalue.R_int (Int64.mul x y)
-    | Defs.Div -> error "integer division"
-  else
-    let x = Rvalue.as_float x and y = Rvalue.as_float y in
-    let r =
-      match b with
-      | Defs.Add -> x +. y
-      | Defs.Sub -> x -. y
-      | Defs.Mul -> x *. y
-      | Defs.Div -> x /. y
-    in
-    Rvalue.R_float (if elem = Ty.F32 then Rvalue.round_f32 r else r)
+    match Arith.int_binop b (Rvalue.as_int x) (Rvalue.as_int y) with
+    | Some r -> Rvalue.R_int r
+    | None -> error "integer division"
+  else Rvalue.R_float (Arith.float_binop elem b (Rvalue.as_float x) (Rvalue.as_float y))
 
-let cmp_bit (c : Defs.cmp) (d : int) : int64 =
-  let b =
-    match c with
-    | Defs.Eq -> d = 0
-    | Defs.Ne -> d <> 0
-    | Defs.Lt -> d < 0
-    | Defs.Le -> d <= 0
-    | Defs.Gt -> d > 0
-    | Defs.Ge -> d >= 0
-  in
-  if b then 1L else 0L
+let bit b = if b then 1L else 0L
 
-let cmp_result (c : Defs.cmp) (d : int) = Rvalue.R_int (cmp_bit c d)
+(* Comparisons of boxed values, one lane at a time. *)
+let icmp_result c a b = Rvalue.R_int (bit (Arith.cmp_int c (Rvalue.as_int a) (Rvalue.as_int b)))
 
-let float_cmp_bit (c : Defs.cmp) (x : float) (y : float) : int64 =
-  let b =
-    match c with
-    | Defs.Eq -> x = y
-    | Defs.Ne -> x <> y
-    | Defs.Lt -> x < y
-    | Defs.Le -> x <= y
-    | Defs.Gt -> x > y
-    | Defs.Ge -> x >= y
-  in
-  if b then 1L else 0L
-
-let float_cmp_result (c : Defs.cmp) (x : float) (y : float) =
-  Rvalue.R_int (float_cmp_bit c x y)
+let fcmp_result c a b =
+  Rvalue.R_int (bit (Arith.cmp_float c (Rvalue.as_float a) (Rvalue.as_float b)))
 
 let exec_instr (env : env) (i : Defs.instr) : unit =
   env.on_exec i;
@@ -163,13 +130,13 @@ let exec_instr (env : env) (i : Defs.instr) : unit =
       set (Rvalue.R_vec (Array.map lane_of mask))
   | Defs.Icmp c ->
       let x = value env i.Defs.ops.(0) and y = value env i.Defs.ops.(1) in
-      let one a b = cmp_result c (Int64.compare (Rvalue.as_int a) (Rvalue.as_int b)) in
+      let one = icmp_result c in
       (match (x, y) with
       | Rvalue.R_vec xv, Rvalue.R_vec yv -> set (Rvalue.R_vec (Array.map2 one xv yv))
       | _ -> set (one x y))
   | Defs.Fcmp c ->
       let x = value env i.Defs.ops.(0) and y = value env i.Defs.ops.(1) in
-      let one a b = float_cmp_result c (Rvalue.as_float a) (Rvalue.as_float b) in
+      let one = fcmp_result c in
       (match (x, y) with
       | Rvalue.R_vec xv, Rvalue.R_vec yv -> set (Rvalue.R_vec (Array.map2 one xv yv))
       | _ -> set (one x y))
@@ -436,10 +403,10 @@ let compile (func : Defs.func) : plan =
           let x = fop i.Defs.ops.(0) and y = fop i.Defs.ops.(1) in
           if elem = Ty.F32 then
             match b with
-            | Defs.Add -> fun () -> st.f_regs.(d) <- Rvalue.round_f32 (x () +. y ())
-            | Defs.Sub -> fun () -> st.f_regs.(d) <- Rvalue.round_f32 (x () -. y ())
-            | Defs.Mul -> fun () -> st.f_regs.(d) <- Rvalue.round_f32 (x () *. y ())
-            | Defs.Div -> fun () -> st.f_regs.(d) <- Rvalue.round_f32 (x () /. y ())
+            | Defs.Add -> fun () -> st.f_regs.(d) <- Arith.round_f32 (x () +. y ())
+            | Defs.Sub -> fun () -> st.f_regs.(d) <- Arith.round_f32 (x () -. y ())
+            | Defs.Mul -> fun () -> st.f_regs.(d) <- Arith.round_f32 (x () *. y ())
+            | Defs.Div -> fun () -> st.f_regs.(d) <- Arith.round_f32 (x () /. y ())
           else
             match b with
             | Defs.Add -> fun () -> st.f_regs.(d) <- x () +. y ()
@@ -479,7 +446,7 @@ let compile (func : Defs.func) : plan =
                   Memory.check_bounds ~len ~base ~off:o;
                   if want_int then Memory.read_type_error ~elem ~base;
                   let f = a.(o) in
-                  out.(k) <- Rvalue.R_float (if is_f32 then Rvalue.round_f32 f else f)
+                  out.(k) <- Rvalue.R_float (if is_f32 then Arith.round_f32 f else f)
                 done
             | Memory.I_buf a ->
                 let len = Array.length a in
@@ -512,7 +479,7 @@ let compile (func : Defs.func) : plan =
             | Memory.F_buf a ->
                 Memory.check_bounds ~len:(Array.length a) ~base ~off;
                 let f = a.(off) in
-                st.f_regs.(d) <- (if is_f32 then Rvalue.round_f32 f else f)
+                st.f_regs.(d) <- (if is_f32 then Arith.round_f32 f else f)
             | Memory.I_buf a ->
                 Memory.check_bounds ~len:(Array.length a) ~base ~off;
                 Memory.read_type_error ~elem ~base
@@ -528,7 +495,7 @@ let compile (func : Defs.func) : plan =
           | Memory.F_buf a ->
               Memory.check_bounds ~len:(Array.length a) ~base ~off;
               let f = Rvalue.as_float lane in
-              a.(off) <- (if is_f32 then Rvalue.round_f32 f else f)
+              a.(off) <- (if is_f32 then Arith.round_f32 f else f)
           | Memory.I_buf a ->
               Memory.check_bounds ~len:(Array.length a) ~base ~off;
               a.(off) <- Rvalue.as_int lane
@@ -546,7 +513,7 @@ let compile (func : Defs.func) : plan =
                       let o = off + k in
                       Memory.check_bounds ~len ~base ~off:o;
                       let f = Rvalue.as_float lane in
-                      a.(o) <- (if is_f32 then Rvalue.round_f32 f else f))
+                      a.(o) <- (if is_f32 then Arith.round_f32 f else f))
                     lanes
               | Memory.I_buf a ->
                   let len = Array.length a in
@@ -612,7 +579,7 @@ let compile (func : Defs.func) : plan =
         if Ty.is_vector i.Defs.ty then begin
           let d = vdst () in
           let x = rop i.Defs.ops.(0) and y = rop i.Defs.ops.(1) in
-          let one a b = cmp_result c (Int64.compare (Rvalue.as_int a) (Rvalue.as_int b)) in
+          let one = icmp_result c in
           fun () ->
             match (x (), y ()) with
             | Rvalue.R_vec xv, Rvalue.R_vec yv ->
@@ -622,13 +589,13 @@ let compile (func : Defs.func) : plan =
         else begin
           let d = idst () in
           let x = iop i.Defs.ops.(0) and y = iop i.Defs.ops.(1) in
-          fun () -> st.i_regs.(d) <- cmp_bit c (Int64.compare (x ()) (y ()))
+          fun () -> st.i_regs.(d) <- bit (Arith.cmp_int c (x ()) (y ()))
         end
     | Defs.Fcmp c ->
         if Ty.is_vector i.Defs.ty then begin
           let d = vdst () in
           let x = rop i.Defs.ops.(0) and y = rop i.Defs.ops.(1) in
-          let one a b = float_cmp_result c (Rvalue.as_float a) (Rvalue.as_float b) in
+          let one = fcmp_result c in
           fun () ->
             match (x (), y ()) with
             | Rvalue.R_vec xv, Rvalue.R_vec yv ->
@@ -638,7 +605,7 @@ let compile (func : Defs.func) : plan =
         else begin
           let d = idst () in
           let x = fop i.Defs.ops.(0) and y = fop i.Defs.ops.(1) in
-          fun () -> st.i_regs.(d) <- float_cmp_bit c (x ()) (y ())
+          fun () -> st.i_regs.(d) <- bit (Arith.cmp_float c (x ()) (y ()))
         end
     | Defs.Select -> (
         if Ty.is_vector i.Defs.ty then begin

@@ -14,7 +14,6 @@ type t = (int, buffer) Hashtbl.t (* arg position -> buffer *)
 let create () : t = Hashtbl.create 8
 
 let alloc_float (t : t) ~(arg_pos : int) ~(size : int) = Hashtbl.replace t arg_pos (F_buf (Array.make size 0.0))
-let alloc_int (t : t) ~(arg_pos : int) ~(size : int) = Hashtbl.replace t arg_pos (I_buf (Array.make size 0L))
 
 let set_float_buffer (t : t) ~(arg_pos : int) (a : float array) = Hashtbl.replace t arg_pos (F_buf a)
 let set_int_buffer (t : t) ~(arg_pos : int) (a : int64 array) = Hashtbl.replace t arg_pos (I_buf a)
@@ -51,14 +50,14 @@ let read_type_error ~(elem : Ty.scalar) ~(base : int) =
 
 (* [read t ~elem ~base ~off] loads one element.  Symmetric with
    [write]: f32 loads round (a 32-bit cell cannot hold more precision
-   than [round_f32]) and the element type must match the buffer. *)
+   than [Arith.round_f32]) and the element type must match the buffer. *)
 let read (t : t) ~(elem : Ty.scalar) ~(base : int) ~(off : int) : Rvalue.t =
   match buffer t ~arg_pos:base with
   | F_buf a ->
       check_bounds ~len:(Array.length a) ~base ~off;
       if Ty.scalar_is_int elem then read_type_error ~elem ~base;
       let f = a.(off) in
-      Rvalue.R_float (if elem = Ty.F32 then Rvalue.round_f32 f else f)
+      Rvalue.R_float (Arith.round elem f)
   | I_buf a ->
       check_bounds ~len:(Array.length a) ~base ~off;
       if Ty.scalar_is_float elem then read_type_error ~elem ~base;
@@ -70,7 +69,7 @@ let write (t : t) ~(elem : Ty.scalar) ~(base : int) ~(off : int) (v : Rvalue.t) 
   | F_buf a ->
       check_bounds ~len:(Array.length a) ~base ~off;
       let f = Rvalue.as_float v in
-      a.(off) <- (if elem = Ty.F32 then Rvalue.round_f32 f else f)
+      a.(off) <- Arith.round elem f
   | I_buf a ->
       check_bounds ~len:(Array.length a) ~base ~off;
       a.(off) <- Rvalue.as_int v

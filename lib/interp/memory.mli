@@ -11,7 +11,6 @@ type t = (int, buffer) Hashtbl.t
 val create : unit -> t
 
 val alloc_float : t -> arg_pos:int -> size:int -> unit
-val alloc_int : t -> arg_pos:int -> size:int -> unit
 val set_float_buffer : t -> arg_pos:int -> float array -> unit
 val set_int_buffer : t -> arg_pos:int -> int64 array -> unit
 

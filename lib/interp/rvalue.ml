@@ -34,15 +34,8 @@ let as_ptr = function
   | R_ptr p -> (p.base, p.offset)
   | _ -> invalid_arg "Rvalue.as_ptr: not a pointer"
 
-(* Float32 values round after every operation; this models the f32
-   type exactly, so the interpreter matches real hardware bit for
-   bit. *)
-let round_f32 f = Int32.float_of_bits (Int32.bits_of_float f)
-
 let of_lit (ty : Ty.t) (lit : Lit.t) : t =
-  match lit with
-  | Lit.Int i -> R_int i
-  | Lit.Float f -> R_float (if Ty.elem ty = Ty.F32 then round_f32 f else f)
+  match lit with Lit.Int i -> R_int i | Lit.Float f -> R_float (Arith.round (Ty.elem ty) f)
 
 let rec pp ppf = function
   | R_int i -> Fmt.pf ppf "%Ld" i

@@ -17,8 +17,5 @@ val as_float : t -> float
 val as_vec : t -> t array
 val as_ptr : t -> int * int
 
-val round_f32 : float -> float
-(** Round to float32 precision — applied after every f32 operation. *)
-
 val of_lit : Ty.t -> Lit.t -> t
 val pp : t Fmt.t

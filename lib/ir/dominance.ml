@@ -32,6 +32,30 @@ let predecessors (f : func) =
     f.blocks;
   preds
 
+(* The successor [t] of a merged block has [s] among its phi payloads
+   and predecessors; both name [b] from now on.  Payloads get fresh
+   arrays: they are never mutated in place. *)
+let absorb preds (b : block) (s : block) =
+  Block.iter
+    (fun i ->
+      Block.remove s i;
+      Block.append b i)
+    s;
+  b.term <- s.term;
+  List.iter
+    (fun (t : block) ->
+      Block.iter
+        (fun i ->
+          match i.op with
+          | Phi payload when Array.exists (Int.equal s.bid) payload ->
+              i.op <- Phi (Array.map (fun bid -> if bid = s.bid then b.bid else bid) payload)
+          | _ -> ())
+        t;
+      match Hashtbl.find_opt preds t.bid with
+      | Some ps -> Hashtbl.replace preds t.bid (List.map (fun p -> if Block.equal p s then b else p) ps)
+      | None -> ())
+    (Block.successors b)
+
 let sets (f : func) preds =
   let all = List.fold_left (fun s b -> Int_set.add b.bid s) Int_set.empty f.blocks in
   let doms = Hashtbl.create 7 in

@@ -228,196 +228,186 @@ let counted_with_range (t : Loopdep.t) =
       | _ -> None)
     t.Loopdep.infos
 
-(* [loop_bounds ?bound f] — symbolic out-of-bounds: for an access
+(* [loop_bounds ?bound f t] — symbolic out-of-bounds: for an access
    [a·iv + r] with constant [r] inside a counted loop of known trip,
    the element range over *all* iterations is [a·iv_range + r]; a
    range dipping below zero or (with [bound]) past the buffer end is
    the off-by-one the constant-only {!bounds} checker cannot see,
    because the offending index only materialises at some
    iteration. *)
-let loop_bounds ?bound (f : Defs.func) : Finding.t list =
-  if not (has_loops f) then []
-  else begin
-    let t = Loopdep.analyze f in
-    let acc = ref [] in
-    List.iter
-      (fun ((info : Loopdep.loop_info), (c : Loops.counted), _n, i0, last) ->
-        let l = info.Loopdep.loop in
-        let iv_var = Affine.Var.Instr_var c.Loops.iv.Defs.iid in
-        List.iter
-          (fun (b : Defs.block) ->
-            List.iter
-              (fun (i : Defs.instr) ->
-                if Instr.is_memory i then
-                  match Address.of_instr i with
-                  | Some { Address.base = Defs.Arg _; index; _ } ->
-                      let a =
-                        match Affine.Var_map.find_opt iv_var index.Affine.terms with
-                        | Some v -> v
-                        | None -> 0
-                      in
-                      if a <> 0 && Affine.Var_map.cardinal index.Affine.terms = 1 then begin
-                        let at iv = Int64.add (Int64.mul (Int64.of_int a) iv) (Int64.of_int index.Affine.const) in
-                        let e0 = at i0 and e1 = at last in
-                        let lo = if Int64.compare e0 e1 <= 0 then e0 else e1 in
-                        let hi = if Int64.compare e0 e1 <= 0 then e1 else e0 in
-                        let width = if Instr.is_store i then store_width i else load_width i in
-                        let hi_end = Int64.add hi (Int64.of_int width) in
-                        if Int64.compare lo 0L < 0 then
-                          acc :=
-                            Finding.v_at ~check:"loop-out-of-bounds" Finding.Error f
-                              (in_loop l i)
-                              (Printf.sprintf
-                                 "element index reaches %Ld over iv in [%Ld, %Ld] (negative)"
-                                 lo i0 last)
-                            :: !acc
-                        else (
-                          match bound with
-                          | Some nbuf when Int64.compare hi_end (Int64.of_int nbuf) > 0 ->
-                              acc :=
-                                Finding.v_at ~check:"loop-out-of-bounds" Finding.Error f
-                                  (in_loop l i)
-                                  (Printf.sprintf
-                                     "elements reach [%Ld, %Ld) over iv in [%Ld, %Ld], past the %d-element buffer"
-                                     hi hi_end i0 last nbuf)
-                                :: !acc
-                          | _ -> ())
-                      end
-                  | _ -> ())
-              (Block.instrs b))
-          l.Loops.blocks)
-      (counted_with_range t);
-    List.rev !acc
-  end
+let loop_bounds ?bound (f : Defs.func) (t : Loopdep.t) : Finding.t list =
+  let acc = ref [] in
+  List.iter
+    (fun ((info : Loopdep.loop_info), (c : Loops.counted), _n, i0, last) ->
+      let l = info.Loopdep.loop in
+      let iv_var = Affine.Var.Instr_var c.Loops.iv.Defs.iid in
+      List.iter
+        (fun (b : Defs.block) ->
+          List.iter
+            (fun (i : Defs.instr) ->
+              if Instr.is_memory i then
+                match Address.of_instr i with
+                | Some { Address.base = Defs.Arg _; index; _ } ->
+                    let a =
+                      match Affine.Var_map.find_opt iv_var index.Affine.terms with
+                      | Some v -> v
+                      | None -> 0
+                    in
+                    if a <> 0 && Affine.Var_map.cardinal index.Affine.terms = 1 then begin
+                      let at iv = Int64.add (Int64.mul (Int64.of_int a) iv) (Int64.of_int index.Affine.const) in
+                      let e0 = at i0 and e1 = at last in
+                      let lo = if Int64.compare e0 e1 <= 0 then e0 else e1 in
+                      let hi = if Int64.compare e0 e1 <= 0 then e1 else e0 in
+                      let width = if Instr.is_store i then store_width i else load_width i in
+                      let hi_end = Int64.add hi (Int64.of_int width) in
+                      if Int64.compare lo 0L < 0 then
+                        acc :=
+                          Finding.v_at ~check:"loop-out-of-bounds" Finding.Error f
+                            (in_loop l i)
+                            (Printf.sprintf
+                               "element index reaches %Ld over iv in [%Ld, %Ld] (negative)"
+                               lo i0 last)
+                          :: !acc
+                      else (
+                        match bound with
+                        | Some nbuf when Int64.compare hi_end (Int64.of_int nbuf) > 0 ->
+                            acc :=
+                              Finding.v_at ~check:"loop-out-of-bounds" Finding.Error f
+                                (in_loop l i)
+                                (Printf.sprintf
+                                   "elements reach [%Ld, %Ld) over iv in [%Ld, %Ld], past the %d-element buffer"
+                                   hi hi_end i0 last nbuf)
+                              :: !acc
+                        | _ -> ())
+                    end
+                | _ -> ())
+            (Block.instrs b))
+        l.Loops.blocks)
+    (counted_with_range t);
+  List.rev !acc
 
-(* [loop_dead_stores f] — a store to a loop-invariant location that
+(* [loop_dead_stores f t] — a store to a loop-invariant location that
    executes every iteration (its block dominates the latch) and that
    no loop load may observe is overwritten by the next iteration:
    every trip but the last is wasted work. *)
-let loop_dead_stores (f : Defs.func) : Finding.t list =
-  if not (has_loops f) then []
-  else begin
-    let t = Loopdep.analyze f in
-    let dom = lazy (Dominance.compute f) in
-    let acc = ref [] in
-    List.iter
-      (fun ((info : Loopdep.loop_info), (c : Loops.counted), n, _i0, _last) ->
-        if n >= 2 then begin
-          let l = info.Loopdep.loop in
-          let loop_loads =
-            List.concat_map
-              (fun (b : Defs.block) -> List.filter Instr.is_load (Block.instrs b))
-              l.Loops.blocks
-          in
-          let iv_var = Affine.Var.Instr_var c.Loops.iv.Defs.iid in
-          List.iter
-            (fun (b : Defs.block) ->
-              if Dominance.dominates (Lazy.force dom) b c.Loops.latch then
-                List.iter
-                  (fun (s : Defs.instr) ->
-                    if Instr.is_store s then
-                      match Address.of_instr s with
-                      | Some ({ Address.base = Defs.Arg _; index; _ } as addr)
-                        when not (Affine.Var_map.mem iv_var index.Affine.terms) ->
-                          let observed =
-                            List.exists
-                              (fun (ld : Defs.instr) ->
-                                match Address.of_instr ld with
-                                | Some la ->
-                                    may_observe ~load:la ~load_width:(load_width ld)
-                                      ~earlier:addr ~earlier_width:(store_width s)
-                                | None -> true)
-                              loop_loads
-                          in
-                          if not observed then
-                            acc :=
-                              Finding.v_at ~check:"loop-dead-store" Finding.Warning f
-                                (in_loop l s)
-                                (Printf.sprintf
-                                   "loop-invariant store is overwritten by the next \
-                                    iteration before any read (%d of %d trips wasted)"
-                                   (n - 1) n)
-                              :: !acc
-                      | _ -> ())
-                  (Block.instrs b))
+let loop_dead_stores (f : Defs.func) (t : Loopdep.t) : Finding.t list =
+  let dom = lazy (Dominance.compute f) in
+  let acc = ref [] in
+  List.iter
+    (fun ((info : Loopdep.loop_info), (c : Loops.counted), n, _i0, _last) ->
+      if n >= 2 then begin
+        let l = info.Loopdep.loop in
+        let loop_loads =
+          List.concat_map
+            (fun (b : Defs.block) -> List.filter Instr.is_load (Block.instrs b))
             l.Loops.blocks
-        end)
-      (counted_with_range t);
-    List.rev !acc
-  end
+        in
+        let iv_var = Affine.Var.Instr_var c.Loops.iv.Defs.iid in
+        List.iter
+          (fun (b : Defs.block) ->
+            if Dominance.dominates (Lazy.force dom) b c.Loops.latch then
+              List.iter
+                (fun (s : Defs.instr) ->
+                  if Instr.is_store s then
+                    match Address.of_instr s with
+                    | Some ({ Address.base = Defs.Arg _; index; _ } as addr)
+                      when not (Affine.Var_map.mem iv_var index.Affine.terms) ->
+                        let observed =
+                          List.exists
+                            (fun (ld : Defs.instr) ->
+                              match Address.of_instr ld with
+                              | Some la ->
+                                  may_observe ~load:la ~load_width:(load_width ld)
+                                    ~earlier:addr ~earlier_width:(store_width s)
+                              | None -> true)
+                            loop_loads
+                        in
+                        if not observed then
+                          acc :=
+                            Finding.v_at ~check:"loop-dead-store" Finding.Warning f
+                              (in_loop l s)
+                              (Printf.sprintf
+                                 "loop-invariant store is overwritten by the next \
+                                  iteration before any read (%d of %d trips wasted)"
+                                 (n - 1) n)
+                            :: !acc
+                    | _ -> ())
+                (Block.instrs b))
+          l.Loops.blocks
+      end)
+    (counted_with_range t);
+  List.rev !acc
 
-(* [loop_termination f] — counted loops that provably never settle
+(* [loop_termination f t] — counted loops that provably never settle
    (constant init/bound whose recurrence blows through the trip cap:
    the step moves away from, or forever misses, the bound) are
    [Error]; symbolic-bound loops whose step does not strictly
    approach the bound's failing side are flagged [Warning] — an [Ne]
    guard or a backwards step terminates only by wraparound luck. *)
-let loop_termination (f : Defs.func) : Finding.t list =
-  if not (has_loops f) then []
-  else begin
-    let t = Loopdep.analyze f in
-    let acc = ref [] in
-    List.iter
-      (fun (info : Loopdep.loop_info) ->
-        match info.Loopdep.counted with
-        | Error _ -> ()
-        | Ok (c, _) -> (
-            let l = info.Loopdep.loop in
-            let where =
-              Printf.sprintf "%s (loop %s)" (Instr.to_string c.Loops.cond)
-                l.Loops.header.Defs.bname
-            in
-            let const_operands =
-              match (c.Loops.init, c.Loops.bound) with
-              | Defs.Const _, Defs.Const _ -> true
-              | _ -> false
-            in
-            match info.Loopdep.trip with
-            | Some _ -> ()
-            | None when const_operands ->
+let loop_termination (f : Defs.func) (t : Loopdep.t) : Finding.t list =
+  let acc = ref [] in
+  List.iter
+    (fun (info : Loopdep.loop_info) ->
+      match info.Loopdep.counted with
+      | Error _ -> ()
+      | Ok (c, _) -> (
+          let l = info.Loopdep.loop in
+          let where =
+            Printf.sprintf "%s (loop %s)" (Instr.to_string c.Loops.cond)
+              l.Loops.header.Defs.bname
+          in
+          let const_operands =
+            match (c.Loops.init, c.Loops.bound) with
+            | Defs.Const _, Defs.Const _ -> true
+            | _ -> false
+          in
+          match info.Loopdep.trip with
+          | Some _ -> ()
+          | None when const_operands ->
+              acc :=
+                Finding.v_at ~check:"loop-termination" Finding.Error f where
+                  (Printf.sprintf
+                     "loop never settles within %d iterations: step %Ld never fails \
+                      `%s bound`"
+                     Loops.trip_count_cap c.Loops.step
+                     (Defs.cmp_to_string c.Loops.cmp))
+                :: !acc
+          | None ->
+              if not (Loops.monotone c) then
                 acc :=
-                  Finding.v_at ~check:"loop-termination" Finding.Error f where
+                  Finding.v_at ~check:"loop-termination" Finding.Warning f where
                     (Printf.sprintf
-                       "loop never settles within %d iterations: step %Ld never fails \
-                        `%s bound`"
-                       Loops.trip_count_cap c.Loops.step
+                       "non-monotone loop: step %Ld does not strictly approach the \
+                        `%s` bound, so termination depends on the runtime value"
+                       c.Loops.step
                        (Defs.cmp_to_string c.Loops.cmp))
-                  :: !acc
-            | None ->
-                if not (Loops.monotone c) then
-                  acc :=
-                    Finding.v_at ~check:"loop-termination" Finding.Warning f where
-                      (Printf.sprintf
-                         "non-monotone loop: step %Ld does not strictly approach the \
-                          `%s` bound, so termination depends on the runtime value"
-                         c.Loops.step
-                         (Defs.cmp_to_string c.Loops.cmp))
-                    :: !acc))
-      t.Loopdep.infos;
-    List.rev !acc
-  end
+                  :: !acc))
+    t.Loopdep.infos;
+  List.rev !acc
 
-(* [loop_dependences f] — the cross-iteration dependence report:
+(* [loop_dependences f t] — the cross-iteration dependence report:
    every loop-carried flow/anti/output dependence with its iteration
    distance ([Info] — legal code, but the exact facts loop-carried
    vectorization must honour). *)
-let loop_dependences (f : Defs.func) : Finding.t list =
-  if not (has_loops f) then []
-  else begin
-    let t = Loopdep.analyze f in
-    List.concat_map
-      (fun (info : Loopdep.loop_info) ->
-        List.map
-          (fun (d : Loopdep.dep) ->
-            Finding.v_at ~check:"loop-carried-dep" Finding.Info f
-              (in_loop info.Loopdep.loop d.Loopdep.dst)
-              (Loopdep.dep_to_string d))
-          info.Loopdep.deps)
-      t.Loopdep.infos
-  end
+let loop_dependences (f : Defs.func) (t : Loopdep.t) : Finding.t list =
+  List.concat_map
+    (fun (info : Loopdep.loop_info) ->
+      List.map
+        (fun (d : Loopdep.dep) ->
+          Finding.v_at ~check:"loop-carried-dep" Finding.Info f
+            (in_loop info.Loopdep.loop d.Loopdep.dst)
+            (Loopdep.dep_to_string d))
+        info.Loopdep.deps)
+    t.Loopdep.infos
 
 (* --- the suite ------------------------------------------------------------- *)
 
+(* The loop checkers share one [Loopdep] analysis. *)
 let all ?bound (f : Defs.func) : Finding.t list =
-  undef_uses f @ dead_stores f @ bounds ?bound f @ memory_kinds f @ redundant f
-  @ loop_bounds ?bound f @ loop_dead_stores f @ loop_termination f @ loop_dependences f
+  let loop_findings =
+    if not (has_loops f) then []
+    else
+      let t = Loopdep.analyze f in
+      loop_bounds ?bound f t @ loop_dead_stores f t @ loop_termination f t @ loop_dependences f t
+  in
+  undef_uses f @ dead_stores f @ bounds ?bound f @ memory_kinds f @ redundant f @ loop_findings

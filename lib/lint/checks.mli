@@ -32,28 +32,29 @@ val redundant : Defs.func -> Finding.t list
 (** Instructions whose expression is available on entry (CSE
     opportunities), from the available-expressions analysis. *)
 
-val loop_bounds : ?bound:int -> Defs.func -> Finding.t list
+val loop_bounds : ?bound:int -> Defs.func -> Loopdep.t -> Finding.t list
 (** Symbolic out-of-bounds: for accesses affine in a counted loop's
     induction variable with a known trip count, the element range
     over all iterations — catches the off-by-one the constant-only
     {!bounds} checker cannot see.  Findings name the owning loop
     header. *)
 
-val loop_dead_stores : Defs.func -> Finding.t list
+val loop_dead_stores : Defs.func -> Loopdep.t -> Finding.t list
 (** Loop-carried dead stores: a store to a loop-invariant location
     executing every iteration that no loop load may observe — every
     trip but the last is wasted. *)
 
-val loop_termination : Defs.func -> Finding.t list
+val loop_termination : Defs.func -> Loopdep.t -> Finding.t list
 (** Counted loops that provably never terminate (constant operands,
     recurrence blows through the trip cap) are [Error]; non-monotone
     symbolic-bound loops (termination depends on the runtime value)
     are [Warning]. *)
 
-val loop_dependences : Defs.func -> Finding.t list
+val loop_dependences : Defs.func -> Loopdep.t -> Finding.t list
 (** Cross-iteration dependences from {!Loopdep}: one [Info] finding
     per loop-carried flow/anti/output dependence with its iteration
     distance. *)
 
 val all : ?bound:int -> Defs.func -> Finding.t list
-(** Every checker, in the order above. *)
+(** Every checker, in the order above; the loop checkers share one
+    {!Loopdep.analyze} of the function. *)

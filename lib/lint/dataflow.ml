@@ -30,14 +30,7 @@ module Make (L : LATTICE) = struct
 
   let solve ~boundary ~bottom ~transfer (f : Defs.func) : solution =
     let blocks = f.Defs.blocks in
-    let preds : (int, Defs.block list) Hashtbl.t = Hashtbl.create 8 in
-    List.iter
-      (fun b ->
-        List.iter
-          (fun s ->
-            Hashtbl.replace preds s.Defs.bid (b :: Option.value ~default:[] (Hashtbl.find_opt preds s.Defs.bid)))
-          (Block.successors b))
-      blocks;
+    let preds = Dominance.predecessors f in
     let entry_of = Hashtbl.create 8 and exit_of = Hashtbl.create 8 in
     List.iter
       (fun b ->
@@ -51,8 +44,7 @@ module Make (L : LATTICE) = struct
       let from_preds =
         List.fold_left
           (fun st p -> L.join st (Hashtbl.find exit_of p.Defs.bid))
-          bottom
-          (Option.value ~default:[] (Hashtbl.find_opt preds b.Defs.bid))
+          bottom (Hashtbl.find preds b.Defs.bid)
       in
       if match entry_block with Some e -> Block.equal e b | None -> false then
         L.join boundary from_preds

@@ -158,7 +158,7 @@ let analyze (f : Defs.func) : t =
   let infos =
     List.map
       (fun (l : Loops.loop) ->
-        let counted = Loops.recognize f l in
+        let counted = Loops.recognize l in
         let innermost = l.Loops.children = [] in
         match counted with
         | Ok (c, _) when innermost ->

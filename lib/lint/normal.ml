@@ -19,8 +19,8 @@
    are distributed — the term count is capped, and overflowing the cap
    raises {!Too_big}, which the validator reports as [Unknown].
 
-   Constant folding uses the interpreter's semantics (int64 wrap,
-   f32 per-operation rounding); because symbolic folding may group
+   Constant folding uses the IR's scalar semantics ({!Arith}: int64
+   wrap, f32 per-operation rounding); because symbolic folding may group
    float constants differently than the concrete pass did, the
    comparison entry point {!close} accepts coefficients within a
    relative tolerance on top of exact (bitwise) equality. *)
@@ -55,8 +55,6 @@ and view =
 
 (* --- Coefficient arithmetic (interpreter semantics) -------------------- *)
 
-let round_f32 (f : float) = Int32.float_of_bits (Int32.bits_of_float f)
-
 (* Index constants and integer coefficients are almost always small
    and non-negative; their keys come from a table rather than being
    formatted again for every key that contains them. *)
@@ -81,24 +79,20 @@ let c_zero k = if Ty.scalar_is_int k then C_int 0L else C_float 0.0
 let c_one k = if Ty.scalar_is_int k then C_int 1L else C_float 1.0
 let c_is_zero = function C_int n -> Int64.equal n 0L | C_float f -> f = 0.0
 
-let c_float2 k ff a b =
+let c_float2 k op a b =
   match (a, b) with
-  | C_float x, C_float y ->
-      let r = ff x y in
-      C_float (if Ty.scalar_equal k Ty.F32 then round_f32 r else r)
+  | C_float x, C_float y -> C_float (Arith.float_binop k op x y)
   | _ -> invalid_arg "Normal: mixed coefficient kinds"
 
 let c_add k a b =
-  match (a, b) with C_int x, C_int y -> c_int (Int64.add x y) | _ -> c_float2 k ( +. ) a b
+  match (a, b) with C_int x, C_int y -> c_int (Int64.add x y) | _ -> c_float2 k Defs.Add a b
 
 let c_mul k a b =
-  match (a, b) with C_int x, C_int y -> c_int (Int64.mul x y) | _ -> c_float2 k ( *. ) a b
+  match (a, b) with C_int x, C_int y -> c_int (Int64.mul x y) | _ -> c_float2 k Defs.Mul a b
 
 let c_div k a b =
   match (a, b) with
-  | C_float x, C_float y ->
-      let r = x /. y in
-      C_float (if Ty.scalar_equal k Ty.F32 then round_f32 r else r)
+  | C_float x, C_float y -> C_float (Arith.float_binop k Defs.Div x y)
   | _ -> raise Too_big (* integer division is not in the IR *)
 
 let c_neg = function C_int n -> c_int (Int64.neg n) | C_float f -> C_float (-.f)
@@ -362,39 +356,20 @@ let div a b =
 let binop (b : Defs.binop) x y =
   match b with Defs.Add -> add x y | Defs.Sub -> sub x y | Defs.Mul -> mul x y | Defs.Div -> div x y
 
-(* --- Comparisons and select (mirroring the fold pass) ------------------- *)
+(* --- Comparisons and select ---------------------------------------------- *)
 
 let bool_const knd v = mk knd (C_int (if v then 1L else 0L)) []
-
-let eval_cmp_int (c : Defs.cmp) (x : int64) (y : int64) =
-  let d = Int64.compare x y in
-  match c with
-  | Defs.Eq -> d = 0
-  | Defs.Ne -> d <> 0
-  | Defs.Lt -> d < 0
-  | Defs.Le -> d <= 0
-  | Defs.Gt -> d > 0
-  | Defs.Ge -> d >= 0
-
-let eval_cmp_float (c : Defs.cmp) (x : float) (y : float) =
-  match c with
-  | Defs.Eq -> x = y
-  | Defs.Ne -> x <> y
-  | Defs.Lt -> x < y
-  | Defs.Le -> x <= y
-  | Defs.Gt -> x > y
-  | Defs.Ge -> x >= y
 
 let opaque knd tag args = of_atom knd (Opaque { tag; args })
 
 let icmp knd (c : Defs.cmp) x y =
   match (as_const x, as_const y) with
-  | Some (C_int a), Some (C_int b) -> bool_const knd (eval_cmp_int c a b)
+  | Some (C_int a), Some (C_int b) -> bool_const knd (Arith.cmp_int c a b)
   | _ -> opaque knd ("icmp." ^ Defs.cmp_to_string c) [ x; y ]
 
 let fcmp knd (c : Defs.cmp) x y =
   match (as_const x, as_const y) with
-  | Some (C_float a), Some (C_float b) -> bool_const knd (eval_cmp_float c a b)
+  | Some (C_float a), Some (C_float b) -> bool_const knd (Arith.cmp_float c a b)
   | _ -> opaque knd ("fcmp." ^ Defs.cmp_to_string c) [ x; y ]
 
 (* [select ~cond t e] folds a constant condition with the fold pass's

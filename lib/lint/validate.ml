@@ -507,7 +507,7 @@ and exec_loop (st : state) (c : Loops.counted) ~(strict : bool)
             concrete_trip_cap;
         set_iv (Normal.of_lit knd (Lit.Int iv));
         exec_instr st c.Loops.cond;
-        if Loops.eval_cmp c.Loops.cmp iv bnd then begin
+        if Arith.cmp_int c.Loops.cmp iv bnd then begin
           exec_from st c.Loops.body_entry ~stop:(Some header);
           trips (Int64.add iv c.Loops.step) (n + 1)
         end
@@ -623,7 +623,7 @@ let exec ~cache (f : Defs.func) : effects =
             (fun (latch : Defs.block) ->
               Hashtbl.replace st.cut (latch.Defs.bid, l.Loops.header.Defs.bid) ())
             l.Loops.latches;
-          Hashtbl.replace st.headers l.Loops.header.Defs.bid (Loops.recognize f l))
+          Hashtbl.replace st.headers l.Loops.header.Defs.bid (Loops.recognize l))
         forest.Loops.loops);
   exec_from st (Func.entry f) ~stop:None;
   { emem = st.mem; esummaries = List.sort String.compare st.summaries; etainted = st.tainted }

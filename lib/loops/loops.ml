@@ -17,10 +17,11 @@
                  %next = add %iv, step   ; step a non-zero constant
                  br header
 
-   with one phi in the whole loop, the header as the only exiting
-   block, and no value defined inside the loop used outside it.  This
-   is the shape the unroll pass transforms; everything else is left
-   alone (conservative, never wrong). *)
+   with the header as the only exiting block.  Loops that also have
+   one phi in the whole loop and no value defined inside the loop used
+   outside it (the [strict] ones) are the shape the unroll pass
+   transforms; everything else is left alone (conservative, never
+   wrong). *)
 
 open Snslp_ir
 
@@ -183,25 +184,33 @@ let no_outside_uses (l : loop) =
         true b)
     l.blocks
 
-let as_counted (_ : Defs.func) (l : loop) : counted option =
-  let ( let* ) o k = match o with Some v -> k v | None -> None in
-  let* () = if l.children = [] then Some () else None in
-  let* latch = match l.latches with [ x ] -> Some x | _ -> None in
-  let* () = if Block.equal l.header latch then None else Some () in
+(* [recognize l] — the one counted-loop recognizer.  The shape checks
+   run once, in order, and the first that fails names the unsupported
+   feature, so an [Unknown] verdict downstream is actionable.  A loop
+   that passes them is executable by a symbolic interpreter; [strict]
+   then says whether it also meets what only the transforms need:
+   innermost, a [Br]-terminated preheader (unroll retargets that
+   edge), an icmp feeding only the branch, one phi in the whole loop,
+   a phi-free exit, no value used outside the loop, and a single-step
+   increment (partial unroll leaves a chain of constant adds through
+   the body copies, [(iv+s)+s]..., which is folded back to one step
+   here but is not itself unrollable). *)
+let recognize (l : loop) : (counted * bool, string) result =
+  let ( let* ) r k = match r with Ok v -> k v | Error _ as e -> e in
+  let* latch =
+    match l.latches with
+    | [ x ] -> Ok x
+    | xs -> Error (Printf.sprintf "multiple back edges (%d latches)" (List.length xs))
+  in
+  let* () = if Block.equal l.header latch then Error "self-loop header" else Ok () in
   (* Header predecessors: exactly the preheader (outside) and the
      latch. *)
   let hpreds = l.hpreds in
   let* preheader =
     match List.filter (fun b -> not (mem l b)) hpreds with
-    | [ p ] when List.length hpreds = 2 -> Some p
-    | _ -> None
-  in
-  (* The preheader must branch unconditionally: unroll retargets that
-     edge. *)
-  let* () =
-    match preheader.Defs.term with
-    | Defs.Br b when Block.equal b l.header -> Some ()
-    | _ -> None
+    | [ p ] when List.length hpreds = 2 -> Ok p
+    | [] -> Error "no predecessor outside the loop"
+    | _ -> Error "no unique preheader"
   in
   (* Header shape: [iv-phi; icmp] and a conditional branch into the
      body (taken) or out of the loop (fall-through).  Anything else in
@@ -209,45 +218,38 @@ let as_counted (_ : Defs.func) (l : loop) : counted option =
      would drop that execution. *)
   let* iv, cond =
     match Block.instrs l.header with
-    | [ p; c ] when Instr.is_phi p -> Some (p, c)
-    | _ -> None
+    | [ p; c ] when Instr.is_phi p -> Ok (p, c)
+    | p :: _ when not (Instr.is_phi p) -> Error "header does not start with an induction phi"
+    | _ -> Error "header is not the canonical [iv-phi; icmp] shape"
   in
   let* cmp =
-    match cond.Defs.op with Defs.Icmp cmp -> Some cmp | _ -> None
+    match cond.Defs.op with
+    | Defs.Icmp cmp -> Ok cmp
+    | _ -> Error "header condition is not an integer compare"
   in
   let* () =
     match cond.Defs.ops with
-    | [| Defs.Instr i; _ |] when Instr.equal i iv -> Some ()
-    | _ -> None
+    | [| Defs.Instr i; _ |] when Instr.equal i iv -> Ok ()
+    | _ -> Error "compare left-hand side is not the induction variable"
   in
   let bound = cond.Defs.ops.(1) in
-  let* () = if value_invariant l bound then Some () else None in
-  (* The icmp feeds the branch and nothing else. *)
-  let* () =
-    if not (Use.exists (fun (u : Defs.instr) _ -> u.Defs.iblock <> None) cond)
-    then Some ()
-    else None
-  in
+  let* () = if value_invariant l bound then Ok () else Error "loop-variant bound" in
   let* body_entry, exit =
     match l.header.Defs.term with
     | Defs.Cond_br (Defs.Instr c, t, e)
-      when Instr.equal c cond && mem l t && not (mem l e) && not (Block.equal t l.header)
-      -> Some (t, e)
-    | _ -> None
+      when Instr.equal c cond && mem l t && (not (mem l e)) && not (Block.equal t l.header) ->
+        Ok (t, e)
+    | Defs.Cond_br _ -> Error "header branch does not split into body and exit"
+    | _ -> Error "header does not exit the loop (bottom-tested or irregular form)"
   in
-  (* One phi in the whole loop (the iv), and the header is the only
-     exiting block. *)
   let* () =
-    let ok =
+    if
       List.for_all
         (fun (b : Defs.block) ->
-          List.for_all
-            (fun (i : Defs.instr) -> Instr.equal i iv || not (Instr.is_phi i))
-            (Block.instrs b)
-          && (Block.equal b l.header || List.for_all (mem l) (Block.successors b)))
+          Block.equal b l.header || List.for_all (mem l) (Block.successors b))
         l.blocks
-    in
-    if ok then Some () else None
+    then Ok ()
+    else Error "multi-exit loop"
   in
   (* The iv recurrence: init from the preheader, iv +/- constant from
      the latch. *)
@@ -255,148 +257,53 @@ let as_counted (_ : Defs.func) (l : loop) : counted option =
     match iv.Defs.op with
     | Defs.Phi payload when Array.length payload = 2 ->
         if payload.(0) = preheader.Defs.bid && payload.(1) = latch.Defs.bid then
-          Some (iv.Defs.ops.(0), iv.Defs.ops.(1))
+          Ok (iv.Defs.ops.(0), iv.Defs.ops.(1))
         else if payload.(0) = latch.Defs.bid && payload.(1) = preheader.Defs.bid then
-          Some (iv.Defs.ops.(1), iv.Defs.ops.(0))
-        else None
-    | _ -> None
+          Ok (iv.Defs.ops.(1), iv.Defs.ops.(0))
+        else Error "induction phi incoming blocks match neither preheader nor latch"
+    | _ -> Error "induction phi arity is not 2"
   in
-  let* next = Value.as_instr next_v in
-  let* () = if Ty.scalar_is_int (Ty.elem iv.Defs.ty) then Some () else None in
-  let* step =
-    match (next.Defs.op, next.Defs.ops) with
-    | Defs.Binop Defs.Add, [| Defs.Instr i; Defs.Const { lit = Lit.Int s; _ } |]
-      when Instr.equal i iv -> Some s
-    | Defs.Binop Defs.Sub, [| Defs.Instr i; Defs.Const { lit = Lit.Int s; _ } |]
-      when Instr.equal i iv -> Some (Int64.neg s)
-    | _ -> None
+  let* next =
+    match Value.as_instr next_v with
+    | Some n -> Ok n
+    | None -> Error "back-edge value is not an instruction"
   in
-  let* () = if step <> 0L then Some () else None in
-  (* No phis in the exit block (none exist outside loop headers in this
-     IR, but a later pass could be running on hand-written input). *)
   let* () =
-    if List.exists Instr.is_phi (Block.instrs exit) then None else Some ()
+    if Ty.scalar_is_int (Ty.elem iv.Defs.ty) then Ok () else Error "non-integer induction variable"
   in
-  let* () = if no_outside_uses l then Some () else None in
-  Some { loop = l; preheader; latch; body_entry; exit; iv; init; next; step; cmp; cond; bound }
+  let* step =
+    let rec chase (i : Defs.instr) acc depth =
+      if depth > 8 then Error "non-affine induction step"
+      else
+        match (i.Defs.op, i.Defs.ops) with
+        | Defs.Binop Defs.Add, [| Defs.Instr j; Defs.Const { lit = Lit.Int s; _ } |] ->
+            let acc = Int64.add acc s in
+            if Instr.equal j iv then Ok acc else chase j acc (depth + 1)
+        | Defs.Binop Defs.Sub, [| Defs.Instr j; Defs.Const { lit = Lit.Int s; _ } |] ->
+            let acc = Int64.sub acc s in
+            if Instr.equal j iv then Ok acc else chase j acc (depth + 1)
+        | _ -> Error "non-affine induction step"
+    in
+    chase next 0L 0
+  in
+  let* () = if Int64.equal step 0L then Error "zero induction step" else Ok () in
+  let no_other_phi (b : Defs.block) =
+    Block.fold (fun ok (i : Defs.instr) -> ok && (Instr.equal i iv || not (Instr.is_phi i))) true b
+  in
+  let strict =
+    l.children = []
+    && (match preheader.Defs.term with Defs.Br b -> Block.equal b l.header | _ -> false)
+    && (not (Use.exists (fun (u : Defs.instr) _ -> u.Defs.iblock <> None) cond))
+    && List.for_all no_other_phi l.blocks
+    && no_other_phi exit
+    && no_outside_uses l
+    && match next.Defs.ops.(0) with Defs.Instr j -> Instr.equal j iv | _ -> false
+  in
+  Ok ({ loop = l; preheader; latch; body_entry; exit; iv; init; next; step; cmp; cond; bound }, strict)
 
-(* [recognize f l] — the diagnosing recognizer.  Strict [as_counted]
-   first; when that fails, a relaxed pass accepts the same header
-   shape while dropping the requirements that only the *transforms*
-   need (no inner loops, one phi in the whole loop, no outside uses,
-   a [Br]-terminated preheader, a phi-free exit, an icmp feeding only
-   the branch) — a symbolic executor can follow values out of the
-   loop, so those loops are still *executable* even though they are
-   not *unrollable*.  Each rejection names the specific unsupported
-   feature, so an [Unknown] verdict downstream is actionable. *)
-let recognize (f : Defs.func) (l : loop) : (counted * bool, string) result =
-  match as_counted f l with
-  | Some c -> Ok (c, true)
-  | None ->
-      let ( let* ) r k = match r with Ok v -> k v | Error _ as e -> e in
-      let* latch =
-        match l.latches with
-        | [ x ] -> Ok x
-        | xs -> Error (Printf.sprintf "multiple back edges (%d latches)" (List.length xs))
-      in
-      let* () =
-        if Block.equal l.header latch then Error "self-loop header" else Ok ()
-      in
-      let hpreds = l.hpreds in
-      let* preheader =
-        match List.filter (fun b -> not (mem l b)) hpreds with
-        | [ p ] when List.length hpreds = 2 -> Ok p
-        | [] -> Error "no predecessor outside the loop"
-        | _ -> Error "no unique preheader"
-      in
-      let* iv, cond =
-        match Block.instrs l.header with
-        | [ p; c ] when Instr.is_phi p -> Ok (p, c)
-        | p :: _ when not (Instr.is_phi p) ->
-            Error "header does not start with an induction phi"
-        | _ -> Error "header is not the canonical [iv-phi; icmp] shape"
-      in
-      let* cmp =
-        match cond.Defs.op with
-        | Defs.Icmp cmp -> Ok cmp
-        | _ -> Error "header condition is not an integer compare"
-      in
-      let* () =
-        match cond.Defs.ops with
-        | [| Defs.Instr i; _ |] when Instr.equal i iv -> Ok ()
-        | _ -> Error "compare left-hand side is not the induction variable"
-      in
-      let bound = cond.Defs.ops.(1) in
-      let* () = if value_invariant l bound then Ok () else Error "loop-variant bound" in
-      let* body_entry, exit =
-        match l.header.Defs.term with
-        | Defs.Cond_br (Defs.Instr c, t, e)
-          when Instr.equal c cond && mem l t && not (mem l e)
-               && not (Block.equal t l.header) -> Ok (t, e)
-        | Defs.Cond_br _ -> Error "header branch does not split into body and exit"
-        | _ -> Error "header does not exit the loop (bottom-tested or irregular form)"
-      in
-      let* () =
-        if
-          List.for_all
-            (fun (b : Defs.block) ->
-              Block.equal b l.header || List.for_all (mem l) (Block.successors b))
-            l.blocks
-        then Ok ()
-        else Error "multi-exit loop"
-      in
-      let* init, next_v =
-        match iv.Defs.op with
-        | Defs.Phi payload when Array.length payload = 2 ->
-            if payload.(0) = preheader.Defs.bid && payload.(1) = latch.Defs.bid then
-              Ok (iv.Defs.ops.(0), iv.Defs.ops.(1))
-            else if payload.(0) = latch.Defs.bid && payload.(1) = preheader.Defs.bid then
-              Ok (iv.Defs.ops.(1), iv.Defs.ops.(0))
-            else Error "induction phi incoming blocks match neither preheader nor latch"
-        | _ -> Error "induction phi arity is not 2"
-      in
-      let* next =
-        match Value.as_instr next_v with
-        | Some n -> Ok n
-        | None -> Error "back-edge value is not an instruction"
-      in
-      let* () =
-        if Ty.scalar_is_int (Ty.elem iv.Defs.ty) then Ok ()
-        else Error "non-integer induction variable"
-      in
-      (* Partial unroll leaves the back-edge increment as a chain of
-         constant adds through the body copies ([(iv+s)+s]...); fold
-         the chain back to a single step. *)
-      let* step =
-        let rec chase (i : Defs.instr) acc depth =
-          if depth > 8 then Error "non-affine induction step"
-          else
-            match (i.Defs.op, i.Defs.ops) with
-            | Defs.Binop Defs.Add, [| Defs.Instr j; Defs.Const { lit = Lit.Int s; _ } |] ->
-                let acc = Int64.add acc s in
-                if Instr.equal j iv then Ok acc else chase j acc (depth + 1)
-            | Defs.Binop Defs.Sub, [| Defs.Instr j; Defs.Const { lit = Lit.Int s; _ } |] ->
-                let acc = Int64.sub acc s in
-                if Instr.equal j iv then Ok acc else chase j acc (depth + 1)
-            | _ -> Error "non-affine induction step"
-        in
-        chase next 0L 0
-      in
-      let* () = if Int64.equal step 0L then Error "zero induction step" else Ok () in
-      Ok
-        ( { loop = l; preheader; latch; body_entry; exit; iv; init; next; step; cmp; cond; bound },
-          false )
+let as_counted (l : loop) = match recognize l with Ok (c, true) -> Some c | _ -> None
 
 (* --- Trip counts. -------------------------------------------------- *)
-
-let eval_cmp (c : Defs.cmp) (a : int64) (b : int64) =
-  match c with
-  | Defs.Eq -> Int64.equal a b
-  | Defs.Ne -> not (Int64.equal a b)
-  | Defs.Lt -> Int64.compare a b < 0
-  | Defs.Le -> Int64.compare a b <= 0
-  | Defs.Gt -> Int64.compare a b > 0
-  | Defs.Ge -> Int64.compare a b >= 0
 
 let trip_count_cap = 1 lsl 20
 
@@ -410,7 +317,7 @@ let trip_count (c : counted) : int option =
   | Defs.Const { lit = Lit.Int init; _ }, Defs.Const { lit = Lit.Int bound; _ } ->
       let rec go iv n =
         if n > trip_count_cap then None
-        else if eval_cmp c.cmp iv bound then go (Int64.add iv c.step) (n + 1)
+        else if Arith.cmp_int c.cmp iv bound then go (Int64.add iv c.step) (n + 1)
         else Some n
       in
       go init 0

@@ -49,25 +49,25 @@ type counted = {
   bound : Defs.value;  (** loop-invariant comparison right-hand side *)
 }
 
-val as_counted : Defs.func -> loop -> counted option
-(** Recognize the canonical rotated counted loop the frontend emits:
-    [preheader -> header(phi; icmp; cond_br) -> body.. -> latch -> header],
-    one phi in the whole loop, the header the only exit, an integer iv
-    stepped by a non-zero constant, a loop-invariant bound, and no
-    value defined inside the loop used outside it.  [None] on anything
-    else — the transforms only touch loops this recognizes. *)
+val recognize : loop -> (counted * bool, string) result
+(** The counted-loop recognizer for the canonical rotated form the
+    frontend emits: [preheader -> header(phi; icmp; cond_br) -> body..
+    -> latch -> header], the header the only exit, an integer iv
+    stepped by a non-zero constant (possibly through a chain of
+    constant adds) and a loop-invariant bound.  [Error reason] names
+    the first unsupported feature (multiple latches, non-affine step,
+    loop-variant bound, multi-exit, ...).  [Ok (c, strict)]: the loop
+    is executable by a symbolic interpreter, and [strict] holds when
+    it also meets what the transforms need — innermost, one phi in
+    the whole loop, no value used outside it, a [Br]-terminated
+    preheader, a phi-free exit, an icmp feeding only the branch, and
+    a single-step increment.  When [strict] is false, [preheader] is
+    merely the unique outside predecessor; its terminator may be
+    conditional. *)
 
-val recognize : Defs.func -> loop -> (counted * bool, string) result
-(** Diagnosing recognizer: [Ok (c, true)] when {!as_counted} accepts,
-    [Ok (c, false)] when a relaxed pass accepts the same header shape
-    while dropping the transform-only requirements (innermost-only,
-    one phi in the whole loop, no outside uses, [Br]-terminated
-    preheader, phi-free exit, icmp feeding only the branch) — still
-    executable by a symbolic interpreter, though not unrollable.  In
-    the relaxed case [preheader] is merely the unique outside
-    predecessor; its terminator may be conditional.  [Error reason]
-    names the specific unsupported feature (multiple latches,
-    non-affine step, loop-variant bound, multi-exit, ...). *)
+val as_counted : loop -> counted option
+(** The strict loops of {!recognize}: the only ones the transforms
+    touch. *)
 
 val trip_count : counted -> int option
 (** Number of body executions when init and bound are both integer
@@ -81,8 +81,6 @@ val monotone : counted -> bool
 (** Whether the step strictly approaches the bound's failing side
     (Lt/Le with positive step, Gt/Ge with negative): the legality
     condition for partial unrolling's adjusted-bound guard. *)
-
-val eval_cmp : Defs.cmp -> int64 -> int64 -> bool
 
 val clone_region :
   Defs.func ->

@@ -91,16 +91,15 @@ type diamond = {
   join : Defs.block;
 }
 
-let match_diamond (f : Defs.func) (b : Defs.block) : diamond option =
+(* [preds] are the CFG predecessors, kept current as diamonds
+   flatten. *)
+let match_diamond preds (b : Defs.block) : diamond option =
   match Block.terminator b with
   | Defs.Cond_br (cond, t, e) -> (
+      (* x must be reachable only from b (our frontend guarantees
+         this shape, but verify it on the CFG). *)
       let only_pred (x : Defs.block) =
-        (* x must be reachable only from b (our frontend guarantees
-           this shape, but verify against the whole function). *)
-        List.for_all
-          (fun (p : Defs.block) ->
-            Block.equal p b || not (List.exists (Block.equal x) (Block.successors p)))
-          (Func.blocks f)
+        List.for_all (Block.equal b) (Hashtbl.find preds x.Defs.bid)
       in
       match (Block.terminator t, Block.terminator e) with
       | Defs.Br jt, Defs.Br je
@@ -115,21 +114,18 @@ let match_diamond (f : Defs.func) (b : Defs.block) : diamond option =
   | _ -> None
 
 (* Flatten one diamond into [b]; returns false when ineligible. *)
-let convert (f : Defs.func) (b : Defs.block) (d : diamond) : bool =
+let convert (f : Defs.func) preds (b : Defs.block) (d : diamond) : bool =
   let then_parts = classify_branch d.then_b in
   let else_parts = Option.map classify_branch d.else_b |> Option.value ~default:(Some ([], [])) in
   (* The join must be reachable only through this diamond so its body
      can be merged into [b]. *)
-  let join_preds =
-    List.filter
-      (fun (p : Defs.block) -> List.exists (Block.equal d.join) (Block.successors p))
-      (Func.blocks f)
-  in
   let expected_preds =
     match d.else_b with Some e -> [ d.then_b; e ] | None -> [ b; d.then_b ]
   in
   let join_ok =
-    List.for_all (fun p -> List.exists (Block.equal p) expected_preds) join_preds
+    List.for_all
+      (fun p -> List.exists (Block.equal p) expected_preds)
+      (Hashtbl.find preds d.join.Defs.bid)
   in
   match (then_parts, else_parts) with
   | Some (t_pure, t_stores), Some (e_pure, e_stores) when join_ok ->
@@ -193,37 +189,39 @@ let convert (f : Defs.func) (b : Defs.block) (d : diamond) : bool =
             Block.remove (Option.get d.else_b) s)
           unpaired_else;
         (* Merge the join body and take its terminator. *)
-        List.iter (fun i -> move i d.join) (Block.instrs d.join);
-        Block.set_terminator b (Block.terminator d.join);
-        (* Drop the dead blocks. *)
-        let dead = d.join :: d.then_b :: (match d.else_b with Some e -> [ e ] | None -> []) in
-        f.Defs.blocks <-
-          List.filter
-            (fun (x : Defs.block) -> not (List.exists (Block.equal x) dead))
-            f.Defs.blocks;
+        Dominance.absorb preds b d.join;
         true
       end
   | _ -> false
 
 (* [run func] converts diamonds to fixpoint (innermost first); returns
-   how many were flattened. *)
+   how many were flattened.  The branches and join of a flattened
+   diamond are marked dead, and the block list drops them once per
+   round. *)
 let run (func : Defs.func) : int =
+  let preds = Dominance.predecessors func in
+  let dead = Hashtbl.create 16 in
   let converted = ref 0 in
   let progress = ref true in
   while !progress do
     progress := false;
-    let blocks = Func.blocks func in
     List.iter
-      (fun b ->
-        if List.exists (Block.equal b) (Func.blocks func) then
-          match match_diamond func b with
+      (fun (b : Defs.block) ->
+        if not (Hashtbl.mem dead b.Defs.bid) then
+          match match_diamond preds b with
           | Some d ->
-              if convert func b d then begin
+              if convert func preds b d then begin
+                List.iter
+                  (fun (x : Defs.block) -> Hashtbl.replace dead x.Defs.bid ())
+                  (d.join :: d.then_b :: Option.to_list d.else_b);
                 incr converted;
                 progress := true
               end
           | None -> ())
-      blocks
+      func.Defs.blocks;
+    if !progress then
+      func.Defs.blocks <-
+        List.filter (fun (b : Defs.block) -> not (Hashtbl.mem dead b.Defs.bid)) func.Defs.blocks
   done;
   if !converted > 0 then Verifier.verify_exn func;
   !converted

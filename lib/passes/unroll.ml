@@ -36,10 +36,11 @@ type report = {
   partial : int; (* partially unrolled (epilogue loop remains) *)
 }
 
-let empty_report = { loops = 0; counted = 0; full = 0; partial = 0 }
-
-let default_full_budget = 256
-let default_partial_factor = 4
+(* The instruction count a full unroll may expand to, and the code
+   growth speculative partial unrolling under [Unroll_auto] may cause;
+   [Unroll_auto] unrolls partially by [auto_factor]. *)
+let full_budget = 256
+let auto_factor = 4
 
 (* Overflow-checked Int64 helpers: partial unroll must not manufacture
    a wrapped guard bound. *)
@@ -222,7 +223,7 @@ let unroll_partial (f : Defs.func) ~into (c : Loops.counted) (factor : int) adju
 (* --- Driver. ------------------------------------------------------- *)
 
 (* What to do with one recognized loop under the policy. *)
-let decide ~full_budget (policy : Config.unroll) (c : Loops.counted) =
+let decide (policy : Config.unroll) (c : Loops.counted) =
   let size = Loops.num_instrs c.Loops.loop in
   let trip = Loops.trip_count c in
   let partial factor =
@@ -239,21 +240,17 @@ let decide ~full_budget (policy : Config.unroll) (c : Loops.counted) =
       | Some n when n * size <= full_budget -> `Full n
       | _ ->
           (* Bound the code growth of speculative partial unrolling. *)
-          if size * default_partial_factor <= full_budget then
-            partial default_partial_factor
-          else `Skip)
+          if size * auto_factor <= full_budget then partial auto_factor else `Skip)
   | Config.Unroll_by k -> (
       match trip with
       | Some n when n <= k && n * size <= full_budget -> `Full n
       | _ -> partial k)
 
-let run ~(policy : Config.unroll) ?(full_budget = default_full_budget) (f : Defs.func) : report =
-  if policy = Config.No_unroll then empty_report
+let run ~(policy : Config.unroll) (f : Defs.func) : report =
+  if policy = Config.No_unroll then { loops = 0; counted = 0; full = 0; partial = 0 }
   else begin
     let forest = Loops.analyze f in
-    let counted =
-      List.filter_map (fun l -> Loops.as_counted f l) forest.Loops.loops
-    in
+    let counted = List.filter_map Loops.as_counted forest.Loops.loops in
     let full = ref 0 and partial = ref 0 in
     (* Counted loops are innermost and pairwise disjoint, and each
        transform only rewrites the loop's own blocks, its preheader
@@ -263,7 +260,7 @@ let run ~(policy : Config.unroll) ?(full_budget = default_full_budget) (f : Defs
     let into = ref [] and removed = Hashtbl.create 16 in
     List.iter
       (fun c ->
-        match decide ~full_budget policy c with
+        match decide policy c with
         | `Full n ->
             unroll_full f ~into c n;
             List.iter

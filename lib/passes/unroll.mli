@@ -1,7 +1,7 @@
 (** Loop unrolling over counted loops: full unroll (loop deleted, iv
     constant-folded per iteration) under a size budget, partial unroll
     by a factor with an epilogue loop otherwise.  Only loops
-    {!Snslp_loops.Loops.as_counted} recognizes are touched; every
+    {!Snslp_loops.Loops.as_counted} accepts are touched; every
     rewrite preserves the exact scalar semantics (iteration order,
     float rounding, trap behaviour). *)
 
@@ -14,18 +14,10 @@ type report = {
   partial : int;  (** partially unrolled (epilogue loop remains) *)
 }
 
-val empty_report : report
-val default_full_budget : int
-val default_partial_factor : int
-
-val run :
-  policy:Snslp_vectorizer.Config.unroll -> ?full_budget:int -> Defs.func -> report
+val run : policy:Snslp_vectorizer.Config.unroll -> Defs.func -> report
 (** Analyze and unroll every counted loop of [f] in place per
     [policy].  [Unroll_auto] unrolls fully when the trip count is
-    known and fits the budget, else partially by
-    {!default_partial_factor}; [Unroll_by k] unrolls fully when the
+    known and the copies fit a 256-instruction budget, else partially
+    by 4 when four copies fit it; [Unroll_by k] unrolls fully when the
     trip count is known and at most [k] (still budget-capped), else
-    partially by [k]; [No_unroll] leaves [f] alone.  [full_budget]
-    caps the instruction count a full unroll may expand to (and the
-    code growth of speculative partial unrolling under
-    [Unroll_auto]). *)
+    partially by [k]; [No_unroll] leaves [f] alone. *)

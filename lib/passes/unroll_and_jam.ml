@@ -37,33 +37,7 @@ let run (f : Defs.func) : int =
            && (match Hashtbl.find_opt preds s.Defs.bid with
               | Some [ p ] -> Block.equal p b
               | _ -> false) ->
-        Block.iter
-          (fun (i : Defs.instr) ->
-            Block.remove s i;
-            Block.append b i)
-          s;
-        b.Defs.term <- s.Defs.term;
-        (* Successors that distinguished the edge from s now see it
-           from b: retarget their phi payloads (fresh arrays —
-           payloads are never mutated in place) and their
-           predecessor lists. *)
-        List.iter
-          (fun (t : Defs.block) ->
-            Block.iter
-              (fun (i : Defs.instr) ->
-                match i.Defs.op with
-                | Defs.Phi payload when Array.exists (Int.equal s.Defs.bid) payload ->
-                    i.Defs.op <-
-                      Defs.Phi
-                        (Array.map
-                           (fun bid -> if bid = s.Defs.bid then b.Defs.bid else bid)
-                           payload)
-                | _ -> ())
-              t;
-            match Hashtbl.find_opt preds t.Defs.bid with
-            | Some ps -> Hashtbl.replace preds t.Defs.bid (List.map (fun p -> if Block.equal p s then b else p) ps)
-            | None -> ())
-          (Block.successors b);
+        Dominance.absorb preds b s;
         Hashtbl.replace removed s.Defs.bid ();
         incr merged;
         absorb b

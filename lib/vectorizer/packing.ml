@@ -165,8 +165,12 @@ type state = {
 
 let eps = 1e-9
 
-(* [solve ~beam ~max_plans cands] returns up to [max_plans] distinct
-   candidate subsets (plans), best modeled cost first, each strictly
+(* The most plans [solve] returns: the portfolio replays each one as a
+   trial compile of the whole function. *)
+let max_plans = 3
+
+(* [solve ~beam cands] returns up to [max_plans] distinct candidate
+   subsets (plans), best modeled cost first, each strictly
    better than the empty plan.  [cands] must be in cid order — the
    greedy preference order — and should be pre-filtered to profitable
    candidates (the bound treats positive-cost candidates as
@@ -180,9 +184,9 @@ let eps = 1e-9
    discards an optimal completion; the beam truncation afterwards is
    the only lossy step, and with [beam] at least 2^levels the search
    is exact. *)
-let solve ?stats ~beam ~max_plans (cands : candidate list) : candidate list list =
+let solve ?stats ~beam (cands : candidate list) : candidate list list =
   let n = List.length cands in
-  if n = 0 || beam < 2 || max_plans <= 0 then []
+  if n = 0 || beam < 2 then []
   else begin
     let arr = Array.of_list cands in
     (* suffix.(i) = best conceivable gain from candidates i.. *)
@@ -262,14 +266,14 @@ let solve ?stats ~beam ~max_plans (cands : candidate list) : candidate list list
    on the code that will survive the pipeline, not on dead leftovers
    of rejected massages.
 
-   The model defaults to {!Model.x86} regardless of the compile-time
+   The model is {!Model.x86} regardless of the compile-time
    [config.model]: the simulator charges x86 costs, and the whole
    point of the portfolio pick is to rank plans by the metric the
    final measurement uses (the compile-time model stays in charge of
    candidate profitability, preserving the paper's mispredictions for
    the greedy path).  For straight-line functions the result is
    proportional to simulated cycles per iteration. *)
-let static_cost ?(model = Model.x86) (config : Config.t) (func : Defs.func) : float =
+let static_cost (config : Config.t) (func : Defs.func) : float =
   let live : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let rec mark (v : Defs.value) =
     match v with
@@ -291,6 +295,6 @@ let static_cost ?(model = Model.x86) (config : Config.t) (func : Defs.func) : fl
   Func.iter_instrs
     (fun i ->
       if Hashtbl.mem live i.Defs.iid then
-        total := !total +. Model.instr_cost model config.Config.target i)
+        total := !total +. Model.instr_cost Model.x86 config.Config.target i)
     func;
   !total /. float_of_int config.Config.target.Target.issue_width

@@ -10,7 +10,6 @@
     {!static_cost} ranks cheapest. *)
 
 open Snslp_ir
-open Snslp_costmodel
 
 type candidate = {
   cid : int;  (** enumeration order = greedy preference order *)
@@ -44,25 +43,20 @@ val enumerate :
     total trial-graph nodes built (<= 0 = unlimited); on exhaustion
     enumeration stops early. *)
 
-val solve :
-  ?stats:Stats.t ->
-  beam:int ->
-  max_plans:int ->
-  candidate list ->
-  candidate list list
-(** [solve ~beam ~max_plans cands] — beam search over subsets of
-    [cands] (must be in cid order, pre-filtered to profitable), with
-    claim-set disjointness as the compatibility rule and an admissible
+val solve : ?stats:Stats.t -> beam:int -> candidate list -> candidate list list
+(** [solve ~beam cands] — beam search over subsets of [cands] (must be
+    in cid order, pre-filtered to profitable), with claim-set
+    disjointness as the compatibility rule and an admissible
     branch-and-bound cut (cost so far + all remaining profit, ignoring
-    conflicts, vs the incumbent).  Returns up to [max_plans] distinct
-    plans strictly better than the empty plan, best modeled cost
-    first; [[]] when [beam < 2].  Accrues [pack_expansions] /
-    [pack_pruned] on [?stats]. *)
+    conflicts, vs the incumbent).  Returns up to three distinct plans
+    strictly better than the empty plan, best modeled cost first; [[]]
+    when [beam < 2].  Accrues [pack_expansions] / [pack_pruned] on
+    [?stats]. *)
 
-val static_cost : ?model:Model.t -> Config.t -> Defs.func -> float
+val static_cost : Config.t -> Defs.func -> float
 (** Machine-model cost of one execution of the function's live
     instructions (transitively reachable from stores and branch
     conditions), issue-width scaled — proportional to simulated cycles
-    per iteration for straight-line functions.  [?model] defaults to
-    {!Model.x86}, the simulator's model, independent of the
+    per iteration for straight-line functions.  Priced with
+    {!Snslp_costmodel.Model.x86}, the simulator's model, independent of the
     compile-time model. *)

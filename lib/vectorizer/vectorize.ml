@@ -268,7 +268,7 @@ let run_global ?on_graph ~beam ~node_budget (config : Config.t)
             Packing.enumerate ~stats:pack_stats ?on_graph ~node_budget config func
           in
           let profitable = List.filter Packing.est_profitable cands in
-          Packing.solve ~stats:pack_stats ~beam ~max_plans:3 profitable)
+          Packing.solve ~stats:pack_stats ~beam profitable)
   in
   let replays =
     if beam <= 1 then []

@@ -178,7 +178,7 @@ let test_f32_rounding_producers () =
         m)
       ~args:(fun () -> [| ptr 0; ptr 1; Rvalue.R_int 0L |])
   in
-  let r = Rvalue.round_f32 in
+  let r = Arith.round_f32 in
   let a = Memory.float_buffer out.memory ~arg_pos:0 in
   check_f "load+add rounds" (r (r vals.(0) +. r vals.(1))) a.(0);
   check_f "load+mul rounds" (r (r vals.(2) *. r vals.(3))) a.(1);

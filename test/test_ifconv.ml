@@ -141,6 +141,58 @@ kernel w(double A[], double B[], double C[], long i) {
         >= 1)
   | None -> Alcotest.fail "no report"
 
+(* A join that is a loop's preheader: the header's phi names the join
+   as its incoming block, so flattening must hand that edge to the
+   diamond's head.  Before if-conversion kept its predecessor map
+   current, the phi kept naming the dropped join and the verifier
+   rejected the result of every compile of this kernel. *)
+let test_join_feeding_a_loop () =
+  let src =
+    {|
+kernel l(double A[], double B[], long i) {
+  if (B[i] > 1.0) { A[i] = 1.0; }
+  for (long j = 0; j < i; j = j + 1) { A[i+j+1] = B[j] * 2.0; }
+}
+|}
+  in
+  let _, _, n = run_both src in
+  check_int "converted" 1 n;
+  agree src ~arrays:[ "A"; "B" ] ~size:32 ~ivals:[ 0; 3; 7 ];
+  ignore (Pipeline.run ~setting:(Some Snslp_vectorizer.Config.snslp) (compile src))
+
+(* The scale experiment's nested shape (bench/main.ml, [scale_shapes]):
+   [n] statements, each two nested ifs around one store. *)
+let nested_ifs n =
+  let b = Buffer.create (120 * n) in
+  Buffer.add_string b "kernel scale_nested(double a[], double b[], double c[], long i) {\n";
+  for k = 0 to n - 1 do
+    Printf.bprintf b
+      "  if (b[i+%d] > 0.0) { if (c[i+%d] > 0.0) { a[i+%d] = b[i+%d] * c[i+%d]; } }\n" k k k k k
+  done;
+  Buffer.add_string b "}\n";
+  Buffer.contents b
+
+(* A deterministic growth check: the words one [Ifconv.run] allocates
+   on the nested shape at 125, 250 and 500 statements (2.7k to 11k
+   instructions) may grow at most 2.2x per doubling.  Rescanning the
+   block list per diamond grew 3.8-3.9x here; one predecessor map kept
+   current grows 2.0x. *)
+let test_allocation_growth () =
+  let words n =
+    let f = compile (nested_ifs n) in
+    let before = Gc.minor_words () in
+    ignore (Ifconv.run f);
+    Gc.minor_words () -. before
+  in
+  let w125 = words 125 in
+  let w250 = words 250 in
+  let w500 = words 500 in
+  List.iter
+    (fun (step, ratio) ->
+      if ratio > 2.2 then
+        Alcotest.failf "allocation grew %.2fx from %s statements (limit 2.2x)" ratio step)
+    [ ("125 to 250", w250 /. w125); ("250 to 500", w500 /. w250) ]
+
 let suite =
   [
     ( "ifconv",
@@ -154,5 +206,7 @@ let suite =
         Alcotest.test_case "distinct targets convert" `Quick
           test_distinct_store_targets_convert;
         Alcotest.test_case "enables vectorization" `Quick test_ifconv_enables_vectorization;
+        Alcotest.test_case "join feeding a loop" `Quick test_join_feeding_a_loop;
+        Alcotest.test_case "allocation growth per doubling" `Quick test_allocation_growth;
       ] );
   ]

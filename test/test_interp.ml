@@ -81,7 +81,7 @@ kernel k(float A[], float B[], long i) {
   in
   let a = Memory.float_buffer memory ~arg_pos:0 in
   check "f32 rounded" true
-    (a.(0) = Rvalue.round_f32 (Rvalue.round_f32 0.1 +. Rvalue.round_f32 0.2))
+    (a.(0) = Arith.round_f32 (Arith.round_f32 0.1 +. Arith.round_f32 0.2))
 
 let test_vector_ops_direct () =
   (* Hand-build vector IR and check lane-wise semantics incl. the
@@ -148,7 +148,7 @@ let test_memory_read_symmetry () =
   Memory.set_float_buffer m ~arg_pos:0 [| 0.1 |];
   Memory.set_int_buffer m ~arg_pos:1 [| 7L |];
   (match Memory.read m ~elem:Ty.F32 ~base:0 ~off:0 with
-  | Rvalue.R_float f -> check "f32 load rounds" true (f = Rvalue.round_f32 0.1)
+  | Rvalue.R_float f -> check "f32 load rounds" true (f = Arith.round_f32 0.1)
   | _ -> Alcotest.fail "expected a float");
   (match Memory.read m ~elem:Ty.F64 ~base:0 ~off:0 with
   | Rvalue.R_float f -> check "f64 load exact" true (f = 0.1)

@@ -668,14 +668,15 @@ kernel ob(double a[], double c[], long i) {
 }
 |}
   in
-  (match Checks.loop_bounds ~bound:8 f with
+  (match Checks.loop_bounds ~bound:8 f (Loopdep.analyze f) with
   | [ fd ] ->
       check "is an error" true (Finding.is_error fd);
       check "named checker" true (fd.Finding.check = "loop-out-of-bounds");
       check "where names the owning loop" true (contains fd.Finding.where "(loop ");
       check "message gives the range" true (contains fd.Finding.message "[8, 9)")
   | l -> Alcotest.failf "expected 1 loop-bounds finding, got %d" (List.length l));
-  check_int "large enough buffer is silent" 0 (List.length (Checks.loop_bounds ~bound:9 f));
+  check_int "large enough buffer is silent" 0
+    (List.length (Checks.loop_bounds ~bound:9 f (Loopdep.analyze f)));
   (* A negative reach needs no buffer size at all. *)
   let neg =
     compile
@@ -685,7 +686,8 @@ kernel nb(double a[], double c[], long i) {
 }
 |}
   in
-  check_int "negative reach flagged without bound" 1 (List.length (Checks.loop_bounds neg))
+  check_int "negative reach flagged without bound" 1
+    (List.length (Checks.loop_bounds neg (Loopdep.analyze neg)))
 
 let test_loop_dead_store_checker () =
   let f =
@@ -696,7 +698,7 @@ kernel lds(double a[], double b[], long i) {
 }
 |}
   in
-  (match Checks.loop_dead_stores f with
+  (match Checks.loop_dead_stores f (Loopdep.analyze f) with
   | [ fd ] ->
       check "is a warning" false (Finding.is_error fd);
       check "counts the wasted trips" true (contains fd.Finding.message "7 of 8 trips")
@@ -711,7 +713,7 @@ kernel lds2(double a[], double b[], double c[], long i) {
 |}
   in
   check_int "observed invariant store is silent" 0
-    (List.length (Checks.loop_dead_stores observed))
+    (List.length (Checks.loop_dead_stores observed (Loopdep.analyze observed)))
 
 let test_loop_termination_checker () =
   (* k != 7 stepping by 2 from 0 never settles: provable, Error. *)
@@ -723,7 +725,7 @@ kernel inf(double a[], long n) {
 }
 |}
   in
-  (match Checks.loop_termination inf with
+  (match Checks.loop_termination inf (Loopdep.analyze inf) with
   | [ fd ] ->
       check "provable non-termination is an error" true (Finding.is_error fd);
       check "message explains" true (contains fd.Finding.message "never settles")
@@ -738,14 +740,15 @@ kernel nm(double a[], long n) {
 }
 |}
   in
-  (match Checks.loop_termination nm with
+  (match Checks.loop_termination nm (Loopdep.analyze nm) with
   | [ fd ] ->
       check "non-monotone is a warning" false (Finding.is_error fd);
       check "message names monotonicity" true (contains fd.Finding.message "monotone")
   | l -> Alcotest.failf "expected 1 termination finding, got %d" (List.length l));
   (* A plain counted loop is silent. *)
   let ok = compile "kernel ok(double a[], long n) { for (long k = 0; k < n; k = k + 1) { a[k] = 1.0; } }" in
-  check_int "monotone loop is silent" 0 (List.length (Checks.loop_termination ok))
+  check_int "monotone loop is silent" 0
+    (List.length (Checks.loop_termination ok (Loopdep.analyze ok)))
 
 (* --- Cross-iteration dependences (Loopdep) ---------------------------------- *)
 
@@ -813,7 +816,8 @@ kernel pa(double a[], double b[], double c[], long i) {
   check "parallel" true info.Loopdep.parallel;
   (* The finding view: dependences surface as Info findings naming
      the owning loop. *)
-  check_int "no dependence findings" 0 (List.length (Checks.loop_dependences f));
+  check_int "no dependence findings" 0
+    (List.length (Checks.loop_dependences f (Loopdep.analyze f)));
   let flow =
     compile
       {|
@@ -822,7 +826,7 @@ kernel fl2(double a[], long i) {
 }
 |}
   in
-  match Checks.loop_dependences flow with
+  match Checks.loop_dependences flow (Loopdep.analyze flow) with
   | [ fd ] ->
       check "info severity" false (Finding.is_error fd);
       check "where names the loop" true (contains fd.Finding.where "(loop ");
@@ -845,7 +849,7 @@ let all_loops_const_counted (f : Defs.func) =
       forest.Loops.loops <> []
       && List.for_all
            (fun l ->
-             match Loops.as_counted f l with
+             match Loops.as_counted l with
              | Some c -> Loops.trip_count c <> None
              | None -> false)
            forest.Loops.loops

@@ -123,7 +123,7 @@ let the_counted f =
   let forest = Loops.analyze f in
   match forest.Loops.loops with
   | [ l ] -> (
-      match Loops.as_counted f l with
+      match Loops.as_counted l with
       | Some c -> c
       | None -> Alcotest.fail "loop not recognized as counted")
   | ls -> Alcotest.failf "expected one loop, found %d" (List.length ls)
@@ -225,8 +225,8 @@ let test_nested_forest () =
         (Loops.mem outer inner.Loops.header);
       (* Only the innermost loop is counted: the outer loop contains
          the inner phi, breaking the one-phi rule. *)
-      check "inner counted" true (Loops.as_counted f inner <> None);
-      check "outer not counted" true (Loops.as_counted f outer = None)
+      check "inner counted" true (Loops.as_counted inner <> None);
+      check "outer not counted" true (Loops.as_counted outer = None)
   | _ -> Alcotest.fail "outer loop has no single child")
 
 let test_frontend_rejects_array_bound () =
@@ -529,7 +529,7 @@ kernel spin(double a[], double c[], long i) {
   let forest = Loops.analyze f in
   check_int "loop found" 1 (List.length forest.Loops.loops);
   check "step 0 not counted" true
-    (Loops.as_counted f (List.hd forest.Loops.loops) = None);
+    (Loops.as_counted (List.hd forest.Loops.loops) = None);
   let o = assert_parity ~max_steps:500 "spin" f in
   match o.trap with
   | Some m -> check "step budget trap" true (contains m "step budget")
@@ -674,6 +674,365 @@ let test_registry_loop_twins () =
         (Memory.equal (run_kernel lr.Pipeline.func) (run_kernel tr.Pipeline.func)))
     Registry.loop_pairs
 
+(* --- Golden recognizer facts ---------------------------------------------- *)
+
+(* Hand-written loops, one per recognizer rule: each of the first
+   fourteen fails one shape check, each of the last five passes them
+   all but misses one requirement of the strict form.  The registry,
+   Fullbench and generated corpora below hold no rejected loop, and
+   all their relaxed loops come from partial unrolling. *)
+let irregular_loops =
+  [
+    (* two back edges *)
+    {|func @latches(f64* %a, i64 %n) {
+entry:
+  br %h
+h:
+  %k = phi.entry.l1.l2 i64 0, %x, %y
+  %c = icmp.lt i32 %k, %n
+  br %c, %b, %e
+b:
+  %d = icmp.lt i32 %k, 3
+  br %d, %l1, %l2
+l1:
+  %x = add i64 %k, 1
+  br %h
+l2:
+  %y = add i64 %k, 2
+  br %h
+e:
+  ret
+}|};
+    (* the header is its own latch *)
+    {|func @selfloop(f64* %a, i64 %n) {
+entry:
+  br %h
+h:
+  %k = phi.entry.h i64 0, %x
+  %x = add i64 %k, 1
+  %c = icmp.lt i32 %x, %n
+  br %c, %h, %e
+e:
+  ret
+}|};
+    (* two predecessors outside the loop *)
+    {|func @twoentries(f64* %a, i64 %n) {
+entry:
+  %z = icmp.lt i32 %n, 4
+  br %z, %p, %h
+p:
+  br %h
+h:
+  %k = phi.entry.p.l i64 0, 1, %x
+  %c = icmp.lt i32 %k, %n
+  br %c, %l, %e
+l:
+  %x = add i64 %k, 1
+  br %h
+e:
+  ret
+}|};
+    (* a header without a leading phi: the iv lives in memory *)
+    {|func @nophi(i64* %a, i64 %n) {
+entry:
+  br %h
+h:
+  %g = gep i64* %a, 0
+  %k = load i64 %g
+  %c = icmp.lt i32 %k, %n
+  br %c, %l, %e
+l:
+  %x = add i64 %k, 1
+  store %x, %g
+  br %h
+e:
+  ret
+}|};
+    (* a third instruction in the header *)
+    {|func @longheader(f64* %a, i64 %n) {
+entry:
+  br %h
+h:
+  %k = phi.entry.l i64 0, %x
+  %m = add i64 %k, 2
+  %c = icmp.lt i32 %m, %n
+  br %c, %l, %e
+l:
+  %x = add i64 %k, 1
+  br %h
+e:
+  ret
+}|};
+    (* a float compare in the header *)
+    {|func @fcmphead(f64* %a, f64 %n) {
+entry:
+  br %h
+h:
+  %k = phi.entry.l f64 0.0, %x
+  %c = fcmp.lt i32 %k, %n
+  br %c, %l, %e
+l:
+  %x = fadd f64 %k, 1.0
+  br %h
+e:
+  ret
+}|};
+    (* the compare's left-hand side is the bound *)
+    {|func @swapped(f64* %a, i64 %n) {
+entry:
+  br %h
+h:
+  %k = phi.entry.l i64 0, %x
+  %c = icmp.gt i32 %n, %k
+  br %c, %l, %e
+l:
+  %x = add i64 %k, 1
+  br %h
+e:
+  ret
+}|};
+    (* the bound varies with the loop *)
+    {|func @variant(f64* %a, i64 %n) {
+entry:
+  br %h
+h:
+  %k = phi.entry.l i64 0, %x
+  %c = icmp.lt i32 %k, %k
+  br %c, %l, %e
+l:
+  %x = add i64 %k, 1
+  br %h
+e:
+  ret
+}|};
+    (* the taken edge leaves the loop *)
+    {|func @inverted(f64* %a, i64 %n) {
+entry:
+  br %h
+h:
+  %k = phi.entry.l i64 0, %x
+  %c = icmp.ge i32 %k, %n
+  br %c, %e, %l
+l:
+  %x = add i64 %k, 1
+  br %h
+e:
+  ret
+}|};
+    (* bottom-tested: the latch decides *)
+    {|func @bottom(f64* %a, i64 %n) {
+entry:
+  br %h
+h:
+  %k = phi.entry.l i64 0, %x
+  %c = icmp.lt i32 %k, %n
+  br %l
+l:
+  %x = add i64 %k, 1
+  br %c, %h, %e
+e:
+  ret
+}|};
+    (* a second exit from the body *)
+    {|func @twoexits(f64* %a, i64 %n) {
+entry:
+  br %h
+h:
+  %k = phi.entry.l i64 0, %x
+  %c = icmp.lt i32 %k, %n
+  br %c, %b, %e
+b:
+  %d = icmp.lt i32 %k, 4
+  br %d, %l, %e2
+l:
+  %x = add i64 %k, 1
+  br %h
+e:
+  ret
+e2:
+  ret
+}|};
+    (* a constant on the back edge *)
+    {|func @constnext(f64* %a, i64 %n) {
+entry:
+  br %h
+h:
+  %k = phi.entry.l i64 0, 5
+  %c = icmp.lt i32 %k, %n
+  br %c, %l, %e
+l:
+  br %h
+e:
+  ret
+}|};
+    (* the iv doubles *)
+    {|func @doubling(f64* %a, i64 %n) {
+entry:
+  br %h
+h:
+  %k = phi.entry.l i64 1, %x
+  %c = icmp.lt i32 %k, %n
+  br %c, %l, %e
+l:
+  %x = mul i64 %k, 2
+  br %h
+e:
+  ret
+}|};
+    (* a zero step *)
+    {|func @still(f64* %a, i64 %n) {
+entry:
+  br %h
+h:
+  %k = phi.entry.l i64 0, %x
+  %c = icmp.lt i32 %k, %n
+  br %c, %l, %e
+l:
+  %x = add i64 %k, 0
+  br %h
+e:
+  ret
+}|};
+    (* relaxed: the preheader branches conditionally *)
+    {|func @condpre(f64* %a, i64 %n) {
+entry:
+  %z = icmp.lt i32 %n, 4
+  br %z, %h, %e
+h:
+  %k = phi.entry.l i64 0, %x
+  %c = icmp.lt i32 %k, %n
+  br %c, %l, %e
+l:
+  %x = add i64 %k, 1
+  br %h
+e:
+  ret
+}|};
+    (* relaxed: the compare has a second user *)
+    {|func @cmpused(i64* %a, i64 %n) {
+entry:
+  br %h
+h:
+  %k = phi.entry.l i64 0, %x
+  %c = icmp.lt i32 %k, %n
+  br %c, %l, %e
+l:
+  %g = gep i64* %a, %k
+  %s = select i64 %c, %k, 0
+  store %s, %g
+  %x = add i64 %k, 1
+  br %h
+e:
+  ret
+}|};
+    (* relaxed: the iv escapes into the exit *)
+    {|func @escapes(i64* %a, i64 %n) {
+entry:
+  br %h
+h:
+  %k = phi.entry.l i64 0, %x
+  %c = icmp.lt i32 %k, %n
+  br %c, %l, %e
+l:
+  %x = add i64 %k, 1
+  br %h
+e:
+  %g = gep i64* %a, 0
+  store %k, %g
+  ret
+}|};
+    (* relaxed: a second phi in the body (the stores of t may overlap, so
+       if-conversion leaves the triangle alone) *)
+    {|func @twophis(i64* %a, i64 %n) {
+entry:
+  br %h
+h:
+  %k = phi.entry.l i64 0, %x
+  %c = icmp.lt i32 %k, %n
+  br %c, %b, %e
+b:
+  %d = icmp.lt i32 %k, 2
+  br %d, %t, %l
+t:
+  %g1 = gep i64* %a, %k
+  store %k, %g1
+  %g2 = gep i64* %a, %n
+  store %k, %g2
+  br %l
+l:
+  %p = phi.b.t i64 1, 2
+  %g = gep i64* %a, %k
+  store %p, %g
+  %x = add i64 %k, 1
+  br %h
+e:
+  ret
+}|};
+    (* relaxed: the increment is a chain of constant adds *)
+    {|func @chained(f64* %a, i64 %n) {
+entry:
+  br %h
+h:
+  %k = phi.entry.l i64 0, %y
+  %c = icmp.lt i32 %k, %n
+  br %c, %l, %e
+l:
+  %x = add i64 %k, 1
+  %y = sub i64 %x, 3
+  br %h
+e:
+  ret
+}|};
+  ]
+
+let loop_line (l : Loops.loop) =
+  let h = l.Loops.header.Defs.bname in
+  match Loops.recognize l with
+  | Error reason -> Printf.sprintf "%s: Error %s" h reason
+  | Ok (c, strict) ->
+      Printf.sprintf "%s: Ok %s iv=%s init=%s bound=%s step=%Ld cmp=%s pre=%s latch=%s body=%s exit=%s"
+        h (if strict then "strict" else "relaxed") c.Loops.iv.Defs.iname (Value.name c.Loops.init)
+        (Value.name c.Loops.bound) c.Loops.step (Defs.cmp_to_string c.Loops.cmp)
+        c.Loops.preheader.Defs.bname c.Loops.latch.Defs.bname c.Loops.body_entry.Defs.bname
+        c.Loops.exit.Defs.bname
+
+(* One line per loop — the recognizer's verdict with every field of a
+   counted loop, or its rejection reason — over the registry,
+   Fullbench, 300 generated loopy functions and the loops above, each
+   at frontend output and after unroll by 2, if-conversion and jam.
+   The value was captured before the strict and relaxed recognizers
+   became one. *)
+let golden_recognizer_md5 = "6fb62c12fb867aa6e29b6a4097faa074"
+
+let test_golden_recognizer () =
+  let funcs =
+    List.map (fun (k : Registry.t) -> compile k.Registry.source) Registry.all
+    @ List.map (fun u -> compile (Snslp_kernels.Fullbench.source u)) Snslp_kernels.Fullbench.all
+    @ List.init 300 (fun seed ->
+          Snslp_fuzzer.Gen.generate ~profile:Snslp_fuzzer.Gen.loopy_profile ~seed ())
+    @ List.map Ir_parser.parse irregular_loops
+  in
+  let buf = Buffer.create (1 lsl 16) in
+  let record (f : Defs.func) =
+    Buffer.add_string buf f.Defs.fname;
+    Buffer.add_char buf '\n';
+    List.iter
+      (fun l ->
+        Buffer.add_string buf (loop_line l);
+        Buffer.add_char buf '\n')
+      (Loops.analyze f).Loops.loops
+  in
+  List.iter
+    (fun f ->
+      record f;
+      ignore (Unroll.run ~policy:(Config.Unroll_by 2) f);
+      ignore (Ifconv.run f);
+      ignore (Unroll_and_jam.run f);
+      record f)
+    funcs;
+  Alcotest.(check string) "recognizer lines" golden_recognizer_md5
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* --- Config fingerprint isolation ---------------------------------------- *)
 
 let test_fingerprint_isolates_unroll () =
@@ -730,6 +1089,7 @@ let suite =
         Alcotest.test_case "registry loop twins" `Quick test_registry_loop_twins;
         Alcotest.test_case "fingerprint isolates unroll" `Quick
           test_fingerprint_isolates_unroll;
+        Alcotest.test_case "golden recognizer facts" `Quick test_golden_recognizer;
         QCheck_alcotest.to_alcotest prop_unroll_preserves_semantics;
         Alcotest.test_case "loopy campaign (1000 cases)" `Slow test_loopy_campaign;
       ] );

@@ -85,7 +85,7 @@ let cand cid est_cost claims =
 
 let test_solver_beats_greedy_order () =
   let cands = [ cand 0 (-5.0) [ 1; 2; 3; 4 ]; cand 1 (-4.0) [ 1; 2 ]; cand 2 (-4.0) [ 3; 4 ] ] in
-  match Packing.solve ~beam:8 ~max_plans:3 cands with
+  match Packing.solve ~beam:8 cands with
   | best :: _ ->
       let cost = List.fold_left (fun a (c : Packing.candidate) -> a +. c.Packing.est_cost) 0.0 best in
       Alcotest.(check (float 1e-9)) "best plan cost" (-8.0) cost;
@@ -107,7 +107,7 @@ let test_solver_never_positive () =
             List.fold_left (fun a (c : Packing.candidate) -> a +. c.Packing.est_cost) 0.0 plan
           in
           check (Printf.sprintf "beam %d plan negative" beam) true (cost < 0.0))
-        (Packing.solve ~beam ~max_plans:3 cands))
+        (Packing.solve ~beam cands))
     [ 2; 3; 8; 64 ]
 
 (* --- Global never statically worse; engineered kernels strictly win ------- *)

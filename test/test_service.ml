@@ -979,6 +979,38 @@ let test_golden_wide () =
   check_str "printed IR and counters, registry + Fullbench x 7 settings" golden_wide_md5
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* One line per registry kernel and Fullbench unit: its semantic cache
+   key under sn-slp and the validator's end-to-end verdict on its
+   sn-slp compile.  The keys are digests of [Normal] forms, so a change
+   to the validator's arithmetic, its canonical ordering or its loop
+   summaries shows here even when every verdict stays [Valid].  The
+   value was captured before [Normal] moved to the shared [Arith]
+   semantics. *)
+let golden_semantic_md5 = "0612ba30e0ce43b5cd692b52d5424bfb"
+
+let test_golden_semantic_keys () =
+  let open Snslp_vectorizer in
+  let sources =
+    List.map (fun (k : Snslp_kernels.Registry.t) -> k.Snslp_kernels.Registry.source)
+      Snslp_kernels.Registry.all
+    @ List.map Snslp_kernels.Fullbench.source Snslp_kernels.Fullbench.all
+  in
+  let fingerprint = Config.fingerprint Config.snslp in
+  let buf = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun src ->
+      let f = compile_one src in
+      let r = Snslp_passes.Pipeline.run ~setting:(Some Config.snslp) ~validate:true f in
+      let verdict =
+        match r.Snslp_passes.Pipeline.validation with
+        | Some v -> Snslp_lint.Validate.verdict_to_string v.Snslp_passes.Pipeline.end_verdict
+        | None -> "none"
+      in
+      Printf.bprintf buf "%s %s %s\n" f.Defs.fname (Semhash.cache_key ~fingerprint f) verdict)
+    sources;
+  check_str "semantic keys and end-to-end verdicts, registry + Fullbench" golden_semantic_md5
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suite =
   [
     ( "service",
@@ -1030,5 +1062,6 @@ let suite =
         Alcotest.test_case "daemon over a socket" `Quick test_daemon_socket;
         Alcotest.test_case "golden IR bytes" `Quick test_golden_ir_bytes;
         Alcotest.test_case "golden IR and counters, wide" `Quick test_golden_wide;
+        Alcotest.test_case "golden semantic keys and verdicts" `Quick test_golden_semantic_keys;
       ] );
   ]
