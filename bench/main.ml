@@ -1185,7 +1185,13 @@ let interp () =
    2. semantic equivalence: structurally distinct but equivalent
       sources answered from one cache entry (>= 1 hit-semantic);
    3. sustained single-request throughput and latency percentiles on
-      a fresh server (first round cold, the rest warm). *)
+      a fresh server (first round cold, the rest warm);
+   4. the cost of each request kind, timed in process: a miss, then on
+      the same server an exact resubmission (level 1), a renamed one
+      (level 2: parsed and digested, not lowered) and one with an
+      unused [let] (level 3: lowered and keyed, then found by its
+      semantic key).  perfbench's traced replay re-runs a model of the
+      server's calls; this times the calls it makes. *)
 
 module Service = Snslp_service.Server
 module Scache = Snslp_service.Cache
@@ -1270,6 +1276,79 @@ let percentile p xs =
       let n = Array.length a in
       a.(max 0 (min (n - 1) (int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1)))
 
+(* [src] with its kernel renamed to [name]: every other byte stays. *)
+let rename_kernel src name =
+  let old = (List.hd (Snslp_frontend.Frontend.parse src)).Snslp_frontend.Ast.kname in
+  let header = "kernel " ^ old ^ "(" in
+  let n = String.length header in
+  let rec find i = if String.equal (String.sub src i n) header then i else find (i + 1) in
+  let i = find 0 in
+  String.sub src 0 i ^ "kernel " ^ name ^ "(" ^ String.sub src (i + n) (String.length src - i - n)
+
+(* [src] with an unused [let] opening its kernel's body: another parse,
+   the same IR. *)
+let with_unused_let src name =
+  let i = String.index src '{' + 1 in
+  String.sub src 0 i ^ Printf.sprintf " long %s = 0;" name
+  ^ String.sub src i (String.length src - i)
+
+(* Part 4: per request kind, its level, the requests sent, the median
+   wall time, the mean minor words and the status every request of the
+   kind answered ("mixed" when they disagree); and whether each kind
+   answered the status of its level. *)
+let kind_rows ~kernels ~rounds =
+  let kinds =
+    [
+      ("miss", "-", "miss");
+      ("resubmit", "1", "hit-textual");
+      ("renamed", "2", "hit-textual");
+      ("unused let", "3", "hit-semantic");
+    ]
+  in
+  let samples = Hashtbl.create 4 in
+  for round = 1 to rounds do
+    List.iter
+      (fun (k : Registry.t) ->
+        let server = Service.create () in
+        let src = k.Registry.source in
+        let tag = Printf.sprintf "kind_%d" round in
+        List.iter2
+          (fun (kind, _, _) source ->
+            let w0 = Gc.minor_words () in
+            let t0 = Stats.now_s () in
+            let r = Service.handle_batch server [ Ok ("sn-slp", source) ] in
+            let dt = Stats.now_s () -. t0 in
+            let words = Gc.minor_words () -. w0 in
+            let status =
+              match r with
+              | [ Sproto.Compiled { statuses; _ } ] -> String.concat "," statuses
+              | _ -> "err"
+            in
+            Hashtbl.add samples kind (dt, words, status))
+          kinds
+          [ src; src; rename_kernel src tag; with_unused_let src tag ])
+      kernels
+  done;
+  let rows =
+    List.map
+      (fun (kind, level, want) ->
+        let xs = Hashtbl.find_all samples kind in
+        let statuses = List.sort_uniq compare (List.map (fun (_, _, s) -> s) xs) in
+        let n = List.length xs in
+        let words = List.fold_left (fun acc (_, w, _) -> acc +. w) 0. xs in
+        ( [
+            Text kind;
+            Text level;
+            Int n;
+            Num (percentile 50.0 (List.map (fun (t, _, _) -> t) xs) *. 1e6, Fixed 1);
+            Num (words /. float_of_int n /. 1e3, Fixed 1);
+            Text (match statuses with [ s ] -> s | _ -> "mixed");
+          ],
+          statuses = [ want ] ))
+      kinds
+  in
+  (List.map fst rows, List.for_all snd rows)
+
 let service_report ~kernels ~replay_rounds ~rounds () =
   (* Part 1: the whole registry as one batch through the protocol
      loop.  The first conversation compiles everything; repeats cost
@@ -1345,6 +1424,7 @@ let service_report ~kernels ~replay_rounds ~rounds () =
   let lat = Service.latencies_s tserver in
   let c = Scache.counters (Service.cache tserver) in
   let nk = Int (List.length kernels) in
+  let kinds, kinds_landed = kind_rows ~kernels ~rounds in
   report "service" "Service: snslpd compile cache (cold vs warm registry replay)"
     ~config:
       [
@@ -1378,6 +1458,7 @@ let service_report ~kernels ~replay_rounds ~rounds () =
             Int c.Scache.misses;
           ];
         ];
+      table "kinds" [ "request"; "level"; "requests"; "p50 us"; "kwords/request"; "status" ] kinds;
     ]
     ~criteria:
       [
@@ -1385,6 +1466,7 @@ let service_report ~kernels ~replay_rounds ~rounds () =
         at_least "semantic cache hits" (Int semantic_hits) 1.0;
         holds "warm replay byte-identical to cold" bit_identical;
         holds "warm replay answered from the cache" warm_all_hits;
+        holds "every request kind answered at its level" kinds_landed;
       ]
 
 let service () = service_report ~kernels:Registry.all ~replay_rounds:20 ~rounds:5 ()

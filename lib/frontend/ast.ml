@@ -119,3 +119,98 @@ let pp_kernel ppf (k : kernel) =
     k.kparams
     (Fmt.list ~sep:Fmt.cut (fun ppf s -> Fmt.pf ppf "  %a" pp_stmt s))
     k.kbody
+
+(* The kernel serialised without source positions or its name, then
+   hashed.  Each constructor writes a tag byte, names and lists carry
+   their length, and integer and float literals are written as 8 bytes,
+   floats by bit pattern: 0.0 and -0.0, or two constants [%g] prints
+   alike, stay apart. *)
+let digest (k : kernel) : string =
+  let b = Buffer.create 1024 in
+  let tag c = Buffer.add_char b c in
+  let int n = Buffer.add_int64_le b (Int64.of_int n) in
+  let name s =
+    int (String.length s);
+    Buffer.add_string b s
+  in
+  let base_ty t =
+    tag (match t with Int_ty -> 'i' | Long_ty -> 'l' | Float_ty -> 'f' | Double_ty -> 'd')
+  in
+  let binop op = tag (match op with Add -> '+' | Sub -> '-' | Mul -> '*' | Div -> '/') in
+  let cmpop op =
+    tag (match op with Ceq -> '=' | Cne -> '!' | Clt -> '<' | Cle -> 'l' | Cgt -> '>' | Cge -> 'g')
+  in
+  let rec expr (e : expr) =
+    match e.desc with
+    | Int_lit i ->
+        tag 'I';
+        Buffer.add_int64_le b i
+    | Float_lit f ->
+        tag 'F';
+        Buffer.add_int64_le b (Int64.bits_of_float f)
+    | Var x ->
+        tag 'V';
+        name x
+    | Index (a, i) ->
+        tag 'X';
+        name a;
+        expr i
+    | Unary (Neg, e) ->
+        tag 'N';
+        expr e
+    | Binary (op, x, y) ->
+        tag 'B';
+        binop op;
+        expr x;
+        expr y
+    | Cmp (op, x, y) ->
+        tag 'C';
+        cmpop op;
+        expr x;
+        expr y
+  in
+  let rec stmts ss =
+    int (List.length ss);
+    List.iter stmt ss
+  and stmt (s : stmt) =
+    match s.sdesc with
+    | Let (t, x, e) ->
+        tag 'L';
+        base_ty t;
+        name x;
+        expr e
+    | Store (a, i, e) ->
+        tag 'S';
+        name a;
+        expr i;
+        expr e
+    | If (c, t, e) ->
+        tag '?';
+        expr c;
+        stmts t;
+        stmts e
+    | For fl ->
+        tag 'R';
+        base_ty fl.fvar_ty;
+        name fl.fvar;
+        expr fl.finit;
+        cmpop fl.fcmp;
+        expr fl.fbound;
+        binop fl.fstep_op;
+        expr fl.fstep;
+        stmts fl.fbody
+  in
+  int (List.length k.kparams);
+  List.iter
+    (fun p ->
+      name p.pname;
+      match p.pty with
+      | Scalar_param t ->
+          tag 's';
+          base_ty t
+      | Array_param t ->
+          tag 'a';
+          base_ty t)
+    k.kparams;
+  stmts k.kbody;
+  Digest.to_hex (Digest.string (Buffer.contents b))

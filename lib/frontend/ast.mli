@@ -59,3 +59,11 @@ val pp_expr : expr Fmt.t
 val pp_stmt : stmt Fmt.t
 val pp_param : param Fmt.t
 val pp_kernel : kernel Fmt.t
+
+val digest : kernel -> string
+(** MD5 (hex) of the kernel's structure, leaving out source positions
+    and the kernel's own name; float literals enter by bit pattern.
+    Two kernels with equal digests type-check alike and lower to the
+    same function up to its name.  The converse does not hold: a [let]
+    temporary or a literal [1] against [1.0] changes the digest but
+    not the IR. *)

@@ -19,10 +19,27 @@ let wrap f =
 
 let parse (src : string) : Ast.kernel list = wrap (fun () -> Parser.parse_program src)
 
+let lower (k : Ast.kernel) : Snslp_ir.Defs.func = wrap (fun () -> Lower.lower_kernel k)
+
+type parsed = { ast : Ast.kernel; digest : string; signature : string }
+
+let parse_digested (src : string) : parsed list =
+  List.map
+    (fun (ast : Ast.kernel) ->
+      {
+        ast;
+        digest = Ast.digest ast;
+        signature =
+          String.concat ","
+            (List.map
+               (fun (p : Ast.param) -> Snslp_ir.Ty.to_string (Lower.param_ty p.Ast.pty))
+               ast.Ast.kparams);
+      })
+    (parse src)
+
 (* [compile src] parses, type-checks, lowers and verifies every kernel
    in [src]. *)
-let compile (src : string) : Snslp_ir.Defs.func list =
-  wrap (fun () -> List.map Lower.lower_kernel (Parser.parse_program src))
+let compile (src : string) : Snslp_ir.Defs.func list = List.map lower (parse src)
 
 (* [compile_one src] expects exactly one kernel. *)
 let compile_one (src : string) : Snslp_ir.Defs.func =

@@ -206,16 +206,15 @@ and lower_stmt (env : env) (b : Builder.t) ~fresh_block (s : A.stmt) =
       Instr.set_operand iv 1 (Instr.value next);
       Builder.position b exit_b
 
+(* The IR type of a parameter: array parameters become typed
+   pointers. *)
+let param_ty = function
+  | A.Scalar_param t -> Ty.Scalar (scalar_of_base t)
+  | A.Array_param t -> Ty.ptr (scalar_of_base t)
+
 let lower_kernel (k : A.kernel) : Defs.func =
   Typecheck.check_kernel k;
-  let args =
-    List.map
-      (fun (p : A.param) ->
-        match p.A.pty with
-        | A.Scalar_param t -> (p.A.pname, Ty.Scalar (scalar_of_base t))
-        | A.Array_param t -> (p.A.pname, Ty.ptr (scalar_of_base t)))
-      k.A.kparams
-  in
+  let args = List.map (fun (p : A.param) -> (p.A.pname, param_ty p.A.pty)) k.A.kparams in
   let f = Func.create ~name:k.A.kname ~args in
   let entry = Func.add_block f "entry" in
   let b = Builder.create f ~at:entry in

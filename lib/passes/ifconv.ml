@@ -92,7 +92,10 @@ type diamond = {
 }
 
 (* [preds] are the CFG predecessors, kept current as diamonds
-   flatten. *)
+   flatten.  A join that starts with a phi is refused, as jam refuses
+   to absorb a block with phis: merging it into [b] would leave the
+   phi in a block that is not at a control-flow merge (the frontend
+   never emits such a join, but a parsed .ir file may). *)
 let match_diamond preds (b : Defs.block) : diamond option =
   match Block.terminator b with
   | Defs.Cond_br (cond, t, e) -> (
@@ -101,13 +104,17 @@ let match_diamond preds (b : Defs.block) : diamond option =
       let only_pred (x : Defs.block) =
         List.for_all (Block.equal b) (Hashtbl.find preds x.Defs.bid)
       in
+      let phi_free (x : Defs.block) =
+        match Block.first x with Some i -> not (Instr.is_phi i) | None -> true
+      in
       match (Block.terminator t, Block.terminator e) with
       | Defs.Br jt, Defs.Br je
         when (not (Block.equal t e)) && Block.equal jt je && (not (Block.equal jt t))
              && (not (Block.equal jt e))
-             && only_pred t && only_pred e ->
+             && only_pred t && only_pred e && phi_free jt ->
           Some { cond; then_b = t; else_b = Some e; join = jt }
-      | Defs.Br jt, _ when Block.equal jt e && only_pred t && not (Block.equal jt t) ->
+      | Defs.Br jt, _
+        when Block.equal jt e && only_pred t && (not (Block.equal jt t)) && phi_free e ->
           (* if-without-else: cond_br to (t, join). *)
           Some { cond; then_b = t; else_b = None; join = e }
       | _ -> None)

@@ -5,10 +5,14 @@
    digest of the request — so a lookup answers for any semantically
    equivalent source the validator can canonicalise, not just a
    byte-identical resubmission.  The structural digest of the request
-   rides along on every operation purely for accounting: a hit whose
-   stored origin printed differently is a *semantic* hit (the cache
-   understood an equivalence), one that printed identically is merely
-   *textual* (any string-keyed cache would have caught it).
+   rides along on every operation purely for accounting; the server
+   passes the parsed kernel's digest, which leaves out positions and
+   the kernel's name.  A hit whose stored origin parsed differently is
+   a *semantic* hit (the cache understood an equivalence), one that
+   parsed identically is merely *textual* (a cache keyed on the source
+   up to layout and the kernel's name would have caught it).  A [let] temporary, or [2]
+   written [2.0] in a float context, changes the parse but not the
+   lowered IR, so such a variant hits semantically.
 
    Eviction is LRU over a fixed entry budget, implemented as a
    last-use clock per entry and a linear scan on overflow — capacities

@@ -3,9 +3,11 @@
 
     The cache itself is key-agnostic; the semantic/textual split in
     its accounting comes from the structural digest callers thread
-    through: a hit whose stored entry was inserted under a different
-    structural digest means the key equated two structurally distinct
-    programs — the hit only a semantic cache could produce. *)
+    through (the server passes each parsed kernel's
+    {!Snslp_frontend.Ast.digest}): a hit whose stored entry was
+    inserted under a different structural digest means the key
+    equated two structurally distinct programs — the hit only a
+    semantic cache could produce. *)
 
 type outcome = Hit_semantic | Hit_textual | Miss
 

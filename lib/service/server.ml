@@ -7,24 +7,38 @@
    1. the request index — a digest of the raw (mode, source) pair.
       A byte-identical resubmission is answered from the cached
       rendering without even running the frontend;
-   2. the structural index — a digest of the parsed function's
-      printing.  A whitespace- or comment-level variant pays the
-      frontend but skips the symbolic executor;
+   2. the structural index — keyed on each parsed kernel's
+      {!Ast.digest}, which leaves out source positions and the
+      kernel's name.  A whitespace-, comment- or name-level variant
+      pays the parser only: it is neither lowered nor run through the
+      symbolic executor;
    3. the semantic key ({!Snslp_lint.Semhash.cache_key}) — the
-      canonical form of what the function stores.  A reassociated or
-      algebraically simplified variant lands on the same entry here.
+      canonical form of what the lowered function stores.  A
+      reassociated or algebraically simplified variant lands on the
+      same entry here.
+
+   A kernel is lowered only when level 2 misses, and every kernel of a
+   request is lowered before the request's first cache lookup, so a
+   request that fails to lower leaves every counter as it was.  The
+   same digest splits hits: a hit whose entry was stored under another
+   digest is semantic.  So two sources that differ in tokens but lower
+   to the same IR (a [let] temporary, [2] written [2.0] in a float
+   context) share an entry as [hit-semantic].  Redundant parentheses
+   leave no trace in the parse, so they still hit textually.
 
    Only the misses that survive all three compile, one
    {!Pipeline.run} each, in first-seen order; within a batch,
    identical misses are deduplicated by cache key, so the second
-   requester waits for the first compile instead of repeating it.
+   requester waits for the first compile instead of repeating it.  A
+   compile that raises answers its requests with an [err] naming the
+   exception, and is neither cached nor recorded in either index; the
+   rest of its batch is answered as usual.
 
-   The cached value is the optimised function plus its rendering under
-   the origin's name.  A hit under the same name replays the rendering
+   The cached value is text: the origin's name and its optimised
+   function printed.  A hit under the same name replays the printing
    verbatim — byte-identical to the fresh compile that produced it —
-   and a hit under a different name re-prints a renamed record copy
-   ([fname] is immutable and blocks are shared, so the rename is
-   cheap).
+   and a hit under a different name splices the requester's name into
+   the [func @] line, which gives the bytes a fresh printing would.
 
    Latency accounting is what a synchronous client observes: every
    request in a batch records the whole batch's elapsed time, a lone
@@ -36,12 +50,12 @@
 open Snslp_ir
 open Snslp_passes
 open Snslp_vectorizer
+module Frontend = Snslp_frontend.Frontend
 module Semhash = Snslp_lint.Semhash
 
 type cached = {
-  cfunc : Defs.func; (* the optimised function, under its origin name *)
-  corig : string; (* the origin's fname *)
-  cprint : string; (* [cfunc] rendered, memoised *)
+  corig : string; (* the origin's fname, as [cprint] prints it *)
+  cprint : string; (* the origin's optimised function, printed *)
 }
 
 type t = {
@@ -50,9 +64,8 @@ type t = {
       (* digest of mode+source -> (fname, cache key) per kernel the
          request defines, in definition order *)
   structural_index : (string, string) Hashtbl.t;
-      (* fingerprint|signature|structural-digest -> semantic cache
-         key, so the symbolic executor runs once per distinct
-         printing *)
+      (* fingerprint|signature|kernel digest -> semantic cache key, so
+         a known kernel is neither lowered nor keyed again *)
   index_bound : int;
       (* both indexes reset when they outgrow this — entries go stale
          as the cache evicts, and {!Cache.mem} probes already guard
@@ -201,159 +214,165 @@ let remember t index key v =
   if Hashtbl.length index >= t.index_bound then Hashtbl.reset index;
   Hashtbl.replace index key v
 
-(* Render a cached entry for a requester named [fname]: the memoised
-   printing when the names agree (byte-for-byte what the original
-   compile answered), a renamed re-print otherwise. *)
+(* Render a cached entry for a requester named [fname]: the printing
+   itself when the names agree (byte-for-byte what the original compile
+   answered), otherwise the printing with [fname] spliced in after the
+   ["func @"] it starts with, where the printer writes the name. *)
 let render (c : cached) ~fname =
   if String.equal fname c.corig then c.cprint
-  else print_func { c.cfunc with Defs.fname = fname }
+  else
+    let head = "func @" ^ fname and skip = String.length "func @" + String.length c.corig in
+    let rest = String.length c.cprint - skip in
+    let b = Bytes.create (String.length head + rest) in
+    Bytes.blit_string head 0 b 0 (String.length head);
+    Bytes.blit_string c.cprint skip b (String.length head) rest;
+    Bytes.unsafe_to_string b
 
 (* --- One batch ----------------------------------------------------------- *)
 
 type item = {
   fname : string;
   key : string; (* the semantic cache key this kernel resolved to *)
+  sidx : string; (* its structural index key *)
   status : string;
-  body : [ `Text of string | `Cell of cached option ref ];
-      (* [`Cell] for misses: filled by the batch's compile *)
+  body : [ `Text of string | `Cell of (cached, string) result option ref ];
+      (* [`Cell] for misses: filled by the batch's compile, with the
+         entry or the error *)
 }
 
 type slot =
-  | Bad of string
-  | Fast of string * string list * int
-      (* pre-rendered response: ir, statuses, kernel count *)
+  | Done of Protocol.response (* an error, or a level-1 replay *)
   | Items of string * item list (* request digest, per-kernel items *)
 
 let request_digest ~mode ~source =
   Digest.to_hex (Digest.string (mode ^ "\x00" ^ source))
+
+(* The message of an exception raised while serving a request. *)
+let describe = function
+  | Frontend.Error msg -> msg
+  | e -> Printexc.to_string e
 
 let handle_batch t (requests : (string * string, string) result list) :
     Protocol.response list =
   (* The batch's distinct misses, newest first; they compile in
      first-seen order. *)
   let pending = ref [] in
-  let dedup : (string, cached option ref) Hashtbl.t = Hashtbl.create 16 in
-  let lookup_func t setting (f : Defs.func) : item =
-    let fingerprint = fingerprint_of_setting setting in
-    let structural = Semhash.structural_digest f in
-    let sidx = fingerprint ^ "|" ^ Semhash.signature f ^ "|" ^ structural in
-    (* Level 2: a known printing already knows its semantic key. *)
-    let key =
-      match Hashtbl.find_opt t.structural_index sidx with
-      | Some key when Cache.mem t.cache key -> key
-      | _ -> Semhash.cache_key ~fingerprint f
-    in
-    remember t t.structural_index sidx key;
-    match Cache.find t.cache ~key ~structural with
+  let dedup = Hashtbl.create 16 in
+  (* Level 2, and below it lowering and the semantic key: the key a
+     kernel resolves to, and its lowered function unless level 2 knew
+     the key. *)
+  let resolve ~fingerprint (k : Frontend.parsed) =
+    let sidx = String.concat "|" [ fingerprint; k.Frontend.signature; k.Frontend.digest ] in
+    match Hashtbl.find_opt t.structural_index sidx with
+    | Some key when Cache.mem t.cache key -> (k, sidx, key, None)
+    | _ ->
+        let f = Frontend.lower k.Frontend.ast in
+        (k, sidx, Semhash.cache_key ~fingerprint f, Some f)
+  in
+  let lookup setting ((k : Frontend.parsed), sidx, key, lowered) : item =
+    let fname = k.Frontend.ast.Snslp_frontend.Ast.kname in
+    match Cache.find t.cache ~key ~structural:k.Frontend.digest with
     | Some (c, outcome) ->
-        {
-          fname = f.Defs.fname;
-          key;
-          status = Cache.outcome_to_string outcome;
-          body = `Text (render c ~fname:f.Defs.fname);
-        }
+        let status = Cache.outcome_to_string outcome in
+        { fname; key; sidx; status; body = `Text (render c ~fname) }
     | None ->
         let cell =
           match Hashtbl.find_opt dedup key with
           | Some cell -> cell
           | None ->
+              (* [resolve] found the key's entry present when it did
+                 not lower, and nothing leaves the cache before the
+                 batch compiles. *)
+              let f = match lowered with Some f -> f | None -> assert false in
               let cell = ref None in
               Hashtbl.add dedup key cell;
-              pending := (setting, f, key, structural, cell) :: !pending;
+              pending := (setting, f, key, k.Frontend.digest, cell) :: !pending;
               cell
         in
-        {
-          fname = f.Defs.fname;
-          key;
-          status = Cache.outcome_to_string Cache.Miss;
-          body = `Cell cell;
-        }
+        { fname; key; sidx; status = Cache.outcome_to_string Cache.Miss; body = `Cell cell }
   in
   let slots =
     List.map
       (fun req ->
         match req with
-        | Error msg -> Bad msg
+        | Error msg -> Done (Protocol.Err msg)
         | Ok (mode, source) -> (
             let rdigest = request_digest ~mode ~source in
-            (* Level 1: a byte-identical request replays its cached
-               renderings without touching the frontend. *)
-            let fast =
-              match Hashtbl.find_opt t.request_index rdigest with
-              | Some bindings
-                when List.for_all (fun (_, key) -> Cache.mem t.cache key) bindings ->
-                  Some
-                    (List.map
-                       (fun (fname, key) ->
-                         match Cache.find_exact t.cache ~key with
-                         | Some c -> render c ~fname
-                         | None -> assert false (* [mem] above *))
-                       bindings)
-              | _ -> None
-            in
-            match fast with
-            | Some texts ->
-                Fast
-                  ( String.concat "\n" texts,
-                    List.map
-                      (fun _ -> Cache.outcome_to_string Cache.Hit_textual)
-                      texts,
-                    List.length texts )
-            | None -> (
+            match Hashtbl.find_opt t.request_index rdigest with
+            | Some bindings
+              when List.for_all (fun (_, key) -> Cache.mem t.cache key) bindings ->
+                (* Level 1: a byte-identical request replays its cached
+                   renderings without touching the frontend. *)
+                let texts =
+                  List.map
+                    (fun (fname, key) ->
+                      match Cache.find_exact t.cache ~key with
+                      | Some c -> render c ~fname
+                      | None -> assert false (* [mem] above *))
+                    bindings
+                in
+                Done
+                  (Protocol.Compiled
+                     {
+                       statuses =
+                         List.map (fun _ -> Cache.outcome_to_string Cache.Hit_textual) texts;
+                       ir = String.concat "\n" texts;
+                     })
+            | _ -> (
                 match setting_of_mode mode with
-                | Error msg -> Bad msg
+                | Error msg -> Done (Protocol.Err msg)
                 | Ok setting -> (
-                    match Snslp_frontend.Frontend.compile source with
-                    | exception Snslp_frontend.Frontend.Error msg -> Bad msg
-                    | funcs -> Items (rdigest, List.map (lookup_func t setting) funcs)))))
+                    let fingerprint = fingerprint_of_setting setting in
+                    match List.map (resolve ~fingerprint) (Frontend.parse_digested source) with
+                    | exception e -> Done (Protocol.Err (describe e))
+                    | resolved -> Items (rdigest, List.map (lookup setting) resolved)))))
       requests
   in
   (* Compile every miss. *)
   List.iter
     (fun (setting, (f : Defs.func), key, structural, cell) ->
-      let r = Pipeline.run ~setting f in
-      Option.iter
-        (fun rep -> Stats.add ~into:t.stats rep.Vectorize.stats)
-        r.Pipeline.vect_report;
-      let c =
-        { cfunc = r.Pipeline.func; corig = f.Defs.fname; cprint = print_func r.Pipeline.func }
-      in
-      cell := Some c;
-      Cache.add t.cache ~key ~structural c)
+      match Pipeline.run ~setting f with
+      | r ->
+          Option.iter
+            (fun rep -> Stats.add ~into:t.stats rep.Vectorize.stats)
+            r.Pipeline.vect_report;
+          let g = r.Pipeline.func in
+          let c = { corig = g.Defs.fname; cprint = print_func g } in
+          cell := Some (Ok c);
+          Cache.add t.cache ~key ~structural c
+      | exception e ->
+          let msg = Printf.sprintf "compile of @%s failed: %s" f.Defs.fname (describe e) in
+          cell := Some (Error msg))
     (List.rev !pending);
-  (* Remember each slow-path request for level 1: every kernel of the
-     request is now cached under its key. *)
-  List.iter
-    (fun slot ->
-      match slot with
-      | Items (rdigest, items) ->
-          remember t t.request_index rdigest
-            (List.map (fun it -> (it.fname, it.key)) items)
-      | Bad _ | Fast _ -> ())
-    slots;
-  (* Render. *)
+  (* Each kernel's text, or the error of its failed compile. *)
+  let text it =
+    match it.body with
+    | `Text s -> Ok s
+    | `Cell { contents = Some (Ok c) } -> Ok (render c ~fname:it.fname)
+    | `Cell { contents = Some (Error e) } -> Error e
+    | `Cell { contents = None } -> assert false (* every cell is filled above *)
+  in
   List.map
     (fun slot ->
       match slot with
-      | Bad msg -> Protocol.Err msg
-      | Fast (ir, statuses, _) -> Protocol.Compiled { statuses; ir }
-      | Items (_, items) ->
-          let texts =
-            List.map
-              (fun it ->
-                match it.body with
-                | `Text s -> s
-                | `Cell cell -> (
-                    match !cell with
-                    | Some c -> render c ~fname:it.fname
-                    | None -> "" (* unreachable: every cell is filled above *)))
-              items
-          in
-          Protocol.Compiled
-            {
-              statuses = List.map (fun it -> it.status) items;
-              ir = String.concat "\n" texts;
-            })
+      | Done r -> r
+      | Items (rdigest, items) -> (
+          let texts = List.map text items in
+          (* Remember what compiled for levels 1 and 2; a failed kernel
+             is remembered by neither. *)
+          List.iter2
+            (fun it r -> if Result.is_ok r then remember t t.structural_index it.sidx it.key)
+            items texts;
+          match List.find_map (function Error e -> Some e | Ok _ -> None) texts with
+          | Some e -> Protocol.Err e
+          | None ->
+              remember t t.request_index rdigest
+                (List.map (fun it -> (it.fname, it.key)) items);
+              Protocol.Compiled
+                {
+                  statuses = List.map (fun it -> it.status) items;
+                  ir = String.concat "\n" (List.map Result.get_ok texts);
+                }))
     slots
 
 (* --- Stats ---------------------------------------------------------------- *)

@@ -1,16 +1,19 @@
 (** The snslpd compile service: one compile cache plus the
     {!Protocol} conversation loop around it.
 
-    Misses compile in the calling domain; hits are answered
-    by renaming the cached optimised function to the requester's name
-    and printing it, which keeps cache answers byte-identical to fresh
-    compiles of the same source. *)
+    Misses compile in the calling domain.  A kernel is lowered only
+    when the structural index, keyed on its parsed form
+    ({!Snslp_frontend.Ast.digest}), does not know its cache key.
+    Hits are answered from the cached text: the printing itself under
+    the origin's name, or the printing with the requester's name
+    spliced into its [func @] line, which keeps cache answers
+    byte-identical to fresh compiles of the same source. *)
 
 type t
 
 type cached
-(** A cache entry: the optimised function plus its memoised rendering
-    under the origin's name. *)
+(** A cache entry: the origin's kernel name and its optimised function
+    printed.  No IR is kept. *)
 
 val create : ?capacity:int -> unit -> t
 (** A fresh server with an empty cache of [capacity] entries
@@ -32,8 +35,16 @@ val handle_batch :
     never cross packing modes or unroll policies.  Cache
     lookups happen per function; the misses of the whole batch then
     compile in first-seen order, whatever their modes, identical
-    misses deduplicated by cache key.  Exposed for in-process use;
-    {!serve} frames the same calls. *)
+    misses deduplicated by cache key.  Every kernel of a request is
+    lowered (when it must be) before the request's first cache lookup,
+    so a request that fails to parse, type-check or lower is an [Err]
+    that leaves every counter unchanged.  A compile that raises makes
+    each request that waits on it an [Err] naming the exception; it is
+    not cached, and the batch's other requests are answered as usual.
+    A hit is [Hit_textual] when the entry was stored under the same
+    kernel digest, so a variant that differs only in tokens that do
+    not reach the IR (a [let] temporary) hits semantically.  Exposed
+    for in-process use; {!serve} frames the same calls. *)
 
 val stats_reply : t -> Protocol.response
 (** The counters snapshot [serve] answers [stats] with: cache

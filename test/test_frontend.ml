@@ -52,6 +52,70 @@ let test_lexer_errors () =
        false
      with Lexer.Lex_error _ -> true)
 
+(* The token stream of every registry kernel and Fullbench unit, one
+   line per token with its position (floats by bit pattern), pinned by
+   an MD5; and the exact outcome of malformed or unusual inputs.  Both
+   were captured before the lexer stopped allocating per character. *)
+let lexer_streams_md5 = "fcda08566bccfb2ae0af2a721380307e"
+
+let token_line (tok, (p : Ast.pos)) =
+  let t =
+    match tok with
+    | Lexer.FLOAT f -> Printf.sprintf "FLOAT %Lx" (Int64.bits_of_float f)
+    | Lexer.INT i -> Printf.sprintf "INT %Ld" i
+    | Lexer.IDENT s -> "IDENT " ^ s
+    | tok -> Lexer.token_to_string tok
+  in
+  Printf.sprintf "%s %d:%d\n" t p.Ast.line p.Ast.col
+
+let lex_outcome src =
+  match Lexer.tokens src with
+  | toks -> "ok " ^ String.concat "" (List.map token_line toks)
+  | exception Lexer.Lex_error (m, p) -> Printf.sprintf "error %d:%d %s" p.Ast.line p.Ast.col m
+
+let test_lexer_pinned_streams () =
+  let sources =
+    List.map (fun (k : Snslp_kernels.Registry.t) -> k.Snslp_kernels.Registry.source)
+      Snslp_kernels.Registry.all
+    @ List.map Snslp_kernels.Fullbench.source Snslp_kernels.Fullbench.all
+  in
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun src -> List.iter (fun t -> Buffer.add_string buf (token_line t)) (Lexer.tokens src))
+    sources;
+  Alcotest.(check string) "tokens and positions, registry + Fullbench" lexer_streams_md5
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let pinned_lexes =
+  [
+    ("/* never closed", "error 1:16 unterminated comment");
+    ("/* a\n b *", "error 2:5 unterminated comment");
+    ("x = 1e;", "error 1:7 malformed float literal \"1e\"");
+    ("1e+", "error 1:4 malformed float literal \"1e+\"");
+    ("a ! b", "error 1:4 unexpected character '!'");
+    ("!", "error 1:2 unexpected character '!'");
+    ("kernel @", "error 1:8 unexpected character '@'");
+    ("x\n\t#y", "error 2:2 unexpected character '#'");
+    ("a\000b", "error 1:2 unexpected character '\\000'");
+    ("1.5.3", "error 1:4 unexpected character '.'");
+    ("99999999999999999999", "error 1:21 malformed integer literal \"99999999999999999999\"");
+    ("9223372036854775808", "error 1:20 malformed integer literal \"9223372036854775808\"");
+    ("caf\195\169", "error 1:4 unexpected character '\\195'");
+    ( "1.e5 1e5x 0x10 007 1_000 // trailing comment",
+      "ok FLOAT 40f86a0000000000 1:1\nFLOAT 40f86a0000000000 1:6\nIDENT x 1:9\nINT 0 1:11\n\
+       IDENT x10 1:12\nINT 7 1:16\nINT 1 1:20\nIDENT _000 1:21\n<eof> 1:45\n" );
+    ( "a!=b\r\n!= <=>= ===",
+      "ok IDENT a 1:1\n!= 1:2\nIDENT b 1:4\n!= 2:1\n<= 2:4\n>= 2:6\n== 2:9\n= 2:11\n<eof> 2:12\n" );
+    ("", "ok <eof> 1:1\n");
+    ("/**/ / /* * / */ 1/2", "ok / 1:6\nINT 1 1:18\n/ 1:19\nINT 2 1:20\n<eof> 1:21\n");
+    ( "1e-3e 2E+2",
+      "ok FLOAT 3f50624dd2f1a9fc 1:1\nIDENT e 1:5\nFLOAT 4069000000000000 1:7\n<eof> 1:11\n" );
+  ]
+
+let test_lexer_pinned_errors () =
+  List.iter (fun (src, want) -> Alcotest.(check string) (String.escaped src) want (lex_outcome src))
+    pinned_lexes
+
 (* --- Parser ---------------------------------------------------------- *)
 
 let motiv_src =
@@ -146,6 +210,93 @@ let test_type_errors () =
   check "duplicate param" true (bad "kernel f(double A[], double A[]) { }");
   check "redefined local" true
     (bad "kernel f(double A[]) { double t = 1.0; double t = 2.0; A[0] = t; }")
+
+(* --- Kernel digest ---------------------------------------------------- *)
+
+(* The digest a compile cache keys parsed kernels on: blind to layout,
+   comments, redundant parentheses and the kernel's name, and to
+   nothing that reaches the IR. *)
+let digest_of src =
+  match Frontend.parse_digested src with
+  | [ k ] -> k.Frontend.digest
+  | ks -> Alcotest.failf "expected one kernel, found %d" (List.length ks)
+
+let digest_base =
+  "kernel f(double A[], double B[], long i) {\n\
+  \  for (long j = 0; j < 4; j = j + 1) { A[i+j] = B[i+j] * 2.0 + 0.0; }\n\
+   }"
+
+let test_digest_ignores_layout () =
+  let same what src =
+    Alcotest.(check string) what (digest_of digest_base) (digest_of src)
+  in
+  same "whitespace"
+    "kernel f ( double A [ ] , double B[],long i ){\n\n\
+    \ for(long j=0;j<4;j=j+1){A[i+j]=B[i+j]*2.0+0.0;}}";
+  same "comments"
+    "// header\nkernel f(double A[], double B[], long i) { /* loop */\n\
+    \  for (long j = 0; j < 4; j = j + 1) { A[i+j] = B[i+j] * 2.0 + 0.0; } // end\n\
+     }";
+  same "the kernel's name"
+    "kernel renamed(double A[], double B[], long i) {\n\
+    \  for (long j = 0; j < 4; j = j + 1) { A[i+j] = B[i+j] * 2.0 + 0.0; }\n\
+     }";
+  same "redundant parentheses"
+    "kernel f(double A[], double B[], long i) {\n\
+    \  for (long j = 0; j < 4; j = j + 1) { A[(i+j)] = ((B[i+j] * 2.0)) + (0.0); }\n\
+     }"
+
+let test_digest_sees_what_lowers () =
+  let base = digest_of digest_base in
+  let differs what src =
+    if String.equal base (digest_of src) then Alcotest.failf "%s left the digest unchanged" what
+  in
+  differs "0.0 against -0.0"
+    "kernel f(double A[], double B[], long i) {\n\
+    \  for (long j = 0; j < 4; j = j + 1) { A[i+j] = B[i+j] * 2.0 + -0.0; }\n\
+     }";
+  differs "an operand swap"
+    "kernel f(double A[], double B[], long i) {\n\
+    \  for (long j = 0; j < 4; j = j + 1) { A[i+j] = 2.0 * B[i+j] + 0.0; }\n\
+     }";
+  differs "a parameter name"
+    "kernel f(double A[], double C[], long i) {\n\
+    \  for (long j = 0; j < 4; j = j + 1) { A[i+j] = C[i+j] * 2.0 + 0.0; }\n\
+     }";
+  differs "a type"
+    "kernel f(double A[], float B[], long i) {\n\
+    \  for (long j = 0; j < 4; j = j + 1) { A[i+j] = B[i+j] * 2.0 + 0.0; }\n\
+     }";
+  differs "a loop bound"
+    "kernel f(double A[], double B[], long i) {\n\
+    \  for (long j = 0; j < 8; j = j + 1) { A[i+j] = B[i+j] * 2.0 + 0.0; }\n\
+     }";
+  (* The source above spells -0.0 as a negation; a literal whose bits
+     alone differ, which [=] and [compare] equate with 0.0, differs
+     too. *)
+  let k = (List.hd (Frontend.parse_digested digest_base)).Frontend.ast in
+  let rec negate_zero (e : Ast.expr) =
+    match e.Ast.desc with
+    | Ast.Float_lit 0.0 -> { e with Ast.desc = Ast.Float_lit (-0.0) }
+    | Ast.Binary (op, x, y) -> { e with Ast.desc = Ast.Binary (op, negate_zero x, negate_zero y) }
+    | _ -> e
+  in
+  let body =
+    List.map
+      (fun (s : Ast.stmt) ->
+        match s.Ast.sdesc with
+        | Ast.For fl ->
+            let store (s : Ast.stmt) =
+              match s.Ast.sdesc with
+              | Ast.Store (a, i, e) -> { s with Ast.sdesc = Ast.Store (a, i, negate_zero e) }
+              | _ -> s
+            in
+            { s with Ast.sdesc = Ast.For { fl with Ast.fbody = List.map store fl.Ast.fbody } }
+        | _ -> s)
+      k.Ast.kbody
+  in
+  if String.equal (Ast.digest k) (Ast.digest { k with Ast.kbody = body }) then
+    Alcotest.fail "a -0.0 literal digests like 0.0"
 
 (* --- Lowering -------------------------------------------------------- *)
 
@@ -281,6 +432,8 @@ let suite =
         Alcotest.test_case "positions" `Quick test_lexer_positions;
         Alcotest.test_case "operators" `Quick test_lexer_operators;
         Alcotest.test_case "errors" `Quick test_lexer_errors;
+        Alcotest.test_case "pinned token streams" `Quick test_lexer_pinned_streams;
+        Alcotest.test_case "pinned malformed inputs" `Quick test_lexer_pinned_errors;
       ] );
     ( "parser",
       [
@@ -293,6 +446,11 @@ let suite =
       ] );
     ( "typecheck",
       [ Alcotest.test_case "type errors" `Quick test_type_errors ] );
+    ( "kernel-digest",
+      [
+        Alcotest.test_case "blind to layout and name" `Quick test_digest_ignores_layout;
+        Alcotest.test_case "sees what lowers" `Quick test_digest_sees_what_lowers;
+      ] );
     ( "lowering",
       [
         Alcotest.test_case "motivating example" `Quick test_lower_motiv;

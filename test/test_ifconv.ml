@@ -160,6 +160,30 @@ kernel l(double A[], double B[], long i) {
   agree src ~arrays:[ "A"; "B" ] ~size:32 ~ivals:[ 0; 3; 7 ];
   ignore (Pipeline.run ~setting:(Some Snslp_vectorizer.Config.snslp) (compile src))
 
+(* A triangle whose join starts with a phi: absorbing the join moved
+   the phi into the entry block, and the verifier rejected the result
+   with Invalid_ir under every mode, o3 included.  The join is now
+   refused and the function keeps its shape. *)
+let test_join_with_phi_refused () =
+  let src =
+    "func @j(i64* %a, i64 %n) {\n\
+     entry:\n\
+    \  %d = icmp.lt i32 %n, 2\n\
+    \  br %d, %t, %l\n\
+     t:\n\
+    \  br %l\n\
+     l:\n\
+    \  %p = phi.entry.t i64 1, 2\n\
+    \  %g = gep i64* %a, 0\n\
+    \  store %p, %g\n\
+    \  ret\n\
+     }\n"
+  in
+  let f = Ir_parser.parse src in
+  check_int "nothing converted" 0 (Ifconv.run f);
+  check_int "three blocks kept" 3 (List.length f.Defs.blocks);
+  ignore (Pipeline.run ~setting:None (Ir_parser.parse src))
+
 (* The scale experiment's nested shape (bench/main.ml, [scale_shapes]):
    [n] statements, each two nested ifs around one store. *)
 let nested_ifs n =
@@ -207,6 +231,7 @@ let suite =
           test_distinct_store_targets_convert;
         Alcotest.test_case "enables vectorization" `Quick test_ifconv_enables_vectorization;
         Alcotest.test_case "join feeding a loop" `Quick test_join_feeding_a_loop;
+        Alcotest.test_case "join starting with a phi" `Quick test_join_with_phi_refused;
         Alcotest.test_case "allocation growth per doubling" `Quick test_allocation_growth;
       ] );
   ]

@@ -681,6 +681,188 @@ let test_server_mixed_batch_eviction_order () =
       check_str "the batch's last entry outlives its first two" "hit-textual" last
   | rs -> Alcotest.fail ("unexpected statuses: " ^ String.concat "; " rs)
 
+(* --- Level 2: the parsed kernel's digest ----------------------------------- *)
+
+let corpus () =
+  List.map (fun (k : Snslp_kernels.Registry.t) -> k.Snslp_kernels.Registry.source)
+    Snslp_kernels.Registry.all
+  @ List.map Snslp_kernels.Fullbench.source Snslp_kernels.Fullbench.all
+
+(* The structural index keys on the signature read off the parse, the
+   cache key on the one read off the lowered function: they must agree. *)
+let test_signature_from_ast () =
+  List.iter
+    (fun src ->
+      List.iter2
+        (fun (k : Snslp_frontend.Frontend.parsed) f ->
+          check_str k.Snslp_frontend.Frontend.ast.Snslp_frontend.Ast.kname (Semhash.signature f)
+            k.Snslp_frontend.Frontend.signature)
+        (Snslp_frontend.Frontend.parse_digested src)
+        (Snslp_frontend.Frontend.compile src))
+    (corpus ())
+
+(* [src] with its one kernel renamed to [name], in place: every other
+   byte of the source stays. *)
+let rename_source src name =
+  let old =
+    match Snslp_frontend.Frontend.parse src with
+    | [ k ] -> k.Snslp_frontend.Ast.kname
+    | _ -> Alcotest.fail "expected one kernel"
+  in
+  let header = "kernel " ^ old ^ "(" in
+  let n = String.length header in
+  let rec find i =
+    if i + n > String.length src then Alcotest.failf "no %S in the source" header
+    else if String.equal (String.sub src i n) header then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub src 0 i ^ "kernel " ^ name ^ "("
+  ^ String.sub src (i + n) (String.length src - i - n)
+
+(* What a fresh compile of [src] prints, without the final newline, as
+   the server answers it. *)
+let fresh_print ~setting src =
+  let r = Snslp_passes.Pipeline.run ~setting (compile_one src) in
+  let ir = Printer.func_to_string r.Snslp_passes.Pipeline.func in
+  String.sub ir 0 (String.length ir - 1)
+
+(* A renamed resubmission is answered by splicing the new name into the
+   cached printing; that must give the bytes of printing the renamed
+   compile. *)
+let test_spliced_rename_is_a_fresh_print () =
+  List.iter
+    (fun (k : Snslp_kernels.Registry.t) ->
+      (* A server of its own: some registry kernels share semantics. *)
+      let server = Server.create () in
+      let src = k.Snslp_kernels.Registry.source in
+      let renamed = rename_source src (k.Snslp_kernels.Registry.name ^ "_renamed_kernel") in
+      ignore (Server.handle_batch server [ Ok ("sn-slp", src) ]);
+      match Server.handle_batch server [ Ok ("sn-slp", renamed) ] with
+      | [ Protocol.Compiled { statuses = [ "hit-textual" ]; ir } ] ->
+          check_str k.Snslp_kernels.Registry.name
+            (fresh_print ~setting:(Some Snslp_vectorizer.Config.snslp) renamed)
+            ir
+      | [ r ] ->
+          Alcotest.failf "%s: renamed answered %s" k.Snslp_kernels.Registry.name (statuses_of r)
+      | _ -> Alcotest.fail "expected one response")
+    Snslp_kernels.Registry.all
+
+(* A renamed resubmission of a 1,000-statement kernel is parsed and
+   digested, not lowered: it answers textually with the bytes of a
+   fresh compile, and allocates less than half of what
+   [Frontend.compile] of the same source does. *)
+let test_renamed_large_kernel_skips_lowering () =
+  let source name =
+    "kernel " ^ name ^ "(double a[], double b[], double c[], long i) {\n"
+    ^ String.concat ""
+        (List.init 1000 (fun k -> Printf.sprintf "  a[i+%d] = b[i+%d] * 1.5 + c[i+%d];\n" k k k))
+    ^ "}\n"
+  in
+  let server = Server.create () in
+  (match Server.handle_batch server [ Ok ("o3", source "big") ] with
+  | [ r ] -> check_str "the first compile misses" "miss" (statuses_of r)
+  | _ -> Alcotest.fail "expected one response");
+  let renamed = source "big_renamed" in
+  let w0 = Gc.minor_words () in
+  let reply = Server.handle_batch server [ Ok ("o3", renamed) ] in
+  let hit_words = Gc.minor_words () -. w0 in
+  let w0 = Gc.minor_words () in
+  ignore (Snslp_frontend.Frontend.compile renamed);
+  let compile_words = Gc.minor_words () -. w0 in
+  (match reply with
+  | [ Protocol.Compiled { statuses = [ "hit-textual" ]; ir } ] ->
+      check_str "byte-identical to a fresh compile" (fresh_print ~setting:None renamed) ir
+  | [ r ] -> Alcotest.failf "renamed answered %s" (statuses_of r)
+  | _ -> Alcotest.fail "expected one response");
+  if hit_words >= compile_words /. 2. then
+    Alcotest.failf "the renamed hit allocated %.0f words, Frontend.compile %.0f" hit_words
+      compile_words
+
+(* The documented status change: a [let] temporary changes the parse but
+   not the IR, so the variant is found through the semantic key and
+   reports [hit-semantic]; its bytes are those of its own fresh
+   compile. *)
+let test_let_temporary_hits_semantically () =
+  let plain = "kernel f(double A[], double B[], long i) { A[i] = B[i] * 2.0 + 1.0; }" in
+  let with_let =
+    "kernel f(double A[], double B[], long i) { double t = B[i] * 2.0; A[i] = t + 1.0; }"
+  in
+  let lines = compile_frame "sn-slp" plain @ compile_frame "sn-slp" with_let @ [ "quit" ] in
+  match converse (Server.create ()) lines with
+  | [ first; second ] ->
+      check_str "the plain source misses" "miss" (statuses_of first);
+      check_str "the let variant hits semantically" "hit-semantic" (statuses_of second);
+      check_str "with the bytes of its own compile"
+        (fresh_print ~setting:(Some Snslp_vectorizer.Config.snslp) with_let)
+        (ir_of second)
+  | rs -> Alcotest.failf "expected 2 responses, got %d" (List.length rs)
+
+(* Every kernel of a request lowers before its first cache lookup: a
+   request whose second kernel fails to type-check is an [err] even when
+   its first kernel is a level-2 hit, and no counter moves. *)
+let test_bad_request_touches_no_counter () =
+  let server = Server.create () in
+  let good = "kernel f(long A[], long B[], long i) { A[i] = B[i] + 1; }" in
+  ignore (Server.handle_batch server [ Ok ("sn-slp", good) ]);
+  let before = Cache.counters (Server.cache server) in
+  let bad = "kernel g(long A[], long B[], long i) { A[i] = B[i] + 1; }\n\
+             kernel h(double A[], long i) { long k = i; long k = i; A[k] = 1.0; }" in
+  (match Server.handle_batch server [ Ok ("sn-slp", bad) ] with
+  | [ Protocol.Err e ] -> check "a type error" true (contains e "type error")
+  | rs -> Alcotest.failf "expected one err, got %s" (String.concat "; " (List.map statuses_of rs)));
+  check "counters unchanged" true (Cache.counters (Server.cache server) = before)
+
+(* --- Compiles that raise ---------------------------------------------------- *)
+
+(* Two valid kernels the vectorizer cannot compile (reduced from random
+   nested-if KernelC): the first raises [Codegen.Scheduling_failure],
+   the second [Verifier.Invalid_ir].  Either used to kill snslpd. *)
+let raising_kernels =
+  [
+    ( "Scheduling_failure",
+      "kernel r(double a[], double b[], double c[], long i) { if (b[i+0] > a[i+2]) { if \
+       (a[i+3] > b[i+3]) { for (long j = 0; j < 4; j = j + 1) { a[i+j+0] = a[i+j+1] + \
+       a[i+j+0]; a[i+j+0] = 1.0; } } else { for (long j = 0; j < 4; j = j + 1) { a[i+j+2] = \
+       b[i+j+2] - 1.5; } } } }" );
+    ( "Invalid_ir",
+      "kernel r(double a[], double b[], double c[], long i) { for (long j = 0; j < 3; j = j + \
+       1) { if (a[i+j+1] == 1.0) { if (a[i+j+0] < 0.0) { a[i+j+0] = c[i+j+0] - 1.5; } else { \
+       a[i+j+3] = c[i+j+3] + a[i+j+0]; a[i+j+3] = 1.0; a[i+j+2] = c[i+j+2] + c[i+j+2]; } } } }" );
+  ]
+
+let valid_kernel = "kernel f(long A[], long B[], long i) { A[i] = B[i] + 1; }"
+
+(* A compile that raises answers [err] naming the exception, is neither
+   cached nor remembered by either index, and leaves its batch-mates
+   compiling. *)
+let test_server_compile_failure_isolated () =
+  let server = Server.create () in
+  let failing = List.map (fun (_, src) -> Ok ("sn-slp", src)) raising_kernels in
+  let replies = Server.handle_batch server (failing @ [ Ok ("sn-slp", valid_kernel) ]) in
+  (match replies with
+  | [ Protocol.Err e1; Protocol.Err e2; ok ] ->
+      check "the first err names its exception" true (contains e1 "Scheduling_failure");
+      check "the second err names its exception" true (contains e2 "Invalid_ir");
+      check_str "the batch-mate compiles" "miss" (statuses_of ok);
+      check_str "with the bytes of a fresh compile"
+        (fresh_print ~setting:(Some Snslp_vectorizer.Config.snslp) valid_kernel)
+        (ir_of ok)
+  | rs -> Alcotest.failf "unexpected replies: %s" (String.concat "; " (List.map statuses_of rs)));
+  check_int "only the batch-mate is cached" 1 (Cache.counters (Server.cache server)).Cache.entries;
+  (* Resubmitted byte for byte, and renamed: neither index answers, the
+     compile runs again and fails again. *)
+  let again = List.map (fun (_, src) -> Ok ("sn-slp", src)) raising_kernels in
+  let renamed = List.map (fun (_, src) -> Ok ("sn-slp", rename_source src "r2")) raising_kernels in
+  List.iter
+    (function
+      | Protocol.Err e -> check "fails again" true (contains e "failed")
+      | r -> Alcotest.failf "a failed kernel answered %s" (statuses_of r))
+    (Server.handle_batch server (again @ renamed));
+  let c = Cache.counters (Server.cache server) in
+  check_int "every failed lookup is a miss" 7 c.Cache.misses;
+  check_int "still one entry" 1 c.Cache.entries
+
 (* --- Latency window ---------------------------------------------------------- *)
 
 (* The stats percentiles cover a fixed window of the latest requests,
@@ -904,6 +1086,45 @@ let test_daemon_socket () =
           send sock [ "quit" ];
           Unix.close sock))
 
+(* The daemon keeps serving after a compile raises: both raising
+   kernels answer [err], a valid request after them compiles, and the
+   counters show three misses and one entry. *)
+let test_daemon_survives_raising_compiles () =
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  with_daemon [] ~stdin:in_r ~stdout:out_w (fun wait_exit ->
+      Unix.close in_r;
+      Unix.close out_w;
+      let deadline = ref 0. in
+      let read = line_reader out_r deadline in
+      List.iter (fun (_, src) -> send in_w (compile_frame "sn-slp" src)) raising_kernels;
+      send in_w (compile_frame "sn-slp" valid_kernel);
+      send in_w [ "stats" ];
+      let replies = read_replies read deadline 4 in
+      let next = feed replies in
+      let read_one () =
+        match Protocol.read_response next with
+        | Some (Ok r) -> r
+        | _ -> Alcotest.fail "malformed reply"
+      in
+      List.iter
+        (fun (exn, _) ->
+          match read_one () with
+          | Protocol.Err e -> check ("err names " ^ exn) true (contains e exn)
+          | r -> Alcotest.failf "expected an err naming %s, got %s" exn (statuses_of r))
+        raising_kernels;
+      check_str "the valid request compiles" "miss" (statuses_of (read_one ()));
+      (match read_one () with
+      | Protocol.Stats_reply kvs ->
+          check_str "served" "3" (List.assoc "served" kvs);
+          check_str "misses" "3" (List.assoc "misses" kvs);
+          check_str "entries" "1" (List.assoc "entries" kvs)
+      | r -> Alcotest.failf "expected stats, got %s" (statuses_of r));
+      send in_w [ "quit" ];
+      check "quit exits 0" true (wait_exit () = Unix.WEXITED 0);
+      Unix.close in_w;
+      Unix.close out_r)
+
 (* --- Golden IR bytes --------------------------------------------------------- *)
 
 (* One MD5 over the printed frontend output of every registry kernel,
@@ -1057,6 +1278,20 @@ let suite =
           test_server_mixed_batch_eviction_order;
         Alcotest.test_case "server latency window" `Quick test_server_latency_window;
         Alcotest.test_case "server truncated batch" `Quick test_server_truncated_batch;
+        Alcotest.test_case "level 2: signature read off the parse" `Quick
+          test_signature_from_ast;
+        Alcotest.test_case "level 2: spliced rename is a fresh print" `Quick
+          test_spliced_rename_is_a_fresh_print;
+        Alcotest.test_case "level 2: renamed large kernel skips lowering" `Quick
+          test_renamed_large_kernel_skips_lowering;
+        Alcotest.test_case "level 2: let temporary hits semantically" `Quick
+          test_let_temporary_hits_semantically;
+        Alcotest.test_case "level 2: a bad request touches no counter" `Quick
+          test_bad_request_touches_no_counter;
+        Alcotest.test_case "server isolates a compile that raises" `Quick
+          test_server_compile_failure_isolated;
+        Alcotest.test_case "daemon survives raising compiles" `Quick
+          test_daemon_survives_raising_compiles;
         Alcotest.test_case "daemon over pipes" `Quick test_daemon_stdio;
         Alcotest.test_case "snslpc reports user errors" `Quick test_snslpc_user_errors;
         Alcotest.test_case "daemon over a socket" `Quick test_daemon_socket;
