@@ -320,7 +320,7 @@ let snslp_at_depth ~rounds (func : Snslp_ir.Defs.func) =
 
 (* The shared-state counters the headline checks: look-ahead
    hits/misses, reachability-window hits/misses, dependence
-   builds/refreshes. *)
+   builds/re-reads. *)
 let shared_state_counts (s : Stats.t) =
   [
     ("lookahead_hits", s.Stats.lookahead_hits);
@@ -345,7 +345,7 @@ let expected_shared_state =
         ("lookahead_misses", 7360);
         ("reach_hits", 56);
         ("reach_misses", 352);
-        ("deps_builds", 2);
+        ("deps_builds", 1);
         ("deps_refreshes", 24);
       ] );
   ]
@@ -1814,8 +1814,8 @@ let targets () =
    takes at least 10 ms.  Those layers are the frontend, the scalar
    passes other than ifconv, and the codegen and massage phases.  The
    rest ([slp] as a whole, [deps], [ifconv], graph building) is
-   reported without a bound: [Deps.refresh] still re-reads the block
-   per committed tree.  A second check pins the 1,000-statement
+   reported without a bound: the dependence analysis still re-reads
+   the whole block after every committed tree.  A second check pins the 1,000-statement
    kernel: [slp] at most 2 s, and [emit], [erase], [sched] and
    [cg-verify] together at most 0.5 s. *)
 let scale_kernel name params n body =

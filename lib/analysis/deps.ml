@@ -48,7 +48,13 @@ let may_overlap (a : memloc) (b : memloc) =
   else if is_arg_base a.addr && is_arg_base b.addr then false (* restrict args *)
   else true
 
+(* The view of the block as last read: instructions in block order,
+   their positions by id and their memory summaries.  Every query
+   first compares the block's edit stamp with the one the view was
+   read at, and re-reads the block when it moved. *)
 type t = {
+  block : Defs.block;
+  mutable stamp : int; (* the block's edit stamp when last read *)
   mutable instrs : Defs.instr array; (* block order *)
   index : (int, int) Hashtbl.t; (* iid -> position *)
   mutable memlocs : memloc option array;
@@ -56,45 +62,47 @@ type t = {
       (* recently built reachability windows, newest first *)
   mutable reach_hits : int;
   mutable reach_misses : int;
-  mutable refreshes : int;
+  mutable rereads : int;
+  time : (unit -> unit) -> unit; (* runs each re-read *)
   owner : int;
       (* Domain.id of the constructing domain.  A Deps.t is a bundle
          of unsynchronized mutable caches: under the parallel driver
-         every instance is domain-local by construction, and [refresh]
+         every instance is domain-local by construction, and a re-read
          asserts it stayed that way. *)
 }
 
 let self_id () = (Domain.self () :> int)
 
-let assert_owner (t : t) =
-  if t.owner <> self_id () then
-    invalid_arg "Deps: instance refreshed from a domain other than its owner"
-
-let of_block (b : Defs.block) : t =
+let of_block ?(time = fun f -> f ()) (b : Defs.block) : t =
   let instrs = Block.to_array b in
   let index = Hashtbl.create (2 * Array.length instrs) in
   Array.iteri (fun pos i -> Hashtbl.replace index i.Defs.iid pos) instrs;
   {
+    block = b;
+    stamp = Block.stamp b;
     instrs;
     index;
     memlocs = Array.map memloc_of_instr instrs;
     reach_cache = [];
     reach_hits = 0;
     reach_misses = 0;
-    refreshes = 0;
+    rereads = 0;
+    time;
     owner = self_id ();
   }
 
-(* Re-analyse after the Super-Node machinery rewrote the block: new
-   positions and memory summaries without recomputing the affine
-   address of every surviving access.  Massaging regenerates
-   arithmetic chains but never rewrites a load/store address operand,
-   so an instruction that keeps its id keeps its [memloc]; only the
-   freshly inserted instructions are summarised from scratch.  The
-   reachability cache is position-based and must be dropped. *)
-let refresh (t : t) (b : Defs.block) =
-  assert_owner t;
-  let instrs = Block.to_array b in
+(* Re-read the block after it was rewritten (Super-Node massaging,
+   codegen): new positions and memory summaries without recomputing
+   the affine address of every surviving access.  Massaging
+   regenerates arithmetic chains but never rewrites a load/store
+   address operand, so an instruction that keeps its id keeps its
+   [memloc]; only the freshly inserted instructions are summarised
+   from scratch.  The reachability cache is position-based and must
+   be dropped. *)
+let reread (t : t) =
+  if t.owner <> self_id () then
+    invalid_arg "Deps: block re-read from a domain other than the analysis's owner";
+  let instrs = Block.to_array t.block in
   let memlocs =
     Array.map
       (fun (i : Defs.instr) ->
@@ -108,24 +116,27 @@ let refresh (t : t) (b : Defs.block) =
   t.instrs <- instrs;
   t.memlocs <- memlocs;
   t.reach_cache <- [];
-  t.refreshes <- t.refreshes + 1
+  t.rereads <- t.rereads + 1;
+  t.stamp <- Block.stamp t.block
+
+(* Every query starts here. *)
+let current (t : t) = if t.stamp <> Block.stamp t.block then t.time (fun () -> reread t)
 
 let reach_stats (t : t) = (t.reach_hits, t.reach_misses)
-let refresh_count (t : t) = t.refreshes
+let reread_count (t : t) = t.rereads
 
-(* The analysed memory summary of [i], when [i] was part of the block
-   at analysis time; [None] for instructions inserted since.  Lets
-   post-rewrite consumers (codegen rescheduling) reuse the affine
-   address computations instead of redoing them per instruction. *)
-let known_memloc (t : t) (i : Defs.instr) : memloc option option =
+(* A summary is a property of the instruction, not of its position, so
+   this query needs no re-read: an instruction the view has read keeps
+   its summary (see [reread]), any other is summarised now. *)
+let memloc (t : t) (i : Defs.instr) =
   match Hashtbl.find_opt t.index i.Defs.iid with
-  | Some p -> Some t.memlocs.(p)
-  | None -> None
+  | Some p -> t.memlocs.(p)
+  | None -> memloc_of_instr i
 
 let position (t : t) (i : Defs.instr) =
   match Hashtbl.find_opt t.index i.Defs.iid with
   | Some p -> p
-  | None -> invalid_arg "Deps.position: instruction not in analysed block"
+  | None -> invalid_arg "Deps: instruction not in the analysed block"
 
 (* Conflicting pair: at least one writes and the ranges may overlap. *)
 let conflict (t : t) a b =
@@ -220,6 +231,7 @@ let group_window (t : t) (group : Defs.instr list) =
 
 (* [depends t ~on i] holds when [i] transitively depends on [on]. *)
 let depends (t : t) ~(on : Defs.instr) (i : Defs.instr) =
+  current t;
   let po = position t on and pi = position t i in
   if po >= pi then false
   else
@@ -229,6 +241,7 @@ let depends (t : t) ~(on : Defs.instr) (i : Defs.instr) =
 (* A group can be bundled into one vector instruction only if no
    member depends on another. *)
 let independent_group (t : t) (group : Defs.instr list) =
+  current t;
   match group with
   | [] | [ _ ] -> true
   | _ ->
@@ -290,7 +303,7 @@ let bundle_placement_memory (t : t) (group : Defs.instr list) : placement option
       else None
 
 (* Full legality of fusing [group] into one bundle; returns the chosen
-   placement. *)
+   placement.  [independent_group] brings the view up to date. *)
 let bundle_placement (t : t) (group : Defs.instr list) : placement option =
   if independent_group t group then bundle_placement_memory t group else None
 

@@ -16,48 +16,35 @@ type memloc = { addr : Address.t; width : int (** elements *) }
 val memloc_of_instr : Defs.instr -> memloc option
 val may_overlap : memloc -> memloc -> bool
 
-type t = {
-  mutable instrs : Defs.instr array; (** block order *)
-  index : (int, int) Hashtbl.t;
-  mutable memlocs : memloc option array;
-  mutable reach_cache : ((int * int) * int array) list;
-      (** recent reachability windows [(lo, hi)], newest first: one
-          bit row per position, 62 bits per [int] word *)
-  mutable reach_hits : int;
-  mutable reach_misses : int;
-  mutable refreshes : int;
-  owner : int;
-      (** [Domain.id] of the constructing domain.  The analysis is a
-          bundle of unsynchronized mutable caches, so an instance is
-          owned by the domain that built it; {!refresh} asserts the
-          caller is that domain. *)
-}
+type t
+(** The analysis of one block.  It notices edits of the block by
+    itself: every query first compares the block's edit stamp
+    ({!Snslp_ir.Block.stamp}) with the one it last read, and when the
+    stamp moved it re-reads the block — positions are re-indexed,
+    instructions it had read keep their memory summary (massaging
+    never rewrites a load/store address operand), and the cached
+    reachability windows are dropped.  An analysis belongs to the
+    domain that built it; a re-read from another domain raises
+    [Invalid_argument]. *)
 
-val of_block : Defs.block -> t
+val of_block : ?time:((unit -> unit) -> unit) -> Defs.block -> t
 (** Analyses the block; reachability queries are served from the
-    most recently built windows, any sub-window included. *)
+    most recently built windows, any sub-window included.  [time]
+    runs each later re-read (by default it just runs it), so a caller
+    can charge re-reads to its own timer wherever a query triggers
+    them. *)
 
-val refresh : t -> Defs.block -> unit
-(** Re-analyse in place after instructions were inserted/erased within
-    the block (Super-Node massaging): positions are recomputed, but
-    surviving instructions keep their memory summary — massaging never
-    rewrites a load/store address operand — so only fresh instructions
-    pay for affine address analysis.  Drops the reachability cache. *)
+val memloc : t -> Defs.instr -> memloc option
+(** The memory summary of an instruction: the one the analysis read,
+    or {!memloc_of_instr} for an instruction it has not read.  A
+    summary does not depend on positions, so this query never
+    re-reads the block. *)
 
 val reach_stats : t -> int * int
 (** Reachability-window cache (hits, misses) since construction. *)
 
-val refresh_count : t -> int
-
-val known_memloc : t -> Defs.instr -> memloc option option
-(** The analysed memory summary of an instruction that was part of
-    the block at analysis time; [None] for instructions inserted
-    since.  Lets post-rewrite consumers reuse the affine address
-    computations. *)
-
-val position : t -> Defs.instr -> int
-(** Raises [Invalid_argument] for instructions outside the analysed
-    block. *)
+val reread_count : t -> int
+(** Re-reads of the block since construction. *)
 
 val depends : t -> on:Defs.instr -> Defs.instr -> bool
 (** [depends t ~on i]: [i] transitively depends on [on]. *)

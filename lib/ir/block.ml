@@ -29,6 +29,7 @@ let name (b : t) = b.bname
 let terminator (b : t) = b.term
 let set_terminator (b : t) term = b.term <- term
 let length (b : t) = b.blen
+let stamp (b : t) = b.bstamp
 let first (b : t) = b.bhead
 let last (b : t) = b.btail
 
@@ -146,7 +147,8 @@ let link (b : t) (i : instr) ~prev ~next =
   let si = Some i in
   (match prev with Some p -> p.inext <- si | None -> b.bhead <- si);
   (match next with Some n -> n.iprev <- si | None -> b.btail <- si);
-  b.blen <- b.blen + 1
+  b.blen <- b.blen + 1;
+  b.bstamp <- b.bstamp + 1
 
 (* Unlinking leaves [iorder] alone: a removed instruction keeps the key
    it last had. *)
@@ -156,7 +158,8 @@ let unlink (b : t) (i : instr) =
   i.iprev <- None;
   i.inext <- None;
   i.iblock <- None;
-  b.blen <- b.blen - 1
+  b.blen <- b.blen - 1;
+  b.bstamp <- b.bstamp + 1
 
 let append (b : t) (i : instr) =
   assert (i.iblock = None);

@@ -29,6 +29,14 @@ val set_terminator : t -> Defs.terminator -> unit
 val length : t -> int
 (** O(1). *)
 
+val stamp : t -> int
+(** The block's edit stamp.  Linking an instruction into the block,
+    unlinking one from it and {!Instr.set_operand} on an attached one
+    each increase it, so two equal readings mean neither the
+    instruction order nor any operand changed in between.  Analyses
+    that cache a view of the block compare it to know when to
+    re-read. *)
+
 val iter : (Defs.instr -> unit) -> t -> unit
 (** In execution order.  The successor is read before the function
     runs, so it may remove the instruction it is given, but nothing

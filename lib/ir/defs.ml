@@ -102,6 +102,10 @@ and block = {
   mutable blen : int;
   mutable bsome : block option;
       (* [Some] this block, shared by every [iblock] pointing here *)
+  mutable bstamp : int;
+      (* edit stamp: bumped whenever an instruction is linked into or
+         unlinked from this block, or an attached one's operand is
+         replaced (see [Block.stamp]) *)
   mutable term : terminator;
 }
 

@@ -25,7 +25,18 @@ let entry (f : t) =
   | b :: _ -> b
 
 let new_block bid bname =
-  let b = { bid; bname; bhead = None; btail = None; blen = 0; bsome = None; term = Unterminated } in
+  let b =
+    {
+      bid;
+      bname;
+      bhead = None;
+      btail = None;
+      blen = 0;
+      bsome = None;
+      bstamp = 0;
+      term = Unterminated;
+    }
+  in
   b.bsome <- Some b;
   b
 

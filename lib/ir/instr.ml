@@ -21,7 +21,8 @@ let num_operands (i : t) = Array.length i.ops
 let set_operand (i : t) n v =
   Use.unregister ~user:i n;
   i.ops.(n) <- v;
-  Use.register ~user:i n
+  Use.register ~user:i n;
+  match i.iblock with Some b -> b.bstamp <- b.bstamp + 1 | None -> ()
 
 let value (i : t) = Instr i
 

@@ -18,7 +18,9 @@ val operand : t -> int -> Defs.value
 val num_operands : t -> int
 val set_operand : t -> int -> Defs.value -> unit
 (** The only supported way to overwrite an operand slot: keeps the
-    def-use chains of both the old and the new operand consistent. *)
+    def-use chains of both the old and the new operand consistent,
+    and bumps the edit stamp of the instruction's block
+    ({!Block.stamp}). *)
 
 val value : t -> Defs.value
 (** The instruction as a value (its result). *)

@@ -66,17 +66,6 @@ let covers ~(later : Address.t) ~later_width ~(earlier : Address.t) ~earlier_wid
   | Some d -> d <= 0 && d + later_width >= earlier_width
   | None -> false
 
-(* A load observes [earlier] unless the two are provably disjoint.
-   Distinct argument bases never alias (the repo-wide memory model);
-   an unresolvable base could be anything. *)
-let may_observe ~(load : Address.t) ~load_width ~(earlier : Address.t) ~earlier_width =
-  if not (Address.same_base load earlier) then
-    Value.is_instr load.Address.base || Value.is_instr earlier.Address.base
-  else
-    match Address.delta earlier load with
-    | Some d -> d < earlier_width && d + load_width > 0
-    | None -> true
-
 (* A store is dead when a later store in the same block provably
    overwrites all its cells before any possibly-overlapping load.
    Later blocks never matter: the overwrite always executes. *)
@@ -87,26 +76,24 @@ let dead_stores (f : Defs.func) : Finding.t list =
       let rec scan = function
         | [] -> ()
         | (s : Defs.instr) :: rest when Instr.is_store s -> (
-            (match Address.of_instr s with
+            (match Deps.memloc_of_instr s with
             | None -> ()
-            | Some addr ->
-                let width = store_width s in
+            | Some loc ->
                 let rec follow = function
                   | [] -> ()
                   | (j : Defs.instr) :: tail ->
                       if Instr.is_load j then (
-                        match Address.of_instr j with
-                        | Some la
-                          when not
-                                 (may_observe ~load:la ~load_width:(load_width j)
-                                    ~earlier:addr ~earlier_width:width) ->
-                            follow tail
+                        (* A load observes the store unless the two
+                           provably do not overlap (the alias model of
+                           the dependence analysis). *)
+                        match Deps.memloc_of_instr j with
+                        | Some lj when not (Deps.may_overlap loc lj) -> follow tail
                         | _ -> () (* may read the cells: live *))
                       else if Instr.is_store j then (
                         match Address.of_instr j with
                         | Some ja
-                          when covers ~later:ja ~later_width:(store_width j) ~earlier:addr
-                                 ~earlier_width:width ->
+                          when covers ~later:ja ~later_width:(store_width j)
+                                 ~earlier:loc.Deps.addr ~earlier_width:loc.Deps.width ->
                             acc :=
                               Finding.v ~check:"dead-store" Finding.Warning f s
                                 (Printf.sprintf "overwritten by %s before any read"
@@ -309,16 +296,14 @@ let loop_dead_stores (f : Defs.func) (t : Loopdep.t) : Finding.t list =
               List.iter
                 (fun (s : Defs.instr) ->
                   if Instr.is_store s then
-                    match Address.of_instr s with
-                    | Some ({ Address.base = Defs.Arg _; index; _ } as addr)
+                    match Deps.memloc_of_instr s with
+                    | Some ({ Deps.addr = { Address.base = Defs.Arg _; index; _ }; _ } as loc)
                       when not (Affine.Var_map.mem iv_var index.Affine.terms) ->
                         let observed =
                           List.exists
                             (fun (ld : Defs.instr) ->
-                              match Address.of_instr ld with
-                              | Some la ->
-                                  may_observe ~load:la ~load_width:(load_width ld)
-                                    ~earlier:addr ~earlier_width:(store_width s)
+                              match Deps.memloc_of_instr ld with
+                              | Some ll -> Deps.may_overlap loc ll
                               | None -> true)
                             loop_loads
                         in

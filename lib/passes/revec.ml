@@ -251,11 +251,10 @@ let emit func block (ctx : ctx) ~(anchor : Defs.instr) root s_left s_right =
         match n.shape with
         | P_load { left; right; placement } ->
             let wi = Builder.vload b ~lanes:n.lanes left.Defs.ops.(0) in
-            let pos i = Deps.position ctx.deps i in
             let load_anchor =
               match placement with
-              | Deps.At_last -> if pos left > pos right then left else right
-              | Deps.At_first -> if pos left < pos right then left else right
+              | Deps.At_last -> if Block.precedes right left then left else right
+              | Deps.At_first -> if Block.precedes left right then left else right
             in
             place_before load_anchor wi;
             wi
@@ -292,7 +291,7 @@ let emit func block (ctx : ctx) ~(anchor : Defs.instr) root s_left s_right =
    offset, pair left-to-right where the offset step equals the lane
    count.  Left-to-right keeps pairs aligned to the run start, so the
    next round can pair the pairs. *)
-let store_pairs deps block ~lanes_for =
+let store_pairs block ~lanes_for =
   let stores =
     Block.fold
       (fun acc (i : Defs.instr) ->
@@ -308,7 +307,6 @@ let store_pairs deps block ~lanes_for =
       [] block
     |> List.rev
   in
-  let _ = deps in
   (* Partition into delta-comparable groups (same base, same symbolic
      index, same width). *)
   let groups : (Address.t * int * (int * Defs.instr) list ref) list ref = ref [] in
@@ -345,10 +343,7 @@ let store_pairs deps block ~lanes_for =
 let try_pair func block deps model target (s_left, s_right, _lanes) =
   match Deps.bundle_placement deps [ s_left; s_right ] with
   | Some Deps.At_last ->
-      let anchor =
-        if Deps.position deps s_left > Deps.position deps s_right then s_left
-        else s_right
-      in
+      let anchor = if Block.precedes s_right s_left then s_left else s_right in
       let ctx =
         {
           block;
@@ -378,24 +373,20 @@ let run_block func model target (block : Defs.block) =
   let widened = ref 0 in
   let rounds = ref 0 in
   let progress = ref true in
+  (* One analysis serves every round; it re-reads the block after each
+     committed pair. *)
+  let deps = Deps.of_block block in
   while !progress && !rounds < max_rounds do
     progress := false;
-    let deps = Deps.of_block block in
-    let dirty = ref false in
     List.iter
       (fun cand ->
-        if !dirty then begin
-          Deps.refresh deps block;
-          dirty := false
-        end;
         match try_pair func block deps model target cand with
         | Some emitted ->
             incr pairs;
             widened := !widened + emitted;
-            progress := true;
-            dirty := true
+            progress := true
         | None -> ())
-      (store_pairs deps block ~lanes_for);
+      (store_pairs block ~lanes_for);
     if !progress then incr rounds
   done;
   (!pairs, !widened, !rounds)

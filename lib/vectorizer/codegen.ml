@@ -376,17 +376,10 @@ let topo_sort (ctx : ctx) (window : Defs.instr array) =
           | Defs.Const _ | Defs.Undef _ | Defs.Arg _ -> ())
         i.Defs.ops)
     window;
-  (* The graph's dependence analysis is current up to this run's own
-     insertions, so its affine summaries are reused; only the fresh
-     vector instructions are summarised from scratch. *)
-  let memlocs =
-    Array.map
-      (fun (i : Defs.instr) ->
-        match Deps.known_memloc ctx.g.Graph.deps i with
-        | Some ml -> ml
-        | None -> Deps.memloc_of_instr i)
-      window
-  in
+  (* The graph's dependence analysis keeps the affine summaries it
+     read; only the fresh vector instructions are summarised from
+     scratch. *)
+  let memlocs = Array.map (Deps.memloc ctx.g.Graph.deps) window in
   let ranks = Array.map (rank_of ctx) window in
   let writes = Array.map Instr.writes_memory window in
   (* Only positions that touch memory can conflict: pair over those,

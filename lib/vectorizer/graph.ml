@@ -61,7 +61,7 @@ type t = {
   block : Defs.block;
   reorder : reorder;
   stats : Stats.t option; (* phase-timing sink, when the caller profiles *)
-  deps : Deps.t; (* the caller's block-wide analysis, refreshed in place *)
+  deps : Deps.t; (* the caller's block-wide analysis *)
   mutable nodes : node list; (* creation order, root first *)
   mutable root : node option;
   mutable next_id : int;
@@ -390,15 +390,11 @@ and build_binop_group (t : t) (vals : Defs.value array) (instrs : Defs.instr arr
         | None -> (instrs, kinds)
         | Some r ->
             t.supernode_sizes <- r.Supernode.size :: t.supernode_sizes;
-            if r.Supernode.reordered then begin
-              (* The block content changed: bring the dependence
-                 analysis up to date — in place, reusing the memory
-                 summaries of surviving instructions — and drop the
-                 look-ahead memo, whose entries describe the
-                 pre-massage operand DAG. *)
-              Lookahead.cache_clear t.lookahead_cache;
-              Stats.time ?stats:t.stats "deps" (fun () -> Deps.refresh t.deps t.block)
-            end;
+            (* A reordering massage rewrote the block: drop the
+               look-ahead memo, whose entries describe the pre-massage
+               operand DAG.  The dependence analysis notices the edit
+               itself. *)
+            if r.Supernode.reordered then Lookahead.cache_clear t.lookahead_cache;
             Array.iter
               (fun (root : Defs.instr) ->
                 let rec mark (i : Defs.instr) =
@@ -447,9 +443,9 @@ and build_binop_group (t : t) (vals : Defs.value array) (instrs : Defs.instr arr
    even be bundled.
 
    [~deps] is the caller's block-wide dependence analysis, shared
-   across consecutive seeds of the same block: massage rewrites inside
-   the build refresh it in place, and the caller refreshes it between
-   seeds when a rewrite outside the build (codegen) changed the IR.
+   across consecutive seeds of the same block; it re-reads the block
+   by itself after a rewrite, a massage inside the build or codegen
+   between seeds.
 
    [~cache] is the caller's look-ahead memo — in the vectorizer
    driver, one per run, shared by every seed of the function.  The

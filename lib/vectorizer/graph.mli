@@ -46,7 +46,7 @@ type t = {
   block : Defs.block;
   reorder : reorder;
   stats : Stats.t option;  (** phase-timing sink, when the caller profiles *)
-  deps : Deps.t;  (** the caller's block-wide analysis, refreshed in place *)
+  deps : Deps.t;  (** the caller's block-wide analysis *)
   mutable nodes : node list;
   mutable root : node option;
   mutable next_id : int;
@@ -82,14 +82,14 @@ val build :
 (** [build config func block seed] builds the graph rooted at the
     store seed; [None] when the seed cannot even be bundled.  May
     rewrite the IR (Super-Node massaging).  [~deps] is the caller's
-    block-wide dependence analysis, refreshed in place after a massage
-    (the caller must refresh it between seeds if the IR changed);
-    [~cache] is the caller's look-ahead memo (the vectorizer driver
-    keeps one per run; the caller clears it on IR rewrites outside the
-    build); [?reorder] selects the commutative operand-reorder
-    strategy (default [R_chain], the legacy greedy chain); [?stats]
-    charges phase timings ("deps", "massage", "reorder") to the given
-    sink. *)
+    block-wide dependence analysis, which may serve any number of
+    seeds: it re-reads the block by itself after a rewrite, so the
+    caller has nothing to do between seeds; [~cache] is the caller's
+    look-ahead memo (the vectorizer driver keeps one per run; the
+    caller clears it on IR rewrites outside the build); [?reorder]
+    selects the commutative operand-reorder strategy (default
+    [R_chain], the legacy greedy chain); [?stats] charges phase
+    timings ("massage", "reorder") to the given sink. *)
 
 val pp_node : node Fmt.t
 

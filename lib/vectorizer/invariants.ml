@@ -138,7 +138,7 @@ let check_node acc (deps : Deps.t) (n : Graph.node) =
 (* [check g] re-derives the graph invariants; returns violation
    descriptions (empty = invariants hold).  Runs a fresh dependence
    analysis of the block, so the verdict is independent of the
-   builder's incrementally refreshed state. *)
+   builder's analysis and what it kept across re-reads. *)
 let check (g : Graph.t) : string list =
   let acc = ref [] in
   let deps = Deps.of_block g.Graph.block in

@@ -86,9 +86,10 @@ let enumerate ?stats ?on_graph ~node_budget (config : Config.t) (func : Defs.fun
       let runs = Seeds.runs block in
       if runs <> [] then begin
         (* One dependence analysis per block, exactly as the
-           vectorizer driver shares it; massage rewrites inside a
-           build refresh it in place. *)
-        let deps = Stats.time ?stats "deps" (fun () -> Deps.of_block block) in
+           vectorizer driver shares it; it re-reads the block after a
+           massage rewrite inside a build. *)
+        let time f = Stats.time ?stats "deps" f in
+        let deps = time (fun () -> Deps.of_block ~time block) in
         let try_candidate ~width ~reorder seed =
           match
             Stats.time ?stats "graph" (fun () ->

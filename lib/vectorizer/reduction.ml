@@ -114,33 +114,33 @@ let group_runs ~width (leaves : (int * Chain.leaf * Defs.instr * Address.t) list
     buckets;
   (!runs, !leftover)
 
-(* No store between the earliest grouped load and the chain root may
-   touch the loaded locations: the vector load reads them at the
-   root. *)
-let loads_safe_until_root (deps : Deps.t) (root : Defs.instr) (runs : run list) =
-  let loads = List.concat_map (fun r -> List.map snd r.loads) runs in
-  match loads with
-  | [] -> false
-  | _ ->
-      List.for_all
-        (fun (ld : Defs.instr) ->
-          (* The load slides down to the root position. *)
-          Deps.bundle_placement deps [ ld; root ] <> None
-          ||
-          (* bundle_placement also demands independence, which a load
-             under its own chain root never has; check the memory rule
-             directly instead. *)
-          let plo = Deps.position deps ld and phi = Deps.position deps root in
-          let ok = ref true in
-          for p = plo + 1 to phi - 1 do
-            let x = deps.Deps.instrs.(p) in
-            if Instr.writes_memory x then
-              match (Deps.memloc_of_instr x, Deps.memloc_of_instr ld) with
-              | Some lx, Some ll when Deps.may_overlap lx ll -> ok := false
-              | _ -> ()
-          done;
-          !ok)
-        loads
+(* No store between a grouped load and the chain root may touch the
+   loaded locations: the vector load reads them at the root.  One walk
+   back from the root collects the stores it passes and checks each
+   grouped load, when it reaches it, against the stores collected so
+   far — exactly those between the load and the root.  Grouped loads
+   are leaves of the root's chain in its block, so each precedes it. *)
+let loads_safe_until_root (root : Defs.instr) (runs : run list) =
+  let pending = Hashtbl.create 16 in
+  List.iter
+    (fun r ->
+      List.iter (fun (_, (ld : Defs.instr)) -> Hashtbl.replace pending ld.Defs.iid ()) r.loads)
+    runs;
+  let rec walk stores left = function
+    | Some (x : Defs.instr) when left > 0 ->
+        if Instr.writes_memory x then
+          let stores =
+            match Deps.memloc_of_instr x with Some l -> l :: stores | None -> stores
+          in
+          walk stores left x.Defs.iprev
+        else if Hashtbl.mem pending x.Defs.iid then
+          match Deps.memloc_of_instr x with
+          | Some ll when List.exists (fun ls -> Deps.may_overlap ls ll) stores -> false
+          | _ -> walk stores (left - 1) x.Defs.iprev
+        else walk stores left x.Defs.iprev
+    | _ -> true
+  in
+  walk [] (Hashtbl.length pending) root.Defs.iprev
 
 (* Didactic profitability: costs of what the rewrite adds versus the
    scalar instructions it retires. *)
@@ -166,7 +166,7 @@ type result = { vector_loads : int; width : int }
 
 (* Try to reduce the chain rooted at the value stored by [store]. *)
 let attempt (config : Config.t) (func : Defs.func) (block : Defs.block)
-    (deps : Deps.t) (store : Defs.instr) : result option =
+    (store : Defs.instr) : result option =
   match store.Defs.ops.(0) with
   | Defs.Instr root when Instr.is_binop root && not (Ty.is_vector root.Defs.ty) -> (
       let elem = Ty.elem root.Defs.ty in
@@ -192,7 +192,7 @@ let attempt (config : Config.t) (func : Defs.func) (block : Defs.block)
               let n_groups = List.length runs in
               let n_leftover = n_leaves - (n_groups * width) in
               if n_groups = 0 then None
-              else if not (loads_safe_until_root deps root runs) then None
+              else if not (loads_safe_until_root root runs) then None
               else if not (profitable config ~width ~n_leaves ~n_groups ~n_leftover)
               then None
               else begin
@@ -295,35 +295,15 @@ let attempt (config : Config.t) (func : Defs.func) (block : Defs.block)
               end))
   | _ -> None
 
-(* [run config stats func] applies reduction vectorization to every
-   block; returns how many reductions were rewritten.  One dependence
-   analysis serves every store of a block, refreshed in place only
-   after a successful rewrite. *)
-let run (config : Config.t) (stats : Stats.t) (func : Defs.func) : int =
-  let count = ref 0 in
-  List.iter
-    (fun block ->
-      let stores = List.filter Instr.is_store (Block.instrs block) in
-      match stores with
-      | [] -> ()
-      | _ ->
-          stats.Stats.deps_builds <- stats.Stats.deps_builds + 1;
-          let deps = Stats.time ~stats "deps" (fun () -> Deps.of_block block) in
-          let dirty = ref false in
-          List.iter
-            (fun store ->
-              if Block.mem block store then begin
-                if !dirty then begin
-                  Stats.time ~stats "deps" (fun () -> Deps.refresh deps block);
-                  dirty := false
-                end;
-                match attempt config func block deps store with
-                | Some _ ->
-                    incr count;
-                    dirty := true
-                | None -> ()
-              end)
-            stores;
-          Stats.add_deps stats deps)
-    (Func.blocks func);
-  !count
+(* [run config func] applies reduction vectorization to every block;
+   returns how many reductions were rewritten. *)
+let run (config : Config.t) (func : Defs.func) : int =
+  List.fold_left
+    (fun count block ->
+      List.fold_left
+        (fun count store ->
+          if Block.mem block store && attempt config func block store <> None then count + 1
+          else count)
+        count
+        (List.filter Instr.is_store (Block.instrs block)))
+    0 (Func.blocks func)

@@ -6,16 +6,13 @@
     only. *)
 
 open Snslp_ir
-open Snslp_analysis
 
 type result = { vector_loads : int; width : int }
 
-val attempt :
-  Config.t -> Defs.func -> Defs.block -> Deps.t -> Defs.instr -> result option
+val attempt : Config.t -> Defs.func -> Defs.block -> Defs.instr -> result option
 (** Try to reduce the chain rooted at the value stored by the given
-    store instruction. *)
+    store instruction.  The grouped loads move to the root, so no
+    store between a grouped load and the root may overlap it. *)
 
-val run : Config.t -> Stats.t -> Defs.func -> int
-(** Apply to every block; returns the number of reductions rewritten.
-    Cache counters and "deps" phase time are charged to the given
-    stats. *)
+val run : Config.t -> Defs.func -> int
+(** Apply to every block; returns the number of reductions rewritten. *)

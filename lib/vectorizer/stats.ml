@@ -19,7 +19,7 @@ type t = {
   mutable reductions : int; (* horizontal reductions rewritten *)
   (* Compile-time counters for the memoization layers (look-ahead
      score cache, dependence reachability windows, full dependence
-     constructions vs. in-place refreshes). *)
+     constructions vs. re-reads of a rewritten block). *)
   mutable lookahead_hits : int;
   mutable lookahead_misses : int;
   mutable reach_hits : int;
@@ -85,12 +85,12 @@ let create () =
   }
 
 (* Charge a block-wide dependence analysis's reachability-window and
-   refresh counters; called once, when the block is done with it. *)
+   re-read counters; called once, when the block is done with it. *)
 let add_deps (t : t) (d : Snslp_analysis.Deps.t) =
   let h, m = Snslp_analysis.Deps.reach_stats d in
   t.reach_hits <- t.reach_hits + h;
   t.reach_misses <- t.reach_misses + m;
-  t.deps_refreshes <- t.deps_refreshes + Snslp_analysis.Deps.refresh_count d
+  t.deps_refreshes <- t.deps_refreshes + Snslp_analysis.Deps.reread_count d
 
 let add_phase (t : t) name seconds =
   match Hashtbl.find_opt t.phases name with

@@ -26,9 +26,12 @@ type t = {
   mutable reach_hits : int;
   mutable reach_misses : int;
   mutable deps_builds : int;
-      (** full {!Snslp_analysis.Deps.of_block} constructions *)
+      (** full {!Snslp_analysis.Deps.of_block} constructions by the
+          vectorizer driver, one per block with seeds (the reduction
+          pass builds none) *)
   mutable deps_refreshes : int;
-      (** in-place {!Snslp_analysis.Deps.refresh} calls *)
+      (** re-reads of a rewritten block by those analyses
+          ({!Snslp_analysis.Deps.reread_count}) *)
   mutable pack_candidates : int;
       (** global packing: candidates enumerated *)
   mutable pack_expansions : int;
@@ -62,7 +65,7 @@ val record_supernode : t -> size:int -> unit
 
 val add_deps : t -> Snslp_analysis.Deps.t -> unit
 (** Adds a dependence analysis's reachability-window hits/misses and
-    refresh count; call once per analysis, when its block is done. *)
+    re-read count; call once per analysis, when its block is done. *)
 
 val add_phase : t -> string -> float -> unit
 (** O(1) accumulation into the phase table. *)

@@ -33,22 +33,17 @@ let describe_seed (seed : Defs.instr list) =
 let count_kind (g : Graph.t) kindp =
   List.length (List.filter (fun (n : Graph.node) -> kindp n.Graph.kind) (Graph.nodes g))
 
-(* Attempt one seed group; returns true if it was vectorized.
-   [deps]/[dirty] implement the per-block incremental dependence
-   analysis: one [Deps.t] serves every seed of the block, refreshed in
-   place only after a rewrite actually changed the IR, so reachability
-   windows survive across rejected and retried seeds.  [cache] is the
-   run's look-ahead memo. *)
+(* Attempt one seed group; returns true if it was vectorized.  One
+   [Deps.t] serves every seed of the block and re-reads it only after
+   a rewrite actually changed the IR, so reachability windows survive
+   across rejected and retried seeds.  [cache] is the run's look-ahead
+   memo. *)
 let try_seed ~reorder (config : Config.t) (stats : Stats.t) trees func block
-    ~(cache : Lookahead.cache) ~(deps : Deps.t) ~(dirty : bool ref)
+    ~(cache : Lookahead.cache) ~(deps : Deps.t)
     ~(on_graph : (Graph.t -> unit) option) (seed : Defs.instr list) : bool =
   (* Earlier trees may have consumed these stores. *)
   if not (List.for_all (Block.mem block) seed) then false
   else begin
-    if !dirty then begin
-      Stats.time ~stats "deps" (fun () -> Deps.refresh deps block);
-      dirty := false
-    end;
     match
       Stats.time ~stats "graph" (fun () ->
           Graph.build ~stats ~deps ~cache ~reorder config func block seed)
@@ -70,7 +65,6 @@ let try_seed ~reorder (config : Config.t) (stats : Stats.t) trees func block
               (if vectorized then "vectorize" else "reject"));
         if vectorized then begin
           let rep = Stats.time ~stats "codegen" (fun () -> Codegen.run g) in
-          dirty := true;
           (* Codegen rewrote the block: the memo's entries now
              describe dead IR.  Its counters survive the clear. *)
           Lookahead.cache_clear cache;
@@ -164,9 +158,10 @@ let plan_seeds (block : Defs.block) cands attempt =
    by per-function instruction ids, and it is cleared after every IR
    rewrite (codegen here, massaging inside the graph builder), so a
    served score always equals the uncached recursion.  Every block
-   with seeds gets one dependence analysis serving all of them, whose
-   counters are harvested per block; the memo's are read once at the
-   end, and reductions and verification run last. *)
+   with seeds gets one dependence analysis serving all of them; it
+   charges its re-reads to the [deps] phase wherever a query triggers
+   them, and its counters are harvested per block.  The memo's are
+   read once at the end, and reductions and verification run last. *)
 (* The seed attempts of one drive, block by block: every block the
    drive analysed, with each (reorder, seed store iids) it tried, in
    order.  A drive is a deterministic function of its input and this
@@ -198,13 +193,12 @@ let drive ?on_graph ?(record : attempts ref option) (config : Config.t) (source 
       | None -> ()
       | Some seeds ->
           stats.Stats.deps_builds <- stats.Stats.deps_builds + 1;
-          let deps = Stats.time ~stats "deps" (fun () -> Deps.of_block block) in
-          let dirty = ref false in
+          let time f = Stats.time ~stats "deps" f in
+          let deps = time (fun () -> Deps.of_block ~time block) in
           let tried = ref [] in
           seeds (fun reorder seed ->
               tried := (reorder, List.map Instr.id seed) :: !tried;
-              try_seed ~reorder config stats trees func block ~cache ~deps ~dirty
-                ~on_graph seed);
+              try_seed ~reorder config stats trees func block ~cache ~deps ~on_graph seed);
           Option.iter (fun r -> r := (block.Defs.bid, List.rev !tried) :: !r) record;
           Stats.add_deps stats deps)
     (Func.blocks func);
@@ -213,7 +207,7 @@ let drive ?on_graph ?(record : attempts ref option) (config : Config.t) (source 
   stats.Stats.lookahead_misses <- misses;
   stats.Stats.reductions <-
     stats.Stats.reductions
-    + Stats.time ~stats "reduction" (fun () -> Reduction.run config stats func);
+    + Stats.time ~stats "reduction" (fun () -> Reduction.run config func);
   Verifier.verify_exn func;
   Option.iter (fun r -> r := List.rev !r) record;
   { config; stats; trees = List.rev !trees }

@@ -222,6 +222,59 @@ kernel bi(double A[], double B[], long i) {
   in
   check "no legal placement" true (Deps.bundle_placement deps stores = None)
 
+(* One analysis, asked again after each edit of its block with no
+   other call in between, answers for the block as it is now. *)
+let test_deps_notices_edits () =
+  let f, blk =
+    block_of
+      {|
+kernel st(double A[], long i) {
+  A[i+0] = 1.0;
+  A[i+1] = 2.0;
+}
+|}
+  in
+  let deps = Deps.of_block blk in
+  let stores = List.filter Instr.is_store (Block.instrs blk) in
+  check "stores bundle at last" true (Deps.bundle_placement deps stores = Some Deps.At_last);
+  (* Loads of A[i] and A[i+1] just before the second store: the first
+     store cannot slide down past the load of A[i], nor the second up
+     past the load of A[i+1]. *)
+  let second = List.nth stores 1 in
+  let load k = Func.fresh_instr f Defs.Load Ty.f64 [| Instr.operand (List.nth stores k) 1 |] in
+  let loads = [ load 0; load 1 ] in
+  List.iter (Block.insert_before blk ~anchor:second) loads;
+  check "loads in between: no placement" true (Deps.bundle_placement deps stores = None);
+  let summary =
+    Option.map (fun (m : Deps.memloc) -> (Address.to_string m.Deps.addr, m.Deps.width))
+  in
+  List.iter
+    (fun l ->
+      check "summary of an inserted load" true
+        (summary (Deps.memloc deps l) = summary (Deps.memloc_of_instr l)))
+    loads;
+  List.iter (Func.erase_instr f) loads;
+  check "loads removed: at last again" true
+    (Deps.bundle_placement deps stores = Some Deps.At_last)
+
+let test_deps_notices_operand_change () =
+  let _f, blk =
+    block_of
+      {|
+kernel op(double A[], double B[], double C[], long i) {
+  B[i] = A[i] + 1.0;
+  C[i] = A[i+1] * 2.0;
+}
+|}
+  in
+  let deps = Deps.of_block blk in
+  let find p = List.find p (Block.instrs blk) in
+  let add = find (fun i -> Instr.binop_kind i = Some Defs.Add) in
+  let mul = find (fun i -> Instr.binop_kind i = Some Defs.Mul) in
+  check "mul independent of add" false (Deps.depends deps ~on:add mul);
+  Instr.set_operand mul 1 (Instr.value add);
+  check "mul depends on add once it reads it" true (Deps.depends deps ~on:add mul)
+
 let suite =
   [
     ( "affine",
@@ -242,5 +295,7 @@ let suite =
         Alcotest.test_case "bundle placement" `Quick test_bundle_placement;
         Alcotest.test_case "bundle blocked one way" `Quick test_bundle_blocked;
         Alcotest.test_case "bundle impossible" `Quick test_bundle_impossible;
+        Alcotest.test_case "notices inserted and removed loads" `Quick test_deps_notices_edits;
+        Alcotest.test_case "notices an operand change" `Quick test_deps_notices_operand_change;
       ] );
   ]

@@ -75,6 +75,54 @@ kernel blocked(double s[], double a[], long i) {
      here just require the full 8-load reduction did not fire. *)
   check "at most a partial reduction" true (reductions_done Config.snslp src <= 1)
 
+(* One 8-load sum whose first four loads feed [t0], then a store to
+   [dst[8*i+1]] before the chain root.  Into [a] the store overwrites
+   a grouped load's cell, which the vector load would read at the
+   root: no reduction.  Into [b] it touches none: one reduction. *)
+let store_before_root_src dst =
+  Printf.sprintf
+    {|
+kernel r(double s[], double a[], double b[], long i) {
+  double t0 = a[8*i+0] + a[8*i+1] + a[8*i+2] + a[8*i+3];
+  %s[8*i+1] = 0.0;
+  s[3*i] = t0 + a[8*i+4] + a[8*i+5] + a[8*i+6] + a[8*i+7];
+}
+|}
+    dst
+
+let test_store_before_root_exact () =
+  check_int "store overlapping a grouped load" 0
+    (reductions_done Config.snslp (store_before_root_src "a"));
+  check_int "store into another array" 1
+    (reductions_done Config.snslp (store_before_root_src "b"));
+  List.iter
+    (fun dst ->
+      let wl =
+        Snslp_kernels.Workload.prepare
+          {
+            Snslp_kernels.Registry.name = "r";
+            provenance = "";
+            description = "";
+            source = store_before_root_src dst;
+            istride = 1;
+            extent = 8;
+            default_iters = 32;
+          }
+      in
+      let func = wl.Snslp_kernels.Workload.func in
+      let out = (Pipeline.run ~setting:(Some Config.snslp) func).Pipeline.func in
+      Alcotest.(check string)
+        (Printf.sprintf "store into %s: validator" dst)
+        "valid"
+        (Snslp_lint.Validate.verdict_to_string (Snslp_lint.Validate.compare_funcs func out));
+      check
+        (Printf.sprintf "store into %s: interpreter" dst)
+        true
+        (Snslp_interp.Memory.equal
+           (Snslp_kernels.Workload.run_interp wl func)
+           (Snslp_kernels.Workload.run_interp wl out)))
+    [ "a"; "b" ]
+
 let test_reduction_semantics () =
   List.iter
     (fun src ->
@@ -142,6 +190,7 @@ let suite =
         Alcotest.test_case "non-consecutive loads skipped" `Quick
           test_non_consecutive_loads_skipped;
         Alcotest.test_case "intervening store blocks" `Quick test_intervening_store_blocks;
+        Alcotest.test_case "store before the root, exact" `Quick test_store_before_root_exact;
         Alcotest.test_case "semantics preserved" `Quick test_reduction_semantics;
         Alcotest.test_case "emits vector loads" `Quick test_reduction_emits_vector_loads;
         Alcotest.test_case "mixed signs use vector subtract" `Quick

@@ -1170,8 +1170,11 @@ let test_golden_ir_bytes () =
 (* Wider than the test above: the registry and the whole-program
    Fullbench units under seven settings, each compile's printed IR
    followed by its counters line ([Stats.pp]), so a change that keeps
-   the IR but moves a counter shows here too. *)
-let golden_wide_md5 = "4a9f139fb11b46d35050ed50158369e5"
+   the IR but moves a counter shows here too.  Last re-pinned when the
+   reduction pass stopped building a dependence analysis: against the
+   previous buffer only the [deps=] build count of each counters line
+   moved, by -1. *)
+let golden_wide_md5 = "109ba3ed41ef77b0b94adc16dcf78ccf"
 
 let test_golden_wide () =
   let open Snslp_vectorizer in
