@@ -48,6 +48,12 @@ let may_overlap (a : memloc) (b : memloc) =
   else if is_arg_base a.addr && is_arg_base b.addr then false (* restrict args *)
   else true
 
+(* Two accesses conflict when their ranges may overlap and at least
+   one of them writes: loads commute with loads, every other pair that
+   may overlap keeps its order. *)
+let conflicts (a : Defs.instr) (la : memloc) (b : Defs.instr) (lb : memloc) =
+  (Instr.writes_memory a || Instr.writes_memory b) && may_overlap la lb
+
 (* The view of the block as last read: instructions in block order,
    their positions by id and their memory summaries.  Every query
    first compares the block's edit stamp with the one the view was
@@ -129,21 +135,19 @@ let reread_count (t : t) = t.rereads
    this query needs no re-read: an instruction the view has read keeps
    its summary (see [reread]), any other is summarised now. *)
 let memloc (t : t) (i : Defs.instr) =
-  match Hashtbl.find_opt t.index i.Defs.iid with
-  | Some p -> t.memlocs.(p)
-  | None -> memloc_of_instr i
+  match Hashtbl.find t.index i.Defs.iid with
+  | p -> t.memlocs.(p)
+  | exception Not_found -> memloc_of_instr i
 
 let position (t : t) (i : Defs.instr) =
   match Hashtbl.find_opt t.index i.Defs.iid with
   | Some p -> p
   | None -> invalid_arg "Deps: instruction not in the analysed block"
 
-(* Conflicting pair: at least one writes and the ranges may overlap. *)
+(* The accesses at positions [a] and [b] conflict. *)
 let conflict (t : t) a b =
   match (t.memlocs.(a), t.memlocs.(b)) with
-  | Some la, Some lb ->
-      (Instr.writes_memory t.instrs.(a) || Instr.writes_memory t.instrs.(b))
-      && may_overlap la lb
+  | Some la, Some lb -> conflicts t.instrs.(a) la t.instrs.(b) lb
   | _ -> false
 
 (* Reachability over the window [lo, hi], as bit rows: row [k] is the
@@ -308,3 +312,137 @@ let bundle_placement (t : t) (group : Defs.instr list) : placement option =
   if independent_group t group then bundle_placement_memory t group else None
 
 let can_bundle (t : t) (group : Defs.instr list) = bundle_placement t group <> None
+
+(* The memory order of code that replaced scalars of the block.  An
+   access stands for the scalars it replaced (an access that replaced
+   none, for itself), and two accesses keep the order their
+   conflicting scalars had in the block.  The scalars are read where
+   they still sit, so this holds after the replacement is emitted and
+   before the scalars are unlinked. *)
+type order = Unordered | Before | After | Both
+
+let memory_order (t : t) (xs : Defs.instr list) (ys : Defs.instr list) : order =
+  List.fold_left
+    (fun acc (x : Defs.instr) ->
+      match memloc t x with
+      | None -> acc
+      | Some lx ->
+          List.fold_left
+            (fun acc (y : Defs.instr) ->
+              match memloc t y with
+              | Some ly when conflicts x lx y ly -> (
+                  let o = if Block.precedes x y then Before else After in
+                  match acc with Unordered -> o | _ when acc = o -> acc | _ -> Both)
+              | Some _ | None -> acc)
+            acc ys)
+    Unordered xs
+
+(* Whether the block can still be ordered once each of [groups]
+   (disjoint groups of its instructions, as scalars) is fused into one
+   instruction: contracting every group to one vertex must leave the
+   dependences acyclic, register edges and memory edges in block
+   order alike.  A path between members of the groups stays within
+   the span of their positions, so only that window of the block is
+   read, from the block itself: no re-read and no cached window.
+
+   One forward sweep gives every position the set of groups it
+   depends on, as bit words; a member passes on its group and
+   everything any member of its group depends on.  Sweeps repeat
+   until no group's set grows; the block cannot be ordered once a
+   group depends on itself. *)
+let schedulable (t : t) (groups : Defs.value array list) : bool =
+  let member f =
+    List.iteri
+      (fun g -> Array.iter (function Defs.Instr i when Block.mem t.block i -> f g i | _ -> ()))
+      groups
+  in
+  let lo = ref None and hi = ref min_int in
+  member (fun _ i ->
+      (match !lo with Some l when Block.precedes l i -> () | _ -> lo := Some i);
+      hi := max !hi i.Defs.iorder);
+  let ng = List.length groups in
+  match !lo with
+  | Some lo when ng >= 2 ->
+      let hi = !hi in
+      let rec span n = function
+        | Some (i : Defs.instr) when i.Defs.iorder <= hi -> span (n + 1) i.Defs.inext
+        | _ -> n
+      in
+      let w = span 0 (Some lo) in
+      let window = Array.make w lo in
+      let rec read k = function
+        | Some i when k < w ->
+            window.(k) <- i;
+            read (k + 1) i.Defs.inext
+        | _ -> ()
+      in
+      read 0 (Some lo);
+      let locs = Array.map (memloc t) window in
+      (* The window position of an instruction, by order key; -1
+         outside the window. *)
+      let rec search o a b =
+        if a > b then -1
+        else
+          let m = (a + b) / 2 in
+          let o' = window.(m).Defs.iorder in
+          if o' = o then m else if o' < o then search o (m + 1) b else search o a (m - 1)
+      in
+      let position (i : Defs.instr) =
+        if Block.mem t.block i then search i.Defs.iorder 0 (w - 1) else -1
+      in
+      let group = Array.make w (-1) in
+      member (fun g i -> group.(position i) <- g);
+      let words = row_words ng in
+      let bits = Array.make (w * words) 0 and group_bits = Array.make (ng * words) 0 in
+      (* Position [k] depends on position [p]. *)
+      let absorb k p =
+        let g = group.(p) in
+        if g >= 0 then begin
+          let x = (k * words) + (g / word_bits) in
+          bits.(x) <- bits.(x) lor (1 lsl (g mod word_bits));
+          for j = 0 to words - 1 do
+            bits.((k * words) + j) <- bits.((k * words) + j) lor group_bits.((g * words) + j)
+          done
+        end
+        else
+          for j = 0 to words - 1 do
+            bits.((k * words) + j) <- bits.((k * words) + j) lor bits.((p * words) + j)
+          done
+      in
+      let grew = ref true and cycle = ref false in
+      while !grew && not !cycle do
+        grew := false;
+        for k = 0 to w - 1 do
+          let i = window.(k) in
+          for n = 0 to Array.length i.Defs.ops - 1 do
+            match i.Defs.ops.(n) with
+            | Defs.Instr d ->
+                let p = position d in
+                if p >= 0 && p < k then absorb k p
+            | Defs.Const _ | Defs.Undef _ | Defs.Arg _ -> ()
+          done;
+          (match locs.(k) with
+          | Some l ->
+              for p = 0 to k - 1 do
+                match locs.(p) with
+                | Some lp when conflicts window.(p) lp i l -> absorb k p
+                | Some _ | None -> ()
+              done
+          | None -> ());
+          let g = group.(k) in
+          if g >= 0 then
+            for j = 0 to words - 1 do
+              let merged = group_bits.((g * words) + j) lor bits.((k * words) + j) in
+              if merged <> group_bits.((g * words) + j) then begin
+                group_bits.((g * words) + j) <- merged;
+                grew := true
+              end
+            done
+        done;
+        for g = 0 to ng - 1 do
+          if (group_bits.((g * words) + (g / word_bits)) lsr (g mod word_bits)) land 1 = 1 then
+            cycle := true
+        done
+      done;
+      not !cycle
+  | Some _ | None -> true (* one group alone is legal *)

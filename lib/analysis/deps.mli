@@ -16,6 +16,11 @@ type memloc = { addr : Address.t; width : int (** elements *) }
 val memloc_of_instr : Defs.instr -> memloc option
 val may_overlap : memloc -> memloc -> bool
 
+val conflicts : Defs.instr -> memloc -> Defs.instr -> memloc -> bool
+(** [conflicts a la b lb]: the accesses [a] (reading or writing [la])
+    and [b] must keep their order — their ranges may overlap and at
+    least one of them writes. *)
+
 type t
 (** The analysis of one block.  It notices edits of the block by
     itself: every query first compares the block's edit stamp
@@ -63,3 +68,26 @@ val bundle_placement : t -> Defs.instr list -> placement option
     avoids reordering against a conflicting access). *)
 
 val can_bundle : t -> Defs.instr list -> bool
+
+(** How two accesses must be ordered once vector code replaced scalars
+    of the block: each stands for the scalars it replaced, and every
+    pair of {!conflicts}ing scalars keeps its order in the block. *)
+type order =
+  | Unordered (** no pair of their scalars conflicts *)
+  | Before (** the first access's scalars come first in every conflicting pair *)
+  | After (** the second's come first in every conflicting pair *)
+  | Both (** the pairs disagree: no order keeps them all *)
+
+val memory_order : t -> Defs.instr list -> Defs.instr list -> order
+(** [memory_order t xs ys]: the order of an access standing for the
+    scalars [xs] against one standing for [ys].  The scalars must
+    still be linked in [t]'s block; never re-reads it. *)
+
+val schedulable : t -> Defs.value array list -> bool
+(** [schedulable t groups]: the block can still be ordered once every
+    group (disjoint groups of its instructions, given as scalars) is
+    fused into one instruction — contracting each group leaves the
+    register and memory dependences acyclic.  A cycle can run through two groups'
+    different lanes, which {!bundle_placement} on each group alone
+    never sees.  Reads the window the groups span from the block
+    itself; never re-reads the view nor touches its counters. *)

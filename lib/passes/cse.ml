@@ -17,9 +17,10 @@ let commutative (i : Defs.instr) =
 (* Instructions keyed by what they compute: opcode, result type and
    operands by value identity ({!Value.equal}), the two operands of a
    commutative binop unordered so a+b meets b+a.  An instruction is
-   its own key: the sweep rewrites only the operands of the
-   instruction it visits, so a key never changes while it is in a
-   table. *)
+   its own key: the sweep rewrites only the operands of the users of
+   the instruction it replaces, which follow it in its block or sit in
+   other blocks (the tables are per block), so a key never changes
+   while it is in a table. *)
 module Computation = Hashtbl.Make (struct
   type t = Defs.instr
 

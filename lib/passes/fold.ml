@@ -39,7 +39,7 @@ let fold_instr (i : Defs.instr) : Defs.value option =
   | _ -> None
 
 (* [run func] folds every foldable instruction; one forward sweep
-   reaches the fixpoint because operands are rewritten before their
-   users are examined.  Returns the number of folded instructions. *)
+   reaches the fixpoint because a folded instruction's users read the
+   constant before the sweep examines them.  Returns the number of folded instructions. *)
 let run (func : Defs.func) : int =
   Rewrite.run func (fun _block i -> fold_instr i)

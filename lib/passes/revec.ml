@@ -188,35 +188,26 @@ let node_cost (model : Model.t) (target : Target.t) (n : node) =
   | P_shuf _ | P_concat _ -> model.Model.vector Model.C_shuffle ~lanes:n.lanes
 
 (* The claimed narrow instructions that actually die: a claimed
-   instruction survives if any use lies outside the dying set (the
-   pass never touches existing uses, DCE only erases the unused).
+   instruction survives if any attached use lies outside the dying set
+   (the pass never touches existing uses, DCE only erases the unused).
    Greatest fixpoint: start from everything claimed, evict while an
-   outside use exists.  The pair's two stores have no uses and are
+   outside use exists; each round asks the use lists of the claimed
+   instructions alone.  The pair's two stores have no uses and are
    erased unconditionally. *)
-let dying_savings model target func (ctx : ctx) ~(erased : Defs.instr list) =
+let dying_savings model target (ctx : ctx) ~(erased : Defs.instr list) =
   let erased_ids = List.map (fun i -> i.Defs.iid) erased in
-  let users : (int, int list) Hashtbl.t = Hashtbl.create 32 in
-  Func.iter_instrs
-    (fun u ->
-      Array.iter
-        (fun v ->
-          match v with
-          | Defs.Instr d when Hashtbl.mem ctx.claimed d.Defs.iid ->
-              let prev = Option.value ~default:[] (Hashtbl.find_opt users d.Defs.iid) in
-              Hashtbl.replace users d.Defs.iid (u.Defs.iid :: prev)
-          | _ -> ())
-        u.Defs.ops)
-    func;
   let dying = Hashtbl.copy ctx.claimed in
   List.iter (fun id -> Hashtbl.remove dying id) erased_ids;
+  let kept (u : Defs.instr) _ =
+    u.Defs.iblock <> None
+    && not (Hashtbl.mem dying u.Defs.iid || List.mem u.Defs.iid erased_ids)
+  in
   let changed = ref true in
   while !changed do
     changed := false;
     Hashtbl.iter
-      (fun id _ ->
-        let us = Option.value ~default:[] (Hashtbl.find_opt users id) in
-        let kept u = not (Hashtbl.mem dying u || List.mem u erased_ids) in
-        if List.exists kept us then begin
+      (fun id i ->
+        if Use.exists kept i then begin
           Hashtbl.remove dying id;
           changed := true
         end)
@@ -359,9 +350,7 @@ let try_pair func block deps model target (s_left, s_right, _lanes) =
         List.fold_left (fun acc n -> acc +. node_cost model target n) 0.0 ctx.created
         +. model.Model.vector Model.C_store ~lanes:root.lanes
       in
-      let savings =
-        dying_savings model target func ctx ~erased:[ s_left; s_right ]
-      in
+      let savings = dying_savings model target ctx ~erased:[ s_left; s_right ] in
       if savings > wide_cost then
         Some (emit func block ctx ~anchor root s_left s_right)
       else None

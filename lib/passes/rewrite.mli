@@ -1,15 +1,14 @@
 (** Shared machinery for forward rewriting passes: one sweep that
-    rewrites operands through an accumulated replacement map before
-    each instruction is examined — definitions precede uses, so
-    cascades resolve in a single pass.  The map is an array indexed by
-    instruction id. *)
+    offers each instruction to a step and redirects the users of every
+    instruction it replaces on the spot — definitions precede uses, so
+    cascades resolve in a single pass. *)
 
 open Snslp_ir
 
 val run : Defs.func -> (Defs.block -> Defs.instr -> Defs.value option) -> int
-(** [run func step]: operands are rewritten, then [step] may replace
-    the instruction with a value; replaced instructions are dropped.
-    Returns the replacement count.  The map is sized from
-    [func.next_iid] when the sweep starts; an instruction whose id is
-    past that size is a broken function and raises
-    [Invalid_argument]. *)
+(** [run func step]: [step] may replace each instruction with a value;
+    the instruction's attached users (phi back edges and blocks listed
+    before it included) and the conditional branches that test it then
+    read the value, and the instruction is dropped.  Returns the
+    replacement count.  Costs the sweep plus the replaced
+    instructions' uses. *)

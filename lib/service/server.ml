@@ -79,13 +79,14 @@ type t = {
       (* every miss's counters record added into one, kept for the
          server's lifetime — hits replay renderings and add nothing,
          so these measure the work the cache did NOT absorb *)
+  compile : Pipeline.setting -> Defs.func -> Pipeline.result;
 }
 
 (* Enough samples for a stable p99 (about 40 beyond it), while [stats]
    sorts a fixed 32 KiB however long the daemon has run. *)
 let window_size = 4096
 
-let create ?capacity () =
+let create ?capacity ?(compile = fun setting f -> Pipeline.run ~setting f) () =
   let cache = Cache.create ?capacity () in
   {
     cache;
@@ -96,6 +97,7 @@ let create ?capacity () =
     latency_sum_s = 0.0;
     served = 0;
     stats = Stats.create ();
+    compile;
   }
 
 let cache t = t.cache
@@ -331,7 +333,7 @@ let handle_batch t (requests : (string * string, string) result list) :
   (* Compile every miss. *)
   List.iter
     (fun (setting, (f : Defs.func), key, structural, cell) ->
-      match Pipeline.run ~setting f with
+      match t.compile setting f with
       | r ->
           Option.iter
             (fun rep -> Stats.add ~into:t.stats rep.Vectorize.stats)

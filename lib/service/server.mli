@@ -15,9 +15,16 @@ type cached
 (** A cache entry: the origin's kernel name and its optimised function
     printed.  No IR is kept. *)
 
-val create : ?capacity:int -> unit -> t
+val create :
+  ?capacity:int ->
+  ?compile:(Snslp_passes.Pipeline.setting -> Snslp_ir.Defs.func -> Snslp_passes.Pipeline.result) ->
+  unit ->
+  t
 (** A fresh server with an empty cache of [capacity] entries
-    (default {!Cache.default_capacity}). *)
+    (default {!Cache.default_capacity}).  [compile] compiles each miss
+    (default {!Snslp_passes.Pipeline.run}); the daemon never passes
+    one, so only an in-process caller, such as a test that needs a
+    compile to raise, can replace it. *)
 
 val cache : t -> cached Cache.t
 (** The underlying cache — exposed for tests and the benchmark's

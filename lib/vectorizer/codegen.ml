@@ -6,8 +6,9 @@
    consumed by scalar code outside the graph.  The replaced scalar
    instructions are erased and the window of the block the tree spans
    is rescheduled by a dependence-respecting topological sort
-   (register edges from SSA operands, memory edges from the alias
-   model, ordered by the semantic ranks assigned during emission).
+   (register edges from SSA operands, memory edges in the order of the
+   scalars each access replaced, ties broken by the ranks assigned
+   during emission).
    Every step is proportional to the tree and its window, not to the
    block: emission appends, erasure walks use lists, and ranks come
    from the block's order keys. *)
@@ -60,6 +61,7 @@ type ctx = {
   block : Defs.block;
   builder : Builder.t;
   ranks : (int, rank) Hashtbl.t; (* iid -> rank, for instructions this run emitted *)
+  replaced : (int, Defs.instr list) Hashtbl.t; (* vector access iid -> its node's scalars *)
   extracts : (int * int, Defs.value) Hashtbl.t; (* (nid, lane) -> extract *)
   mutable new_instrs : Defs.instr list; (* emitted by this codegen run, newest first *)
   mutable emitted : int;
@@ -87,6 +89,14 @@ let set_rank (ctx : ctx) (i : Defs.instr) (r : rank) =
   (* Every rank assignment is for an instruction this run created. *)
   if not (is_new ctx i) then ctx.new_instrs <- i :: ctx.new_instrs;
   Hashtbl.replace ctx.ranks i.Defs.iid r
+
+(* A vector access stands for its node's scalars in the memory
+   order ({!Deps.memory_order}). *)
+let set_replaced (ctx : ctx) (i : Defs.instr) (n : Graph.node) =
+  Hashtbl.replace ctx.replaced i.Defs.iid
+    (Array.fold_right
+       (fun v acc -> match v with Defs.Instr s -> s :: acc | _ -> acc)
+       n.Graph.scalars [])
 
 let max_rank (ctx : ctx) (vals : Defs.value array) : rank =
   Array.fold_left
@@ -200,6 +210,7 @@ and emit_vec (ctx : ctx) (n : Graph.node) : Defs.value =
       let st = Builder.store ctx.builder value addr in
       ctx.emitted <- ctx.emitted + 1;
       set_rank ctx st (bundle_rank ctx n);
+      set_replaced ctx st n;
       Instr.value st
   | Defs.Instr i0 when Instr.is_load i0 ->
       let lanes = Graph.lanes n in
@@ -207,6 +218,7 @@ and emit_vec (ctx : ctx) (n : Graph.node) : Defs.value =
       let ld = vname (Builder.vload ctx.builder ~lanes addr) in
       ctx.emitted <- ctx.emitted + 1;
       set_rank ctx ld (bundle_rank ctx n);
+      set_replaced ctx ld n;
       Instr.value ld
   | Defs.Instr i0 -> (
       match i0.Defs.op with
@@ -351,9 +363,11 @@ let erase_vectorized (ctx : ctx) =
 
 (* A dependence-respecting order of [window] (given in block order):
    Kahn's algorithm, min rank first, ties by window position.
-   Register edges come from SSA operands; memory edges join
-   conflicting accesses in rank order — the bundle-placement legality
-   checks guarantee that rank order is a correct memory order. *)
+   Register edges come from SSA operands.  Memory edges join
+   conflicting accesses in the order of the scalars they stand for
+   ({!Deps.memory_order}): a vector access for its node's scalars,
+   which are still linked, any other for itself.  Ranks only break
+   ties between ready instructions. *)
 let topo_sort (ctx : ctx) (window : Defs.instr array) =
   let w = Array.length window in
   let index = Hashtbl.create (2 * w) in
@@ -379,9 +393,12 @@ let topo_sort (ctx : ctx) (window : Defs.instr array) =
   (* The graph's dependence analysis keeps the affine summaries it
      read; only the fresh vector instructions are summarised from
      scratch. *)
-  let memlocs = Array.map (Deps.memloc ctx.g.Graph.deps) window in
+  let deps = ctx.g.Graph.deps in
+  let memlocs = Array.map (Deps.memloc deps) window in
   let ranks = Array.map (rank_of ctx) window in
-  let writes = Array.map Instr.writes_memory window in
+  let stands_for (i : Defs.instr) =
+    Option.value ~default:[ i ] (Hashtbl.find_opt ctx.replaced i.Defs.iid)
+  in
   (* Only positions that touch memory can conflict: pair over those,
      not the whole window. *)
   let mem_idx = ref [] in
@@ -394,12 +411,18 @@ let topo_sort (ctx : ctx) (window : Defs.instr array) =
     let a = mem.(x) in
     for y = x + 1 to m - 1 do
       let b = mem.(y) in
-      if writes.(a) || writes.(b) then
-        match (memlocs.(a), memlocs.(b)) with
-        | Some la, Some lb ->
-            if Deps.may_overlap la lb then
-              if compare_rank ranks.(a) ranks.(b) <= 0 then add_edge a b else add_edge b a
-        | _ -> ()
+      match (memlocs.(a), memlocs.(b)) with
+      | Some la, Some lb when Deps.conflicts window.(a) la window.(b) lb -> (
+          match Deps.memory_order deps (stands_for window.(a)) (stands_for window.(b)) with
+          | Deps.Before -> add_edge a b
+          | Deps.After -> add_edge b a
+          | Deps.Unordered -> ()
+          | Deps.Both ->
+              raise
+                (Scheduling_failure
+                   (Printf.sprintf "memory order of %s and %s is contradictory"
+                      (Instr.to_string window.(a)) (Instr.to_string window.(b)))))
+      | _ -> ()
     done
   done;
   (* A binary heap makes the selection O(log w) instead of O(w). *)
@@ -462,8 +485,9 @@ let topo_sort (ctx : ctx) (window : Defs.instr array) =
    the new instructions land in can be disturbed; everything before
    and after keeps its order.  The window runs from the lowest new
    rank's position to the highest's (the next position when that is
-   fractional), extended upward along use lists so no instruction
-   above it uses one inside it, and is sorted by {!topo_sort}.
+   fractional) or to the lowest operand of a new instruction, extended
+   upward along use lists so no instruction above it uses one inside
+   it, and is sorted by {!topo_sort}.
 
    A new instruction ranked before the whole block (a splat or gather
    of arguments and constants) would open the window at the block
@@ -522,6 +546,21 @@ let reschedule (ctx : ctx) ~(erased : Defs.instr list) =
               | None -> original (Block.first ctx.block)
             in
             match next with Some i -> i.Defs.iorder | None -> max_int
+        in
+        (* Down to every operand the new instructions read from the
+           block: a bundle placed at its first member reads the later
+           lanes' addresses, which may be defined below. *)
+        let hi =
+          List.fold_left
+            (fun hi (i : Defs.instr) ->
+              Array.fold_left
+                (fun hi o ->
+                  match o with
+                  | Defs.Instr d when Block.mem ctx.block d && not (is_new ctx d) ->
+                      max hi d.Defs.iorder
+                  | Defs.Instr _ | Defs.Const _ | Defs.Undef _ | Defs.Arg _ -> hi)
+                hi i.Defs.ops)
+            hi sorted
         in
         let rec forward acc = function
           | Some (i : Defs.instr) when (not (is_new ctx i)) && i.Defs.iorder <= hi ->
@@ -596,6 +635,7 @@ let run (g : Graph.t) : report =
       block;
       builder = Builder.create func ~at:block;
       ranks = Hashtbl.create 64;
+      replaced = Hashtbl.create 8;
       extracts = Hashtbl.create 16;
       new_instrs = [];
       emitted = 0;

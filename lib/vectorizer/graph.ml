@@ -27,7 +27,7 @@ type kind =
 type node = {
   nid : int;
   scalars : Defs.value array;
-  kind : kind;
+  mutable kind : kind; (* a vector group that cannot be scheduled becomes a gather *)
   mutable children : node array; (* by operand index; empty for leaves *)
   mutable vec : Defs.value option; (* filled in by codegen *)
   mutable at_first : bool;
@@ -434,6 +434,52 @@ and build_binop_group (t : t) (vals : Defs.value array) (instrs : Defs.instr arr
     let c1 = build_group t op1 in
     node.children <- [| c0; c1 |];
     node
+  end
+
+(* --- Schedulability ------------------------------------------------------ *)
+
+(* Fused into one instruction each, the tree's vector groups must keep
+   the block's dependences acyclic ({!Deps.schedulable}).  Each group
+   passed the legality check on its own, but a cycle can run through
+   different lanes of two groups.  When the tree fails, its groups are
+   accepted again in creation order (a parent before its operands),
+   and each one that would close a cycle with those accepted becomes a
+   gather; the nodes only it reached are dropped.  That is what LLVM
+   does with a bundle it cannot schedule.  Whether anything changed. *)
+let make_schedulable (t : t) =
+  let groups =
+    List.filter_map (fun n -> if is_vectorizable_kind n.kind then Some n.scalars else None) t.nodes
+  in
+  if Deps.schedulable t.deps groups then false
+  else begin
+    let reached = Hashtbl.create 64 in
+    let rec reach n =
+      if not (Hashtbl.mem reached n.nid) then begin
+        Hashtbl.replace reached n.nid ();
+        Array.iter reach n.children
+      end
+    in
+    reach (root t);
+    let accepted = ref [] in
+    List.iter
+      (fun n ->
+        if Hashtbl.mem reached n.nid && is_vectorizable_kind n.kind then
+          if Deps.schedulable t.deps (n.scalars :: !accepted) then
+            accepted := n.scalars :: !accepted
+          else begin
+            n.kind <- K_gather;
+            n.children <- [||];
+            Hashtbl.reset reached;
+            reach (root t)
+          end)
+      (nodes t);
+    let kept n = Hashtbl.mem reached n.nid in
+    t.nodes <- List.filter kept t.nodes;
+    Hashtbl.filter_map_inplace
+      (fun _ n -> if kept n && is_vectorizable_kind n.kind then Some n else None)
+      t.claimed;
+    Group.filter_map_inplace (fun _ n -> if kept n then Some n else None) t.by_group;
+    true
   end
 
 (* --- Entry point -------------------------------------------------------- *)

@@ -21,7 +21,9 @@ type kind =
 type node = {
   nid : int;
   scalars : Defs.value array;
-  kind : kind;
+  mutable kind : kind;
+      (** a vector group that would leave the tree unschedulable
+          becomes [K_gather] ({!make_schedulable}) *)
   mutable children : node array; (** by operand index; empty for leaves *)
   mutable vec : Defs.value option; (** filled in by codegen *)
   mutable at_first : bool;
@@ -68,6 +70,15 @@ val lanes : node -> int
 val is_vectorizable_kind : kind -> bool
 (** Kinds whose scalars are replaced by a vector instruction (claimed,
     erased, extract-priced). *)
+
+val make_schedulable : t -> bool
+(** Keeps the tree schedulable: fused into one instruction each, its
+    vector groups must leave the block's dependences acyclic
+    ({!Snslp_analysis.Deps.schedulable}), although each passed the
+    legality check alone.  When they do not, each group that closes a
+    cycle with the groups above it becomes a gather, in creation order,
+    and the nodes only it reached are dropped.  Whether the tree
+    changed. *)
 
 val build :
   ?stats:Stats.t ->

@@ -218,9 +218,11 @@ let attempt (config : Config.t) (func : Defs.func) (block : Defs.block)
                           r.loads)
                       runs;
                     (* Emit before the root. *)
+                    let emitted = ref [] in
                     let emit op ty ops =
                       let i = Func.fresh_instr func op ty ops in
                       Block.insert_before block ~anchor:root i;
+                      emitted := i :: !emitted;
                       i
                     in
                     let vty = Ty.vector ~lanes:width chain.Chain.elem in
@@ -284,12 +286,18 @@ let attempt (config : Config.t) (func : Defs.func) (block : Defs.block)
                        [Supernode.regenerate_lane], the trunk is in
                        pre-order with single-use interior nodes, so
                        one root-first pass suffices. *)
-                    List.iter
-                      (fun i ->
-                        if not (Func.has_uses func (Defs.Instr i)) then
-                          Func.erase_instr func i)
-                      chain.Chain.trunk;
-                    Verifier.verify_exn func;
+                    let erased =
+                      List.filter
+                        (fun i ->
+                          let dead = not (Func.has_uses func (Defs.Instr i)) in
+                          if dead then Func.erase_instr func i;
+                          dead)
+                        chain.Chain.trunk
+                    in
+                    (* Check what the rewrite touched, as codegen does;
+                       the whole function is verified once, after the
+                       vectorizer. *)
+                    Verifier.verify_local_exn func ~touched:!emitted ~erased;
                     Some { vector_loads = n_groups; width }
                 | _ -> None
               end))

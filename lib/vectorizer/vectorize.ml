@@ -50,6 +50,16 @@ let try_seed ~reorder (config : Config.t) (stats : Stats.t) trees func block
     with
     | None -> false
     | Some g ->
+        let cost = Stats.time ~stats "cost" (fun () -> Cost.of_graph config g) in
+        (* A tree about to be committed must be schedulable; mending
+           it turns a group into a gather, which is priced again. *)
+        let cost =
+          if
+            Cost.profitable cost
+            && Stats.time ~stats "graph" (fun () -> Graph.make_schedulable g)
+          then Stats.time ~stats "cost" (fun () -> Cost.of_graph config g)
+          else cost
+        in
         (match on_graph with Some f -> f g | None -> ());
         stats.Stats.graphs_built <- stats.Stats.graphs_built + 1;
         stats.Stats.nodes_formed <- stats.Stats.nodes_formed + List.length (Graph.nodes g);
@@ -58,7 +68,6 @@ let try_seed ~reorder (config : Config.t) (stats : Stats.t) trees func block
           + count_kind g (function
               | Graph.K_gather | Graph.K_splat -> true
               | Graph.K_vec | Graph.K_alt _ | Graph.K_perm _ -> false);
-        let cost = Stats.time ~stats "cost" (fun () -> Cost.of_graph config g) in
         let vectorized = Cost.profitable cost in
         Log.debug (fun m ->
             m "seed [%s]: %a -> %s" (describe_seed seed) Cost.pp cost

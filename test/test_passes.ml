@@ -279,15 +279,137 @@ entry:
   check_int "the sum has the highest id" (g.Defs.next_iid - 1) sum.Defs.iid;
   check_int "fold replaces it" 1 (Fold.run g);
   check "the store stores 5" true (Value.equal (Instr.operand (first_store g) 0) (fconst 5.0));
-  check_ir g;
-  (* An id at [next_iid] is past the map: a stale [next_iid] fails
-     loudly instead of writing out of bounds. *)
-  let h = Ir_parser.parse src in
-  ignore (feed_store h (Defs.Binop Defs.Add) Ty.f64 [| fconst 2.0; fconst 3.0 |]);
-  h.Defs.next_iid <- h.Defs.next_iid - 1;
-  match Fold.run h with
-  | _ -> Alcotest.fail "an id past next_iid was accepted"
-  | exception Invalid_argument _ -> ()
+  check_ir g
+
+(* --- Uses the sweep meets before their definition ----------------------- *)
+
+let iconst = Value.const_int
+
+let operand_is f name n v = Value.equal (Instr.operand (named f name) n) v
+
+let cond_of (b : Defs.block) =
+  match b.Defs.term with
+  | Defs.Cond_br (c, _, _) -> c
+  | _ -> Alcotest.failf "%s does not branch on a condition" b.Defs.bname
+
+let block_named f name = List.find (fun (b : Defs.block) -> b.Defs.bname = name) (Func.blocks f)
+
+(* A phi reads its back-edge value from the latch, after the header:
+   a folded and a CSE'd back-edge value are redirected all the
+   same. *)
+let test_rewrite_phi_back_edge () =
+  let src =
+    {|func @f(f64* %a, i64 %n) {
+entry:
+  br %h
+h:
+  %k = phi.entry.l i64 0, %y
+  %m = phi.entry.l i64 0, %s
+  %c = icmp.lt i32 %k, %n
+  br %c, %l, %e
+l:
+  %x = add i64 %k, 1
+  %y = add i64 %k, 1
+  %s = add i64 2, 3
+  %p = gep f64* %a, %m
+  %q = gep f64* %a, %x
+  store 1, %p
+  store 2, %q
+  br %h
+e:
+  ret
+}
+|}
+  in
+  let f = Ir_parser.parse src in
+  check_int "fold replaces the sum" 1 (Fold.run f);
+  check "the phi reads the constant on its back edge" true (operand_is f "m" 1 (iconst 5));
+  check_ir f;
+  let g = Ir_parser.parse src in
+  check_int "cse replaces the second add" 1 (Cse.run g);
+  check "the phi reads the first add on its back edge" true
+    (operand_is g "k" 1 (Defs.Instr (named g "x")));
+  check_ir g
+
+(* A block listed before the block that defines what it uses: the
+   dominator tree, not the block list, orders them. *)
+let test_rewrite_earlier_block () =
+  let src =
+    {|func @f(f64* %a, i64 %i) {
+entry:
+  br %def
+def:
+  %s = add i64 2, 3
+  %t = add i64 %i, 1
+  %u = add i64 %i, 1
+  br %use
+use:
+  %p = gep f64* %a, %s
+  %q = gep f64* %a, %u
+  store 1, %p
+  store 2, %q
+  ret
+}
+|}
+  in
+  let parse () =
+    let f = Ir_parser.parse src in
+    f.Defs.blocks <- List.map (block_named f) [ "entry"; "use"; "def" ];
+    f
+  in
+  let f = parse () in
+  check_int "fold replaces the sum" 1 (Fold.run f);
+  check "the earlier block reads the constant" true (operand_is f "p" 1 (iconst 5));
+  check_ir f;
+  let g = parse () in
+  check_int "cse replaces the second add" 1 (Cse.run g);
+  check "the earlier block reads the first add" true
+    (operand_is g "q" 1 (Defs.Instr (named g "t")));
+  check_ir g
+
+(* Branch conditions are no instruction's operands: the sweep repoints
+   them itself, also when the branch is listed before the condition's
+   block, and when the replacement is replaced in turn (with [def]
+   listed last, the select folds to [%z] before [%z] folds to 1). *)
+let test_rewrite_branch_conditions () =
+  let src =
+    {|func @f(f64* %a, i64 %i) {
+entry:
+  br %def
+def:
+  %c = icmp.lt i32 %i, 4
+  %d = icmp.lt i32 %i, 4
+  %z = icmp.lt i32 2, 3
+  br %d, %use, %join
+use:
+  %x = select i32 1, %z, %c
+  br %x, %other, %join
+other:
+  br %z, %join, %use
+join:
+  ret
+}
+|}
+  in
+  let parse order =
+    let f = Ir_parser.parse src in
+    f.Defs.blocks <- List.map (block_named f) order;
+    f
+  in
+  let one = iconst ~ty:Ty.i32 1 in
+  List.iter
+    (fun order ->
+      let f = parse order in
+      check_int "fold replaces the constant compare and the select" 2 (Fold.run f);
+      check "a branch on the compare reads 1" true (Value.equal (cond_of (block_named f "other")) one);
+      check "a branch on the select reads 1" true (Value.equal (cond_of (block_named f "use")) one);
+      check_ir f;
+      let g = parse order in
+      check_int "cse replaces the second compare" 1 (Cse.run g);
+      check "the branch reads the first compare" true
+        (Value.equal (cond_of (block_named g "def")) (Defs.Instr (named g "c")));
+      check_ir g)
+    [ [ "entry"; "def"; "use"; "other"; "join" ]; [ "entry"; "use"; "other"; "join"; "def" ] ]
 
 (* A clone keeps its original's [next_iid] however few instructions it
    holds: the passes size their tables from it, not from the count. *)
@@ -465,6 +587,10 @@ let suite =
         Alcotest.test_case "dce keeps branch condition" `Quick
           test_dce_keeps_branch_condition;
         Alcotest.test_case "rewrite replaces the last iid" `Quick test_rewrite_replaces_last_iid;
+        Alcotest.test_case "rewrite redirects a phi back edge" `Quick test_rewrite_phi_back_edge;
+        Alcotest.test_case "rewrite redirects an earlier block" `Quick test_rewrite_earlier_block;
+        Alcotest.test_case "rewrite repoints branch conditions" `Quick
+          test_rewrite_branch_conditions;
         Alcotest.test_case "passes on a sparse clone" `Quick test_passes_on_sparse_clone;
         Alcotest.test_case "dce detached user" `Quick test_dce_detached_user;
         Alcotest.test_case "dce condition's only use" `Quick test_dce_condition_only_use;

@@ -815,21 +815,23 @@ let test_bad_request_touches_no_counter () =
 
 (* --- Compiles that raise ---------------------------------------------------- *)
 
-(* Two valid kernels the vectorizer cannot compile (reduced from random
-   nested-if KernelC): the first raises [Codegen.Scheduling_failure],
-   the second [Verifier.Invalid_ir].  Either used to kill snslpd. *)
+(* No known valid kernel makes a compile raise, so fault isolation is
+   tested against an injected failure: a server whose compile raises,
+   for two kernels told apart by their index argument (a rename keeps
+   it), the exceptions a broken vectorizer raises. *)
 let raising_kernels =
   [
-    ( "Scheduling_failure",
-      "kernel r(double a[], double b[], double c[], long i) { if (b[i+0] > a[i+2]) { if \
-       (a[i+3] > b[i+3]) { for (long j = 0; j < 4; j = j + 1) { a[i+j+0] = a[i+j+1] + \
-       a[i+j+0]; a[i+j+0] = 1.0; } } else { for (long j = 0; j < 4; j = j + 1) { a[i+j+2] = \
-       b[i+j+2] - 1.5; } } } }" );
-    ( "Invalid_ir",
-      "kernel r(double a[], double b[], double c[], long i) { for (long j = 0; j < 3; j = j + \
-       1) { if (a[i+j+1] == 1.0) { if (a[i+j+0] < 0.0) { a[i+j+0] = c[i+j+0] - 1.5; } else { \
-       a[i+j+3] = c[i+j+3] + a[i+j+0]; a[i+j+3] = 1.0; a[i+j+2] = c[i+j+2] + c[i+j+2]; } } } }" );
+    ("Scheduling_failure", "kernel r(double a[], long sched) { a[sched] = a[sched+1]; }");
+    ("Invalid_ir", "kernel r(double a[], long invalid) { a[invalid] = 1.0; }");
   ]
+
+let injected_compile setting (f : Defs.func) =
+  match Array.map (fun (a : Defs.arg) -> a.Defs.arg_name) f.Defs.fargs with
+  | [| _; "sched" |] -> raise (Snslp_vectorizer.Codegen.Scheduling_failure "injected")
+  | [| _; "invalid" |] -> raise (Verifier.Invalid_ir "injected")
+  | _ -> Snslp_passes.Pipeline.run ~setting f
+
+let raising_server () = Server.create ~compile:injected_compile ()
 
 let valid_kernel = "kernel f(long A[], long B[], long i) { A[i] = B[i] + 1; }"
 
@@ -837,7 +839,7 @@ let valid_kernel = "kernel f(long A[], long B[], long i) { A[i] = B[i] + 1; }"
    cached nor remembered by either index, and leaves its batch-mates
    compiling. *)
 let test_server_compile_failure_isolated () =
-  let server = Server.create () in
+  let server = raising_server () in
   let failing = List.map (fun (_, src) -> Ok ("sn-slp", src)) raising_kernels in
   let replies = Server.handle_batch server (failing @ [ Ok ("sn-slp", valid_kernel) ]) in
   (match replies with
@@ -1086,10 +1088,37 @@ let test_daemon_socket () =
           send sock [ "quit" ];
           Unix.close sock))
 
-(* The daemon keeps serving after a compile raises: both raising
+(* The conversation goes on after a compile raises: both raising
    kernels answer [err], a valid request after them compiles, and the
    counters show three misses and one entry. *)
-let test_daemon_survives_raising_compiles () =
+let test_serve_survives_raising_compiles () =
+  let lines =
+    List.concat_map (fun (_, src) -> compile_frame "sn-slp" src) raising_kernels
+    @ compile_frame "sn-slp" valid_kernel @ [ "stats"; "quit" ]
+  in
+  match converse (raising_server ()) lines with
+  | [ Protocol.Err e1; Protocol.Err e2; ok; Protocol.Stats_reply kvs ] ->
+      List.iter2
+        (fun (exn, _) e -> check ("err names " ^ exn) true (contains e exn))
+        raising_kernels [ e1; e2 ];
+      check_str "the valid request compiles" "miss" (statuses_of ok);
+      check_str "served" "3" (List.assoc "served" kvs);
+      check_str "misses" "3" (List.assoc "misses" kvs);
+      check_str "entries" "1" (List.assoc "entries" kvs)
+  | rs -> Alcotest.failf "unexpected replies: %s" (String.concat "; " (List.map statuses_of rs))
+
+(* The daemon keeps serving after requests fail: a type error and an
+   unknown mode answer [err], a valid request after them compiles, and
+   the counters show one miss and one entry. *)
+let failing_requests =
+  [
+    ( "type error",
+      compile_frame "sn-slp"
+        "kernel h(double A[], long i) { long k = i; long k = i; A[k] = 1.0; }" );
+    ("unknown mode", compile_frame "nosuchmode" valid_kernel);
+  ]
+
+let test_daemon_survives_failing_requests () =
   let in_r, in_w = Unix.pipe ~cloexec:true () in
   let out_r, out_w = Unix.pipe ~cloexec:true () in
   with_daemon [] ~stdin:in_r ~stdout:out_w (fun wait_exit ->
@@ -1097,7 +1126,7 @@ let test_daemon_survives_raising_compiles () =
       Unix.close out_w;
       let deadline = ref 0. in
       let read = line_reader out_r deadline in
-      List.iter (fun (_, src) -> send in_w (compile_frame "sn-slp" src)) raising_kernels;
+      List.iter (fun (_, frame) -> send in_w frame) failing_requests;
       send in_w (compile_frame "sn-slp" valid_kernel);
       send in_w [ "stats" ];
       let replies = read_replies read deadline 4 in
@@ -1108,16 +1137,16 @@ let test_daemon_survives_raising_compiles () =
         | _ -> Alcotest.fail "malformed reply"
       in
       List.iter
-        (fun (exn, _) ->
+        (fun (what, _) ->
           match read_one () with
-          | Protocol.Err e -> check ("err names " ^ exn) true (contains e exn)
-          | r -> Alcotest.failf "expected an err naming %s, got %s" exn (statuses_of r))
-        raising_kernels;
+          | Protocol.Err e -> check ("err names the " ^ what) true (contains e what)
+          | r -> Alcotest.failf "expected an err naming the %s, got %s" what (statuses_of r))
+        failing_requests;
       check_str "the valid request compiles" "miss" (statuses_of (read_one ()));
       (match read_one () with
       | Protocol.Stats_reply kvs ->
           check_str "served" "3" (List.assoc "served" kvs);
-          check_str "misses" "3" (List.assoc "misses" kvs);
+          check_str "misses" "1" (List.assoc "misses" kvs);
           check_str "entries" "1" (List.assoc "entries" kvs)
       | r -> Alcotest.failf "expected stats, got %s" (statuses_of r));
       send in_w [ "quit" ];
@@ -1293,8 +1322,10 @@ let suite =
           test_bad_request_touches_no_counter;
         Alcotest.test_case "server isolates a compile that raises" `Quick
           test_server_compile_failure_isolated;
-        Alcotest.test_case "daemon survives raising compiles" `Quick
-          test_daemon_survives_raising_compiles;
+        Alcotest.test_case "serve survives raising compiles" `Quick
+          test_serve_survives_raising_compiles;
+        Alcotest.test_case "daemon survives failing requests" `Quick
+          test_daemon_survives_failing_requests;
         Alcotest.test_case "daemon over pipes" `Quick test_daemon_stdio;
         Alcotest.test_case "snslpc reports user errors" `Quick test_snslpc_user_errors;
         Alcotest.test_case "daemon over a socket" `Quick test_daemon_socket;

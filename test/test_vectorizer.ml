@@ -652,6 +652,110 @@ let test_graph_dumps_on_demand () =
     ];
   check "graphs were dumped" true (!trees > 0)
 
+(* --- Memory order after code motion ---------------------------------------- *)
+
+(* Store groups placed at their first member, so a later lane moves
+   above an overwrite of another lane's cell.  Ordered by placement
+   rank, the first kernel's vector store would read a later lane's
+   address defined below it, and the second kernel's vector load and
+   overwrite would form a cycle.  The last two, reduced from random
+   nested-if KernelC, have the same two shapes.  The straight-line ones
+   each commit their one store group. *)
+let overwrite_kernels =
+  [
+    ( "address below the store",
+      "kernel r(double a[], double c[], long i) { a[i+3] = c[i+3]; a[i+3] = 1.0; a[i+2] = \
+       c[i+2]; }",
+      Some 1 );
+    ( "load above the overwrite",
+      "kernel r(double a[], long i) { a[i+0] = a[i+1]; a[i+0] = 1.0; a[i+1] = a[i+2]; }",
+      Some 1 );
+    ( "nested ifs, loop in an arm",
+      "kernel r(double a[], double b[], double c[], long i) { if (b[i+0] > a[i+2]) { if \
+       (a[i+3] > b[i+3]) { for (long j = 0; j < 4; j = j + 1) { a[i+j+0] = a[i+j+1] + \
+       a[i+j+0]; a[i+j+0] = 1.0; } } else { for (long j = 0; j < 4; j = j + 1) { a[i+j+2] = \
+       b[i+j+2] - 1.5; } } } }",
+      None );
+    ( "nested ifs in a loop",
+      "kernel r(double a[], double b[], double c[], long i) { for (long j = 0; j < 3; j = j + \
+       1) { if (a[i+j+1] == 1.0) { if (a[i+j+0] < 0.0) { a[i+j+0] = c[i+j+0] - 1.5; } else { \
+       a[i+j+3] = c[i+j+3] + a[i+j+0]; a[i+j+3] = 1.0; a[i+j+2] = c[i+j+2] + c[i+j+2]; } } } }",
+      None );
+  ]
+
+let overwrite_settings =
+  let global =
+    {
+      Config.snslp with
+      Config.packing =
+        Config.Global { beam = Config.default_beam; node_budget = Config.default_node_budget };
+    }
+  in
+  let avx512 = Snslp_costmodel.Target.avx512 in
+  [
+    ("slp", Config.vanilla);
+    ("lslp", Config.lslp);
+    ("sn-slp", Config.snslp);
+    ("sn-slp+global", global);
+    ( "sn-slp@avx512+revec",
+      {
+        Config.snslp with
+        Config.target = avx512;
+        model = Snslp_costmodel.Model.for_target avx512;
+        revec = true;
+      } );
+  ]
+
+(* Each kernel compiles in every setting, the validator finds no
+   mismatch, and the result interprets as the o3 compile does. *)
+let compiles_everywhere kernels =
+  List.iter
+    (fun (kernel, src, trees) ->
+      let f = compile src in
+      let o3 = Snslp_fuzzer.Oracle.run_memory (Pipeline.run ~setting:None f).Pipeline.func in
+      List.iter
+        (fun (setting, config) ->
+          let what = Printf.sprintf "%s under %s" kernel setting in
+          let r =
+            try Pipeline.run ~setting:(Some config) f
+            with e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+          in
+          (match Snslp_lint.Validate.compare_funcs f r.Pipeline.func with
+          | Snslp_lint.Validate.Mismatch { where; detail } ->
+              Alcotest.failf "%s: mismatch at %s: %s" what where detail
+          | Snslp_lint.Validate.Valid | Snslp_lint.Validate.Unknown _ -> ());
+          check (what ^ " interprets as o3") true
+            (Snslp_interp.Memory.equal o3 (Snslp_fuzzer.Oracle.run_memory r.Pipeline.func));
+          match (trees, r.Pipeline.vect_report) with
+          | Some n, Some rep ->
+              check_int (what ^ " commits its store group") n
+                rep.Vectorize.stats.Stats.graphs_vectorized
+          | _ -> ())
+        overwrite_settings)
+    kernels
+
+let test_overwrite_kernels () = compiles_everywhere overwrite_kernels
+
+(* Reduced from generated KernelC: the unrolled loop's load groups
+   [a[i+1], a[i+2]] and [b[i+1], b[i+2]] each pass the legality
+   check, but through other lanes each depends on the other — lane 0
+   of [a] feeds the if-converted store to [b[i+2]] that lane 1 of [b]
+   reads, and lane 0 of [b] is stored to [a[i+2]] before lane 1 of
+   [a] reads it.  Fused, they form a cycle, so the later group becomes
+   a gather and the tree still commits. *)
+let test_cycle_becomes_gather () =
+  let src =
+    "kernel r(double a[], double b[], double c[], long i) { if (c[i+0] <= a[i+1]) { b[i+2] = \
+     a[i+2]; } for (long j = 0; j < 2; j = j + 1) { a[i+j+2] = b[i+j+1]; c[i+j+0] = \
+     ((c[i+j+3] + b[i+j+1]) - (a[i+j+1] + a[i+j+2])); } }"
+  in
+  compiles_everywhere [ ("cycle through two load groups", src, None) ];
+  match (Pipeline.run ~setting:(Some Config.vanilla) (compile src)).Pipeline.vect_report with
+  | Some rep ->
+      check_int "the c tree commits" 1 rep.Vectorize.stats.Stats.graphs_vectorized;
+      check "with a gather" true (rep.Vectorize.stats.Stats.gathers >= 1)
+  | None -> Alcotest.fail "no vectorizer report"
+
 let suite =
   [
     ( "seeds",
@@ -696,6 +800,9 @@ let suite =
         Alcotest.test_case "rejected graphs stay scalar" `Quick
           test_rejected_graph_keeps_scalar_code;
         Alcotest.test_case "graph dumps on demand" `Quick test_graph_dumps_on_demand;
+        Alcotest.test_case "memory order after an overwrite" `Quick test_overwrite_kernels;
+        Alcotest.test_case "a group closing a cycle is gathered" `Quick
+          test_cycle_becomes_gather;
       ] );
     ( "memoize",
       [
