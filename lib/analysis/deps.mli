@@ -7,7 +7,8 @@
     dependence path between two instructions stays inside their
     position window — construction is O(block), queries O(window²)
     bits: a window's reachability matrix is one bit row per position,
-    packed 62 bits to an [int]. *)
+    packed 62 bits to an [int].  Every legality query ({!depends},
+    {!bundle_placement}, {!schedulable}) reads that one closure. *)
 
 open Snslp_ir
 
@@ -54,20 +55,15 @@ val reread_count : t -> int
 val depends : t -> on:Defs.instr -> Defs.instr -> bool
 (** [depends t ~on i]: [i] transitively depends on [on]. *)
 
-val independent_group : t -> Defs.instr list -> bool
-(** No member depends on another — necessary to fuse the group into
-    one vector instruction. *)
-
 type placement =
   | At_last (** bundle at the last member's position; others slide down *)
   | At_first (** bundle at the first member's position; others slide up *)
 
 val bundle_placement : t -> Defs.instr list -> placement option
-(** Full bundling legality: member independence plus a legal slide
-    direction for the memory operations ([None] when neither direction
-    avoids reordering against a conflicting access). *)
-
-val can_bundle : t -> Defs.instr list -> bool
+(** Full bundling legality: the group alone can be fused (no member
+    depends on another: {!schedulable} of one group) and its memory
+    operations have a legal slide direction ([None] when neither
+    direction avoids reordering against a conflicting access). *)
 
 (** How two accesses must be ordered once vector code replaced scalars
     of the block: each stands for the scalars it replaced, and every
@@ -85,9 +81,12 @@ val memory_order : t -> Defs.instr list -> Defs.instr list -> order
 
 val schedulable : t -> Defs.value array list -> bool
 (** [schedulable t groups]: the block can still be ordered once every
-    group (disjoint groups of its instructions, given as scalars) is
-    fused into one instruction — contracting each group leaves the
-    register and memory dependences acyclic.  A cycle can run through two groups'
+    group (disjoint groups of its instructions, given as scalars;
+    other values are ignored) is fused into one instruction.  Group
+    [g] must precede group [h] when a member of [h] depends on a
+    member of [g]; the groups can be fused when that relation has no
+    cycle, and a member that depends on another member of its own
+    group is the one-group case.  A cycle can run through two groups'
     different lanes, which {!bundle_placement} on each group alone
-    never sees.  Reads the window the groups span from the block
-    itself; never re-reads the view nor touches its counters. *)
+    never sees.  Answered from the reachability window the members
+    span, like every other query. *)

@@ -17,7 +17,11 @@
    with constant conditions folded exactly like the fold pass), and
    whole sums appearing as denominators.  Products of multi-term sums
    are distributed — the term count is capped, and overflowing the cap
-   raises {!Too_big}, which the validator reports as [Unknown].
+   raises {!Too_big}, which the validator reports as [Unknown].  So
+   does a key past {!max_key_bytes}: an atom's key spells out its
+   arguments' keys, so selects nested by sequential if/else arms would
+   otherwise grow keys exponentially while the values share
+   structure.
 
    Constant folding uses the IR's scalar semantics ({!Arith}: int64
    wrap, f32 per-operation rounding); because symbolic folding may group
@@ -113,14 +117,31 @@ let c_close ~tol a b =
 
 (* Key building uses a [Buffer]/[^] rather than [Printf] — keys are
    built once per demanded sum and atom, but captures of large
-   straight-line functions demand thousands of them. *)
+   straight-line functions demand thousands of them.  No key longer
+   than [max_key_bytes] is built: registry kernels' keys stay under
+   400 bytes, generated kernels with nested selects reach megabytes. *)
+let max_key_bytes = 65536
+
+let bounded len = if len > max_key_bytes then raise Too_big
+
+(* The length of [keys] joined by one-byte separators. *)
+let joined_length keys = List.fold_left (fun n k -> n + 1 + String.length k) (-1) keys
+
 let pkey_of pos neg =
   let part l =
     match l with
     | [ a ] -> a.akey
-    | _ -> String.concat "*" (List.map (fun a -> a.akey) l)
+    | _ ->
+        let keys = List.map (fun a -> a.akey) l in
+        bounded (joined_length keys);
+        String.concat "*" keys
   in
-  match neg with [] -> part pos | _ -> part pos ^ "/" ^ part neg
+  match neg with
+  | [] -> part pos
+  | _ ->
+      let p = part pos and n = part neg in
+      bounded (String.length p + 1 + String.length n);
+      p ^ "/" ^ n
 
 let dot = "\xc2\xb7" (* '·' *)
 
@@ -135,6 +156,7 @@ let skey_of knd const terms =
       (String.length kind + 1 + String.length c)
       terms coeffs
   in
+  bounded len;
   let b = Bytes.create len in
   let put pos s =
     Bytes.blit_string s 0 b pos (String.length s);
@@ -161,10 +183,18 @@ let skey s =
 
 let akey_of = function
   | Arg n -> "a" ^ string_of_int n
-  | Cell { base; index } -> "M" ^ string_of_int base ^ "[" ^ skey index ^ "]"
+  | Cell { base; index } ->
+      let b = string_of_int base and k = skey index in
+      bounded (String.length b + String.length k + 3);
+      "M" ^ b ^ "[" ^ k ^ "]"
   | Opaque { tag; args } ->
-      tag ^ "(" ^ String.concat "," (List.map skey args) ^ ")"
-  | Wrap s -> "(" ^ skey s ^ ")"
+      let keys = List.map skey args in
+      bounded (String.length tag + 2 + joined_length keys);
+      tag ^ "(" ^ String.concat "," keys ^ ")"
+  | Wrap s ->
+      let k = skey s in
+      bounded (String.length k + 2);
+      "(" ^ k ^ ")"
   | Undef_atom -> "?"
 
 let atom view = { akey = akey_of view; view }
@@ -284,8 +314,12 @@ let prod_term k c pos neg =
   if pos = [] && neg = [] then mk k c []
   else mk k (c_zero k) [ { tc = c; tp = { pkey = pkey_of pos neg; pos; neg } } ]
 
+(* A constant times a constant is their product as {!Arith} computes
+   it, so a float zero keeps its sign: [(1.0 - 1.0) * (1.0 - 1.5)] is
+   -0.0, and a zero constant lands in the keys of the atoms above it. *)
 let scale k c s =
-  if c_is_zero c then zero k
+  if s.terms = [] then mk k (c_mul k c s.const) []
+  else if c_is_zero c then zero k
   else mk k (c_mul k c s.const) (List.map (fun t -> { t with tc = c_mul k c t.tc }) s.terms)
 
 (* A sum as (coefficient, product-or-1) items, the constant first. *)

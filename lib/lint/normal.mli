@@ -8,8 +8,13 @@
 open Snslp_ir
 
 exception Too_big
-(** Distribution of a product of sums exceeded the term cap; the
-    expression is out of the normal form's scope. *)
+(** Distribution of a product of sums exceeded the term cap, or a
+    canonical key would exceed {!max_key_bytes}; the expression is out
+    of the normal form's scope.  Building a sum or reading its key
+    ({!skey}, {!equal}, {!close}) may raise it. *)
+
+val max_key_bytes : int
+(** The longest canonical key built (64 KiB). *)
 
 type coeff = C_int of int64 | C_float of float
 

@@ -659,26 +659,29 @@ let capture ~cache (f : Defs.func) : snapshot =
    decides pairwise.  A summary line contains the loop's init, bound,
    cmp, step and full parametric footprint, so two genuinely
    different symbolic loops never share.  [None] when the function
-   fell outside the supported fragment: an [Unknown] snapshot has no
-   canonical form, so it must never share a digest. *)
+   fell outside the supported fragment or a stored form's key would
+   be too large: an [Unknown] snapshot has no canonical form, so it
+   must never share a digest. *)
 let snapshot_digest (s : snapshot) : string option =
   match s with
   | Error _ -> None
-  | Ok eff ->
-      let lines =
+  | Ok eff -> (
+      match
         Hashtbl.fold
           (fun key (e : entry) acc ->
             if e.stored then (key ^ "=" ^ Normal.skey e.value) :: acc else acc)
           eff.emem
           (List.map (fun s -> "loop|" ^ s) eff.esummaries)
-      in
-      let buf = Buffer.create 256 in
-      List.iter
-        (fun l ->
-          Buffer.add_string buf l;
-          Buffer.add_char buf '\n')
-        (List.sort String.compare lines);
-      Some (Digest.to_hex (Digest.string (Buffer.contents buf)))
+      with
+      | exception Normal.Too_big -> None
+      | lines ->
+          let buf = Buffer.create 256 in
+          List.iter
+            (fun l ->
+              Buffer.add_string buf l;
+              Buffer.add_char buf '\n')
+            (List.sort String.compare lines);
+          Some (Digest.to_hex (Digest.string (Buffer.contents buf))))
 
 (* [compare_snapshots pre post] validates that [post] stores the same
    normal forms to the same locations as [pre].  Divergent loop
@@ -686,7 +689,7 @@ let snapshot_digest (s : snapshot) : string option =
    footprints are an abstraction, so a difference is [Unknown], never
    [Mismatch]; likewise any difference on a buffer a symbolic loop
    wrote. *)
-let compare_snapshots ?(tolerance = 1e-6) (pre : snapshot) (post : snapshot) : verdict =
+let compare_stored ?(tolerance = 1e-6) (pre : snapshot) (post : snapshot) : verdict =
   match (pre, post) with
   | Error reason, _ -> Unknown (Printf.sprintf "input side: %s" reason)
   | _, Error reason -> Unknown (Printf.sprintf "output side: %s" reason)
@@ -730,6 +733,10 @@ let compare_snapshots ?(tolerance = 1e-6) (pre : snapshot) (post : snapshot) : v
                 (Printf.sprintf "%s: stored only by the output side" (loc_to_string e)))
           (stored mpost);
         !verdict)
+
+(* Comparing reads the stored forms' keys, which may be too large. *)
+let compare_snapshots ?tolerance pre post =
+  try compare_stored ?tolerance pre post with Normal.Too_big -> Unknown "normal form too large"
 
 let compare_funcs ?tolerance (pre : Defs.func) (post : Defs.func) : verdict =
   compare_snapshots ?tolerance (capture ~cache:(cache ()) pre) (capture ~cache:(cache ()) post)

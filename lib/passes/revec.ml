@@ -22,11 +22,18 @@
    - anything else falls back to a widening concat — one shuffle
      whose mask [0 .. 2L-1] glues the two narrow registers together.
 
-   Legality is re-checked per pair with the same primitive the
-   vectorizer uses ({!Snslp_analysis.Deps.bundle_placement}), and
-   profitability with the target's machine model: a pair commits only
-   when the narrow instructions that die cost strictly more than the
-   wide instructions that replace them.  Committed rounds iterate, so
+   Legality is checked as the vectorizer checks a tree: each store
+   and load pair by {!Snslp_analysis.Deps.bundle_placement}, and every
+   pair the plan fuses together by {!Snslp_analysis.Deps.schedulable}.
+   Profitability comes from the target's machine model: a pair
+   commits only when the narrow instructions that die cost strictly
+   more than the wide instructions that replace them.  The wide
+   instructions are positioned by codegen's scheduler
+   ({!Snslp_vectorizer.Codegen.place}): each wide load ranks just
+   before the load its bundle placement fuses at, everything else just
+   before the later narrow store, and a wide load or store stands for
+   the narrow accesses it replaces in memory order.  What the pair
+   touched is then verified locally.  Committed rounds iterate, so
    128-bit bundles reach 512-bit targets in two doublings.  The dead
    narrow chains are left for DCE, which runs right after this pass
    in the pipeline. *)
@@ -34,6 +41,7 @@
 open Snslp_ir
 open Snslp_analysis
 open Snslp_costmodel
+module Codegen = Snslp_vectorizer.Codegen
 module Family = Snslp_vectorizer.Family
 
 type report = { pairs : int; widened : int; rounds : int }
@@ -50,9 +58,11 @@ let max_rounds = 3
    child-first, so the creation list is a topological order and
    emission can walk it directly.  [claimed] collects the narrow
    instructions the plan replaces — they only actually die (and only
-   actually count as savings) if every use is inside the dying set. *)
+   actually count as savings) if every use is inside the dying set.
+   A wide load ranks just before [at], the narrow load its bundle
+   placement fuses at. *)
 type shape =
-  | P_load of { left : Defs.instr; right : Defs.instr; placement : Deps.placement }
+  | P_load of { left : Defs.instr; right : Defs.instr; at : Defs.instr }
   | P_bin of { kind : Defs.binop; a : node; b : node }
   | P_alt of { kinds : Defs.binop array; a : node; b : node }
   | P_shuf of { a : Defs.value; b : Defs.value; mask : int array }
@@ -75,6 +85,7 @@ type ctx = {
   memo : node Pairs.t; (* (v0, v1) -> plan node *)
   mutable created : node list; (* reverse creation order *)
   claimed : (int, Defs.instr) Hashtbl.t;
+  mutable fused : Defs.value array list; (* narrow pairs that become one instruction *)
 }
 
 let mk ctx ~lanes ~elem shape =
@@ -83,7 +94,11 @@ let mk ctx ~lanes ~elem shape =
   ctx.created <- n :: ctx.created;
   n
 
-let claim ctx (i : Defs.instr) = Hashtbl.replace ctx.claimed i.Defs.iid i
+(* The pair [i0], [i1] becomes one wide instruction. *)
+let fuse ctx (i0 : Defs.instr) (i1 : Defs.instr) =
+  Hashtbl.replace ctx.claimed i0.Defs.iid i0;
+  Hashtbl.replace ctx.claimed i1.Defs.iid i1;
+  ctx.fused <- [| Instr.value i0; Instr.value i1 |] :: ctx.fused
 
 (* The universal fallback: glue the two narrow registers with one
    concat shuffle, mask = identity over the doubled lanes. *)
@@ -132,14 +147,14 @@ and pair_fresh ctx v0 v1 =
                  sliding legality of the wide load. *)
               match Deps.bundle_placement ctx.deps [ i0; i1 ] with
               | Some placement ->
-                  claim ctx i0;
-                  claim ctx i1;
-                  mk ctx ~lanes:wide ~elem (P_load { left = i0; right = i1; placement })
+                  fuse ctx i0 i1;
+                  let first, last = if Block.precedes i0 i1 then (i0, i1) else (i1, i0) in
+                  let at = if placement = Deps.At_first then first else last in
+                  mk ctx ~lanes:wide ~elem (P_load { left = i0; right = i1; at })
               | None -> concat ctx v0 v1)
           | _ -> concat ctx v0 v1)
       | Defs.Binop k0, Defs.Binop k1 when k0 = k1 ->
-          claim ctx i0;
-          claim ctx i1;
+          fuse ctx i0 i1;
           let a = pair ctx i0.Defs.ops.(0) i1.Defs.ops.(0) in
           let b = pair ctx i0.Defs.ops.(1) i1.Defs.ops.(1) in
           mk ctx ~lanes:wide ~elem (P_bin { kind = k0; a; b })
@@ -154,8 +169,7 @@ and pair_fresh ctx v0 v1 =
             Array.for_all (fun k -> Family.same_family kinds.(0) k) kinds
             && Family.allowed_on fam elem
           then begin
-            claim ctx i0;
-            claim ctx i1;
+            fuse ctx i0 i1;
             let a = pair ctx i0.Defs.ops.(0) i1.Defs.ops.(0) in
             let b = pair ctx i0.Defs.ops.(1) i1.Defs.ops.(1) in
             mk ctx ~lanes:wide ~elem (P_alt { kinds; a; b })
@@ -167,8 +181,7 @@ and pair_fresh ctx v0 v1 =
           (* Same two sources: the wide permute is the mask
              concatenation (indices already address the shared
              source concatenation, so they transfer unchanged). *)
-          claim ctx i0;
-          claim ctx i1;
+          fuse ctx i0 i1;
           mk ctx ~lanes:wide ~elem
             (P_shuf { a = i0.Defs.ops.(0); b = i0.Defs.ops.(1); mask = Array.append m0 m1 })
       | _ -> concat ctx v0 v1)
@@ -220,60 +233,38 @@ let dying_savings model target (ctx : ctx) ~(erased : Defs.instr list) =
 
 (* --- Commit. ------------------------------------------------------- *)
 
-(* Emit the plan into the block.  Everything lands immediately before
-   [anchor] (the later of the two stores in program order) in
-   creation (= topological) order, except wide loads, which must read
-   memory at their own bundle-legal position: loads are operands of
-   the stores, so both legal load positions precede the store
-   anchor and dominance is preserved either way. *)
-let emit func block (ctx : ctx) ~(anchor : Defs.instr) root s_left s_right =
+(* Emit the plan at the end of the block, in creation (= topological)
+   order, then hand it to codegen's scheduler with the pair's stores
+   as erased, and verify what that touched.  Returns the number of
+   wide instructions. *)
+let emit func block (ctx : ctx) root s_left s_right =
   let b = Builder.create func ~at:block in
+  let last = if Block.precedes s_left s_right then s_right else s_left in
   let emitted : (int, Defs.value) Hashtbl.t = Hashtbl.create 16 in
   let value_of n = Hashtbl.find emitted n.nid in
-  let place_before anchor (i : Defs.instr) =
-    Block.remove block i;
-    Block.insert_before block ~anchor i
+  let placed =
+    List.map
+      (fun n ->
+        let i, at, stands_for =
+          match n.shape with
+          | P_load { left; right; at } ->
+              (Builder.vload b ~lanes:n.lanes left.Defs.ops.(0), at, [ left; right ])
+          | P_bin { kind; a; b = b' } -> (Builder.binop b kind (value_of a) (value_of b'), last, [])
+          | P_alt { kinds; a; b = b' } ->
+              (Builder.alt_binop b kinds (value_of a) (value_of b'), last, [])
+          | P_shuf { a; b = b'; mask } -> (Builder.shuffle b a b' mask, last, [])
+          | P_concat { a; b = b' } ->
+              (Builder.shuffle b a b' (concat_mask (Ty.lanes (Value.ty a))), last, [])
+        in
+        Hashtbl.replace emitted n.nid (Instr.value i);
+        (i, at, stands_for))
+      (List.rev ctx.created)
   in
-  let count = ref 0 in
-  List.iter
-    (fun n ->
-      incr count;
-      let i =
-        match n.shape with
-        | P_load { left; right; placement } ->
-            let wi = Builder.vload b ~lanes:n.lanes left.Defs.ops.(0) in
-            let load_anchor =
-              match placement with
-              | Deps.At_last -> if Block.precedes right left then left else right
-              | Deps.At_first -> if Block.precedes left right then left else right
-            in
-            place_before load_anchor wi;
-            wi
-        | P_bin { kind; a; b = b' } ->
-            let wi = Builder.binop b kind (value_of a) (value_of b') in
-            place_before anchor wi;
-            wi
-        | P_alt { kinds; a; b = b' } ->
-            let wi = Builder.alt_binop b kinds (value_of a) (value_of b') in
-            place_before anchor wi;
-            wi
-        | P_shuf { a; b = b'; mask } ->
-            let wi = Builder.shuffle b a b' mask in
-            place_before anchor wi;
-            wi
-        | P_concat { a; b = b' } ->
-            let wi = Builder.shuffle b a b' (concat_mask (Ty.lanes (Value.ty a))) in
-            place_before anchor wi;
-            wi
-      in
-      Hashtbl.replace emitted n.nid (Instr.value i))
-    (List.rev ctx.created);
+  let erased = [ s_left; s_right ] in
   let ws = Builder.store b (value_of root) s_left.Defs.ops.(1) in
-  place_before anchor ws;
-  incr count;
-  Func.erase_instr func s_left;
-  Func.erase_instr func s_right;
-  !count
+  let moved = Codegen.place ctx.deps block ~erased (placed @ [ (ws, last, erased) ]) in
+  Verifier.verify_local_exn func ~touched:moved ~erased;
+  List.length placed + 1
 
 (* --- Store-pair discovery. ----------------------------------------- *)
 
@@ -334,7 +325,6 @@ let store_pairs block ~lanes_for =
 let try_pair func block deps model target (s_left, s_right, _lanes) =
   match Deps.bundle_placement deps [ s_left; s_right ] with
   | Some Deps.At_last ->
-      let anchor = if Block.precedes s_right s_left then s_left else s_right in
       let ctx =
         {
           block;
@@ -343,6 +333,7 @@ let try_pair func block deps model target (s_left, s_right, _lanes) =
           memo = Pairs.create 32;
           created = [];
           claimed = Hashtbl.create 32;
+          fused = [];
         }
       in
       let root = pair ctx s_left.Defs.ops.(0) s_right.Defs.ops.(0) in
@@ -351,8 +342,10 @@ let try_pair func block deps model target (s_left, s_right, _lanes) =
         +. model.Model.vector Model.C_store ~lanes:root.lanes
       in
       let savings = dying_savings model target ctx ~erased:[ s_left; s_right ] in
-      if savings > wide_cost then
-        Some (emit func block ctx ~anchor root s_left s_right)
+      if
+        savings > wide_cost
+        && Deps.schedulable deps ([| Instr.value s_left; Instr.value s_right |] :: ctx.fused)
+      then Some (emit func block ctx root s_left s_right)
       else None
   | Some Deps.At_first | None -> None
 

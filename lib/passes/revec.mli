@@ -8,10 +8,14 @@
     wide load, same-opcode binops → wide binop, same-family pairs →
     wide alt-binop with concatenated opcode masks, same-source
     shuffles → concatenated permute masks, everything else → a
-    widening concat shuffle).  Legality is re-checked per pair via
-    {!Snslp_analysis.Deps.bundle_placement}; a pair commits only when
+    widening concat shuffle).  Legality is checked as the vectorizer
+    checks a tree: each store and load pair by
+    {!Snslp_analysis.Deps.bundle_placement}, all pairs fused together
+    by {!Snslp_analysis.Deps.schedulable}.  A pair commits only when
     the dying narrow instructions out-price the wide replacements
-    under the given machine model.  Rounds iterate, so 2-lane bundles
+    under the given machine model.  The wide code is positioned by
+    codegen's scheduler ({!Snslp_vectorizer.Codegen.place}) and what
+    it touched is verified locally.  Rounds iterate, so 2-lane bundles
     reach 8-lane targets.  Dead narrow chains are left to DCE. *)
 
 open Snslp_ir

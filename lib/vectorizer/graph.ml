@@ -331,7 +331,7 @@ and build_instr_group (t : t) (vals : Defs.value array) (instrs : Defs.instr arr
       else if Array.for_all (fun (j : Defs.instr) -> Instr.same_opcode j instrs.(0)) instrs
       then
         match instrs.(0).Defs.op with
-        | Defs.Select when Deps.can_bundle t.deps (Array.to_list instrs) ->
+        | Defs.Select when Deps.schedulable t.deps [ vals ] ->
             (* Blend: vector select over vectorized condition and
                arms (what if-conversion output needs). *)
             let node = new_node t K_vec vals in
@@ -343,8 +343,7 @@ and build_instr_group (t : t) (vals : Defs.value array) (instrs : Defs.instr arr
             let c2 = child 2 in
             node.children <- [| c0; c1; c2 |];
             node
-        | (Defs.Icmp _ | Defs.Fcmp _) when Deps.can_bundle t.deps (Array.to_list instrs)
-          ->
+        | (Defs.Icmp _ | Defs.Fcmp _) when Deps.schedulable t.deps [ vals ] ->
             let node = new_node t K_vec vals in
             let child k =
               build_group t (Array.map (fun (j : Defs.instr) -> j.Defs.ops.(k)) instrs)
@@ -371,7 +370,7 @@ and build_binop_group (t : t) (vals : Defs.value array) (instrs : Defs.instr arr
   if (not uniform0) && not same_family then
     (* Mixed opcodes across families never vectorize. *)
     gather ()
-  else if not (Deps.can_bundle t.deps (Array.to_list instrs)) then gather ()
+  else if not (Deps.schedulable t.deps [ vals ]) then gather ()
   else begin
     (* Offer the group to the Super-Node machinery (Listing 1 line 12).
        The massage may rewrite the IR; it returns the group's new root
@@ -446,11 +445,11 @@ and build_binop_group (t : t) (vals : Defs.value array) (instrs : Defs.instr arr
    and each one that would close a cycle with those accepted becomes a
    gather; the nodes only it reached are dropped.  That is what LLVM
    does with a bundle it cannot schedule.  Whether anything changed. *)
+let vector_groups (t : t) =
+  List.filter_map (fun n -> if is_vectorizable_kind n.kind then Some n.scalars else None) t.nodes
+
 let make_schedulable (t : t) =
-  let groups =
-    List.filter_map (fun n -> if is_vectorizable_kind n.kind then Some n.scalars else None) t.nodes
-  in
-  if Deps.schedulable t.deps groups then false
+  if Deps.schedulable t.deps (vector_groups t) then false
   else begin
     let reached = Hashtbl.create 64 in
     let rec reach n =

@@ -71,6 +71,9 @@ val is_vectorizable_kind : kind -> bool
 (** Kinds whose scalars are replaced by a vector instruction (claimed,
     erased, extract-priced). *)
 
+val vector_groups : t -> Defs.value array list
+(** The scalars of every vectorizable node, one group per node. *)
+
 val make_schedulable : t -> bool
 (** Keeps the tree schedulable: fused into one instruction each, its
     vector groups must leave the block's dependences acyclic

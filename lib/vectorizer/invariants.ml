@@ -3,7 +3,9 @@
    on the finished graph rather than trusted from the builder:
 
    - every vectorizable bundle must be schedulable (a fresh dependence
-     analysis must still find a legal placement);
+     analysis must still find a legal placement), and so must all of
+     them together: fused into one instruction each, the tree's vector
+     groups keep the block's dependences acyclic;
    - [K_vec] lanes are opcode-isomorphic; load/store bundles walk
      consecutive addresses;
    - [K_alt] lane opcodes are exactly the per-lane realised operators
@@ -75,7 +77,7 @@ let check_node acc (deps : Deps.t) (n : Graph.node) =
       | None -> report acc "%s: vectorizable node with non-instruction lanes" (node_desc n)
       | Some instrs ->
           let bundle = Array.to_list instrs in
-          if not (Deps.can_bundle deps bundle) then
+          if Deps.bundle_placement deps bundle = None then
             report acc "%s: bundle has no legal schedule" (node_desc n);
           (match n.Graph.kind with
           | Graph.K_vec ->
@@ -143,4 +145,7 @@ let check (g : Graph.t) : string list =
   let acc = ref [] in
   let deps = Deps.of_block g.Graph.block in
   List.iter (check_node acc deps) (Graph.nodes g);
+  if not (Deps.schedulable deps (Graph.vector_groups g)) then
+    report acc "%s: the tree's vector groups close a dependence cycle"
+      (node_desc (Graph.root g));
   List.rev !acc

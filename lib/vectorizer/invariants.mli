@@ -1,6 +1,7 @@
 (** Structural invariants of a built SLP graph, re-derived
     independently of the builder: bundle schedulability under a fresh
-    dependence analysis, lane isomorphism, consecutive memory
+    dependence analysis, of each vector group and of all of them
+    together ({!Snslp_analysis.Deps.schedulable}), lane isomorphism, consecutive memory
     bundles, alternating-mask/APO agreement, child operand
     consistency. *)
 

@@ -120,8 +120,10 @@ kernel dep(double A[], double B[], long i) {
   check "add depends on load" true (Deps.depends deps ~on:load add);
   check "mul transitively depends on load" true (Deps.depends deps ~on:load mul);
   check "load does not depend on mul" false (Deps.depends deps ~on:mul load);
-  check "independent group rejected" false (Deps.independent_group deps [ load; mul ]);
-  check "independent group ok" true (Deps.independent_group deps [ load ])
+  let group is = Array.of_list (List.map Instr.value is) in
+  check "dependent group rejected" false (Deps.schedulable deps [ group [ load; mul ] ]);
+  check "one-member group ok" true (Deps.schedulable deps [ group [ load ] ]);
+  check "dependent group has no placement" true (Deps.bundle_placement deps [ load; mul ] = None)
 
 let test_deps_memory_ordering () =
   (* A store between two loads of the same location orders them. *)
@@ -275,6 +277,53 @@ kernel op(double A[], double B[], double C[], long i) {
   Instr.set_operand mul 1 (Instr.value add);
   check "mul depends on add once it reads it" true (Deps.depends deps ~on:add mul)
 
+(* The kernel of test_vectorizer's "a group closing a cycle is
+   gathered", as the vectorizer sees it (loop unrolled, if
+   converted): the load groups [a[i+1], a[i+2]] and [b[i+1], b[i+2]]
+   of its committed tree can each be fused, and not both.  Lane 0 of
+   [a] feeds the store to [b[i+2]] that lane 1 of [b] reads, and lane
+   0 of [b] is stored to [a[i+2]] before lane 1 of [a] reads it. *)
+let test_deps_cycle_through_two_groups () =
+  let open Snslp_vectorizer in
+  let src =
+    "kernel r(double a[], double b[], double c[], long i) { if (c[i+0] <= a[i+1]) { b[i+2] = \
+     a[i+2]; } for (long j = 0; j < 2; j = j + 1) { a[i+j+2] = b[i+j+1]; c[i+j+0] = \
+     ((c[i+j+3] + b[i+j+1]) - (a[i+j+1] + a[i+j+2])); } }"
+  in
+  let reads name (n : Graph.node) =
+    Array.for_all
+      (function
+        | Defs.Instr i when Instr.is_load i -> (
+            match Address.of_instr i with
+            | Some { Address.base = Defs.Arg a; _ } -> a.Defs.arg_name = name
+            | _ -> false)
+        | _ -> false)
+      n.Graph.scalars
+  in
+  let checked = ref 0 in
+  let on_graph (g : Graph.t) =
+    (* The tree check turned the [a] group into a gather. *)
+    let nodes = Graph.nodes g in
+    match
+      ( List.find_opt (fun n -> n.Graph.kind = Graph.K_gather && reads "a" n) nodes,
+        List.find_opt (fun n -> n.Graph.kind = Graph.K_vec && reads "b" n) nodes )
+    with
+    | Some ga, Some gb ->
+        incr checked;
+        let deps = Deps.of_block g.Graph.block in
+        let instrs (n : Graph.node) = List.filter_map Value.as_instr (Array.to_list n.Graph.scalars) in
+        check "a group alone" true (Deps.schedulable deps [ ga.Graph.scalars ]);
+        check "b group alone" true (Deps.schedulable deps [ gb.Graph.scalars ]);
+        check "a group has a placement" true (Deps.bundle_placement deps (instrs ga) <> None);
+        check "b group has a placement" true (Deps.bundle_placement deps (instrs gb) <> None);
+        check "not both" false (Deps.schedulable deps [ ga.Graph.scalars; gb.Graph.scalars ])
+    | _ -> ()
+  in
+  ignore
+    (Snslp_passes.Pipeline.run ~setting:(Some Config.vanilla) ~on_graph
+       (Snslp_frontend.Frontend.compile_one src));
+  check_int "one tree checked" 1 !checked
+
 let suite =
   [
     ( "affine",
@@ -295,6 +344,7 @@ let suite =
         Alcotest.test_case "bundle placement" `Quick test_bundle_placement;
         Alcotest.test_case "bundle blocked one way" `Quick test_bundle_blocked;
         Alcotest.test_case "bundle impossible" `Quick test_bundle_impossible;
+        Alcotest.test_case "a cycle through two groups" `Quick test_deps_cycle_through_two_groups;
         Alcotest.test_case "notices inserted and removed loads" `Quick test_deps_notices_edits;
         Alcotest.test_case "notices an operand change" `Quick test_deps_notices_operand_change;
       ] );

@@ -344,13 +344,15 @@ let test_case_seed_schedule () =
    against the scalar reference, each pass verified.  {!Gen} never
    builds these shapes; 13 of these kernels crashed the vectorizer
    while codegen ordered memory by placement rank.  The translation
-   validator stays off: on a few of these kernels its normal forms
-   take hundreds of megabytes (kernel 487 about 300 MB). *)
+   validator checks every pass: on kernels whose sequential if/else
+   arms nest selects over the same cells (486 and 487) its normal
+   forms once took hundreds of megabytes, and now end [Unknown]
+   "normal form too large". *)
 let test_kernelc_campaign () =
   check_str "the generator is deterministic" (Kernelc.generate ~seed:7) (Kernelc.generate ~seed:7);
   for seed = 0 to 599 do
     let src = Kernelc.generate ~seed in
-    match Oracle.run_case ~validate:false (Snslp_frontend.Frontend.compile_one src) with
+    match Oracle.run_case ~validate:true (Snslp_frontend.Frontend.compile_one src) with
     | [] -> ()
     | findings ->
         Alcotest.failf "kernel seed %d: %s\n%s" seed

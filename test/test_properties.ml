@@ -9,7 +9,8 @@
    - AST pretty-printing round-trips through the parser;
    - constant folding agrees with the interpreter;
    - the windowed dependence analysis agrees with a brute-force
-     transitive closure. *)
+     transitive closure, and its schedulability of fused groups with a
+     cycle search over the contracted dependence graph. *)
 
 open Snslp_ir
 open Snslp_vectorizer
@@ -355,6 +356,40 @@ let deps_program seed =
     (Printf.sprintf "kernel d(double A[], double B[], long i) {\n%s\n}"
        (String.concat "\n" stmts))
 
+(* [users.(j)]: the positions of [instrs] (a block, in order) that
+   depend directly on position [j] — register edges, and memory edges
+   between conflicting accesses in block order. *)
+let direct_users (instrs : Defs.instr array) =
+  let n = Array.length instrs in
+  let index = Hashtbl.create 32 in
+  Array.iteri (fun k i -> Hashtbl.replace index i.Defs.iid k) instrs;
+  let memlocs = Array.map Snslp_analysis.Deps.memloc_of_instr instrs in
+  let users = Array.make n [] in
+  Array.iteri
+    (fun k i ->
+      Array.iter
+        (fun o ->
+          match o with
+          | Defs.Instr d -> (
+              match Hashtbl.find_opt index d.Defs.iid with
+              | Some dk when dk < k -> users.(dk) <- k :: users.(dk)
+              | _ -> ())
+          | _ -> ())
+        i.Defs.ops;
+      match memlocs.(k) with
+      | None -> ()
+      | Some li ->
+          for j = 0 to k - 1 do
+            match memlocs.(j) with
+            | Some lj
+              when (Instr.writes_memory i || Instr.writes_memory instrs.(j))
+                   && Snslp_analysis.Deps.may_overlap li lj ->
+                users.(j) <- k :: users.(j)
+            | _ -> ()
+          done)
+    instrs;
+  users
+
 let deps_match_brute_force =
   QCheck.Test.make ~count:200 ~name:"windowed deps match brute-force closure"
     QCheck.(make Gen.(int_range 1 100_000))
@@ -365,34 +400,7 @@ let deps_match_brute_force =
       let deps = Snslp_analysis.Deps.of_block blk in
       let instrs = Array.of_list (Block.instrs blk) in
       let n = Array.length instrs in
-      let index = Hashtbl.create 32 in
-      Array.iteri (fun k i -> Hashtbl.replace index i.Defs.iid k) instrs;
-      let memlocs = Array.map Snslp_analysis.Deps.memloc_of_instr instrs in
-      (* users.(j): the positions that depend directly on position j. *)
-      let users = Array.make n [] in
-      Array.iteri
-        (fun k i ->
-          Array.iter
-            (fun o ->
-              match o with
-              | Defs.Instr d -> (
-                  match Hashtbl.find_opt index d.Defs.iid with
-                  | Some dk when dk < k -> users.(dk) <- k :: users.(dk)
-                  | _ -> ())
-              | _ -> ())
-            i.Defs.ops;
-          match memlocs.(k) with
-          | None -> ()
-          | Some li ->
-              for j = 0 to k - 1 do
-                match memlocs.(j) with
-                | Some lj
-                  when (Instr.writes_memory i || Instr.writes_memory instrs.(j))
-                       && Snslp_analysis.Deps.may_overlap li lj ->
-                    users.(j) <- k :: users.(j)
-                | _ -> ()
-              done)
-        instrs;
+      let users = direct_users instrs in
       let ok = ref true in
       for a = 0 to n - 1 do
         let reached = Array.make n false in
@@ -412,6 +420,68 @@ let deps_match_brute_force =
         done
       done;
       !ok)
+
+(* One case of the schedulability property: a [Gen] block and one to
+   three random disjoint groups of two or three of its instructions.
+   Returns [Deps.schedulable]'s answer and the brute-force one:
+   contract each group to one vertex of the explicit dependence graph
+   and search the result for a cycle (an edge inside a group is a
+   cycle of one vertex). *)
+let schedulable_case seed =
+  let blk = Func.entry (Snslp_fuzzer.Gen.generate ~seed ()) in
+  let instrs = Block.to_array blk in
+  let n = Array.length instrs in
+  let rand = Random.State.make [| seed |] in
+  let order = Array.init n Fun.id in
+  for k = n - 1 downto 1 do
+    let j = Random.State.int rand (k + 1) in
+    let t = order.(k) in
+    order.(k) <- order.(j);
+    order.(j) <- t
+  done;
+  let ngroups = 1 + Random.State.int rand 3 in
+  (* vertex.(p): the group of position [p], or a vertex of its own. *)
+  let vertex = Array.init n (fun p -> ngroups + p) in
+  let next = ref 0 in
+  let groups =
+    List.init ngroups (fun g ->
+        let size = min (2 + Random.State.int rand 2) (n - !next) in
+        let members = Array.sub order !next size in
+        next := !next + size;
+        Array.iter (fun p -> vertex.(p) <- g) members;
+        Array.map (fun p -> Instr.value instrs.(p)) members)
+  in
+  let users = direct_users instrs in
+  let succs = Array.make (ngroups + n) [] in
+  Array.iteri
+    (fun p us -> List.iter (fun q -> succs.(vertex.(p)) <- vertex.(q) :: succs.(vertex.(p))) us)
+    users;
+  let state = Array.make (ngroups + n) `Unseen in
+  let rec acyclic v =
+    match state.(v) with
+    | `Done -> true
+    | `On_path -> false
+    | `Unseen ->
+        state.(v) <- `On_path;
+        let ok = List.for_all acyclic succs.(v) in
+        state.(v) <- `Done;
+        ok
+  in
+  let expected = List.for_all acyclic (List.init (ngroups + n) Fun.id) in
+  (Snslp_analysis.Deps.schedulable (Snslp_analysis.Deps.of_block blk) groups, expected)
+
+let schedulable_matches_contraction =
+  QCheck.Test.make ~count:300 ~name:"schedulable matches contraction of the explicit graph"
+    QCheck.(make Gen.(int_range 1 1_000_000))
+    (fun seed ->
+      let got, expected = schedulable_case seed in
+      got = expected)
+
+(* The cases above reach both verdicts. *)
+let schedulable_cases_reach_both () =
+  let verdicts = List.init 100 (fun seed -> fst (schedulable_case (seed + 1))) in
+  Alcotest.(check bool) "a schedulable case" true (List.mem true verdicts);
+  Alcotest.(check bool) "an unschedulable case" true (List.mem false verdicts)
 
 (* The generator reaches rows of two and of three or more words. *)
 let deps_programs_span_words () =
@@ -711,6 +781,7 @@ let suite =
           ast_roundtrip;
           fold_agrees_with_interp;
           deps_match_brute_force;
+          schedulable_matches_contraction;
           seeds_chunk_invariants;
           widths_are_decreasing_powers;
           lookahead_nonnegative_and_reflexive;
@@ -719,5 +790,9 @@ let suite =
           use_lists_stay_consistent;
           fingerprint_keys_output;
         ]
-      @ [ Alcotest.test_case "deps programs span words" `Quick deps_programs_span_words ] );
+      @ [
+          Alcotest.test_case "deps programs span words" `Quick deps_programs_span_words;
+          Alcotest.test_case "schedulable cases reach both verdicts" `Quick
+            schedulable_cases_reach_both;
+        ] );
   ]

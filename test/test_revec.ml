@@ -152,6 +152,34 @@ let test_pipeline_rejuvenation_validates () =
   check "memory matches the scalar original" true
     (Memory.equal (Oracle.run_memory scalar) (Oracle.run_memory result.Pipeline.func))
 
+(* The store to [a[i+2]] between the two narrow load pairs pins their
+   wide load to the first pair (At_first), but it reads the second
+   pair's address, defined below that store.  Placed through codegen's
+   scheduler, the address moves up with it: the sse compile
+   rejuvenates at avx512, verifies and computes what the scalar source
+   computes. *)
+let test_rejuvenation_at_first_load () =
+  let scalar =
+    Snslp_frontend.Frontend.compile_one
+      "kernel r(double a[], double b[], long i) { double x2 = a[i+2]; double x3 = a[i+3]; \
+       a[i+2] = 5.0; double x0 = a[i+0]; double x1 = a[i+1]; b[i+0] = x0 * 2.0; b[i+1] = \
+       x1 * 2.0; b[i+2] = x2 * 2.0; b[i+3] = x3 * 2.0; }"
+  in
+  let narrow_f =
+    (Pipeline.run ~setting:(Some (on_target Target.sse false)) scalar).Pipeline.func
+  in
+  check_int "sse compile is 2-wide" 2 (max_lanes narrow_f);
+  let result = Pipeline.run ~setting:(Some (on_target Target.avx512 true)) narrow_f in
+  (match Verifier.check result.Pipeline.func with
+  | Ok () -> ()
+  | Error report -> Alcotest.failf "rejuvenated IR invalid: %s" report);
+  (match result.Pipeline.vect_report with
+  | Some rep -> check_int "the pair commits" 1 rep.Vectorize.stats.Stats.revec_pairs
+  | None -> Alcotest.fail "no vectorizer report");
+  check_int "output is 4-wide" 4 (max_lanes result.Pipeline.func);
+  check "memory matches the scalar source" true
+    (Memory.equal (Oracle.run_memory scalar) (Oracle.run_memory result.Pipeline.func))
+
 (* Revec off: the counters stay zero. *)
 let test_counters_zero_without_revec () =
   let scalar = compile_kernel "motiv_leaf_x4" in
@@ -196,6 +224,8 @@ let suite =
           test_rejuvenation_same_target_noop;
         Alcotest.test_case "pipeline rejuvenation validates" `Quick
           test_pipeline_rejuvenation_validates;
+        Alcotest.test_case "rejuvenation places an At_first load" `Quick
+          test_rejuvenation_at_first_load;
         Alcotest.test_case "counters zero without revec" `Quick
           test_counters_zero_without_revec;
         QCheck_alcotest.to_alcotest prop_revec_preserves;

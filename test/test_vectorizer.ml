@@ -477,9 +477,10 @@ let test_greedy_source_counters () =
      The greedy driver shares one dependence analysis across the block
      (1 build; the reduction pass builds none), the analysis re-reads
      the block once after the massage, and the look-ahead memo serves
-     8 of 63 queries. *)
+     8 of 63 queries.  The accepted tree's schedulability check reads
+     the window all its groups span: the fifth reach miss. *)
   let rep = vect_report Config.snslp "milc_su3" in
-  Alcotest.(check (list int)) "la 8/55, reach 3/4, deps 1+1r" [ 8; 55; 3; 4; 1; 1 ]
+  Alcotest.(check (list int)) "la 8/55, reach 3/5, deps 1+1r" [ 8; 55; 3; 5; 1; 1 ]
     (counters rep.Vectorize.stats)
 
 let test_replay_source_counters () =
@@ -491,7 +492,7 @@ let test_replay_source_counters () =
   let s = rep.Vectorize.stats in
   Alcotest.(check (list int)) "pack 5c/3e/1p/2r" [ 5; 3; 1; 2 ]
     [ s.Stats.pack_candidates; s.Stats.pack_expansions; s.Stats.pack_pruned; s.Stats.pack_plans ];
-  Alcotest.(check (list int)) "la 24/10, reach 0/4, deps 1+0r" [ 24; 10; 0; 4; 1; 0 ]
+  Alcotest.(check (list int)) "la 24/10, reach 0/5, deps 1+0r" [ 24; 10; 0; 5; 1; 0 ]
     (counters s);
   let ir config =
     Printer.func_to_string
