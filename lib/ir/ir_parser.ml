@@ -12,7 +12,9 @@
      }
 
    Instruction names must be unique within a function (the printer and
-   all code generators maintain this).  Constants are re-typed from
+   all code generators maintain this).  A fresh instruction is named by
+   its id ("17", or "v17" from codegen), so the parsed function's ids
+   continue past every such name it read.  Constants are re-typed from
    context: each opcode dictates its operands' expected types. *)
 
 open Defs
@@ -288,6 +290,20 @@ let parse_header ~line (s : string) : string * (string * Ty.t) list =
   in
   (name, params)
 
+(* Names "%N" and "%vN" are the ones a fresh instruction can take.
+   Ids size per-function arrays, so N is bounded. *)
+let max_numbered_name = 1 lsl 24
+
+let numbered ~line nm =
+  let n = String.length nm in
+  let start = if n > 2 && nm.[1] = 'v' then 2 else 1 in
+  let digits = String.sub nm start (n - start) in
+  if digits = "" || not (String.for_all (fun c -> c >= '0' && c <= '9') digits) then None
+  else
+    match int_of_string_opt digits with
+    | Some k when k < max_numbered_name -> Some k
+    | _ -> error ~line "%s: numbered name over the limit of %d" nm max_numbered_name
+
 let parse_func (src : string) : func =
   let lines = String.split_on_char '\n' src |> Array.of_list in
   let n = Array.length lines in
@@ -305,7 +321,13 @@ let parse_func (src : string) : func =
   let f = Func.create ~name:fname ~args:params in
   let env = { values = Hashtbl.create 64; blocks = Hashtbl.create 8; pending = [] } in
   let fixups : (instr * int * string * int) list ref = ref [] in
-  Array.iter (fun a -> Hashtbl.replace env.values ("%" ^ a.arg_name) (Arg a)) (Func.args f);
+  (* One past the largest numbered name read. *)
+  let past_names = ref 0 in
+  let define ~line nm v =
+    Option.iter (fun k -> past_names := max !past_names (k + 1)) (numbered ~line nm);
+    Hashtbl.replace env.values nm v
+  in
+  Array.iter (fun a -> define ~line:header_line ("%" ^ a.arg_name) (Arg a)) (Func.args f);
   (* First pass over the body: create the blocks so branches can refer
      forward. *)
   let body_start = !cur in
@@ -384,7 +406,7 @@ let parse_func (src : string) : func =
              List.iter (fun (k, tok) -> fixups := (i, k, tok, line) :: !fixups) env.pending;
              env.pending <- [];
              Block.append blk i;
-             Hashtbl.replace env.values nm (Instr i)
+             define ~line nm (Instr i)
          | _ -> error ~line "unparsable line %S" l
        end);
     incr cur
@@ -396,6 +418,7 @@ let parse_func (src : string) : func =
       | Some v -> Instr.set_operand i k v
       | None -> error ~line "unknown value %s" tok)
     !fixups;
+  f.next_iid <- max f.next_iid !past_names;
   f
 
 (* [parse src] parses a printed function and verifies it. *)

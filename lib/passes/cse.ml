@@ -63,23 +63,12 @@ let pure (i : Defs.instr) =
    those a scan of every available load would kill. *)
 type entry = { load : Defs.instr; loc : Deps.memloc }
 
-(* The available loads of one argument region under one symbolic
-   index, by constant offset. *)
+(* The available loads of one address class ({!Address.classes}) with
+   an argument base, by constant offset. *)
 type group = (int, entry list) Hashtbl.t
 
-(* Groups keyed by region and symbolic index terms, compared as maps
-   (two equal maps may differ in tree shape, so never structurally). *)
-module Groups = Hashtbl.Make (struct
-  type t = int * int Affine.Var_map.t
-
-  let equal ((r, a) : t) ((r', b) : t) = r = r' && Affine.Var_map.equal Int.equal a b
-
-  let hash ((r, terms) : t) =
-    Affine.Var_map.fold (fun v c h -> (31 * ((31 * h) + Hashtbl.hash v)) + c) terms r
-end)
-
 type index = {
-  groups : group Groups.t;
+  groups : group Address.Class_table.t; (* keyed by (address, 0) *)
   regions : (int, group list) Hashtbl.t; (* argument region -> its groups *)
   mutable elsewhere : entry list; (* loads whose base is not an argument *)
   mutable widest : int; (* the widest load indexed *)
@@ -100,19 +89,23 @@ let arg_region (loc : Deps.memloc) =
       Some ((a.Defs.arg_pos lsl 2) lor elem)
   | Defs.Instr _ | Defs.Const _ | Defs.Undef _ -> None
 
-let symbolic (loc : Deps.memloc) = loc.Deps.addr.Address.index.Affine.terms
-let offset (loc : Deps.memloc) = loc.Deps.addr.Address.index.Affine.const
+let offset (loc : Deps.memloc) = Address.offset loc.Deps.addr
 
 let run (func : Defs.func) : int =
   (* Per-block value tables, reset on block entry (block-local CSE). *)
   let seen : Defs.value Computation.t = Computation.create 64 in
   let avail_loads : (Defs.instr * Deps.memloc) Computation.t = Computation.create 16 in
   let ix =
-    { groups = Groups.create 16; regions = Hashtbl.create 8; elsewhere = []; widest = 1 }
+    {
+      groups = Address.Class_table.create 16;
+      regions = Hashtbl.create 8;
+      elsewhere = [];
+      widest = 1;
+    }
   in
   let reset_loads () =
     Computation.reset avail_loads;
-    Groups.reset ix.groups;
+    Address.Class_table.reset ix.groups;
     Hashtbl.reset ix.regions;
     ix.elsewhere <- [];
     ix.widest <- 1
@@ -124,13 +117,13 @@ let run (func : Defs.func) : int =
     match arg_region loc with
     | None -> ix.elsewhere <- e :: ix.elsewhere
     | Some region ->
-        let key = (region, symbolic loc) in
+        let key = (loc.Deps.addr, 0) in
         let group =
-          match Groups.find_opt ix.groups key with
+          match Address.Class_table.find_opt ix.groups key with
           | Some g -> g
           | None ->
               let g = Hashtbl.create 8 in
-              Groups.replace ix.groups key g;
+              Address.Class_table.replace ix.groups key g;
               let gs = Option.value ~default:[] (Hashtbl.find_opt ix.regions region) in
               Hashtbl.replace ix.regions region (g :: gs);
               g
@@ -164,7 +157,7 @@ let run (func : Defs.func) : int =
             List.iter (fun (load, loc) -> add_load load loc) live
         | Some region ->
             ix.elsewhere <- kill stl ix.elsewhere;
-            let mine = Groups.find_opt ix.groups (region, symbolic stl) in
+            let mine = Address.Class_table.find_opt ix.groups (stl.Deps.addr, 0) in
             List.iter
               (fun (group : group) ->
                 if Option.fold ~none:false ~some:(fun g -> g == group) mine then begin

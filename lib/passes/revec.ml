@@ -268,61 +268,33 @@ let emit func block (ctx : ctx) root s_left s_right =
 
 (* --- Store-pair discovery. ----------------------------------------- *)
 
-(* Adjacent same-shape vector store pairs of one block: group stores
-   by base/symbolic-index (delta defined), sort each group by element
-   offset, pair left-to-right where the offset step equals the lane
-   count.  Left-to-right keeps pairs aligned to the run start, so the
-   next round can pair the pairs. *)
+(* Adjacent same-shape vector store pairs of one block: the stores'
+   address classes split by lane count ({!Address.classes}), each cut
+   into runs whose offsets step by the lane count, each run paired
+   left to right.  Left-to-right keeps pairs aligned to the run start,
+   so the next round can pair the pairs; of two stores at one offset
+   the second starts the next run. *)
 let store_pairs block ~lanes_for =
-  let stores =
-    Block.fold
-      (fun acc (i : Defs.instr) ->
-        match i.Defs.op with
-        | Defs.Store when Ty.is_vector (Value.ty i.Defs.ops.(0)) -> (
-            match Address.of_instr i with
-            | Some a ->
-                let lanes = Ty.lanes (Value.ty i.Defs.ops.(0)) in
-                if 2 * lanes <= lanes_for a.Address.elem then (a, lanes, i) :: acc
-                else acc
-            | None -> acc)
-        | _ -> acc)
-      [] block
-    |> List.rev
+  let lanes (i : Defs.instr) = Ty.lanes (Value.ty i.Defs.ops.(0)) in
+  let key (i : Defs.instr) =
+    match i.Defs.op with
+    | Defs.Store when Ty.is_vector (Value.ty i.Defs.ops.(0)) -> (
+        match Address.of_instr i with
+        | Some a when 2 * lanes i <= lanes_for a.Address.elem -> Some (a, lanes i)
+        | _ -> None)
+    | _ -> None
   in
-  (* Partition into delta-comparable groups (same base, same symbolic
-     index, same width). *)
-  let groups : (Address.t * int * (int * Defs.instr) list ref) list ref = ref [] in
-  List.iter
-    (fun (a, lanes, i) ->
-      let rec find = function
-        | [] ->
-            groups := !groups @ [ (a, lanes, ref [ (0, i) ]) ]
-        | (rep, l, members) :: rest -> (
-            if l <> lanes then find rest
-            else
-              match Address.delta rep a with
-              | Some d -> members := (d, i) :: !members
-              | None -> find rest)
-      in
-      find !groups)
-    stores;
-  List.concat_map
-    (fun (_, lanes, members) ->
-      let sorted =
-        List.sort (fun (d0, _) (d1, _) -> compare d0 d1) (List.rev !members)
-      in
-      let rec pair_up = function
-        | (d0, s0) :: (d1, s1) :: rest when d1 - d0 = lanes ->
-            (s0, s1, lanes) :: pair_up rest
-        | _ :: rest -> pair_up rest
-        | [] -> []
-      in
-      pair_up sorted)
-    !groups
+  let rec pair_up = function
+    | (_, s0) :: (_, s1) :: rest -> (s0, s1) :: pair_up rest
+    | _ -> []
+  in
+  Address.classes key (Block.instrs block)
+  |> List.concat_map (fun cls ->
+         List.concat_map pair_up (Address.runs ~step:(lanes (snd (List.hd cls))) cls))
 
 (* --- Driver. ------------------------------------------------------- *)
 
-let try_pair func block deps model target (s_left, s_right, _lanes) =
+let try_pair func block deps model target (s_left, s_right) =
   match Deps.bundle_placement deps [ s_left; s_right ] with
   | Some Deps.At_last ->
       let ctx =

@@ -123,6 +123,40 @@ let is_canonical (t : t) =
   in
   check t.root (size t - 1)
 
+type rewrite = { value : Defs.value; emitted : Defs.instr list; erased : Defs.instr list }
+
+(* The trunk is in discovery pre-order with single-use interior nodes:
+   once the root's uses have moved, one root-first pass erases it all
+   in O(trunk), since by the time a node is visited its user is
+   gone. *)
+let rewrite (func : Defs.func) (t : t) (terms : (Defs.value * Apo.t) list) : rewrite =
+  let root = t.root in
+  let block = Option.get root.Defs.iblock in
+  let first, rest =
+    match terms with
+    | (v, Apo.Plus) :: rest -> (v, rest)
+    | _ -> invalid_arg "Chain.rewrite: the first term must be Plus"
+  in
+  let value, emitted =
+    List.fold_left
+      (fun (acc, emitted) (v, apo) ->
+        let op = Apo.realising_op t.fam apo in
+        let i = Func.fresh_instr func (Defs.Binop op) root.Defs.ty [| acc; v |] in
+        Block.insert_before block ~anchor:root i;
+        (Defs.Instr i, i :: emitted))
+      (first, []) rest
+  in
+  Func.replace_all_uses func ~old_v:(Defs.Instr root) ~new_v:value;
+  let erased =
+    List.filter
+      (fun i ->
+        let dead = not (Func.has_uses func (Defs.Instr i)) in
+        if dead then Func.erase_instr func i;
+        dead)
+      t.trunk
+  in
+  { value; emitted = List.rev emitted; erased }
+
 let pp ppf (t : t) =
   Fmt.pf ppf "chain[%a, %d trunks: %a]" Family.pp t.fam (size t)
     (Fmt.array ~sep:(Fmt.any " ") (fun ppf l ->

@@ -37,4 +37,21 @@ val is_canonical : t -> bool
 (** Already a left-leaning chain (no regeneration needed when the
     chosen order is the identity). *)
 
+type rewrite = {
+  value : Defs.value;  (** what the root's uses now read *)
+  emitted : Defs.instr list;  (** the chain's binops, in emission order *)
+  erased : Defs.instr list;  (** the trunk instructions erased, root first *)
+}
+
+val rewrite : Defs.func -> t -> (Defs.value * Apo.t) list -> rewrite
+(** [rewrite func chain terms] writes [terms] as the left-leaning chain
+    [((t0 op1 t1) op2 t2) ...] just before [chain]'s root, each
+    operator realising its term's APO in the chain's family and typed
+    like the root; moves the root's uses to the result; and erases the
+    trunk root first (every trunk instruction left without uses).  A
+    single term emits nothing and becomes the result.  Raises
+    [Invalid_argument] when the first term is not [Plus]: a chain has
+    no unary inverse.  The one chain writer of Super-Node regeneration
+    and reduction recombination. *)
+
 val pp : t Fmt.t

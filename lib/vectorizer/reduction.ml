@@ -26,8 +26,8 @@ open Snslp_costmodel
    identity cannot tell which occurrence a run consumed. *)
 type run = { loads : (int * Defs.instr) list (* address order *); apo : Apo.t }
 
-(* Leaves that are loads in this block, with their addresses, tagged
-   with their occurrence index in [chain.leaves]. *)
+(* Leaves that are loads in this block, with their addresses and APOs,
+   tagged with their occurrence index in [chain.leaves]. *)
 let load_leaves (block : Defs.block) (chain : Chain.t) =
   Array.to_list chain.Chain.leaves
   |> List.mapi (fun k l -> (k, l))
@@ -39,80 +39,25 @@ let load_leaves (block : Defs.block) (chain : Chain.t) =
                    | Some b -> Block.equal b block
                    | None -> false)
                 && not (Ty.is_vector i.Defs.ty) ->
-             Option.map (fun a -> (k, l, i, a)) (Address.of_instr i)
+             Option.map (fun a -> (a, l.Chain.lapo, (k, i))) (Address.of_instr i)
          | _ -> None)
 
-(* Greedy grouping: bucket load leaves by (base, symbolic index, APO),
-   sort by offset, cut consecutive runs, chunk into [width]. *)
-let group_runs ~width (leaves : (int * Chain.leaf * Defs.instr * Address.t) list) :
-    run list * (int * Chain.leaf * Defs.instr * Address.t) list =
-  let buckets :
-      (string, (int * (int * Chain.leaf * Defs.instr * Address.t)) list) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  List.iter
-    (fun (k, (l : Chain.leaf), i, (a : Address.t)) ->
-      let sym = { a.Address.index with Affine.const = 0 } in
-      let key =
-        Printf.sprintf "%s|%s|%s" (Value.name a.Address.base)
-          (Affine.to_string sym)
-          (match l.Chain.lapo with Apo.Plus -> "+" | Apo.Minus -> "-")
-      in
-      let entry = (a.Address.index.Affine.const, (k, l, i, a)) in
-      Hashtbl.replace buckets key
-        (entry :: (try Hashtbl.find buckets key with Not_found -> [])))
-    leaves;
-  let runs = ref [] in
-  let leftover = ref [] in
-  Hashtbl.iter
-    (fun _ entries ->
-      let sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) entries in
-      (* Duplicate offsets cannot both join a vector: spill extras. *)
-      let rec dedup = function
-        | (o1, x1) :: ((o2, _) :: _ as rest) when o1 = o2 ->
-            leftover := x1 :: !leftover;
-            dedup rest
-        | x :: rest -> x :: dedup rest
-        | [] -> []
-      in
-      let sorted = dedup sorted in
-      let rec cut cur = function
-        | [] -> [ List.rev cur ]
-        | (o, x) :: rest -> (
-            match cur with
-            | (po, _) :: _ when o = po + 1 -> cut ((o, x) :: cur) rest
-            | [] -> cut [ (o, x) ] rest
-            | _ -> List.rev cur :: cut [ (o, x) ] rest)
-      in
-      let consecutive_runs = match sorted with [] -> [] | _ -> cut [] sorted in
-      List.iter
-        (fun r ->
-          let rec chunks l =
-            if List.length l >= width then begin
-              let rec take n acc l =
-                if n = 0 then (List.rev acc, l)
-                else
-                  match l with
-                  | x :: rest -> take (n - 1) (x :: acc) rest
-                  | [] -> (List.rev acc, [])
-              in
-              let grp, rest = take width [] l in
-              let apo =
-                match grp with
-                | (_, (_, (l : Chain.leaf), _, _)) :: _ -> l.Chain.lapo
-                | [] -> Apo.Plus
-              in
-              runs :=
-                { loads = List.map (fun (_, (k, _, i, _)) -> (k, i)) grp; apo }
-                :: !runs;
-              chunks rest
-            end
-            else List.iter (fun (_, x) -> leftover := x :: !leftover) l
-          in
-          chunks r)
-        consecutive_runs)
-    buckets;
-  (!runs, !leftover)
+(* Greedy grouping: the load leaves' address classes, split by APO
+   ({!Address.classes}), each cut into runs one element apart and the
+   runs into [width] chunks; of two leaves at one offset only the
+   first can join.  Runs come in the reverse of that order: classes in
+   reverse order of first appearance, within a class last chunk first.
+   Leaves no run takes stay leftover terms of the recombination. *)
+let group_runs ~width leaves : run list =
+  let key (a, apo, _) = Some (a, match apo with Apo.Plus -> 0 | Apo.Minus -> 1) in
+  Address.classes key leaves
+  |> List.concat_map (fun cls ->
+         List.concat_map
+           (fun run -> fst (Seeds.chunk ~width (List.map snd run)))
+           (Address.runs ~step:1 (Address.distinct cls)))
+  |> List.rev_map (fun chunk ->
+         let _, apo, _ = List.hd chunk in
+         { loads = List.map (fun (_, _, load) -> load) chunk; apo })
 
 (* No store between a grouped load and the chain root may touch the
    loaded locations: the vector load reads them at the root.  One walk
@@ -187,8 +132,7 @@ let attempt (config : Config.t) (func : Defs.func) (block : Defs.block)
             let n_leaves = Array.length chain.Chain.leaves in
             if width < 2 || n_leaves < 2 * width then None
             else
-              let leaves = load_leaves block chain in
-              let runs, _spilled = group_runs ~width leaves in
+              let runs = group_runs ~width (load_leaves block chain) in
               let n_groups = List.length runs in
               let n_leftover = n_leaves - (n_groups * width) in
               if n_groups = 0 then None
@@ -217,7 +161,7 @@ let attempt (config : Config.t) (func : Defs.func) (block : Defs.block)
                           (fun (k, _) -> Hashtbl.replace grouped_occs k ())
                           r.loads)
                       runs;
-                    (* Emit before the root. *)
+                    (* The vector code, before the root. *)
                     let emitted = ref [] in
                     let emit op ty ops =
                       let i = Func.fresh_instr func op ty ops in
@@ -253,7 +197,10 @@ let attempt (config : Config.t) (func : Defs.func) (block : Defs.block)
                       hsum := Instr.value (emit (Defs.Binop Defs.Add) sty [| !hsum; lane k |])
                     done;
                     (* Recombine: leftover leaves in original order,
-                       the horizontal sum as one extra term. *)
+                       the horizontal sum as one extra term, Plus terms
+                       first.  One always exists: the chain's leftmost
+                       leaf is Plus, and if grouped, its run
+                       accumulated first with sign +. *)
                     let terms =
                       (Array.to_list chain.Chain.leaves
                       |> List.mapi (fun k l -> (k, l))
@@ -262,42 +209,15 @@ let attempt (config : Config.t) (func : Defs.func) (block : Defs.block)
                              else Some (l.Chain.lvalue, l.Chain.lapo)))
                       @ [ (!hsum, (if first_minus then Apo.Minus else Apo.Plus)) ]
                     in
-                    (* A Plus term must lead; one always exists (the
-                       chain's leftmost leaf is Plus, and if grouped,
-                       its run accumulated first with sign +). *)
-                    let terms =
-                      let plus, minus =
-                        List.partition (fun (_, a) -> a = Apo.Plus) terms
-                      in
-                      match plus with
-                      | p :: ps -> (p :: ps) @ minus
-                      | [] -> terms (* unreachable; regeneration asserts *)
-                    in
-                    let acc = ref (fst (List.hd terms)) in
-                    List.iter
-                      (fun (v, apo) ->
-                        let op = Apo.realising_op chain.Chain.fam apo in
-                        acc := Instr.value (emit (Defs.Binop op) sty [| !acc; v |]))
-                      (List.tl terms);
-                    Func.replace_all_uses func ~old_v:(Defs.Instr root)
-                      ~new_v:!acc;
-                    (* Erase the dead trunk (and so the grouped loads
-                       and their geps, via DCE later).  As in
-                       [Supernode.regenerate_lane], the trunk is in
-                       pre-order with single-use interior nodes, so
-                       one root-first pass suffices. *)
-                    let erased =
-                      List.filter
-                        (fun i ->
-                          let dead = not (Func.has_uses func (Defs.Instr i)) in
-                          if dead then Func.erase_instr func i;
-                          dead)
-                        chain.Chain.trunk
-                    in
-                    (* Check what the rewrite touched, as codegen does;
-                       the whole function is verified once, after the
-                       vectorizer. *)
-                    Verifier.verify_local_exn func ~touched:!emitted ~erased;
+                    let plus, minus = List.partition (fun (_, a) -> a = Apo.Plus) terms in
+                    (* The grouped loads and their geps die later, in
+                       DCE.  Check what the rewrite touched, as codegen
+                       does; the whole function is verified once,
+                       after the vectorizer. *)
+                    let r = Chain.rewrite func chain (plus @ minus) in
+                    Verifier.verify_local_exn func
+                      ~touched:(List.rev_append !emitted r.Chain.emitted)
+                      ~erased:r.Chain.erased;
                     Some { vector_loads = n_groups; width }
                 | _ -> None
               end))

@@ -2,9 +2,10 @@
 
    Stores to adjacent memory locations are the most promising seeds
    and the ones compilers look for first (paper, §II-B).  The
-   collector groups the stores of a block by array base and symbolic
-   index, sorts each group by constant offset, and returns the maximal
-   consecutive runs; the driver cuts runs into vector-width groups,
+   collector groups the stores of a block into address classes
+   ({!Address.classes}: one base, element type and symbolic index,
+   sorted by constant offset) and returns the maximal consecutive
+   runs; the driver cuts runs into vector-width groups,
    retrying rejected groups at narrower power-of-two widths the way
    LLVM's SLP does. *)
 
@@ -13,57 +14,16 @@ open Snslp_analysis
 
 type group = Defs.instr list (* lane order = increasing address *)
 
-(* Maximal consecutive runs of stores (length >= 2), per base/symbol
-   bucket, in block order of buckets. *)
-let runs (block : Defs.block) : group list =
-  let buckets : (string, (int * Defs.instr) list) Hashtbl.t = Hashtbl.create 16 in
-  let order : string list ref = ref [] in
-  Block.iter
-    (fun i ->
-      if Instr.is_store i then
-        match Address.of_instr i with
-        | None -> ()
-        | Some addr ->
-            let sym = { addr.Address.index with Affine.const = 0 } in
-            let key =
-              Printf.sprintf "%s|%s|%s" (Value.name addr.Address.base)
-                (Ty.scalar_to_string addr.Address.elem)
-                (Affine.to_string sym)
-            in
-            let entry = (addr.Address.index.Affine.const, i) in
-            (match Hashtbl.find_opt buckets key with
-            | Some cur -> Hashtbl.replace buckets key (entry :: cur)
-            | None ->
-                order := key :: !order;
-                Hashtbl.replace buckets key [ entry ]))
-    block;
-  let result = ref [] in
-  List.iter
-    (fun key ->
-      let entries = Hashtbl.find buckets key in
-      let sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) entries in
-      (* Drop duplicate offsets: two stores to the same location keep
-         only one as seed candidate. *)
-      let rec dedup = function
-        | (o1, _) :: ((o2, i2) :: _ as rest) when o1 = o2 -> dedup ((o2, i2) :: List.tl rest)
-        | x :: rest -> x :: dedup rest
-        | [] -> []
-      in
-      let sorted = dedup sorted in
-      let rec cut acc cur = function
-        | [] -> List.rev (List.rev cur :: acc)
-        | (o, i) :: rest -> (
-            match cur with
-            | (po, _) :: _ when o = po + 1 -> cut acc ((o, i) :: cur) rest
-            | [] -> cut acc [ (o, i) ] rest
-            | _ -> cut (List.rev cur :: acc) [ (o, i) ] rest)
-      in
-      let all_runs = match sorted with [] -> [] | _ -> cut [] [] sorted in
-      List.iter
-        (fun run -> if List.length run >= 2 then result := List.map snd run :: !result)
-        all_runs)
-    (List.rev !order);
-  List.rev !result
+(* The maximal runs (length >= 2) of stores one element apart, per
+   address class, classes in order of first appearance.  Of two stores
+   to one location only the first is a seed candidate. *)
+let store_runs (stores : Defs.instr list) : group list =
+  let key i = if Instr.is_store i then Option.map (fun a -> (a, 0)) (Address.of_instr i) else None in
+  Address.classes key stores
+  |> List.concat_map (fun cls -> Address.runs ~step:1 (Address.distinct cls))
+  |> List.filter_map (function _ :: _ :: _ as run -> Some (List.map snd run) | _ -> None)
+
+let runs (block : Defs.block) : group list = store_runs (Block.instrs block)
 
 (* Element type stored by a run. *)
 let elem_of_run (run : group) : Ty.scalar =
@@ -72,8 +32,8 @@ let elem_of_run (run : group) : Ty.scalar =
   | [] -> invalid_arg "Seeds.elem_of_run: empty run"
 
 (* Cut [run] into consecutive groups of exactly [width]. The remainder
-   (fewer than [width] stores) is returned for narrower retries. *)
-let chunk ~width (run : group) : group list * group =
+   (fewer than [width] items) is returned for narrower retries. *)
+let chunk ~width (run : 'a list) : 'a list list * 'a list =
   let rec go acc cur n = function
     | [] -> (List.rev acc, List.rev cur)
     | x :: rest ->
@@ -84,24 +44,7 @@ let chunk ~width (run : group) : group list * group =
 
 (* Re-split a list of stores (ordered by address) into consecutive
    runs, after some members were consumed by wider groups. *)
-let recut (stores : group) : group list =
-  let with_addr =
-    List.filter_map (fun i -> Option.map (fun a -> (a, i)) (Address.of_instr i)) stores
-  in
-  let rec go acc cur = function
-    | [] -> List.rev (List.rev cur :: acc)
-    | (a, i) :: rest -> (
-        match cur with
-        | (pa, _) :: _ when Address.adjacent pa a -> go acc ((a, i) :: cur) rest
-        | [] -> go acc [ (a, i) ] rest
-        | _ -> go (List.rev cur :: acc) [ (a, i) ] rest)
-  in
-  match with_addr with
-  | [] -> []
-  | _ ->
-      go [] [] with_addr
-      |> List.map (List.map snd)
-      |> List.filter (fun r -> List.length r >= 2)
+let recut = store_runs
 
 (* Power-of-two widths from [max_width] down to 2, descending. *)
 let widths ~max_width =

@@ -6,18 +6,20 @@ open Snslp_ir
 type group = Defs.instr list (** lane order = increasing address *)
 
 val runs : Defs.block -> group list
-(** Maximal consecutive runs (length >= 2), grouped by array base and
-    symbolic index, sorted by offset. *)
+(** The maximal runs (length >= 2) of stores one element apart, per
+    address class ({!Snslp_analysis.Address.classes}), classes in
+    order of first appearance, each run in offset order.  Of two stores
+    to one location only the first is a candidate. *)
 
 val elem_of_run : group -> Ty.scalar
 
-val chunk : width:int -> group -> group list * group
-(** Cut into groups of exactly [width]; the undersized remainder comes
-    back for narrower retries. *)
+val chunk : width:int -> 'a list -> 'a list list * 'a list
+(** Cut any list into consecutive groups of exactly [width]; the
+    undersized remainder comes back for narrower retries. *)
 
 val recut : group -> group list
-(** Re-split stores (ordered by address) into consecutive runs after
-    some members were consumed by wider groups. *)
+(** Re-split stores into runs as {!runs} does, after some members of a
+    run were consumed by wider groups. *)
 
 val widths : max_width:int -> int list
 (** Power-of-two widths from [max_width] down to 2, descending. *)

@@ -236,39 +236,19 @@ let assignment_is_identity (states : lane_state array) =
     states
 
 (* Rebuild one lane as a left-leaning chain realising the chosen leaf
-   order; returns the new root. *)
+   order ({!Chain.rewrite}, which erases the old trunk); returns the new
+   root. *)
 let regenerate_lane (func : Defs.func) (st : lane_state) : Defs.instr =
   let chain = st.chain in
-  let root = chain.Chain.root in
-  let block =
-    match root.Defs.iblock with Some b -> b | None -> assert false
+  let terms =
+    Array.to_list st.chosen
+    |> List.map (fun k ->
+           let l = chain.Chain.leaves.(k) in
+           (l.Chain.lvalue, l.Chain.lapo))
   in
-  let ty = root.Defs.ty in
-  let leaf pos = chain.Chain.leaves.(st.chosen.(pos)) in
-  assert (Apo.equal (leaf 0).Chain.lapo Apo.Plus);
-  let acc = ref (leaf 0).Chain.lvalue in
-  let last = ref None in
-  for pos = 1 to Array.length chain.Chain.leaves - 1 do
-    let l = leaf pos in
-    let op = Apo.realising_op chain.Chain.fam l.Chain.lapo in
-    let i =
-      Func.fresh_instr func (Defs.Binop op) ty [| !acc; l.Chain.lvalue |]
-    in
-    Block.insert_before block ~anchor:root i;
-    acc := Defs.Instr i;
-    last := Some i
-  done;
-  let new_root = match !last with Some i -> i | None -> assert false in
-  Func.replace_all_uses func ~old_v:(Defs.Instr root) ~new_v:(Defs.Instr new_root);
-  (* The old trunk is now dead.  [trunk] is in discovery pre-order —
-     root first, every other trunk node below its single user — so one
-     root-first pass erases the whole thing in O(trunk): by the time a
-     node is visited, its user is already gone. *)
-  List.iter
-    (fun i -> if not (Func.has_uses func (Defs.Instr i)) then Func.erase_instr func i)
-    chain.Chain.trunk;
-  assert (List.for_all (fun (i : Defs.instr) -> i.Defs.iblock = None) chain.Chain.trunk);
-  new_root
+  let r = Chain.rewrite func chain terms in
+  assert (List.length r.Chain.erased = Chain.size chain);
+  match r.Chain.value with Defs.Instr i -> i | _ -> assert false
 
 type result = {
   new_roots : Defs.instr array;

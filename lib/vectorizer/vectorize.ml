@@ -140,25 +140,31 @@ let store_run_seeds ~lanes_for runs attempt =
         (Seeds.widths ~max_width))
     runs
 
-(* The plan's candidates of one block, in plan (= greedy preference)
-   order: each tree is rebuilt on the live IR with the candidate's
-   operand-reorder strategy, and the usual profitability test decides
-   the commit.  Estimates were measured on a scratch clone whose
-   massage state can differ slightly, so a replayed tree may
-   legitimately be rejected here; claim-disjointness of the plan
-   guarantees the chosen seeds never consume each other.  Seed iids
-   resolve once per block: they name original stores, which a commit
-   only ever erases (and [try_seed] skips seeds no longer in the
-   block). *)
-let plan_seeds (block : Defs.block) cands attempt =
-  let by_iid = Hashtbl.create 16 in
-  Block.iter (fun i -> Hashtbl.replace by_iid i.Defs.iid i) block;
-  List.iter
-    (fun (c : Packing.candidate) ->
-      let seed = List.filter_map (Hashtbl.find_opt by_iid) c.Packing.seed_iids in
-      if List.length seed = List.length c.Packing.seed_iids then
-        ignore (attempt c.Packing.reorder seed))
-    cands
+(* The plan's seeds in [block]: [None] when the plan has no candidate
+   there, otherwise the candidates whose stores all resolve, in plan
+   (= greedy preference) order, with their operand-reorder strategies.
+   A replay ([drive]) and its prediction ([plan_attempts]) both resolve
+   here.  A replayed tree is rebuilt on the live IR and the usual
+   profitability test decides the commit: estimates were measured on a
+   scratch clone whose massage state can differ slightly, so it may
+   legitimately be rejected.  Claim-disjointness of the plan guarantees
+   the chosen seeds never consume each other.  Seed iids resolve once
+   per block: they name original stores, which a commit only ever
+   erases (and [try_seed] skips seeds no longer in the block). *)
+let plan_seeds plan (block : Defs.block) =
+  match List.filter (fun (c : Packing.candidate) -> c.Packing.bid = block.Defs.bid) plan with
+  | [] -> None
+  | cands ->
+      let by_iid = Hashtbl.create 16 in
+      Block.iter (fun i -> Hashtbl.replace by_iid i.Defs.iid i) block;
+      Some
+        (List.filter_map
+           (fun (c : Packing.candidate) ->
+             let seed = List.filter_map (Hashtbl.find_opt by_iid) c.Packing.seed_iids in
+             if List.length seed = List.length c.Packing.seed_iids then
+               Some (c.Packing.reorder, seed)
+             else None)
+           cands)
 
 (* [drive config source func] vectorizes [func] in place from the
    given seed source and returns the detailed report.  The shared
@@ -191,12 +197,11 @@ let drive ?on_graph ?(record : attempts ref option) (config : Config.t) (source 
             match Seeds.runs block with
             | [] -> None
             | runs -> Some (store_run_seeds ~lanes_for runs))
-        | Plan plan -> (
-            match
-              List.filter (fun (c : Packing.candidate) -> c.Packing.bid = block.Defs.bid) plan
-            with
-            | [] -> None
-            | cands -> Some (plan_seeds block cands))
+        | Plan plan ->
+            Option.map
+              (fun seeds attempt ->
+                List.iter (fun (reorder, seed) -> ignore (attempt reorder seed)) seeds)
+              (plan_seeds plan block)
       in
       match seeds with
       | None -> ()
@@ -222,27 +227,16 @@ let drive ?on_graph ?(record : attempts ref option) (config : Config.t) (source 
   { config; stats; trees = List.rev !trees }
 
 (* The attempts a drive of [plan] on [func] makes, predicted without
-   running it: per block with candidates, in block order, the
-   candidates whose stores all resolve, in plan order.  Only the
+   running it from the same resolution the drive makes.  Only the
    current block changes while a drive runs, so each block still holds
    its original stores when the drive reaches it. *)
 let plan_attempts (func : Defs.func) (plan : Packing.candidate list) : attempts =
   List.filter_map
     (fun (block : Defs.block) ->
-      match List.filter (fun (c : Packing.candidate) -> c.Packing.bid = block.Defs.bid) plan with
-      | [] -> None
-      | cands ->
-          let iids = Hashtbl.create 16 in
-          Block.iter (fun i -> Hashtbl.replace iids (Instr.id i) ()) block;
-          let here = Hashtbl.mem iids in
-          Some
-            ( block.Defs.bid,
-              List.filter_map
-                (fun (c : Packing.candidate) ->
-                  if List.for_all here c.Packing.seed_iids then
-                    Some (c.Packing.reorder, c.Packing.seed_iids)
-                  else None)
-                cands ))
+      Option.map
+        (fun seeds ->
+          (block.Defs.bid, List.map (fun (reorder, seed) -> (reorder, List.map Instr.id seed)) seeds))
+        (plan_seeds plan block))
     (Func.blocks func)
 
 (* The global path is a portfolio: run the untouched greedy driver on

@@ -135,7 +135,9 @@ let test_parse_errors () =
   check "ill-typed rejected by verifier" true
     (bad "func @f(f64* %A, i64 %i) {\nentry:\n  %0 = add i64 %A, %i\n  ret\n}\n");
   check "unknown block" true
-    (bad "func @f(i64 %i) {\nentry:\n  br %nowhere\n}\n")
+    (bad "func @f(i64 %i) {\nentry:\n  br %nowhere\n}\n");
+  check "numbered name over the limit" true
+    (bad "func @f(f64* %A, i64 %i) {\nentry:\n  %v99999999 = gep f64* %A, %i\n  ret\n}\n")
 
 let test_parse_branch_forms () =
   let src =
@@ -153,6 +155,30 @@ let test_parse_branch_forms () =
   Alcotest.(check int) "three blocks" 3 (List.length (Func.blocks f));
   roundtrip f
 
+(* Ids continue past every numbered name read.  Parsed IR keeps its
+   names but numbers its instructions from 0, and a fresh instruction
+   is named by its id: rejuvenating a parsed sse compile at avx512 used
+   to print [%17 = gep f64* %b, %i] and [%17 = shuffle.0.1.2.3 ...],
+   which fails to parse ("duplicate definition of %17"). *)
+let test_fresh_names_after_parse () =
+  let scalar =
+    Snslp_frontend.Frontend.compile_one
+      "kernel r(double a[], double b[], long i) { double x2 = a[i+2]; double x3 = a[i+3]; \
+       a[i+2] = 5.0; double x0 = a[i+0]; double x1 = a[i+1]; b[i+0] = x0 * 2.0; b[i+1] = \
+       x1 * 2.0; b[i+2] = x2 * 2.0; b[i+3] = x3 * 2.0; }"
+  in
+  let narrow = (Pipeline.run ~setting:(Some Config.snslp) scalar).Pipeline.func in
+  let parsed = Ir_parser.parse (Printer.func_to_string narrow) in
+  let wide =
+    {
+      Config.snslp with
+      Config.target = Snslp_costmodel.Target.avx512;
+      model = Snslp_costmodel.Model.x86;
+      revec = true;
+    }
+  in
+  roundtrip (Pipeline.run ~setting:(Some wide) parsed).Pipeline.func
+
 let suite =
   [
     ( "ir-parser",
@@ -169,5 +195,6 @@ let suite =
         Alcotest.test_case "folded constant roundtrip" `Quick test_folded_constant_roundtrip;
         Alcotest.test_case "parse errors" `Quick test_parse_errors;
         Alcotest.test_case "branch forms" `Quick test_parse_branch_forms;
+        Alcotest.test_case "fresh names after a parse" `Quick test_fresh_names_after_parse;
       ] );
   ]

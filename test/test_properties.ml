@@ -520,6 +520,74 @@ let seeds_chunk_invariants =
              | _ -> false)
       | _ -> false)
 
+(* --- Address classes equal a pairwise grouping --------------------------- *)
+
+(* On the blocks of generated functions, [Address.classes] over every
+   load and store (tagged load 0, store 1) equals putting each access
+   into the first class, in order of appearance, whose first member has
+   its tag and a [Address.delta] to it, each class sorted stably by
+   offset.  [Address.runs] equals cutting a class wherever the offset
+   does not step, and [Address.distinct] keeps the first item at each
+   offset. *)
+let address_classes_match_pairwise =
+  QCheck.Test.make ~count:200 ~name:"address classes and runs match a pairwise grouping"
+    QCheck.(make Gen.(triple (int_range 0 100_000) (int_range 1 4) bool))
+    (fun (seed, step, loopy) ->
+      let open Snslp_analysis in
+      let profile =
+        if loopy then Snslp_fuzzer.Gen.loopy_profile else Snslp_fuzzer.Gen.default_profile
+      in
+      let f = Snslp_fuzzer.Gen.generate ~profile ~seed () in
+      let by_offset (o, _) (o', _) = Int.compare o o' in
+      let brute_runs cls =
+        List.fold_left
+          (fun runs ((o, _) as x) ->
+            match runs with
+            | ((p, _) :: _ as run) :: rest when o = p + step -> (x :: run) :: rest
+            | _ -> [ x ] :: runs)
+          [] cls
+        |> List.rev_map List.rev
+      in
+      let brute_distinct cls =
+        List.filter (fun (o, x) -> snd (List.find (fun (o', _) -> o = o') cls) == x) cls
+      in
+      List.for_all
+        (fun (block : Defs.block) ->
+          let accesses =
+            List.filter_map
+              (fun (i : Defs.instr) ->
+                Option.map
+                  (fun a -> (a, (if Instr.is_store i then 1 else 0), i.Defs.iid))
+                  (Address.of_instr i))
+              (Block.instrs block)
+          in
+          let got =
+            Address.classes (fun (a, tag, _) -> Some (a, tag)) accesses
+            |> List.map (List.map (fun (o, (_, _, id)) -> (o, id)))
+          in
+          let brute = ref [] in
+          List.iter
+            (fun (a, tag, id) ->
+              let entry = (Address.offset a, id) in
+              match
+                List.find_opt
+                  (fun (rep, t, _) -> t = tag && Address.delta rep a <> None)
+                  !brute
+              with
+              | Some (_, _, members) -> members := entry :: !members
+              | None -> brute := !brute @ [ (a, tag, ref [ entry ]) ])
+            accesses;
+          let expected =
+            List.map (fun (_, _, members) -> List.stable_sort by_offset (List.rev !members)) !brute
+          in
+          got = expected
+          && List.for_all
+               (fun cls ->
+                 Address.runs ~step cls = brute_runs cls
+                 && Address.distinct cls = brute_distinct cls)
+               got)
+        (Func.blocks f))
+
 let widths_are_decreasing_powers =
   QCheck.Test.make ~count:100 ~name:"seed widths are descending powers of two"
     QCheck.(make Gen.(int_range 0 64))
@@ -783,6 +851,7 @@ let suite =
           deps_match_brute_force;
           schedulable_matches_contraction;
           seeds_chunk_invariants;
+          address_classes_match_pairwise;
           widths_are_decreasing_powers;
           lookahead_nonnegative_and_reflexive;
           lookahead_memo_matches_reference;

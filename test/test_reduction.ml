@@ -179,6 +179,63 @@ let test_mixed_reduction_signs () =
   in
   check "vector subtract present" true (vsubs >= 1)
 
+(* Same-sign runs from two address classes, reduced from a generated
+   kernel whose two runs accumulated in string-hash order.  The leaves
+   meet [a] before [c]; classes accumulate in reverse order of first
+   appearance, so [c]'s run is loaded first.  Every mode computes what
+   the O3 compile computes, and the validator finds no mismatch. *)
+let two_class_src =
+  {|
+kernel r(double s[], double a[], double c[], long i) {
+  s[i] = a[i+2] + c[i+2] + a[i+1] + c[i+3];
+}
+|}
+
+let test_two_class_run_order () =
+  let wl =
+    Snslp_kernels.Workload.prepare
+      {
+        Snslp_kernels.Registry.name = "r";
+        provenance = "";
+        description = "";
+        source = two_class_src;
+        istride = 1;
+        extent = 8;
+        default_iters = 32;
+      }
+  in
+  let func = wl.Snslp_kernels.Workload.func in
+  let o3 = (Pipeline.run ~setting:None func).Pipeline.func in
+  let vector_load_bases (f : Defs.func) =
+    Func.fold_instrs
+      (fun acc (j : Defs.instr) ->
+        match Snslp_analysis.Address.of_instr j with
+        | Some a when Instr.is_load j && Ty.is_vector j.Defs.ty ->
+            Value.name a.Snslp_analysis.Address.base :: acc
+        | _ -> acc)
+      [] f
+    |> List.rev
+  in
+  List.iter
+    (fun setting ->
+      let result = Pipeline.run ~setting:(Some setting) func in
+      let out = result.Pipeline.func in
+      let name = Pipeline.setting_name (Some setting) in
+      check_int (name ^ ": one reduction") 1
+        (match result.Pipeline.vect_report with
+        | Some rep -> rep.Vectorize.stats.Stats.reductions
+        | None -> 0);
+      Alcotest.(check (list string)) (name ^ ": c's run first") [ "%c"; "%a" ] (vector_load_bases out);
+      check (name ^ ": interpreter equals O3") true
+        (Snslp_interp.Memory.equal
+           (Snslp_kernels.Workload.run_interp wl o3)
+           (Snslp_kernels.Workload.run_interp wl out));
+      match Snslp_lint.Validate.compare_funcs func out with
+      | Snslp_lint.Validate.Mismatch { where; detail } ->
+          Alcotest.failf "%s: validator mismatch at %s: %s" name where detail
+      | Snslp_lint.Validate.Valid | Snslp_lint.Validate.Unknown _ -> ())
+    [ Config.vanilla; Config.lslp; Config.snslp ]
+
 (* [n] statements, each storing a sum of 8 consecutive loads. *)
 let sums n =
   let b = Buffer.create (n * 128) in
@@ -228,6 +285,7 @@ let suite =
         Alcotest.test_case "emits vector loads" `Quick test_reduction_emits_vector_loads;
         Alcotest.test_case "mixed signs use vector subtract" `Quick
           test_mixed_reduction_signs;
+        Alcotest.test_case "two address classes, one sign" `Quick test_two_class_run_order;
         Alcotest.test_case "allocation growth per doubling" `Quick test_allocation_growth;
       ] );
   ]

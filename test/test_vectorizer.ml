@@ -95,6 +95,47 @@ kernel s(double A[], long i) {
   let seeds = Seeds.collect (entry_of f) ~lanes_for in
   check_int "one group from the second run" 1 (List.length seeds)
 
+(* One line per block, its store runs from [Seeds.runs] as store ids,
+   over the registry, Fullbench and 300 generated functions of each
+   profile, at frontend output and after fold, simplify and cse.  The
+   value was captured before seed collection moved onto the address
+   classes of [Address]. *)
+let golden_seed_runs_md5 = "4e44df68897fdc6456566670960996ce"
+
+let test_golden_seed_runs () =
+  let gen profile seed = Snslp_fuzzer.Gen.generate ~profile ~seed () in
+  let funcs =
+    List.map (fun (k : Snslp_kernels.Registry.t) -> compile k.Snslp_kernels.Registry.source)
+      Snslp_kernels.Registry.all
+    @ List.map (fun u -> compile (Snslp_kernels.Fullbench.source u)) Snslp_kernels.Fullbench.all
+    @ List.init 300 (gen Snslp_fuzzer.Gen.default_profile)
+    @ List.init 300 (gen Snslp_fuzzer.Gen.loopy_profile)
+  in
+  let buf = Buffer.create (1 lsl 16) in
+  let record (f : Defs.func) =
+    Printf.bprintf buf "%s\n" f.Defs.fname;
+    List.iter
+      (fun (b : Defs.block) ->
+        Buffer.add_string buf b.Defs.bname;
+        List.iter
+          (fun run ->
+            Printf.bprintf buf " [%s]"
+              (String.concat "," (List.map (fun (i : Defs.instr) -> string_of_int i.Defs.iid) run)))
+          (Seeds.runs b);
+        Buffer.add_char buf '\n')
+      (Func.blocks f)
+  in
+  List.iter
+    (fun f ->
+      record f;
+      ignore (Fold.run f);
+      ignore (Simplify.run f);
+      ignore (Cse.run f);
+      record f)
+    funcs;
+  Alcotest.(check string) "store runs per block" golden_seed_runs_md5
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* --- Look-ahead ----------------------------------------------------------- *)
 
 let test_lookahead_scores () =
@@ -765,6 +806,7 @@ let suite =
         Alcotest.test_case "runs chunked" `Quick test_seeds_runs_are_chunked;
         Alcotest.test_case "element width" `Quick test_seeds_respect_element_width;
         Alcotest.test_case "gaps split runs" `Quick test_seeds_gap_splits_run;
+        Alcotest.test_case "golden seed runs" `Quick test_golden_seed_runs;
       ] );
     ( "lookahead",
       [ Alcotest.test_case "score table" `Quick test_lookahead_scores ] );
