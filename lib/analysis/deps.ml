@@ -56,6 +56,26 @@ let may_overlap (a : memloc) (b : memloc) =
 let conflicts (a : Defs.instr) (la : memloc) (b : Defs.instr) (lb : memloc) =
   (Instr.writes_memory a || Instr.writes_memory b) && may_overlap la lb
 
+(* Positions by instruction id: one array per domain, shared by every
+   view built there.  A view writes its block's positions into it when
+   it reads the block, and trusts an entry only when its own
+   instruction array holds that very instruction at that position.  So
+   an entry left by an instruction that was since erased or moved, or
+   written by a view of another block or of a clone (clones keep ids),
+   reads as absent.  Views of different blocks of one function write
+   disjoint entries.  A view that finds an entry absent after another
+   view wrote last writes its own positions again before it answers,
+   so switching between views costs O(block), and the array grows by
+   doubling to the largest id seen: a view costs O(block), never
+   O(ids of the function). *)
+type slots = {
+  mutable pos : int array; (* iid -> position, -1 where none was written *)
+  mutable writer : int; (* serial of the view that wrote last *)
+  mutable views : int; (* views built in this domain *)
+}
+
+let slots_key = Domain.DLS.new_key (fun () -> { pos = [||]; writer = -1; views = 0 })
+
 (* The view of the block as last read: instructions in block order,
    their positions by id and their memory summaries.  Every query
    first compares the block's edit stamp with the one the view was
@@ -64,7 +84,8 @@ type t = {
   block : Defs.block;
   mutable stamp : int; (* the block's edit stamp when last read *)
   mutable instrs : Defs.instr array; (* block order *)
-  index : (int, int) Hashtbl.t; (* iid -> position *)
+  slots : slots; (* the constructing domain's position array *)
+  serial : int; (* this view's mark in [slots.writer] *)
   mutable memlocs : memloc option array;
   mutable reach_cache : ((int * int) * int array) list;
       (* recently built reachability windows, newest first *)
@@ -81,23 +102,53 @@ type t = {
 
 let self_id () = (Domain.self () :> int)
 
+(* Write the view's positions into the shared array. *)
+let install (t : t) =
+  let s = t.slots in
+  let top = Array.fold_left (fun m (i : Defs.instr) -> max m i.Defs.iid) (-1) t.instrs in
+  let n = Array.length s.pos in
+  if top >= n then begin
+    let pos = Array.make (max (top + 1) (2 * n)) (-1) in
+    Array.blit s.pos 0 pos 0 n;
+    s.pos <- pos
+  end;
+  Array.iteri (fun p (i : Defs.instr) -> s.pos.(i.Defs.iid) <- p) t.instrs;
+  s.writer <- t.serial
+
+(* The position of [i] in the view, or -1 when the view does not hold
+   it. *)
+let rec slot (t : t) (i : Defs.instr) =
+  let s = t.slots and id = i.Defs.iid in
+  let p = if id >= 0 && id < Array.length s.pos then s.pos.(id) else -1 in
+  if p >= 0 && p < Array.length t.instrs && t.instrs.(p) == i then p
+  else if s.writer = t.serial then -1
+  else begin
+    install t;
+    slot t i
+  end
+
 let of_block ?(time = fun f -> f ()) (b : Defs.block) : t =
   let instrs = Block.to_array b in
-  let index = Hashtbl.create (2 * Array.length instrs) in
-  Array.iteri (fun pos i -> Hashtbl.replace index i.Defs.iid pos) instrs;
-  {
-    block = b;
-    stamp = Block.stamp b;
-    instrs;
-    index;
-    memlocs = Array.map memloc_of_instr instrs;
-    reach_cache = [];
-    reach_hits = 0;
-    reach_misses = 0;
-    rereads = 0;
-    time;
-    owner = self_id ();
-  }
+  let slots = Domain.DLS.get slots_key in
+  slots.views <- slots.views + 1;
+  let t =
+    {
+      block = b;
+      stamp = Block.stamp b;
+      instrs;
+      slots;
+      serial = slots.views;
+      memlocs = Array.map memloc_of_instr instrs;
+      reach_cache = [];
+      reach_hits = 0;
+      reach_misses = 0;
+      rereads = 0;
+      time;
+      owner = self_id ();
+    }
+  in
+  install t;
+  t
 
 (* Re-read the block after it was rewritten (Super-Node massaging,
    codegen): new positions and memory summaries without recomputing
@@ -114,15 +165,13 @@ let reread (t : t) =
   let memlocs =
     Array.map
       (fun (i : Defs.instr) ->
-        match Hashtbl.find_opt t.index i.Defs.iid with
-        | Some p -> t.memlocs.(p)
-        | None -> memloc_of_instr i)
+        let p = slot t i in
+        if p >= 0 then t.memlocs.(p) else memloc_of_instr i)
       instrs
   in
-  Hashtbl.reset t.index;
-  Array.iteri (fun pos (i : Defs.instr) -> Hashtbl.replace t.index i.Defs.iid pos) instrs;
   t.instrs <- instrs;
   t.memlocs <- memlocs;
+  install t;
   t.reach_cache <- [];
   t.rereads <- t.rereads + 1;
   t.stamp <- Block.stamp t.block
@@ -137,14 +186,12 @@ let reread_count (t : t) = t.rereads
    this query needs no re-read: an instruction the view has read keeps
    its summary (see [reread]), any other is summarised now. *)
 let memloc (t : t) (i : Defs.instr) =
-  match Hashtbl.find t.index i.Defs.iid with
-  | p -> t.memlocs.(p)
-  | exception Not_found -> memloc_of_instr i
+  let p = slot t i in
+  if p >= 0 then t.memlocs.(p) else memloc_of_instr i
 
 let position (t : t) (i : Defs.instr) =
-  match Hashtbl.find_opt t.index i.Defs.iid with
-  | Some p -> p
-  | None -> invalid_arg "Deps: instruction not in the analysed block"
+  let p = slot t i in
+  if p >= 0 then p else invalid_arg "Deps: instruction not in the analysed block"
 
 (* The accesses at positions [a] and [b] conflict. *)
 let conflict (t : t) a b =
@@ -178,22 +225,24 @@ let compute_reachability (t : t) ~lo ~hi =
     done
   in
   for dst = 0 to w - 1 do
-    let i = t.instrs.(lo + dst) in
+    let ops = t.instrs.(lo + dst).Defs.ops in
     (* Register edges. *)
-    Array.iter
-      (fun o ->
-        match o with
-        | Defs.Instr d -> (
-            match Hashtbl.find_opt t.index d.Defs.iid with
-            | Some dp when dp >= lo && dp < lo + dst -> add_edge (dp - lo) dst
-            | _ -> ())
-        | Defs.Const _ | Defs.Undef _ | Defs.Arg _ -> ())
-      i.Defs.ops;
-    (* Memory edges. *)
+    for k = 0 to Array.length ops - 1 do
+      match ops.(k) with
+      | Defs.Instr d ->
+          let dp = slot t d in
+          if dp >= lo && dp < lo + dst then add_edge (dp - lo) dst
+      | Defs.Const _ | Defs.Undef _ | Defs.Arg _ -> ()
+    done;
+    (* Memory edges, nearest first: an access the row already reaches
+       through a nearer one adds nothing to it, so it is not checked. *)
     if t.memlocs.(lo + dst) <> None then
-      for src = 0 to dst - 1 do
-        if t.memlocs.(lo + src) <> None && conflict t (lo + src) (lo + dst) then
-          add_edge src dst
+      for src = dst - 1 downto 0 do
+        if
+          t.memlocs.(lo + src) <> None
+          && (reach.((dst * nw) + (src / word_bits)) lsr (src mod word_bits)) land 1 = 0
+          && conflict t (lo + src) (lo + dst)
+        then add_edge src dst
       done
   done;
   reach
@@ -265,6 +314,7 @@ let fusable (t : t) ~ng (group : int array) (pos : int array) =
     done
   with
   | exception Exit -> false
+  | () when ng = 1 -> true
   | () ->
       (* Depth-first search for a back edge. *)
       let state = Array.make ng `Unseen in
@@ -365,13 +415,13 @@ let schedulable (t : t) (groups : Defs.value array list) : bool =
   List.iteri
     (fun g ->
       Array.iter (function
-        | Defs.Instr i -> (
-            match Hashtbl.find_opt t.index i.Defs.iid with
-            | Some p ->
-                group.(!m) <- g;
-                pos.(!m) <- p;
-                incr m
-            | None -> ())
+        | Defs.Instr i ->
+            let p = slot t i in
+            if p >= 0 then begin
+              group.(!m) <- g;
+              pos.(!m) <- p;
+              incr m
+            end
         | Defs.Const _ | Defs.Undef _ | Defs.Arg _ -> ()))
     groups;
   fusable t ~ng:(List.length groups) (Array.sub group 0 !m) (Array.sub pos 0 !m)

@@ -25,13 +25,16 @@ open Lexer
 
 exception Parse_error of string * Ast.pos
 
-type t = { mutable toks : (token * Ast.pos) list }
+(* The parser looks one token ahead: [cur] is the next token, lexed
+   when the one before it was consumed, so no token list is built and
+   a lexical error surfaces when the parse reaches it. *)
+type t = { lx : Lexer.t; mutable cur : token * Ast.pos }
 
 let error (p : Ast.pos) fmt = Printf.ksprintf (fun m -> raise (Parse_error (m, p))) fmt
 
-let peek (ps : t) = match ps.toks with [] -> (EOF, Ast.{ line = 0; col = 0 }) | x :: _ -> x
+let peek (ps : t) = ps.cur
 
-let advance (ps : t) = match ps.toks with [] -> () | _ :: rest -> ps.toks <- rest
+let advance (ps : t) = match ps.cur with EOF, _ -> () | _ -> ps.cur <- Lexer.next ps.lx
 
 let expect (ps : t) tok what =
   let got, p = peek ps in
@@ -269,7 +272,8 @@ let parse_kernel (ps : t) : Ast.kernel =
   { Ast.kname; kparams; kbody; kpos }
 
 let parse_program (src : string) : Ast.kernel list =
-  let ps = { toks = Lexer.tokens src } in
+  let lx = Lexer.create src in
+  let ps = { lx; cur = Lexer.next lx } in
   let rec loop acc =
     match peek ps with
     | EOF, _ -> List.rev acc

@@ -194,15 +194,15 @@ let discard_if (b : t) pred =
    just before [before] (at the end when [None]).  Everything is
    checked before anything moves. *)
 let relink (b : t) ?before (order : instr list) =
-  let moved = Hashtbl.create 16 in
+  let moved = Int_table.create 16 in
   List.iter
     (fun (i : instr) ->
       if not (mem b i) then invalid_arg "Block.relink: instruction not in block";
-      if Hashtbl.mem moved i.iid then invalid_arg "Block.relink: instruction listed twice";
-      Hashtbl.replace moved i.iid ())
+      if Int_table.mem moved i.iid then invalid_arg "Block.relink: instruction listed twice";
+      Int_table.replace moved i.iid ())
     order;
   (match before with
-  | Some a when (not (mem b a)) || Hashtbl.mem moved a.iid ->
+  | Some a when (not (mem b a)) || Int_table.mem moved a.iid ->
       invalid_arg "Block.relink: anchor not in block or moved"
   | Some _ | None -> ());
   match order with

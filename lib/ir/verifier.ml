@@ -159,19 +159,33 @@ let term_where (b : block) =
    by id, membership of a block in [f], and "does [def] dominate
    [user]" from order keys within a block and dominators across
    blocks. *)
-type scope = { by_bid : (int, block) Hashtbl.t; dom : Dominance.t Lazy.t }
+type scope = {
+  sfunc : func;
+  by_bid : block Int_table.t;
+  dom : Dominance.t Lazy.t;
+  mutable last : block option;
+      (* the block [in_func] last found in [f]: consecutive checks
+         mostly ask about one block *)
+}
 
 (* O(blocks of [f]), not O([next_bid]): a pass that deleted many
    blocks leaves [next_bid] far above the live count. *)
 let scope (f : func) =
-  let by_bid = Hashtbl.create 16 in
-  List.iter (fun b -> Hashtbl.replace by_bid b.bid b) f.blocks;
-  { by_bid; dom = lazy (Dominance.compute f) }
+  let by_bid = Int_table.create 16 in
+  List.iter (fun b -> Int_table.replace by_bid b.bid b) f.blocks;
+  { sfunc = f; by_bid; dom = lazy (Dominance.compute f); last = None }
 
-let block_of_bid sc bid = Hashtbl.find_opt sc.by_bid bid
+let block_of_bid sc bid = Int_table.find_opt sc.by_bid bid
 
 let in_func sc (b : block) =
-  match block_of_bid sc b.bid with Some b' -> b' == b | None -> false
+  match sc.last with
+  | Some l when l == b -> true
+  | Some _ | None -> (
+      match block_of_bid sc b.bid with
+      | Some b' when b' == b ->
+          sc.last <- b.bsome;
+          true
+      | Some _ | None -> false)
 
 (* The block [i] is attached to, when that block belongs to [f]. *)
 let home sc (i : instr) =
@@ -344,13 +358,12 @@ let verify (f : func) : error list =
    user as every operand dominates it; an erased instruction is
    detached and used by nothing attached.  Errors name the offending
    instruction as {!verify} does. *)
-let verify_local (f : func) ~(touched : instr list) ~(erased : instr list) : error list =
+let verify_local (sc : scope) ~(touched : instr list) ~(erased : instr list) : error list =
   let errors = ref [] in
   let fail where fmt =
     Printf.ksprintf (fun what -> errors := { where; what } :: !errors) fmt
   in
   let add where what = errors := { where; what } :: !errors in
-  let sc = scope f in
   let check_user (def : instr) (user : instr) k =
     if user.iblock <> None then
       match user.op with
@@ -406,7 +419,7 @@ let check (f : func) : (unit, string) result =
 let verify_exn (f : func) =
   match check f with Ok () -> () | Error report -> raise (Invalid_ir report)
 
-let verify_local_exn (f : func) ~touched ~erased =
-  match verify_local f ~touched ~erased with
+let verify_local_exn (sc : scope) ~touched ~erased =
+  match verify_local sc ~touched ~erased with
   | [] -> ()
-  | errors -> raise (Invalid_ir (report f errors))
+  | errors -> raise (Invalid_ir (report sc.sfunc errors))

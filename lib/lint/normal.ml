@@ -16,12 +16,12 @@
    initial memory cells, comparison/select results (kept structurally,
    with constant conditions folded exactly like the fold pass), and
    whole sums appearing as denominators.  Products of multi-term sums
-   are distributed — the term count is capped, and overflowing the cap
-   raises {!Too_big}, which the validator reports as [Unknown].  So
-   does a key past {!max_key_bytes}: an atom's key spells out its
-   arguments' keys, so selects nested by sequential if/else arms would
-   otherwise grow keys exponentially while the values share
-   structure.
+   are distributed.  The term count of every sum is capped, and
+   overflowing the cap raises {!Too_big}, which the validator reports
+   as [Unknown].  So does a key past {!max_key_bytes}: an atom's key
+   spells out its arguments' keys, so selects nested by sequential
+   if/else arms would otherwise grow keys exponentially while the
+   values share structure.
 
    Constant folding uses the IR's scalar semantics ({!Arith}: int64
    wrap, f32 per-operation rounding); because symbolic folding may group
@@ -266,11 +266,23 @@ let rec merge_terms k ta tb =
    time.  (A float zero can change the sign of a zero constant.) *)
 let is_int_zero s = s.terms = [] && (match s.const with C_int n -> Int64.equal n 0L | C_float _ -> false)
 
+(* Term cap: past this many terms a sum is declared out of scope
+   ({!Too_big} -> validator [Unknown]) rather than wrapped, because a
+   threshold-dependent representation would not be canonical under the
+   reassociations the vectorizer performs.  It bounds every sum: each
+   add re-merges the whole term list, so an uncapped chain of n adds
+   costs O(n²) (one store of 8k loads took seconds to key), and a
+   product of sums is capped before it is distributed. *)
+let max_terms = 4096
+
 let add a b =
   check_kind a b;
   if is_int_zero b then a
   else if is_int_zero a then b
-  else mk a.knd (c_add a.knd a.const b.const) (merge_terms a.knd a.terms b.terms)
+  else
+    let terms = merge_terms a.knd a.terms b.terms in
+    if List.compare_length_with terms max_terms > 0 then raise Too_big;
+    mk a.knd (c_add a.knd a.const b.const) terms
 
 let neg a =
   mk a.knd (c_neg a.const) (List.map (fun t -> { t with tc = c_neg t.tc }) a.terms)
@@ -278,13 +290,6 @@ let neg a =
 let sub a b = add a (neg b)
 
 (* --- Multiplicative structure ------------------------------------------- *)
-
-(* Distribution cap: products of multi-term sums multiply out; past
-   this many terms the expression is declared out of scope
-   ({!Too_big} -> validator [Unknown]) rather than wrapped, because a
-   threshold-dependent representation would not be canonical under the
-   reassociations the vectorizer performs. *)
-let max_terms = 4096
 
 let merge_atoms la lb =
   List.merge (fun a b -> compare a.akey b.akey) la lb

@@ -8,10 +8,14 @@
 open Snslp_ir
 
 exception Too_big
-(** Distribution of a product of sums exceeded the term cap, or a
-    canonical key would exceed {!max_key_bytes}; the expression is out
-    of the normal form's scope.  Building a sum or reading its key
-    ({!skey}, {!equal}, {!close}) may raise it. *)
+(** A sum would have more than {!max_terms} terms (an add, or the
+    distribution of a product of sums), or a canonical key would
+    exceed {!max_key_bytes}; the expression is out of the normal
+    form's scope.  Building a sum or reading its key ({!skey},
+    {!equal}, {!close}) may raise it. *)
+
+val max_terms : int
+(** The most terms a sum holds (4096). *)
 
 val max_key_bytes : int
 (** The longest canonical key built (64 KiB). *)

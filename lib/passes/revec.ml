@@ -237,7 +237,7 @@ let dying_savings model target (ctx : ctx) ~(erased : Defs.instr list) =
    order, then hand it to codegen's scheduler with the pair's stores
    as erased, and verify what that touched.  Returns the number of
    wide instructions. *)
-let emit func block (ctx : ctx) root s_left s_right =
+let emit ~scope func block (ctx : ctx) root s_left s_right =
   let b = Builder.create func ~at:block in
   let last = if Block.precedes s_left s_right then s_right else s_left in
   let emitted : (int, Defs.value) Hashtbl.t = Hashtbl.create 16 in
@@ -263,7 +263,7 @@ let emit func block (ctx : ctx) root s_left s_right =
   let erased = [ s_left; s_right ] in
   let ws = Builder.store b (value_of root) s_left.Defs.ops.(1) in
   let moved = Codegen.place ctx.deps block ~erased (placed @ [ (ws, last, erased) ]) in
-  Verifier.verify_local_exn func ~touched:moved ~erased;
+  Verifier.verify_local_exn scope ~touched:moved ~erased;
   List.length placed + 1
 
 (* --- Store-pair discovery. ----------------------------------------- *)
@@ -294,7 +294,7 @@ let store_pairs block ~lanes_for =
 
 (* --- Driver. ------------------------------------------------------- *)
 
-let try_pair func block deps model target (s_left, s_right) =
+let try_pair ~scope func block deps model target (s_left, s_right) =
   match Deps.bundle_placement deps [ s_left; s_right ] with
   | Some Deps.At_last ->
       let ctx =
@@ -317,11 +317,11 @@ let try_pair func block deps model target (s_left, s_right) =
       if
         savings > wide_cost
         && Deps.schedulable deps ([| Instr.value s_left; Instr.value s_right |] :: ctx.fused)
-      then Some (emit func block ctx root s_left s_right)
+      then Some (emit ~scope func block ctx root s_left s_right)
       else None
   | Some Deps.At_first | None -> None
 
-let run_block func model target (block : Defs.block) =
+let run_block ~scope func model target (block : Defs.block) =
   let lanes_for = Target.lanes_for target in
   let pairs = ref 0 in
   let widened = ref 0 in
@@ -334,7 +334,7 @@ let run_block func model target (block : Defs.block) =
     progress := false;
     List.iter
       (fun cand ->
-        match try_pair func block deps model target cand with
+        match try_pair ~scope func block deps model target cand with
         | Some emitted ->
             incr pairs;
             widened := !widened + emitted;
@@ -346,8 +346,9 @@ let run_block func model target (block : Defs.block) =
   (!pairs, !widened, !rounds)
 
 let run ?(model = Model.x86) ~(target : Target.t) (func : Defs.func) : report =
+  let scope = Verifier.scope func in
   List.fold_left
     (fun acc block ->
-      let p, w, r = run_block func model target block in
+      let p, w, r = run_block ~scope func model target block in
       { pairs = acc.pairs + p; widened = acc.widened + w; rounds = max acc.rounds r })
     empty (Func.blocks func)

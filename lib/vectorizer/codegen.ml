@@ -64,27 +64,30 @@ let compare_rank (a : rank) (b : rank) =
 type schedule = {
   block : Defs.block;
   deps : Deps.t; (* the block's analysis, for memory summaries and order *)
-  ranks : (int, rank) Hashtbl.t; (* iid -> rank, for instructions the rewrite emitted *)
-  replaced : (int, Defs.instr list) Hashtbl.t; (* vector access iid -> scalars it stands for *)
+  ranks : rank Int_table.t; (* iid -> rank, for instructions the rewrite emitted *)
+  replaced : Defs.instr list Int_table.t; (* vector access iid -> scalars it stands for *)
   mutable new_instrs : Defs.instr list; (* emitted, newest first *)
 }
 
 let schedule deps block =
-  { block; deps; ranks = Hashtbl.create 64; replaced = Hashtbl.create 8; new_instrs = [] }
+  { block; deps; ranks = Int_table.create 64; replaced = Int_table.create 8; new_instrs = [] }
 
 type ctx = {
   g : Graph.t;
   func : Defs.func;
   builder : Builder.t;
   sched : schedule;
-  extracts : (int * int, Defs.value) Hashtbl.t; (* (nid, lane) -> extract *)
+  extracts : Defs.value Int_table.t; (* (nid, lane), packed by [extract_key] -> extract *)
   mutable emitted : int;
 }
 
-let is_new (s : schedule) (i : Defs.instr) = Hashtbl.mem s.ranks i.Defs.iid
+(* Lanes number far fewer than 2^16. *)
+let extract_key (n : Graph.node) lane = (n.Graph.nid lsl 16) lor lane
+
+let is_new (s : schedule) (i : Defs.instr) = Int_table.mem s.ranks i.Defs.iid
 
 let rank_of (s : schedule) (i : Defs.instr) : rank =
-  match Hashtbl.find_opt s.ranks i.Defs.iid with
+  match Int_table.find_opt s.ranks i.Defs.iid with
   | Some r -> r
   | None -> if Block.mem s.block i then { base = Some i; frac = 0 } else no_rank
 
@@ -102,12 +105,12 @@ let vname (i : Defs.instr) =
 let set_rank (s : schedule) (i : Defs.instr) (r : rank) =
   (* Every rank assignment is for an instruction the rewrite created. *)
   if not (is_new s i) then s.new_instrs <- i :: s.new_instrs;
-  Hashtbl.replace s.ranks i.Defs.iid r
+  Int_table.replace s.ranks i.Defs.iid r
 
 (* A vector access stands for its node's scalars in the memory
    order ({!Deps.memory_order}). *)
 let set_replaced (s : schedule) (i : Defs.instr) (n : Graph.node) =
-  Hashtbl.replace s.replaced i.Defs.iid
+  Int_table.replace s.replaced i.Defs.iid
     (Array.fold_right
        (fun v acc -> match v with Defs.Instr x -> x :: acc | _ -> acc)
        n.Graph.scalars [])
@@ -145,7 +148,7 @@ let vec_ty_of_node (n : Graph.node) : Ty.t =
 let owning_node (ctx : ctx) (v : Defs.value) : (Graph.node * int) option =
   match v with
   | Defs.Instr i -> (
-      match Hashtbl.find_opt ctx.g.Graph.claimed i.Defs.iid with
+      match Int_table.find_opt ctx.g.Graph.claimed i.Defs.iid with
       | Some n when Graph.is_vectorizable_kind n.Graph.kind ->
           let lane = ref (-1) in
           Array.iteri (fun k s -> if Value.equal s v then lane := k) n.Graph.scalars;
@@ -171,7 +174,7 @@ let rec vec_of (ctx : ctx) (n : Graph.node) : Defs.value =
 (* An extract of the lane of a vectorized scalar, for uses that stay
    scalar. *)
 and extract_lane (ctx : ctx) (n : Graph.node) (lane : int) : Defs.value =
-  match Hashtbl.find_opt ctx.extracts (n.Graph.nid, lane) with
+  match Int_table.find_opt ctx.extracts (extract_key n lane) with
   | Some v -> v
   | None ->
       let vec = vec_of ctx n in
@@ -179,7 +182,7 @@ and extract_lane (ctx : ctx) (n : Graph.node) (lane : int) : Defs.value =
       ctx.emitted <- ctx.emitted + 1;
       set_rank ctx.sched e (offset (rank_of_value ctx.sched vec) 25);
       let v = Instr.value e in
-      Hashtbl.replace ctx.extracts (n.Graph.nid, lane) v;
+      Int_table.replace ctx.extracts (extract_key n lane) v;
       v
 
 (* A scalar operand as seen by gather/splat code: if the scalar is
@@ -302,76 +305,75 @@ let rewire_external_uses (ctx : ctx) =
                 let uses = Func.uses_of ctx.func v in
                 List.iter
                   (fun ((user : Defs.instr), idx) ->
-                    if not (Hashtbl.mem ctx.g.Graph.claimed user.Defs.iid) then
+                    if not (Int_table.mem ctx.g.Graph.claimed user.Defs.iid) then
                       Instr.set_operand user idx (extract_lane ctx n lane))
                   uses
             | _ -> ())
           n.Graph.scalars)
     (Graph.nodes ctx.g)
 
-(* Erase the scalar instructions replaced by vector code, and sweep
-   the pure scalars (typically lane geps) orphaned by the rewrite.  A
-   use-count worklist over the victims' use lists: an instruction's
-   count of attached users is taken from its use list the first time
-   the sweep reaches it, and drops as its users are erased.  Operands
-   in other blocks are counted as erased but left in place.  Returns
-   the number erased and the erased instructions of this block, whose
-   operand uses are retired here; they stay linked until {!reschedule}
-   has read the window around them. *)
+(* Erase the scalar instructions replaced by vector code (the
+   victims: the graph's claimed scalars), and sweep the pure scalars
+   (typically lane geps) orphaned by the rewrite.  A use-count
+   worklist over the victims' use lists, seeded in node order: an
+   instruction's count of attached users is taken from its use list
+   the first time the sweep reaches it, and drops as its users are
+   erased.  Nothing is unlinked during the sweep, so what it erases
+   does not depend on the order it visits.  Operands in other blocks
+   are counted as erased but left in place.  Returns the number erased
+   and the erased instructions of this block, whose operand uses are
+   retired here; they stay linked until {!reschedule} has read the
+   window around them. *)
 let erase_vectorized (ctx : ctx) =
-  let victims = Hashtbl.create 64 in
+  let victims = ctx.g.Graph.claimed in
+  let use_count = Int_table.create 64 in
+  let uses (i : Defs.instr) =
+    match Int_table.find_opt use_count i.Defs.iid with
+    | Some c -> c
+    | None ->
+        let c = Use.fold (fun c (u : Defs.instr) _ -> if u.Defs.iblock <> None then c + 1 else c) 0 i in
+        Int_table.replace use_count i.Defs.iid c;
+        c
+  in
+  let erased = Int_table.create 64 in
+  let erasable (i : Defs.instr) =
+    (not (Int_table.mem erased i.Defs.iid))
+    && uses i = 0
+    && (Int_table.mem victims i.Defs.iid || Instr.has_result i)
+  in
+  let worklist = Queue.create () in
   List.iter
     (fun (n : Graph.node) ->
       if Graph.is_vectorizable_kind n.Graph.kind then
         Array.iter
-          (fun v ->
-            match v with
-            | Defs.Instr i -> Hashtbl.replace victims i.Defs.iid i
-            | _ -> ())
+          (function Defs.Instr i when erasable i -> Queue.add i worklist | _ -> ())
           n.Graph.scalars)
     (Graph.nodes ctx.g);
-  let use_count : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let uses (i : Defs.instr) =
-    match Hashtbl.find_opt use_count i.Defs.iid with
-    | Some c -> c
-    | None ->
-        let c = Use.fold (fun c (u : Defs.instr) _ -> if u.Defs.iblock <> None then c + 1 else c) 0 i in
-        Hashtbl.replace use_count i.Defs.iid c;
-        c
-  in
-  let erased = Hashtbl.create 64 in
-  let erasable (i : Defs.instr) =
-    (not (Hashtbl.mem erased i.Defs.iid))
-    && uses i = 0
-    && (Hashtbl.mem victims i.Defs.iid || Instr.has_result i)
-  in
-  let worklist = Queue.create () in
-  Hashtbl.iter (fun _ i -> if erasable i then Queue.add i worklist) victims;
   let here = ref [] in
   while not (Queue.is_empty worklist) do
     let i = Queue.pop worklist in
     if erasable i then begin
-      Hashtbl.replace erased i.Defs.iid ();
+      Int_table.replace erased i.Defs.iid ();
       if Block.mem ctx.g.Graph.block i then here := i :: !here;
       Array.iter
         (fun o ->
           match o with
           | Defs.Instr d ->
-              Hashtbl.replace use_count d.Defs.iid (uses d - 1);
+              Int_table.replace use_count d.Defs.iid (uses d - 1);
               if erasable d then Queue.add d worklist
           | Defs.Const _ | Defs.Undef _ | Defs.Arg _ -> ())
         i.Defs.ops
     end
   done;
   let missed =
-    Hashtbl.fold (fun iid _ acc -> if Hashtbl.mem erased iid then acc else acc + 1) victims 0
+    Int_table.fold (fun iid _ acc -> if Int_table.mem erased iid then acc else acc + 1) victims 0
   in
   if missed > 0 then
     raise
       (Scheduling_failure
          (Printf.sprintf "codegen: %d vectorized scalars still have uses" missed));
   List.iter Use.unregister_all !here;
-  (Hashtbl.length erased, !here)
+  (Int_table.length erased, !here)
 
 (* --- Scheduling --------------------------------------------------------- *)
 
@@ -384,8 +386,8 @@ let erase_vectorized (ctx : ctx) =
    ties between ready instructions. *)
 let topo_sort (sched : schedule) (window : Defs.instr array) =
   let w = Array.length window in
-  let index = Hashtbl.create (2 * w) in
-  Array.iteri (fun k i -> Hashtbl.replace index i.Defs.iid k) window;
+  let index = Int_table.create (2 * w) in
+  Array.iteri (fun k i -> Int_table.replace index i.Defs.iid k) window;
   let edges = Array.make w [] (* successor lists *) in
   let indeg = Array.make w 0 in
   let add_edge a b =
@@ -398,7 +400,7 @@ let topo_sort (sched : schedule) (window : Defs.instr array) =
         (fun o ->
           match o with
           | Defs.Instr d -> (
-              match Hashtbl.find_opt index d.Defs.iid with
+              match Int_table.find_opt index d.Defs.iid with
               | Some dk when dk <> k -> add_edge dk k
               | _ -> ())
           | Defs.Const _ | Defs.Undef _ | Defs.Arg _ -> ())
@@ -411,7 +413,7 @@ let topo_sort (sched : schedule) (window : Defs.instr array) =
   let memlocs = Array.map (Deps.memloc deps) window in
   let ranks = Array.map (rank_of sched) window in
   let stands_for (i : Defs.instr) =
-    Option.value ~default:[ i ] (Hashtbl.find_opt sched.replaced i.Defs.iid)
+    Option.value ~default:[ i ] (Int_table.find_opt sched.replaced i.Defs.iid)
   in
   (* Only positions that touch memory can conflict: pair over those,
      not the whole window. *)
@@ -514,9 +516,9 @@ let topo_sort (sched : schedule) (window : Defs.instr array) =
    nested ifs it keeps [sched] at 10 ms, where opening the window at
    the head costs 12 s.  Returns every instruction this moved. *)
 let reschedule (s : schedule) ~(erased : Defs.instr list) =
-  let gone = Hashtbl.create 64 in
-  List.iter (fun (i : Defs.instr) -> Hashtbl.replace gone i.Defs.iid ()) erased;
-  let gone (i : Defs.instr) = Hashtbl.mem gone i.Defs.iid in
+  let gone = Int_table.create 64 in
+  List.iter (fun (i : Defs.instr) -> Int_table.replace gone i.Defs.iid ()) erased;
+  let gone (i : Defs.instr) = Int_table.mem gone i.Defs.iid in
   let fresh = List.rev (List.filter (Block.mem s.block) s.new_instrs) in
   let low, high = List.partition (fun i -> (rank_of s i).base = None) fresh in
   let is_low (d : Defs.instr) = is_new s d && (rank_of s d).base = None in
@@ -637,7 +639,7 @@ let place deps block ~erased placed =
   List.iter
     (fun ((i : Defs.instr), at, stands_for) ->
       set_rank s i { base = Some at; frac = -1 };
-      if stands_for <> [] then Hashtbl.replace s.replaced i.Defs.iid stands_for)
+      if stands_for <> [] then Int_table.replace s.replaced i.Defs.iid stands_for)
     placed;
   List.iter Use.unregister_all erased;
   reschedule s ~erased
@@ -651,7 +653,7 @@ type report = { vector_instrs : int; scalars_erased : int }
    moved, and every one it erased ({!Verifier.verify_local}).  The
    whole function is verified once per vectorizer run, by the
    caller. *)
-let run (g : Graph.t) : report =
+let run ~scope (g : Graph.t) : report =
   let func = g.Graph.func in
   let block = g.Graph.block in
   let ctx =
@@ -660,7 +662,7 @@ let run (g : Graph.t) : report =
       func;
       builder = Builder.create func ~at:block;
       sched = schedule g.Graph.deps block;
-      extracts = Hashtbl.create 16;
+      extracts = Int_table.create 16;
       emitted = 0;
     }
   in
@@ -670,5 +672,5 @@ let run (g : Graph.t) : report =
   let erased, here = Stats.time ?stats "erase" (fun () -> erase_vectorized ctx) in
   let moved = Stats.time ?stats "sched" (fun () -> reschedule ctx.sched ~erased:here) in
   Stats.time ?stats "cg-verify" (fun () ->
-      Verifier.verify_local_exn func ~touched:moved ~erased:here);
+      Verifier.verify_local_exn scope ~touched:moved ~erased:here);
   { vector_instrs = ctx.emitted; scalars_erased = erased }

@@ -36,6 +36,6 @@ val place :
 
 type report = { vector_instrs : int; scalars_erased : int }
 
-val run : Graph.t -> report
-(** Rewrites the IR according to the accepted graph; the function is
-    left verified. *)
+val run : scope:Verifier.scope -> Graph.t -> report
+(** Rewrites the IR according to the accepted graph, then verifies
+    what the rewrite touched ([scope] is the function's). *)

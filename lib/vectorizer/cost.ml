@@ -53,7 +53,6 @@ let node_cost (config : Config.t) (n : Graph.node) : float =
    remaining use outside those nodes needs an extractelement. *)
 let extract_cost (config : Config.t) (g : Graph.t) : float =
   let model = config.Config.model in
-  let func = g.Graph.func in
   let claimed = g.Graph.claimed in
   let cost = ref 0.0 in
   List.iter
@@ -63,13 +62,12 @@ let extract_cost (config : Config.t) (g : Graph.t) : float =
           (fun v ->
             match v with
             | Defs.Instr i when not (Instr.is_store i) ->
-                let external_uses =
-                  List.filter
-                    (fun ((user : Defs.instr), _) ->
-                      not (Hashtbl.mem claimed user.Defs.iid))
-                    (Func.uses_of func (Defs.Instr i))
-                in
-                if external_uses <> [] then cost := !cost +. model.Model.extract
+                if
+                  Use.exists
+                    (fun (user : Defs.instr) _ ->
+                      user.Defs.iblock <> None && not (Int_table.mem claimed user.Defs.iid))
+                    i
+                then cost := !cost +. model.Model.extract
             | _ -> ())
           n.Graph.scalars)
     (Graph.nodes g);

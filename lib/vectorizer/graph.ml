@@ -37,12 +37,15 @@ type node = {
 
 (* Tables keyed by a group of scalars: the group's own array, lane by
    lane under {!Value.equal}.  A group array is never written once it
-   is built. *)
+   is built.  An instruction lane hashes as its id, so a lookup makes
+   no generic hash call for a group of instructions. *)
 module Group = Hashtbl.Make (struct
   type t = Defs.value array
 
   let equal a b = Array.length a = Array.length b && Array.for_all2 Value.equal a b
-  let hash a = Array.fold_left (fun h v -> (31 * h) + Value.hash v) 0 a
+
+  let lane = function Defs.Instr i -> i.Defs.iid | v -> Value.hash v
+  let hash a = Int_table.hash (Array.fold_left (fun h v -> (31 * h) + lane v) 0 a)
 end)
 
 (* Operand-reorder strategy for commutative groups.  [R_chain] is the
@@ -65,9 +68,9 @@ type t = {
   mutable nodes : node list; (* creation order, root first *)
   mutable root : node option;
   mutable next_id : int;
-  claimed : (int, node) Hashtbl.t; (* iid -> vectorized node that owns it *)
+  claimed : node Int_table.t; (* iid -> vectorized node that owns it *)
   by_group : node Group.t; (* scalars -> the node built for them *)
-  no_remassage : (int, unit) Hashtbl.t; (* trunk iids of built Super-Nodes *)
+  no_remassage : unit Int_table.t; (* trunk iids of built Super-Nodes *)
   mutable supernode_sizes : int list; (* pending stats, committed on acceptance *)
   lookahead_cache : Lookahead.cache; (* the caller's memo *)
 }
@@ -84,7 +87,7 @@ let is_vectorizable_kind = function
   | K_vec | K_alt _ -> true
   | K_perm _ | K_gather | K_splat -> false
 
-let is_claimed (t : t) (i : Defs.instr) = Hashtbl.mem t.claimed i.Defs.iid
+let is_claimed (t : t) (i : Defs.instr) = Int_table.mem t.claimed i.Defs.iid
 
 let new_node (t : t) ?(children = [||]) kind scalars =
   let n = { nid = t.next_id; scalars; kind; children; vec = None; at_first = false } in
@@ -95,7 +98,7 @@ let new_node (t : t) ?(children = [||]) kind scalars =
     Array.iter
       (fun v ->
         match v with
-        | Defs.Instr i -> Hashtbl.replace t.claimed i.Defs.iid n
+        | Defs.Instr i -> Int_table.replace t.claimed i.Defs.iid n
         | Defs.Const _ | Defs.Undef _ | Defs.Arg _ -> ())
       scalars;
   n
@@ -276,7 +279,7 @@ let rec build_group (t : t) (vals : Defs.value array) : node =
 
 and permutation_of_claimed (t : t) (vals : Defs.value array) (instrs : Defs.instr array)
     : (node * int array) option =
-  match Hashtbl.find_opt t.claimed instrs.(0).Defs.iid with
+  match Int_table.find_opt t.claimed instrs.(0).Defs.iid with
   | None -> None
   | Some src ->
       if Array.length src.scalars <> Array.length vals then None
@@ -379,7 +382,7 @@ and build_binop_group (t : t) (vals : Defs.value array) (instrs : Defs.instr arr
       if
         t.config.Config.mode = Config.Vanilla
         || (not same_family)
-        || Array.for_all (fun i -> Hashtbl.mem t.no_remassage i.Defs.iid) instrs
+        || Array.for_all (fun i -> Int_table.mem t.no_remassage i.Defs.iid) instrs
       then (instrs, kinds)
       else
         match
@@ -397,9 +400,9 @@ and build_binop_group (t : t) (vals : Defs.value array) (instrs : Defs.instr arr
             Array.iter
               (fun (root : Defs.instr) ->
                 let rec mark (i : Defs.instr) =
-                  Hashtbl.replace t.no_remassage i.Defs.iid ();
+                  Int_table.replace t.no_remassage i.Defs.iid ();
                   match i.Defs.ops.(0) with
-                  | Defs.Instr j when Instr.is_binop j && not (Hashtbl.mem t.no_remassage j.Defs.iid)
+                  | Defs.Instr j when Instr.is_binop j && not (Int_table.mem t.no_remassage j.Defs.iid)
                     ->
                       (* Only the freshly generated left-leaning spine
                          is protected; stop at leaves. *)
@@ -451,10 +454,11 @@ let vector_groups (t : t) =
 let make_schedulable (t : t) =
   if Deps.schedulable t.deps (vector_groups t) then false
   else begin
-    let reached = Hashtbl.create 64 in
+    (* Node ids count the tree's nodes from 0. *)
+    let reached = Array.make t.next_id false in
     let rec reach n =
-      if not (Hashtbl.mem reached n.nid) then begin
-        Hashtbl.replace reached n.nid ();
+      if not reached.(n.nid) then begin
+        reached.(n.nid) <- true;
         Array.iter reach n.children
       end
     in
@@ -462,19 +466,19 @@ let make_schedulable (t : t) =
     let accepted = ref [] in
     List.iter
       (fun n ->
-        if Hashtbl.mem reached n.nid && is_vectorizable_kind n.kind then
+        if reached.(n.nid) && is_vectorizable_kind n.kind then
           if Deps.schedulable t.deps (n.scalars :: !accepted) then
             accepted := n.scalars :: !accepted
           else begin
             n.kind <- K_gather;
             n.children <- [||];
-            Hashtbl.reset reached;
+            Array.fill reached 0 t.next_id false;
             reach (root t)
           end)
       (nodes t);
-    let kept n = Hashtbl.mem reached n.nid in
+    let kept n = reached.(n.nid) in
     t.nodes <- List.filter kept t.nodes;
-    Hashtbl.filter_map_inplace
+    Int_table.filter_map_inplace
       (fun _ n -> if kept n && is_vectorizable_kind n.kind then Some n else None)
       t.claimed;
     Group.filter_map_inplace (fun _ n -> if kept n then Some n else None) t.by_group;
@@ -510,9 +514,9 @@ let build ?stats ~deps ~cache ?(reorder = R_chain) (config : Config.t) (func : D
       nodes = [];
       root = None;
       next_id = 0;
-      claimed = Hashtbl.create 64;
+      claimed = Int_table.create 64;
       by_group = Group.create 64;
-      no_remassage = Hashtbl.create 16;
+      no_remassage = Int_table.create 16;
       supernode_sizes = [];
       lookahead_cache = cache;
     }

@@ -51,10 +51,10 @@ type t = {
   deps : Deps.t;  (** the caller's block-wide analysis *)
   mutable nodes : node list;
   mutable root : node option;
-  mutable next_id : int;
-  claimed : (int, node) Hashtbl.t; (** iid -> vectorized node owning it *)
+  mutable next_id : int;  (** node ids run from 0 to [next_id - 1] *)
+  claimed : node Int_table.t; (** iid -> vectorized node owning it *)
   by_group : node Group.t; (** scalars -> the node built for them *)
-  no_remassage : (int, unit) Hashtbl.t;
+  no_remassage : unit Int_table.t;
   mutable supernode_sizes : int list; (** pending stats *)
   lookahead_cache : Lookahead.cache;
       (** the caller's look-ahead memo; cleared whenever a massage

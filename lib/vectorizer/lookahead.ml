@@ -89,27 +89,27 @@ let step ~self ~addr ~depth (a : Defs.value) (b : Defs.value) : int =
    each; the cache keeps every load's address under the same
    validity rule. *)
 type cache = {
-  tbl : (int, int) Hashtbl.t; (* packed (iid, iid, depth) -> score *)
-  addrs : (int, Address.t option) Hashtbl.t; (* load iid -> address *)
+  tbl : int Int_table.t; (* packed (iid, iid, depth) -> score *)
+  addrs : Address.t option Int_table.t; (* load iid -> address *)
   mutable hits : int;
   mutable misses : int;
 }
 
 let cache_create () =
-  { tbl = Hashtbl.create 512; addrs = Hashtbl.create 64; hits = 0; misses = 0 }
+  { tbl = Int_table.create 512; addrs = Int_table.create 64; hits = 0; misses = 0 }
 
 (* Invalidate the entries, keep the hit/miss counters (they feed the
    per-run statistics). *)
 let cache_clear (c : cache) =
-  Hashtbl.reset c.tbl;
-  Hashtbl.reset c.addrs
+  Int_table.reset c.tbl;
+  Int_table.reset c.addrs
 
 let cached_addr (c : cache) (i : Defs.instr) =
-  match Hashtbl.find_opt c.addrs i.Defs.iid with
+  match Int_table.find_opt c.addrs i.Defs.iid with
   | Some a -> a
   | None ->
       let a = Address.of_instr i in
-      Hashtbl.add c.addrs i.Defs.iid a;
+      Int_table.add c.addrs i.Defs.iid a;
       a
 
 let cache_stats (c : cache) = (c.hits, c.misses)
@@ -117,7 +117,10 @@ let cache_stats (c : cache) = (c.hits, c.misses)
 (* Both iids and the depth packed into one immediate int: 27 + 27 + 8
    = 62 bits, within OCaml's 63-bit native int.  Instruction ids are
    unique per function and depths are tiny, so the bounds below are
-   unreachable in practice; a pair outside them is simply not cached. *)
+   unreachable in practice; a pair outside them is simply not cached.
+   The depth takes the low bits, where a table finds its bucket, so
+   the memo needs {!Int_table}'s mixing hash: with the key as its own
+   hash most entries would share a few buckets. *)
 let max_packed_iid = 1 lsl 27
 let max_packed_depth = 256
 let pack ia ib depth = (((ia lsl 27) lor ib) lsl 8) lor depth
@@ -133,14 +136,14 @@ let rec score ?cache ~depth (a : Defs.value) (b : Defs.value) : int =
              && depth >= 0
              && depth < max_packed_depth -> (
           let k = pack ia.Defs.iid ib.Defs.iid depth in
-          match Hashtbl.find_opt c.tbl k with
+          match Int_table.find_opt c.tbl k with
           | Some s ->
               c.hits <- c.hits + 1;
               s
           | None ->
               c.misses <- c.misses + 1;
               let s = step_cached c ~depth a b in
-              Hashtbl.add c.tbl k s;
+              Int_table.add c.tbl k s;
               s)
       | _ -> step_cached c ~depth a b)
 

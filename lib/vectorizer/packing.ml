@@ -101,7 +101,7 @@ let enumerate ?stats ?on_graph ~node_budget (config : Config.t) (func : Defs.fun
               nodes_built := !nodes_built + List.length (Graph.nodes g);
               let cost = Stats.time ?stats "cost" (fun () -> Cost.of_graph config g) in
               let claims =
-                Hashtbl.fold (fun iid _ acc -> iid :: acc) g.Graph.claimed []
+                Int_table.fold (fun iid _ acc -> iid :: acc) g.Graph.claimed []
                 |> List.sort Int.compare
               in
               let c =
@@ -275,12 +275,12 @@ let solve ?stats ~beam (cands : candidate list) : candidate list list =
    the greedy path).  For straight-line functions the result is
    proportional to simulated cycles per iteration. *)
 let static_cost (config : Config.t) (func : Defs.func) : float =
-  let live : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+  let live = Int_table.create 64 in
   let rec mark (v : Defs.value) =
     match v with
     | Defs.Instr i ->
-        if not (Hashtbl.mem live i.Defs.iid) then begin
-          Hashtbl.add live i.Defs.iid ();
+        if not (Int_table.mem live i.Defs.iid) then begin
+          Int_table.add live i.Defs.iid ();
           Array.iter mark i.Defs.ops
         end
     | Defs.Const _ | Defs.Undef _ | Defs.Arg _ -> ()
@@ -295,7 +295,7 @@ let static_cost (config : Config.t) (func : Defs.func) : float =
   let total = ref 0.0 in
   Func.iter_instrs
     (fun i ->
-      if Hashtbl.mem live i.Defs.iid then
+      if Int_table.mem live i.Defs.iid then
         total := !total +. Model.instr_cost Model.x86 config.Config.target i)
     func;
   !total /. float_of_int config.Config.target.Target.issue_width

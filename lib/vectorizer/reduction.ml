@@ -66,10 +66,10 @@ let group_runs ~width leaves : run list =
    far — exactly those between the load and the root.  Grouped loads
    are leaves of the root's chain in its block, so each precedes it. *)
 let loads_safe_until_root (root : Defs.instr) (runs : run list) =
-  let pending = Hashtbl.create 16 in
+  let pending = Int_table.create 16 in
   List.iter
     (fun r ->
-      List.iter (fun (_, (ld : Defs.instr)) -> Hashtbl.replace pending ld.Defs.iid ()) r.loads)
+      List.iter (fun (_, (ld : Defs.instr)) -> Int_table.replace pending ld.Defs.iid ()) r.loads)
     runs;
   let rec walk stores left = function
     | Some (x : Defs.instr) when left > 0 ->
@@ -78,14 +78,14 @@ let loads_safe_until_root (root : Defs.instr) (runs : run list) =
             match Deps.memloc_of_instr x with Some l -> l :: stores | None -> stores
           in
           walk stores left x.Defs.iprev
-        else if Hashtbl.mem pending x.Defs.iid then
+        else if Int_table.mem pending x.Defs.iid then
           match Deps.memloc_of_instr x with
           | Some ll when List.exists (fun ls -> Deps.may_overlap ls ll) stores -> false
           | _ -> walk stores (left - 1) x.Defs.iprev
         else walk stores left x.Defs.iprev
     | _ -> true
   in
-  walk [] (Hashtbl.length pending) root.Defs.iprev
+  walk [] (Int_table.length pending) root.Defs.iprev
 
 (* Didactic profitability: costs of what the rewrite adds versus the
    scalar instructions it retires. *)
@@ -110,7 +110,7 @@ let profitable (config : Config.t) ~width ~(n_leaves : int) ~(n_groups : int)
 type result = { vector_loads : int; width : int }
 
 (* Try to reduce the chain rooted at the value stored by [store]. *)
-let attempt (config : Config.t) (func : Defs.func) (block : Defs.block)
+let attempt ~scope (config : Config.t) (func : Defs.func) (block : Defs.block)
     (store : Defs.instr) : result option =
   match store.Defs.ops.(0) with
   | Defs.Instr root when Instr.is_binop root && not (Ty.is_vector root.Defs.ty) -> (
@@ -154,11 +154,11 @@ let attempt (config : Config.t) (func : Defs.func) (block : Defs.block)
                        is one instruction but two terms, and only the
                        grouped occurrence is accounted for by its
                        run — the other must survive as a leftover. *)
-                    let grouped_occs = Hashtbl.create 16 in
+                    let grouped_occs = Int_table.create 16 in
                     List.iter
                       (fun r ->
                         List.iter
-                          (fun (k, _) -> Hashtbl.replace grouped_occs k ())
+                          (fun (k, _) -> Int_table.replace grouped_occs k ())
                           r.loads)
                       runs;
                     (* The vector code, before the root. *)
@@ -205,7 +205,7 @@ let attempt (config : Config.t) (func : Defs.func) (block : Defs.block)
                       (Array.to_list chain.Chain.leaves
                       |> List.mapi (fun k l -> (k, l))
                       |> List.filter_map (fun (k, (l : Chain.leaf)) ->
-                             if Hashtbl.mem grouped_occs k then None
+                             if Int_table.mem grouped_occs k then None
                              else Some (l.Chain.lvalue, l.Chain.lapo)))
                       @ [ (!hsum, (if first_minus then Apo.Minus else Apo.Plus)) ]
                     in
@@ -215,7 +215,7 @@ let attempt (config : Config.t) (func : Defs.func) (block : Defs.block)
                        does; the whole function is verified once,
                        after the vectorizer. *)
                     let r = Chain.rewrite func chain (plus @ minus) in
-                    Verifier.verify_local_exn func
+                    Verifier.verify_local_exn scope
                       ~touched:(List.rev_append !emitted r.Chain.emitted)
                       ~erased:r.Chain.erased;
                     Some { vector_loads = n_groups; width }
@@ -226,11 +226,13 @@ let attempt (config : Config.t) (func : Defs.func) (block : Defs.block)
 (* [run config func] applies reduction vectorization to every block;
    returns how many reductions were rewritten. *)
 let run (config : Config.t) (func : Defs.func) : int =
+  let scope = Verifier.scope func in
   List.fold_left
     (fun count block ->
       List.fold_left
         (fun count store ->
-          if Block.mem block store && attempt config func block store <> None then count + 1
+          if Block.mem block store && attempt ~scope config func block store <> None then
+            count + 1
           else count)
         count
         (List.filter Instr.is_store (Block.instrs block)))

@@ -38,14 +38,14 @@ type t = {
 (* --- Construction legality -------------------------------------------- *)
 
 let disjoint_trunks (lanes : Chain.t array) =
-  let seen = Hashtbl.create 16 in
+  let seen = Int_table.create 16 in
   Array.for_all
     (fun (c : Chain.t) ->
       List.for_all
         (fun (i : Defs.instr) ->
-          if Hashtbl.mem seen i.Defs.iid then false
+          if Int_table.mem seen i.Defs.iid then false
           else begin
-            Hashtbl.replace seen i.Defs.iid ();
+            Int_table.replace seen i.Defs.iid ();
             true
           end)
         c.Chain.trunk)

@@ -39,7 +39,7 @@ let count_kind (g : Graph.t) kindp =
    across rejected and retried seeds.  [cache] is the run's look-ahead
    memo. *)
 let try_seed ~reorder (config : Config.t) (stats : Stats.t) trees func block
-    ~(cache : Lookahead.cache) ~(deps : Deps.t)
+    ~(cache : Lookahead.cache) ~(deps : Deps.t) ~(scope : Verifier.scope)
     ~(on_graph : (Graph.t -> unit) option) (seed : Defs.instr list) : bool =
   (* Earlier trees may have consumed these stores. *)
   if not (List.for_all (Block.mem block) seed) then false
@@ -73,7 +73,7 @@ let try_seed ~reorder (config : Config.t) (stats : Stats.t) trees func block
             m "seed [%s]: %a -> %s" (describe_seed seed) Cost.pp cost
               (if vectorized then "vectorize" else "reject"));
         if vectorized then begin
-          let rep = Stats.time ~stats "codegen" (fun () -> Codegen.run g) in
+          let rep = Stats.time ~stats "codegen" (fun () -> Codegen.run ~scope g) in
           (* Codegen rewrote the block: the memo's entries now
              describe dead IR.  Its counters survive the clear. *)
           Lookahead.cache_clear cache;
@@ -155,12 +155,12 @@ let plan_seeds plan (block : Defs.block) =
   match List.filter (fun (c : Packing.candidate) -> c.Packing.bid = block.Defs.bid) plan with
   | [] -> None
   | cands ->
-      let by_iid = Hashtbl.create 16 in
-      Block.iter (fun i -> Hashtbl.replace by_iid i.Defs.iid i) block;
+      let by_iid = Int_table.create 16 in
+      Block.iter (fun i -> Int_table.replace by_iid i.Defs.iid i) block;
       Some
         (List.filter_map
            (fun (c : Packing.candidate) ->
-             let seed = List.filter_map (Hashtbl.find_opt by_iid) c.Packing.seed_iids in
+             let seed = List.filter_map (Int_table.find_opt by_iid) c.Packing.seed_iids in
              if List.length seed = List.length c.Packing.seed_iids then
                Some (c.Packing.reorder, seed)
              else None)
@@ -186,6 +186,9 @@ type attempts = (int * (Graph.reorder * int list) list) list
 let drive ?on_graph ?(record : attempts ref option) (config : Config.t) (source : source)
     (func : Defs.func) : report =
   let cache = Lookahead.cache_create () in
+  (* Trees add and erase instructions, never blocks: one verification
+     scope serves every tree's local check. *)
+  let scope = Verifier.scope func in
   let stats = Stats.create () in
   let trees = ref [] in
   let lanes_for = Target.lanes_for config.Config.target in
@@ -212,7 +215,7 @@ let drive ?on_graph ?(record : attempts ref option) (config : Config.t) (source 
           let tried = ref [] in
           seeds (fun reorder seed ->
               tried := (reorder, List.map Instr.id seed) :: !tried;
-              try_seed ~reorder config stats trees func block ~cache ~deps ~on_graph seed);
+              try_seed ~reorder config stats trees func block ~cache ~deps ~scope ~on_graph seed);
           Option.iter (fun r -> r := (block.Defs.bid, List.rev !tried) :: !r) record;
           Stats.add_deps stats deps)
     (Func.blocks func);

@@ -277,6 +277,109 @@ kernel op(double A[], double B[], double C[], long i) {
   Instr.set_operand mul 1 (Instr.value add);
   check "mul depends on add once it reads it" true (Deps.depends deps ~on:add mul)
 
+(* Instructions created after a view was read get ids past every id
+   the view indexed, as massage and codegen create them: the view
+   answers on them what a fresh analysis of the block and the
+   brute-force closure of the explicit dependence graph answer.  The
+   ids sit far past the view's, so its position array must grow. *)
+let test_deps_fresh_ids () =
+  let f, blk =
+    block_of
+      {|
+kernel fr(double A[], double B[], long i) {
+  double x = A[i+0] + B[i+0];
+  A[i+1] = x;
+  B[i+1] = A[i+2] * x;
+  A[i+3] = B[i+2];
+}
+|}
+  in
+  let deps = Deps.of_block blk in
+  let old = Block.to_array blk in
+  let n_old = Array.length old in
+  check "first reaches last" false (Deps.depends deps ~on:old.(n_old - 1) old.(0));
+  f.Defs.next_iid <- f.Defs.next_iid + 100_000;
+  let stores = Array.of_list (List.filter Instr.is_store (Array.to_list old)) in
+  let loads = Array.of_list (List.filter Instr.is_load (Array.to_list old)) in
+  let x = List.find (fun i -> Instr.binop_kind i = Some Defs.Add) (Array.to_list old) in
+  (* A load of the cell the first store writes, an add of it and [x],
+     and a store of the sum to the cell the last load reads; each
+     placed before an instruction of the block. *)
+  let ld = Func.fresh_instr f Defs.Load Ty.f64 [| Instr.operand stores.(0) 1 |] in
+  Block.insert_before blk ~anchor:stores.(1) ld;
+  let add = Func.fresh_instr f (Defs.Binop Defs.Add) Ty.f64 [| Instr.value ld; Instr.value x |] in
+  Block.insert_before blk ~anchor:stores.(1) add;
+  let st = Func.fresh_instr f Defs.Store Ty.i32 [| Instr.value add; Instr.operand loads.(3) 0 |] in
+  Block.insert_before blk ~anchor:stores.(2) st;
+  let fresh_instrs = [ ld; add; st ] in
+  List.iter
+    (fun (i : Defs.instr) -> check "a fresh id" true (i.Defs.iid >= f.Defs.next_iid - 3))
+    fresh_instrs;
+  (* [memloc] never re-reads, so it answers before any other query. *)
+  let summary =
+    Option.map (fun (m : Deps.memloc) -> (Address.to_string m.Deps.addr, m.Deps.width))
+  in
+  List.iter
+    (fun i ->
+      check "memloc of a fresh instruction" true
+        (summary (Deps.memloc deps i) = summary (Deps.memloc_of_instr i)))
+    fresh_instrs;
+  (* Every answer of the view first, before a fresh analysis of the
+     block writes positions of its own. *)
+  let instrs = Block.to_array blk in
+  let n = Array.length instrs in
+  let involved a b = List.memq instrs.(a) fresh_instrs || List.memq instrs.(b) fresh_instrs in
+  let depends d = Array.init n (fun a -> Array.init n (fun b -> Deps.depends d ~on:instrs.(a) instrs.(b))) in
+  let got = depends deps in
+  List.iter
+    (fun i ->
+      check "memloc after the re-read" true
+        (summary (Deps.memloc deps i) = summary (Deps.memloc_of_instr i)))
+    fresh_instrs;
+  let value = Instr.value in
+  let groups =
+    [
+      [ [| value ld; value loads.(0) |] ];
+      [ [| value ld; value loads.(3) |] ];
+      [ [| value st; value stores.(0) |] ];
+      [ [| value st; value stores.(2) |] ];
+      [ [| value add; value x |] ];
+      [ [| value ld; value loads.(1) |]; [| value st; value stores.(1) |] ];
+      [ [| value add; value stores.(1) |]; [| value ld; value loads.(3) |] ];
+    ]
+  in
+  let placement d = function
+    | [ g ] -> Some (Deps.bundle_placement d (List.filter_map Value.as_instr (Array.to_list g)))
+    | _ -> None
+  in
+  let answers d = List.map (fun gs -> (Deps.schedulable d gs, placement d gs)) groups in
+  let verdicts = answers deps in
+  let again = Deps.of_block blk in
+  let expected = depends again in
+  let users = Test_properties.direct_users instrs in
+  for a = 0 to n - 1 do
+    let reached = Array.make n false in
+    let rec visit j =
+      List.iter
+        (fun k ->
+          if not reached.(k) then begin
+            reached.(k) <- true;
+            visit k
+          end)
+        users.(j)
+    in
+    visit a;
+    for b = 0 to n - 1 do
+      if involved a b then begin
+        check "depends: brute force" reached.(b) got.(a).(b);
+        check "depends: fresh analysis" expected.(a).(b) got.(a).(b)
+      end
+    done
+  done;
+  check "schedulable and placement: fresh analysis" true (answers again = verdicts);
+  let verdicts = List.map fst verdicts in
+  check "both verdicts" true (List.mem true verdicts && List.mem false verdicts)
+
 (* The kernel of test_vectorizer's "a group closing a cycle is
    gathered", as the vectorizer sees it (loop unrolled, if
    converted): the load groups [a[i+1], a[i+2]] and [b[i+1], b[i+2]]
@@ -347,5 +450,6 @@ let suite =
         Alcotest.test_case "a cycle through two groups" `Quick test_deps_cycle_through_two_groups;
         Alcotest.test_case "notices inserted and removed loads" `Quick test_deps_notices_edits;
         Alcotest.test_case "notices an operand change" `Quick test_deps_notices_operand_change;
+        Alcotest.test_case "ids created after a view was read" `Quick test_deps_fresh_ids;
       ] );
   ]

@@ -116,6 +116,39 @@ let test_lexer_pinned_errors () =
   List.iter (fun (src, want) -> Alcotest.(check string) (String.escaped src) want (lex_outcome src))
     pinned_lexes
 
+(* The same inputs through the parser, which lexes one token ahead of
+   what it has consumed: a parse error before a malformed token is
+   reported first ("x = 1e;" fails on "x", where the lexer alone stops
+   at "1e"). *)
+let pinned_parses =
+  [
+    "lex error at 1:16: unterminated comment";
+    "lex error at 2:5: unterminated comment";
+    "parse error at 1:1: expected 'kernel', found \"x\"";
+    "lex error at 1:4: malformed float literal \"1e+\"";
+    "parse error at 1:1: expected 'kernel', found \"a\"";
+    "lex error at 1:2: unexpected character '!'";
+    "lex error at 1:8: unexpected character '@'";
+    "parse error at 1:1: expected 'kernel', found \"x\"";
+    "parse error at 1:1: expected 'kernel', found \"a\"";
+    "parse error at 1:1: expected 'kernel', found \"1.5\"";
+    "lex error at 1:21: malformed integer literal \"99999999999999999999\"";
+    "lex error at 1:20: malformed integer literal \"9223372036854775808\"";
+    "parse error at 1:1: expected 'kernel', found \"caf\"";
+    "parse error at 1:1: expected 'kernel', found \"100000.\"";
+    "parse error at 1:1: expected 'kernel', found \"a\"";
+    "ok";
+    "parse error at 1:6: expected 'kernel', found \"/\"";
+    "parse error at 1:1: expected 'kernel', found \"0.001\"";
+  ]
+
+let test_parser_pinned_errors () =
+  List.iter2
+    (fun (src, _) want ->
+      let got = match Frontend.parse src with _ -> "ok" | exception Frontend.Error m -> m in
+      Alcotest.(check string) (String.escaped src) want got)
+    pinned_lexes pinned_parses
+
 (* --- Parser ---------------------------------------------------------- *)
 
 let motiv_src =
@@ -434,6 +467,7 @@ let suite =
         Alcotest.test_case "errors" `Quick test_lexer_errors;
         Alcotest.test_case "pinned token streams" `Quick test_lexer_pinned_streams;
         Alcotest.test_case "pinned malformed inputs" `Quick test_lexer_pinned_errors;
+        Alcotest.test_case "pinned malformed inputs, parsed" `Quick test_parser_pinned_errors;
       ] );
     ( "parser",
       [

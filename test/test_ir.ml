@@ -363,6 +363,30 @@ let test_insert_guard () =
   check_int "back to two" 2 (Block.length entry);
   check (Printf.sprintf "100k inserts and removals in %.3f s (< 2 s)" dt) true (dt < 2.0)
 
+(* A table takes its bucket from the low bits of [Int_table.hash]; the
+   look-ahead memo packs (iid, iid, depth) keys with the depth in the
+   low bits, so the hash must bring every bit of the key down.  The
+   key itself as hash, or a bare multiply, would put these 4,096 keys
+   into 16 of 1,024 buckets. *)
+let test_int_table_spreads_keys () =
+  let buckets keys =
+    let used = Array.make 1024 0 in
+    List.iter (fun k -> used.(Int_table.hash k land 1023) <- used.(Int_table.hash k land 1023) + 1) keys;
+    (Array.fold_left (fun n c -> if c > 0 then n + 1 else n) 0 used, Array.fold_left max 0 used)
+  in
+  let packed =
+    List.concat
+      (List.init 32 (fun ia ->
+           List.concat
+             (List.init 32 (fun ib -> List.init 4 (fun d -> (((ia lsl 27) lor ib) lsl 8) lor d)))))
+  in
+  List.iter
+    (fun (name, keys) ->
+      let used, fullest = buckets keys in
+      if used < 900 || fullest > 16 then
+        Alcotest.failf "%s: 4,096 keys in %d of 1,024 buckets, at most %d in one" name used fullest)
+    [ ("packed keys", packed); ("consecutive ids", List.init 4096 Fun.id) ]
+
 let suite =
   [
     ( "ir",
@@ -383,5 +407,6 @@ let suite =
         Alcotest.test_case "phi after a non-phi rejected" `Quick test_phi_after_non_phi;
         test_list_model;
         Alcotest.test_case "insert before last is O(1)" `Quick test_insert_guard;
+        Alcotest.test_case "int table spreads packed keys" `Quick test_int_table_spreads_keys;
       ] );
   ]

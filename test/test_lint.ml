@@ -319,11 +319,11 @@ kernel r(double a[], double b[], double c[], long i) {
   let ys = node 2 [| loads.(1); loads.(3) |] [||] in
   let sub = node 1 subs [| ys; xs |] in
   let root = node 0 [| stores.(2); stores.(3) |] [| sub |] in
-  let claimed = Hashtbl.create 8 in
+  let claimed = Int_table.create 8 in
   List.iter
     (fun (n : Graph.node) ->
       Array.iter
-        (function Defs.Instr i -> Hashtbl.replace claimed i.Defs.iid n | _ -> ())
+        (function Defs.Instr i -> Int_table.replace claimed i.Defs.iid n | _ -> ())
         n.Graph.scalars)
     [ root; sub; ys; xs ];
   let g =
@@ -339,7 +339,7 @@ kernel r(double a[], double b[], double c[], long i) {
       next_id = 4;
       claimed;
       by_group = Graph.Group.create 8;
-      no_remassage = Hashtbl.create 1;
+      no_remassage = Int_table.create 1;
       supernode_sizes = [];
       lookahead_cache = Lookahead.cache_create ();
     }
@@ -403,6 +403,31 @@ let test_validate_bounds_key_size () =
   | Semhash.Structural _ -> ()
   | Semhash.Semantic _ -> Alcotest.fail "kernel 486 got a semantic key"
   | exception Heap_limit -> Alcotest.fail "semhash: heap grew past 64 MB"
+
+(* Every sum holds at most [Normal.max_terms] terms; one more raises
+   [Too_big].  Each add re-merges the whole term list, so without the
+   cap one store of 8k loads took seconds to key; with it a long add
+   chain stops at the cap, and the service keys the store by its
+   text. *)
+let test_normal_caps_terms () =
+  let atom k = Normal.of_atom Ty.F64 (Normal.Arg k) in
+  let full =
+    List.fold_left (fun acc k -> Normal.add acc (atom k)) (Normal.zero Ty.F64)
+      (List.init Normal.max_terms Fun.id)
+  in
+  check_int "a sum at the cap" Normal.max_terms (List.length full.Normal.terms);
+  check "one term past the cap" true
+    (match Normal.add full (atom Normal.max_terms) with
+    | _ -> false
+    | exception Normal.Too_big -> true);
+  let src =
+    "kernel s(double a[], double o[]) { o[0] = a[0]"
+    ^ String.concat "" (List.init 4999 (fun k -> Printf.sprintf " + a[%d]" (k + 1)))
+    ^ "; }"
+  in
+  match Semhash.of_func (compile src) with
+  | Semhash.Structural _ -> ()
+  | Semhash.Semantic _ -> Alcotest.fail "a store of 5,000 loads got a semantic key"
 
 (* --- Lint sweep over the evaluation assets --------------------------------- *)
 
@@ -1074,6 +1099,7 @@ let suite =
           test_validate_keeps_zero_sign;
         Alcotest.test_case "validate: normal-form keys are bounded" `Quick
           test_validate_bounds_key_size;
+        Alcotest.test_case "validate: sums are capped at max_terms" `Quick test_normal_caps_terms;
         Alcotest.test_case "lint sweep: registry" `Quick test_lint_sweep_registry;
         Alcotest.test_case "lint sweep: fullbench" `Slow test_lint_sweep_fullbench;
         QCheck_alcotest.to_alcotest prop_generated_ir_validates;

@@ -798,6 +798,56 @@ let test_cycle_becomes_gather () =
       check "with a gather" true (rep.Vectorize.stats.Stats.gathers >= 1)
   | None -> Alcotest.fail "no vectorizer report"
 
+(* A deterministic growth check on the vectorizer's per-tree state:
+   every word [Vectorize.run] allocates, the major heap's direct
+   allocations included ({!Test_frontend.allocated_words}), may grow at
+   most 2.2x per doubling.  Two shapes: [n] blocks each holding one
+   two-lane store tree (behind an [if], so lowering gives each tree its
+   own block), and one tree after [n] statements whose stores are
+   three elements apart, so they seed nothing.  A table sized by the
+   function's ids per block or per tree grows quadratically on the
+   first shape. *)
+let test_slp_allocation_growth () =
+  let blocks n =
+    let b = Buffer.create 4096 in
+    Buffer.add_string b "kernel blocks(double a[], double b[], double c[], long i) {\n";
+    for k = 0 to n - 1 do
+      Printf.bprintf b
+        "  if (c[i+%d] > 0.0) { a[i+%d] = b[i+%d] * 3.0; a[i+%d] = b[i+%d] * 3.0; }\n" k
+        (2 * k) (2 * k) ((2 * k) + 1) ((2 * k) + 1)
+    done;
+    Buffer.add_string b "}\n";
+    Buffer.contents b
+  in
+  let statements n =
+    let b = Buffer.create 4096 in
+    Buffer.add_string b "kernel stmts(double a[], double b[], double c[], double d[], long i) {\n";
+    for k = 0 to n - 1 do
+      Printf.bprintf b "  c[i+%d] = d[i+%d] + 1.0;\n" (3 * k) (3 * k)
+    done;
+    Buffer.add_string b "  a[i+0] = b[i+0] * 3.0;\n  a[i+1] = b[i+1] * 3.0;\n}\n";
+    Buffer.contents b
+  in
+  let words shape n =
+    let f = compile (shape n) in
+    let rep, w = Test_frontend.allocated_words (fun () -> Vectorize.run Config.snslp f) in
+    (rep, w)
+  in
+  List.iter
+    (fun (name, shape, n) ->
+      (* Warm up at the largest size: storage kept across runs grows
+         here, not in a measured run. *)
+      ignore (words shape (2 * n));
+      let small_rep, small = words shape n in
+      let _, large = words shape (2 * n) in
+      check (name ^ ": trees vectorized") true
+        (small_rep.Vectorize.stats.Stats.graphs_vectorized >= if name = "blocks" then n else 1);
+      let ratio = large /. small in
+      if ratio > 2.2 then
+        Alcotest.failf "%s: allocation grew %.2fx from %d to %d (limit 2.2x)" name ratio n
+          (2 * n))
+    [ ("blocks", blocks, 150); ("statements", statements, 1000) ]
+
 let suite =
   [
     ( "seeds",
@@ -856,5 +906,7 @@ let suite =
           test_fingerprint_excludes_speed_knobs;
         Alcotest.test_case "one memo policy on every path" `Quick test_one_memo_policy;
         Alcotest.test_case "phases report self time" `Quick test_phases_self_time;
+        Alcotest.test_case "slp allocation growth per doubling" `Quick
+          test_slp_allocation_growth;
       ] );
   ]
