@@ -8,7 +8,7 @@
     position window — construction is O(block), queries O(window²)
     bits: a window's reachability matrix is one bit row per position,
     packed 62 bits to an [int].  Every legality query ({!depends},
-    {!bundle_placement}, {!schedulable}) reads that one closure. *)
+    {!admit} and what is built on it) reads that one closure. *)
 
 open Snslp_ir
 
@@ -59,12 +59,6 @@ type placement =
   | At_last (** bundle at the last member's position; others slide down *)
   | At_first (** bundle at the first member's position; others slide up *)
 
-val bundle_placement : t -> Defs.instr list -> placement option
-(** Full bundling legality: the group alone can be fused (no member
-    depends on another: {!schedulable} of one group) and its memory
-    operations have a legal slide direction ([None] when neither
-    direction avoids reordering against a conflicting access). *)
-
 (** How two accesses must be ordered once vector code replaced scalars
     of the block: each stands for the scalars it replaced, and every
     pair of {!conflicts}ing scalars keeps its order in the block. *)
@@ -79,14 +73,38 @@ val memory_order : t -> Defs.instr list -> Defs.instr list -> order
     scalars [xs] against one standing for [ys].  The scalars must
     still be linked in [t]'s block; never re-reads it. *)
 
+type fusion
+(** The groups of the block's instructions accepted so far for fusion
+    into one instruction each.  Group [g] must precede group [h] when a
+    member of [h] depends on a member of [g]; admission keeps that
+    relation acyclic. *)
+
+val fusion : t -> fusion
+(** No group accepted yet. *)
+
+val admit : fusion -> Defs.value array -> bool
+(** [admit f group]: whether [group] (disjoint from the accepted ones;
+    other values than block instructions are ignored) can be fused
+    along with the accepted groups, which then include it.  It cannot
+    when a member depends on another member (the one-group case), or
+    when it must both follow and precede accepted groups: a cycle can
+    run through different lanes of two groups that each pass alone. *)
+
+val admit_bundle : fusion -> Defs.instr list -> placement option
+(** {!admit} of a memory bundle, which also needs a slide direction
+    that passes no conflicting access; [None], and nothing accepted,
+    when either fails. *)
+
+val replace_last : fusion -> Defs.value array -> unit
+(** The group accepted last now consists of these instructions, lane
+    for lane: a Super-Node massage regenerated it from the same
+    operands and gave it the old instructions' users. *)
+
+val bundle_placement : t -> Defs.instr list -> placement option
+(** {!admit_bundle} into a fresh {!fusion}. *)
+
 val schedulable : t -> Defs.value array list -> bool
 (** [schedulable t groups]: the block can still be ordered once every
-    group (disjoint groups of its instructions, given as scalars;
-    other values are ignored) is fused into one instruction.  Group
-    [g] must precede group [h] when a member of [h] depends on a
-    member of [g]; the groups can be fused when that relation has no
-    cycle, and a member that depends on another member of its own
-    group is the one-group case.  A cycle can run through two groups'
-    different lanes, which {!bundle_placement} on each group alone
-    never sees.  Answered from the reachability window the members
-    span, like every other query. *)
+    group is fused into one instruction — {!admit} of each in turn
+    into a fresh {!fusion}, which refuses one exactly when the groups
+    so far close a cycle. *)

@@ -22,8 +22,8 @@
    - anything else falls back to a widening concat — one shuffle
      whose mask [0 .. 2L-1] glues the two narrow registers together.
 
-   Legality is checked as the vectorizer checks a tree: each store
-   and load pair by {!Snslp_analysis.Deps.bundle_placement}, and every
+   Legality is the vectorizer's admission: each store and load pair
+   is checked by {!Snslp_analysis.Deps.bundle_placement}, and every
    pair the plan fuses together by {!Snslp_analysis.Deps.schedulable}.
    Profitability comes from the target's machine model: a pair
    commits only when the narrow instructions that die cost strictly

@@ -8,8 +8,8 @@
     wide load, same-opcode binops → wide binop, same-family pairs →
     wide alt-binop with concatenated opcode masks, same-source
     shuffles → concatenated permute masks, everything else → a
-    widening concat shuffle).  Legality is checked as the vectorizer
-    checks a tree: each store and load pair by
+    widening concat shuffle).  Legality is the vectorizer's
+    admission: each store and load pair by
     {!Snslp_analysis.Deps.bundle_placement}, all pairs fused together
     by {!Snslp_analysis.Deps.schedulable}.  A pair commits only when
     the dying narrow instructions out-price the wide replacements

@@ -27,7 +27,7 @@ type kind =
 type node = {
   nid : int;
   scalars : Defs.value array;
-  mutable kind : kind; (* a vector group that cannot be scheduled becomes a gather *)
+  kind : kind;
   mutable children : node array; (* by operand index; empty for leaves *)
   mutable vec : Defs.value option; (* filled in by codegen *)
   mutable at_first : bool;
@@ -65,6 +65,7 @@ type t = {
   reorder : reorder;
   stats : Stats.t option; (* phase-timing sink, when the caller profiles *)
   deps : Deps.t; (* the caller's block-wide analysis *)
+  admitted : Deps.fusion; (* the tree's vector groups so far *)
   mutable nodes : node list; (* creation order, root first *)
   mutable root : node option;
   mutable next_id : int;
@@ -305,36 +306,30 @@ and build_instr_group (t : t) (vals : Defs.value array) (instrs : Defs.instr arr
   | Some kinds -> build_binop_group t vals instrs kinds
   | None ->
       if Array.for_all Instr.is_load instrs then
-        match Deps.bundle_placement t.deps (Array.to_list instrs) with
-        | None -> gather ()
-        | Some place -> (
-            let addrs = Array.map Address.of_instr instrs in
-            if Array.for_all Option.is_some addrs then
-              let addr_list = Array.to_list (Array.map Option.get addrs) in
-              if Address.consecutive addr_list then begin
-                let n = new_node t K_vec vals in
-                n.at_first <- place = Deps.At_first;
-                n
-              end
-              else if Address.consecutive (List.rev addr_list) then begin
-                (* Reverse-consecutive: canonicalise as a shuffle of
-                   the forward-order vector load, so a later request
-                   for the forward order shares the load. *)
-                let lanes = Array.length vals in
-                let fwd_vals = Array.init lanes (fun k -> vals.(lanes - 1 - k)) in
-                let fwd = new_node t K_vec fwd_vals in
-                fwd.at_first <- place = Deps.At_first;
-                let mask = Array.init lanes (fun k -> lanes - 1 - k) in
-                let n = new_node t (K_perm mask) vals in
+        let addrs = List.filter_map Address.of_instr (Array.to_list instrs) in
+        let forward = Address.consecutive addrs in
+        if List.length addrs < Array.length instrs || not (forward || Address.consecutive (List.rev addrs))
+        then gather ()
+        else
+          match Deps.admit_bundle t.admitted (Array.to_list instrs) with
+          | None -> gather ()
+          | Some place ->
+              (* Reverse-consecutive: canonicalise as a shuffle of the
+                 forward-order vector load, so a later request for the
+                 forward order shares the load. *)
+              let lanes = Array.length vals in
+              let fwd = new_node t K_vec (if forward then vals else Array.init lanes (fun k -> vals.(lanes - 1 - k))) in
+              fwd.at_first <- place = Deps.At_first;
+              if forward then fwd
+              else begin
+                let n = new_node t (K_perm (Array.init lanes (fun k -> lanes - 1 - k))) vals in
                 n.children <- [| fwd |];
                 n
               end
-              else gather ()
-            else gather ())
       else if Array.for_all (fun (j : Defs.instr) -> Instr.same_opcode j instrs.(0)) instrs
       then
         match instrs.(0).Defs.op with
-        | Defs.Select when Deps.schedulable t.deps [ vals ] ->
+        | Defs.Select when Deps.admit t.admitted vals ->
             (* Blend: vector select over vectorized condition and
                arms (what if-conversion output needs). *)
             let node = new_node t K_vec vals in
@@ -346,7 +341,7 @@ and build_instr_group (t : t) (vals : Defs.value array) (instrs : Defs.instr arr
             let c2 = child 2 in
             node.children <- [| c0; c1; c2 |];
             node
-        | (Defs.Icmp _ | Defs.Fcmp _) when Deps.schedulable t.deps [ vals ] ->
+        | (Defs.Icmp _ | Defs.Fcmp _) when Deps.admit t.admitted vals ->
             let node = new_node t K_vec vals in
             let child k =
               build_group t (Array.map (fun (j : Defs.instr) -> j.Defs.ops.(k)) instrs)
@@ -373,11 +368,11 @@ and build_binop_group (t : t) (vals : Defs.value array) (instrs : Defs.instr arr
   if (not uniform0) && not same_family then
     (* Mixed opcodes across families never vectorize. *)
     gather ()
-  else if not (Deps.schedulable t.deps [ vals ]) then gather ()
+  else if not (Deps.admit t.admitted vals) then gather ()
   else begin
     (* Offer the group to the Super-Node machinery (Listing 1 line 12).
        The massage may rewrite the IR; it returns the group's new root
-       instructions. *)
+       instructions, which take the admitted group's place. *)
     let instrs, kinds =
       if
         t.config.Config.mode = Config.Vanilla
@@ -396,7 +391,10 @@ and build_binop_group (t : t) (vals : Defs.value array) (instrs : Defs.instr arr
                look-ahead memo, whose entries describe the pre-massage
                operand DAG.  The dependence analysis notices the edit
                itself. *)
-            if r.Supernode.reordered then Lookahead.cache_clear t.lookahead_cache;
+            if r.Supernode.reordered then begin
+              Lookahead.cache_clear t.lookahead_cache;
+              Deps.replace_last t.admitted (Array.map Instr.value r.Supernode.new_roots)
+            end;
             Array.iter
               (fun (root : Defs.instr) ->
                 let rec mark (i : Defs.instr) =
@@ -438,52 +436,8 @@ and build_binop_group (t : t) (vals : Defs.value array) (instrs : Defs.instr arr
     node
   end
 
-(* --- Schedulability ------------------------------------------------------ *)
-
-(* Fused into one instruction each, the tree's vector groups must keep
-   the block's dependences acyclic ({!Deps.schedulable}).  Each group
-   passed the legality check on its own, but a cycle can run through
-   different lanes of two groups.  When the tree fails, its groups are
-   accepted again in creation order (a parent before its operands),
-   and each one that would close a cycle with those accepted becomes a
-   gather; the nodes only it reached are dropped.  That is what LLVM
-   does with a bundle it cannot schedule.  Whether anything changed. *)
 let vector_groups (t : t) =
-  List.filter_map (fun n -> if is_vectorizable_kind n.kind then Some n.scalars else None) t.nodes
-
-let make_schedulable (t : t) =
-  if Deps.schedulable t.deps (vector_groups t) then false
-  else begin
-    (* Node ids count the tree's nodes from 0. *)
-    let reached = Array.make t.next_id false in
-    let rec reach n =
-      if not reached.(n.nid) then begin
-        reached.(n.nid) <- true;
-        Array.iter reach n.children
-      end
-    in
-    reach (root t);
-    let accepted = ref [] in
-    List.iter
-      (fun n ->
-        if reached.(n.nid) && is_vectorizable_kind n.kind then
-          if Deps.schedulable t.deps (n.scalars :: !accepted) then
-            accepted := n.scalars :: !accepted
-          else begin
-            n.kind <- K_gather;
-            n.children <- [||];
-            Array.fill reached 0 t.next_id false;
-            reach (root t)
-          end)
-      (nodes t);
-    let kept n = reached.(n.nid) in
-    t.nodes <- List.filter kept t.nodes;
-    Int_table.filter_map_inplace
-      (fun _ n -> if kept n && is_vectorizable_kind n.kind then Some n else None)
-      t.claimed;
-    Group.filter_map_inplace (fun _ n -> if kept n then Some n else None) t.by_group;
-    true
-  end
+  List.filter_map (fun n -> if is_vectorizable_kind n.kind then Some n.scalars else None) (nodes t)
 
 (* --- Entry point -------------------------------------------------------- *)
 
@@ -511,6 +465,7 @@ let build ?stats ~deps ~cache ?(reorder = R_chain) (config : Config.t) (func : D
       reorder;
       stats;
       deps;
+      admitted = Deps.fusion deps;
       nodes = [];
       root = None;
       next_id = 0;
@@ -530,7 +485,7 @@ let build ?stats ~deps ~cache ?(reorder = R_chain) (config : Config.t) (func : D
   let placement =
     if Array.length instrs < 2 || (not (Array.for_all Instr.is_store instrs)) || not consecutive
     then None
-    else Deps.bundle_placement t.deps seed
+    else Deps.admit_bundle t.admitted seed
   in
   match placement with
   | None -> None

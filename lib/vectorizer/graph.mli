@@ -21,9 +21,9 @@ type kind =
 type node = {
   nid : int;
   scalars : Defs.value array;
-  mutable kind : kind;
-      (** a vector group that would leave the tree unschedulable
-          becomes [K_gather] ({!make_schedulable}) *)
+  kind : kind;
+      (** fixed at creation: a vector group that the tree so far
+          refuses ({!Snslp_analysis.Deps.admit}) is a [K_gather] *)
   mutable children : node array; (** by operand index; empty for leaves *)
   mutable vec : Defs.value option; (** filled in by codegen *)
   mutable at_first : bool;
@@ -49,6 +49,8 @@ type t = {
   reorder : reorder;
   stats : Stats.t option;  (** phase-timing sink, when the caller profiles *)
   deps : Deps.t;  (** the caller's block-wide analysis *)
+  admitted : Deps.fusion;
+      (** the vector groups accepted so far, the seed's first *)
   mutable nodes : node list;
   mutable root : node option;
   mutable next_id : int;  (** node ids run from 0 to [next_id - 1] *)
@@ -72,16 +74,8 @@ val is_vectorizable_kind : kind -> bool
     erased, extract-priced). *)
 
 val vector_groups : t -> Defs.value array list
-(** The scalars of every vectorizable node, one group per node. *)
-
-val make_schedulable : t -> bool
-(** Keeps the tree schedulable: fused into one instruction each, its
-    vector groups must leave the block's dependences acyclic
-    ({!Snslp_analysis.Deps.schedulable}), although each passed the
-    legality check alone.  When they do not, each group that closes a
-    cycle with the groups above it becomes a gather, in creation order,
-    and the nodes only it reached are dropped.  Whether the tree
-    changed. *)
+(** The scalars of every vectorizable node, one group per node, in
+    creation order (the order the builder admitted them). *)
 
 val build :
   ?stats:Stats.t ->
@@ -94,7 +88,11 @@ val build :
   Defs.instr list ->
   t option
 (** [build config func block seed] builds the graph rooted at the
-    store seed; [None] when the seed cannot even be bundled.  May
+    store seed; [None] when the seed cannot even be bundled.  Each
+    vector group is admitted against the tree so far when the builder
+    meets it ({!Snslp_analysis.Deps.admit}; a binop group before its
+    Super-Node massage, restated as the massaged roots), and a refused
+    one is a [K_gather], so the tree is always schedulable.  May
     rewrite the IR (Super-Node massaging).  [~deps] is the caller's
     block-wide dependence analysis, which may serve any number of
     seeds: it re-reads the block by itself after a rewrite, so the

@@ -5,7 +5,10 @@
    - every vectorizable bundle must be schedulable (a fresh dependence
      analysis must still find a legal placement), and so must all of
      them together: fused into one instruction each, the tree's vector
-     groups keep the block's dependences acyclic;
+     groups keep the block's dependences acyclic.  The builder admits
+     each group against the tree so far, so this holds by
+     construction; the fresh analysis checks that guarantee
+     independently of the builder's accumulator;
    - [K_vec] lanes are opcode-isomorphic; load/store bundles walk
      consecutive addresses;
    - [K_alt] lane opcodes are exactly the per-lane realised operators

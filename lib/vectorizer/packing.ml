@@ -14,8 +14,10 @@
      graph on a scratch clone and record its modeled cost and the
      instruction set it would claim.  Legality is whatever
      [Graph.build] accepts — the same family/inverse and bundling
-     rules as greedy — and every trial graph is offered to the
-     caller's [?on_graph] hook so the PR-5 invariant checker can
+     rules as greedy, and the same admission of every vector group
+     against the tree so far, so every estimate prices a tree codegen
+     could schedule — and every trial graph is offered to the
+     caller's [?on_graph] hook so the invariant checker can
      cross-examine it.
 
    - [solve]: beam search with a branch-and-bound admissible bound

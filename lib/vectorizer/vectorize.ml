@@ -51,15 +51,6 @@ let try_seed ~reorder (config : Config.t) (stats : Stats.t) trees func block
     | None -> false
     | Some g ->
         let cost = Stats.time ~stats "cost" (fun () -> Cost.of_graph config g) in
-        (* A tree about to be committed must be schedulable; mending
-           it turns a group into a gather, which is priced again. *)
-        let cost =
-          if
-            Cost.profitable cost
-            && Stats.time ~stats "graph" (fun () -> Graph.make_schedulable g)
-          then Stats.time ~stats "cost" (fun () -> Cost.of_graph config g)
-          else cost
-        in
         (match on_graph with Some f -> f g | None -> ());
         stats.Stats.graphs_built <- stats.Stats.graphs_built + 1;
         stats.Stats.nodes_formed <- stats.Stats.nodes_formed + List.length (Graph.nodes g);

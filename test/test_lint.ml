@@ -326,6 +326,7 @@ kernel r(double a[], double b[], double c[], long i) {
         (function Defs.Instr i -> Int_table.replace claimed i.Defs.iid n | _ -> ())
         n.Graph.scalars)
     [ root; sub; ys; xs ];
+  let deps = Snslp_analysis.Deps.of_block block in
   let g =
     {
       Graph.config = Config.snslp;
@@ -333,7 +334,8 @@ kernel r(double a[], double b[], double c[], long i) {
       block;
       reorder = Graph.R_chain;
       stats = None;
-      deps = Snslp_analysis.Deps.of_block block;
+      deps;
+      admitted = Snslp_analysis.Deps.fusion deps;
       nodes = [ xs; ys; sub; root ];
       root = Some root;
       next_id = 4;
@@ -501,6 +503,46 @@ let prop_generated_ir_validates =
                 v.Pipeline.graph_findings)
         validated_settings;
       true)
+
+(* The builder never returns a tree whose vector groups close a
+   dependence cycle.  These generated functions and KernelC kernels
+   hold groups that each pass alone but close a cycle together: checked
+   only one at a time, they gave 14 and 30 graph findings, and the
+   property above failed whenever it drew one of the seeds. *)
+let test_built_trees_are_schedulable () =
+  let global c =
+    { c with
+      Config.packing =
+        Config.Global { beam = Config.default_beam; node_budget = Config.default_node_budget } }
+  in
+  let avx512_revec =
+    { Config.snslp with
+      Config.target = Snslp_costmodel.Target.avx512;
+      model = Snslp_costmodel.Model.for_target Snslp_costmodel.Target.avx512;
+      revec = true }
+  in
+  let kernelc_settings =
+    validated_settings
+    @ [ ("sn-slp+global", Some (global Config.snslp)); ("sn-slp@avx512+revec", Some avx512_revec) ]
+  in
+  let no_findings what func settings =
+    List.iter
+      (fun (name, setting) ->
+        match (Pipeline.run ~setting ~validate:true func).Pipeline.validation with
+        | None -> Alcotest.failf "%s %s: no validation record" what name
+        | Some v ->
+            List.iter (Alcotest.failf "%s %s: %s" what name) v.Pipeline.graph_findings)
+      settings
+  in
+  List.iter
+    (fun seed -> no_findings (Printf.sprintf "Gen seed %d" seed) (Gen.generate ~seed ()) validated_settings)
+    [ 22803; 56082; 72145; 142774; 356619; 475204; 509963; 573127; 959614 ];
+  List.iter
+    (fun seed ->
+      no_findings (Printf.sprintf "Kernelc kernel %d" seed)
+        (compile (Snslp_fuzzer.Kernelc.generate ~seed))
+        kernelc_settings)
+    [ 1480; 2130; 2449; 3702; 3729; 4082; 4301; 4624 ]
 
 (* --- The static side-channel of the oracle --------------------------------- *)
 
@@ -1103,6 +1145,8 @@ let suite =
         Alcotest.test_case "lint sweep: registry" `Quick test_lint_sweep_registry;
         Alcotest.test_case "lint sweep: fullbench" `Slow test_lint_sweep_fullbench;
         QCheck_alcotest.to_alcotest prop_generated_ir_validates;
+        Alcotest.test_case "built trees never close a dependence cycle" `Quick
+          test_built_trees_are_schedulable;
         QCheck_alcotest.to_alcotest prop_loopy_ir_validates;
         Alcotest.test_case "loopy counted valid rate >= 0.9" `Quick test_loopy_valid_rate;
         Alcotest.test_case "oracle: static mismatch on injected bug" `Quick

@@ -423,10 +423,21 @@ let deps_match_brute_force =
 
 (* One case of the schedulability property: a [Gen] block and one to
    three random disjoint groups of two or three of its instructions.
-   Returns [Deps.schedulable]'s answer and the brute-force one:
-   contract each group to one vertex of the explicit dependence graph
-   and search the result for a cycle (an edge inside a group is a
-   cycle of one vertex). *)
+   The brute force contracts the first [k] groups each to one vertex of
+   the explicit dependence graph and searches the result for a cycle
+   (an edge inside a group is a cycle of one vertex).  Returns
+   [Deps.schedulable]'s answer and the brute force's over all groups,
+   and the index of the first group that [Deps.admit] refuses when the
+   groups are admitted one at a time into a fresh accumulator, with the
+   index of the first group whose prefix the brute force finds cyclic
+   ([ngroups] for none). *)
+type schedulable_case = {
+  got : bool;
+  expected : bool;
+  first_refused : int;
+  first_cyclic : int;
+}
+
 let schedulable_case seed =
   let blk = Func.entry (Snslp_fuzzer.Gen.generate ~seed ()) in
   let instrs = Block.to_array blk in
@@ -440,46 +451,63 @@ let schedulable_case seed =
     order.(j) <- t
   done;
   let ngroups = 1 + Random.State.int rand 3 in
-  (* vertex.(p): the group of position [p], or a vertex of its own. *)
-  let vertex = Array.init n (fun p -> ngroups + p) in
   let next = ref 0 in
-  let groups =
-    List.init ngroups (fun g ->
+  let members =
+    List.init ngroups (fun _ ->
         let size = min (2 + Random.State.int rand 2) (n - !next) in
         let members = Array.sub order !next size in
         next := !next + size;
-        Array.iter (fun p -> vertex.(p) <- g) members;
-        Array.map (fun p -> Instr.value instrs.(p)) members)
+        members)
   in
+  let groups = List.map (Array.map (fun p -> Instr.value instrs.(p))) members in
   let users = direct_users instrs in
-  let succs = Array.make (ngroups + n) [] in
-  Array.iteri
-    (fun p us -> List.iter (fun q -> succs.(vertex.(p)) <- vertex.(q) :: succs.(vertex.(p))) us)
-    users;
-  let state = Array.make (ngroups + n) `Unseen in
-  let rec acyclic v =
-    match state.(v) with
-    | `Done -> true
-    | `On_path -> false
-    | `Unseen ->
-        state.(v) <- `On_path;
-        let ok = List.for_all acyclic succs.(v) in
-        state.(v) <- `Done;
-        ok
+  let cyclic k =
+    (* vertex.(p): the group of position [p] among the first [k], or a
+       vertex of its own. *)
+    let vertex = Array.init n (fun p -> ngroups + p) in
+    List.iteri (fun g ms -> if g < k then Array.iter (fun p -> vertex.(p) <- g) ms) members;
+    let succs = Array.make (ngroups + n) [] in
+    Array.iteri
+      (fun p us ->
+        List.iter (fun q -> succs.(vertex.(p)) <- vertex.(q) :: succs.(vertex.(p))) us)
+      users;
+    let state = Array.make (ngroups + n) `Unseen in
+    let rec acyclic v =
+      match state.(v) with
+      | `Done -> true
+      | `On_path -> false
+      | `Unseen ->
+          state.(v) <- `On_path;
+          let ok = List.for_all acyclic succs.(v) in
+          state.(v) <- `Done;
+          ok
+    in
+    not (List.for_all acyclic (List.init (ngroups + n) Fun.id))
   in
-  let expected = List.for_all acyclic (List.init (ngroups + n) Fun.id) in
-  (Snslp_analysis.Deps.schedulable (Snslp_analysis.Deps.of_block blk) groups, expected)
+  let fusion = Snslp_analysis.Deps.(fusion (of_block blk)) in
+  let rec first_refused g = function
+    | [] -> g
+    | group :: rest ->
+        if Snslp_analysis.Deps.admit fusion group then first_refused (g + 1) rest else g
+  in
+  let rec first_cyclic g = if g = ngroups || cyclic (g + 1) then g else first_cyclic (g + 1) in
+  {
+    got = Snslp_analysis.Deps.schedulable (Snslp_analysis.Deps.of_block blk) groups;
+    expected = not (cyclic ngroups);
+    first_refused = first_refused 0 groups;
+    first_cyclic = first_cyclic 0;
+  }
 
 let schedulable_matches_contraction =
   QCheck.Test.make ~count:300 ~name:"schedulable matches contraction of the explicit graph"
     QCheck.(make Gen.(int_range 1 1_000_000))
     (fun seed ->
-      let got, expected = schedulable_case seed in
-      got = expected)
+      let c = schedulable_case seed in
+      c.got = c.expected && c.first_refused = c.first_cyclic)
 
 (* The cases above reach both verdicts. *)
 let schedulable_cases_reach_both () =
-  let verdicts = List.init 100 (fun seed -> fst (schedulable_case (seed + 1))) in
+  let verdicts = List.init 100 (fun seed -> (schedulable_case (seed + 1)).got) in
   Alcotest.(check bool) "a schedulable case" true (List.mem true verdicts);
   Alcotest.(check bool) "an unschedulable case" true (List.mem false verdicts)
 
