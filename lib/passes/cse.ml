@@ -33,13 +33,43 @@ module Computation = Hashtbl.Make (struct
           && Value.equal a.Defs.ops.(0) b.Defs.ops.(1)
           && Value.equal a.Defs.ops.(1) b.Defs.ops.(0))
 
+  (* Operands by id and the opcode by a tag, mixed inline as
+     [Int_table] mixes ids: the generic hash runs only for constant and
+     undef operands.  The tag ignores the payloads [same_opcode]
+     compares for alternating binops, shuffles and phis, which only
+     coarsens it. *)
+  let operand = function
+    | Defs.Instr i -> i.Defs.iid
+    | Defs.Arg a -> -1 - a.Defs.arg_pos
+    | (Defs.Const _ | Defs.Undef _) as v -> Value.hash v
+
+  let cmp = function Defs.Eq -> 0 | Defs.Ne -> 1 | Defs.Lt -> 2 | Defs.Le -> 3 | Defs.Gt -> 4 | Defs.Ge -> 5
+
+  let opcode (i : Defs.instr) =
+    match i.Defs.op with
+    | Defs.Binop Defs.Add -> 0
+    | Defs.Binop Defs.Sub -> 1
+    | Defs.Binop Defs.Mul -> 2
+    | Defs.Binop Defs.Div -> 3
+    | Defs.Icmp c -> 4 + cmp c
+    | Defs.Fcmp c -> 10 + cmp c
+    | Defs.Alt_binop _ -> 16
+    | Defs.Load -> 17
+    | Defs.Store -> 18
+    | Defs.Gep -> 19
+    | Defs.Insert -> 20
+    | Defs.Extract -> 21
+    | Defs.Shuffle _ -> 22
+    | Defs.Select -> 23
+    | Defs.Phi _ -> 24
+
   let hash (i : Defs.instr) =
     let ops = i.Defs.ops in
     let h =
-      if commutative i then Value.hash ops.(0) + Value.hash ops.(1)
-      else Array.fold_left (fun h v -> (31 * h) + Value.hash v) 0 ops
+      if commutative i then operand ops.(0) + operand ops.(1)
+      else Array.fold_left (fun h v -> (31 * h) + operand v) 0 ops
     in
-    (31 * h) + Hashtbl.hash i.Defs.op
+    Int_table.hash ((31 * h) + opcode i)
 end)
 
 let pure (i : Defs.instr) =

@@ -667,10 +667,10 @@ let run ~scope (g : Graph.t) : report =
     }
   in
   let stats = g.Graph.stats in
-  let _root_vec = Stats.time ?stats "emit" (fun () -> vec_of ctx (Graph.root g)) in
-  Stats.time ?stats "rewire" (fun () -> rewire_external_uses ctx);
-  let erased, here = Stats.time ?stats "erase" (fun () -> erase_vectorized ctx) in
-  let moved = Stats.time ?stats "sched" (fun () -> reschedule ctx.sched ~erased:here) in
-  Stats.time ?stats "cg-verify" (fun () ->
+  let _root_vec = Stats.time ?stats Stats.Emit (fun () -> vec_of ctx (Graph.root g)) in
+  Stats.time ?stats Stats.Rewire (fun () -> rewire_external_uses ctx);
+  let erased, here = Stats.time ?stats Stats.Erase (fun () -> erase_vectorized ctx) in
+  let moved = Stats.time ?stats Stats.Sched (fun () -> reschedule ctx.sched ~erased:here) in
+  Stats.time ?stats Stats.Cg_verify (fun () ->
       Verifier.verify_local_exn scope ~touched:moved ~erased:here);
   { vector_instrs = ctx.emitted; scalars_erased = erased }

@@ -381,7 +381,7 @@ and build_binop_group (t : t) (vals : Defs.value array) (instrs : Defs.instr arr
       then (instrs, kinds)
       else
         match
-          Stats.time ?stats:t.stats "massage" (fun () ->
+          Stats.time ?stats:t.stats Stats.Massage (fun () ->
               Supernode.massage ~cache:t.lookahead_cache t.config t.func instrs)
         with
         | None -> (instrs, kinds)
@@ -428,7 +428,7 @@ and build_binop_group (t : t) (vals : Defs.value array) (instrs : Defs.instr arr
       if uniform then new_node t K_vec vals else new_node t (K_alt kinds) vals
     in
     let op0, op1 =
-      Stats.time ?stats:t.stats "reorder" (fun () -> reorder_operands t instrs)
+      Stats.time ?stats:t.stats Stats.Reorder (fun () -> reorder_operands t instrs)
     in
     let c0 = build_group t op0 in
     let c1 = build_group t op1 in

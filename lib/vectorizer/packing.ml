@@ -90,18 +90,18 @@ let enumerate ?stats ?on_graph ~node_budget (config : Config.t) (func : Defs.fun
         (* One dependence analysis per block, exactly as the
            vectorizer driver shares it; it re-reads the block after a
            massage rewrite inside a build. *)
-        let time f = Stats.time ?stats "deps" f in
+        let time f = Stats.time ?stats Stats.Deps f in
         let deps = time (fun () -> Deps.of_block ~time block) in
         let try_candidate ~width ~reorder seed =
           match
-            Stats.time ?stats "graph" (fun () ->
+            Stats.time ?stats Stats.Graph (fun () ->
                 Graph.build ?stats ~deps ~cache ~reorder config clone block seed)
           with
           | None -> None
           | Some g ->
               (match on_graph with Some f -> f g | None -> ());
               nodes_built := !nodes_built + List.length (Graph.nodes g);
-              let cost = Stats.time ?stats "cost" (fun () -> Cost.of_graph config g) in
+              let cost = Stats.time ?stats Stats.Cost (fun () -> Cost.of_graph config g) in
               let claims =
                 Int_table.fold (fun iid _ acc -> iid :: acc) g.Graph.claimed []
                 |> List.sort Int.compare
